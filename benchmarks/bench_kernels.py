@@ -3,9 +3,10 @@
 These benchmark the *real* compute kernels on a 42_SC-shaped working
 set (~240 patterns x 4 Gamma categories), i.e. the loops that the
 paper's SPE port vectorizes: ``newview`` (large + small loop),
-``evaluate`` and one Newton iteration of ``makenewz``.  The reported
-per-call times are this machine's equivalents of the paper's 71 us
-average ``newview()`` invocation.
+``evaluate`` and ``makenewz`` (the once-per-branch sumtable, one Newton
+iteration on it, and — for comparison — the explicit ``(P, dP, d2P)``
+iteration it replaced).  The reported per-call times are this machine's
+equivalents of the paper's 71 us average ``newview()`` invocation.
 """
 
 import numpy as np
@@ -109,7 +110,36 @@ def test_newview_protein_20_states(benchmark):
     assert result.shape == (N_PATTERNS, N_CATS, 20)
 
 
+def test_makenewz_sumtable_build(benchmark, working_set):
+    """Once per ``makenewz``: both sides into the eigenbasis."""
+    model, _, _, left, right, _, _, _ = working_set
+    cat_w = np.full(N_CATS, 1.0 / N_CATS)
+    out, work = np.empty_like(left), np.empty_like(left)
+
+    table = benchmark(
+        kernels.branch_sumtable, model._right, model._left, model.pi,
+        cat_w, left, right, None, out, work,
+    )
+    assert table.shape == (N_PATTERNS, N_CATS, 4)
+
+
 def test_makenewz_newton_iteration(benchmark, working_set):
+    """One Newton iteration on the sumtable (what ``makenewz`` pays)."""
+    model, rates, _, left, right, _, weights, _ = working_set
+    cat_w = np.full(N_CATS, 1.0 / N_CATS)
+    table = kernels.branch_sumtable(
+        model._right, model._left, model.pi, cat_w, left, right)
+
+    lnl, d1, d2 = benchmark(
+        kernels.sumtable_derivatives, table, model._eigenvalues, rates,
+        0.2, weights,
+    )
+    assert np.isfinite(lnl) and np.isfinite(d1) and np.isfinite(d2)
+
+
+def test_makenewz_pmatrix_iteration(benchmark, working_set):
+    """The explicit ``(P, dP, d2P)`` iteration the sumtable replaced
+    (still the ``branch_derivatives()`` probe and the oracle's path)."""
     model, rates, _, left, right, _, weights, scale = working_set
     cat_w = np.full(N_CATS, 1.0 / N_CATS)
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 from typing import Iterable, List, Optional
+
+import numpy as np
 
 from .experiments import ExperimentResult, run_all_experiments
 
@@ -25,14 +29,24 @@ def merge_bench_section(path, section: str, payload: dict) -> dict:
     committed document (tolerating a missing file), replaces exactly
     ``section``, and rewrites the whole file through
     :func:`repro.cluster.checkpoint.atomic_write` so a crash mid-write
-    can never tear a committed benchmark artifact.  Returns the merged
-    document.
+    can never tear a committed benchmark artifact.  Every section is
+    stamped with the ``host`` that measured it (platform, python, numpy,
+    ``cpu_count``): sections are re-recorded one at a time, on whatever
+    machine ran that benchmark.  Returns the merged document.
     """
     from ..cluster.checkpoint import atomic_write
 
     path = Path(path)
     committed = json.loads(path.read_text()) if path.is_file() else {}
-    committed[section] = payload
+    committed[section] = {
+        **payload,
+        "host": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
+    }
     atomic_write(str(path), json.dumps(committed, indent=2) + "\n")
     return committed
 

@@ -7,7 +7,8 @@ results.  This module provides:
 * :func:`jc69_distance` — the analytic Jukes-Cantor distance,
 * :func:`ml_distance` — the ML distance under any reversible model and
   rate mixture, found by Newton-Raphson on the two-sequence likelihood
-  (the same ``makenewz`` mathematics applied to a single branch),
+  (``makenewz`` on a single tip-tip branch: same sumtable kernels, same
+  Newton loop),
 * :func:`distance_matrix` — all pairs, pattern-weighted,
 * :func:`neighbor_joining` — Saitou & Nei's NJ, returning a
   :class:`~repro.phylo.tree.Tree`.
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .alignment import PatternAlignment
-from .dna import TIP_PARTIAL_ROWS
+from .engine.core import newton_branch_length
 from .models import SubstitutionModel, JC69
 from .rates import RateModel, UniformRate
 from .tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH, Tree
@@ -84,35 +85,19 @@ def ml_distance(
     rate_model = rate_model or UniformRate()
     if rate_model.is_per_site:
         raise ValueError("ml_distance expects an integrated rate model")
-    n_cats = rate_model.n_categories
-    u = np.broadcast_to(
-        TIP_PARTIAL_ROWS[patterns.patterns[i]][:, None, :],
-        (patterns.n_patterns, n_cats, 4),
+    # Both sides are tips: the sumtable takes their state codes.
+    table = kernels.branch_sumtable(
+        model._right, model._left, model.pi, rate_model.weights,
+        patterns.patterns[i], patterns.patterns[j],
     )
-    v = np.broadcast_to(
-        TIP_PARTIAL_ROWS[patterns.patterns[j]][:, None, :],
-        (patterns.n_patterns, n_cats, 4),
+    start = min(max(jc69_distance(patterns, i, j), MIN_BRANCH_LENGTH),
+                MAX_BRANCH_LENGTH)
+    best_t, _, _ = newton_branch_length(
+        lambda t: kernels.sumtable_derivatives(
+            table, model._eigenvalues, rate_model.rates, t, patterns.weights
+        ),
+        start, max_iterations, tolerance,
     )
-    scale = np.zeros(patterns.n_patterns, dtype=np.int64)
-    t = min(max(jc69_distance(patterns, i, j), MIN_BRANCH_LENGTH),
-            MAX_BRANCH_LENGTH)
-    best_t, best_lnl = t, -np.inf
-    for _ in range(max_iterations):
-        terms = model.transition_derivatives(t, rate_model.rates)
-        lnl, d1, d2 = kernels.branch_derivatives(
-            terms, model.pi, rate_model.weights, patterns.weights,
-            u, v, scale,
-        )
-        if lnl > best_lnl:
-            best_lnl, best_t = lnl, t
-        if abs(d1) < tolerance:
-            break
-        new_t = t - d1 / d2 if d2 < 0 else (t * 2.0 if d1 > 0 else t * 0.5)
-        new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-        if abs(new_t - t) < tolerance:
-            t = new_t
-            break
-        t = new_t
     return best_t
 
 

@@ -12,7 +12,9 @@ RAxML's runtime (76.8 % / 19.16 % / 2.37 % per the paper's gprof profile):
   time-reversible model the value is identical at every branch — a
   property the test suite checks.
 * :meth:`LikelihoodEngine.makenewz` optimizes one branch length by
-  Newton-Raphson with analytic first and second derivatives.
+  Newton-Raphson with analytic first and second derivatives, projecting
+  the two CLVs facing the branch into the eigenbasis once (the
+  "sumtable") so each iteration is ``O(patterns * cats * states)``.
 
 The core holds everything *structural* — CLV cache and arena, quantized
 P-matrix LRU, dirty tracking through the tree's observer protocol,
@@ -34,8 +36,9 @@ and CAT (one category per site; per-pattern transition matrices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +57,68 @@ from .protocol import (
     resolve_backend,
 )
 
-__all__ = ["LikelihoodEngine", "NewviewCase", "estimate_site_rates"]
+__all__ = [
+    "LikelihoodEngine",
+    "NewviewCase",
+    "estimate_site_rates",
+    "newton_branch_length",
+]
+
+
+def newton_branch_length(
+    derivatives_at: Callable[[float], Tuple[float, float, float]],
+    start: float,
+    max_iterations: int = 32,
+    tolerance: float = 1e-8,
+) -> Tuple[float, float, int]:
+    """Safeguarded Newton-Raphson on one branch length.
+
+    ``derivatives_at(t)`` returns ``(lnL, d lnL/dt, d2 lnL/dt2)``.
+    Newton steps where the likelihood is locally concave, doubling /
+    halving uphill otherwise, every iterate clamped to
+    ``[MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH]``; stops on a derivative or
+    a step below *tolerance*.  Returns ``(best_t, best_lnl,
+    iterations)`` — the best point *scored*, including the final
+    iterate — so a step that loses likelihood is never kept.
+    """
+    t = start
+    best_t, best_lnl = t, -np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        lnl, d1, d2 = derivatives_at(t)
+        if lnl > best_lnl:
+            best_lnl, best_t = lnl, t
+        if abs(d1) < tolerance:
+            break
+        if d2 < 0.0:
+            new_t = t - d1 / d2
+        else:
+            # Not locally concave: move in the uphill direction.
+            new_t = t * 2.0 if d1 > 0 else t * 0.5
+        new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
+        if abs(new_t - t) < tolerance:
+            t = new_t
+            break
+        t = new_t
+
+    # Score the final point too (the loop may end right after a step).
+    lnl, _, _ = derivatives_at(t)
+    if lnl > best_lnl:
+        best_lnl, best_t = lnl, t
+    return best_t, best_lnl, iterations
+
+
+def _finite_derivatives(
+    triple: Tuple[float, float, float]
+) -> Tuple[float, float, float]:
+    """Pass a ``(lnL, d1, d2)`` triple through, or raise the
+    ``FloatingPointError`` the degradation ladder recovers from."""
+    lnl, d1, d2 = triple
+    if not (math.isfinite(lnl) and math.isfinite(d1) and math.isfinite(d2)):
+        raise FloatingPointError(
+            f"non-finite branch derivatives: ({lnl!r}, {d1!r}, {d2!r})"
+        )
+    return triple
 
 
 class NewviewCase:
@@ -174,6 +238,11 @@ class LikelihoodEngine:
         self._term_scratch = (
             np.empty((patterns.n_patterns, self._n_cats, self._n_states)),
             np.empty((patterns.n_patterns, self._n_cats, self._n_states)),
+        )
+        #: the makenewz sumtable (both branch sides in the eigenbasis),
+        #: rebuilt in place once per makenewz call
+        self._sumtable = np.empty(
+            (patterns.n_patterns, self._n_cats, self._n_states)
         )
         #: shared zero scale-count vector handed out for tip sides
         self._zero_scale = np.zeros(patterns.n_patterns, dtype=np.int64)
@@ -361,6 +430,7 @@ class LikelihoodEngine:
         self._clv_cache.clear()  # old entries view the old arena's blocks
         self._arena = ClvArena(*shape)
         self._term_scratch = (np.empty(shape), np.empty(shape))
+        self._sumtable = np.empty(shape)
 
     def _push_context(self, name: str):
         """Tell the tracer (if any) that nested kernel calls follow."""
@@ -417,9 +487,12 @@ class LikelihoodEngine:
     def _transition_derivatives(
         self, length: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(P, dP/dt, d2P/dt2)`` stacks at *length*."""
+        """``(P, dP/dt, d2P/dt2)`` stacks at *length* (uncached: only the
+        one-shot derivative probe and the oracle's Newton loop ask)."""
         if self._backend.uses_pmat_cache:
-            return self._pmats.derivatives(length)
+            return self.model.transition_derivatives(
+                length, self._rates_for_pmat()
+            )
         return self._backend.transition_derivatives(
             self.model, self._rates_for_pmat(), length
         )
@@ -626,11 +699,11 @@ class LikelihoodEngine:
     # -- evaluate ------------------------------------------------------------
 
     def _side(self, node: Node, branch: Branch) -> Tuple[np.ndarray, np.ndarray]:
-        """Unpropagated CLV facing *branch* from *node*'s side."""
+        """Unpropagated CLV facing *branch* from *node*'s side (tips
+        share the read-only zero scale-count vector, as in
+        :meth:`_term_across`)."""
         if node.is_tip:
-            return self._tip_clv(node), np.zeros(
-                self.patterns.n_patterns, dtype=np.int64
-            )
+            return self._tip_clv(node), self._zero_scale
         entry = self.clv(node, branch)
         return entry.clv, entry.scale_counts
 
@@ -731,7 +804,7 @@ class LikelihoodEngine:
     def _derivatives_at(
         self, length: float, u_clv, v_clv, scale
     ) -> Tuple[float, float, float]:
-        lnl, d1, d2 = self._backend.branch_derivatives(
+        return _finite_derivatives(self._backend.branch_derivatives(
             self._transition_derivatives(length),
             self.model.pi,
             self._cat_weights,
@@ -740,12 +813,7 @@ class LikelihoodEngine:
             v_clv,
             scale,
             per_site=self._site_rates is not None,
-        )
-        if not (np.isfinite(lnl) and np.isfinite(d1) and np.isfinite(d2)):
-            raise FloatingPointError(
-                f"non-finite branch derivatives: ({lnl!r}, {d1!r}, {d2!r})"
-            )
-        return lnl, d1, d2
+        ))
 
     def makenewz(
         self,
@@ -774,41 +842,14 @@ class LikelihoodEngine:
         max_iterations: int = 32,
         tolerance: float = 1e-8,
     ) -> Tuple[float, float]:
-        u, v = branch.nodes
         context = self._push_context("makenewz")
         try:
-            u_clv, u_sc = self._side(u, branch)
-            v_clv, v_sc = self._side(v, branch)
+            derivatives_at = self._newton_probe(branch)
         finally:
             self._pop_context(context)
-        scale = u_sc + v_sc
-
-        t = branch.length
-        best_t, best_lnl = t, -np.inf
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            lnl, d1, d2 = self._derivatives_at(t, u_clv, v_clv, scale)
-            if lnl > best_lnl:
-                best_lnl, best_t = lnl, t
-            if abs(d1) < tolerance:
-                break
-            if d2 < 0.0:
-                step = d1 / d2
-                new_t = t - step
-            else:
-                # Not locally concave: move in the uphill direction.
-                new_t = t * 2.0 if d1 > 0 else t * 0.5
-            new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-            if abs(new_t - t) < tolerance:
-                t = new_t
-                break
-            t = new_t
-
-        # Score the final point too (the loop may end right after a step).
-        lnl, _, _ = self._derivatives_at(t, u_clv, v_clv, scale)
-        if lnl > best_lnl:
-            best_lnl, best_t = lnl, t
-
+        best_t, best_lnl, iterations = newton_branch_length(
+            derivatives_at, branch.length, max_iterations, tolerance
+        )
         self.tree.set_length(branch, best_t)
         self.makenewz_calls += 1
         if self.tracer is not None:
@@ -818,6 +859,58 @@ class LikelihoodEngine:
                 iterations=iterations,
             )
         return best_t, best_lnl
+
+    def _newton_probe(
+        self, branch: Branch
+    ) -> Callable[[float], Tuple[float, float, float]]:
+        """``t -> (lnL, d lnL/dt, d2 lnL/dt2)`` at *branch* for the
+        Newton loop, with the CLVs facing the branch filled (calling
+        ``newview()`` as needed) and everything length-independent done.
+
+        Both sides are projected into the eigenbasis once (the backend's
+        ``branch_sumtable``, into the engine's scratch table; a tip side
+        goes in as its state codes) and the summed scale counts fold
+        into one scalar, so each evaluation is a single
+        ``sumtable_derivatives`` kernel call.  A backend that owns its
+        transition-matrix projection (the reference oracle) instead
+        keeps the independent per-iteration ``(P, dP, d2P)`` path.
+
+        The returned function reads the engine's one scratch table: it
+        is good until the next ``_newton_probe`` call.
+        """
+        u, v = branch.nodes
+        if not self._backend.uses_pmat_cache:
+            u_clv, u_sc = self._side(u, branch)
+            v_clv, v_sc = self._side(v, branch)
+            scale = u_sc + v_sc
+            return lambda t: self._derivatives_at(t, u_clv, v_clv, scale)
+        u_side, u_sc = self._sumtable_side(u, branch)
+        v_side, v_sc = self._sumtable_side(v, branch)
+        model, backend = self.model, self._backend
+        weights = self.patterns.weights
+        # Nested newviews are done: the term scratch is free to lend.
+        table = backend.branch_sumtable(
+            model._right, model._left, model.pi, self._cat_weights,
+            u_side, v_side, self._tip_table,
+            out=self._sumtable, work=self._term_scratch[0],
+        )
+        offset = float(weights @ (u_sc + v_sc)) * kernels.LOG_SCALE_FACTOR
+        eigenvalues, rates = model._eigenvalues, self._rates_for_pmat()
+        per_site = self._site_rates is not None
+        return lambda t: _finite_derivatives(backend.sumtable_derivatives(
+            table, eigenvalues, rates, t, weights, offset, per_site=per_site
+        ))
+
+    def _sumtable_side(
+        self, node: Node, branch: Branch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_side` for the sumtable: a tip contributes its state
+        codes (projected per code and gathered by the kernel) instead of
+        the broadcast tip CLV."""
+        if node.is_tip:
+            return self._tip_masks(node), self._zero_scale
+        entry = self.clv(node, branch)
+        return entry.clv, entry.scale_counts
 
     # -- full-tree branch gradient (two-sweep) --------------------------------
 

@@ -8,7 +8,8 @@ seam in the reproduction: everything numerical that the likelihood
 engine does per site pattern flows through one of its methods, and the
 engine core (:mod:`repro.phylo.engine.core`) holds everything else —
 CLV cache and arena, P-matrix LRU, dirty tracking, traversal order,
-Newton iteration, SPR batching.
+Newton iteration, SPR batching.  The two ``makenewz`` sumtable kernels
+are implemented on the protocol itself, so every backend shares them.
 
 Four backends register here:
 
@@ -49,6 +50,8 @@ import os
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from .. import kernels
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -127,6 +130,10 @@ class KernelBackend:
     #: eigenbasis projection *and* of the cache's quantization.
     uses_pmat_cache: bool = True
 
+    #: Cumulative kernel invocations (``backend_kernel_calls``); the
+    #: protocol-level default kernels below count themselves here.
+    kernel_calls: int = 0
+
     # -- newview kernels -----------------------------------------------------
 
     def tip_terms(
@@ -190,6 +197,56 @@ class KernelBackend:
         raise NotImplementedError
 
     # -- makenewz kernels ----------------------------------------------------
+    #
+    # The Newton loop runs on the sumtable pair, which is protocol-level:
+    # both are small dense NumPy products (one GEMM per branch, one
+    # ``(s, c*k) @ (c*k, 3)`` per iteration) that every backend inherits
+    # unmodified.  The ``(P, dP, d2P)`` kernels after them serve the
+    # one-shot derivative probe, the batched SPR Newton and the
+    # full-tree gradient — and the whole Newton loop of a backend that
+    # owns its projection (``uses_pmat_cache = False``, the oracle).
+
+    def branch_sumtable(
+        self,
+        right: np.ndarray,
+        left: np.ndarray,
+        pi: np.ndarray,
+        cat_weights: np.ndarray,
+        u_side: np.ndarray,
+        v_side: np.ndarray,
+        code_table: Optional[np.ndarray],
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Project both sides of a branch into the eigenbasis, once per
+        ``makenewz``: the ``(s, c, k)`` table of
+        :func:`repro.phylo.kernels.branch_sumtable`.  A side is an inner
+        CLV ``(s, c, n)`` or a ``(s,)`` vector of tip state codes.  Not
+        counted in ``kernel_calls``: the accounting unit of ``makenewz``
+        is the derivative evaluation."""
+        return kernels.branch_sumtable(
+            right, left, pi, cat_weights, u_side, v_side, code_table,
+            out=out, work=work,
+        )
+
+    def sumtable_derivatives(
+        self,
+        sumtable: np.ndarray,
+        eigenvalues: np.ndarray,
+        rates: np.ndarray,
+        branch_length: float,
+        pattern_weights: np.ndarray,
+        scale_offset: float,
+        per_site: bool = False,
+    ) -> Tuple[float, float, float]:
+        """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
+        :meth:`branch_sumtable` — one Newton iteration, one kernel call
+        (:func:`repro.phylo.kernels.sumtable_derivatives`)."""
+        self.kernel_calls += 1
+        return kernels.sumtable_derivatives(
+            sumtable, eigenvalues, rates, branch_length, pattern_weights,
+            scale_offset, per_site=per_site,
+        )
 
     def branch_derivatives(
         self,
@@ -202,7 +259,8 @@ class KernelBackend:
         scale_counts: np.ndarray,
         per_site: bool = False,
     ) -> Tuple[float, float, float]:
-        """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length."""
+        """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from an
+        explicit ``(P, dP/dt, d2P/dt2)`` stack."""
         raise NotImplementedError
 
     def branch_derivatives_batch(

@@ -13,9 +13,15 @@ These functions are the compute bodies of RAxML's three hot functions:
 * :func:`evaluate_loglik` — ``evaluate()``: dot the two CLVs facing a
   branch with the transition matrix and base frequencies, and sum
   weighted log site-likelihoods.
-* :func:`branch_derivatives` — the per-iteration body of ``makenewz()``:
-  first and second derivatives of the log likelihood with respect to one
-  branch length, for Newton-Raphson.
+* :func:`branch_sumtable` / :func:`sumtable_derivatives` — ``makenewz()``:
+  project the two CLVs facing a branch into the model's eigenbasis once
+  (the "sumtable"), then pay only a diagonal ``exp(lambda r t)``
+  contraction per Newton-Raphson iteration for the log likelihood and
+  its first two branch-length derivatives.
+* :func:`branch_derivatives` — the same three numbers from explicit
+  ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe, the
+  batched SPR/gradient contractions, and what the sumtable path is
+  differentially checked against.
 
 Every vectorized kernel has a ``*_reference`` twin written as plain
 Python loops.  The references are orders of magnitude slower and exist
@@ -45,6 +51,8 @@ __all__ = [
     "scale_clv",
     "evaluate_loglik",
     "evaluate_loglik_batch",
+    "branch_sumtable",
+    "sumtable_derivatives",
     "branch_derivatives",
     "branch_derivatives_batch",
     "branch_derivatives_persite",
@@ -241,6 +249,129 @@ def evaluate_loglik_batch(
         raise FloatingPointError("non-positive site likelihood (underflow?)")
     logs = np.log(site_lik) - scale_counts * LOG_SCALE_FACTOR
     return logs @ pattern_weights
+
+
+def _project_side(side: np.ndarray, basis: np.ndarray,
+                  code_table: Optional[np.ndarray],
+                  buffer: Optional[np.ndarray]) -> np.ndarray:
+    """One branch side projected onto ``basis`` ``(n, k)``, broadcastable
+    against ``(s, c, k)``.
+
+    ``side`` is an inner CLV ``(s, c, n)`` — one ``(s*c, n) @ (n, k)``
+    GEMM, written into ``buffer`` when given — or a ``(s,)`` vector of
+    tip state codes, projected once per code and gathered (the
+    ``tipVector`` trick of :func:`tip_terms`) into ``(s, 1, k)`` instead
+    of materialising the broadcast tip CLV.
+    """
+    if side.ndim == 1:
+        table = TIP_PARTIAL_ROWS if code_table is None else code_table
+        return np.take(table @ basis, side, axis=0)[:, None, :]
+    n, k = basis.shape
+    if buffer is None:
+        buffer = np.empty(side.shape[:2] + (k,), dtype=np.float64)
+    np.matmul(side.reshape(-1, n), basis, out=buffer.reshape(-1, k))
+    return buffer
+
+
+def branch_sumtable(
+    right: np.ndarray,
+    left: np.ndarray,
+    pi: np.ndarray,
+    cat_weights: np.ndarray,
+    u_side: np.ndarray,
+    v_side: np.ndarray,
+    code_table: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The ``makenewz`` sumtable: both CLVs facing a branch, projected
+    into the eigenbasis once per branch.
+
+    With ``P(t) = R diag(exp(lambda_k r_c t)) L`` the site likelihood at
+    the branch is ``sum_c w_c sum_ij pi_i u_i P_ij(t) v_j =
+    sum_ck S[s,c,k] exp(lambda_k r_c t)`` for the length-independent ::
+
+        S[s,c,k] = w_c * (sum_i pi_i u[s,c,i] R[i,k]) * (sum_j L[k,j] v[s,c,j])
+
+    so every Newton iteration on ``t`` (:func:`sumtable_derivatives`)
+    costs ``O(s*c*k)`` instead of three ``O(s*c*n^2)`` contractions plus
+    a fresh ``(P, dP, d2P)`` projection.
+
+    Parameters
+    ----------
+    right, left: the model's ``(n, k)`` / ``(k, n)`` eigenvector matrices.
+    pi: ``(n,)`` stationary frequencies.
+    cat_weights: ``(c,)`` category weights (``ones(1)`` in CAT mode,
+        where the CLVs keep a singleton category axis).
+    u_side, v_side: each side of the branch — an inner CLV ``(s, c, n)``
+        or a ``(s,)`` integer vector of tip state codes.
+    code_table: ``(n_codes, n)`` indicator rows per tip code; defaults
+        to the DNA ambiguity-mask table.
+    out, work: optional ``(s, c, k)`` buffers for the table and for the
+        ``v`` side's projection (only touched when that side is inner).
+
+    Returns
+    -------
+    The ``(s, c, k)`` sumtable (``out`` when given).
+    """
+    if out is None:
+        out = np.empty(
+            (len(u_side), len(cat_weights), right.shape[1]), dtype=np.float64
+        )
+    u_proj = _project_side(u_side, pi[:, None] * right, code_table, out)
+    v_proj = _project_side(v_side, left.T, code_table, work)
+    np.multiply(u_proj, v_proj, out=out)
+    out *= cat_weights[None, :, None]
+    return out
+
+
+def sumtable_derivatives(
+    sumtable: np.ndarray,
+    eigenvalues: np.ndarray,
+    rates: np.ndarray,
+    branch_length: float,
+    pattern_weights: np.ndarray,
+    scale_offset: float = 0.0,
+    per_site: bool = False,
+) -> Tuple[float, float, float]:
+    """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
+    :func:`branch_sumtable` — the per-iteration body of ``makenewz()``.
+
+    Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials and a
+    single ``(s, c*k) @ (c*k, 3)`` product against ``[e, lam e, lam^2 e]``
+    with ``lam = lambda_k r_c``.  CAT (``per_site=True``, ``rates`` is
+    ``(s,)``, singleton category axis): the same table against a
+    per-pattern exponent, element-wise.
+
+    ``scale_offset`` is the branch's rescaling correction folded into
+    one scalar, ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.
+    Agrees with :func:`branch_derivatives` /
+    :func:`branch_derivatives_persite` to round-off.
+    """
+    if branch_length < 0:
+        raise ValueError("branch length must be non-negative")
+    if per_site:
+        lam = rates[:, None] * eigenvalues[None, :]  # (s, k)
+        term = sumtable[:, 0, :] * np.exp(lam * branch_length)
+        lik = term.sum(axis=1)
+        term *= lam
+        d1 = term.sum(axis=1)
+        term *= lam
+        d2 = term.sum(axis=1)
+    else:
+        lam = (rates[:, None] * eigenvalues[None, :]).ravel()  # (c*k,)
+        basis = np.empty((lam.shape[0], 3), dtype=np.float64)
+        np.exp(lam * branch_length, out=basis[:, 0])
+        np.multiply(lam, basis[:, 0], out=basis[:, 1])
+        np.multiply(lam, basis[:, 1], out=basis[:, 2])
+        lik, d1, d2 = (sumtable.reshape(len(sumtable), -1) @ basis).T
+    if (lik <= 0).any():
+        raise FloatingPointError("non-positive site likelihood in makenewz")
+    g1 = d1 / lik
+    lnl = float(pattern_weights @ np.log(lik)) - scale_offset
+    dlnl = float(pattern_weights @ g1)
+    d2lnl = float(pattern_weights @ (d2 / lik - g1 * g1))
+    return lnl, dlnl, d2lnl
 
 
 def branch_derivatives(

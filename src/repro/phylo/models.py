@@ -253,17 +253,18 @@ class SubstitutionModel:
 
 
 class PMatrixCache:
-    """Memoized ``P`` / ``(P, dP, d2P)`` stacks for one (model, rates) pair.
+    """Memoized ``P`` stacks for one (model, rates) pair.
 
     The eigendecomposition is already computed once per
     :class:`SubstitutionModel`; what a search recomputes thousands of
     times over is the *projection* ``R diag(exp(lambda r t)) L`` — once
-    per ``newview`` and once per Newton iteration of ``makenewz``.
-    Branch lengths revisit the same values constantly (SPR candidates
-    are reverted to their pre-move lengths, `MIN_BRANCH_LENGTH` clamps
-    collapse many branches onto one value, Newton restarts from the
-    stored length), so an LRU table keyed by the **quantized** branch
-    length turns most of those projections into dictionary hits.
+    per ``newview`` propagation.  (``makenewz`` never projects: its
+    Newton iterates stay in the eigenbasis, see
+    :func:`repro.phylo.kernels.branch_sumtable`.)  Branch lengths
+    revisit the same values constantly (SPR candidates are reverted to
+    their pre-move lengths, `MIN_BRANCH_LENGTH` clamps collapse many
+    branches onto one value), so an LRU table keyed by the **quantized**
+    branch length turns most of those projections into dictionary hits.
 
     Parameters
     ----------
@@ -293,8 +294,7 @@ class PMatrixCache:
         tolerance in the system (Newton uses 1e-8), so sharing never
         changes a decision.
     capacity:
-        Maximum entries per table (matrices and derivative stacks are
-        tracked separately); least-recently-used entries are evicted.
+        Maximum entries; least-recently-used entries are evicted.
 
     ``hits`` / ``misses`` count lookups cumulatively — they survive
     :meth:`invalidate` so traces can report whole-run cache efficiency.
@@ -313,7 +313,6 @@ class PMatrixCache:
         self._mantissa_scale = float(2 ** self._mantissa_bits)
         self.capacity = capacity
         self._matrices: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-        self._derivatives: "OrderedDict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -338,11 +337,6 @@ class PMatrixCache:
             self.hits += 1
             self._matrices.move_to_end(key)
             return entry
-        derived = self._derivatives.get(key)
-        if derived is not None:  # the derivative stack includes P
-            self.hits += 1
-            self._derivatives.move_to_end(key)
-            return derived[0]
         self.misses += 1
         entry = self.model.transition_matrices(
             self._canonical(key), self.rates
@@ -353,43 +347,21 @@ class PMatrixCache:
             self._matrices.popitem(last=False)
         return entry
 
-    def derivatives(
-        self, branch_length: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached :meth:`SubstitutionModel.transition_derivatives`."""
-        key = self._key(branch_length)
-        entry = self._derivatives.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._derivatives.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = self.model.transition_derivatives(
-            self._canonical(key), self.rates
-        )
-        for part in entry:
-            part.setflags(write=False)
-        self._derivatives[key] = entry
-        if len(self._derivatives) > self.capacity:
-            self._derivatives.popitem(last=False)
-        return entry
-
     def invalidate(self) -> None:
         """Drop every entry (model-parameter or rate change)."""
         self._matrices.clear()
-        self._derivatives.clear()
         self.invalidations += 1
 
     def counters(self) -> Dict[str, int]:
         return {
             "pmat_hits": self.hits,
             "pmat_misses": self.misses,
-            "pmat_entries": len(self._matrices) + len(self._derivatives),
+            "pmat_entries": len(self._matrices),
             "pmat_invalidations": self.invalidations,
         }
 
     def __len__(self) -> int:
-        return len(self._matrices) + len(self._derivatives)
+        return len(self._matrices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

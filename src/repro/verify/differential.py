@@ -10,8 +10,10 @@ instance, and the harness compares:
 * the log likelihood at several branches (``evaluate``),
 * one inner conditional likelihood vector and its scale counts
   (``newview``) — scale counts must match *exactly*,
-* the branch-length derivative triple at a couple of branches
-  (``makenewz``'s inner loop),
+* the branch-length derivative triple at a couple of branches, taken
+  from the sumtable probe ``makenewz`` iterates — against the oracle
+  and against the engine's own ``(P, dP, d2P)`` probe
+  (``branch_derivatives``),
 * the one-pass full-tree gradient (``branch_gradient_full``) against
   the per-branch derivative path on **every** branch, against the
   oracle at the sampled branches, and — for ``d1`` — against a central
@@ -306,11 +308,18 @@ def compare_case(
                      rel_tol * 10, abs_tol=1e-7)
             _compare(result, f"deriv.d2@branch{b.index}", f_d2, o_d2,
                      rel_tol * 10, abs_tol=1e-7)
+            # ... and the sumtable path against the same engine's
+            # explicit (P, dP, d2P) probe.
+            p_lnl, p_d1, p_d2 = fast.branch_derivatives(b)
+            _compare(result, f"sumtable.lnl@branch{b.index}", f_lnl, p_lnl,
+                     rel_tol)
+            _compare(result, f"sumtable.d1@branch{b.index}", f_d1, p_d1,
+                     rel_tol * 10, abs_tol=1e-7)
+            _compare(result, f"sumtable.d2@branch{b.index}", f_d2, p_d2,
+                     rel_tol * 10, abs_tol=1e-7)
         # Full-tree gradient: the one-pass fused sweep must agree with
-        # the per-branch makenewz path on EVERY branch.  The per-branch
-        # path quantizes lengths through the P-matrix cache while the
-        # batch path projects exactly, so d1/d2 keep the same absolute
-        # floor as above.
+        # the per-branch derivative probe on EVERY branch (d1/d2 keep
+        # the same absolute floor as above).
         g_branches, g_lnl, g_d1, g_d2 = fast.branch_gradient_full()
         grad_by_id = {}
         for k, b in enumerate(g_branches):
@@ -360,11 +369,11 @@ def compare_case(
 def fast_makenewz_derivatives(
     engine: LikelihoodEngine, branch, length: Optional[float] = None
 ) -> Tuple[float, float, float]:
-    """The fast engine's ``(lnL, d1, d2)`` at a branch, via the same
-    backend calls :meth:`LikelihoodEngine.makenewz` iterates.  Kept as
-    a thin wrapper over the engine's public ``branch_derivatives`` for
-    older call sites."""
-    return engine.branch_derivatives(branch, length)
+    """The fast engine's ``(lnL, d1, d2)`` at a branch from the very
+    probe :meth:`LikelihoodEngine.makenewz` iterates: the sumtable pair
+    on every backend but the oracle's."""
+    t = branch.length if length is None else length
+    return engine._newton_probe(branch)(t)
 
 
 def run_differential(

@@ -99,17 +99,6 @@ class TestPMatrixCache:
             self.model.transition_matrices(0.4, self.rates),
             atol=1e-15,
         )
-        cached = cache.derivatives(0.4)
-        direct = self.model.transition_derivatives(0.4, self.rates)
-        for a, b in zip(cached, direct):
-            assert np.allclose(a, b, atol=1e-15)
-
-    def test_derivative_stack_serves_matrices(self):
-        cache = PMatrixCache(self.model, self.rates)
-        p_deriv, _, _ = cache.derivatives(0.7)
-        p = cache.matrices(0.7)  # served from the derivative entry
-        assert p is p_deriv
-        assert cache.hits == 1
 
     def test_invalidate_clears_entries_keeps_counters(self):
         cache = PMatrixCache(self.model, self.rates)

@@ -1,0 +1,413 @@
+"""The ``makenewz`` sumtable: kernels, engine wiring, guards, accounting.
+
+The sumtable pair (``branch_sumtable`` + ``sumtable_derivatives``) must
+reproduce the explicit ``(P, dP, d2P)`` derivative kernels — and the
+loop-based ``reference`` backend — on every side combination, model
+shape and branch length, and swapping it under ``makenewz`` must change
+nothing an operator can observe: guards, degradation ladder, counters.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.chaos import FaultPlan, FaultSpec, inject
+from repro.chaos.plan import ENGINE_CLV_POISON
+from repro.phylo import (
+    GTR,
+    HKY85,
+    JC69,
+    CatRates,
+    GammaRates,
+    LikelihoodEngine,
+    PoissonAA,
+    ProteinAlignment,
+    Tree,
+    UniformRate,
+    default_gtr,
+    kernels,
+    synthetic_dataset,
+)
+from repro.phylo.dna import TIP_PARTIAL_ROWS
+from repro.phylo.engine.backends.reference import ReferenceBackend
+from repro.phylo.engine.protocol import EngineNumericalError
+from repro.phylo.protein import AA_CODE_TABLE
+from repro.phylo.tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
+from repro.verify.golden import (
+    GOLDEN_CASES,
+    build_case_instance,
+    default_corpus_dir,
+)
+from repro.verify.oracle import ReferenceEngine
+from tests.strategies import random_patterns, seeds
+from tests.test_protein import related_sequences
+
+N_PATTERNS = 9
+
+#: name -> (model, rate model, tip code table); the rate model of the
+#: CAT configuration assigns one category per pattern.
+CONFIGS = {
+    "jc69_uniform": (JC69(), UniformRate(), None),
+    "gtr_gamma4": (
+        GTR((1.2, 2.9, 0.7, 1.1, 3.4, 1.0), (0.32, 0.18, 0.24, 0.26)),
+        GammaRates(0.5, 4), None,
+    ),
+    "hky_cat": (
+        HKY85(3.0, (0.3, 0.2, 0.2, 0.3)),
+        CatRates(np.linspace(0.25, 4.0, N_PATTERNS), n_categories=3), None,
+    ),
+    "poisson_aa_gamma4": (
+        PoissonAA(tuple(np.linspace(1.0, 3.0, 20))), GammaRates(0.8, 4),
+        AA_CODE_TABLE,
+    ),
+}
+
+#: log-uniform over the whole legal range, ends included
+lengths = st.one_of(
+    st.sampled_from([MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH]),
+    st.floats(np.log(MIN_BRANCH_LENGTH), np.log(MAX_BRANCH_LENGTH)).map(
+        lambda x: float(np.exp(x))
+    ),
+)
+
+
+def _rates(rate_model):
+    """``(per_site, rates, cat_weights)`` the way the engine feeds kernels."""
+    if rate_model.is_per_site:
+        return True, rate_model.rates[rate_model.site_categories], np.ones(1)
+    return False, rate_model.rates, rate_model.weights
+
+
+def _random_side(rng, kind, n_cats, table):
+    """``(sumtable operand, broadcast CLV)`` for a tip or inner side."""
+    if kind == "tip":
+        codes = rng.integers(1, len(table), N_PATTERNS).astype(np.uint8)
+        clv = np.broadcast_to(
+            table[codes][:, None, :], (N_PATTERNS, n_cats, table.shape[1])
+        )
+        return codes, clv
+    clv = rng.uniform(1e-3, 1.0, (N_PATTERNS, n_cats, table.shape[1]))
+    return clv, clv
+
+
+def _assert_triples_agree(got, want, t=1.0):
+    """1e-9 relative; d1/d2 sum signed terms, so they also get the
+    differential battery's absolute floor.
+
+    Below ``t = 1e-5`` the bar widens to ``1e-14 / t``: a mismatched
+    state pair has ``P_ij(t) = O(t)`` assembled from ``O(1)`` eigen-terms,
+    so *every* eigenbasis evaluation — sumtable or explicit P — loses
+    ``log10(1/t)`` digits to cancellation there, each in its own way
+    (worst seen: 1.2e-7 on ``d2`` at ``t = 1e-8`` with 20 states).
+    """
+    rel = max(1e-9, 1e-14 / t)
+    assert got[0] == pytest.approx(want[0], rel=rel)
+    assert got[1] == pytest.approx(want[1], rel=rel, abs=1e-7)
+    assert got[2] == pytest.approx(want[2], rel=rel, abs=1e-7)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize(
+        "sides", [("tip", "tip"), ("tip", "inner"), ("inner", "tip"),
+                  ("inner", "inner")], ids="-".join,
+    )
+    @given(seed=seeds, t=lengths)
+    def test_matches_pmatrix_kernels_and_reference(self, config, sides,
+                                                   seed, t):
+        model, rate_model, code_table = CONFIGS[config]
+        table = TIP_PARTIAL_ROWS if code_table is None else code_table
+        per_site, rates, cat_weights = _rates(rate_model)
+        rng = np.random.default_rng(seed)
+        u_side, u_clv = _random_side(rng, sides[0], len(cat_weights), table)
+        v_side, v_clv = _random_side(rng, sides[1], len(cat_weights), table)
+        weights = rng.integers(1, 5, N_PATTERNS).astype(np.float64)
+        scale = rng.integers(0, 4, N_PATTERNS)  # non-zero scale counts
+
+        sumtable = kernels.branch_sumtable(
+            model._right, model._left, model.pi, cat_weights,
+            u_side, v_side, code_table,
+        )
+        got = kernels.sumtable_derivatives(
+            sumtable, model._eigenvalues, rates, t, weights,
+            float(weights @ scale) * kernels.LOG_SCALE_FACTOR,
+            per_site=per_site,
+        )
+
+        terms = model.transition_derivatives(t, rates)
+        if per_site:
+            want = kernels.branch_derivatives_persite(
+                terms, model.pi, weights, u_clv, v_clv, scale)
+        else:
+            want = kernels.branch_derivatives(
+                terms, model.pi, cat_weights, weights, u_clv, v_clv, scale)
+        _assert_triples_agree(got, want, t)
+
+        oracle = ReferenceBackend()
+        _assert_triples_agree(got, oracle.branch_derivatives(
+            oracle.transition_derivatives(model, rates, t), model.pi,
+            cat_weights, weights, u_clv, v_clv, scale, per_site=per_site,
+        ), t)
+
+    def test_buffers_are_used_in_place(self):
+        model, rate_model, _ = CONFIGS["gtr_gamma4"]
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
+        v = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
+        out, work = np.empty_like(u), np.empty_like(u)
+        table = kernels.branch_sumtable(
+            model._right, model._left, model.pi, rate_model.weights, u, v,
+            out=out, work=work,
+        )
+        assert table is out
+        assert np.array_equal(table, kernels.branch_sumtable(
+            model._right, model._left, model.pi, rate_model.weights, u, v))
+
+    def test_negative_length_and_nonpositive_likelihood_raise(self):
+        model, rate_model, _ = CONFIGS["jc69_uniform"]
+        codes = np.full(N_PATTERNS, 1, dtype=np.uint8)
+        table = kernels.branch_sumtable(
+            model._right, model._left, model.pi, rate_model.weights,
+            codes, codes,
+        )
+        args = (model._eigenvalues, rate_model.rates)
+        weights = np.ones(N_PATTERNS)
+        with pytest.raises(ValueError, match="non-negative"):
+            kernels.sumtable_derivatives(table, *args, -0.1, weights)
+        table[0] = 0.0  # a pattern no state pair can explain
+        with pytest.raises(FloatingPointError, match="non-positive"):
+            kernels.sumtable_derivatives(table, *args, 0.1, weights)
+
+
+def _engine(config, seed=5, n_taxa=7, backend="einsum"):
+    model, rate_model, _ = CONFIGS[config]
+    rng = np.random.default_rng(seed)
+    patterns = random_patterns(rng, n_taxa, 400)
+    if rate_model.is_per_site:
+        rate_model = CatRates(
+            rng.uniform(0.25, 4.0, patterns.n_patterns), n_categories=3)
+    tree = Tree.from_tip_names(patterns.taxa, rng)
+    return LikelihoodEngine(patterns, model, rate_model, tree,
+                            backend=backend)
+
+
+class TestEngineProbe:
+    @pytest.mark.parametrize("config",
+                             ["jc69_uniform", "gtr_gamma4", "hky_cat"])
+    @pytest.mark.parametrize("backend", ["einsum", "partitioned:2"])
+    def test_newton_probe_matches_public_probe_on_every_branch(
+            self, config, backend):
+        engine = _engine(config, backend=backend)
+        try:
+            for branch in engine.tree.branches:
+                for t in (MIN_BRANCH_LENGTH, branch.length,
+                          MAX_BRANCH_LENGTH):
+                    _assert_triples_agree(
+                        engine._newton_probe(branch)(t),
+                        engine.branch_derivatives(branch, t), t,
+                    )
+        finally:
+            engine.detach()
+
+    def test_rescaled_clvs_fold_into_the_offset(self):
+        """Deep tree: the CLVs facing a branch carry non-zero scale
+        counts, which the sumtable path folds into one scalar."""
+        aln = synthetic_dataset(n_taxa=160, n_sites=20, seed=8,
+                                mean_branch_length=1.5,
+                                invariant_fraction=0.0, gamma_alpha=None)
+        patterns = aln.compress()
+        tree = Tree.from_tip_names(
+            patterns.taxa, np.random.default_rng(4), mean_branch_length=1.5)
+        engine = LikelihoodEngine(patterns, default_gtr(), UniformRate(),
+                                  tree, backend="einsum")
+        oracle = ReferenceEngine(patterns, default_gtr(), UniformRate(), tree)
+        try:
+            scaled = [
+                b for b in tree.branches
+                if any(not n.is_tip and engine.clv(n, b).scale_counts.any()
+                       for n in b.nodes)
+            ]
+            assert scaled  # rescaling actually happened
+            for branch in scaled[:3]:
+                got = engine._newton_probe(branch)(branch.length)
+                _assert_triples_agree(got, engine.branch_derivatives(branch))
+                _assert_triples_agree(got, oracle.branch_derivatives(branch))
+        finally:
+            engine.detach()
+            oracle.detach()
+
+    def test_protein_makenewz_matches_oracle(self):
+        patterns = ProteinAlignment.from_sequences(
+            related_sequences(n_taxa=5, n_sites=40)).compress()
+        model = PoissonAA(patterns.base_frequencies())
+        newick = Tree.from_tip_names(
+            patterns.taxa, np.random.default_rng(2)).to_newick(digits=17)
+        results = []
+        for backend in ("einsum", "reference"):
+            tree = Tree.from_newick(newick)
+            engine = LikelihoodEngine(patterns, model, GammaRates(0.8, 2),
+                                      tree, backend=backend)
+            try:
+                results.append(engine.makenewz(tree.branches[0]))
+            finally:
+                engine.detach()
+        (t, lnl), (o_t, o_lnl) = results
+        assert t == pytest.approx(o_t, rel=1e-7)
+        assert lnl == pytest.approx(o_lnl, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: case.name)
+def test_makenewz_matches_oracle_engine_on_golden_cases(case):
+    """Sumtable Newton vs the oracle's per-iteration P-matrix Newton on
+    every branch: lnL within 1e-9 relative, length within 2e-6.  The
+    length bar is the size of the last Newton step, not 1e-7: makenewz
+    returns the best-*scored* iterate, and the final two iterates tie in
+    lnL to the last ulp, so round-off alone picks between them (observed:
+    two of 29 branches differ by 5e-7 and 1e-6, the rest by < 1e-10)."""
+    patterns, model, rate_model, tree, _ = build_case_instance(case)
+    newick = tree.to_newick(digits=17)
+    fast_tree, oracle_tree = Tree.from_newick(newick), Tree.from_newick(newick)
+    fast = LikelihoodEngine(patterns, model, rate_model, fast_tree,
+                            backend="einsum")
+    oracle = ReferenceEngine(patterns, model, rate_model, oracle_tree)
+    try:
+        for fb, ob in zip(fast_tree.branches, oracle_tree.branches):
+            t, lnl = fast.makenewz(fb)
+            o_t, o_lnl = oracle.makenewz(ob)
+            assert lnl == pytest.approx(o_lnl, rel=1e-9)
+            assert t == pytest.approx(o_t, rel=1e-7, abs=2e-6)
+            # Keep the two trees in lockstep for the next branch.
+            oracle_tree.set_length(ob, t)
+    finally:
+        fast.detach()
+        oracle.detach()
+
+
+class TestGuardParity:
+    def _poison_plan(self, visits):
+        return FaultPlan(seed=0, specs=(
+            FaultSpec(ENGINE_CLV_POISON, trigger_at=tuple(range(visits)),
+                      max_triggers=visits, value="nan"),
+        ))
+
+    def test_transient_poison_recomputes_to_the_clean_result(self):
+        clean_engine = _engine("gtr_gamma4", seed=33)
+        try:
+            clean = clean_engine.makenewz(clean_engine.tree.branches[1])
+        finally:
+            clean_engine.detach()
+        engine = _engine("gtr_gamma4", seed=33)
+        try:
+            with inject(self._poison_plan(1)) as injector:
+                recovered = engine.makenewz(engine.tree.branches[1])
+            assert injector.fired[ENGINE_CLV_POISON] == 1
+            assert engine.fault_recoveries == 1
+            assert not engine.is_degraded
+            assert recovered == clean  # bit-identical
+        finally:
+            engine.detach()
+
+    def test_persistent_poison_walks_the_ladder_and_leaves_the_tree(self):
+        engine = _engine("gtr_gamma4", seed=53)
+        branch = engine.tree.branches[1]
+        before = [b.length for b in engine.tree.branches]
+        try:
+            with inject(self._poison_plan(4096)):
+                with pytest.raises(EngineNumericalError,
+                                   match="persisted through"):
+                    engine.makenewz(branch)
+            # recompute x degrade_after, then the reference fallback
+            assert engine.numerical_faults > engine._degrade_after
+            assert engine.degradation_path == ["reference"]
+            assert engine.makenewz_calls == 0
+            assert [b.length for b in engine.tree.branches] == before
+        finally:
+            engine.detach()
+
+    def test_nonpositive_site_likelihood_still_raises(self):
+        """A pattern no state assignment can explain (an all-zero CLV
+        row) trips the kernel's guard; through the guarded entry point
+        the ladder drops the damaged cache and recovers bit-identically."""
+        clean_engine = _engine("jc69_uniform", seed=7)
+        try:
+            clean = clean_engine.makenewz(clean_engine.tree.branches[0])
+        finally:
+            clean_engine.detach()
+        engine = _engine("jc69_uniform", seed=7)
+        try:
+            branch = engine.tree.branches[0]
+            inner = next(n for n in branch.nodes if not n.is_tip)
+            engine.clv(inner, branch).clv[0] = 0.0
+            with pytest.raises(FloatingPointError, match="non-positive"):
+                engine._newton_probe(branch)(branch.length)
+            assert engine.makenewz(branch) == clean
+            assert engine.numerical_faults == 1
+            assert engine.fault_recoveries == 1
+        finally:
+            engine.detach()
+
+    def test_negative_length_probe_raises_value_error(self):
+        engine = _engine("jc69_uniform")
+        try:
+            branch = engine.tree.branches[0]
+            with pytest.raises(ValueError, match="non-negative"):
+                engine._newton_probe(branch)(-1.0)
+            with pytest.raises(ValueError, match="non-negative"):
+                engine.branch_derivatives(branch, -1.0)
+        finally:
+            engine.detach()
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("backend", ["einsum", "partitioned:2"])
+    def test_one_kernel_call_per_derivative_evaluation(self, backend):
+        class Iterations:
+            total = 0
+
+            def record_makenewz(self, iterations, **_):
+                self.total += iterations
+
+        engine = _engine("gtr_gamma4", backend=backend)
+        try:
+            for branch in engine.tree.branches:  # fill every CLV first
+                engine.evaluate(branch)
+            keys = sorted(engine.perf_counters())
+            before = engine.perf_counters()["backend_kernel_calls"]
+            engine.tracer = tracer = Iterations()
+            engine.makenewz(engine.tree.branches[0])
+            # the Newton iterations + the final re-score; the table
+            # itself is not a counted kernel call
+            after = engine.perf_counters()["backend_kernel_calls"]
+            assert after - before == tracer.total + 1
+            assert engine.makenewz_calls == 1
+            assert sorted(engine.perf_counters()) == keys
+        finally:
+            engine.tracer = None
+            engine.detach()
+
+    def test_perf_counter_keys_match_the_golden_corpus(self):
+        committed = json.loads(
+            (default_corpus_dir() / "gtr_gamma.json").read_text())
+        engine = _engine("gtr_gamma4")
+        try:
+            engine.makenewz(engine.tree.branches[0])
+            assert sorted(engine.perf_counters()) == \
+                committed["perf_counter_keys"]
+        finally:
+            engine.detach()
+
+    def test_newton_iterates_do_not_touch_the_pmatrix_cache(self):
+        engine = _engine("gtr_gamma4")
+        try:
+            for branch in engine.tree.branches:
+                engine.evaluate(branch)
+            before = engine.perf_counters()
+            engine.makenewz(engine.tree.branches[0])
+            after = engine.perf_counters()
+            for key in ("pmat_hits", "pmat_misses", "pmat_entries"):
+                assert after[key] == before[key]
+        finally:
+            engine.detach()
