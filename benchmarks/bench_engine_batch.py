@@ -57,13 +57,8 @@ N_NEIGHBORHOODS = 15
 RADIUS = 3
 NEWTON_ITERATIONS = 8
 
-#: Acceptance bar for the batched path on the fixed candidate set.  It
-#: was 2.0 while each serial candidate paid three P-matrix ``makenewz``
-#: calls; the sumtable ``makenewz`` made the *serial* sweep ~2.3x cheaper
-#: (0.97 s -> 0.43 s on the 2-core recording host) while the batched
-#: scorer still runs its stacked ``(P, dP, d2P)`` Newton (0.23 s): the
-#: ratio is now ~1.8x there, 1.4-2.4x over ten single-shot runs.
-MIN_SPEEDUP = 1.25
+#: Acceptance bar: the batched path must at least halve the sweep time.
+MIN_SPEEDUP = 2.0
 
 
 def _setup():
@@ -206,7 +201,7 @@ def run_benchmark(write: bool = True, include_context: bool = True) -> dict:
     return report
 
 
-def test_batched_sweep_beats_serial_sweep():
+def test_batched_sweep_is_at_least_twice_as_fast():
     report = run_benchmark()
     sweep = report["neighborhood_sweep"]
     serial, batched = sweep["serial"], sweep["batched"]
@@ -238,4 +233,4 @@ def test_batched_sweep_beats_serial_sweep():
 
 
 if __name__ == "__main__":
-    test_batched_sweep_beats_serial_sweep()
+    test_batched_sweep_is_at_least_twice_as_fast()

@@ -123,7 +123,7 @@ def test_makenewz_sumtable_build(benchmark, working_set):
     assert table.shape == (N_PATTERNS, N_CATS, 4)
 
 
-def test_makenewz_newton_iteration(benchmark, working_set):
+def test_makenewz_sumtable_iteration(benchmark, working_set):
     """One Newton iteration on the sumtable (what ``makenewz`` pays)."""
     model, rates, _, left, right, _, weights, _ = working_set
     cat_w = np.full(N_CATS, 1.0 / N_CATS)
@@ -137,7 +137,7 @@ def test_makenewz_newton_iteration(benchmark, working_set):
     assert np.isfinite(lnl) and np.isfinite(d1) and np.isfinite(d2)
 
 
-def test_makenewz_pmatrix_iteration(benchmark, working_set):
+def test_makenewz_newton_iteration(benchmark, working_set):
     """The explicit ``(P, dP, d2P)`` iteration the sumtable replaced
     (still the ``branch_derivatives()`` probe and the oracle's path)."""
     model, rates, _, left, right, _, weights, scale = working_set

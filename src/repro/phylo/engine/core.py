@@ -65,6 +65,12 @@ __all__ = [
 ]
 
 
+#: Two Newton iterates whose ``lnL`` differ by at most this many ulps
+#: are a tie (summation round-off over the patterns is a few ulps).
+LNL_TIE_ULPS = 8
+_LNL_TIE = LNL_TIE_ULPS * np.finfo(float).eps
+
+
 def newton_branch_length(
     derivatives_at: Callable[[float], Tuple[float, float, float]],
     start: float,
@@ -80,13 +86,22 @@ def newton_branch_length(
     a step below *tolerance*.  Returns ``(best_t, best_lnl,
     iterations)`` — the best point *scored*, including the final
     iterate — so a step that loses likelihood is never kept.
+
+    Two rules keep the returned length independent of which kernel's
+    round-off scored the iterates.  A later iterate that ties the best
+    within :data:`LNL_TIE_ULPS` ulps wins: converged iterates agree in
+    ``lnL`` to the last bit while still one Newton step (~1e-7) apart,
+    and the later one is the converged one.  And a result within
+    *tolerance* of *start* returns *start* itself: a branch already
+    converged to the step tolerance is not moved (a sub-tolerance move
+    gains nothing measurable but dirties every CLV behind the branch).
     """
     t = start
     best_t, best_lnl = t, -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         lnl, d1, d2 = derivatives_at(t)
-        if lnl > best_lnl:
+        if lnl >= best_lnl - _LNL_TIE * abs(lnl):
             best_lnl, best_t = lnl, t
         if abs(d1) < tolerance:
             break
@@ -103,8 +118,10 @@ def newton_branch_length(
 
     # Score the final point too (the loop may end right after a step).
     lnl, _, _ = derivatives_at(t)
-    if lnl > best_lnl:
+    if lnl >= best_lnl - _LNL_TIE * abs(lnl):
         best_lnl, best_t = lnl, t
+    if abs(best_t - start) < tolerance:
+        best_t = start
     return best_t, best_lnl, iterations
 
 

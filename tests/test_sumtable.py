@@ -33,6 +33,7 @@ from repro.phylo import (
 )
 from repro.phylo.dna import TIP_PARTIAL_ROWS
 from repro.phylo.engine.backends.reference import ReferenceBackend
+from repro.phylo.engine.core import newton_branch_length
 from repro.phylo.engine.protocol import EngineNumericalError
 from repro.phylo.protein import AA_CODE_TABLE
 from repro.phylo.tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
@@ -262,11 +263,10 @@ class TestEngineProbe:
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: case.name)
 def test_makenewz_matches_oracle_engine_on_golden_cases(case):
     """Sumtable Newton vs the oracle's per-iteration P-matrix Newton on
-    every branch: lnL within 1e-9 relative, length within 2e-6.  The
-    length bar is the size of the last Newton step, not 1e-7: makenewz
-    returns the best-*scored* iterate, and the final two iterates tie in
-    lnL to the last ulp, so round-off alone picks between them (observed:
-    two of 29 branches differ by 5e-7 and 1e-6, the rest by < 1e-10)."""
+    every branch: lnL within 1e-9 relative, length within 1e-7 (observed
+    <= 2e-11 on all 29 branches: the Newton loop's tie rule keeps the
+    later of two iterates that agree in lnL to round-off, so which
+    kernel scored them does not pick the returned length)."""
     patterns, model, rate_model, tree, _ = build_case_instance(case)
     newick = tree.to_newick(digits=17)
     fast_tree, oracle_tree = Tree.from_newick(newick), Tree.from_newick(newick)
@@ -278,12 +278,37 @@ def test_makenewz_matches_oracle_engine_on_golden_cases(case):
             t, lnl = fast.makenewz(fb)
             o_t, o_lnl = oracle.makenewz(ob)
             assert lnl == pytest.approx(o_lnl, rel=1e-9)
-            assert t == pytest.approx(o_t, rel=1e-7, abs=2e-6)
+            assert t == pytest.approx(o_t, abs=1e-7)
             # Keep the two trees in lockstep for the next branch.
             oracle_tree.set_length(ob, t)
     finally:
         fast.detach()
         oracle.detach()
+
+
+class TestNewtonTieRules:
+    """``newton_branch_length`` must not let the last ulp of lnL (i.e.
+    which kernel summed the patterns) choose the returned length."""
+
+    @staticmethod
+    def _flat(t):
+        # Optimum at 1.0; lnL flat to round-off, as at convergence.
+        return -100.0, -2.0 * (t - 1.0), -2.0
+
+    def test_lnl_tie_keeps_the_later_iterate(self):
+        t, lnl, iterations = newton_branch_length(self._flat, 0.5)
+        assert (t, lnl, iterations) == (1.0, -100.0, 2)
+
+    def test_result_within_tolerance_of_start_returns_start(self):
+        start = 1.0 + 8e-9  # d1 above tolerance, Newton step below it
+        t, _, _ = newton_branch_length(self._flat, start)
+        assert t == start
+
+    def test_a_step_that_loses_likelihood_is_not_kept(self):
+        def overshoot(t):
+            return -100.0 - abs(t - 0.5), -2.0 * (t - 1.0), -2.0
+        t, lnl, _ = newton_branch_length(overshoot, 0.5)
+        assert (t, lnl) == (0.5, -100.0)
 
 
 class TestGuardParity:
