@@ -2,8 +2,9 @@
 
 These benchmark the *real* compute kernels on a 42_SC-shaped working
 set (~240 patterns x 4 Gamma categories), i.e. the loops that the
-paper's SPE port vectorizes: ``newview`` (large + small loop),
-``evaluate`` and ``makenewz`` (the once-per-branch sumtable, one Newton
+paper's SPE port vectorizes: ``newview`` (large + small loop, kernel
+by kernel and as the one fused call the engine makes), ``evaluate`` and
+``makenewz`` (the once-per-branch sumtable, one Newton
 iteration on it, and — for comparison — the explicit ``(P, dP, d2P)``
 iteration it replaced).  The reported per-call times are this machine's
 equivalents of the paper's 71 us average ``newview()`` invocation.
@@ -59,6 +60,26 @@ def test_newview_tip_tip(benchmark, working_set):
 
     result = benchmark(newview)
     assert result.shape == (N_PATTERNS, N_CATS, 4)
+
+
+@pytest.mark.parametrize("case", ["tip_tip", "tip_inner", "inner_inner"])
+def test_newview_fused(benchmark, working_set, case):
+    """The whole ``newview()`` as the engine calls it: one fused kernel
+    on resolved operands, into a preallocated slot, rescale included —
+    against the per-kernel rows above (``test_newview_fused[tip_tip]``
+    vs ``test_newview_tip_tip``, ``[inner_inner]`` vs
+    ``test_newview_inner_inner``)."""
+    _, _, p, left, right, masks, _, scale = working_set
+    sides = {"tip": masks, "inner": (left, scale)}
+    first, second = (sides[kind] for kind in case.split("_"))
+    out_clv, work = np.empty_like(left), np.empty_like(left)
+    out_scale = np.empty(N_PATTERNS, dtype=np.int64)
+
+    scaled = benchmark(
+        kernels.newview, first, p, second, p, out_clv, out_scale, None,
+        False, work,
+    )
+    assert scaled == 0 and np.isfinite(out_clv).all()
 
 
 def test_transition_matrices_small_loop(benchmark, working_set):

@@ -1,9 +1,14 @@
 """The vectorized default backend: a thin adapter over
 :mod:`repro.phylo.kernels`.
 
-Every method delegates to the corresponding einsum kernel (with the
-module-level, lock-guarded contraction-path cache), adding only the
-per-backend call counter required by the shared instrumentation seam.
+Every method delegates to the corresponding NumPy kernel, adding only
+the per-backend call counter required by the shared instrumentation
+seam.  The kernels on the default hot path — the fused ``newview``,
+the propagations, ``evaluate_loglik`` and the sumtable pair — are
+direct ``np.matmul`` forms; only the three-operand derivative and
+batched kernels still go through ``np.einsum`` (with the module-level,
+lock-guarded contraction-path cache).  The backend keeps its name: it
+is the registry's, the environment override's and the golden corpus'.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ __all__ = ["EinsumBackend"]
 
 @register_backend("einsum")
 class EinsumBackend(KernelBackend):
-    """NumPy einsum kernels — the fast serial default."""
+    """Vectorized NumPy kernels — the fast serial default."""
 
     name = "einsum"
     uses_pmat_cache = True
@@ -29,6 +34,15 @@ class EinsumBackend(KernelBackend):
         self.kernel_calls = 0
 
     # -- newview -------------------------------------------------------------
+
+    def newview(self, left, p_left, right, p_right, out_clv, out_scale,
+                code_table, per_site, hook=None) -> int:
+        """The fused kernel: one counted call per CLV."""
+        self.kernel_calls += 1
+        return kernels.newview(
+            left, p_left, right, p_right, out_clv, out_scale, code_table,
+            per_site, self._newview_scratch(out_clv), hook,
+        )
 
     def tip_terms(self, p, masks, code_table, out=None, per_site=False):
         self.kernel_calls += 1

@@ -250,11 +250,10 @@ class LikelihoodEngine:
         self._arena = ClvArena(
             patterns.n_patterns, self._n_cats, self._n_states
         )
-        #: scratch buffers for the two propagated child terms of newview
-        #: (steady-state sweeps reuse these instead of allocating)
-        self._term_scratch = (
-            np.empty((patterns.n_patterns, self._n_cats, self._n_states)),
-            np.empty((patterns.n_patterns, self._n_cats, self._n_states)),
+        #: scratch for evaluate's propagated term and the sumtable's
+        #: second projection (newview's scratch is the backend's)
+        self._term_scratch = np.empty(
+            (patterns.n_patterns, self._n_cats, self._n_states)
         )
         #: the makenewz sumtable (both branch sides in the eigenbasis),
         #: rebuilt in place once per makenewz call
@@ -446,7 +445,7 @@ class LikelihoodEngine:
         shape = (self.patterns.n_patterns, self._n_cats, self._n_states)
         self._clv_cache.clear()  # old entries view the old arena's blocks
         self._arena = ClvArena(*shape)
-        self._term_scratch = (np.empty(shape), np.empty(shape))
+        self._term_scratch = np.empty(shape)
         self._sumtable = np.empty(shape)
 
     def _push_context(self, name: str):
@@ -531,9 +530,6 @@ class LikelihoodEngine:
 
     # -- CLV computation -----------------------------------------------------
 
-    def _is_tip(self, node: Node) -> bool:
-        return node.is_tip
-
     def _tip_masks(self, node: Node) -> np.ndarray:
         return self.patterns.patterns[self._tip_index[node.index]]
 
@@ -550,17 +546,9 @@ class LikelihoodEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """CLV of the subtree at *node* away from *via*, propagated across
         *via*.  Returns ``(term, scale_counts)``; with ``out`` the term is
-        written into the caller's buffer."""
-        return self._term_across(node, via, self._pmat(via), out=out)
-
-    def _term_across(
-        self, node: Node, via: Branch, p: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Propagate the CLV at *node* away from *via* across matrices *p*.
-
-        Tip sides return the engine's shared read-only zero scale-count
-        vector (callers only ever add it)."""
+        written into the caller's buffer.  A tip side returns the shared
+        read-only zero scale-count vector (callers only ever add it)."""
+        p = self._pmat(via)
         per_site = self._site_rates is not None
         if node.is_tip:
             term = self._backend.tip_terms(
@@ -574,14 +562,26 @@ class LikelihoodEngine:
         )
         return term, entry.scale_counts
 
+    def _operand(self, node: Node, via: Branch):
+        """The subtree at *node* away from *via* as a kernel operand: a
+        tip's ``(s,)`` state codes, or the inner ``(clv, scale_counts)``
+        pair (filled on demand)."""
+        if node.is_tip:
+            return self._tip_masks(node)
+        entry = self.clv(node, via)
+        return entry.clv, entry.scale_counts
+
     def clv(self, node: Node, entry: Branch) -> _CachedCLV:
         """The cached CLV at inner *node* for the subtree away from *entry*.
 
         Missing CLVs (including any missing descendants) are computed
         bottom-up; each computation is one ``newview()`` invocation.
-        Guarded: a detected numerical fault drops every cache and
-        recomputes (see the ``degrade_after`` ladder).
+        Only a miss enters the ladder: a detected numerical fault drops
+        every cache and recomputes (see ``degrade_after``).
         """
+        cached = self._clv_cache.get((node.index, entry.index))
+        if cached is not None:
+            return cached
         return self._guarded("clv", lambda: self._clv_fill(node, entry))
 
     def _clv_fill(self, node: Node, entry: Branch) -> _CachedCLV:
@@ -616,32 +616,42 @@ class LikelihoodEngine:
         return cached.clv.copy(), cached.scale_counts.copy()
 
     def _newview(self, node: Node, entry: Branch) -> _CachedCLV:
-        """Compute and cache one CLV (a single ``newview()`` invocation)."""
+        """Compute and cache one CLV: a single ``newview()`` invocation,
+        a single backend kernel call on resolved operands."""
         children = [b for b in node.branches if b is not entry]
         if len(children) != 2:
             raise ValueError("newview requires an inner node of degree 3")
         (b1, b2) = children
         q1, q2 = b1.other(node), b2.other(node)
-        # Children are already cached (clv() fills post-order), so nested
-        # newviews cannot clobber the two scratch term buffers.
-        term1, sc1 = self._propagated(q1, b1, out=self._term_scratch[0])
-        term2, sc2 = self._propagated(q2, b2, out=self._term_scratch[1])
+        # Each side is a tip's state codes or the child's cached entry
+        # (clv() fills post-order), whose deps, with the two child
+        # branches, are this subtree's branch set.
+        deps = {b1.index, b2.index}
+        sides = []
+        for child, via in ((q1, b1), (q2, b2)):
+            if child.is_tip:
+                sides.append(self._tip_masks(child))
+            else:
+                below = self.clv(child, via)
+                deps.update(below.deps)
+                sides.append((below.clv, below.scale_counts))
+        p1, p2 = self._pmat(b1), self._pmat(b2)
+        chaos = _chaos._ACTIVE is not None
         slot = self._arena.acquire()
         try:
-            self._backend.newview_combine(term1, term2, out=slot.clv)
-            np.add(sc1, sc2, out=slot.scale_counts)
-            if _chaos._ACTIVE is not None:
-                self._chaos_newview_hooks(slot)
-            scaled = self._backend.scale_clv(slot.clv, slot.scale_counts)
+            scaled = self._backend.newview(
+                sides[0], p1, sides[1], p2, slot.clv, slot.scale_counts,
+                self._tip_table, self._site_rates is not None,
+                self._chaos_newview_hooks if chaos else None,
+            )
         except BaseException:
             # The slot is not yet cached: release it or it leaks from
             # the arena's free list (and every retry leaks another).
             self._arena.release(slot)
             raise
 
-        deps = frozenset(self.tree.subtree_branches(node, entry))
         entry_cache = _CachedCLV(
-            clv=slot.clv, scale_counts=slot.scale_counts, deps=deps, slot=slot
+            slot.clv, slot.scale_counts, frozenset(deps), slot
         )
         self._clv_cache[(node.index, entry.index)] = entry_cache
 
@@ -656,10 +666,8 @@ class LikelihoodEngine:
             else:
                 case = NewviewCase.INNER_INNER
             self.tracer.record_newview(
-                case=case,
-                n_patterns=self.patterns.n_patterns,
-                n_cats=self._n_cats,
-                scaled=scaled,
+                case=case, n_patterns=self.patterns.n_patterns,
+                n_cats=self._n_cats, scaled=scaled,
             )
         return entry_cache
 
@@ -668,8 +676,11 @@ class LikelihoodEngine:
     # Active only under repro.chaos.inject(); the disabled path is the
     # single module-global is-None check at each call site.
 
-    def _chaos_newview_hooks(self, slot: ClvSlot) -> None:
-        """Visit the engine-numerics fault sites for one fresh CLV."""
+    def _chaos_newview_hooks(
+        self, clv: np.ndarray, scale_counts: np.ndarray
+    ) -> None:
+        """Visit the engine-numerics fault sites for one fresh CLV: the
+        backend ``newview``'s ``hook``, run just before its rescale guard."""
         injector = _chaos._ACTIVE
         if injector is None:  # pragma: no cover - racy deactivation
             return
@@ -679,12 +690,13 @@ class LikelihoodEngine:
                 else np.nan
             # Poison the first stripe (a quarter of the patterns): the
             # non-finite guard in scale_clv must catch it.
-            stripe = max(1, slot.clv.shape[0] // 4)
-            slot.clv[:stripe] = value
+            stripe = max(1, clv.shape[0] // 4)
+            clv[:stripe] = value
         if injector.fire(_chaos_plan.ENGINE_UNDERFLOW):
-            self._force_underflow(slot)
+            self._force_underflow(clv, scale_counts)
 
-    def _force_underflow(self, slot: ClvSlot) -> None:
+    @staticmethod
+    def _force_underflow(clv: np.ndarray, scale_counts: np.ndarray) -> None:
         """Push eligible patterns below the rescaling threshold.
 
         Bit-transparent by construction: eligible patterns are scaled by
@@ -699,7 +711,6 @@ class LikelihoodEngine:
         entry at least ``2**-700`` (so no entry goes subnormal and loses
         mantissa bits on the way down).
         """
-        clv = slot.clv
         flat = clv.reshape(clv.shape[0], -1)
         pattern_max = flat.max(axis=1)
         nonzero_min = np.where(flat > 0.0, flat, np.inf).min(axis=1)
@@ -711,7 +722,7 @@ class LikelihoodEngine:
         if not eligible.any():
             return
         clv[eligible] *= 2.0**-256
-        slot.scale_counts[eligible] -= 1
+        scale_counts[eligible] -= 1
 
     # -- evaluate ------------------------------------------------------------
 
@@ -721,8 +732,7 @@ class LikelihoodEngine:
         :meth:`_term_across`)."""
         if node.is_tip:
             return self._tip_clv(node), self._zero_scale
-        entry = self.clv(node, branch)
-        return entry.clv, entry.scale_counts
+        return self._operand(node, branch)
 
     def evaluate(self, branch: Optional[Branch] = None) -> float:
         """Log likelihood of the tree, computed at *branch*.
@@ -748,7 +758,7 @@ class LikelihoodEngine:
         try:
             u_clv, u_sc = self._side(u, branch)
             v_term, v_sc = self._propagated(
-                v, branch, out=self._term_scratch[0]
+                v, branch, out=self._term_scratch
             )
         finally:
             self._pop_context(context)
@@ -909,7 +919,7 @@ class LikelihoodEngine:
         table = backend.branch_sumtable(
             model._right, model._left, model.pi, self._cat_weights,
             u_side, v_side, self._tip_table,
-            out=self._sumtable, work=self._term_scratch[0],
+            out=self._sumtable, work=self._term_scratch,
         )
         offset = float(weights @ (u_sc + v_sc)) * kernels.LOG_SCALE_FACTOR
         eigenvalues, rates = model._eigenvalues, self._rates_for_pmat()
@@ -924,10 +934,8 @@ class LikelihoodEngine:
         """:meth:`_side` for the sumtable: a tip contributes its state
         codes (projected per code and gathered by the kernel) instead of
         the broadcast tip CLV."""
-        if node.is_tip:
-            return self._tip_masks(node), self._zero_scale
-        entry = self.clv(node, branch)
-        return entry.clv, entry.scale_counts
+        side = self._operand(node, branch)
+        return (side, self._zero_scale) if node.is_tip else side
 
     # -- full-tree branch gradient (two-sweep) --------------------------------
 
@@ -1163,21 +1171,13 @@ class LikelihoodEngine:
                 for k, (t, x, y, length) in enumerate(target_info):
                     half = max(length * 0.5, MIN_BRANCH_LENGTH)
                     p_half = self._transition_matrices(half)
-                    # Fill both side CLVs first: nested newviews use the
-                    # same scratch buffers the terms are about to occupy.
-                    if not x.is_tip:
-                        self.clv(x, t)
-                    if not y.is_tip:
-                        self.clv(y, t)
-                    tx, scx = self._term_across(
-                        x, t, p_half, out=self._term_scratch[0]
+                    # The junction CLV: a newview across the half lengths.
+                    self._backend.newview(
+                        self._operand(x, t), p_half,
+                        self._operand(y, t), p_half,
+                        u_stack[k], scale_stack[k],
+                        self._tip_table, self._site_rates is not None,
                     )
-                    ty, scy = self._term_across(
-                        y, t, p_half, out=self._term_scratch[1]
-                    )
-                    self._backend.newview_combine(tx, ty, out=u_stack[k])
-                    np.add(scx, scy, out=scale_stack[k])
-                    self._backend.scale_clv(u_stack[k], scale_stack[k])
                     scale_stack[k] += sub_scale
             finally:
                 self._pop_context(context)
@@ -1266,7 +1266,7 @@ class LikelihoodEngine:
         traces carry the engine-efficiency numbers alongside the kernel
         mix.  The key set is identical for every backend: engine
         counters, ``pmat_*`` cache counters, ``arena_*`` counters, and
-        the fixed ``backend_*`` quadruple.
+        the five fixed ``backend_*`` keys of ``BACKEND_COUNTER_KEYS``.
         """
         counters = {
             "newview_calls": self.newview_calls,

@@ -9,7 +9,9 @@ engine does per site pattern flows through one of its methods, and the
 engine core (:mod:`repro.phylo.engine.core`) holds everything else —
 CLV cache and arena, P-matrix LRU, dirty tracking, traversal order,
 Newton iteration, SPR batching.  The two ``makenewz`` sumtable kernels
-are implemented on the protocol itself, so every backend shares them.
+are implemented on the protocol itself, so every backend shares them,
+and so is ``newview`` — one whole CLV per call, by default the
+composition of the backend's own propagate/combine/rescale kernels.
 
 Four backends register here:
 
@@ -131,10 +133,82 @@ class KernelBackend:
     uses_pmat_cache: bool = True
 
     #: Cumulative kernel invocations (``backend_kernel_calls``); the
-    #: protocol-level default kernels below count themselves here.
+    #: protocol-level default kernels below count themselves here.  The
+    #: unit is one call through this interface that does arithmetic, so
+    #: it is backend-specific per ``newview``: the default
+    #: :meth:`newview` is a composition and counts its four constituent
+    #: kernels (two propagations, combine, rescale — ``reference``,
+    #: ``partitioned``, ``compiled``), while ``einsum``'s fused override
+    #: counts **one** per ``newview``.
     kernel_calls: int = 0
 
+    #: Scratch for the second child term of :meth:`newview` (lazily
+    #: sized to the CLV it is asked to fill).
+    _newview_work: Optional[np.ndarray] = None
+
     # -- newview kernels -----------------------------------------------------
+
+    def newview(
+        self,
+        left,
+        p_left: np.ndarray,
+        right,
+        p_right: np.ndarray,
+        out_clv: np.ndarray,
+        out_scale: np.ndarray,
+        code_table: Optional[np.ndarray],
+        per_site: bool,
+        hook: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+    ) -> int:
+        """One whole ``newview()`` — the paper's offloaded unit: both
+        child propagations, the combine and the section 5.2.3 rescaling
+        conditional — on resolved operands.  The engine makes exactly
+        one such call per CLV it computes.
+
+        ``left`` / ``right`` are each a ``(s,)`` vector of tip state
+        codes or an inner ``(clv, scale_counts)`` pair, with ``p_left``
+        / ``p_right`` the transition stacks of the two child branches.
+        The parent CLV is written into ``out_clv`` ``(s, c, n)`` and the
+        summed child scale counts (plus this operation's rescaling) into
+        ``out_scale`` ``(s,)``; returns how many patterns were rescaled.
+
+        ``hook(out_clv, out_scale)``, when given, runs between the
+        combine and the rescaling check, so whatever it does to the
+        fresh CLV meets this same operation's non-finite guard (the
+        engine's fault-injection sites live there).
+
+        This default composes the four kernels below — left term into
+        ``out_clv``, right term into a scratch buffer, in-place combine
+        — so a backend that implements those needs no ``newview`` code,
+        and the result is by construction what composing them by hand
+        gives.  ``einsum`` overrides it with one fused kernel.
+        """
+        work = self._newview_scratch(out_clv)
+        left_scale = self._child_term(left, p_left, code_table, per_site,
+                                      out_clv)
+        right_scale = self._child_term(right, p_right, code_table, per_site,
+                                       work)
+        self.newview_combine(out_clv, work, out=out_clv)
+        kernels.add_scale_counts(left_scale, right_scale, out_scale)
+        if hook is not None:
+            hook(out_clv, out_scale)
+        return self.scale_clv(out_clv, out_scale)
+
+    def _newview_scratch(self, like: np.ndarray) -> np.ndarray:
+        work = self._newview_work
+        if work is None or work.shape != like.shape:
+            work = self._newview_work = np.empty_like(like)
+        return work
+
+    def _child_term(self, side, p, code_table, per_site, out):
+        """Propagate one :meth:`newview` child into ``out``; returns its
+        scale counts (``None`` for a tip side)."""
+        if type(side) is tuple:
+            clv, scale_counts = side
+            self.inner_terms(p, clv, out=out, per_site=per_site)
+            return scale_counts
+        self.tip_terms(p, side, code_table, out=out, per_site=per_site)
+        return None
 
     def tip_terms(
         self,

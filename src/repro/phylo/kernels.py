@@ -10,6 +10,9 @@ These functions are the compute bodies of RAxML's three hot functions:
 * :func:`scale_clv` — the numerical-underflow rescaling check: the large
   ``if()`` with four ABS comparisons that consumed 45 % of ``newview()``
   on the SPE until it was cast to integer compares and vectorized.
+* :func:`newview` — the whole offloaded ``newview()``: both child
+  propagations (tip or inner, per side), the combine and the rescaling
+  check as one call on resolved operands.
 * :func:`evaluate_loglik` — ``evaluate()``: dot the two CLVs facing a
   branch with the transition matrix and base frequencies, and sum
   weighted log site-likelihoods.
@@ -49,6 +52,8 @@ __all__ = [
     "inner_terms_persite",
     "newview_combine",
     "scale_clv",
+    "add_scale_counts",
+    "newview",
     "evaluate_loglik",
     "evaluate_loglik_batch",
     "branch_sumtable",
@@ -68,6 +73,15 @@ __all__ = [
 # every call; at thousands of kernel invocations per sweep the path
 # search itself becomes measurable.  Paths depend only on the subscripts
 # and operand shapes, so they are derived once and memoized.
+#
+# Even with the path memoized, ``np.einsum(..., optimize=path)`` parses
+# the subscripts and re-plans its matmul form in Python on every call
+# (~20 us, against ~6 us of arithmetic at 200 patterns).  The kernels on
+# the default hot path (propagation, ``newview``, ``evaluate_loglik``,
+# the sumtable pair) therefore spell out the ``np.matmul`` that einsum
+# would have dispatched to — same BLAS call, same bits — and only the
+# three-operand derivative and batched kernels, off that path, still
+# come through here.
 #
 # The cache is shared by every engine in the process — including the
 # ``partitioned`` backend's stripe workers, which call these kernels
@@ -134,17 +148,22 @@ def tip_terms(p: np.ndarray, masks: np.ndarray,
     ``(n_patterns, n_cats, n)`` propagated terms.
     """
     table = TIP_PARTIAL_ROWS if code_table is None else code_table
-    per_code = _einsum("cij,mj->mci", p, table)  # (n_codes, cats, n)
-    if out is None:
-        return per_code[masks]
-    np.take(per_code, masks, axis=0, out=out)
-    return out
+    per_code = table @ p.transpose(0, 2, 1)  # (cats, n_codes, n)
+    return np.take(per_code.transpose(1, 0, 2), masks, axis=0, out=out)
 
 
 def inner_terms(p: np.ndarray, clv: np.ndarray,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Propagate an inner CLV across a branch: ``sum_j P[c,i,j] clv[s,c,j]``."""
-    return _einsum("cij,scj->sci", p, clv, out=out)
+    """Propagate an inner CLV across a branch: ``sum_j P[c,i,j] clv[s,c,j]``.
+
+    One ``(s, n) @ (n, n)`` product per category, on category-major
+    views of the ``(s, c, n)`` operands.
+    """
+    if out is None:
+        out = np.empty_like(clv)
+    np.matmul(clv.transpose(1, 0, 2), p.transpose(0, 2, 1),
+              out=out.transpose(1, 0, 2))
+    return out
 
 
 def tip_terms_persite(p: np.ndarray, masks: np.ndarray,
@@ -157,16 +176,13 @@ def tip_terms_persite(p: np.ndarray, masks: np.ndarray,
     """
     table = TIP_PARTIAL_ROWS if code_table is None else code_table
     tips = table[masks]  # (s, n)
-    if out is None:
-        return _einsum("sij,sj->si", p, tips)[:, None, :]
-    _einsum("sij,sj->si", p, tips, out=out[:, 0, :])
-    return out
+    return np.matmul(tips[:, None, :], p.transpose(0, 2, 1), out=out)
 
 
 def inner_terms_persite(p: np.ndarray, clv: np.ndarray,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """CAT-mode inner propagation with per-pattern transition matrices."""
-    return _einsum("sij,scj->sci", p, clv, out=out)
+    return np.matmul(clv, p.transpose(0, 2, 1), out=out)
 
 
 def newview_combine(left_term: np.ndarray, right_term: np.ndarray,
@@ -190,6 +206,13 @@ def scale_clv(clv: np.ndarray, scale_counts: np.ndarray) -> int:
     the explicit check a poisoned CLV would silently skip rescaling and
     surface much later as an inscrutable log-likelihood failure.
     """
+    # The common case, decided by two whole-array reductions: every
+    # entry (hence every pattern's maximum) is at or above the threshold
+    # and below +Inf.  A NaN anywhere makes the minimum NaN, which
+    # compares false, so anything doubtful takes the per-pattern path.
+    if (clv.min(initial=np.inf) >= SCALE_THRESHOLD
+            and clv.max(initial=0.0) < np.inf):
+        return 0
     pattern_max = np.max(clv, axis=(1, 2), initial=0.0)
     if not np.isfinite(pattern_max).all():
         bad = int(np.flatnonzero(~np.isfinite(pattern_max))[0])
@@ -203,6 +226,72 @@ def scale_clv(clv: np.ndarray, scale_counts: np.ndarray) -> int:
         clv[needs] *= SCALE_FACTOR
         scale_counts[needs] += 1
     return count
+
+
+def add_scale_counts(left: Optional[np.ndarray],
+                     right: Optional[np.ndarray], out: np.ndarray) -> None:
+    """``out = left + right`` over the children's per-pattern scale
+    counts, where ``None`` is a tip side (all zeros)."""
+    if left is None and right is None:
+        out.fill(0)
+    elif left is None:
+        np.copyto(out, right)
+    elif right is None:
+        np.copyto(out, left)
+    else:
+        np.add(left, right, out=out)
+
+
+def _child_term(side, p: np.ndarray, code_table: Optional[np.ndarray],
+                per_site: bool, out: np.ndarray) -> Optional[np.ndarray]:
+    """Propagate one ``newview`` child across ``p`` into ``out``;
+    returns its scale counts (``None`` for a tip side)."""
+    if type(side) is tuple:
+        clv, scale_counts = side
+        if per_site:
+            inner_terms_persite(p, clv, out=out)
+        else:
+            inner_terms(p, clv, out=out)
+        return scale_counts
+    if per_site:
+        tip_terms_persite(p, side, code_table, out=out)
+    else:
+        tip_terms(p, side, code_table, out=out)
+    return None
+
+
+def newview(left, p_left: np.ndarray, right, p_right: np.ndarray,
+            out_clv: np.ndarray, out_scale: np.ndarray,
+            code_table: Optional[np.ndarray] = None,
+            per_site: bool = False,
+            work: Optional[np.ndarray] = None,
+            hook=None) -> int:
+    """One whole ``newview()``: the parent CLV and scale counts of two
+    children, written into ``out_clv`` / ``out_scale``; returns how many
+    patterns were rescaled.
+
+    Each child side is a ``(s,)`` vector of tip state codes or an inner
+    ``(clv, scale_counts)`` pair — the paper's tip/tip, tip/inner,
+    inner/inner case split, decided per side.  The left term goes
+    straight into ``out_clv``, the right one into ``work`` (a
+    ``out_clv``-shaped scratch buffer), and the combine is the in-place
+    product; the result is bit-identical to composing
+    :func:`tip_terms` / :func:`inner_terms`, :func:`newview_combine`
+    and :func:`scale_clv` by hand.
+
+    ``hook(out_clv, out_scale)``, when given, runs between the combine
+    and the rescaling check — so whatever it does to the fresh CLV is
+    still seen by this operation's non-finite guard.
+    """
+    if work is None:
+        work = np.empty_like(out_clv)
+    left_scale = _child_term(left, p_left, code_table, per_site, out_clv)
+    right_scale = _child_term(right, p_right, code_table, per_site, work)
+    np.multiply(out_clv, work, out=out_clv)
+    add_scale_counts(left_scale, right_scale, out_scale)
+    if hook is not None:
+        hook(out_clv, out_scale)
+    return scale_clv(out_clv, out_scale)
 
 
 def evaluate_loglik(
@@ -220,7 +309,14 @@ def evaluate_loglik(
     propagated across the branch's transition matrices.  ``scale_counts``
     is the combined per-pattern rescaling count of both sides.
     """
-    per_cat = _einsum("sci,sci,i->sc", u_term, v_term, pi)
+    # sum_i pi_i u[s,c,i] v[s,c,i] as one (c*s, n) @ (n,) product on a
+    # category-major copy: the operation order np.einsum chose for
+    # "sci,sci,i->sc", kept so the log likelihood keeps its bits.
+    s, c, n = v_term.shape
+    product = np.empty((c, s, n), dtype=np.float64)
+    np.multiply(u_term.transpose(1, 0, 2), v_term.transpose(1, 0, 2),
+                out=product)
+    per_cat = (product.reshape(c * s, n) @ pi).reshape(c, s).T
     site_lik = per_cat @ cat_weights
     if (site_lik <= 0).any():
         raise FloatingPointError("non-positive site likelihood (underflow?)")

@@ -149,6 +149,64 @@ class TestScaling:
         counts = np.zeros(0, dtype=np.int64)
         assert kernels.scale_clv(clv, counts) == 0
 
+    def test_row_exactly_at_threshold_is_not_scaled(self):
+        clv = np.full((3, 2, 4), kernels.SCALE_THRESHOLD)
+        counts = np.zeros(3, dtype=np.int64)
+        assert kernels.scale_clv(clv, counts) == 0
+        assert np.all(clv == kernels.SCALE_THRESHOLD)
+        assert not counts.any()
+
+    def test_all_zero_row_is_scaled_and_stays_zero(self):
+        clv = np.full((3, 2, 4), 0.5)
+        clv[1] = 0.0
+        counts = np.zeros(3, dtype=np.int64)
+        assert kernels.scale_clv(clv, counts) == 1
+        assert list(counts) == [0, 1, 0]
+        assert not clv[1].any()
+
+    @staticmethod
+    def _per_pattern_path(clv, scale_counts):
+        """The check with no whole-array shortcut in front of it."""
+        pattern_max = np.max(clv, axis=(1, 2), initial=0.0)
+        if not np.isfinite(pattern_max).all():
+            bad = int(np.flatnonzero(~np.isfinite(pattern_max))[0])
+            raise FloatingPointError(f"non-finite CLV entries at pattern {bad}")
+        needs = pattern_max < kernels.SCALE_THRESHOLD
+        clv[needs] *= kernels.SCALE_FACTOR
+        scale_counts[needs] += 1
+        return int(needs.sum())
+
+    @pytest.mark.parametrize("entry", [
+        np.nan, np.inf, -np.inf, 0.0, -1.0, kernels.SCALE_THRESHOLD,
+        np.nextafter(kernels.SCALE_THRESHOLD, 0.0), 5e-324, 0.5,
+    ], ids=repr)
+    @pytest.mark.parametrize("whole_row", [False, True], ids=["one", "row"])
+    def test_shortcut_never_changes_the_per_pattern_outcome(
+            self, entry, whole_row):
+        """Whatever one entry (or one whole row) is — NaN, either
+        infinity, zero, negative, on or just under the threshold,
+        subnormal — the fast path and the per-pattern path agree: same
+        raise naming the same pattern, or same count, CLV and counters."""
+        clv = np.full((5, 2, 4), 0.25)
+        clv[0] = kernels.SCALE_THRESHOLD / 2.0  # one row that does rescale
+        if whole_row:
+            clv[3] = entry
+        else:
+            clv[3, 1, 2] = entry
+        for rows in (slice(None), slice(1, None)):  # with / without row 0
+            got, want = clv[rows].copy(), clv[rows].copy()
+            got_counts = np.arange(len(got), dtype=np.int64)
+            want_counts = got_counts.copy()
+            try:
+                expected = self._per_pattern_path(want, want_counts)
+            except FloatingPointError as exc:
+                with pytest.raises(FloatingPointError, match=str(exc)):
+                    kernels.scale_clv(got, got_counts)
+                continue
+            assert kernels.scale_clv(got, got_counts) == expected
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got_counts, want_counts)
+
 
 class TestContractionPathCache:
     def test_paths_are_memoized_per_shape(self):
