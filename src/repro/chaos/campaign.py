@@ -397,22 +397,29 @@ def _serve_run_to_completion(root: str, fasta: str, spec: JobSpec,
     restarts = 0
     service = JobService(root, n_workers=n_workers, cluster=cfg,
                          clock=_make_clock())
-    record, hit = service.submit(fasta, spec, client="campaign")
-    if hit:
-        raise RuntimeError("campaign submission unexpectedly hit the cache")
-    while True:
-        try:
-            done = service.run_next()
-        except InjectedCrash:
-            restarts += 1
-            if restarts > max_restarts:
-                raise
-            service = JobService(root, n_workers=n_workers, cluster=cfg,
-                                 clock=_make_clock())
-            service.recover()
-            continue
-        if done is None or done.job_id == record.job_id:
-            break
+    try:
+        record, hit = service.submit(fasta, spec, client="campaign")
+        if hit:
+            raise RuntimeError(
+                "campaign submission unexpectedly hit the cache")
+        while True:
+            try:
+                done = service.run_next()
+            except InjectedCrash:
+                restarts += 1
+                if restarts > max_restarts:
+                    raise
+                service.close()  # the dead server's workers die with it
+                service = JobService(root, n_workers=n_workers, cluster=cfg,
+                                     clock=_make_clock())
+                service.recover()
+                continue
+            if done is None or done.job_id == record.job_id:
+                break
+    finally:
+        # The resident workers go; store, cache and scheduler views of
+        # the returned service stay usable.
+        service.close()
     result = service.result(record.job_id)
     if result is None:
         record = service.store.get(record.job_id)

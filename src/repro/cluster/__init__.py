@@ -14,6 +14,8 @@ counterpart on real host cores:
 * :mod:`~repro.cluster.queue` - a multiprocessing work queue with
   worker heartbeats, per-task timeouts, bounded retry with backoff and
   dead-worker requeue;
+* :mod:`~repro.cluster.pool` - the worker processes themselves: forked
+  once, parked between jobs, retired on death or a chaos-epoch change;
 * :mod:`~repro.cluster.checkpoint` - an append-only JSONL run journal
   with exact (bit-identical) checkpoint/resume;
 * :mod:`~repro.cluster.shards` - per-worker-group WAL shards behind a
@@ -49,6 +51,7 @@ from .jobs import (
     expand_job,
     home_group,
 )
+from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, TaskExecutionError, WorkerPlans
 from .runner import job_status, resume_job, run_job
 from .scheduler import MultigrainScheduler
@@ -91,6 +94,7 @@ __all__ = [
     "ClusterQueue",
     "TaskExecutionError",
     "WorkerPlans",
+    "WorkerPool",
     "job_status",
     "resume_job",
     "run_job",

@@ -1,17 +1,19 @@
 """Fault-tolerant multiprocessing work queue (the live master-worker).
 
-The master owns per-worker inboxes and one *per-worker* result pipe.
-(A single shared outbox queue would hold a cross-process write lock:
-terminating a worker — RSS watchdog, task timeout, staleness sweep —
-while its feeder thread holds that lock wedges every other worker's
-messages.  Per-worker pipes confine the damage of a kill to the dead
-worker's own channel, which the master simply discards.)  Workers run
-a daemon heartbeat thread, stream one message per finished *replicate*
-(so a batch that dies mid-way loses only its tail), and report failures
-with full tracebacks.  The master requeues work from dead, hung, or
-timed-out workers with bounded exponential backoff and spawns
-replacements, so an injected ``os._exit`` mid-task (see
-:class:`WorkerPlans`) costs one retry, never the run.
+The master drives worker processes it checks out of a
+:class:`~repro.cluster.pool.WorkerPool` (resident across runs when the
+caller owns the pool, forked per run otherwise) over one item pipe and
+one result pipe *per worker*.  (A single shared outbox queue would hold
+a cross-process write lock: terminating a worker — RSS watchdog, task
+timeout, staleness sweep — while it holds that lock wedges every other
+worker's messages.  Per-worker pipes confine the damage of a kill to
+the dead worker's own channel, which the master simply discards.)
+Workers heartbeat from a daemon thread while a job is open, stream one
+message per finished *replicate* (so a batch that dies mid-way loses
+only its tail), and report failures with full tracebacks.  The master
+requeues work from dead, hung, or timed-out workers with bounded
+exponential backoff and forks replacements, so an injected ``os._exit``
+mid-task (see :class:`WorkerPlans`) costs one retry, never the run.
 
 Determinism: every replicate result is a pure function of
 ``(seed, kind, replicate)``, so retry count, worker count, arrival
@@ -21,7 +23,7 @@ order, and task granularity are all invisible in the final
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 import multiprocessing.connection as mp_connection
 import os
 import time
@@ -50,6 +52,7 @@ from .bootstop import BootstopController
 from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
 from .checkpoint import RunJournal
 from .jobs import ClusterTask, JobSpec, PendingTask, home_group
+from .pool import CLOSE, WorkerPool, _Worker
 from .scheduler import MultigrainScheduler
 
 __all__ = [
@@ -251,169 +254,135 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
 _OOM_BALLAST_MB = 192
 
 
-def _worker_main(worker_id: int, inbox, outbox, patterns,
-                 ctx: ExecutionContext, plans: WorkerPlans,
-                 heartbeat_interval_s: float,
-                 shard_path: Optional[str] = None,
-                 group: int = 0,
-                 deadline: Optional[float] = None) -> None:
-    """Worker process: heartbeat thread + task loop.
+@dataclass
+class _WorkerJob:
+    """The per-job *open* message: what ``fork`` used to carry implicitly.
 
-    *outbox* is this worker's private end of a master-held pipe; a
-    worker killed mid-send can tear its own channel but nobody else's.
-    ``Connection.send`` is not thread-safe, so the heartbeat thread and
-    the task loop share a process-local lock (which dies with the
-    process — the master never waits on it).
+    A resident worker (:mod:`~repro.cluster.pool`) outlives the run that
+    forked it, so everything a task needs besides ``(task, attempt)``
+    travels here, once per job per worker.  ``worker_id`` is the run's
+    *logical* id (0…n-1, replacements n, n+1, …), not a process
+    identity, so journals read the same whichever process served them.
 
     With *shard_path* set (sharded journals, DESIGN.md §15) the worker
     WALs each result into its group's shard *before* streaming it to
-    the master — the disk record, not the queue message, is the
-    durable one, so a master that dies mid-drain loses nothing.
+    the master — the disk record, not the pipe message, is the durable
+    one, so a master that dies mid-drain loses nothing.
 
-    *deadline* is the run's absolute ``time.monotonic()`` expiry (the
-    monotonic clock survives ``fork``, so master and worker agree on it
-    without traffic).  The worker polls it at the search's safe points
-    and reports a ``cancelled`` message instead of a result; the master
+    *deadline* is the run's absolute ``time.monotonic()`` expiry (one
+    system-wide clock, so master and worker agree on it without
+    traffic).  The worker polls it at the search's safe points and
+    reports a ``cancelled`` message instead of a result; the master
     trips its own copy of the deadline at the same instant.
     """
-    import signal as _signal
-    import threading
 
-    from .shards import ShardWriter
-
-    # A fork child inherits the parent's signal handlers.  Under the
-    # serve CLI the parent is an asyncio process whose SIGTERM handler
-    # only writes to a wakeup fd — harmless there, but inherited here
-    # it swallows the master's ``terminate()`` and the worker becomes
-    # unkillable (until SIGKILL).  Restore defaults: SIGTERM kills,
-    # SIGINT is ignored (shutdown is the master's call, not the
-    # terminal's).
-    try:
-        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-        _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-        _signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-    stop = threading.Event()
-    token = CancelToken(deadline=deadline) if deadline is not None else None
-    send_lock = threading.Lock()
-    conn = outbox
-
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    def beat():
-        while not stop.is_set():
-            try:
-                send(("heartbeat", worker_id))
-            except Exception:
-                return
-            stop.wait(heartbeat_interval_s)
-
-    threading.Thread(target=beat, daemon=True).start()
-    shard = ShardWriter(shard_path, group) if shard_path else None
-    try:
-        while True:
-            item = inbox.get()
-            if item is None:
-                break
-            task, attempt = item
-            send(("started", worker_id, task.task_id, attempt))
-            # Chaos process faults are decided on (task_id, attempt) —
-            # worker-count- and dispatch-order-independent — by the
-            # injector this forked process inherited from the master.
-            chaos_key = f"{task.task_id}:{attempt}"
-            try:
-                if attempt in plans.fail.get(task.task_id, ()):
-                    raise RuntimeError(
-                        f"injected failure ({task.task_id} attempt {attempt})"
-                    )
-                if attempt in plans.hang.get(task.task_id, ()):
-                    time.sleep(3600)
-                if _chaos._ACTIVE is not None and _chaos.fire(
-                    CLUSTER_WORKER_HANG, key=chaos_key
-                ):
-                    # Hang *past the heartbeat*: stop beating first so
-                    # the master's staleness sweep, not the task
-                    # timeout, is what must catch this.
-                    stop.set()
-                    time.sleep(3600)
-                if _chaos._ACTIVE is not None and _chaos.fire(
-                    CLUSTER_WORKER_STALL, key=chaos_key
-                ):
-                    # Wedge while *still heartbeating* (a livelocked
-                    # worker, not a dead one): the task timeout, not the
-                    # staleness sweep, must catch this.
-                    time.sleep(3600)
-                if _chaos._ACTIVE is not None and _chaos.fire(
-                    CLUSTER_WORKER_OOM, key=chaos_key
-                ):
-                    # Runaway allocation: pin pages resident, then stall
-                    # with the heartbeat alive so the RSS watchdog (when
-                    # configured) is what must journal and requeue.
-                    ballast = np.ones((_OOM_BALLAST_MB * 1024 * 1024) // 8)
-                    ballast[0] = 2.0
-                    time.sleep(3600)
-                crash = attempt in plans.crash.get(task.task_id, ())
-                last = len(task.replicates) - 1
-                for position, replicate in enumerate(task.replicates):
-                    if crash and position == last:
-                        os._exit(17)  # simulated mid-task worker death
-                    payload = execute_replicate(
-                        patterns, ctx, task.kind, replicate, task.seed,
-                        cancel=token,
-                    )
-                    if shard is not None:
-                        try:
-                            shard.append(
-                                "replicate_done", task=task.task_id,
-                                attempt=attempt, payload=payload,
-                            )
-                        except _chaos.InjectedCrash:
-                            # cluster.shard_torn: the append tore and
-                            # the worker dies with it — the master's
-                            # liveness sweep requeues the task and the
-                            # merge-replay isolates the torn line.
-                            os._exit(29)
-                    send(
-                        ("replicate", worker_id, task.task_id, attempt,
-                         payload)
-                    )
-                if _chaos._ACTIVE is not None and _chaos.fire(
-                    CLUSTER_WORKER_CRASH_ACK, key=chaos_key
-                ):
-                    # Every replicate streamed, then death before the
-                    # task-finished ack: the master must reconcile a
-                    # fully-delivered task against a dead worker.
-                    os._exit(23)
-                send(("finished", worker_id, task.task_id, attempt))
-            except TaskCancelled:
-                # Deadline tripped mid-replicate: the partial replicate
-                # is discarded whole (already-streamed replicates of the
-                # batch stand).  No requeue — the master's own copy of
-                # the deadline ends the run.
-                send(("cancelled", worker_id, task.task_id, attempt))
-            except BaseException:
-                send(
-                    ("failed", worker_id, task.task_id, attempt,
-                     traceback.format_exc())
-                )
-    finally:
-        stop.set()
-        if shard is not None:
-            shard.close()
-
-
-@dataclass
-class _Worker:
-    proc: multiprocessing.Process
-    inbox: object
-    conn: object  # master's receive end of the worker's result pipe
-    last_seen: float
+    worker_id: int
+    patterns: object
+    ctx: ExecutionContext
+    plans: WorkerPlans
+    heartbeat_interval_s: float
+    shard_path: Optional[str] = None
     group: int = 0
-    current: Optional[Tuple[ClusterTask, int, float]] = None  # task, attempt, t0
+    deadline: Optional[float] = None
+
+    def open(self) -> None:
+        """Worker side: build what cannot be pickled."""
+        from .shards import ShardWriter
+
+        self._token = (CancelToken(deadline=self.deadline)
+                       if self.deadline is not None else None)
+        self._shard = (ShardWriter(self.shard_path, self.group)
+                       if self.shard_path else None)
+
+    def close(self) -> None:
+        if self._shard is not None:
+            self._shard.close()
+
+    def run(self, item, send, mute) -> None:
+        """Execute one ``(task, attempt)`` item, streaming per replicate."""
+        task, attempt = item
+        worker_id, plans = self.worker_id, self.plans
+        send(("started", worker_id, task.task_id, attempt))
+        # Chaos process faults are decided on (task_id, attempt) —
+        # worker-count- and dispatch-order-independent — by the
+        # injector this process inherited at fork (the pool's epoch
+        # check keeps that the *current* injector).
+        chaos_key = f"{task.task_id}:{attempt}"
+        try:
+            if attempt in plans.fail.get(task.task_id, ()):
+                raise RuntimeError(
+                    f"injected failure ({task.task_id} attempt {attempt})"
+                )
+            if attempt in plans.hang.get(task.task_id, ()):
+                time.sleep(3600)
+            if _chaos._ACTIVE is not None and _chaos.fire(
+                CLUSTER_WORKER_HANG, key=chaos_key
+            ):
+                # Hang *past the heartbeat*: stop beating first so
+                # the master's staleness sweep, not the task
+                # timeout, is what must catch this.
+                mute()
+                time.sleep(3600)
+            if _chaos._ACTIVE is not None and _chaos.fire(
+                CLUSTER_WORKER_STALL, key=chaos_key
+            ):
+                # Wedge while *still heartbeating* (a livelocked
+                # worker, not a dead one): the task timeout, not the
+                # staleness sweep, must catch this.
+                time.sleep(3600)
+            if _chaos._ACTIVE is not None and _chaos.fire(
+                CLUSTER_WORKER_OOM, key=chaos_key
+            ):
+                # Runaway allocation: pin pages resident, then stall
+                # with the heartbeat alive so the RSS watchdog (when
+                # configured) is what must journal and requeue.
+                ballast = np.ones((_OOM_BALLAST_MB * 1024 * 1024) // 8)
+                ballast[0] = 2.0
+                time.sleep(3600)
+            crash = attempt in plans.crash.get(task.task_id, ())
+            last = len(task.replicates) - 1
+            for position, replicate in enumerate(task.replicates):
+                if crash and position == last:
+                    os._exit(17)  # simulated mid-task worker death
+                payload = execute_replicate(
+                    self.patterns, self.ctx, task.kind, replicate,
+                    task.seed, cancel=self._token,
+                )
+                if self._shard is not None:
+                    try:
+                        self._shard.append(
+                            "replicate_done", task=task.task_id,
+                            attempt=attempt, payload=payload,
+                        )
+                    except _chaos.InjectedCrash:
+                        # cluster.shard_torn: the append tore and
+                        # the worker dies with it — the master's
+                        # liveness sweep requeues the task and the
+                        # merge-replay isolates the torn line.
+                        os._exit(29)
+                send(
+                    ("replicate", worker_id, task.task_id, attempt,
+                     payload)
+                )
+            if _chaos._ACTIVE is not None and _chaos.fire(
+                CLUSTER_WORKER_CRASH_ACK, key=chaos_key
+            ):
+                # Every replicate streamed, then death before the
+                # task-finished ack: the master must reconcile a
+                # fully-delivered task against a dead worker.
+                os._exit(23)
+            send(("finished", worker_id, task.task_id, attempt))
+        except TaskCancelled:
+            # Deadline tripped mid-replicate: the partial replicate
+            # is discarded whole (already-streamed replicates of the
+            # batch stand).  No requeue — the master's own copy of
+            # the deadline ends the run.
+            send(("cancelled", worker_id, task.task_id, attempt))
+        except BaseException:
+            send(
+                ("failed", worker_id, task.task_id, attempt,
+                 traceback.format_exc())
+            )
 
 
 class ClusterQueue:
@@ -428,6 +397,7 @@ class ClusterQueue:
         plans: Optional[WorkerPlans] = None,
         aggregator: Optional[StreamingAggregator] = None,
         bootstop: Optional[BootstopController] = None,
+        pool: Optional[WorkerPool] = None,
     ):
         self.patterns = patterns
         self.ctx = ctx or ExecutionContext()
@@ -436,10 +406,12 @@ class ClusterQueue:
         self.plans = plans or WorkerPlans()
         self.aggregator = aggregator or StreamingAggregator()
         self.bootstop = bootstop
+        #: where worker processes come from and go back to; None = a
+        #: private pool per run (fork at the start, terminate at the end)
+        self.pool = pool
         self.scheduler: Optional[MultigrainScheduler] = None
         #: why the run stopped early (``REASON_*``), None on completion
         self.cancelled_reason: Optional[str] = None
-        self._force_shutdown = False
 
     def run(
         self,
@@ -454,12 +426,17 @@ class ClusterQueue:
         handles the exclusion).
 
         *cancel* is the run's cooperative cancellation token.  The
-        master polls it once per loop iteration; workers inherit its
-        absolute deadline across ``fork``.  When it trips, the master
-        journals the event (``task_deadline_exceeded`` for a deadline,
-        ``run_cancelled`` otherwise — e.g. a drain), sets
+        master polls it once per loop iteration; workers get its
+        absolute deadline in their open message.  When it trips, the
+        master journals the event (``task_deadline_exceeded`` for a
+        deadline, ``run_cancelled`` otherwise — e.g. a drain), sets
         :attr:`cancelled_reason`, terminates the workers, and returns
         the completed results so the caller can salvage or checkpoint.
+
+        Workers are checked out of :attr:`pool` and, when the run ends
+        normally, the idle live ones are checked back in; a run that
+        ends any other way (cancelled, or unwinding an exception)
+        terminates the workers it holds.
         """
         results: Dict[Tuple[str, int], dict] = dict(already or {})
         for payload in results.values():
@@ -483,50 +460,41 @@ class ClusterQueue:
             pending[home_group(t.task_id, n_groups)].append(PendingTask(t))
         # Replayed results alone may already satisfy the autoMRE
         # criterion (a crash can land between the converging replicate
-        # and the journalled decision); check before spawning anything.
+        # and the journalled decision); check before taking any worker.
         pending = self._bootstop_check(pending, remaining, results)
         if not remaining:
             return results
 
-        mp = multiprocessing.get_context("fork")
         workers: Dict[int, _Worker] = {}
-        self._next_wid = 0
+        next_wid = itertools.count()  # logical ids; never recycled
         n_pending = sum(len(q) for q in pending.values())
         n_workers = min(self.cfg.n_workers, max(1, n_pending))
         self.scheduler = MultigrainScheduler(n_workers)
+        pool = self.pool if self.pool is not None else WorkerPool(n_workers)
+        deadline = cancel.deadline if cancel is not None else None
 
-        worker_deadline = cancel.deadline if cancel is not None else None
-
-        def spawn(group: Optional[int] = None) -> None:
-            wid = self._next_wid
-            self._next_wid += 1
+        def enlist(worker: _Worker, group: Optional[int] = None) -> None:
+            """Open this run's job on *worker* under the next logical id."""
+            wid = next(next_wid)
             if group is None:
                 group = wid % n_groups
-            inbox = mp.Queue()
-            rx, tx = mp.Pipe(duplex=False)
-            proc = mp.Process(
-                target=_worker_main,
-                args=(wid, inbox, tx, self.patterns, self.ctx,
-                      self.plans, self.cfg.heartbeat_interval_s,
-                      self.journal.shard_path(group) if sharded else None,
-                      group, worker_deadline),
-                daemon=True,
-            )
-            proc.start()
-            # Close the master's copy of the send end: once the worker
-            # dies, its pipe reads EOF instead of blocking forever on a
-            # torn frame.
-            tx.close()
-            workers[wid] = _Worker(proc=proc, inbox=inbox, conn=rx,
-                                   last_seen=time.monotonic(), group=group)
-
-        def reap(wid: int) -> None:
-            """Forget a worker and discard its (possibly torn) pipe."""
-            worker = workers.pop(wid)
+            worker.wid, worker.group = wid, group
+            worker.current, worker.closed = None, False
+            worker.last_seen = time.monotonic()
+            workers[wid] = worker
             try:
-                worker.conn.close()
+                worker.inbox.send(_WorkerJob(
+                    wid, self.patterns, self.ctx, self.plans,
+                    self.cfg.heartbeat_interval_s,
+                    self.journal.shard_path(group) if sharded else None,
+                    group, deadline,
+                ))
             except OSError:
-                pass
+                pass  # died since check-out; the sweep replaces it
+
+        def retire(wid: int) -> None:
+            """Forget a worker; kill it and discard its pipes."""
+            pool.retire(workers.pop(wid))
 
         def drain_messages(timeout: float) -> None:
             """Receive from every readable worker pipe.
@@ -535,12 +503,12 @@ class ClusterQueue:
             partial frame is discarded here and the liveness sweep
             journals the death; no other worker's channel is affected.
             """
-            conns = {w.conn: None for w in workers.values()}
+            conns = [w.conn for w in workers.values()]
             if not conns:
                 time.sleep(timeout)
                 return
             try:
-                ready = mp_connection.wait(list(conns), timeout)
+                ready = mp_connection.wait(conns, timeout)
             except OSError:
                 return
             for conn in ready:
@@ -574,13 +542,10 @@ class ClusterQueue:
                 PendingTask(task, attempt + 1, now + backoff)
             )
 
-        for _ in range(n_workers):
-            spawn()
-
-        rss_limit = (None if self.cfg.max_worker_rss_mb is None
-                     else self.cfg.max_worker_rss_mb * 1024 * 1024)
-
+        clean = False
         try:
+            for worker in pool.checkout(n_workers):
+                enlist(worker)
             while remaining:
                 now = time.monotonic()
 
@@ -588,7 +553,6 @@ class ClusterQueue:
                 if cancel is not None and cancel.cancelled:
                     reason = cancel.reason
                     self.cancelled_reason = reason
-                    self._force_shutdown = True
                     if reason == REASON_DEADLINE:
                         self.journal.append(
                             "task_deadline_exceeded",
@@ -616,7 +580,10 @@ class ClusterQueue:
                         if victim is not None:
                             self._steal(entry, victim, worker, pending)
                         worker.current = (entry.task, entry.attempt, now)
-                        worker.inbox.put((entry.task, entry.attempt))
+                        try:
+                            worker.inbox.send((entry.task, entry.attempt))
+                        except OSError:
+                            pass  # died this instant; the sweep requeues
                         self.scheduler.dispatched(entry)
 
                 # -- drain worker messages -----------------------------------
@@ -627,18 +594,7 @@ class ClusterQueue:
                 now = time.monotonic()
                 for wid, worker in list(workers.items()):
                     dead = not worker.proc.is_alive()
-                    over_rss = False
-                    if rss_limit is not None and not dead:
-                        rss = _rss_bytes(worker.proc.pid)
-                        if rss is not None and rss > rss_limit:
-                            over_rss = True
-                            self.journal.append(
-                                "worker_rss_exceeded", worker=wid,
-                                task=(worker.current[0].task_id
-                                      if worker.current else None),
-                                rss_mb=round(rss / 1048576.0, 1),
-                                limit_mb=self.cfg.max_worker_rss_mb,
-                            )
+                    over_rss = not dead and self._over_rss(worker)
                     if worker.current is not None:
                         task, attempt, t0 = worker.current
                         timed_out = now - t0 > self.cfg.task_timeout_s
@@ -652,38 +608,27 @@ class ClusterQueue:
                                 "worker_dead", worker=wid,
                                 task=task.task_id, reason=reason,
                             )
-                            if not dead:
-                                worker.proc.terminate()
-                                worker.proc.join(timeout=2.0)
-                                if worker.proc.is_alive():
-                                    worker.proc.kill()
-                                    worker.proc.join(timeout=1.0)
-                            reap(wid)
+                            retire(wid)
                             requeue(task, attempt,
                                     f"worker {wid} died ({reason})", now)
                             if remaining:
-                                spawn(worker.group)
+                                enlist(pool.spawn(), worker.group)
                     elif dead or over_rss:
-                        if not dead:
-                            worker.proc.terminate()
-                            worker.proc.join(timeout=2.0)
-                            if worker.proc.is_alive():
-                                worker.proc.kill()
-                                worker.proc.join(timeout=1.0)
-                        reap(wid)
+                        retire(wid)
                         if any(pending.values()) or remaining:
-                            spawn(worker.group)
+                            enlist(pool.spawn(), worker.group)
 
             # All replicates landed; drain the trailing task_finished
             # acknowledgements so the journal closes every task.  A
             # cancelled run skips this — its workers are being killed.
-            deadline = time.monotonic() + \
-                (0.0 if self.cancelled_reason else 1.0)
+            completed = self.cancelled_reason is None
+            settle_by = time.monotonic() + (1.0 if completed else 0.0)
             while (any(w.current is not None for w in workers.values())
-                   and time.monotonic() < deadline):
+                   and time.monotonic() < settle_by):
                 drain_messages(0.05)
+            clean = completed  # nothing raised on the way here either
         finally:
-            self._shutdown(workers)
+            self._release(pool, workers, clean, drain_messages)
 
         phases = self.scheduler.finish()
         self.journal.append(
@@ -845,6 +790,9 @@ class ClusterQueue:
                                 attempt=attempt, worker=wid)
             if worker is not None:
                 worker.current = None
+        elif kind == "closed":
+            if worker is not None:
+                worker.closed = True
         elif kind == "cancelled":
             # The worker's copy of the deadline tripped; no requeue —
             # the master's own token ends the run on its next loop.
@@ -857,32 +805,59 @@ class ClusterQueue:
                 worker.current = None
                 requeue(task, attempt, error, now)
 
-    def _shutdown(self, workers: Dict[int, _Worker]) -> None:
-        if self._force_shutdown:
-            # Cancelled run: don't wait on wedged or mid-replicate
-            # workers — completed replicates are already journalled,
-            # partial ones are discarded by design.
-            for worker in workers.values():
-                worker.proc.terminate()
-            for worker in workers.values():
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():
-                    worker.proc.kill()
-                    worker.proc.join(timeout=1.0)
-            return
-        for worker in workers.values():
+    def _over_rss(self, worker: _Worker) -> bool:
+        """RSS watchdog: journal and report a worker over the ceiling."""
+        if self.cfg.max_worker_rss_mb is None:
+            return False
+        rss = _rss_bytes(worker.proc.pid)
+        if rss is None or rss <= self.cfg.max_worker_rss_mb * 1024 * 1024:
+            return False
+        self.journal.append(
+            "worker_rss_exceeded", worker=worker.wid,
+            task=worker.current[0].task_id if worker.current else None,
+            rss_mb=round(rss / 1048576.0, 1),
+            limit_mb=self.cfg.max_worker_rss_mb,
+        )
+        return True
+
+    def _release(self, pool: WorkerPool, workers: Dict[int, _Worker],
+                 clean: bool, drain_messages) -> None:
+        """Hand the run's workers back: park the good, kill the rest.
+
+        Only a run that ended normally parks anything, and only workers
+        that are idle, alive, under the RSS ceiling and have
+        acknowledged the job's close (their shard is flushed and their
+        pipe is quiet).  Everything else — a cancelled run's
+        mid-replicate workers, a wedged one, whatever an unwinding
+        exception leaves behind — is terminated, not waited on:
+        completed replicates are already journalled, partial ones are
+        discarded by design.
+        """
+        parked: List[_Worker] = []
+        try:
+            if clean:
+                parked = self._close_jobs(workers, drain_messages)
+        finally:
+            pool.retire(*(w for w in workers.values() if w not in parked))
+            for worker in parked:
+                pool.checkin(worker)
+            workers.clear()
+            if pool is not self.pool:
+                pool.close()  # a private pool dies with its run
+
+    def _close_jobs(self, workers: Dict[int, _Worker],
+                    drain_messages) -> List[_Worker]:
+        """Close the job on every idle worker; return those that acked."""
+        idle = [w for w in workers.values()
+                if w.current is None and w.proc.is_alive()]
+        for worker in idle:
             try:
-                worker.inbox.put(None)
-            except Exception:
+                worker.inbox.send(CLOSE)
+            except OSError:
                 pass
-        deadline = time.monotonic() + 5.0
-        for worker in workers.values():
-            worker.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                # SIGTERM didn't land (blocked in C code or a captured
-                # handler): escalate so the run can't leak a process.
-                worker.proc.kill()
-                worker.proc.join(timeout=1.0)
+        ack_by = time.monotonic() + 1.0
+        while (not all(w.closed for w in idle)
+               and time.monotonic() < ack_by):
+            drain_messages(0.05)
+        return [w for w in idle if w.closed and w.proc.is_alive()
+                and not self._over_rss(w)]

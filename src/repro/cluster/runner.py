@@ -17,6 +17,7 @@ from .bootstop import BootstopController
 from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
 from .checkpoint import JournalState, RunJournal, replay
 from .jobs import JobSpec, expand_job
+from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, ExecutionContext, WorkerPlans
 from .shards import ShardedJournal, is_manifest
 
@@ -142,6 +143,7 @@ def run_job(
     clock=None,
     n_shards: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> AnalysisResult:
     """Execute a job from scratch, journalling to *journal_path*.
 
@@ -157,6 +159,9 @@ def run_job(
     drain); ``spec.deadline_s`` is folded into it, and a tripped token
     either salvages a degraded result (deadline) or raises a typed
     ``TaskCancelled`` leaving the journal resumable (drain).
+    ``pool`` is where worker processes come from and are parked again
+    afterwards (the serve layer's resident workers); without one the
+    run forks its own and terminates them when it ends.
     """
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
@@ -171,6 +176,7 @@ def run_job(
     queue = ClusterQueue(
         patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
         journal=journal, plans=plans, bootstop=_bootstop_controller(spec),
+        pool=pool,
     )
     try:
         queue.run(expand_job(spec), cancel=_resolve_cancel(spec, cancel))
@@ -188,6 +194,7 @@ def resume_job(
     plans: Optional[WorkerPlans] = None,
     clock=None,
     cancel: Optional[CancelToken] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> AnalysisResult:
     """Resume an interrupted run from its journal.
 
@@ -234,7 +241,7 @@ def resume_job(
                    n_workers=cluster.n_workers)
     queue = ClusterQueue(
         patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
-        journal=journal, plans=plans, bootstop=bootstop,
+        journal=journal, plans=plans, bootstop=bootstop, pool=pool,
     )
     try:
         queue.run(tasks, already=dict(state.payloads),

@@ -28,6 +28,7 @@ __all__ = [
     "Alignment",
     "AlignmentError",
     "PatternAlignment",
+    "unique_columns",
     "parse_alignment",
     "parse_fasta",
     "parse_phylip",
@@ -53,6 +54,38 @@ class AlignmentError(ValueError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(message)
+
+
+def unique_columns(data: np.ndarray):
+    """Distinct columns of a ``(n_taxa, n_sites)`` uint8 matrix.
+
+    Returns ``(patterns, site_to_pattern, counts)`` exactly as
+    ``np.unique(data.T, axis=0, return_inverse=True, return_counts=True)``
+    would (patterns transposed back to ``(n_taxa, n_patterns)``), in the
+    same lexicographic column order — pattern order feeds bootstrap
+    weight draws and the job digest, so it must not move.  Instead of
+    sorting sites as void records, each site is zero-padded to a
+    multiple of 8 taxa and compared as big-endian ``uint64`` words
+    (~10x faster at alignment sizes); the trailing pad is equal on every
+    site and cannot reorder anything.
+    """
+    n_taxa, n_sites = data.shape
+    padded = np.zeros((n_sites, -(-n_taxa // 8) * 8), dtype=np.uint8)
+    padded[:, :n_taxa] = data.T
+    words = padded.view(">u8").astype(np.uint64)
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        order = np.lexsort(words.T[::-1])  # lexsort's last key is primary
+    ranked = words[order]
+    first = np.ones(n_sites, dtype=bool)  # first site of each run of equals
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    site_to_pattern = np.empty(n_sites, dtype=np.intp)
+    site_to_pattern[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, n_sites))
+    patterns = np.ascontiguousarray(data[:, order[starts]])
+    return patterns, site_to_pattern, counts
 
 
 @dataclass
@@ -156,15 +189,12 @@ class Alignment:
         """Merge identical columns into weighted site patterns."""
         if self.n_sites == 0:
             raise ValueError("cannot compress an empty alignment")
-        columns = self.data.T  # (sites, taxa)
-        patterns, site_to_pattern, counts = np.unique(
-            columns, axis=0, return_inverse=True, return_counts=True
-        )
+        patterns, site_to_pattern, counts = unique_columns(self.data)
         return PatternAlignment(
             taxa=list(self.taxa),
-            patterns=np.ascontiguousarray(patterns.T),
+            patterns=patterns,
             weights=counts.astype(np.float64),
-            site_to_pattern=site_to_pattern.astype(np.intp),
+            site_to_pattern=site_to_pattern,
             n_sites=self.n_sites,
         )
 
@@ -202,6 +232,11 @@ class PatternAlignment:
         if self.weights.sum() and abs(self.weights.sum() - self.n_sites) > 1e-9:
             # Bootstrap weight vectors must redistribute exactly n_sites.
             raise ValueError("pattern weights must sum to the site count")
+
+    def __getstate__(self) -> dict:
+        # The tip-partial memo is derived data: never ship it to a
+        # cluster worker (or into a deep copy) with the alignment.
+        return {**self.__dict__, "_tip_partial_cache": {}}
 
     @property
     def n_taxa(self) -> int:

@@ -72,6 +72,7 @@ _MASK_TO_CHAR = ["?"] * 16
 for _ch in "ACGTRYSWKMBDHVN":
     _MASK_TO_CHAR[AMBIGUITY_CODES[_ch]] = _ch
 _MASK_TO_CHAR[0] = "!"  # invalid marker, never produced by encode
+_MASK_TO_BYTE = np.frombuffer("".join(_MASK_TO_CHAR).encode(), dtype=np.uint8)
 
 #: Precomputed (16, 4) matrix of tip conditional-likelihood rows: row ``m``
 #: is the 0/1 indicator over states allowed by mask ``m``.  Row 0 (invalid)
@@ -107,7 +108,7 @@ def decode_mask(masks: np.ndarray) -> str:
     Fully ambiguous masks decode to ``N`` (the gap/unknown distinction is
     not preserved by the mask representation).
     """
-    return "".join(_MASK_TO_CHAR[int(m)] for m in masks)
+    return _MASK_TO_BYTE[np.asarray(masks, dtype=np.intp)].tobytes().decode()
 
 
 def is_valid_sequence(sequence: str) -> bool:

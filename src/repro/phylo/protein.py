@@ -29,7 +29,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .alignment import PatternAlignment, parse_fasta, parse_phylip
+from .alignment import (
+    PatternAlignment,
+    parse_fasta,
+    parse_phylip,
+    unique_columns,
+)
 from .models import SubstitutionModel
 
 __all__ = [
@@ -166,15 +171,12 @@ class ProteinAlignment:
         """Merge identical columns into weighted site patterns."""
         if self.n_sites == 0:
             raise ValueError("cannot compress an empty alignment")
-        columns = self.data.T
-        patterns, site_to_pattern, counts = np.unique(
-            columns, axis=0, return_inverse=True, return_counts=True
-        )
+        patterns, site_to_pattern, counts = unique_columns(self.data)
         return ProteinPatternAlignment(
             taxa=list(self.taxa),
-            patterns=np.ascontiguousarray(patterns.T),
+            patterns=patterns,
             weights=counts.astype(np.float64),
-            site_to_pattern=site_to_pattern.astype(np.intp),
+            site_to_pattern=site_to_pattern,
             n_sites=self.n_sites,
         )
 

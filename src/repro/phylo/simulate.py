@@ -87,9 +87,13 @@ def evolve_alignment(
             continue  # the root itself
         parent = entry.other(node)
         parent_states = states[parent.index]
-        # Per-site transition matrices P(rate_s * t): shape (n_sites, 4, 4).
-        p = model.transition_matrices(entry.length, rates)
-        rows = p[np.arange(n_sites), parent_states, :]  # (n_sites, 4)
+        # Row ``parent_state`` of each site's P(rate_s * t) = R e^{Lrt} L:
+        # only the sampled row is formed, (n_sites, 4), never the full
+        # (n_sites, 4, 4) stack.
+        exponent = np.exp(
+            model._eigenvalues[None, :] * (rates[:, None] * entry.length)
+        )
+        rows = (model._right[parent_states] * exponent) @ model._left
         # Guard against round-off: clip and renormalize before sampling.
         rows = np.clip(rows, 0.0, None)
         rows = rows / rows.sum(axis=1, keepdims=True)

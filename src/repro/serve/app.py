@@ -22,6 +22,7 @@ Routes::
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -166,6 +167,9 @@ class ServeApp:
         )
         self._max_concurrent = max_concurrent_jobs
         self._inflight: set = set()
+        #: job id -> event set when its execute returns (any outcome);
+        #: present from admission (or recovery) until then.
+        self._job_finished: Dict[str, asyncio.Event] = {}
         self._sse_active = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -176,9 +180,14 @@ class ServeApp:
 
     async def start(self) -> None:
         recovered = self.service.recover()
+        for record in recovered:
+            self._job_finished[record.job_id] = asyncio.Event()
         if recovered:
             logger.info("recovered %d unfinished job(s) from %s",
                         len(recovered), self.service.store.root)
+        # Fork the resident workers before the listener opens, so they
+        # inherit no client socket.
+        self.service.pool.prefork()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=_MAX_HEADER_BYTES,
@@ -237,6 +246,7 @@ class ServeApp:
         if self._dispatcher is not None:
             await self._dispatcher
         self._executor.shutdown(wait=False, cancel_futures=True)
+        self.service.close()
 
     # -- dispatch -----------------------------------------------------------
 
@@ -254,7 +264,8 @@ class ServeApp:
                     self._executor, self.service.execute, record
                 )
                 self._inflight.add(future)
-                future.add_done_callback(self._job_done)
+                future.add_done_callback(
+                    functools.partial(self._job_done, record.job_id))
                 started = True
             if not started:
                 self._wakeup.clear()
@@ -264,8 +275,11 @@ class ServeApp:
                 except asyncio.TimeoutError:
                     pass
 
-    def _job_done(self, future) -> None:
+    def _job_done(self, job_id: str, future) -> None:
         self._inflight.discard(future)
+        finished = self._job_finished.pop(job_id, None)
+        if finished is not None:
+            finished.set()  # wakes the job's event streams
         exc = future.exception() if not future.cancelled() else None
         if isinstance(exc, TaskCancelled):
             # The expected unwinding of a drained job: its record stays
@@ -308,10 +322,13 @@ class ServeApp:
                 pass
         finally:
             try:
-                # shutdown(SHUT_WR) the socket, don't just close the fd:
-                # forked cluster workers inherit accepted connections, so
-                # a plain close sends no FIN until the last worker exits
-                # and a client reading to EOF hangs for the whole run.
+                # shutdown(SHUT_WR) the socket, don't just close the fd.
+                # The resident workers are forked before the listener
+                # opens, but a *replacement* forked mid-service (after a
+                # worker death, or for a second concurrent job) inherits
+                # whatever connections are open at that instant; a plain
+                # close of one of those sends no FIN until that worker
+                # exits and a client reading to EOF hangs meanwhile.
                 if writer.can_write_eof():
                     writer.write_eof()
                 writer.close()
@@ -399,6 +416,8 @@ class ServeApp:
         except ValueError as exc:
             raise ApiError(400, "alignment_invalid",
                            f"could not parse alignment: {exc}") from exc
+        if not hit:
+            self._job_finished[record.job_id] = asyncio.Event()
         return (200 if hit else 201), {
             "job_id": record.job_id,
             "digest": record.digest,
@@ -445,7 +464,12 @@ class ServeApp:
         (noticed within one poll interval — a dropped consumer must
         not pin a tailing task for the job's whole runtime) and a
         server drain (the stream ends with a ``server_draining`` event
-        so clients know to reconnect elsewhere).
+        so clients know to reconnect elsewhere).  Progress events are
+        polled every ``poll_interval``; the job's *end* is an event
+        (set by :meth:`_job_done`), so the stream ends when the job
+        does, and the terminal ``run_finished`` block is sent only once
+        the job's record is terminal — ``/result`` never answers 409
+        to a client whose stream has ended.
         """
         self._sse_active += 1
         try:
@@ -486,23 +510,36 @@ class ServeApp:
             await writer.drain()
             return
         tail = JournalTail(self.service.store.journal_path(job_id))
+        held = ""  # the terminal block, withheld until the record is too
         while True:
             if self._client_gone(reader, writer):
                 return
+            # Taken before the journal and the record are read, so a job
+            # finishing in between is seen by the wait below.
+            finished = self._job_finished.get(job_id)
             blocks = []
-            terminal = False
             for journal_record in tail.poll():
-                blocks.append(format_sse(journal_record, tail.next_id))
+                block = format_sse(journal_record, tail.next_id)
                 tail.next_id += 1
                 if JournalTail.is_terminal(journal_record):
-                    terminal = True
+                    held = block
+                else:
+                    blocks.append(block)
+            record = self.service.store.get(job_id)
+            state = record.state if record is not None else None
+            # ``run_finished`` is journalled before the result is cached
+            # and the record saved: hold it back while the job is still
+            # executing, so once a stream has ended /result is 200.
+            release = bool(held) and (finished is None
+                                      or state in (JOB_DONE, JOB_FAILED))
+            if release:
+                blocks.append(held)
             if blocks:
                 writer.write("".join(blocks).encode())
                 await writer.drain()
-            if terminal:
+            if release:
                 return
-            record = self.service.store.get(job_id)
-            if record is not None and record.state == JOB_FAILED:
+            if state == JOB_FAILED:
                 writer.write(format_sse(
                     {"event": "job_failed",
                      "error": record.error or "job failed"},
@@ -516,7 +553,16 @@ class ServeApp:
                 ).encode())
                 await writer.drain()
                 return
-            await asyncio.sleep(self.poll_interval)
+            # Progress events keep the poll cadence (and disconnects and
+            # drains their detection bound); the job's end wakes us now.
+            if finished is None:
+                await asyncio.sleep(self.poll_interval)
+            else:
+                try:
+                    await asyncio.wait_for(finished.wait(),
+                                           timeout=self.poll_interval)
+                except asyncio.TimeoutError:
+                    pass
 
 
 async def serve_forever(

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..cluster.checkpoint import atomic_write
 from ..cluster.jobs import JobSpec
-from ..phylo.alignment import PatternAlignment
+from ..phylo.alignment import PatternAlignment, unique_columns
 
 __all__ = [
     "canonical_alignment_key",
@@ -73,8 +73,8 @@ def canonical_alignment_key(patterns: PatternAlignment) -> bytes:
     order = np.argsort(np.array(patterns.taxa))
     rows = patterns.patterns[order]  # (n_taxa, n_patterns), sorted taxa
     # Distinct columns, lexicographically sorted under the canonical
-    # taxon order (np.unique sorts and dedups in one pass).
-    columns = np.unique(np.ascontiguousarray(rows.T), axis=0)
+    # taxon order (one pass sorts and dedups).
+    columns = np.ascontiguousarray(unique_columns(rows)[0].T)
     taxa = sorted(patterns.taxa)
     header = f"{len(taxa)}:{columns.shape[0]}:".encode()
     names = "\x00".join(taxa).encode()

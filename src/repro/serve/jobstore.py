@@ -29,6 +29,7 @@ from ..chaos import injector as _chaos
 from ..chaos.plan import SERVE_SERVER_KILL
 from ..cluster.checkpoint import atomic_write, replay
 from ..cluster.jobs import JobSpec
+from ..cluster.pool import WorkerPool
 from ..cluster.queue import ClusterConfig
 from ..cluster.runner import job_status, resume_job, run_job
 from ..phylo.alignment import Alignment, parse_alignment
@@ -282,7 +283,8 @@ class JobStore:
 
     def execute(self, record: JobRecord, n_workers: int = 2,
                 cluster: Optional[ClusterConfig] = None,
-                cancel: Optional[CancelToken] = None) -> Dict[str, object]:
+                cancel: Optional[CancelToken] = None,
+                pool: Optional[WorkerPool] = None) -> Dict[str, object]:
         """Run (or resume) the job's cluster analysis; cache the result.
 
         ``cancel`` threads the service's drain token (and the spec's
@@ -290,6 +292,8 @@ class JobStore:
         trips after at least one inference finished yields a *degraded*
         result: journalled, servable, marked on the record — but never
         cached, so an identical resubmission recomputes in full.
+        ``pool`` is the service's resident worker pool (None: the run
+        forks and terminates its own workers).
         """
         with open(self.alignment_path(record.digest)) as fh:
             text = fh.read()
@@ -305,11 +309,12 @@ class JobStore:
         if resumable:
             analysis = resume_job(journal, patterns, n_workers=n_workers,
                                   cluster=cluster, clock=self._run_clock(),
-                                  cancel=cancel)
+                                  cancel=cancel, pool=pool)
         else:
             analysis = run_job(record.spec, patterns, n_workers=n_workers,
                                journal_path=journal, cluster=cluster,
-                               clock=self._run_clock(), cancel=cancel)
+                               clock=self._run_clock(), cancel=cancel,
+                               pool=pool)
         payload = result_payload(record.digest, record.spec, journal)
         perf = payload.get("perf") or {}
         self.engine_counters["fault_recoveries"] += int(
@@ -386,6 +391,10 @@ class JobService:
         )
         self.n_workers = n_workers
         self.cluster = cluster
+        #: Resident cluster workers, shared by every job this service
+        #: runs: forked on first use (or by ``ServeApp.start``), parked
+        #: between jobs, terminated by :meth:`close`.
+        self.pool = WorkerPool(n_workers)
         self.max_job_memory_mb = max_job_memory_mb
         self.draining = False
         # Live cancel tokens of in-flight executes, keyed by job id.
@@ -412,6 +421,14 @@ class JobService:
         return tripped
 
     # -- lifecycle ----------------------------------------------------------
+
+    def close(self) -> None:
+        """Terminate and join the parked workers (idempotent).
+
+        Call it when done with the service — the pool's finalizer only
+        backstops a service that is dropped without it.
+        """
+        self.pool.close()
 
     def recover(self) -> List[JobRecord]:
         """Re-enqueue journalled work after a restart.
@@ -504,7 +521,8 @@ class JobService:
             token.cancel(REASON_DRAIN)
         try:
             self.store.execute(record, n_workers=self.n_workers,
-                               cluster=self.cluster, cancel=token)
+                               cluster=self.cluster, cancel=token,
+                               pool=self.pool)
         except _chaos.InjectedCrash:
             raise
         except TaskCancelled as exc:

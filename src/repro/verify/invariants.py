@@ -8,7 +8,7 @@ cannot (both engines wrong the same way):
   likelihood is the same no matter which branch ``evaluate()`` is
   computed at.
 * **Site permutation** — shuffling alignment columns permutes nothing
-  after pattern compression (``np.unique`` canonicalizes column order),
+  after pattern compression (``unique_columns`` canonicalizes column order),
   so the log likelihood must be *bit-for-bit* identical.
 * **Taxon permutation** — reordering alignment rows only reorders the
   canonical patterns, changing summation order; likelihoods must agree
@@ -197,7 +197,7 @@ def site_permutation_invariance(
 ) -> float:
     """Shuffling columns must leave the compressed lnL bit-identical.
 
-    ``Alignment.compress`` canonicalizes pattern order via ``np.unique``,
+    ``Alignment.compress`` canonicalizes pattern order via ``unique_columns``,
     so a column shuffle produces the *same* compressed instance and the
     engine must return the exact same float.  Returns the absolute
     difference (asserted to be 0.0).
@@ -238,7 +238,7 @@ def taxon_permutation_invariance(
 ) -> float:
     """Reordering alignment rows must not change the likelihood.
 
-    Row order changes the canonical pattern *order* (``np.unique`` sorts
+    Row order changes the canonical pattern *order* (``unique_columns`` sorts
     lexicographically by row), so sums accumulate in a different order —
     agreement is to round-off, not bit-for-bit.  Returns the relative
     difference.

@@ -118,3 +118,15 @@ def serial_reference(tiny_patterns, fast_config):
 
     return run_full_analysis(tiny_patterns, n_inferences=1, n_bootstraps=4,
                              config=fast_config, seed=9)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """No cluster worker may outlive its pool's owner: asserted once,
+    after every test (and whatever services they dropped) is gone."""
+    yield
+    import gc
+    import multiprocessing
+
+    gc.collect()  # a pool dropped without close() retires in its finalizer
+    assert not multiprocessing.active_children()

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.phylo import Alignment, parse_fasta, parse_phylip
-from repro.phylo.alignment import PatternAlignment
+from repro.phylo.alignment import PatternAlignment, unique_columns
 
 FASTA = """\
 >taxA
@@ -180,6 +180,63 @@ class TestCompression:
         # patterns must be distinct columns
         cols = {tuple(pats.patterns[:, j]) for j in range(pats.n_patterns)}
         assert len(cols) == pats.n_patterns
+
+
+class TestUniqueColumns:
+    """``unique_columns`` is ``np.unique(..., axis=0)`` on the site
+    columns, bit for bit: same patterns in the same lexicographic
+    order (bootstrap weight draws and job digests follow it), same
+    inverse, same counts."""
+
+    @staticmethod
+    def check(data):
+        patterns, inverse, counts = np.unique(
+            data.T, axis=0, return_inverse=True, return_counts=True)
+        got_patterns, got_inverse, got_counts = unique_columns(data)
+        assert np.array_equal(got_patterns, patterns.T)
+        assert got_patterns.flags.c_contiguous
+        assert np.array_equal(got_inverse, inverse.reshape(-1))
+        assert got_inverse.dtype == np.intp
+        assert np.array_equal(got_counts, counts)
+
+    @pytest.mark.parametrize("n_codes", [5, 16, 23, 256])
+    def test_matches_np_unique_for_1_to_70_taxa(self, n_codes):
+        # 16 = DNA masks, 23 = protein codes, 5 = many duplicate columns,
+        # 256 = every byte value (the high bit must not flip the order).
+        rng = np.random.default_rng(n_codes)
+        for n_taxa in range(1, 71):
+            for n_sites in (1, 2, 37, 300):
+                self.check(rng.integers(0, n_codes, size=(n_taxa, n_sites))
+                           .astype(np.uint8))
+
+    def test_single_site_and_all_identical_sites(self):
+        self.check(np.array([[3], [200], [7]], dtype=np.uint8))
+        for n_taxa in (1, 8, 9, 17):
+            self.check(np.full((n_taxa, 50), 4, dtype=np.uint8))
+
+    def test_order_is_decided_by_the_first_differing_taxon(self):
+        # Columns equal on the first 8 taxa (one packed word), ordered
+        # by the ninth; the zero padding of the last word never matters.
+        data = np.ones((9, 3), dtype=np.uint8)
+        data[8] = [9, 2, 5]
+        patterns, inverse, _ = unique_columns(data)
+        assert patterns[8].tolist() == [2, 5, 9]
+        assert inverse.tolist() == [2, 0, 1]
+        self.check(data)
+
+    def test_compress_uses_it_for_dna_and_protein(self):
+        from repro.phylo.protein import ProteinAlignment
+
+        rng = np.random.default_rng(1)
+        seqs = {f"p{i}": "".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), 60))
+                for i in range(11)}
+        aln = ProteinAlignment.from_sequences(seqs)
+        pats = aln.compress()
+        patterns, inverse, counts = np.unique(
+            aln.data.T, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(pats.patterns, patterns.T)
+        assert np.array_equal(pats.site_to_pattern, inverse.reshape(-1))
+        assert np.array_equal(pats.weights, counts.astype(float))
 
 
 class TestBootstrap:

@@ -56,6 +56,17 @@ class TestDecodeMask:
     def test_round_trip_property(self, text):
         assert dna.decode_mask(dna.encode_sequence(text)) == text
 
+    def test_every_mask_value_and_the_invalid_marker(self):
+        # The table form of decode, against the mapping spelled out.
+        spelled = {0: "!", **{dna.AMBIGUITY_CODES[c]: c
+                              for c in "ACGTRYSWKMBDHVN"}}
+        masks = np.arange(16, dtype=np.uint8)
+        assert dna.decode_mask(masks) == "".join(spelled[m] for m in range(16))
+        assert dna.decode_mask([1, 0, 15]) == "A!N"
+        assert dna.decode_mask(np.zeros(0, dtype=np.uint8)) == ""
+        with pytest.raises(IndexError):
+            dna.decode_mask(np.array([16], dtype=np.uint8))
+
 
 class TestValidation:
     def test_is_valid_sequence(self):

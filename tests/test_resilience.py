@@ -461,6 +461,62 @@ class TestRequestHardening:
 
         asyncio.run(scenario())
 
+    def test_stream_notices_disconnect_and_drain_within_one_poll_interval(
+            self, tiny_fasta, tmp_path):
+        """The stream waits on the job's completion event, not a bare
+        sleep — the wait keeps ``poll_interval`` as its timeout, so a
+        vanished client and a drain are still seen within one tick."""
+        import multiprocessing
+
+        poll = 0.4
+
+        async def open_stream(h, p, job_id):
+            reader, writer = await asyncio.open_connection(h, p)
+            writer.write(f"GET /jobs/{job_id}/events HTTP/1.1\r\n"
+                         f"Host: t\r\n\r\n".encode())
+            await writer.drain()
+            await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5.0)
+            return reader, writer
+
+        async def scenario():
+            app = ServeApp(JobService(str(tmp_path / "root")), port=0,
+                           poll_interval=poll)
+            app._max_concurrent = 0  # freeze dispatch: job stays queued
+            await app.start()
+            h, p = app.host, app.port
+            try:
+                status, _, blob = await _http(h, p, "POST", "/jobs",
+                                              json.dumps({
+                    "alignment": tiny_fasta,
+                    "model": {"n_inferences": 1, "n_bootstraps": 2,
+                              "seed": 11},
+                }).encode())
+                assert status == 201
+                job_id = json.loads(blob)["job_id"]
+
+                _, gone = await open_stream(h, p, job_id)
+                reader, writer = await open_stream(h, p, job_id)
+                assert app._sse_active == 2
+                await asyncio.sleep(poll / 4)  # both are mid-wait now
+
+                gone.transport.abort()
+                t0 = time.monotonic()
+                while app._sse_active == 2:
+                    assert time.monotonic() - t0 < poll + 0.25
+                    await asyncio.sleep(0.01)
+
+                app.begin_drain()
+                t0 = time.monotonic()
+                tail = await asyncio.wait_for(reader.read(), poll + 0.25)
+                assert b"event: server_draining" in tail
+                assert time.monotonic() - t0 < poll + 0.25
+                writer.close()
+            finally:
+                await app.stop()
+
+        asyncio.run(scenario())
+        assert not multiprocessing.active_children()
+
 
 # -- wedged workers: stall timeout and RSS watchdog ---------------------------
 

@@ -318,3 +318,81 @@ class TestServeEndToEnd:
                 await app.stop()
 
         asyncio.run(scenario())
+
+
+class TestResidentWorkersAndStreamEnd:
+    """The stream ends when the job ends — not a poll tick later — and
+    once it has, ``/result`` is there; the workers behind it all are the
+    same processes from the first job to the last."""
+
+    N_JOBS = 50
+
+    def test_fifty_jobs_stream_to_a_ready_result_on_resident_workers(
+            self, tmp_path):
+        import multiprocessing
+        import statistics
+        import time
+
+        fasta = synthetic_dataset(n_taxa=5, n_sites=100, seed=3).to_fasta()
+
+        async def scenario():
+            service = JobService(str(tmp_path / "root"), n_workers=2)
+            # A poll interval far above a job's run time: anything that
+            # still waits for the next tick shows as a ~1 s lag.
+            app = ServeApp(service, port=0, poll_interval=1.0)
+            await app.start()
+            h, p = app.host, app.port
+            pids = service.pool.idle_pids()
+            assert len(pids) == 2  # forked by start(), before any job
+            lags = []
+            try:
+                for seed in range(self.N_JOBS):
+                    status, _, blob = await _http(h, p, "POST", "/jobs",
+                                                  json.dumps({
+                        "alignment": fasta,
+                        "model": {"n_inferences": 1, "n_bootstraps": 0,
+                                  "seed": seed},
+                    }).encode())
+                    assert status == 201
+                    job_id = json.loads(blob)["job_id"]
+                    status, _, blob = await _http(
+                        h, p, "GET", f"/jobs/{job_id}/events")
+                    ended = time.time()
+                    assert status == 200
+                    assert _sse_events(blob)[-1] == "run_finished"
+                    # The first GET after the stream: never a 409.
+                    status, _, blob = await _http(
+                        h, p, "GET", f"/jobs/{job_id}/result")
+                    assert status == 200, blob
+                    assert json.loads(blob)["best_newick"].endswith(";")
+                    status, _, blob = await _http(h, p, "GET",
+                                                  f"/jobs/{job_id}")
+                    record = json.loads(blob)
+                    assert record["state"] == "done"
+                    lags.append(ended - record["updated"])
+                assert service.pool.idle_pids() == pids
+            finally:
+                await app.stop()
+            return lags
+
+        lags = asyncio.run(scenario())
+        # ``updated`` is stamped just before the record's fsync'd write.
+        assert statistics.median(lags) < 0.020, sorted(lags)
+        assert max(lags) < 0.5, sorted(lags)
+        assert not multiprocessing.active_children()
+
+    def test_service_close_terminates_the_resident_workers(self, tmp_path,
+                                                           service_fasta):
+        import multiprocessing
+
+        from repro.cluster import JobSpec
+
+        service = JobService(str(tmp_path / "root"), n_workers=2)
+        service.submit(service_fasta,
+                       JobSpec(n_inferences=1, n_bootstraps=1, seed=2))
+        assert service.run_next().state == "done"  # forks lazily
+        assert len(service.pool.idle_pids()) == 2
+        service.close()
+        service.close()  # idempotent
+        assert service.pool.n_idle == 0
+        assert not multiprocessing.active_children()

@@ -89,6 +89,20 @@ class TestCanonicalDigest:
         assert canonical_alignment_key(patterns).startswith(b"4:7:")
 
 
+    def test_digests_are_pinned_literals(self):
+        """The digest is an on-disk address (cache files, job ids): a
+        change to pattern order or key layout must show up here, not as
+        a silently cold cache.  Four taxa, and eleven — past the eight
+        that fit one packed sort word of ``unique_columns``."""
+        assert digest_of(SEQS) == ("c12765ce9d59f453cee4053161f18991"
+                                   "c2244b02aafabae3f9787ea2c9647119")
+        wide = {f"w{i:02d}": "".join("ACGT"[(i * j + j // 3) % 4]
+                                     for j in range(24))
+                for i in range(11)}
+        assert digest_of(wide) == ("95247178a00d72051d2e783f7a9aad88"
+                                   "cfc2f8a83e6eeecb8d254824e65d89da")
+
+
 class TestResultCache:
     def test_put_get_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path))
