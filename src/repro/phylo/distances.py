@@ -92,12 +92,10 @@ def ml_distance(
     )
     start = min(max(jc69_distance(patterns, i, j), MIN_BRANCH_LENGTH),
                 MAX_BRANCH_LENGTH)
+    probe = kernels.SumtableProbe(
+        model._eigenvalues, rate_model.rates, patterns.weights).load(table)
     best_t, _, _ = newton_branch_length(
-        lambda t: kernels.sumtable_derivatives(
-            table, model._eigenvalues, rate_model.rates, t, patterns.weights
-        ),
-        start, max_iterations, tolerance,
-    )
+        probe, start, max_iterations, tolerance, lnl_at=probe.lnl)
     return best_t
 
 

@@ -36,7 +36,6 @@ and CAT (one category per site; per-pattern transition matrices).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -76,12 +75,14 @@ def newton_branch_length(
     start: float,
     max_iterations: int = 32,
     tolerance: float = 1e-8,
+    lnl_at: Optional[Callable[[float], float]] = None,
 ) -> Tuple[float, float, int]:
     """Safeguarded Newton-Raphson on one branch length.
 
-    ``derivatives_at(t)`` returns ``(lnL, d lnL/dt, d2 lnL/dt2)``.
-    Newton steps where the likelihood is locally concave, doubling /
-    halving uphill otherwise, every iterate clamped to
+    ``derivatives_at(t)`` returns ``(lnL, d lnL/dt, d2 lnL/dt2)``;
+    ``lnl_at(t)``, when given, is a cheaper ``lnL`` alone for the final
+    re-score.  Newton steps where the likelihood is locally concave,
+    doubling / halving uphill otherwise, every iterate clamped to
     ``[MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH]``; stops on a derivative or
     a step below *tolerance*.  Returns ``(best_t, best_lnl,
     iterations)`` — the best point *scored*, including the final
@@ -96,11 +97,12 @@ def newton_branch_length(
     converged to the step tolerance is not moved (a sub-tolerance move
     gains nothing measurable but dirties every CLV behind the branch).
     """
-    t = start
+    t, scored = start, None
     best_t, best_lnl = t, -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         lnl, d1, d2 = derivatives_at(t)
+        scored = t
         if lnl >= best_lnl - _LNL_TIE * abs(lnl):
             best_lnl, best_t = lnl, t
         if abs(d1) < tolerance:
@@ -116,26 +118,15 @@ def newton_branch_length(
             break
         t = new_t
 
-    # Score the final point too (the loop may end right after a step).
-    lnl, _, _ = derivatives_at(t)
-    if lnl >= best_lnl - _LNL_TIE * abs(lnl):
-        best_lnl, best_t = lnl, t
+    # Score the final point too (the loop may end right after a step),
+    # unless it is the point just scored: same t, same bits, same best.
+    if t != scored:
+        lnl = derivatives_at(t)[0] if lnl_at is None else lnl_at(t)
+        if lnl >= best_lnl - _LNL_TIE * abs(lnl):
+            best_lnl, best_t = lnl, t
     if abs(best_t - start) < tolerance:
         best_t = start
     return best_t, best_lnl, iterations
-
-
-def _finite_derivatives(
-    triple: Tuple[float, float, float]
-) -> Tuple[float, float, float]:
-    """Pass a ``(lnL, d1, d2)`` triple through, or raise the
-    ``FloatingPointError`` the degradation ladder recovers from."""
-    lnl, d1, d2 = triple
-    if not (math.isfinite(lnl) and math.isfinite(d1) and math.isfinite(d2)):
-        raise FloatingPointError(
-            f"non-finite branch derivatives: ({lnl!r}, {d1!r}, {d2!r})"
-        )
-    return triple
 
 
 class NewviewCase:
@@ -147,12 +138,23 @@ class NewviewCase:
     INNER_INNER = "inner_inner"
 
 
+#: Retired CLVs kept for content-keyed reuse.  Fixed: hits over three
+#: ``search_sc`` searches at 4/8/16/32/64 entries were
+#: 505/717/901/950/965.
+_PARKED_CLVS = 16
+
+
 @dataclass
 class _CachedCLV:
     clv: np.ndarray  # (n_patterns, n_cats, n) — a view into an arena slot
     scale_counts: np.ndarray  # (n_patterns,) int64 — same slot
     deps: FrozenSet[int]  # branch ids this CLV depends on
-    slot: Optional[ClvSlot] = None  # arena slot backing the views
+    slot: ClvSlot  # arena slot backing the views
+    #: what the value is a function of: the two children as ``(child
+    #: ident, branch length)``, sorted (a tip's ident is ``~`` its
+    #: alignment row)
+    content: Tuple[Tuple[int, float], Tuple[int, float]]
+    ident: int  # serial of the ``newview`` that computed it
 
 
 class LikelihoodEngine:
@@ -240,12 +242,17 @@ class LikelihoodEngine:
             self._tip_index[node.index] = patterns.taxon_index(node.name)
 
         self._clv_cache: Dict[Tuple[int, int], _CachedCLV] = {}
+        #: CLVs of retired directions by content key, oldest first
+        self._parked: Dict[tuple, _CachedCLV] = {}
+        self._clv_serial = 0
         #: quantized-branch-length P-matrix cache.  Always constructed —
         #: even for backends that project their own matrices — so
         #: ``perf_counters()`` reports the identical key set for every
         #: backend (a backend with ``uses_pmat_cache=False`` simply
         #: leaves the hit/miss counters at zero).
         self._pmats = PMatrixCache(model, self._rates_for_pmat())
+        #: the prepared makenewz probe (same lifetime as the P-matrices)
+        self._probe = self._prepared_probe()
         #: preallocated CLV slot pool with free-list recycling
         self._arena = ClvArena(
             patterns.n_patterns, self._n_cats, self._n_states
@@ -405,6 +412,7 @@ class LikelihoodEngine:
 
     def _drop_all_clvs(self) -> None:
         self._clv_cache.clear()
+        self._parked.clear()
         self._arena.release_all()
 
     def _reset_pmats(self) -> None:
@@ -418,6 +426,13 @@ class LikelihoodEngine:
             self._rates_for_pmat(), dtype=np.float64
         )
         self._pmats.invalidate()
+        self._probe = self._prepared_probe()
+
+    def _prepared_probe(self) -> kernels.SumtableProbe:
+        return kernels.SumtableProbe(
+            self.model._eigenvalues, self._rates_for_pmat(),
+            self.patterns.weights, per_site=self._site_rates is not None,
+        )
 
     def set_model(self, model: SubstitutionModel) -> None:
         """Swap the substitution model and drop caches."""
@@ -444,6 +459,7 @@ class LikelihoodEngine:
             return
         shape = (self.patterns.n_patterns, self._n_cats, self._n_states)
         self._clv_cache.clear()  # old entries view the old arena's blocks
+        self._parked.clear()
         self._arena = ClvArena(*shape)
         self._term_scratch = np.empty(shape)
         self._sumtable = np.empty(shape)
@@ -459,17 +475,31 @@ class LikelihoodEngine:
             self.tracer.pop_context(token)
 
     def _on_branch_dirty(self, branch_id: int) -> None:
-        # The P-matrix cache is keyed by (quantized) length, not branch
-        # id, so a dirtied branch simply looks up its new length there.
+        """A CLV is dropped only when its value changes.
+
+        A *length* change stales the CLVs whose subtree contains the
+        branch (``deps``) — not the two facing it, whose value does not
+        depend on that length.  A *retired* branch also takes the two
+        directions keyed by it; whatever it drops is still the right
+        CLV for its content key, so it is parked where
+        :meth:`_clv_fill` looks before computing.  (The P-matrix cache
+        is keyed by length, not branch id: nothing to do there.)
+        """
+        retired = not self.tree.has_branch(branch_id)
         stale = [
             key
             for key, entry in self._clv_cache.items()
-            if branch_id in entry.deps or key[1] == branch_id
+            if branch_id in entry.deps or (retired and key[1] == branch_id)
         ]
         for key in stale:
             entry = self._clv_cache.pop(key)
-            if entry.slot is not None:
+            if retired:
+                self._parked[entry.content] = entry
+            else:
                 self._arena.release(entry.slot)
+        while len(self._parked) > _PARKED_CLVS:
+            oldest = self._parked.pop(next(iter(self._parked)))
+            self._arena.release(oldest.slot)
 
     # -- transition matrices -------------------------------------------------
 
@@ -605,8 +635,41 @@ class LikelihoodEngine:
                 if branch is not came_from:
                     stack.append((branch.other(current), branch, False))
         for current, came_from in order:
-            self._newview(current, came_from)
+            operands = self._child_operands(current, came_from)
+            _, _, deps, content = operands
+            parked = self._parked.pop(content, None)
+            if parked is None:
+                self._newview(current, came_from, operands)
+            else:  # same children, same lengths: same bits, no kernel
+                parked.deps = deps
+                self._clv_cache[(current.index, came_from.index)] = parked
         return self._clv_cache[(node.index, entry.index)]
+
+    def _child_operands(self, node: Node, entry: Branch):
+        """The two children of direction ``(node, entry)``: their
+        branches, their kernel operands (a tip's state codes or the
+        child's cached ``(clv, scale_counts)``, filled on demand), the
+        subtree's branch set and the content key.  The key is sorted:
+        the parent is the element-wise product of the two propagated
+        children, which commutes exactly, so which child a regraft
+        lists first does not change a bit of it."""
+        branches = [b for b in node.branches if b is not entry]
+        if len(branches) != 2:
+            raise ValueError("newview requires an inner node of degree 3")
+        deps = {branches[0].index, branches[1].index}
+        sides, content = [], []
+        for via in branches:
+            child = via.other(node)
+            if child.is_tip:
+                sides.append(self._tip_masks(child))
+                content.append((~self._tip_index[child.index], via.length))
+            else:
+                below = self.clv(child, via)
+                deps.update(below.deps)
+                sides.append((below.clv, below.scale_counts))
+                content.append((below.ident, via.length))
+        content.sort()
+        return branches, sides, frozenset(deps), tuple(content)
 
     def newview(self, node: Node, entry: Branch) -> Tuple[np.ndarray, np.ndarray]:
         """Public ``newview()``: ``(clv, scale_counts)`` copies at a
@@ -615,26 +678,14 @@ class LikelihoodEngine:
         cached = self.clv(node, entry)
         return cached.clv.copy(), cached.scale_counts.copy()
 
-    def _newview(self, node: Node, entry: Branch) -> _CachedCLV:
+    def _newview(self, node: Node, entry: Branch,
+                 operands=None) -> _CachedCLV:
         """Compute and cache one CLV: a single ``newview()`` invocation,
-        a single backend kernel call on resolved operands."""
-        children = [b for b in node.branches if b is not entry]
-        if len(children) != 2:
-            raise ValueError("newview requires an inner node of degree 3")
-        (b1, b2) = children
+        a single backend kernel call on resolved operands (those of
+        :meth:`_child_operands`, when the caller already has them)."""
+        (b1, b2), sides, deps, content = (
+            operands or self._child_operands(node, entry))
         q1, q2 = b1.other(node), b2.other(node)
-        # Each side is a tip's state codes or the child's cached entry
-        # (clv() fills post-order), whose deps, with the two child
-        # branches, are this subtree's branch set.
-        deps = {b1.index, b2.index}
-        sides = []
-        for child, via in ((q1, b1), (q2, b2)):
-            if child.is_tip:
-                sides.append(self._tip_masks(child))
-            else:
-                below = self.clv(child, via)
-                deps.update(below.deps)
-                sides.append((below.clv, below.scale_counts))
         p1, p2 = self._pmat(b1), self._pmat(b2)
         chaos = _chaos._ACTIVE is not None
         slot = self._arena.acquire()
@@ -650,8 +701,10 @@ class LikelihoodEngine:
             self._arena.release(slot)
             raise
 
+        self._clv_serial += 1
         entry_cache = _CachedCLV(
-            slot.clv, slot.scale_counts, frozenset(deps), slot
+            slot.clv, slot.scale_counts, deps, slot, content,
+            self._clv_serial,
         )
         self._clv_cache[(node.index, entry.index)] = entry_cache
 
@@ -831,7 +884,7 @@ class LikelihoodEngine:
     def _derivatives_at(
         self, length: float, u_clv, v_clv, scale
     ) -> Tuple[float, float, float]:
-        return _finite_derivatives(self._backend.branch_derivatives(
+        return kernels.finite_derivatives(*self._backend.branch_derivatives(
             self._transition_derivatives(length),
             self.model.pi,
             self._cat_weights,
@@ -871,12 +924,17 @@ class LikelihoodEngine:
     ) -> Tuple[float, float]:
         context = self._push_context("makenewz")
         try:
-            derivatives_at = self._newton_probe(branch)
+            probe = self._newton_probe(branch)
         finally:
             self._pop_context(context)
+        evaluations = self._probe.calls
         best_t, best_lnl, iterations = newton_branch_length(
-            derivatives_at, branch.length, max_iterations, tolerance
+            probe, branch.length, max_iterations, tolerance,
+            lnl_at=probe.lnl if probe is self._probe else None,
         )
+        # One kernel call per sumtable probe (the oracle's explicit
+        # (P, dP, d2P) probes count themselves in the backend).
+        self._backend.kernel_calls += self._probe.calls - evaluations
         self.tree.set_length(branch, best_t)
         self.makenewz_calls += 1
         if self.tracer is not None:
@@ -896,14 +954,13 @@ class LikelihoodEngine:
 
         Both sides are projected into the eigenbasis once (the backend's
         ``branch_sumtable``, into the engine's scratch table; a tip side
-        goes in as its state codes) and the summed scale counts fold
-        into one scalar, so each evaluation is a single
-        ``sumtable_derivatives`` kernel call.  A backend that owns its
+        goes in as its state codes), the summed scale counts fold into
+        one scalar, and the engine's prepared
+        :class:`~repro.phylo.kernels.SumtableProbe` is pointed at the
+        pair — it reads the one scratch table, so it is good until the
+        next ``_newton_probe`` call.  A backend that owns its
         transition-matrix projection (the reference oracle) instead
         keeps the independent per-iteration ``(P, dP, d2P)`` path.
-
-        The returned function reads the engine's one scratch table: it
-        is good until the next ``_newton_probe`` call.
         """
         u, v = branch.nodes
         if not self._backend.uses_pmat_cache:
@@ -913,20 +970,15 @@ class LikelihoodEngine:
             return lambda t: self._derivatives_at(t, u_clv, v_clv, scale)
         u_side, u_sc = self._sumtable_side(u, branch)
         v_side, v_sc = self._sumtable_side(v, branch)
-        model, backend = self.model, self._backend
-        weights = self.patterns.weights
+        model = self.model
         # Nested newviews are done: the term scratch is free to lend.
-        table = backend.branch_sumtable(
+        table = self._backend.branch_sumtable(
             model._right, model._left, model.pi, self._cat_weights,
             u_side, v_side, self._tip_table,
             out=self._sumtable, work=self._term_scratch,
         )
-        offset = float(weights @ (u_sc + v_sc)) * kernels.LOG_SCALE_FACTOR
-        eigenvalues, rates = model._eigenvalues, self._rates_for_pmat()
-        per_site = self._site_rates is not None
-        return lambda t: _finite_derivatives(backend.sumtable_derivatives(
-            table, eigenvalues, rates, t, weights, offset, per_site=per_site
-        ))
+        offset = float(self.patterns.weights @ (u_sc + v_sc))
+        return self._probe.load(table, offset * kernels.LOG_SCALE_FACTOR)
 
     def _sumtable_side(
         self, node: Node, branch: Branch

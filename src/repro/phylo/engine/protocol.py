@@ -8,10 +8,12 @@ seam in the reproduction: everything numerical that the likelihood
 engine does per site pattern flows through one of its methods, and the
 engine core (:mod:`repro.phylo.engine.core`) holds everything else —
 CLV cache and arena, P-matrix LRU, dirty tracking, traversal order,
-Newton iteration, SPR batching.  The two ``makenewz`` sumtable kernels
-are implemented on the protocol itself, so every backend shares them,
-and so is ``newview`` — one whole CLV per call, by default the
-composition of the backend's own propagate/combine/rescale kernels.
+Newton iteration, SPR batching.  The ``makenewz`` sumtable is
+implemented on the protocol itself, so every backend shares it (the
+per-iteration probe on it is the engine's prepared
+:class:`~repro.phylo.kernels.SumtableProbe`), and so is ``newview`` —
+one whole CLV per call, by default the composition of the backend's own
+propagate/combine/rescale kernels.
 
 Four backends register here:
 
@@ -272,13 +274,14 @@ class KernelBackend:
 
     # -- makenewz kernels ----------------------------------------------------
     #
-    # The Newton loop runs on the sumtable pair, which is protocol-level:
-    # both are small dense NumPy products (one GEMM per branch, one
-    # ``(s, c*k) @ (c*k, 3)`` per iteration) that every backend inherits
-    # unmodified.  The ``(P, dP, d2P)`` kernels after them serve the
-    # one-shot derivative probe, the batched SPR Newton and the
-    # full-tree gradient — and the whole Newton loop of a backend that
-    # owns its projection (``uses_pmat_cache = False``, the oracle).
+    # The Newton loop runs on the sumtable — protocol-level, one small
+    # dense GEMM per branch that every backend inherits unmodified — and
+    # on the engine's prepared probe over it, which counts one
+    # ``kernel_calls`` per evaluation.  The ``(P, dP, d2P)`` kernels
+    # after it serve the one-shot derivative probe, the batched SPR
+    # Newton and the full-tree gradient — and the whole Newton loop of a
+    # backend that owns its projection (``uses_pmat_cache = False``, the
+    # oracle).
 
     def branch_sumtable(
         self,
@@ -301,25 +304,6 @@ class KernelBackend:
         return kernels.branch_sumtable(
             right, left, pi, cat_weights, u_side, v_side, code_table,
             out=out, work=work,
-        )
-
-    def sumtable_derivatives(
-        self,
-        sumtable: np.ndarray,
-        eigenvalues: np.ndarray,
-        rates: np.ndarray,
-        branch_length: float,
-        pattern_weights: np.ndarray,
-        scale_offset: float,
-        per_site: bool = False,
-    ) -> Tuple[float, float, float]:
-        """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
-        :meth:`branch_sumtable` — one Newton iteration, one kernel call
-        (:func:`repro.phylo.kernels.sumtable_derivatives`)."""
-        self.kernel_calls += 1
-        return kernels.sumtable_derivatives(
-            sumtable, eigenvalues, rates, branch_length, pattern_weights,
-            scale_offset, per_site=per_site,
         )
 
     def branch_derivatives(

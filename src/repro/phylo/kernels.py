@@ -16,11 +16,12 @@ These functions are the compute bodies of RAxML's three hot functions:
 * :func:`evaluate_loglik` — ``evaluate()``: dot the two CLVs facing a
   branch with the transition matrix and base frequencies, and sum
   weighted log site-likelihoods.
-* :func:`branch_sumtable` / :func:`sumtable_derivatives` — ``makenewz()``:
+* :func:`branch_sumtable` / :class:`SumtableProbe` — ``makenewz()``:
   project the two CLVs facing a branch into the model's eigenbasis once
   (the "sumtable"), then pay only a diagonal ``exp(lambda r t)``
   contraction per Newton-Raphson iteration for the log likelihood and
-  its first two branch-length derivatives.
+  its first two branch-length derivatives, on a probe prepared once per
+  model (:func:`sumtable_derivatives` is its one-shot form).
 * :func:`branch_derivatives` — the same three numbers from explicit
   ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe, the
   batched SPR/gradient contractions, and what the sumtable path is
@@ -57,6 +58,8 @@ __all__ = [
     "evaluate_loglik",
     "evaluate_loglik_batch",
     "branch_sumtable",
+    "finite_derivatives",
+    "SumtableProbe",
     "sumtable_derivatives",
     "branch_derivatives",
     "branch_derivatives_batch",
@@ -389,7 +392,7 @@ def branch_sumtable(
 
         S[s,c,k] = w_c * (sum_i pi_i u[s,c,i] R[i,k]) * (sum_j L[k,j] v[s,c,j])
 
-    so every Newton iteration on ``t`` (:func:`sumtable_derivatives`)
+    so every Newton iteration on ``t`` (:class:`SumtableProbe`)
     costs ``O(s*c*k)`` instead of three ``O(s*c*n^2)`` contractions plus
     a fresh ``(P, dP, d2P)`` projection.
 
@@ -421,6 +424,111 @@ def branch_sumtable(
     return out
 
 
+def finite_derivatives(lnl: float, d1: float,
+                       d2: float) -> Tuple[float, float, float]:
+    """Pass a ``(lnL, d1, d2)`` triple through, or raise the
+    ``FloatingPointError`` the engine's degradation ladder recovers
+    from."""
+    if not (math.isfinite(lnl) and math.isfinite(d1) and math.isfinite(d2)):
+        raise FloatingPointError(
+            f"non-finite branch derivatives: ({lnl!r}, {d1!r}, {d2!r})"
+        )
+    return lnl, d1, d2
+
+
+class SumtableProbe:
+    """``t -> (lnL, d lnL/dt, d2 lnL/dt2)`` on a :func:`branch_sumtable`
+    — the per-iteration body of ``makenewz()``, prepared once.
+
+    Everything that depends only on the model, the rates and the pattern
+    count is built here: ``lam = lambda_k r_c``, the powers ``[1, lam,
+    lam^2]`` and the work buffers.  :meth:`load` points the probe at one
+    branch's table; each evaluation is then about ten NumPy calls.
+
+    Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials, one
+    ``(3, c*k) @ (c*k, s)`` product against ``[e, lam e, lam^2 e]`` and
+    one ``(3, s) @ weights``.  CAT (``per_site=True``, ``rates`` is
+    ``(s,)``, singleton category axis): the same table against a
+    per-pattern exponent, element-wise.  Agrees with
+    :func:`branch_derivatives` / :func:`branch_derivatives_persite` to
+    round-off.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, rates: np.ndarray,
+                 pattern_weights: np.ndarray, per_site: bool = False):
+        lam = rates[:, None] * eigenvalues[None, :]  # (s, k) or (c, k)
+        if not per_site:
+            lam = lam.ravel()  # (c*k,)
+        self._per_site = per_site
+        self._lam = lam
+        self._powers = np.stack([np.ones_like(lam), lam, lam * lam])
+        self._weights = pattern_weights
+        s = len(pattern_weights)
+        self._exp = np.empty_like(lam)
+        self._basis = np.empty_like(self._powers)
+        self._sums = np.empty((3, s), dtype=np.float64)
+        self._square = np.empty(s, dtype=np.float64)
+        self._table: Optional[np.ndarray] = None
+        self._offset = 0.0
+        #: evaluations so far (both flavours), for kernel-call accounting
+        self.calls = 0
+
+    def load(self, sumtable: np.ndarray,
+             scale_offset: float = 0.0) -> "SumtableProbe":
+        """Point the probe at one branch: its ``(s, c, k)`` sumtable and
+        its rescaling correction folded into one scalar,
+        ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.  The
+        table is read, not copied: the probe is good until it changes."""
+        self._table = sumtable.reshape(len(sumtable), -1)  # (s, c*k)
+        self._offset = scale_offset
+        return self
+
+    def _exponentials(self, branch_length: float) -> np.ndarray:
+        if branch_length < 0:
+            raise ValueError("branch length must be non-negative")
+        self.calls += 1
+        np.multiply(self._lam, branch_length, out=self._exp)
+        return np.exp(self._exp, out=self._exp)
+
+    @staticmethod
+    def _positive(lik: np.ndarray) -> np.ndarray:
+        if lik.min() <= 0:
+            raise FloatingPointError(
+                "non-positive site likelihood in makenewz")
+        return lik
+
+    def __call__(self, branch_length: float) -> Tuple[float, float, float]:
+        exp, sums = self._exponentials(branch_length), self._sums
+        if self._per_site:
+            np.multiply(exp, self._table, out=exp)
+            np.multiply(self._powers, exp, out=self._basis)
+            self._basis.sum(axis=2, out=sums)
+        else:
+            np.multiply(self._powers, exp, out=self._basis)
+            np.matmul(self._basis, self._table.T, out=sums)
+        lik = self._positive(sums[0])
+        np.divide(sums[1:], lik, out=sums[1:])  # d1/lik, d2/lik
+        np.log(lik, out=lik)
+        np.multiply(sums[1], sums[1], out=self._square)
+        np.subtract(sums[2], self._square, out=sums[2])
+        lnl, d1, d2 = (sums @ self._weights).tolist()
+        return finite_derivatives(lnl - self._offset, d1, d2)
+
+    def lnl(self, branch_length: float) -> float:
+        """The log likelihood alone (no derivatives): the Newton loop's
+        final re-score.  Equal to ``self(t)[0]`` to summation round-off."""
+        exp = self._exponentials(branch_length)
+        if self._per_site:
+            lik = np.multiply(exp, self._table, out=exp).sum(axis=1)
+        else:
+            lik = self._table @ exp
+        lnl = float(self._weights @ np.log(self._positive(lik)))
+        lnl -= self._offset
+        if not math.isfinite(lnl):
+            raise FloatingPointError(f"non-finite log likelihood: {lnl!r}")
+        return lnl
+
+
 def sumtable_derivatives(
     sumtable: np.ndarray,
     eigenvalues: np.ndarray,
@@ -431,43 +539,9 @@ def sumtable_derivatives(
     per_site: bool = False,
 ) -> Tuple[float, float, float]:
     """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
-    :func:`branch_sumtable` — the per-iteration body of ``makenewz()``.
-
-    Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials and a
-    single ``(s, c*k) @ (c*k, 3)`` product against ``[e, lam e, lam^2 e]``
-    with ``lam = lambda_k r_c``.  CAT (``per_site=True``, ``rates`` is
-    ``(s,)``, singleton category axis): the same table against a
-    per-pattern exponent, element-wise.
-
-    ``scale_offset`` is the branch's rescaling correction folded into
-    one scalar, ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.
-    Agrees with :func:`branch_derivatives` /
-    :func:`branch_derivatives_persite` to round-off.
-    """
-    if branch_length < 0:
-        raise ValueError("branch length must be non-negative")
-    if per_site:
-        lam = rates[:, None] * eigenvalues[None, :]  # (s, k)
-        term = sumtable[:, 0, :] * np.exp(lam * branch_length)
-        lik = term.sum(axis=1)
-        term *= lam
-        d1 = term.sum(axis=1)
-        term *= lam
-        d2 = term.sum(axis=1)
-    else:
-        lam = (rates[:, None] * eigenvalues[None, :]).ravel()  # (c*k,)
-        basis = np.empty((lam.shape[0], 3), dtype=np.float64)
-        np.exp(lam * branch_length, out=basis[:, 0])
-        np.multiply(lam, basis[:, 0], out=basis[:, 1])
-        np.multiply(lam, basis[:, 1], out=basis[:, 2])
-        lik, d1, d2 = (sumtable.reshape(len(sumtable), -1) @ basis).T
-    if (lik <= 0).any():
-        raise FloatingPointError("non-positive site likelihood in makenewz")
-    g1 = d1 / lik
-    lnl = float(pattern_weights @ np.log(lik)) - scale_offset
-    dlnl = float(pattern_weights @ g1)
-    d2lnl = float(pattern_weights @ (d2 / lik - g1 * g1))
-    return lnl, dlnl, d2lnl
+    :func:`branch_sumtable`: a one-shot :class:`SumtableProbe`."""
+    probe = SumtableProbe(eigenvalues, rates, pattern_weights, per_site)
+    return probe.load(sumtable, scale_offset)(branch_length)
 
 
 def branch_derivatives(

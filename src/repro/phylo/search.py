@@ -381,7 +381,11 @@ def hill_climb(
         rounds += 1
         improved_this_round = False
 
-        # Snapshot candidate prune branches; accepted moves retire some.
+        # Snapshot candidate prune branches.  Every try retires ids —
+        # a *rejected* move too: its prune branch, both origin branches
+        # and the split target all come back under fresh ids — so most
+        # of the snapshot is gone after the first few neighbourhoods
+        # (ROADMAP, search-quality open item).
         candidate_ids = [b.index for b in tree.branches]
         rng.shuffle(candidate_ids)
         for branch_id in candidate_ids:
@@ -390,7 +394,7 @@ def hill_climb(
             try:
                 prune_branch = tree.branch_by_id(branch_id)
             except KeyError:
-                continue  # retired by an earlier accepted move
+                continue  # retired by an earlier try, accepted or not
             accepted_here = False
             for side in (0, 1):
                 keep_side = prune_branch.nodes[side]

@@ -254,6 +254,11 @@ class Tree:
     def branch_by_id(self, branch_id: int) -> Branch:
         return self._branches[branch_id]
 
+    def has_branch(self, branch_id: int) -> bool:
+        """False once the id is retired: how an observer tells a length
+        change from a retirement."""
+        return branch_id in self._branches
+
     def total_length(self) -> float:
         """Sum of all branch lengths (the 'tree length')."""
         return sum(b.length for b in self._branches.values())

@@ -29,6 +29,7 @@ from repro.phylo import (
 __all__ = [
     "base_frequencies",
     "branch_lengths",
+    "edit_scripts",
     "frequency",
     "gtr_rates",
     "kappas",
@@ -55,6 +56,18 @@ kappas = st.floats(min_value=0.5, max_value=6.0)
 branch_lengths = st.floats(min_value=1e-6, max_value=5.0)
 #: Seeds for numpy Generators embedded in drawn instances.
 seeds = st.integers(min_value=0, max_value=10_000)
+
+#: A tree-editing script for the CLV-identity property: steps of
+#: ``(operation, pick, pick, length)`` whose integer picks the
+#: interpreter reduces modulo what the tree offers at that point.
+edit_scripts = st.lists(
+    st.tuples(
+        st.sampled_from(["set_length", "makenewz", "nni", "spr",
+                         "spr_revert", "spr_batch"]),
+        st.integers(0, 10_000), st.integers(0, 10_000), branch_lengths,
+    ),
+    min_size=1, max_size=8,
+)
 
 
 @st.composite

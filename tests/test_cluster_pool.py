@@ -258,7 +258,9 @@ class TestFaultsOnASharedPool:
 class TestAbnormalEnds:
     """A run that does not end normally terminates what it holds."""
 
-    SPEC = JobSpec(n_inferences=1, n_bootstraps=24, seed=3)
+    #: Long enough (~1 s on two workers) that the 0.3 s drain timer
+    #: below always lands mid-run, however fast a replicate gets.
+    SPEC = JobSpec(n_inferences=1, n_bootstraps=96, seed=3)
 
     @pytest.fixture(scope="class")
     def uninterrupted(self, tiny_patterns, tmp_path_factory):

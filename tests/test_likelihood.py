@@ -20,7 +20,10 @@ from repro.phylo import (
     estimate_site_rates,
     synthetic_dataset,
 )
+from repro.chaos import FaultPlan, FaultSpec, inject
+from repro.chaos.plan import ENGINE_CLV_POISON
 from repro.phylo.dna import TIP_PARTIAL_ROWS
+from repro.phylo.engine.core import _PARKED_CLVS
 from repro.phylo.tree import Tree as _Tree
 
 
@@ -146,6 +149,37 @@ class TestReversibilityInvariance:
         engine.detach()
 
 
+def _internal_branch(tree):
+    return next(b for b in tree.branches
+                if not any(n.is_tip for n in b.nodes))
+
+
+def _prune_cycle(engine):
+    """``(tree, prune branch, keep side, regraft_back)`` around an
+    internal branch; ``regraft_back()`` re-inserts the pruned subtree
+    where it was, with the original lengths, and returns the recreated
+    prune branch."""
+    tree = engine.tree
+    prune = _internal_branch(tree)
+    keep = prune.nodes[0]
+    moved = prune.other(keep)
+    (x, lx), (y, ly) = [(b.other(keep), b.length)
+                        for b in keep.branches if b is not prune]
+    lsub = prune.length
+
+    def regraft_back():
+        merged = next(b for b in x.branches if b.other(x) is y)
+        connect = tree.regraft_subtree(moved, merged, lsub)
+        junction = connect.nodes[0]
+        for branch in junction.branches:
+            far = branch.other(junction)
+            if far is not moved:
+                tree.set_length(branch, lx if far is x else ly)
+        return connect
+
+    return tree, prune, keep, regraft_back
+
+
 class TestCaching:
     def test_cache_matches_fresh_engine_after_edits(self, small_patterns):
         model = default_gtr()
@@ -192,14 +226,98 @@ class TestCaching:
         assert engine.newview_calls == calls
 
     def test_length_change_invalidates_partially(self, engine):
-        engine.evaluate(engine.tree.branches[0])
+        """A length change drops exactly the CLVs whose value it
+        changes: those whose subtree contains the branch — not the two
+        facing it."""
+        tree = engine.tree
+        for branch in tree.branches:  # fill every direction
+            engine.evaluate(branch)
         calls_full = engine.newview_calls
-        # Dirty one tip branch: only CLVs containing it recompute.
-        tip_branch = engine.tree.tips[0].branches[0]
-        engine.tree.set_length(tip_branch, tip_branch.length * 1.5)
-        engine.evaluate(engine.tree.branches[0])
-        recomputed = engine.newview_calls - calls_full
-        assert 0 < recomputed < calls_full
+        changed = _internal_branch(tree)
+        tree.set_length(changed, changed.length * 1.5)
+        engine.evaluate(changed)
+        assert engine.newview_calls == calls_full
+        containing = sum(
+            changed.index in tree.subtree_branches(node, branch)
+            for branch in tree.branches for node in branch.nodes
+            if not node.is_tip
+        )
+        for branch in tree.branches:
+            engine.evaluate(branch)
+        assert engine.newview_calls - calls_full == containing
+        assert 0 < containing < calls_full
+
+    def test_retired_clvs_are_parked_and_found_again(self, engine):
+        """Prune and regraft back: every CLV the retirements dropped is
+        found again by content — same slots, no kernel call."""
+        tree, prune, keep, regraft_back = _prune_cycle(engine)
+        moved = prune.other(keep)
+        before = engine.evaluate(prune)
+        slots = {id(entry.slot) for entry in engine._clv_cache.values()}
+        subtree_slot = engine.clv(moved, prune).slot
+        calls = engine.newview_calls
+        tree.prune_subtree(prune, keep_side=keep)
+        assert (moved.index, prune.index) not in engine._clv_cache
+        assert engine._parked
+        # parked, not released
+        assert engine._arena.in_use == len(slots) == \
+            len(engine._clv_cache) + len(engine._parked)
+        new_prune = regraft_back()
+        assert engine.evaluate(new_prune) == before
+        assert engine.newview_calls == calls
+        assert engine.clv(moved, new_prune).slot is subtree_slot
+        assert {id(e.slot) for e in engine._clv_cache.values()} == slots
+        assert not engine._parked
+
+    def test_parked_clvs_are_bounded_and_release_their_slots(
+            self, medium_patterns):
+        tree = Tree.from_tip_names(medium_patterns.taxa,
+                                   np.random.default_rng(3))
+        engine = LikelihoodEngine(medium_patterns, default_gtr(),
+                                  GammaRates(0.7, 4), tree)
+        try:
+            for branch in tree.branches:
+                engine.evaluate(branch)
+            filled = engine._arena.in_use
+            for _ in range(3):
+                tree.nni(_internal_branch(tree))
+            assert len(engine._parked) == _PARKED_CLVS
+            assert engine._arena.in_use == \
+                len(engine._clv_cache) + _PARKED_CLVS < filled
+        finally:
+            engine.detach()
+
+    @pytest.mark.parametrize("emptied_by", ["fault", "set_model",
+                                            "set_rate_model"])
+    def test_parked_clvs_do_not_survive_invalidation(self, engine,
+                                                     emptied_by):
+        tree, prune, keep, regraft_back = _prune_cycle(engine)
+        engine.evaluate(prune)
+        tree.prune_subtree(prune, keep_side=keep)
+        new_prune = regraft_back()
+        assert engine._parked
+        if emptied_by == "set_model":
+            engine.set_model(JC69())
+        elif emptied_by == "set_rate_model":
+            engine.set_rate_model(GammaRates(0.4, 4))
+        else:
+            plan = FaultPlan(seed=0, specs=(
+                FaultSpec(ENGINE_CLV_POISON, trigger_at=(0,), value="nan"),))
+            # A new length on the far side: the junction CLV must be
+            # recomputed, which is where the poison lands.
+            tree.set_length(new_prune, new_prune.length * 2.0)
+            far = next(b for b in prune.other(keep).branches
+                       if b is not new_prune)
+            with inject(plan) as injector:
+                engine.evaluate(far)
+            assert injector.fired[ENGINE_CLV_POISON] == 1
+            assert engine.fault_recoveries == 1
+        assert not engine._parked
+        assert engine._arena.in_use == len(engine._clv_cache)
+        fresh = LikelihoodEngine(engine.patterns, engine.model,
+                                 engine.rate_model, tree)
+        assert engine.evaluate(new_prune) == fresh.evaluate(new_prune)
+        fresh.detach()
 
     def test_model_change_invalidates_everything(self, engine):
         before = engine.evaluate()

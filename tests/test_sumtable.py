@@ -33,10 +33,11 @@ from repro.phylo import (
 )
 from repro.phylo.dna import TIP_PARTIAL_ROWS
 from repro.phylo.engine.backends.reference import ReferenceBackend
-from repro.phylo.engine.core import newton_branch_length
+from repro.phylo.engine.core import LNL_TIE_ULPS, newton_branch_length
 from repro.phylo.engine.protocol import EngineNumericalError
 from repro.phylo.protein import AA_CODE_TABLE
 from repro.phylo.tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
+from repro.verify.differential import random_case
 from repro.verify.golden import (
     GOLDEN_CASES,
     build_case_instance,
@@ -110,6 +111,20 @@ def _assert_triples_agree(got, want, t=1.0):
     assert got[2] == pytest.approx(want[2], rel=rel, abs=1e-7)
 
 
+def length_bar(curvature, t, d1_noise=1e-14):
+    """Relative agreement two Newton solves of one branch owe each
+    other: 1e-9 wherever the data determine the length that well.
+    Round-off of ``d1_noise`` in ``d1`` moves its root by ``d1_noise /
+    |d2|`` — more than 1e-9 of ``t`` on a branch the alignment says
+    nothing about (``|d2| t`` falls to 1e-8 on uniform random
+    sequences) or that sits at the ``1e-8`` clamp, and there the bar
+    widens to that.  ``d1`` sums O(1) eigen-terms per site: ~1e-14 of
+    absolute round-off on the suite's 15-60-site instances for the
+    sumtable, ~1e-11 for the oracle's explicit ``dP/dt``, whose O(t)
+    entries near ``t = 0`` are themselves assembled by cancellation."""
+    return max(1e-9, d1_noise / max(abs(curvature) * t, 1e-300))
+
+
 class TestKernels:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize(
@@ -181,6 +196,88 @@ class TestKernels:
         table[0] = 0.0  # a pattern no state pair can explain
         with pytest.raises(FloatingPointError, match="non-positive"):
             kernels.sumtable_derivatives(table, *args, 0.1, weights)
+
+
+class TestPreparedProbe:
+    """One prepared probe, loaded per branch, is the one-shot kernel —
+    and both are the explicit ``(P, dP, d2P)`` derivatives."""
+
+    @staticmethod
+    def _tables(config, seed, count=3):
+        model, rate_model, code_table = CONFIGS[config]
+        table = TIP_PARTIAL_ROWS if code_table is None else code_table
+        per_site, rates, cat_weights = _rates(rate_model)
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 5, N_PATTERNS).astype(np.float64)
+        probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
+                                      per_site)
+        for kinds in [("inner", "inner"), ("tip", "inner"),
+                      ("tip", "tip")][:count]:
+            u_side, u_clv = _random_side(rng, kinds[0], len(cat_weights),
+                                         table)
+            v_side, v_clv = _random_side(rng, kinds[1], len(cat_weights),
+                                         table)
+            scale = rng.integers(0, 4, N_PATTERNS)
+            sumtable = kernels.branch_sumtable(
+                model._right, model._left, model.pi, cat_weights,
+                u_side, v_side, code_table)
+            offset = float(weights @ scale) * kernels.LOG_SCALE_FACTOR
+            yield probe.load(sumtable, offset), sumtable, offset, \
+                (u_clv, v_clv, scale, weights)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @given(seed=seeds, t=st.floats(0.01, 2.0))
+    def test_prepared_is_one_shot_is_pmatrix_derivatives(self, config,
+                                                         seed, t):
+        model, rate_model, _ = CONFIGS[config]
+        per_site, rates, cat_weights = _rates(rate_model)
+        for probe, sumtable, offset, (u_clv, v_clv, scale, weights) in \
+                self._tables(config, seed):
+            got = probe(t)
+            # the same code on the same inputs: the same bits, however
+            # many tables the prepared buffers have served before
+            assert got == kernels.sumtable_derivatives(
+                sumtable, model._eigenvalues, rates, t, weights, offset,
+                per_site=per_site)
+            terms = model.transition_derivatives(t, rates)
+            if per_site:
+                want = kernels.branch_derivatives_persite(
+                    terms, model.pi, weights, u_clv, v_clv, scale)
+            else:
+                want = kernels.branch_derivatives(
+                    terms, model.pi, cat_weights, weights, u_clv, v_clv,
+                    scale)
+            assert got[0] == pytest.approx(want[0], rel=1e-11)
+            assert got[1] == pytest.approx(want[1], rel=1e-11, abs=1e-10)
+            assert got[2] == pytest.approx(want[2], rel=1e-11, abs=1e-10)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @given(seed=seeds, t=st.floats(0.01, MAX_BRANCH_LENGTH))
+    def test_lnl_only_ties_the_full_probe(self, config, seed, t):
+        # (Not below t = 0.01: a mismatched tip pair's O(t) likelihood
+        # is assembled from O(1) eigen-terms there, and any two
+        # summation orders differ by eps / t, not by ulps.)
+        for probe, *_ in self._tables(config, seed):
+            full, alone = probe(t)[0], probe.lnl(t)
+            assert abs(alone - full) <= \
+                LNL_TIE_ULPS * np.finfo(float).eps * abs(full)
+
+    def test_guards_and_evaluation_count(self):
+        (probe, sumtable, *_), = self._tables("gtr_gamma4", 0, count=1)
+        before = probe.calls
+        probe(0.1), probe.lnl(0.1)
+        assert probe.calls - before == 2
+        for evaluate in (probe, probe.lnl):
+            with pytest.raises(ValueError, match="non-negative"):
+                evaluate(-0.1)
+        sumtable[0] = 0.0  # the probe reads the table, it holds no copy
+        for evaluate in (probe, probe.lnl):
+            with pytest.raises(FloatingPointError, match="non-positive"):
+                evaluate(0.1)
+        sumtable[0] = np.nan
+        for evaluate in (probe, probe.lnl):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                evaluate(0.1)
 
 
 def _engine(config, seed=5, n_taxa=7, backend="einsum"):
@@ -284,6 +381,42 @@ def test_makenewz_matches_oracle_engine_on_golden_cases(case):
     finally:
         fast.detach()
         oracle.detach()
+
+
+def _oracle_length_gap(seeds_):
+    """Largest gap, in units of :func:`length_bar`, between the length
+    the sumtable Newton returns and the ``reference`` backend's
+    ``(P, dP, d2P)`` Newton, over every branch of the fuzz cases."""
+    worst = 0.0
+    for seed in seeds_:
+        case = random_case(seed)
+        newick = case.tree.to_newick(digits=17)
+        fast = LikelihoodEngine(case.patterns, case.model, case.rate_model,
+                                Tree.from_newick(newick), backend="einsum")
+        oracle = LikelihoodEngine(case.patterns, case.model,
+                                  case.rate_model, Tree.from_newick(newick),
+                                  backend="reference")
+        try:
+            for fb, ob in zip(fast.tree.branches, oracle.tree.branches):
+                t, _ = fast.makenewz(fb)
+                o_t, _ = oracle.makenewz(ob)
+                oracle.tree.set_length(ob, t)  # lockstep
+                bar = length_bar(fast.branch_derivatives(fb)[2], t,
+                                 d1_noise=1e-11)
+                worst = max(worst, abs(t - o_t) / t / bar)
+        finally:
+            fast.detach()
+            oracle.detach()
+    return worst
+
+
+def test_makenewz_lengths_match_the_oracle_loop_quick():
+    assert _oracle_length_gap(range(20)) <= 1.0
+
+
+@pytest.mark.verify
+def test_makenewz_lengths_match_the_oracle_loop_on_the_200_case_fuzz():
+    assert _oracle_length_gap(range(200)) <= 1.0
 
 
 class TestNewtonTieRules:
@@ -402,12 +535,19 @@ class TestAccounting:
             keys = sorted(engine.perf_counters())
             before = engine.perf_counters()["backend_kernel_calls"]
             engine.tracer = tracer = Iterations()
-            engine.makenewz(engine.tree.branches[0])
-            # the Newton iterations + the final re-score; the table
-            # itself is not a counted kernel call
+            branch = engine.tree.branches[0]
+            # Cut short right after a step: the one Newton iteration +
+            # the final (lnL-only) re-score; the table itself is not a
+            # counted kernel call.
+            engine.makenewz(branch, max_iterations=1)
             after = engine.perf_counters()["backend_kernel_calls"]
-            assert after - before == tracer.total + 1
-            assert engine.makenewz_calls == 1
+            assert (tracer.total, after - before) == (1, 2)
+            # Run to |d1| < tolerance: the loop ends at the point it
+            # just scored, which is not scored again.
+            engine.makenewz(branch)
+            done = engine.perf_counters()["backend_kernel_calls"]
+            assert done - after == tracer.total - 1 > 1
+            assert engine.makenewz_calls == 2
             assert sorted(engine.perf_counters()) == keys
         finally:
             engine.tracer = None

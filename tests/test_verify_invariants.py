@@ -5,11 +5,14 @@ sweeps over random models carry ``@pytest.mark.verify`` and run under
 the seeded ``ci`` profile in the CI verify job.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.phylo import GammaRates, JC69, LikelihoodEngine, Tree, UniformRate
+from repro.phylo.alignment import PatternAlignment
 from repro.phylo.engine.backends.compiled import compiled_available
 from repro.phylo.models import GTR
 from repro.verify import (
@@ -25,6 +28,9 @@ from repro.verify import (
     spr_roundtrip_invariance,
     taxon_permutation_invariance,
 )
+from repro.verify.differential import random_case
+from repro.verify.golden import GOLDEN_CASES, build_case_instance
+from tests.test_sumtable import length_bar
 from tests.strategies import (
     base_frequencies,
     gtr_rates,
@@ -309,3 +315,73 @@ def test_spr_roundtrip_property(seed, model):
         spr_roundtrip_invariance(engine, rng)
     finally:
         engine.detach()
+
+
+# -- makenewz symmetries -----------------------------------------------------
+#
+# The Newton tie rules promise a returned length that does not depend on
+# summation round-off.  Two relabelings that change nothing but that
+# round-off: which endpoint of the branch is ``nodes[0]`` (it picks the
+# sumtable side that carries ``pi``) and the order of the site patterns.
+# The bar is ``length_bar``: 1e-9 relative wherever the data determine
+# the length that well.
+
+
+def _makenewz_symmetry_gap(patterns, model, rate_model, tree, rng):
+    """Largest gap, over every branch and in units of the bar above,
+    between the length ``makenewz`` returns on the instance as given,
+    with every branch's endpoints swapped, and with the site patterns
+    permuted."""
+    newick = tree.to_newick(digits=17)
+    flipped = Tree.from_newick(newick)
+    for branch in flipped.branches:
+        u, v = branch.nodes
+        flipped._retire_branch(branch)
+        flipped._new_branch(v, u, branch.length)
+    order = rng.permutation(patterns.n_patterns)
+    shuffled = PatternAlignment(
+        patterns.taxa, patterns.patterns[:, order], patterns.weights[order],
+        np.argsort(order)[patterns.site_to_pattern], patterns.n_sites)
+    shuffled_rates = rate_model
+    if rate_model is not None and rate_model.is_per_site:
+        shuffled_rates = replace(
+            rate_model, site_categories=rate_model.site_categories[order])
+    engines = [
+        LikelihoodEngine(patterns, model, rate_model,
+                         Tree.from_newick(newick)),
+        LikelihoodEngine(patterns, model, rate_model, flipped),
+        LikelihoodEngine(shuffled, model, shuffled_rates,
+                         Tree.from_newick(newick)),
+    ]
+    worst = 0.0
+    try:
+        for branches in zip(*(e.tree.branches for e in engines)):
+            base, *others = [engine.makenewz(branch)[0]
+                             for engine, branch in zip(engines, branches)]
+            for engine, branch in zip(engines, branches):  # lockstep
+                engine.tree.set_length(branch, base)
+            curvature = engines[0].branch_derivatives(branches[0])[2]
+            bar = length_bar(curvature, base)
+            worst = max([worst] + [abs(t - base) / base / bar
+                                   for t in others])
+    finally:
+        for engine in engines:
+            engine.detach()
+    return worst
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: case.name)
+def test_makenewz_symmetries_on_the_golden_branches(case):
+    patterns, model, rate_model, tree, rng = build_case_instance(case)
+    assert _makenewz_symmetry_gap(
+        patterns, model, rate_model, tree, rng) <= 1.0
+
+
+def test_makenewz_symmetries_on_fuzz_cases():
+    worst = 0.0
+    for seed in range(50):
+        case = random_case(seed)
+        worst = max(worst, _makenewz_symmetry_gap(
+            case.patterns, case.model, case.rate_model, case.tree,
+            np.random.default_rng(seed)))
+    assert worst <= 1.0
