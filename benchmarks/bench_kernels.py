@@ -17,8 +17,22 @@ the ``makenewz_probe`` section of ``BENCH_engine.json``.  Recording
 only — no speed-up bar::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
+
+The ``operand_layout`` section (:func:`layout_rows`, DESIGN 7.5) times
+what the engine itself hands its kernels — a P stack off the P-matrix
+cache, CLVs out of the arena, the engine's own sumtable and prepared
+probe — at 207 / 732 / 1,277 patterns: one inner propagation, the three
+``newview`` cases, the sumtable build (inner/inner, tip/inner), one
+probe evaluation (full, lnL-only) and a whole ``makenewz``.  Its rows
+go only through calls that exist unchanged on the parent commit, so the
+same file records the parent's column from a clone of it (kept beside
+``rows_us`` as ``parent_rows_us``; a plain run carries it forward)::
+
+    PYTHONPATH=<parent clone>/src python benchmarks/bench_kernels.py \
+        --parent <commit>
 """
 
+import json
 import statistics
 import sys
 import time
@@ -29,6 +43,7 @@ import pytest
 
 from repro.phylo import CatRates, GammaRates, default_gtr
 from repro.phylo import kernels
+from repro.phylo.models import PMatrixCache
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -41,7 +56,7 @@ def working_set():
     rng = np.random.default_rng(0)
     model = default_gtr()
     rates = GammaRates(0.8, N_CATS).rates
-    p = model.transition_matrices(0.1, rates)
+    p = PMatrixCache(model, rates).matrices(0.1)  # as the engine gets it
     left = rng.random((N_PATTERNS, N_CATS, 4)) + 1e-3
     right = rng.random((N_PATTERNS, N_CATS, 4)) + 1e-3
     masks = rng.choice([1, 2, 4, 8], size=N_PATTERNS).astype(np.uint8)
@@ -150,14 +165,13 @@ def test_newview_protein_20_states(benchmark):
 def test_makenewz_sumtable_build(benchmark, working_set):
     """Once per ``makenewz``: both sides into the eigenbasis."""
     model, _, _, left, right, _, _, _ = working_set
-    cat_w = np.full(N_CATS, 1.0 / N_CATS)
     out, work = np.empty_like(left), np.empty_like(left)
 
     table = benchmark(
         kernels.branch_sumtable, model._right, model._left, model.pi,
-        cat_w, left, right, None, out, work,
+        N_CATS, left, right, None, out, work,
     )
-    assert table.shape == (N_PATTERNS, N_CATS, 4)
+    assert table.shape == (N_CATS * 4, N_PATTERNS)
 
 
 def test_makenewz_sumtable_iteration(benchmark, working_set):
@@ -166,11 +180,11 @@ def test_makenewz_sumtable_iteration(benchmark, working_set):
     model, rates, _, left, right, _, weights, _ = working_set
     cat_w = np.full(N_CATS, 1.0 / N_CATS)
     table = kernels.branch_sumtable(
-        model._right, model._left, model.pi, cat_w, left, right)
+        model._right, model._left, model.pi, N_CATS, left, right)
 
     lnl, d1, d2 = benchmark(
         kernels.sumtable_derivatives, table, model._eigenvalues, rates,
-        0.2, weights,
+        0.2, weights, cat_w,
     )
     assert np.isfinite(lnl) and np.isfinite(d1) and np.isfinite(d2)
 
@@ -209,11 +223,12 @@ def _probe_on_random_table(n_patterns, cat):
             np.full(N_CATS, 1.0 / N_CATS)
     shape = (n_patterns, len(cat_w), 4)
     table = kernels.branch_sumtable(
-        model._right, model._left, model.pi, cat_w,
+        model._right, model._left, model.pi, len(cat_w),
         rng.random(shape) + 1e-3, rng.random(shape) + 1e-3)
-    probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat)
+    probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat_w,
+                                  cat)
     return probe.load(table), (table, model._eigenvalues, rates, 0.2,
-                               weights, 0.0, cat)
+                               weights, cat_w, 0.0, cat)
 
 
 def _newton_solve():
@@ -265,29 +280,155 @@ def test_makenewz_probe(benchmark, rows, row):
     assert np.isfinite(benchmark(rows[row])).all()
 
 
-def main() -> int:
+# -- operand layout: the engine's own operands, three alignment sizes ----------
+
+#: pattern count -> ``synthetic_dataset`` recipe: ``search_sc``'s
+#: alignment, ``engine_smooth``'s, and the 42-taxon one of
+#: ``bench_engine_backends`` (the paper's 42_SC has 1,277 patterns too).
+_DIVERGENT = dict(n_sites=2400, seed=42, mean_branch_length=0.15,
+                  invariant_fraction=0.05)
+LAYOUT_SIZES = {
+    207: dict(n_taxa=12, n_sites=3000, seed=42),
+    732: dict(n_taxa=12, **_DIVERGENT),
+    1277: dict(n_taxa=42, **_DIVERGENT),
+}
+LAYOUT_KINDS = ("inner_terms", "newview[inner_inner]", "newview[tip_inner]",
+                "newview[tip_tip]", "branch_sumtable[inner_inner]",
+                "branch_sumtable[tip_inner]", "probe_full", "probe_lnl_only",
+                "makenewz")
+LAYOUT_ROW_NAMES = [f"{kind}@{n}" for n in LAYOUT_SIZES
+                    for kind in LAYOUT_KINDS]
+
+
+def _layout_rows_at(n_patterns, recipe):
+    from repro.phylo import LikelihoodEngine, Tree, synthetic_dataset
+    from repro.phylo.engine.core import newton_branch_length
+
+    patterns = synthetic_dataset(**recipe).compress()
+    assert patterns.n_patterns == n_patterns
+    tree = Tree.from_tip_names(patterns.taxa, np.random.default_rng(7))
+    model = default_gtr().with_frequencies(patterns.base_frequencies())
+    engine = LikelihoodEngine(patterns, model, GammaRates(0.7, N_CATS), tree)
+    engine.optimize_all_branches(passes=2)
+    engine.evaluate()
+
+    inner = max((b for b in tree.branches
+                 if not (b.nodes[0].is_tip or b.nodes[1].is_tip)),
+                key=lambda b: b.length)
+    leaf = next(b for b in tree.branches
+                if b.nodes[0].is_tip != b.nodes[1].is_tip)
+    tips = [engine._tip_masks(node) for node in tree.tips[:2]]
+    u, v = (engine._operand(node, inner) for node in inner.nodes)
+    p = engine._pmat(inner)
+    out_clv, work = np.empty_like(u[0]), np.empty_like(u[0])
+    out_scale = np.empty(n_patterns, dtype=np.int64)
+    for branch in (inner, leaf):  # the CLVs facing both are cached now
+        engine._newton_probe(branch)
+
+    def newview(left, right):
+        return lambda: kernels.newview(left, p, right, p, out_clv,
+                                       out_scale, None, False, work)
+
+    def makenewz(start=1.5 * inner.length):
+        probe = engine._newton_probe(inner)
+        return newton_branch_length(probe, start, lnl_at=probe.lnl)
+
+    probe_at = inner.length
+    return {
+        "inner_terms": lambda: kernels.inner_terms(p, u[0], out=out_clv),
+        "newview[inner_inner]": newview(u, v),
+        "newview[tip_inner]": newview(tips[0], v),
+        "newview[tip_tip]": newview(tips[0], tips[1]),
+        "branch_sumtable[inner_inner]": lambda: engine._newton_probe(inner),
+        "branch_sumtable[tip_inner]": lambda: engine._newton_probe(leaf),
+        "probe_full": lambda: engine._probe(probe_at),
+        "probe_lnl_only": lambda: engine._probe.lnl(probe_at),
+        "makenewz": makenewz,
+    }
+
+
+def layout_rows():
+    """Row name -> zero-argument callable for the ``operand_layout``
+    section.  ``branch_sumtable[...]`` is ``engine._newton_probe`` on
+    cached CLVs (the table build plus the scale-count offset);
+    ``makenewz`` is that plus the whole Newton solve from 1.5x the
+    optimum, the tree untouched."""
+    rows = {}
+    for n_patterns, recipe in LAYOUT_SIZES.items():
+        for kind, call in _layout_rows_at(n_patterns, recipe).items():
+            rows[f"{kind}@{n_patterns}"] = call
+    return rows
+
+
+@pytest.fixture(scope="module")
+def layout():
+    return layout_rows()
+
+
+def _repoint(calls, name) -> None:
+    """An engine has one probe: before timing a ``probe_*@n`` row, load
+    it with that engine's inner branch again."""
+    kind, _, size = name.partition("@")
+    if size and kind.startswith("probe"):
+        calls[f"branch_sumtable[inner_inner]@{size}"]()
+
+
+@pytest.mark.parametrize("row", LAYOUT_ROW_NAMES)
+def test_operand_layout(benchmark, layout, row):
+    _repoint(layout, row)
+    benchmark(layout[row])
+
+
+def _record(calls) -> dict:
+    """Median of 15 batch means, microseconds per call, row by row.
+    The batches are taken round-robin — one batch of every row, fifteen
+    times over — so a noisy neighbour costs each row a few batches, not
+    one row all of its batches."""
+    def batch(name):
+        _repoint(calls, name)
+        call = calls[name]
+        call()  # warm
+        inner = 50 if ("solve" in name or "makenewz" in name) else 200
+        started = time.perf_counter()
+        for _ in range(inner):
+            call()
+        return (time.perf_counter() - started) / inner
+
+    samples = {name: [] for name in calls}
+    for _ in range(15):
+        for name in calls:
+            samples[name].append(batch(name))
+    rows = {name: round(statistics.median(values) * 1e6, 2)
+            for name, values in samples.items()}
+    for name, value in rows.items():
+        print(f"  {name:48s} {value:8.2f} us")
+    return rows
+
+
+def main(argv=None) -> int:
     from repro.harness.report import merge_bench_section
 
-    calls, rows = probe_rows(), {}
-    for name, call in calls.items():
-        call()  # warm
-        inner = 200 if "solve" not in name else 50
-        samples = []
-        for _ in range(15):
-            started = time.perf_counter()
-            for _ in range(inner):
-                call()
-            samples.append((time.perf_counter() - started) / inner)
-        rows[name] = round(statistics.median(samples) * 1e6, 2)
-        print(f"  {name:48s} {rows[name]:8.2f} us")
-    iterations = calls["newton_solve[207_gamma4]"]()[2]
-    merge_bench_section(RESULT_PATH, "makenewz_probe", {
-        "statistic": "median of 15 batch means, microseconds per call",
-        "newton_solve_iterations": iterations,
-        "rows_us": rows,
-    })
-    print(f"bench_kernels: wrote 'makenewz_probe' section to "
-          f"{RESULT_PATH.name}")
+    argv = sys.argv[1:] if argv is None else argv
+    statistic = ("median of 15 batch means taken round-robin over the "
+                 "rows, microseconds per call")
+    committed = json.loads(RESULT_PATH.read_text()) \
+        if RESULT_PATH.is_file() else {}
+    section = dict(committed.get("operand_layout", {}), statistic=statistic)
+    section.pop("host", None)
+    if argv[:1] == ["--parent"]:  # run from a clone of the parent commit
+        section["parent_commit"] = argv[1]
+        section["parent_rows_us"] = _record(layout_rows())
+    else:
+        calls = probe_rows()
+        merge_bench_section(RESULT_PATH, "makenewz_probe", {
+            "statistic": statistic,
+            "newton_solve_iterations":
+                calls["newton_solve[207_gamma4]"]()[2],
+            "rows_us": _record(calls),
+        })
+        section["rows_us"] = _record(layout_rows())
+    merge_bench_section(RESULT_PATH, "operand_layout", section)
+    print(f"bench_kernels: wrote {RESULT_PATH.name}")
     return 0
 
 

@@ -42,6 +42,14 @@ __all__ = ["CLOSE", "WorkerPool"]
 #: Master -> worker: the current job is over; flush, ack, park.
 CLOSE = "close"
 
+#: Master -> parked worker at check-out, echoed back: proof of life.
+PING = "ping"
+
+#: How long a parked worker gets to echo a ping.  A live one is blocked
+#: in ``recv`` and answers in well under a millisecond; a dying one's
+#: pipe reads EOF as soon as the kernel has torn it down.
+PING_TIMEOUT_S = 1.0
+
 #: Orphan-guard tick of a parked worker (a working one ticks at its
 #: job's ``heartbeat_interval_s``).
 PARKED_TICK_S = 0.2
@@ -124,6 +132,8 @@ def _worker_main(inbox, outbox, parent_pid: int) -> None:
                 # Under the lock, so the ack is the job's last message.
                 beating = False
                 outbox.send(("closed", job.worker_id))
+        elif item == PING:
+            send(PING)
         else:
             job = item
             job.open()
@@ -210,15 +220,20 @@ class WorkerPool:
 
     @staticmethod
     def _usable(worker: _Worker, epoch) -> bool:
-        """Parked *worker* can serve a run: right epoch, alive, pipe quiet."""
+        """Parked *worker* can serve a run: right epoch, and it echoes a
+        ping.  ``is_alive()`` and a quiet pipe are not evidence: both
+        hold for a SIGKILLed worker until the kernel has reaped its
+        last thread and closed its pipe ends."""
         if worker.epoch is not epoch or not worker.proc.is_alive():
             return False
         try:
-            while worker.conn.poll():  # nothing should be here
-                worker.conn.recv()
+            worker.inbox.send(PING)
+            while worker.conn.poll(PING_TIMEOUT_S):
+                if worker.conn.recv() == PING:  # nothing else should be here
+                    return True
         except (EOFError, OSError):
-            return False
-        return True
+            pass
+        return False
 
     def checkout(self, n: int) -> List[_Worker]:
         """*n* live workers of the current epoch, forking what is missing."""

@@ -28,6 +28,7 @@ __all__ = [
     "Alignment",
     "AlignmentError",
     "PatternAlignment",
+    "check_tip_codes",
     "unique_columns",
     "parse_alignment",
     "parse_fasta",
@@ -47,13 +48,25 @@ class AlignmentError(ValueError):
     ``illegal_character``, ``duplicate_taxon``, ``fasta_empty_name``,
     ``fasta_data_before_header``, ``phylip_header``,
     ``phylip_truncated``, ``phylip_line``, ``phylip_length``,
-    ``parse_error`` (the catch-all: a parser bug leaked an untyped
+    ``code_out_of_table``, ``parse_error`` (the catch-all: a parser bug leaked an untyped
     exception and the hardened entry point contained it).
     """
 
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(message)
+
+
+def check_tip_codes(patterns: np.ndarray, code_table=None) -> None:
+    """Reject a pattern matrix holding a state code outside *code_table*
+    (default: the DNA mask table).  Made once by whoever owns the
+    matrix, so the kernels' per-call gathers need no bounds pass."""
+    n_codes = len(dna.TIP_PARTIAL_ROWS if code_table is None else code_table)
+    if patterns.size and int(patterns.max()) >= n_codes:
+        raise AlignmentError(
+            "code_out_of_table",
+            f"state code {int(patterns.max())} is outside the "
+            f"{n_codes}-row tip code table")
 
 
 def unique_columns(data: np.ndarray):

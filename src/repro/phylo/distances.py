@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .alignment import PatternAlignment
+from .alignment import PatternAlignment, check_tip_codes
 from .engine.core import newton_branch_length
 from .models import SubstitutionModel, JC69
 from .rates import RateModel, UniformRate
@@ -86,14 +86,16 @@ def ml_distance(
     if rate_model.is_per_site:
         raise ValueError("ml_distance expects an integrated rate model")
     # Both sides are tips: the sumtable takes their state codes.
+    check_tip_codes(patterns.patterns[[i, j]])
     table = kernels.branch_sumtable(
-        model._right, model._left, model.pi, rate_model.weights,
+        model._right, model._left, model.pi, rate_model.n_categories,
         patterns.patterns[i], patterns.patterns[j],
     )
     start = min(max(jc69_distance(patterns, i, j), MIN_BRANCH_LENGTH),
                 MAX_BRANCH_LENGTH)
     probe = kernels.SumtableProbe(
-        model._eigenvalues, rate_model.rates, patterns.weights).load(table)
+        model._eigenvalues, rate_model.rates, patterns.weights,
+        rate_model.weights).load(table)
     best_t, _, _ = newton_branch_length(
         probe, start, max_iterations, tolerance, lnl_at=probe.lnl)
     return best_t

@@ -77,10 +77,14 @@ typedef long long i64;
 #define SCALE_THRESHOLD 0x1p-256
 #define SCALE_FACTOR    0x1p+256
 
-/* Tip propagation, integrated mode (tipVector trick): the product is
+/* Transition stacks arrive as pt = P^T, C-ordered (pt[c][j][i] =
+ * P[c][i][j]): the layout the engine's P-matrix cache stores, read
+ * here with swapped indices instead of being copied per call.
+ *
+ * Tip propagation, integrated mode (tipVector trick): the product is
  * computed once per ambiguity code, then gathered per pattern.
- *   p: (c,n,n)  table: (m,n)  masks: (S,)  out: (S,c,n), rows [s0,s1) */
-void rk_tip_terms(const double *p, const double *table, const i64 *masks,
+ *   pt: (c,n,n)  table: (m,n)  masks: (S,)  out: (S,c,n), rows [s0,s1) */
+void rk_tip_terms(const double *pt, const double *table, const i64 *masks,
                   double *out, i64 s0, i64 s1, i64 c, i64 n, i64 m)
 {
     double *per_code = (double *)malloc((size_t)(m * c * n) * sizeof(double));
@@ -88,10 +92,10 @@ void rk_tip_terms(const double *p, const double *table, const i64 *masks,
         const double *trow = table + code * n;
         for (i64 cc = 0; cc < c; cc++)
             for (i64 i = 0; i < n; i++) {
-                const double *prow = p + (cc * n + i) * n;
+                const double *pcol = pt + cc * n * n + i;
                 double acc = 0.0;
                 for (i64 j = 0; j < n; j++)
-                    acc += prow[j] * trow[j];
+                    acc += pcol[j * n] * trow[j];
                 per_code[(code * c + cc) * n + i] = acc;
             }
     }
@@ -102,37 +106,37 @@ void rk_tip_terms(const double *p, const double *table, const i64 *masks,
 }
 
 /* Tip propagation, CAT mode: per-pattern matrices.
- *   p: (S,n,n)  out: (S,1,n) */
-void rk_tip_terms_ps(const double *p, const double *table, const i64 *masks,
+ *   pt: (S,n,n)  out: (S,1,n) */
+void rk_tip_terms_ps(const double *pt, const double *table, const i64 *masks,
                      double *out, i64 s0, i64 s1, i64 n)
 {
     for (i64 s = s0; s < s1; s++) {
-        const double *pm = p + s * n * n;
+        const double *pm = pt + s * n * n;
         const double *trow = table + masks[s] * n;
         double *orow = out + s * n;
         for (i64 i = 0; i < n; i++) {
             double acc = 0.0;
             for (i64 j = 0; j < n; j++)
-                acc += pm[i * n + j] * trow[j];
+                acc += pm[j * n + i] * trow[j];
             orow[i] = acc;
         }
     }
 }
 
-/* Inner propagation: p is (c,n,n) (integrated) or (S,n,n) (per_site).
+/* Inner propagation: pt is (c,n,n) (integrated) or (S,n,n) (per_site).
  *   clv/out: (S,c,n), rows [s0,s1) */
-void rk_inner_terms(const double *p, const double *clv, double *out,
+void rk_inner_terms(const double *pt, const double *clv, double *out,
                     i64 s0, i64 s1, i64 c, i64 n, i64 per_site)
 {
     for (i64 s = s0; s < s1; s++)
         for (i64 cc = 0; cc < c; cc++) {
-            const double *pm = per_site ? p + s * n * n : p + cc * n * n;
+            const double *pm = per_site ? pt + s * n * n : pt + cc * n * n;
             const double *crow = clv + (s * c + cc) * n;
             double *orow = out + (s * c + cc) * n;
             for (i64 i = 0; i < n; i++) {
                 double acc = 0.0;
                 for (i64 j = 0; j < n; j++)
-                    acc += pm[i * n + j] * crow[j];
+                    acc += pm[j * n + i] * crow[j];
                 orow[i] = acc;
             }
         }
@@ -538,7 +542,7 @@ class CcKernels:
         table = _as_f64(
             TIP_PARTIAL_ROWS if code_table is None else code_table
         )
-        p = _as_f64(p)
+        p = _as_f64(p.transpose(0, 2, 1))  # no copy off the P cache
         masks = _as_i64(masks)
         out = _out_ok(out)
         n = p.shape[-1]
@@ -562,7 +566,7 @@ class CcKernels:
         return task
 
     def inner_terms(self, p, clv, out, per_site):
-        p = _as_f64(p)
+        p = _as_f64(p.transpose(0, 2, 1))  # no copy off the P cache
         clv = _as_f64(clv)
         out = _out_ok(out)
         c, n = clv.shape[1], clv.shape[2]

@@ -35,9 +35,14 @@ _THRESHOLD = kernels.SCALE_THRESHOLD
 _FACTOR = kernels.SCALE_FACTOR
 
 
+# Transition stacks arrive as pt = P^T, C-ordered (pt[c, j, i] =
+# P[c, i, j]): the layout the engine's P-matrix cache stores, read here
+# with swapped indices instead of being copied per call.
+
+
 @njit(**_JIT)
-def _nb_tip_terms(p, table, masks, out, s0, s1):
-    c, n = p.shape[0], p.shape[2]
+def _nb_tip_terms(pt, table, masks, out, s0, s1):
+    c, n = pt.shape[0], pt.shape[2]
     m = table.shape[0]
     per_code = np.empty((m, c, n))
     for code in range(m):
@@ -45,26 +50,26 @@ def _nb_tip_terms(p, table, masks, out, s0, s1):
             for i in range(n):
                 acc = 0.0
                 for j in range(n):
-                    acc += p[cc, i, j] * table[code, j]
+                    acc += pt[cc, j, i] * table[code, j]
                 per_code[code, cc, i] = acc
     for s in range(s0, s1):
         out[s] = per_code[masks[s]]
 
 
 @njit(**_JIT)
-def _nb_tip_terms_ps(p, table, masks, out, s0, s1):
-    n = p.shape[2]
+def _nb_tip_terms_ps(pt, table, masks, out, s0, s1):
+    n = pt.shape[2]
     for s in range(s0, s1):
         code = masks[s]
         for i in range(n):
             acc = 0.0
             for j in range(n):
-                acc += p[s, i, j] * table[code, j]
+                acc += pt[s, j, i] * table[code, j]
             out[s, 0, i] = acc
 
 
 @njit(**_JIT)
-def _nb_inner_terms(p, clv, out, s0, s1, per_site):
+def _nb_inner_terms(pt, clv, out, s0, s1, per_site):
     c, n = clv.shape[1], clv.shape[2]
     for s in range(s0, s1):
         for cc in range(c):
@@ -72,7 +77,7 @@ def _nb_inner_terms(p, clv, out, s0, s1, per_site):
             for i in range(n):
                 acc = 0.0
                 for j in range(n):
-                    acc += p[pidx, i, j] * clv[s, cc, j]
+                    acc += pt[pidx, j, i] * clv[s, cc, j]
                 out[s, cc, i] = acc
 
 
@@ -294,7 +299,7 @@ class NumbaKernels:
         table = _as_f64(
             TIP_PARTIAL_ROWS if code_table is None else code_table
         )
-        p = _as_f64(p)
+        p = _as_f64(p.transpose(0, 2, 1))  # no copy off the P cache
         masks = _as_i64(masks)
         if per_site:
             def task(start, stop):
@@ -305,7 +310,7 @@ class NumbaKernels:
         return task
 
     def inner_terms(self, p, clv, out, per_site):
-        p = _as_f64(p)
+        p = _as_f64(p.transpose(0, 2, 1))  # no copy off the P cache
         clv = _as_f64(clv)
         flag = bool(per_site)
 

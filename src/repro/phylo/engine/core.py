@@ -44,7 +44,7 @@ import numpy as np
 from ...chaos import injector as _chaos
 from ...chaos import plan as _chaos_plan
 from .. import kernels
-from ..alignment import PatternAlignment
+from ..alignment import PatternAlignment, check_tip_codes
 from ..arena import ClvArena, ClvSlot
 from ..models import PMatrixCache, SubstitutionModel
 from ..rates import RateModel, UniformRate
@@ -222,6 +222,7 @@ class LikelihoodEngine:
         self._n_states = model.n_states
         #: per-code tip indicator rows (None = the DNA mask table)
         self._tip_table = getattr(patterns, "tip_code_table", None)
+        check_tip_codes(patterns.patterns, self._tip_table)
 
         if self.rate_model.is_per_site:
             if len(self.rate_model.site_categories) != patterns.n_patterns:
@@ -262,10 +263,10 @@ class LikelihoodEngine:
         self._term_scratch = np.empty(
             (patterns.n_patterns, self._n_cats, self._n_states)
         )
-        #: the makenewz sumtable (both branch sides in the eigenbasis),
+        #: the makenewz sumtable, ``(c*k, s)`` as the probe reads it,
         #: rebuilt in place once per makenewz call
         self._sumtable = np.empty(
-            (patterns.n_patterns, self._n_cats, self._n_states)
+            (self._n_cats * self._n_states, patterns.n_patterns)
         )
         #: shared zero scale-count vector handed out for tip sides
         self._zero_scale = np.zeros(patterns.n_patterns, dtype=np.int64)
@@ -431,7 +432,8 @@ class LikelihoodEngine:
     def _prepared_probe(self) -> kernels.SumtableProbe:
         return kernels.SumtableProbe(
             self.model._eigenvalues, self._rates_for_pmat(),
-            self.patterns.weights, per_site=self._site_rates is not None,
+            self.patterns.weights, self._cat_weights,
+            per_site=self._site_rates is not None,
         )
 
     def set_model(self, model: SubstitutionModel) -> None:
@@ -462,7 +464,7 @@ class LikelihoodEngine:
         self._parked.clear()
         self._arena = ClvArena(*shape)
         self._term_scratch = np.empty(shape)
-        self._sumtable = np.empty(shape)
+        self._sumtable = np.empty((shape[1] * shape[2], shape[0]))
 
     def _push_context(self, name: str):
         """Tell the tracer (if any) that nested kernel calls follow."""
@@ -958,9 +960,8 @@ class LikelihoodEngine:
         one scalar, and the engine's prepared
         :class:`~repro.phylo.kernels.SumtableProbe` is pointed at the
         pair — it reads the one scratch table, so it is good until the
-        next ``_newton_probe`` call.  A backend that owns its
-        transition-matrix projection (the reference oracle) instead
-        keeps the independent per-iteration ``(P, dP, d2P)`` path.
+        next ``_newton_probe`` call.  A backend that owns its projection
+        (the reference oracle) keeps the per-iteration ``(P, dP, d2P)`` path.
         """
         u, v = branch.nodes
         if not self._backend.uses_pmat_cache:
@@ -973,7 +974,7 @@ class LikelihoodEngine:
         model = self.model
         # Nested newviews are done: the term scratch is free to lend.
         table = self._backend.branch_sumtable(
-            model._right, model._left, model.pi, self._cat_weights,
+            model._right, model._left, model.pi, self._n_cats,
             u_side, v_side, self._tip_table,
             out=self._sumtable, work=self._term_scratch,
         )
@@ -984,8 +985,7 @@ class LikelihoodEngine:
         self, node: Node, branch: Branch
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`_side` for the sumtable: a tip contributes its state
-        codes (projected per code and gathered by the kernel) instead of
-        the broadcast tip CLV."""
+        codes (the kernel gathers them), not the broadcast tip CLV."""
         side = self._operand(node, branch)
         return (side, self._zero_scale) if node.is_tip else side
 

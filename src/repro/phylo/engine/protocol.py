@@ -288,7 +288,7 @@ class KernelBackend:
         right: np.ndarray,
         left: np.ndarray,
         pi: np.ndarray,
-        cat_weights: np.ndarray,
+        n_cats: int,
         u_side: np.ndarray,
         v_side: np.ndarray,
         code_table: Optional[np.ndarray],
@@ -296,13 +296,13 @@ class KernelBackend:
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Project both sides of a branch into the eigenbasis, once per
-        ``makenewz``: the ``(s, c, k)`` table of
+        ``makenewz``: the ``(c*k, s)`` table of
         :func:`repro.phylo.kernels.branch_sumtable`.  A side is an inner
         CLV ``(s, c, n)`` or a ``(s,)`` vector of tip state codes.  Not
         counted in ``kernel_calls``: the accounting unit of ``makenewz``
         is the derivative evaluation."""
         return kernels.branch_sumtable(
-            right, left, pi, cat_weights, u_side, v_side, code_table,
+            right, left, pi, n_cats, u_side, v_side, code_table,
             out=out, work=work,
         )
 

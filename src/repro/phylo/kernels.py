@@ -152,7 +152,10 @@ def tip_terms(p: np.ndarray, masks: np.ndarray,
     """
     table = TIP_PARTIAL_ROWS if code_table is None else code_table
     per_code = table @ p.transpose(0, 2, 1)  # (cats, n_codes, n)
-    return np.take(per_code.transpose(1, 0, 2), masks, axis=0, out=out)
+    # mode="clip": the default "raise" buffers ``out``; the bounds check
+    # it pays for is made once, by whoever owns the pattern matrix.
+    return np.take(per_code.transpose(1, 0, 2), masks, axis=0, out=out,
+                   mode="clip")
 
 
 def inner_terms(p: np.ndarray, clv: np.ndarray,
@@ -350,33 +353,31 @@ def evaluate_loglik_batch(
     return logs @ pattern_weights
 
 
-def _project_side(side: np.ndarray, basis: np.ndarray,
+def _project_side(side: np.ndarray, basis_t: np.ndarray,
                   code_table: Optional[np.ndarray],
-                  buffer: Optional[np.ndarray]) -> np.ndarray:
-    """One branch side projected onto ``basis`` ``(n, k)``, broadcastable
-    against ``(s, c, k)``.
+                  out: np.ndarray) -> None:
+    """One branch side projected onto ``basis_t`` ``(k, n)`` into ``out``
+    ``(c, k, s)`` — category-major, patterns innermost.
 
-    ``side`` is an inner CLV ``(s, c, n)`` — one ``(s*c, n) @ (n, k)``
-    GEMM, written into ``buffer`` when given — or a ``(s,)`` vector of
-    tip state codes, projected once per code and gathered (the
-    ``tipVector`` trick of :func:`tip_terms`) into ``(s, 1, k)`` instead
-    of materialising the broadcast tip CLV.
+    ``side`` is an inner CLV ``(s, c, n)`` — one ``(k, n) @ (n, s)``
+    product per category — or a ``(s,)`` vector of tip state codes,
+    projected once per code (the ``tipVector`` trick of
+    :func:`tip_terms`), gathered straight into the first category and
+    copied to the rest: whole contiguous rows, no broadcast operand.
     """
     if side.ndim == 1:
         table = TIP_PARTIAL_ROWS if code_table is None else code_table
-        return np.take(table @ basis, side, axis=0)[:, None, :]
-    n, k = basis.shape
-    if buffer is None:
-        buffer = np.empty(side.shape[:2] + (k,), dtype=np.float64)
-    np.matmul(side.reshape(-1, n), basis, out=buffer.reshape(-1, k))
-    return buffer
+        np.take(basis_t @ table.T, side, axis=1, out=out[0], mode="clip")
+        out[1:] = out[0]
+    else:
+        np.matmul(basis_t, side.transpose(1, 2, 0), out=out)
 
 
 def branch_sumtable(
     right: np.ndarray,
     left: np.ndarray,
     pi: np.ndarray,
-    cat_weights: np.ndarray,
+    n_cats: int,
     u_side: np.ndarray,
     v_side: np.ndarray,
     code_table: Optional[np.ndarray] = None,
@@ -388,40 +389,40 @@ def branch_sumtable(
 
     With ``P(t) = R diag(exp(lambda_k r_c t)) L`` the site likelihood at
     the branch is ``sum_c w_c sum_ij pi_i u_i P_ij(t) v_j =
-    sum_ck S[s,c,k] exp(lambda_k r_c t)`` for the length-independent ::
+    sum_ck w_c S[ck,s] exp(lambda_k r_c t)`` for the length-independent ::
 
-        S[s,c,k] = w_c * (sum_i pi_i u[s,c,i] R[i,k]) * (sum_j L[k,j] v[s,c,j])
+        S[ck,s] = (sum_i pi_i u[s,c,i] R[i,k]) * (sum_j L[k,j] v[s,c,j])
 
-    so every Newton iteration on ``t`` (:class:`SumtableProbe`)
-    costs ``O(s*c*k)`` instead of three ``O(s*c*n^2)`` contractions plus
-    a fresh ``(P, dP, d2P)`` projection.
+    so every Newton iteration on ``t`` (:class:`SumtableProbe`, which
+    carries the category weights ``w_c``) costs ``O(s*c*k)`` instead of
+    three ``O(s*c*n^2)`` contractions plus a fresh ``(P, dP, d2P)``
+    projection.  The table is stored the way the probe reads it:
+    ``(c*k, s)``, C-contiguous.
 
     Parameters
     ----------
     right, left: the model's ``(n, k)`` / ``(k, n)`` eigenvector matrices.
     pi: ``(n,)`` stationary frequencies.
-    cat_weights: ``(c,)`` category weights (``ones(1)`` in CAT mode,
-        where the CLVs keep a singleton category axis).
+    n_cats: rate categories ``c`` (1 in CAT mode, where the CLVs keep a
+        singleton category axis).
     u_side, v_side: each side of the branch — an inner CLV ``(s, c, n)``
         or a ``(s,)`` integer vector of tip state codes.
     code_table: ``(n_codes, n)`` indicator rows per tip code; defaults
         to the DNA ambiguity-mask table.
-    out, work: optional ``(s, c, k)`` buffers for the table and for the
-        ``v`` side's projection (only touched when that side is inner).
+    out, work: optional C-contiguous buffers of ``c*k*s`` doubles for
+        the table and for the ``v`` side's projection.
 
     Returns
     -------
-    The ``(s, c, k)`` sumtable (``out`` when given).
+    The ``(c*k, s)`` sumtable (a view of ``out`` when given).
     """
-    if out is None:
-        out = np.empty(
-            (len(u_side), len(cat_weights), right.shape[1]), dtype=np.float64
-        )
-    u_proj = _project_side(u_side, pi[:, None] * right, code_table, out)
-    v_proj = _project_side(v_side, left.T, code_table, work)
-    np.multiply(u_proj, v_proj, out=out)
-    out *= cat_weights[None, :, None]
-    return out
+    shape = (n_cats, right.shape[1], len(u_side))
+    out = np.empty(shape) if out is None else out.reshape(shape)
+    work = np.empty(shape) if work is None else work.reshape(shape)
+    _project_side(u_side, right.T * pi, code_table, out)
+    _project_side(v_side, left, code_table, work)
+    np.multiply(out, work, out=out)
+    return out.reshape(-1, shape[2])
 
 
 def finite_derivatives(lnl: float, d1: float,
@@ -441,27 +442,35 @@ class SumtableProbe:
     — the per-iteration body of ``makenewz()``, prepared once.
 
     Everything that depends only on the model, the rates and the pattern
-    count is built here: ``lam = lambda_k r_c``, the powers ``[1, lam,
-    lam^2]`` and the work buffers.  :meth:`load` points the probe at one
-    branch's table; each evaluation is then about ten NumPy calls.
+    count is built here: ``lam = lambda_k r_c``, the powers ``w_c [1,
+    lam, lam^2]`` (the category weights live here, not in the table:
+    exact wherever ``w_c`` is a power of two, one rounding per term
+    elsewhere) and the work buffers.  :meth:`load` points the probe at
+    one branch's table; each evaluation is then about ten NumPy calls.
 
     Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials, one
-    ``(3, c*k) @ (c*k, s)`` product against ``[e, lam e, lam^2 e]`` and
+    ``(3, c*k) @ (c*k, s)`` product against ``w [e, lam e, lam^2 e]`` and
     one ``(3, s) @ weights``.  CAT (``per_site=True``, ``rates`` is
-    ``(s,)``, singleton category axis): the same table against a
-    per-pattern exponent, element-wise.  Agrees with
+    ``(s,)``, one category): the same table against a per-pattern
+    ``(k, s)`` exponent, element-wise.  Agrees with
     :func:`branch_derivatives` / :func:`branch_derivatives_persite` to
     round-off.
     """
 
     def __init__(self, eigenvalues: np.ndarray, rates: np.ndarray,
-                 pattern_weights: np.ndarray, per_site: bool = False):
-        lam = rates[:, None] * eigenvalues[None, :]  # (s, k) or (c, k)
-        if not per_site:
-            lam = lam.ravel()  # (c*k,)
+                 pattern_weights: np.ndarray, cat_weights: np.ndarray,
+                 per_site: bool = False):
+        lam = rates[:, None] * eigenvalues[None, :]  # (c, k) or (s, k)
+        powers = np.stack([np.ones_like(lam), lam, lam * lam])
+        if per_site:  # one category of weight one; patterns innermost
+            lam = np.ascontiguousarray(lam.T)  # (k, s)
+            powers = np.ascontiguousarray(powers.transpose(0, 2, 1))
+        else:
+            powers *= cat_weights[:, None]
+            lam, powers = lam.ravel(), powers.reshape(3, -1)  # (c*k,)
         self._per_site = per_site
         self._lam = lam
-        self._powers = np.stack([np.ones_like(lam), lam, lam * lam])
+        self._powers = powers
         self._weights = pattern_weights
         s = len(pattern_weights)
         self._exp = np.empty_like(lam)
@@ -475,11 +484,11 @@ class SumtableProbe:
 
     def load(self, sumtable: np.ndarray,
              scale_offset: float = 0.0) -> "SumtableProbe":
-        """Point the probe at one branch: its ``(s, c, k)`` sumtable and
+        """Point the probe at one branch: its ``(c*k, s)`` sumtable and
         its rescaling correction folded into one scalar,
         ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.  The
         table is read, not copied: the probe is good until it changes."""
-        self._table = sumtable.reshape(len(sumtable), -1)  # (s, c*k)
+        self._table = sumtable
         self._offset = scale_offset
         return self
 
@@ -502,10 +511,10 @@ class SumtableProbe:
         if self._per_site:
             np.multiply(exp, self._table, out=exp)
             np.multiply(self._powers, exp, out=self._basis)
-            self._basis.sum(axis=2, out=sums)
+            self._basis.sum(axis=1, out=sums)
         else:
             np.multiply(self._powers, exp, out=self._basis)
-            np.matmul(self._basis, self._table.T, out=sums)
+            np.matmul(self._basis, self._table, out=sums)
         lik = self._positive(sums[0])
         np.divide(sums[1:], lik, out=sums[1:])  # d1/lik, d2/lik
         np.log(lik, out=lik)
@@ -519,9 +528,9 @@ class SumtableProbe:
         final re-score.  Equal to ``self(t)[0]`` to summation round-off."""
         exp = self._exponentials(branch_length)
         if self._per_site:
-            lik = np.multiply(exp, self._table, out=exp).sum(axis=1)
+            lik = np.multiply(exp, self._table, out=exp).sum(axis=0)
         else:
-            lik = self._table @ exp
+            lik = np.multiply(self._powers[0], exp, out=exp) @ self._table
         lnl = float(self._weights @ np.log(self._positive(lik)))
         lnl -= self._offset
         if not math.isfinite(lnl):
@@ -535,12 +544,14 @@ def sumtable_derivatives(
     rates: np.ndarray,
     branch_length: float,
     pattern_weights: np.ndarray,
+    cat_weights: np.ndarray,
     scale_offset: float = 0.0,
     per_site: bool = False,
 ) -> Tuple[float, float, float]:
     """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
     :func:`branch_sumtable`: a one-shot :class:`SumtableProbe`."""
-    probe = SumtableProbe(eigenvalues, rates, pattern_weights, per_site)
+    probe = SumtableProbe(eigenvalues, rates, pattern_weights, cat_weights,
+                          per_site)
     return probe.load(sumtable, scale_offset)(branch_length)
 
 

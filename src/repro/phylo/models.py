@@ -341,6 +341,10 @@ class PMatrixCache:
         entry = self.model.transition_matrices(
             self._canonical(key), self.rates
         )
+        # Stored transposed-contiguous: same shape and values, but the
+        # ``p.transpose(0, 2, 1)`` every kernel takes is the C-ordered
+        # operand its matmul streams (DESIGN 7.5).
+        entry = np.ascontiguousarray(entry.transpose(0, 2, 1)).transpose(0, 2, 1)
         entry.setflags(write=False)
         self._matrices[key] = entry
         if len(self._matrices) > self.capacity:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .engine import LikelihoodEngine
 from .models import SubstitutionModel
@@ -37,6 +36,17 @@ ALPHA_BOUNDS = (0.02, 100.0)
 
 #: Search bounds for a single exchangeability rate (relative to GT = 1).
 RATE_BOUNDS = (1e-4, 100.0)
+
+
+def _bounded_minimum(fn, bounds, tolerance: float):
+    """Bounded Brent search.  ``scipy.optimize`` is imported here, not
+    at module top: it drags ``sparse``/``linalg``/``spatial`` (~25 MB,
+    ~0.15 s) into every ``import repro.phylo``, and only model
+    optimization — off the default inference path — needs it."""
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(fn, bounds=bounds, method="bounded",
+                           options={"xatol": tolerance})
 
 
 @dataclass
@@ -70,10 +80,7 @@ def optimize_alpha(
         return -engine.evaluate()
 
     lo, hi = np.log(ALPHA_BOUNDS[0]), np.log(ALPHA_BOUNDS[1])
-    result = minimize_scalar(
-        negative_lnl, bounds=(lo, hi), method="bounded",
-        options={"xatol": tolerance},
-    )
+    result = _bounded_minimum(negative_lnl, (lo, hi), tolerance)
     best_alpha = float(np.exp(result.x))
     engine.set_rate_model(GammaRates(best_alpha, n_categories))
     return best_alpha, engine.evaluate()
@@ -106,16 +113,13 @@ def optimize_gamma_inv(
 
     best = set_and_score(alpha, p_invariant)
     for _ in range(sweeps):
-        result = minimize_scalar(
+        result = _bounded_minimum(
             lambda la: -set_and_score(float(np.exp(la)), p_invariant),
-            bounds=(np.log(ALPHA_BOUNDS[0]), np.log(ALPHA_BOUNDS[1])),
-            method="bounded", options={"xatol": tolerance},
+            (np.log(ALPHA_BOUNDS[0]), np.log(ALPHA_BOUNDS[1])), tolerance,
         )
         alpha = float(np.exp(result.x))
-        result = minimize_scalar(
-            lambda p: -set_and_score(alpha, float(p)),
-            bounds=(0.0, 0.9), method="bounded",
-            options={"xatol": tolerance},
+        result = _bounded_minimum(
+            lambda p: -set_and_score(alpha, float(p)), (0.0, 0.9), tolerance,
         )
         p_invariant = float(result.x)
         now = set_and_score(alpha, p_invariant)
@@ -150,10 +154,7 @@ def optimize_exchangeabilities(
                 return -engine.evaluate()
 
             lo, hi = np.log(RATE_BOUNDS[0]), np.log(RATE_BOUNDS[1])
-            result = minimize_scalar(
-                negative_lnl, bounds=(lo, hi), method="bounded",
-                options={"xatol": tolerance},
-            )
+            result = _bounded_minimum(negative_lnl, (lo, hi), tolerance)
             rates[index] = float(np.exp(result.x))
             engine.set_model(engine.model.with_exchangeabilities(rates))
             now = engine.evaluate()

@@ -141,6 +141,20 @@ class TestResidentWorkers:
         assert victim not in pair.idle_pids()
         assert len(pair.idle_pids()) == 2
 
+    def test_just_killed_parked_worker_is_never_checked_out(self, pair):
+        """No wait between the SIGKILL and the check-out: ``is_alive()``
+        is still true and the pipe still quiet (the flake of ROADMAP
+        7(f)); only the unanswered ping tells."""
+        for _ in range(5):
+            pair.prefork()
+            victim = pair.idle_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            taken = pair.checkout(2)
+            try:
+                assert victim not in [w.proc.pid for w in taken]
+            finally:
+                pair.retire(*taken)
+
     def test_parks_at_most_n_workers_under_concurrent_runs(
             self, tiny_patterns, other_patterns, fast_config, tmp_path):
         """Three runner threads (more than this host has cores, a

@@ -356,3 +356,40 @@ def test_search_and_makenewz_run_on_partitioned_backend(instance):
     assert b[1] == pytest.approx(a[1], rel=1e-9)  # lnL at the optimum
     np.testing.assert_allclose(b[2], a[2], rtol=1e-9)  # SPR preview scores
     np.testing.assert_allclose(b[3], a[3], rtol=1e-6)  # connect lengths
+
+
+@pytest.mark.parametrize("spec", ALL_BACKEND_SPECS)
+@pytest.mark.parametrize("rates", ["gamma", "cat"])
+def test_backends_agree_off_the_transposed_contiguous_cache(
+        instance, spec, rates):
+    """``newview`` / ``makenewz`` / ``evaluate`` across backends on the
+    P-cache's operand layout (DESIGN 7.5): every backend that serves
+    from the cache is handed a stack whose transpose is C-ordered, and
+    none of them answers differently for it."""
+    patterns, tree = instance
+    rate_model = GammaRates(0.6, 4) if rates == "gamma" else CatRates(
+        np.linspace(0.3, 3.0, patterns.n_patterns), 3)
+    newick = tree.to_newick(digits=17)
+    results = {}
+    for name in ("einsum", spec):
+        own_tree = Tree.from_newick(newick)
+        engine = LikelihoodEngine(patterns, MODEL, rate_model, own_tree,
+                                  backend=name)
+        try:
+            branch = own_tree.branches[2]
+            stack = engine._pmat(branch)
+            if engine.backend.uses_pmat_cache:
+                assert stack.transpose(0, 2, 1).flags.c_contiguous
+            inner = next(n for n in own_tree.inner_nodes)
+            clv, scale = engine.newview(inner, inner.branches[0])
+            length, lnl = engine.makenewz(branch)
+            results[name] = (clv, scale, length, lnl,
+                             engine.evaluate(own_tree.branches[0]))
+        finally:
+            engine.detach()
+    want, got = results["einsum"], results[spec]
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-9)
+    assert np.array_equal(got[1], want[1])  # scale counts: exact
+    assert got[2] == pytest.approx(want[2], rel=1e-6)
+    assert got[3] == pytest.approx(want[3], rel=1e-9)
+    assert got[4] == pytest.approx(want[4], rel=1e-9)

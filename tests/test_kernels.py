@@ -7,9 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.phylo import GammaRates, JC69, default_gtr
+from repro.chaos import inject
+from repro.chaos.plan import ENGINE_PMAT_CORRUPT
+from repro.phylo import (
+    GammaRates,
+    JC69,
+    LikelihoodEngine,
+    PoissonAA,
+    Tree,
+    default_gtr,
+)
 from repro.phylo import kernels
 from repro.phylo.dna import TIP_PARTIAL_ROWS
+from repro.phylo.models import PMatrixCache
+from repro.phylo.protein import AA_CODE_TABLE
+from tests.strategies import random_patterns
+from tests.test_chaos_engine import _single_site_plan
 
 
 def make_pmats(n_cats=4, t=0.3):
@@ -361,3 +374,156 @@ class TestBranchDerivatives:
         assert kernels.FLOPS_LARGE_LOOP_VECTOR == 22
         assert kernels.FLOPS_SMALL_LOOP_SCALAR == 36
         assert kernels.FLOPS_SMALL_LOOP_VECTOR == 24
+
+
+# -- operand layout (DESIGN 7.5) ----------------------------------------------
+#
+# The propagation kernels kept their code; what changed is the operand
+# they are handed — the P-matrix cache stores every stack
+# transposed-contiguous — and ``take`` no longer runs in mode="raise".
+# Each is held to a test-local copy of the old form on a plain C-ordered
+# stack: bit for bit at 4 states in the integrated modes; to 1e-12 at 20
+# states and in CAT, where the products reach BLAS kernels whose
+# summation order follows the matrix's memory order (<= 2 ulp seen).
+
+
+def _same(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _cache_layout(p):
+    return np.ascontiguousarray(p.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _old_tip_terms(p, masks, table):
+    per_code = table @ p.transpose(0, 2, 1)
+    return np.take(per_code.transpose(1, 0, 2), masks, axis=0)  # "raise"
+
+
+def _old_inner_terms(p, clv):
+    out = np.empty_like(clv)
+    np.matmul(clv.transpose(1, 0, 2), p.transpose(0, 2, 1),
+              out=out.transpose(1, 0, 2))
+    return out
+
+
+def _old_newview(left, p_left, right, p_right, table, per_site):
+    def term(side, p):
+        if isinstance(side, tuple):
+            if per_site:
+                return np.matmul(side[0], p.transpose(0, 2, 1)), side[1]
+            return _old_inner_terms(p, side[0]), side[1]
+        if per_site:
+            tips = table[side][:, None, :]
+            return np.matmul(tips, p.transpose(0, 2, 1)), 0
+        return _old_tip_terms(p, side, table), 0
+    (t1, s1), (t2, s2) = term(left, p_left), term(right, p_right)
+    clv = t1 * t2
+    scale = np.zeros(len(clv), dtype=np.int64) + s1 + s2
+    return clv, scale, kernels.scale_clv(clv, scale)
+
+
+class TestOperandLayout:
+    CASES = [(4, "gamma"), (4, "cat"), (20, "gamma"), (20, "cat")]
+
+    @staticmethod
+    def _stacks(states, mode, n_patterns, rng):
+        if states == 4:
+            model, table = default_gtr(), TIP_PARTIAL_ROWS
+        else:
+            model = PoissonAA(tuple(np.linspace(1.0, 3.0, 20)))
+            table = AA_CODE_TABLE
+        rates = (rng.uniform(0.25, 4.0, n_patterns) if mode == "cat"
+                 else GammaRates(0.7, 4).rates)
+        n_cats = 1 if mode == "cat" else 4
+        plain = [model.transition_matrices(t, rates) for t in (0.07, 1.9)]
+        clvs = []
+        for _ in range(2):  # magnitudes straddle the rescaling threshold
+            clv = rng.uniform(1e-3, 1.0, (n_patterns, n_cats, states))
+            clv *= 10.0 ** rng.integers(-60, 1, (n_patterns, 1, 1))
+            clvs.append((clv, rng.integers(0, 4, n_patterns)))
+        tips = [rng.integers(1, len(table), n_patterns).astype(np.uint8)
+                for _ in range(2)]
+        return plain, clvs, tips, table
+
+    @pytest.mark.parametrize("n_patterns", [9, 207, 732])
+    @pytest.mark.parametrize("states,mode", CASES)
+    def test_propagation_keeps_its_bits_on_the_cache_layout(
+            self, states, mode, n_patterns):
+        rng = np.random.default_rng([states, n_patterns])
+        (plain, _), ((clv, _), _), (masks, _), table = self._stacks(
+            states, mode, n_patterns, rng)
+        stored = _cache_layout(plain)
+        assert np.array_equal(stored, plain)
+        assert stored.transpose(0, 2, 1).flags.c_contiguous
+        if mode == "cat":
+            _same(kernels.inner_terms_persite(stored, clv),
+                  np.matmul(clv, plain.transpose(0, 2, 1)), exact=False)
+            _same(kernels.tip_terms_persite(stored, masks, table),
+                  np.matmul(table[masks][:, None, :],
+                            plain.transpose(0, 2, 1)), exact=False)
+        else:
+            _same(kernels.inner_terms(stored, clv),
+                  _old_inner_terms(plain, clv), exact=states == 4)
+            out = np.full_like(clv, np.nan)
+            assert kernels.tip_terms(stored, masks, table, out=out) is out
+            _same(out, _old_tip_terms(plain, masks, table),
+                  exact=states == 4)
+
+    @pytest.mark.parametrize("n_patterns", [9, 207])
+    @pytest.mark.parametrize("kinds", ["tip-tip", "tip-inner", "inner-inner"])
+    @pytest.mark.parametrize("states,mode", CASES)
+    def test_newview_keeps_its_bits_on_the_cache_layout(
+            self, states, mode, kinds, n_patterns):
+        rng = np.random.default_rng([states, n_patterns, len(kinds)])
+        plain, clvs, tips, table = self._stacks(states, mode, n_patterns, rng)
+        left, right = [{"tip": tips, "inner": clvs}[kind][i]
+                       for i, kind in enumerate(kinds.split("-"))]
+        want = _old_newview(left, plain[0], right, plain[1], table,
+                            mode == "cat")
+        clv = np.full_like(clvs[0][0], np.nan)
+        scale = np.full(n_patterns, -7, dtype=np.int64)
+        scaled = kernels.newview(
+            left, _cache_layout(plain[0]), right, _cache_layout(plain[1]),
+            clv, scale, table, mode == "cat")
+        _same(clv, want[0], exact=(states, mode) == (4, "gamma"))
+        assert np.array_equal(scale, want[1])
+        assert scaled == want[2]
+
+    @pytest.mark.parametrize("states,mode", CASES)
+    def test_pmatrix_cache_stores_transposed_contiguous(self, states, mode):
+        model = (default_gtr() if states == 4
+                 else PoissonAA(tuple(np.linspace(1.0, 3.0, 20))))
+        rates = (np.linspace(0.3, 3.0, 11) if mode == "cat"
+                 else GammaRates(0.7, 4).rates)
+        cache = PMatrixCache(model, rates)
+        entry = cache.matrices(0.25)
+        # 0.25 is its own canonical length: the one einsum keeps its bits
+        assert np.array_equal(entry, model.transition_matrices(0.25, rates))
+        assert entry.shape == (len(rates), states, states)
+        assert entry.transpose(0, 2, 1).flags.c_contiguous
+        assert not entry.flags.writeable
+        assert entry.base.nbytes == entry.nbytes  # one array, not P and P^T
+        assert cache.matrices(0.25) is entry
+
+    def test_pmat_corruption_reaches_the_stored_stack_and_is_caught(self):
+        rng = np.random.default_rng(21)
+        patterns = random_patterns(rng, 7, 60)
+        tree = Tree.from_tip_names(patterns.taxa, rng)
+        engine = LikelihoodEngine(patterns, JC69(), None, tree)
+        try:
+            clean = engine.evaluate()
+            engine.invalidate_all()
+            length = tree.branches[0].length
+            with inject(_single_site_plan(ENGINE_PMAT_CORRUPT)):
+                poisoned = engine._transition_matrices(length)
+                assert np.isnan(poisoned).all()
+                assert engine._pmats.matrices(length) is poisoned
+                assert not poisoned.flags.writeable
+                assert engine.evaluate() == clean  # caught, recomputed
+            assert engine.fault_recoveries == 1
+        finally:
+            engine.detach()

@@ -195,3 +195,37 @@ class TestOptimizeModel:
         assert result.alpha is None
         assert np.isfinite(result.log_likelihood)
         engine.detach()
+
+
+def test_default_import_path_leaves_scipy_optimize_out():
+    """``scipy.optimize`` (and the ``sparse``/``linalg``/``spatial`` it
+    drags in, ~25 MB and ~0.15 s) is imported by the model optimizers on
+    first use, not by ``import repro.phylo``: the CLI, the serve layer
+    and every forked worker start without it — and ``optimize_model``
+    still finds it when it is called."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import repro.phylo.cli, repro.serve\n"
+        "assert 'scipy.optimize' not in sys.modules, 'imported at top'\n"
+        "import numpy as np\n"
+        "from repro.phylo import (GammaRates, LikelihoodEngine, default_gtr,"
+        " optimize_model, stepwise_addition_tree, synthetic_dataset)\n"
+        "p = synthetic_dataset(n_taxa=5, n_sites=120, seed=3).compress()\n"
+        "e = LikelihoodEngine(p, default_gtr(), GammaRates(1.0, 4),"
+        " stepwise_addition_tree(p, np.random.default_rng(0)))\n"
+        "before = e.evaluate()\n"
+        "r = optimize_model(e, optimize_rates=False, max_rounds=1)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "assert r.alpha is not None and r.log_likelihood >= before\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -31,6 +31,8 @@ from repro.phylo import (
     kernels,
     synthetic_dataset,
 )
+from repro.phylo.alignment import AlignmentError
+from repro.phylo.distances import ml_distance
 from repro.phylo.dna import TIP_PARTIAL_ROWS
 from repro.phylo.engine.backends.reference import ReferenceBackend
 from repro.phylo.engine.core import LNL_TIE_ULPS, newton_branch_length
@@ -144,11 +146,11 @@ class TestKernels:
         scale = rng.integers(0, 4, N_PATTERNS)  # non-zero scale counts
 
         sumtable = kernels.branch_sumtable(
-            model._right, model._left, model.pi, cat_weights,
+            model._right, model._left, model.pi, len(cat_weights),
             u_side, v_side, code_table,
         )
         got = kernels.sumtable_derivatives(
-            sumtable, model._eigenvalues, rates, t, weights,
+            sumtable, model._eigenvalues, rates, t, weights, cat_weights,
             float(weights @ scale) * kernels.LOG_SCALE_FACTOR,
             per_site=per_site,
         )
@@ -173,29 +175,29 @@ class TestKernels:
         rng = np.random.default_rng(3)
         u = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
         v = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
-        out, work = np.empty_like(u), np.empty_like(u)
+        out, work = np.empty((16, N_PATTERNS)), np.empty_like(u)
         table = kernels.branch_sumtable(
-            model._right, model._left, model.pi, rate_model.weights, u, v,
+            model._right, model._left, model.pi, 4, u, v,
             out=out, work=work,
         )
-        assert table is out
+        assert np.shares_memory(table, out) and table.shape == out.shape
+        assert table.flags.c_contiguous
         assert np.array_equal(table, kernels.branch_sumtable(
-            model._right, model._left, model.pi, rate_model.weights, u, v))
+            model._right, model._left, model.pi, 4, u, v))
 
     def test_negative_length_and_nonpositive_likelihood_raise(self):
         model, rate_model, _ = CONFIGS["jc69_uniform"]
         codes = np.full(N_PATTERNS, 1, dtype=np.uint8)
         table = kernels.branch_sumtable(
-            model._right, model._left, model.pi, rate_model.weights,
-            codes, codes,
+            model._right, model._left, model.pi, 1, codes, codes,
         )
         args = (model._eigenvalues, rate_model.rates)
-        weights = np.ones(N_PATTERNS)
+        weights = (np.ones(N_PATTERNS), rate_model.weights)
         with pytest.raises(ValueError, match="non-negative"):
-            kernels.sumtable_derivatives(table, *args, -0.1, weights)
-        table[0] = 0.0  # a pattern no state pair can explain
+            kernels.sumtable_derivatives(table, *args, -0.1, *weights)
+        table[:, 0] = 0.0  # a pattern no state pair can explain
         with pytest.raises(FloatingPointError, match="non-positive"):
-            kernels.sumtable_derivatives(table, *args, 0.1, weights)
+            kernels.sumtable_derivatives(table, *args, 0.1, *weights)
 
 
 class TestPreparedProbe:
@@ -210,7 +212,7 @@ class TestPreparedProbe:
         rng = np.random.default_rng(seed)
         weights = rng.integers(1, 5, N_PATTERNS).astype(np.float64)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
-                                      per_site)
+                                      cat_weights, per_site)
         for kinds in [("inner", "inner"), ("tip", "inner"),
                       ("tip", "tip")][:count]:
             u_side, u_clv = _random_side(rng, kinds[0], len(cat_weights),
@@ -219,7 +221,7 @@ class TestPreparedProbe:
                                          table)
             scale = rng.integers(0, 4, N_PATTERNS)
             sumtable = kernels.branch_sumtable(
-                model._right, model._left, model.pi, cat_weights,
+                model._right, model._left, model.pi, len(cat_weights),
                 u_side, v_side, code_table)
             offset = float(weights @ scale) * kernels.LOG_SCALE_FACTOR
             yield probe.load(sumtable, offset), sumtable, offset, \
@@ -237,8 +239,8 @@ class TestPreparedProbe:
             # the same code on the same inputs: the same bits, however
             # many tables the prepared buffers have served before
             assert got == kernels.sumtable_derivatives(
-                sumtable, model._eigenvalues, rates, t, weights, offset,
-                per_site=per_site)
+                sumtable, model._eigenvalues, rates, t, weights,
+                cat_weights, offset, per_site=per_site)
             terms = model.transition_derivatives(t, rates)
             if per_site:
                 want = kernels.branch_derivatives_persite(
@@ -270,14 +272,138 @@ class TestPreparedProbe:
         for evaluate in (probe, probe.lnl):
             with pytest.raises(ValueError, match="non-negative"):
                 evaluate(-0.1)
-        sumtable[0] = 0.0  # the probe reads the table, it holds no copy
+        sumtable[:, 0] = 0.0  # the probe reads the table, it holds no copy
         for evaluate in (probe, probe.lnl):
             with pytest.raises(FloatingPointError, match="non-positive"):
                 evaluate(0.1)
-        sumtable[0] = np.nan
+        sumtable[:, 0] = np.nan
         for evaluate in (probe, probe.lnl):
             with pytest.raises(FloatingPointError, match="non-finite"):
                 evaluate(0.1)
+
+
+# -- operand layout (DESIGN 7.5): today's kernels against a test-local
+#    copy of the forms they replaced -----------------------------------------
+
+
+def _old_sumtable(right, left, pi, cat_weights, u_side, v_side, code_table):
+    """``branch_sumtable`` before the layout change: ``(s, c, k)``, the
+    category weights folded in, a tip side an ``(s, 1, k)`` broadcast."""
+    def project(side, basis):
+        if side.ndim == 1:
+            table = TIP_PARTIAL_ROWS if code_table is None else code_table
+            return np.take(table @ basis, side, axis=0)[:, None, :]
+        flat = side.reshape(-1, basis.shape[0]) @ basis
+        return flat.reshape(side.shape[:2] + (-1,))
+    out = project(u_side, pi[:, None] * right) * project(v_side, left.T)
+    return out * cat_weights[None, :, None]
+
+
+def _old_probe(table, eigenvalues, rates, t, weights, per_site):
+    """The old probe on an old table: ``((lnL, d1, d2), lnL alone)``."""
+    lam = rates[:, None] * eigenvalues[None, :]
+    lam = lam if per_site else lam.ravel()
+    table = table.reshape(len(table), -1)  # (s, c*k)
+    exp = np.exp(lam * t)
+    powers = np.stack([np.ones_like(lam), lam, lam * lam])
+    if per_site:
+        sums = (powers * (exp * table)).sum(axis=2)
+        alone = (exp * table).sum(axis=1)
+    else:
+        sums = np.matmul(powers * exp, table.T)
+        alone = table @ exp
+    lik = sums[0].copy()
+    sums[1:] /= lik
+    sums[0] = np.log(lik)
+    sums[2] -= sums[1] * sums[1]
+    return tuple((sums @ weights).tolist()), float(weights @ np.log(alone))
+
+
+def _layout_case(states, mode, n_cats, n_patterns, seed=0):
+    rng = np.random.default_rng([seed, states, n_cats, n_patterns])
+    if states == 4:
+        model, code_table = CONFIGS["gtr_gamma4"][0], None
+    else:
+        model, code_table = CONFIGS["poisson_aa_gamma4"][0], AA_CODE_TABLE
+    if mode == "cat":
+        rates, cat_weights = rng.uniform(0.25, 4.0, n_patterns), np.ones(1)
+    else:
+        rate_model = GammaRates(0.6, n_cats) if n_cats > 1 else UniformRate()
+        rates, cat_weights = rate_model.rates, rate_model.weights
+    table = TIP_PARTIAL_ROWS if code_table is None else code_table
+    n, c = model.n_states, len(cat_weights)
+    sides = {
+        "tip": lambda: rng.integers(1, len(table), n_patterns).astype(
+            np.uint8),
+        "inner": lambda: rng.uniform(1e-3, 1.0, (n_patterns, c, n)),
+    }
+    weights = rng.integers(1, 5, n_patterns).astype(np.float64)
+    return model, code_table, rates, cat_weights, sides, weights
+
+
+class TestOperandLayout:
+    """The re-laid-out sumtable pair against the forms it replaced:
+    the table keeps its bits at 4 states (1e-12 at 20, where the
+    per-category GEMM sums in another order), the probe agrees to
+    1e-12 — the folded weights are exact at 1, 2, 4 categories and one
+    rounding per term at 3, 5, 6."""
+
+    @pytest.mark.parametrize("n_patterns", [9, 207, 732])
+    @pytest.mark.parametrize("kinds", [("inner", "inner"), ("tip", "inner"),
+                                       ("tip", "tip")], ids="-".join)
+    @pytest.mark.parametrize("states,mode,n_cats", [
+        (4, "gamma", 1), (4, "gamma", 3), (4, "gamma", 4), (4, "gamma", 5),
+        (4, "gamma", 6), (4, "cat", 1), (20, "gamma", 4), (20, "gamma", 5),
+        (20, "cat", 1),
+    ])
+    def test_table_and_probe_match_the_old_forms(self, states, mode, n_cats,
+                                                 kinds, n_patterns):
+        model, code_table, rates, cat_weights, sides, weights = \
+            _layout_case(states, mode, n_cats, n_patterns)
+        per_site = mode == "cat"
+        u_side, v_side = sides[kinds[0]](), sides[kinds[1]]()
+        eigen = (model._right, model._left, model.pi)
+        table = kernels.branch_sumtable(*eigen, len(cat_weights), u_side,
+                                        v_side, code_table)
+        k = model.n_states
+        assert table.shape == (len(cat_weights) * k, n_patterns)
+        assert table.flags.c_contiguous
+
+        unweighted = _old_sumtable(*eigen, np.ones_like(cat_weights),
+                                   u_side, v_side, code_table)
+        as_old = table.reshape(-1, k, n_patterns).transpose(2, 0, 1)
+        if states == 4:
+            assert np.array_equal(as_old, unweighted)
+        else:
+            np.testing.assert_allclose(
+                as_old, unweighted, rtol=1e-12,
+                atol=1e-14 * np.abs(unweighted).max())
+
+        old_table = _old_sumtable(*eigen, cat_weights, u_side, v_side,
+                                  code_table)
+        probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
+                                      cat_weights, per_site).load(table)
+        for t in (0.02, 0.3, 2.5):
+            want, want_alone = _old_probe(
+                old_table, model._eigenvalues, rates, t, weights, per_site)
+            got = probe(t)
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-10)
+            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-10)
+            assert probe.lnl(t) == pytest.approx(want_alone, rel=1e-12)
+
+    def test_out_of_table_code_is_rejected_once_not_per_call(self):
+        """``take(mode="clip")`` no longer bounds-checks per call; the
+        owner of the pattern matrix does, with a typed error."""
+        patterns = random_patterns(np.random.default_rng(2), 5, 40)
+        patterns.patterns[3, 7] = 200  # outside the 16-row DNA table
+        with pytest.raises(AlignmentError) as caught:
+            ml_distance(patterns, 3, 4)
+        assert caught.value.code == "code_out_of_table"
+        assert ml_distance(patterns, 0, 1) > 0  # rows 0, 1 are clean
+        with pytest.raises(AlignmentError, match="outside the 16-row"):
+            LikelihoodEngine(patterns, JC69(), None, Tree.from_tip_names(
+                patterns.taxa, np.random.default_rng(0)))
 
 
 def _engine(config, seed=5, n_taxa=7, backend="einsum"):
