@@ -13,7 +13,7 @@ exactly like the paper's loop-level parallelization overhead) through:
   machine-code inner kernels), when a flavor is available on the host.
 
 Results merge into the ``backend_scaling`` section of the committed
-``BENCH_engine.json`` (the batched-pipeline sections are left untouched)
+``BENCH_engine.json`` (every other section is left untouched)
 together with ``os.cpu_count()`` and the compiled flavor's one-time
 JIT/build warmup time (charged to ``backend_warmup_us``, never to the
 timed workload).  Assertions:

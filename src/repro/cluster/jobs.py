@@ -38,6 +38,10 @@ __all__ = [
 #: Terminal DAG node: the streaming aggregation barrier every task feeds.
 AGGREGATE_NODE = "aggregate/consensus"
 
+#: Removed ``SearchConfig`` options an older run header still carries;
+#: ``false`` (the only value the kept search reproduces) is dropped.
+_RETIRED_CONFIG_FIELDS = ("batch_spr", "gradient_smoothing")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -87,6 +91,13 @@ class JobSpec:
         bootstop = data.pop("bootstop", None)
         spec = cls(**data)
         if config is not None:
+            config = dict(config)
+            for name in _RETIRED_CONFIG_FIELDS:
+                if config.pop(name, False):
+                    raise ValueError(
+                        f"run header sets the retired search option "
+                        f"{name!r}: its replicates came from a search "
+                        f"this version no longer runs")
             object.__setattr__(spec, "config", SearchConfig(**config))
         if bootstop is not None:
             object.__setattr__(

@@ -38,23 +38,17 @@ __all__ = [
 _ALIGNMENT_CACHE: Dict[Tuple[str, int], Alignment] = {}
 _TRACE_CACHE: Dict[Tuple[str, int], TraceSummary] = {}
 
-#: Search-effort settings per trace profile.  ``batch_spr`` is pinned
-#: off: the Cell-simulation workloads must reflect the paper's *serial*
-#: newview/makenewz/evaluate mix, not the batched scorer's fused events.
+#: Search-effort settings per trace profile.
 TRACE_PROFILES = {
     "quick": dict(
         n_taxa=12,
         n_sites=600,
-        search=SearchConfig(
-            initial_radius=2, max_radius=3, max_rounds=3, batch_spr=False
-        ),
+        search=SearchConfig(initial_radius=2, max_radius=3, max_rounds=3),
     ),
     "full": dict(
         n_taxa=42,
         n_sites=1167,
-        search=SearchConfig(
-            initial_radius=1, max_radius=2, max_rounds=2, batch_spr=False
-        ),
+        search=SearchConfig(initial_radius=1, max_radius=2, max_rounds=2),
     ),
 }
 

@@ -242,7 +242,7 @@ def render_cluster_status(journal_path: str) -> str:
     if perf:
         interesting = [
             "newview_calls", "pmat_hits", "pmat_misses",
-            "arena_acquires", "spr_batch_candidates",
+            "arena_acquires",
         ]
         shown = {k: perf[k] for k in interesting if k in perf}
         if shown:

@@ -215,43 +215,6 @@ i64 rk_evaluate(const double *pi, const double *cw, const double *pw,
     return 0;
 }
 
-/* Batched evaluate over K stacked candidates; v may be a broadcast
- * stack (vk == 0).  sc: (K,S) contiguous.  partials: (nb,K) at
- * partials[b*K + k]. */
-i64 rk_evaluate_batch(const double *pi, const double *cw, const double *pw,
-                      const double *u, i64 uk, i64 us, i64 uc,
-                      const double *v, i64 vk, i64 vs, i64 vc,
-                      const i64 *sc, double lsf, i64 K,
-                      i64 b0, i64 b1, i64 block, i64 S, i64 c, i64 n,
-                      double *partials)
-{
-    for (i64 b = b0; b < b1; b++) {
-        i64 lo = b * block;
-        i64 hi = lo + block < S ? lo + block : S;
-        for (i64 k = 0; k < K; k++) {
-            const double *ub = u + k * uk;
-            const double *vb = v + k * vk;
-            const i64 *scb = sc + k * S;
-            double acc = 0.0;
-            for (i64 s = lo; s < hi; s++) {
-                double site = 0.0;
-                for (i64 cc = 0; cc < c; cc++) {
-                    const double *up = ub + s * us + cc * uc;
-                    const double *vp = vb + s * vs + cc * vc;
-                    double dot = 0.0;
-                    for (i64 i = 0; i < n; i++)
-                        dot += up[i] * vp[i] * pi[i];
-                    site += cw[cc] * dot;
-                }
-                if (!(site > 0.0)) return -(s + 1);
-                acc += pw[s] * (log(site) - (double)scb[s] * lsf);
-            }
-            partials[b * K + k] = acc;
-        }
-    }
-    return 0;
-}
-
 /* makenewz body: lnL and its first two branch-length derivatives,
  * per reduction block.  p/dp/d2p are (c,n,n) (integrated) or (S,n,n)
  * with c == 1 (per_site).  partials: (nb,3) at partials[b*3 + t]. */
@@ -307,70 +270,6 @@ i64 rk_deriv(const double *p, const double *dp, const double *d2p,
     return 0;
 }
 
-/* Batched derivatives over K candidates.  p/dp/d2p are (K,c,n,n)
- * (integrated) or (K,S,n,n) with c == 1 (per_site); v may broadcast
- * (vk == 0); sc: (K,S).  partials: (nb,3,K) at partials[(b*3+t)*K+k]. */
-i64 rk_deriv_batch(const double *p, const double *dp, const double *d2p,
-                   const double *pi, const double *cw, const double *pw,
-                   const double *u, i64 uk, i64 us, i64 uc,
-                   const double *v, i64 vk, i64 vs, i64 vc,
-                   const i64 *sc, double lsf, i64 K,
-                   i64 b0, i64 b1, i64 block, i64 S, i64 c, i64 n,
-                   i64 per_site, double *partials)
-{
-    i64 mat = n * n;
-    i64 kstride = (per_site ? S : c) * mat;
-    for (i64 b = b0; b < b1; b++) {
-        i64 lo = b * block;
-        i64 hi = lo + block < S ? lo + block : S;
-        for (i64 k = 0; k < K; k++) {
-            const double *ub = u + k * uk;
-            const double *vb = v + k * vk;
-            const i64 *scb = sc + k * S;
-            const double *pk = p + k * kstride;
-            const double *dpk = dp + k * kstride;
-            const double *d2pk = d2p + k * kstride;
-            double al = 0.0, ad = 0.0, a2 = 0.0;
-            for (i64 s = lo; s < hi; s++) {
-                double lik = 0.0, d1 = 0.0, d2 = 0.0;
-                for (i64 cc = 0; cc < c; cc++) {
-                    i64 base = per_site ? s * mat : cc * mat;
-                    const double *pm = pk + base;
-                    const double *dpm = dpk + base;
-                    const double *d2pm = d2pk + base;
-                    const double *up = ub + s * us + cc * uc;
-                    const double *vp = vb + s * vs + cc * vc;
-                    double f = 0.0, f1 = 0.0, f2 = 0.0;
-                    for (i64 i = 0; i < n; i++) {
-                        double li = up[i] * pi[i];
-                        double t0 = 0.0, t1 = 0.0, t2 = 0.0;
-                        for (i64 j = 0; j < n; j++) {
-                            double vj = vp[j];
-                            t0 += pm[i * n + j] * vj;
-                            t1 += dpm[i * n + j] * vj;
-                            t2 += d2pm[i * n + j] * vj;
-                        }
-                        f += li * t0;
-                        f1 += li * t1;
-                        f2 += li * t2;
-                    }
-                    lik += cw[cc] * f;
-                    d1 += cw[cc] * f1;
-                    d2 += cw[cc] * f2;
-                }
-                if (!(lik > 0.0)) return -(s + 1);
-                double g1 = d1 / lik;
-                al += pw[s] * (log(lik) - (double)scb[s] * lsf);
-                ad += pw[s] * g1;
-                a2 += pw[s] * (d2 / lik - g1 * g1);
-            }
-            partials[(b * 3 + 0) * K + k] = al;
-            partials[(b * 3 + 1) * K + k] = ad;
-            partials[(b * 3 + 2) * K + k] = a2;
-        }
-    }
-    return 0;
-}
 """
 
 #: Base compile flags.  Deliberately *no* -ffast-math: the NaN/Inf
@@ -395,20 +294,10 @@ _SIGNATURES = {
         [_PTR] * 3 + [_PTR, _I64, _I64] + [_PTR, _I64, _I64]
         + [_PTR, _F64] + [_I64] * 6 + [_PTR],
     ),
-    "rk_evaluate_batch": (
-        _I64,
-        [_PTR] * 3 + [_PTR, _I64, _I64, _I64] + [_PTR, _I64, _I64, _I64]
-        + [_PTR, _F64, _I64] + [_I64] * 6 + [_PTR],
-    ),
     "rk_deriv": (
         _I64,
         [_PTR] * 6 + [_PTR, _I64, _I64] + [_PTR, _I64, _I64]
         + [_PTR, _F64] + [_I64] * 7 + [_PTR],
-    ),
-    "rk_deriv_batch": (
-        _I64,
-        [_PTR] * 6 + [_PTR, _I64, _I64, _I64] + [_PTR, _I64, _I64, _I64]
-        + [_PTR, _F64, _I64] + [_I64] * 7 + [_PTR],
     ),
 }
 
@@ -493,7 +382,7 @@ def _as_i64(a: np.ndarray) -> np.ndarray:
 def _strided(a: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """*a* with unit stride on its last axis, plus the element strides
     of every leading axis — zero strides (broadcast axes) pass through
-    untouched, so tip CLVs and broadcast SPR stacks cost nothing."""
+    untouched, so broadcast tip CLVs cost nothing."""
     a = np.asarray(a, dtype=np.float64)
     if a.strides[-1] != a.itemsize:
         a = np.ascontiguousarray(a)
@@ -639,31 +528,6 @@ class CcKernels:
         task.refs = (pi, cw, pw, u, v, sc, partials)
         return task
 
-    def evaluate_batch(self, pi, cat_weights, pattern_weights, u, v,
-                       scale_counts, block, partials):
-        pi = _as_f64(pi)
-        cw = _as_f64(cat_weights)
-        pw = _as_f64(pattern_weights)
-        u, (uk, us, uc) = _strided(u)
-        v, (vk, vs, vc) = _strided(v)
-        sc = _as_i64(scale_counts)
-        k, total = sc.shape
-        c, n = u.shape[2], u.shape[3]
-        fn = self._lib.rk_evaluate_batch
-        args = (pi.ctypes.data, cw.ctypes.data, pw.ctypes.data,
-                u.ctypes.data, uk, us, uc, v.ctypes.data, vk, vs, vc,
-                sc.ctypes.data, kernels.LOG_SCALE_FACTOR, k)
-
-        def task(b0, b1, _args=args):
-            status = fn(*_args, b0, b1, block, total, c, n,
-                        partials.ctypes.data)
-            if status < 0:
-                raise FloatingPointError(
-                    "non-positive site likelihood (underflow?)"
-                )
-        task.refs = (pi, cw, pw, u, v, sc, partials)
-        return task
-
     def derivatives(self, model_terms, pi, cat_weights, pattern_weights,
                     u, v, scale_counts, block, partials, per_site):
         p, dp, d2p = (_as_f64(t) for t in model_terms)
@@ -680,35 +544,6 @@ class CcKernels:
                 pi.ctypes.data, cw.ctypes.data, pw.ctypes.data,
                 u.ctypes.data, us, uc, v.ctypes.data, vs, vc,
                 sc.ctypes.data, kernels.LOG_SCALE_FACTOR)
-
-        def task(b0, b1, _args=args):
-            status = fn(*_args, b0, b1, block, total, c, n, flag,
-                        partials.ctypes.data)
-            if status < 0:
-                raise FloatingPointError(
-                    "non-positive site likelihood in makenewz"
-                )
-        task.refs = (p, dp, d2p, pi, cw, pw, u, v, sc, partials)
-        return task
-
-    def derivatives_batch(self, model_terms, pi, cat_weights,
-                          pattern_weights, u, v, scale_counts, block,
-                          partials, per_site):
-        p, dp, d2p = (_as_f64(t) for t in model_terms)
-        pi = _as_f64(pi)
-        cw = _as_f64(cat_weights)
-        pw = _as_f64(pattern_weights)
-        u, (uk, us, uc) = _strided(u)
-        v, (vk, vs, vc) = _strided(v)
-        sc = _as_i64(scale_counts)
-        k, total = sc.shape
-        c, n = u.shape[2], u.shape[3]
-        fn = self._lib.rk_deriv_batch
-        flag = 1 if per_site else 0
-        args = (p.ctypes.data, dp.ctypes.data, d2p.ctypes.data,
-                pi.ctypes.data, cw.ctypes.data, pw.ctypes.data,
-                u.ctypes.data, uk, us, uc, v.ctypes.data, vk, vs, vc,
-                sc.ctypes.data, kernels.LOG_SCALE_FACTOR, k)
 
         def task(b0, b1, _args=args):
             status = fn(*_args, b0, b1, block, total, c, n, flag,
@@ -822,30 +657,6 @@ def run_self_check(flavor) -> None:
             partials, True,
         )(0, 1)
         _check("derivatives_persite", partials[0], np.asarray(expect))
-
-        k = 2
-        ub = rng.uniform(0.1, 1.0, (k, s_count, c, n))
-        vb = np.broadcast_to(v, ub.shape)
-        scb = rng.integers(0, 3, (k, s_count)).astype(np.int64)
-        expect = kernels.evaluate_loglik_batch(pi, cw, pw, ub, vb, scb)
-        partials = np.empty((1, k))
-        flavor.evaluate_batch(
-            pi, cw, pw, ub, vb, scb, s_count, partials
-        )(0, 1)
-        _check("evaluate_batch", partials[0], expect)
-
-        pb = rng.uniform(0.05, 1.0, (k, c, n, n))
-        dpb = rng.normal(0.0, 0.1, (k, c, n, n))
-        d2pb = rng.normal(0.0, 0.1, (k, c, n, n))
-        expect = kernels.branch_derivatives_batch(
-            (pb, dpb, d2pb), pi, cw, pw, ub, vb, scb
-        )
-        partials = np.empty((1, 3, k))
-        flavor.derivatives_batch(
-            (pb, dpb, d2pb), pi, cw, pw, ub, vb, scb, s_count,
-            partials, False,
-        )(0, 1)
-        _check("derivatives_batch", partials[0], np.asarray(expect))
     except (CompiledKernelsError, MemoryError):
         raise
     except Exception as exc:  # wrap anything unexpected with context

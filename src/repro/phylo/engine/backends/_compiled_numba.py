@@ -138,29 +138,6 @@ def _nb_evaluate(pi, cw, pw, u, v, sc, lsf, b0, b1, block, partials):
 
 
 @njit(**_JIT)
-def _nb_evaluate_batch(pi, cw, pw, u, v, sc, lsf, b0, b1, block, partials):
-    k_count, total = sc.shape
-    c, n = u.shape[2], u.shape[3]
-    for b in range(b0, b1):
-        lo = b * block
-        hi = min(lo + block, total)
-        for k in range(k_count):
-            acc = 0.0
-            for s in range(lo, hi):
-                site = 0.0
-                for cc in range(c):
-                    dot = 0.0
-                    for i in range(n):
-                        dot += u[k, s, cc, i] * v[k, s, cc, i] * pi[i]
-                    site += cw[cc] * dot
-                if not site > 0.0:
-                    return -(s + 1)
-                acc += pw[s] * (np.log(site) - sc[k, s] * lsf)
-            partials[b, k] = acc
-    return 0
-
-
-@njit(**_JIT)
 def _nb_deriv(p, dp, d2p, pi, cw, pw, u, v, sc, lsf,
               b0, b1, block, per_site, partials):
     total, c, n = u.shape[0], u.shape[1], u.shape[2]
@@ -204,55 +181,6 @@ def _nb_deriv(p, dp, d2p, pi, cw, pw, u, v, sc, lsf,
         partials[b, 0] = al
         partials[b, 1] = ad
         partials[b, 2] = a2
-    return 0
-
-
-@njit(**_JIT)
-def _nb_deriv_batch(p, dp, d2p, pi, cw, pw, u, v, sc, lsf,
-                    b0, b1, block, per_site, partials):
-    k_count, total = sc.shape
-    c, n = u.shape[2], u.shape[3]
-    for b in range(b0, b1):
-        lo = b * block
-        hi = min(lo + block, total)
-        for k in range(k_count):
-            al = 0.0
-            ad = 0.0
-            a2 = 0.0
-            for s in range(lo, hi):
-                lik = 0.0
-                d1 = 0.0
-                d2 = 0.0
-                for cc in range(c):
-                    pidx = s if per_site else cc
-                    f = 0.0
-                    f1 = 0.0
-                    f2 = 0.0
-                    for i in range(n):
-                        li = u[k, s, cc, i] * pi[i]
-                        t0 = 0.0
-                        t1 = 0.0
-                        t2 = 0.0
-                        for j in range(n):
-                            vj = v[k, s, cc, j]
-                            t0 += p[k, pidx, i, j] * vj
-                            t1 += dp[k, pidx, i, j] * vj
-                            t2 += d2p[k, pidx, i, j] * vj
-                        f += li * t0
-                        f1 += li * t1
-                        f2 += li * t2
-                    lik += cw[cc] * f
-                    d1 += cw[cc] * f1
-                    d2 += cw[cc] * f2
-                if not lik > 0.0:
-                    return -(s + 1)
-                g1 = d1 / lik
-                al += pw[s] * (np.log(lik) - sc[k, s] * lsf)
-                ad += pw[s] * g1
-                a2 += pw[s] * (d2 / lik - g1 * g1)
-            partials[b, 0, k] = al
-            partials[b, 1, k] = ad
-            partials[b, 2, k] = a2
     return 0
 
 
@@ -363,26 +291,6 @@ class NumbaKernels:
                 )
         return task
 
-    def evaluate_batch(self, pi, cat_weights, pattern_weights, u, v,
-                       scale_counts, block, partials):
-        pi = _as_f64(pi)
-        cw = _as_f64(cat_weights)
-        pw = _as_f64(pattern_weights)
-        u = _dense(u)
-        v = _dense(v)
-        sc = _as_i64(scale_counts)
-        lsf = kernels.LOG_SCALE_FACTOR
-
-        def task(b0, b1):
-            status = _nb_evaluate_batch(
-                pi, cw, pw, u, v, sc, lsf, b0, b1, block, partials
-            )
-            if status < 0:
-                raise FloatingPointError(
-                    "non-positive site likelihood (underflow?)"
-                )
-        return task
-
     def derivatives(self, model_terms, pi, cat_weights, pattern_weights,
                     u, v, scale_counts, block, partials, per_site):
         p, dp, d2p = (_as_f64(t) for t in model_terms)
@@ -397,30 +305,6 @@ class NumbaKernels:
 
         def task(b0, b1):
             status = _nb_deriv(
-                p, dp, d2p, pi, cw, pw, u, v, sc, lsf,
-                b0, b1, block, flag, partials,
-            )
-            if status < 0:
-                raise FloatingPointError(
-                    "non-positive site likelihood in makenewz"
-                )
-        return task
-
-    def derivatives_batch(self, model_terms, pi, cat_weights,
-                          pattern_weights, u, v, scale_counts, block,
-                          partials, per_site):
-        p, dp, d2p = (_as_f64(t) for t in model_terms)
-        pi = _as_f64(pi)
-        cw = _as_f64(cat_weights)
-        pw = _as_f64(pattern_weights)
-        u = _dense(u)
-        v = _dense(v)
-        sc = _as_i64(scale_counts)
-        lsf = kernels.LOG_SCALE_FACTOR
-        flag = bool(per_site)
-
-        def task(b0, b1):
-            status = _nb_deriv_batch(
                 p, dp, d2p, pi, cw, pw, u, v, sc, lsf,
                 b0, b1, block, flag, partials,
             )

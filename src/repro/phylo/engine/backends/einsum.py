@@ -5,17 +5,15 @@ Every method delegates to the corresponding NumPy kernel, adding only
 the per-backend call counter required by the shared instrumentation
 seam.  The kernels on the default hot path — the fused ``newview``,
 the propagations, ``evaluate_loglik`` and the sumtable pair — are
-direct ``np.matmul`` forms; only the three-operand derivative and
-batched kernels still go through ``np.einsum`` (with the module-level,
-lock-guarded contraction-path cache).  The backend keeps its name: it
+direct ``np.matmul`` forms; only the three-operand derivative kernel
+still goes through ``np.einsum`` (with the module-level, lock-guarded
+contraction-path cache).  The backend keeps its name: it
 is the registry's, the environment override's and the golden corpus'.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 from ... import kernels
 from ..protocol import BACKEND_COUNTER_KEYS, KernelBackend, register_backend
@@ -73,13 +71,6 @@ class EinsumBackend(KernelBackend):
             pi, cat_weights, pattern_weights, u_term, v_term, scale_counts
         )
 
-    def evaluate_loglik_batch(self, pi, cat_weights, pattern_weights,
-                              u_terms, v_terms, scale_counts) -> np.ndarray:
-        self.kernel_calls += 1
-        return kernels.evaluate_loglik_batch(
-            pi, cat_weights, pattern_weights, u_terms, v_terms, scale_counts
-        )
-
     # -- makenewz ------------------------------------------------------------
 
     def branch_derivatives(self, model_terms, pi, cat_weights,
@@ -93,29 +84,6 @@ class EinsumBackend(KernelBackend):
         return kernels.branch_derivatives(
             model_terms, pi, cat_weights, pattern_weights, u_clv, v_clv,
             scale_counts,
-        )
-
-    def branch_derivatives_batch(self, model_terms, pi, cat_weights,
-                                 pattern_weights, u_clv, v_clv, scale_counts,
-                                 per_site=False):
-        self.kernel_calls += 1
-        if per_site:
-            return kernels.branch_derivatives_batch_persite(
-                model_terms, pi, pattern_weights, u_clv, v_clv, scale_counts
-            )
-        return kernels.branch_derivatives_batch(
-            model_terms, pi, cat_weights, pattern_weights, u_clv, v_clv,
-            scale_counts,
-        )
-
-    def branch_gradient_full(self, model_terms, pi, cat_weights,
-                             pattern_weights, u_clvs, v_clvs, scale_counts,
-                             per_site=False):
-        """Vectorized full-tree gradient: one fused einsum contraction."""
-        self.kernel_calls += 1
-        return kernels.branch_gradient_full(
-            model_terms, pi, cat_weights, pattern_weights, u_clvs, v_clvs,
-            scale_counts, per_site=per_site,
         )
 
     # -- instrumentation -----------------------------------------------------

@@ -98,7 +98,7 @@ def _pairwise_sum(parts: List):
     The association depends only on ``len(parts)``, so for a fixed
     block count the result is bit-identical however the parts were
     computed (inline, 2 threads, 4 threads).  Works on floats and on
-    numpy arrays (batched reductions)."""
+    numpy arrays (the derivative triple)."""
     while len(parts) > 1:
         parts = [
             parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
@@ -165,20 +165,9 @@ class StripedKernels:
                  ) -> Callable[[int, int], None]:
         raise NotImplementedError
 
-    def evaluate_batch(self, pi, cat_weights, pattern_weights, u, v,
-                       scale_counts, block, partials
-                       ) -> Callable[[int, int], None]:
-        raise NotImplementedError
-
     def derivatives(self, model_terms, pi, cat_weights, pattern_weights,
                     u, v, scale_counts, block, partials, per_site
                     ) -> Callable[[int, int], None]:
-        raise NotImplementedError
-
-    def derivatives_batch(self, model_terms, pi, cat_weights,
-                          pattern_weights, u, v, scale_counts, block,
-                          partials, per_site
-                          ) -> Callable[[int, int], None]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -251,20 +240,6 @@ class EinsumStripedKernels(StripedKernels):
                 )
         return task
 
-    def evaluate_batch(self, pi, cat_weights, pattern_weights, u, v,
-                       scale_counts, block, partials):
-        total = scale_counts.shape[1]
-
-        def task(b0, b1):
-            for b in range(b0, b1):
-                lo = b * block
-                hi = min(lo + block, total)
-                partials[b] = kernels.evaluate_loglik_batch(
-                    pi, cat_weights, pattern_weights[lo:hi],
-                    u[:, lo:hi], v[:, lo:hi], scale_counts[:, lo:hi],
-                )
-        return task
-
     def derivatives(self, model_terms, pi, cat_weights, pattern_weights,
                     u, v, scale_counts, block, partials, per_site):
         p, dp, d2p = model_terms
@@ -285,30 +260,6 @@ class EinsumStripedKernels(StripedKernels):
                         (p, dp, d2p), pi, cat_weights,
                         pattern_weights[lo:hi], u[lo:hi], v[lo:hi],
                         scale_counts[lo:hi],
-                    )
-        return task
-
-    def derivatives_batch(self, model_terms, pi, cat_weights,
-                          pattern_weights, u, v, scale_counts, block,
-                          partials, per_site):
-        p, dp, d2p = model_terms
-        total = scale_counts.shape[1]
-
-        def task(b0, b1):
-            for b in range(b0, b1):
-                lo = b * block
-                hi = min(lo + block, total)
-                if per_site:
-                    partials[b] = kernels.branch_derivatives_batch_persite(
-                        (p[:, lo:hi], dp[:, lo:hi], d2p[:, lo:hi]),
-                        pi, pattern_weights[lo:hi], u[:, lo:hi],
-                        v[:, lo:hi], scale_counts[:, lo:hi],
-                    )
-                else:
-                    partials[b] = kernels.branch_derivatives_batch(
-                        (p, dp, d2p), pi, cat_weights,
-                        pattern_weights[lo:hi], u[:, lo:hi], v[:, lo:hi],
-                        scale_counts[:, lo:hi],
                     )
         return task
 
@@ -499,19 +450,6 @@ class PartitionedBackend(KernelBackend):
         self._run(task, self._block_spans(n_patterns))
         return float(_pairwise_sum(list(partials)))
 
-    def evaluate_loglik_batch(self, pi, cat_weights, pattern_weights,
-                              u_terms, v_terms, scale_counts) -> np.ndarray:
-        self.kernel_calls += 1
-        n_patterns = u_terms.shape[1]
-        n_blocks = self._n_blocks(n_patterns)
-        partials = np.empty((n_blocks, u_terms.shape[0]), dtype=np.float64)
-        task = self._inner.evaluate_batch(
-            pi, cat_weights, pattern_weights, u_terms, v_terms,
-            scale_counts, self.block, partials,
-        )
-        self._run(task, self._block_spans(n_patterns))
-        return _pairwise_sum([partials[b] for b in range(n_blocks)])
-
     # -- makenewz ------------------------------------------------------------
 
     def branch_derivatives(self, model_terms, pi, cat_weights,
@@ -528,41 +466,6 @@ class PartitionedBackend(KernelBackend):
         self._run(task, self._block_spans(n_patterns))
         total = _pairwise_sum([partials[b] for b in range(n_blocks)])
         return float(total[0]), float(total[1]), float(total[2])
-
-    def branch_derivatives_batch(self, model_terms, pi, cat_weights,
-                                 pattern_weights, u_clv, v_clv, scale_counts,
-                                 per_site=False):
-        self.kernel_calls += 1
-        n_patterns = u_clv.shape[1]
-        n_blocks = self._n_blocks(n_patterns)
-        partials = np.empty(
-            (n_blocks, 3, u_clv.shape[0]), dtype=np.float64
-        )
-        task = self._inner.derivatives_batch(
-            model_terms, pi, cat_weights, pattern_weights, u_clv, v_clv,
-            scale_counts, self.block, partials, per_site,
-        )
-        self._run(task, self._block_spans(n_patterns))
-        total = _pairwise_sum([partials[b] for b in range(n_blocks)])
-        return total[0], total[1], total[2]
-
-    def branch_gradient_full(self, model_terms, pi, cat_weights,
-                             pattern_weights, u_clvs, v_clvs, scale_counts,
-                             per_site=False):
-        """Striped full-tree gradient.
-
-        Pattern blocks fan out across the pool; each worker reduces the
-        fused ``K``-branch contraction over its fixed 512-pattern
-        blocks, and the block partials are combined with the same
-        ordered pairwise sum as every other reduction — so the gradient
-        is bit-identical across thread counts, exactly like ``lnL``.
-        (The compiled backend inherits this dispatcher; its inner
-        ``derivatives_batch`` kernels are the nogil njit/cc flavors.)
-        """
-        return self.branch_derivatives_batch(
-            model_terms, pi, cat_weights, pattern_weights, u_clvs, v_clvs,
-            scale_counts, per_site=per_site,
-        )
 
     # -- instrumentation -----------------------------------------------------
 

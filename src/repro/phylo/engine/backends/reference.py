@@ -92,15 +92,6 @@ class ReferenceBackend(KernelBackend):
             for order in (0, 1, 2)
         )
 
-    def transition_derivatives_batch(self, model, rates, branch_lengths
-                                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        stacks = [self.transition_derivatives(model, rates, float(t))
-                  for t in branch_lengths]
-        return tuple(
-            np.asarray([stack[order] for stack in stacks])
-            for order in (0, 1, 2)
-        )
-
     # -- newview -------------------------------------------------------------
 
     @staticmethod
@@ -221,16 +212,6 @@ class ReferenceBackend(KernelBackend):
             )
         return total
 
-    def evaluate_loglik_batch(self, pi, cat_weights, pattern_weights,
-                              u_terms, v_terms, scale_counts) -> np.ndarray:
-        return np.asarray([
-            self.evaluate_loglik(
-                pi, cat_weights, pattern_weights, u_terms[k], v_terms[k],
-                scale_counts[k],
-            )
-            for k in range(len(u_terms))
-        ])
-
     # -- makenewz ------------------------------------------------------------
 
     def branch_derivatives(self, model_terms, pi, cat_weights,
@@ -276,36 +257,6 @@ class ReferenceBackend(KernelBackend):
             dlnl += w * g1
             d2lnl += w * (d2 / lik - g1 * g1)
         return lnl, dlnl, d2lnl
-
-    def branch_derivatives_batch(self, model_terms, pi, cat_weights,
-                                 pattern_weights, u_clv, v_clv, scale_counts,
-                                 per_site=False):
-        p, dp, d2p = model_terms
-        triples = [
-            self.branch_derivatives(
-                (p[k], dp[k], d2p[k]), pi, cat_weights, pattern_weights,
-                u_clv[k], v_clv[k], scale_counts[k], per_site=per_site,
-            )
-            for k in range(len(p))
-        ]
-        return tuple(
-            np.asarray([triple[part] for triple in triples])
-            for part in range(3)
-        )
-
-    def branch_gradient_full(self, model_terms, pi, cat_weights,
-                             pattern_weights, u_clvs, v_clvs, scale_counts,
-                             per_site=False):
-        """Plain-loop oracle for the full-tree gradient.
-
-        One scalar :meth:`branch_derivatives` call per branch — no
-        fused contraction, no shared intermediates — so the vectorized
-        backends have an independent per-branch value to match to 1e-9.
-        """
-        return self.branch_derivatives_batch(
-            model_terms, pi, cat_weights, pattern_weights, u_clvs, v_clvs,
-            scale_counts, per_site=per_site,
-        )
 
     # -- instrumentation -----------------------------------------------------
 

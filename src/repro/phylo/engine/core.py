@@ -18,7 +18,7 @@ RAxML's runtime (76.8 % / 19.16 % / 2.37 % per the paper's gprof profile):
 
 The core holds everything *structural* — CLV cache and arena, quantized
 P-matrix LRU, dirty tracking through the tree's observer protocol,
-post-order traversal, Newton iteration, batched SPR scoring — and routes
+post-order traversal, Newton iteration — and routes
 every numerical kernel through a pluggable
 :class:`~repro.phylo.engine.protocol.KernelBackend` (the reproduction of
 the paper's PPE/SPE offload seam).  Swapping the backend swaps the
@@ -277,11 +277,6 @@ class LikelihoodEngine:
         self.newview_calls = 0
         self.evaluate_calls = 0
         self.makenewz_calls = 0
-        self.spr_batch_calls = 0
-        self.spr_batch_candidates = 0
-        self.gradient_sweeps = 0
-        self.gradient_traversals_saved = 0
-        self.gradient_fallbacks = 0
         #: graceful-degradation state (see the class docstring)
         self._degrade_after = degrade_after
         self._in_guard = False
@@ -543,18 +538,6 @@ class LikelihoodEngine:
             )
         return self._backend.transition_derivatives(
             self.model, self._rates_for_pmat(), length
-        )
-
-    def _transition_derivatives_batch(
-        self, lengths: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched ``(P, dP, d2P)`` stacks, one per candidate length."""
-        if self._backend.uses_pmat_cache:
-            return self.model.transition_derivatives_batch(
-                lengths, self._rates_for_pmat()
-            )
-        return self._backend.transition_derivatives_batch(
-            self.model, self._rates_for_pmat(), lengths
         )
 
     def _pmat(self, branch: Branch) -> np.ndarray:
@@ -989,330 +972,10 @@ class LikelihoodEngine:
         side = self._operand(node, branch)
         return (side, self._zero_scale) if node.is_tip else side
 
-    # -- full-tree branch gradient (two-sweep) --------------------------------
-
-    def branch_gradient_full(
-        self,
-        lengths: Optional[np.ndarray] = None,
-        root: Optional[Node] = None,
-    ) -> Tuple[List[Branch], np.ndarray, np.ndarray, np.ndarray]:
-        """``(lnL, dlnL/dt, d2lnL/dt2)`` for **every** branch at once.
-
-        Two sweeps (Ji et al., "Gradients do grow on trees") materialize
-        all ``3(N-2)`` directional CLVs in O(N) ``newview()`` calls — a
-        postorder sweep for the downward directions and a preorder sweep
-        for the outward ("rootward") ones, both landing in the ordinary
-        CLV arena — after which each branch's derivative is the same
-        bilinear form ``makenewz`` probes one branch at a time.  The
-        whole gradient is then a single fused ``K``-stacked backend
-        contraction (``K = 2N - 3``), instead of ``K`` separate
-        likelihood traversals.
-
-        Rescaling is handled identically to the per-branch path: both
-        side CLVs come out of the same ``_newview`` pipeline, so their
-        scale counts match the serial computation bit for bit, and the
-        per-branch combined count is the exact integer sum ``u_sc +
-        v_sc``.
-
-        Returns ``(branches, lnl, d1, d2)`` where ``branches`` is the
-        tree's branch list (fixing the ``k`` order) and the three
-        ``(K,)`` arrays align with it.  Each ``lnl[k]`` is the same tree
-        likelihood evaluated at branch ``k`` (pulley principle).
-        ``lengths`` (optional, ``(K,)``) evaluates the derivatives at
-        trial lengths without touching the tree; ``root`` (optional,
-        inner node) picks the sweep root — the result is invariant to
-        the choice, which the metamorphic invariants assert.  Guarded.
-        """
-        return self._guarded(
-            "branch_gradient_full",
-            lambda: self._branch_gradient_impl(lengths, root),
-        )
-
-    def _fill_directional_clvs(self, root: Node) -> None:
-        """Materialize every directional CLV with two sweeps from *root*.
-
-        Postorder sweep: children before parents, computing each inner
-        node's *downward* CLV (its subtree away from the branch toward
-        the sweep root).  Preorder sweep (reverse postorder, parents
-        before children): each branch's *outward* CLV — the rest of the
-        tree as seen from the branch's root-facing endpoint — whose
-        dependencies are exactly the parent's other downward CLVs (ready
-        after the first sweep) plus the parent's own outward CLV (ready
-        earlier in this sweep).
-        """
-        order = self.tree.postorder(root)
-        for node, entry in order:
-            if entry is not None and not node.is_tip:
-                self._clv_fill(node, entry)
-        for node, entry in reversed(order):
-            if entry is None:
-                continue
-            parent = entry.other(node)
-            if not parent.is_tip:
-                self._clv_fill(parent, entry)
-
-    def _branch_gradient_impl(
-        self, lengths: Optional[np.ndarray], root: Optional[Node]
-    ) -> Tuple[List[Branch], np.ndarray, np.ndarray, np.ndarray]:
-        branches = self.tree.branches
-        if not branches:
-            raise ValueError("tree has no branches to differentiate")
-        if root is None:
-            root = self.tree.inner_nodes[0]
-        elif root.is_tip:
-            raise ValueError("gradient sweep root must be an inner node")
-        n_branches = len(branches)
-        s, c, n = self.patterns.n_patterns, self._n_cats, self._n_states
-        if lengths is None:
-            ts = np.array([b.length for b in branches], dtype=np.float64)
-        else:
-            ts = np.asarray(lengths, dtype=np.float64)
-            if ts.shape != (n_branches,):
-                raise ValueError(
-                    f"lengths must have shape ({n_branches},), got {ts.shape}"
-                )
-        newviews_before = self.newview_calls
-        context = self._push_context("branch_gradient")
-        try:
-            self._fill_directional_clvs(root)
-            u_stack = np.empty((n_branches, s, c, n), dtype=np.float64)
-            v_stack = np.empty((n_branches, s, c, n), dtype=np.float64)
-            scale_stack = np.empty((n_branches, s), dtype=np.int64)
-            for k, branch in enumerate(branches):
-                u, v = branch.nodes
-                u_clv, u_sc = self._side(u, branch)
-                v_clv, v_sc = self._side(v, branch)
-                u_stack[k] = u_clv
-                v_stack[k] = v_clv
-                np.add(u_sc, v_sc, out=scale_stack[k])
-        finally:
-            self._pop_context(context)
-        lnl, d1, d2 = self._backend.branch_gradient_full(
-            self._transition_derivatives_batch(ts),
-            self.model.pi,
-            self._cat_weights,
-            self.patterns.weights,
-            u_stack,
-            v_stack,
-            scale_stack,
-            per_site=self._site_rates is not None,
-        )
-        if not (
-            np.isfinite(lnl).all()
-            and np.isfinite(d1).all()
-            and np.isfinite(d2).all()
-        ):
-            raise FloatingPointError("non-finite full-tree branch gradient")
-        self.gradient_sweeps += 1
-        # A per-branch smoothing pass would pay one likelihood traversal
-        # per branch; the sweep pays one.
-        self.gradient_traversals_saved += n_branches - 1
-        if self.tracer is not None and hasattr(self.tracer, "record_gradient"):
-            self.tracer.record_gradient(
-                k=n_branches,
-                n_patterns=s,
-                n_cats=self._n_cats,
-                newviews=self.newview_calls - newviews_before,
-            )
-        return branches, lnl, d1, d2
-
-    # -- batched SPR candidate scoring ---------------------------------------
-
-    def score_spr_candidates(
-        self,
-        prune_branch: Branch,
-        keep_side: Node,
-        targets: List[Branch],
-        max_iterations: int = 8,
-        tolerance: float = 1e-8,
-    ) -> Tuple[np.ndarray, np.ndarray, Branch]:
-        """Preview-score every SPR insertion of one pruned subtree at once.
-
-        The serial search applies each of the K candidate moves in turn,
-        Newton-optimizes the junction branches, evaluates, and reverts.
-        This method instead prunes the subtree *once*, builds the
-        junction CLV for every candidate target (two propagations and a
-        combine each, sharing P-matrix-cache entries for the split-target
-        half lengths), then runs a vectorized Newton-Raphson on all K
-        connect-branch lengths simultaneously through the backend's
-        ``branch_derivatives_batch`` — one ``(K, s, c, n)`` tensor
-        contraction per iteration instead of K independent kernel
-        trips.  The tree is restored exactly before returning (same
-        geometry; fresh branch ids, like the serial revert).
-
-        Returns ``(scores, lengths, new_prune_branch)``: per-candidate
-        preview log likelihoods (connect branch optimized, the two target
-        halves fixed at their split lengths), the optimized connect
-        lengths, and the recreated prune branch (``nodes[0]`` is the
-        junction, matching :func:`Tree.regraft_subtree`).
-
-        Guarded: a numerical fault mid-batch restores the tree (same
-        regraft as the normal path) *before* the ladder retries, so a
-        recompute never sees a half-pruned tree.  The retry picks up the
-        recreated prune branch/junction from the restore.
-        """
-        if keep_side.is_tip:
-            raise ValueError("keep_side must be the inner junction node")
-        state = {"prune": prune_branch, "keep": keep_side}
-        return self._guarded(
-            "spr_batch",
-            lambda: self._score_spr_impl(
-                state, targets, max_iterations, tolerance
-            ),
-        )
-
-    def _score_spr_impl(
-        self,
-        state: Dict[str, object],
-        targets: List[Branch],
-        max_iterations: int,
-        tolerance: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Branch]:
-        prune_branch: Branch = state["prune"]
-        keep_side: Node = state["keep"]
-        moved_root = prune_branch.other(keep_side)
-
-        # Snapshot the subtree-side CLV before pruning retires its entry.
-        if moved_root.is_tip:
-            sub_clv = self._tip_clv(moved_root)
-            sub_scale = self._zero_scale
-        else:
-            entry = self.clv(moved_root, prune_branch)
-            sub_clv = entry.clv.copy()
-            sub_scale = entry.scale_counts.copy()
-
-        bx, by = [b for b in keep_side.branches if b is not prune_branch]
-        origin_x, origin_y = bx.other(keep_side), by.other(keep_side)
-        lx, ly, lsub = bx.length, by.length, prune_branch.length
-        target_info = [(t, t.nodes[0], t.nodes[1], t.length) for t in targets]
-
-        self.tree.prune_subtree(prune_branch, keep_side=keep_side)
-
-        def restore() -> Branch:
-            """Regraft the pruned subtree exactly (fresh ids, original
-            geometry).  Shared by the normal path and the fault path so
-            a ladder retry never sees a half-pruned tree."""
-            merged = None
-            for b in origin_x.branches:
-                if b.other(origin_x) is origin_y:
-                    merged = b
-                    break
-            if merged is None:  # pragma: no cover - structural invariant
-                raise RuntimeError(
-                    "pruning did not merge the junction branches"
-                )
-            new_connect = self.tree.regraft_subtree(moved_root, merged, lsub)
-            junction = new_connect.nodes[0]
-            for b in junction.branches:
-                far = b.other(junction)
-                if far is moved_root:
-                    self.tree.set_length(b, lsub)
-                elif far is origin_x:
-                    self.tree.set_length(b, lx)
-                elif far is origin_y:
-                    self.tree.set_length(b, ly)
-            return new_connect
-
-        n_candidates = len(target_info)
-        s, c, n = self.patterns.n_patterns, self._n_cats, self._n_states
-        try:
-            u_stack = np.empty((n_candidates, s, c, n))
-            scale_stack = np.empty((n_candidates, s), dtype=np.int64)
-            context = self._push_context("spr_batch")
-            try:
-                for k, (t, x, y, length) in enumerate(target_info):
-                    half = max(length * 0.5, MIN_BRANCH_LENGTH)
-                    p_half = self._transition_matrices(half)
-                    # The junction CLV: a newview across the half lengths.
-                    self._backend.newview(
-                        self._operand(x, t), p_half,
-                        self._operand(y, t), p_half,
-                        u_stack[k], scale_stack[k],
-                        self._tip_table, self._site_rates is not None,
-                    )
-                    scale_stack[k] += sub_scale
-            finally:
-                self._pop_context(context)
-
-            v_stack = np.broadcast_to(sub_clv, u_stack.shape)
-            pi = self.model.pi
-            weights = self.patterns.weights
-            per_site = self._site_rates is not None
-
-            def derivatives_at(ts: np.ndarray):
-                lnl, d1, d2 = self._backend.branch_derivatives_batch(
-                    self._transition_derivatives_batch(ts),
-                    pi, self._cat_weights, weights, u_stack, v_stack,
-                    scale_stack, per_site=per_site,
-                )
-                if not (
-                    np.isfinite(lnl).all()
-                    and np.isfinite(d1).all()
-                    and np.isfinite(d2).all()
-                ):
-                    raise FloatingPointError(
-                        "non-finite batched branch derivatives"
-                    )
-                return lnl, d1, d2
-
-            # Vectorized Newton-Raphson mirroring makenewz's updates.
-            start = min(max(lsub, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-            ts = np.full(n_candidates, start)
-            best_ts = ts.copy()
-            best_lnl = np.full(n_candidates, -np.inf)
-            active = np.ones(n_candidates, dtype=bool)
-            iterations = 0
-            for iterations in range(1, max_iterations + 1):
-                lnl, d1, d2 = derivatives_at(ts)
-                better = lnl > best_lnl
-                best_lnl = np.where(better, lnl, best_lnl)
-                best_ts = np.where(better, ts, best_ts)
-                small_d1 = np.abs(d1) < tolerance
-                newton = d2 < 0.0
-                new_t = np.where(
-                    newton,
-                    ts - d1 / np.where(newton, d2, 1.0),
-                    np.where(d1 > 0.0, ts * 2.0, ts * 0.5),
-                )
-                np.clip(
-                    new_t, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, out=new_t
-                )
-                small_step = np.abs(new_t - ts) < tolerance
-                move = active & ~small_d1
-                ts = np.where(move, new_t, ts)
-                active &= ~(small_d1 | small_step)
-                if not active.any():
-                    break
-            # Score the final point too (a step may end the loop).
-            lnl, _, _ = derivatives_at(ts)
-            better = lnl > best_lnl
-            best_lnl = np.where(better, lnl, best_lnl)
-            best_ts = np.where(better, ts, best_ts)
-        except BaseException:
-            # Restore before the degradation ladder retries, and hand
-            # it the recreated prune branch/junction to retry with.
-            new_connect = restore()
-            state["prune"] = new_connect
-            state["keep"] = new_connect.nodes[0]
-            raise
-
-        new_connect = restore()
-
-        self.spr_batch_calls += 1
-        self.spr_batch_candidates += n_candidates
-        if self.tracer is not None and hasattr(self.tracer, "record_spr_batch"):
-            self.tracer.record_spr_batch(
-                k=n_candidates,
-                n_patterns=s,
-                n_cats=self._n_cats,
-                iterations=iterations,
-            )
-        return best_lnl, best_ts, new_connect
-
     # -- diagnostics ----------------------------------------------------------
 
     def perf_counters(self) -> Dict[str, int]:
-        """Hot-path performance counters (cache, arena, backend, batching).
+        """Hot-path performance counters (cache, arena, backend).
 
         Exposed to tracers through ``add_counter_source`` so workload
         traces carry the engine-efficiency numbers alongside the kernel
@@ -1324,11 +987,6 @@ class LikelihoodEngine:
             "newview_calls": self.newview_calls,
             "evaluate_calls": self.evaluate_calls,
             "makenewz_calls": self.makenewz_calls,
-            "spr_batch_calls": self.spr_batch_calls,
-            "spr_batch_candidates": self.spr_batch_candidates,
-            "gradient_sweeps": self.gradient_sweeps,
-            "gradient_traversals_saved": self.gradient_traversals_saved,
-            "gradient_fallbacks": self.gradient_fallbacks,
             "clv_cache_entries": len(self._clv_cache),
             "numerical_faults": self.numerical_faults,
             "fault_recoveries": self.fault_recoveries,
@@ -1339,41 +997,15 @@ class LikelihoodEngine:
         counters.update(self._backend.perf_counters())
         return counters
 
-    #: global Newton steps allotted per requested smoothing pass in
-    #: gradient mode.  One per-branch pass performs up to 32 Newton
-    #: updates *per branch*; a global step updates every branch at once,
-    #: so a handful of steps per pass lets the two modes converge to the
-    #: same optimum under the same pass budget.
-    GRADIENT_STEPS_PER_PASS = 8
-
     def optimize_all_branches(
-        self, passes: int = 3, tolerance: float = 1e-6,
-        mode: str = "newton",
+        self, passes: int = 3, tolerance: float = 1e-6
     ) -> float:
-        """Smooth every branch length (RAxML 'smoothings').
+        """Smooth every branch length (RAxML 'smoothings'): one
+        per-branch :meth:`makenewz` per branch per pass.
 
-        ``mode="newton"`` (the default) is the classic round robin: one
-        per-branch :meth:`makenewz` Newton optimization per branch per
-        pass, each paying its own likelihood traversal.
-        ``mode="gradient"`` replaces the round robin with simultaneous
-        Newton steps from :meth:`branch_gradient_full`: one two-sweep
-        evaluation yields derivatives for all ``2N-3`` branches and
-        every branch steps at once (Jacobi style, with ``makenewz``'s
-        safeguards applied element-wise).  A global step that *loses*
-        likelihood reverts its lengths and falls back to the per-branch
-        round robin (counted in ``gradient_fallbacks``), so gradient
-        mode never finishes worse than a Newton pass would.
-
-        Stops early when a pass (or global step) improves the likelihood
-        by less than *tolerance*.  Returns the final log likelihood.
+        Stops early when a pass improves the likelihood by less than
+        *tolerance*.  Returns the final log likelihood.
         """
-        if mode == "gradient":
-            return self._smooth_gradient(passes, tolerance)
-        if mode != "newton":
-            raise ValueError(f"unknown smoothing mode: {mode!r}")
-        return self._smooth_newton(passes, tolerance)
-
-    def _smooth_newton(self, passes: int, tolerance: float) -> float:
         last = -np.inf
         lnl = last
         for _ in range(passes):
@@ -1383,100 +1015,6 @@ class LikelihoodEngine:
                 break
             last = lnl
         return lnl
-
-    def _smooth_gradient(self, passes: int, tolerance: float) -> float:
-        # Phase 1 — bulk smoothing: simultaneous Newton steps from the
-        # full-tree gradient (one two-sweep traversal per step, instead
-        # of one traversal per branch).
-        max_steps = max(1, passes) * self.GRADIENT_STEPS_PER_PASS
-        # The gradient phase owns the bulk descent, not the endgame:
-        # once a whole simultaneous step gains less than this, the
-        # per-branch polish below finishes cheaper (coupled branches —
-        # e.g. the flat valley around a zero-length internal branch —
-        # make Jacobi steps crawl where the round robin just stops).
-        stall_tol = max(tolerance, 1e-4)
-        last = -np.inf
-        prev_ts: Optional[np.ndarray] = None
-        just_damped = False
-        for step in range(max_steps):
-            branches, g_lnl, d1, d2 = self.branch_gradient_full()
-            lnl = float(g_lnl[0])
-            if prev_ts is not None and lnl < last - 1e-9:
-                # Safeguard tripped: the simultaneous step lost
-                # likelihood (branch-update interactions).  Damp the
-                # step toward the previous lengths; if even heavily
-                # damped steps lose, abandon the gradient phase and let
-                # the per-branch polish below take over.
-                accepted, lnl = self._backtrack_gradient_step(
-                    branches, prev_ts, last, stall_tol
-                )
-                if not accepted:
-                    self.gradient_fallbacks += 1
-                    break
-                last = lnl
-                prev_ts = None  # damped point accepted as the new base
-                just_damped = True
-                continue
-            # A sweep right after an accepted damped step re-measures
-            # the damped point itself (gain ~0 by construction), so the
-            # step-gain convergence check is meaningless there once.
-            if not just_damped and lnl - last < stall_tol:
-                break
-            just_damped = False
-            last = lnl
-            ts = np.array([b.length for b in branches], dtype=np.float64)
-            # Element-wise makenewz safeguards: Newton where locally
-            # concave, uphill doubling/halving otherwise, converged
-            # branches frozen, all steps clamped to the length bounds.
-            concave = d2 < 0.0
-            newton = ts - d1 / np.where(concave, d2, 1.0)
-            uphill = np.where(d1 > 0.0, ts * 2.0, ts * 0.5)
-            new_ts = np.where(concave, newton, uphill)
-            new_ts = np.where(np.abs(d1) < 1e-8, ts, new_ts)
-            np.clip(new_ts, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, out=new_ts)
-            if np.max(np.abs(new_ts - ts)) < 1e-8:
-                break
-            prev_ts = ts
-            for branch, t in zip(branches, new_ts):
-                self.tree.set_length(branch, float(t))
-        # Phase 2 — per-branch polish: finish with the classic round
-        # robin so gradient mode terminates at the *same* fixed point as
-        # newton mode (a per-branch pass gaining less than *tolerance*).
-        # When phase 1 converged this is nearly free: unchanged lengths
-        # trigger no CLV invalidations, so each makenewz stops at its
-        # first |d1| check against warm caches.
-        return self._smooth_newton(passes, tolerance)
-
-    def _backtrack_gradient_step(
-        self,
-        branches: List[Branch],
-        base_ts: np.ndarray,
-        target_lnl: float,
-        tolerance: float,
-    ) -> Tuple[bool, float]:
-        """Halve an overshooting simultaneous step until it improves.
-
-        The tree currently holds the overshot lengths; *base_ts* holds
-        the pre-step ones.  Each halving costs one :meth:`evaluate`
-        traversal (not a full gradient sweep).  A damped step is only
-        accepted when it gains at least *tolerance* — a marginal gain
-        would trip the caller's convergence check and end the smoothing
-        at a point per-branch Newton would still improve.  On failure
-        the tree is restored to *base_ts* and the caller falls back to
-        per-branch ``makenewz``.
-        """
-        applied_ts = np.array([b.length for b in branches], dtype=np.float64)
-        for attempt in range(1, 5):
-            trial = base_ts + (applied_ts - base_ts) * 0.5**attempt
-            np.clip(trial, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, out=trial)
-            for branch, t in zip(branches, trial):
-                self.tree.set_length(branch, float(t))
-            lnl = self.evaluate()
-            if lnl >= target_lnl + tolerance:
-                return True, lnl
-        for branch, t in zip(branches, base_ts):
-            self.tree.set_length(branch, float(t))
-        return False, target_lnl
 
 
 def estimate_site_rates(

@@ -8,7 +8,7 @@ seam in the reproduction: everything numerical that the likelihood
 engine does per site pattern flows through one of its methods, and the
 engine core (:mod:`repro.phylo.engine.core`) holds everything else —
 CLV cache and arena, P-matrix LRU, dirty tracking, traversal order,
-Newton iteration, SPR batching.  The ``makenewz`` sumtable is
+Newton iteration.  The ``makenewz`` sumtable is
 implemented on the protocol itself, so every backend shares it (the
 per-iteration probe on it is the engine's prepared
 :class:`~repro.phylo.kernels.SumtableProbe`), and so is ``newview`` —
@@ -108,13 +108,13 @@ class KernelBackend:
     """Abstract numerical backend behind :class:`LikelihoodEngine`.
 
     Array-shape conventions (``s`` patterns, ``c`` rate categories,
-    ``n`` states, ``K`` stacked branch candidates):
+    ``n`` states):
 
-    * CLVs and propagated terms: ``(s, c, n)`` (batched: ``(K, s, c, n)``).
+    * CLVs and propagated terms: ``(s, c, n)``.
     * Integrated-mode transition matrices: ``(c, n, n)``; CAT
       (``per_site=True``) matrices: ``(s, n, n)`` — one per pattern,
       with the CLV keeping a singleton category axis.
-    * Scale counts: ``(s,)`` ``int64`` (batched: ``(K, s)``).
+    * Scale counts: ``(s,)`` ``int64``.
 
     Implementations must be *deterministic*: two calls on the same
     inputs return bit-identical results (the partitioned backend fixes
@@ -260,28 +260,15 @@ class KernelBackend:
         """Weighted log likelihood at a branch."""
         raise NotImplementedError
 
-    def evaluate_loglik_batch(
-        self,
-        pi: np.ndarray,
-        cat_weights: np.ndarray,
-        pattern_weights: np.ndarray,
-        u_terms: np.ndarray,
-        v_terms: np.ndarray,
-        scale_counts: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`evaluate_loglik` over ``K`` stacked branch candidates."""
-        raise NotImplementedError
-
     # -- makenewz kernels ----------------------------------------------------
     #
     # The Newton loop runs on the sumtable — protocol-level, one small
     # dense GEMM per branch that every backend inherits unmodified — and
     # on the engine's prepared probe over it, which counts one
-    # ``kernel_calls`` per evaluation.  The ``(P, dP, d2P)`` kernels
-    # after it serve the one-shot derivative probe, the batched SPR
-    # Newton and the full-tree gradient — and the whole Newton loop of a
-    # backend that owns its projection (``uses_pmat_cache = False``, the
-    # oracle).
+    # ``kernel_calls`` per evaluation.  The ``(P, dP, d2P)`` kernel after
+    # it serves the one-shot derivative probe and the whole Newton loop
+    # of a backend that owns its projection (``uses_pmat_cache = False``,
+    # the oracle).
 
     def branch_sumtable(
         self,
@@ -321,48 +308,6 @@ class KernelBackend:
         explicit ``(P, dP/dt, d2P/dt2)`` stack."""
         raise NotImplementedError
 
-    def branch_derivatives_batch(
-        self,
-        model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        pi: np.ndarray,
-        cat_weights: np.ndarray,
-        pattern_weights: np.ndarray,
-        u_clv: np.ndarray,
-        v_clv: np.ndarray,
-        scale_counts: np.ndarray,
-        per_site: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`branch_derivatives` over ``K`` stacked candidates."""
-        raise NotImplementedError
-
-    def branch_gradient_full(
-        self,
-        model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        pi: np.ndarray,
-        cat_weights: np.ndarray,
-        pattern_weights: np.ndarray,
-        u_clvs: np.ndarray,
-        v_clvs: np.ndarray,
-        scale_counts: np.ndarray,
-        per_site: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused full-tree gradient contraction over ``K = 2N - 3`` branches.
-
-        Same operand layout as :meth:`branch_derivatives_batch` — the
-        engine stacks one ``(u_clv, v_clv, scale_counts)`` triple per
-        branch (directional CLVs from its two-sweep traversal) and one
-        transition stack per branch length — but semantically this is
-        the *whole-tree* gradient, not an SPR candidate batch: entry
-        ``k`` of each returned ``(K,)`` array is ``(lnL, dlnL/dt,
-        d2lnL/dt2)`` for branch ``k``.  The default delegates to
-        :meth:`branch_derivatives_batch`, which is numerically exact
-        (both are ``K`` independent bilinear forms); backends override
-        it to count the sweep distinctly or to fuse it differently.
-        """
-        return self.branch_derivatives_batch(
-            model_terms, pi, cat_weights, pattern_weights,
-            u_clvs, v_clvs, scale_counts, per_site=per_site)
-
     # -- transition-matrix seam (only when uses_pmat_cache is False) ---------
 
     def transition_matrices(self, model, rates: np.ndarray,
@@ -374,12 +319,6 @@ class KernelBackend:
         self, model, rates: np.ndarray, branch_length: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backend-owned ``(P, dP/dt, d2P/dt2)`` projection."""
-        raise NotImplementedError
-
-    def transition_derivatives_batch(
-        self, model, rates: np.ndarray, branch_lengths: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backend-owned batched ``(P, dP, d2P)`` stacks (``K`` lengths)."""
         raise NotImplementedError
 
     # -- instrumentation -----------------------------------------------------

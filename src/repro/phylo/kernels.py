@@ -23,9 +23,8 @@ These functions are the compute bodies of RAxML's three hot functions:
   its first two branch-length derivatives, on a probe prepared once per
   model (:func:`sumtable_derivatives` is its one-shot form).
 * :func:`branch_derivatives` — the same three numbers from explicit
-  ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe, the
-  batched SPR/gradient contractions, and what the sumtable path is
-  differentially checked against.
+  ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe and
+  what the sumtable path is differentially checked against.
 
 Every vectorized kernel has a ``*_reference`` twin written as plain
 Python loops.  The references are orders of magnitude slower and exist
@@ -56,16 +55,12 @@ __all__ = [
     "add_scale_counts",
     "newview",
     "evaluate_loglik",
-    "evaluate_loglik_batch",
     "branch_sumtable",
     "finite_derivatives",
     "SumtableProbe",
     "sumtable_derivatives",
     "branch_derivatives",
-    "branch_derivatives_batch",
     "branch_derivatives_persite",
-    "branch_derivatives_batch_persite",
-    "branch_gradient_full",
     "newview_combine_reference",
     "evaluate_loglik_reference",
 ]
@@ -83,8 +78,8 @@ __all__ = [
 # the default hot path (propagation, ``newview``, ``evaluate_loglik``,
 # the sumtable pair) therefore spell out the ``np.matmul`` that einsum
 # would have dispatched to — same BLAS call, same bits — and only the
-# three-operand derivative and batched kernels, off that path, still
-# come through here.
+# three-operand derivative kernels, off that path, still come through
+# here.
 #
 # The cache is shared by every engine in the process — including the
 # ``partitioned`` backend's stripe workers, which call these kernels
@@ -330,29 +325,6 @@ def evaluate_loglik(
     return float(pattern_weights @ logs)
 
 
-def evaluate_loglik_batch(
-    pi: np.ndarray,
-    cat_weights: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_terms: np.ndarray,
-    v_terms: np.ndarray,
-    scale_counts: np.ndarray,
-) -> np.ndarray:
-    """:func:`evaluate_loglik` over ``K`` stacked branch candidates.
-
-    ``u_terms``/``v_terms`` have shape ``(K, s, c, n)`` and
-    ``scale_counts`` ``(K, s)``; one fused contraction scores every
-    candidate.  Returns the ``(K,)`` log likelihoods — equal (to
-    round-off) to calling :func:`evaluate_loglik` per candidate.
-    """
-    per_cat = _einsum("ksci,ksci,i->ksc", u_terms, v_terms, pi)
-    site_lik = per_cat @ cat_weights  # (K, s)
-    if (site_lik <= 0).any():
-        raise FloatingPointError("non-positive site likelihood (underflow?)")
-    logs = np.log(site_lik) - scale_counts * LOG_SCALE_FACTOR
-    return logs @ pattern_weights
-
-
 def _project_side(side: np.ndarray, basis_t: np.ndarray,
                   code_table: Optional[np.ndarray],
                   out: np.ndarray) -> None:
@@ -588,41 +560,6 @@ def branch_derivatives(
     return lnl, dlnl, d2lnl
 
 
-def branch_derivatives_batch(
-    model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    pi: np.ndarray,
-    cat_weights: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_clv: np.ndarray,
-    v_clv: np.ndarray,
-    scale_counts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`branch_derivatives` over ``K`` stacked branch candidates.
-
-    ``model_terms`` matrices have shape ``(K, n_cats, n, n)`` (one
-    transition stack per candidate length); ``u_clv``/``v_clv`` are
-    ``(K, s, c, n)`` and ``scale_counts`` is ``(K, s)``.  Returns three
-    ``(K,)`` arrays ``(lnL, d lnL/dt, d2 lnL/dt2)`` equal (to round-off)
-    to ``K`` serial :func:`branch_derivatives` calls — the fused
-    multi-candidate contraction of the batched SPR scorer.
-    """
-    p, dp, d2p = model_terms
-    left = u_clv * pi[None, None, None, :]
-    f = _einsum("ksci,kcij,kscj->ksc", left, p, v_clv)
-    f1 = _einsum("ksci,kcij,kscj->ksc", left, dp, v_clv)
-    f2 = _einsum("ksci,kcij,kscj->ksc", left, d2p, v_clv)
-    lik = f @ cat_weights  # (K, s)
-    d1 = f1 @ cat_weights
-    d2 = f2 @ cat_weights
-    if (lik <= 0).any():
-        raise FloatingPointError("non-positive site likelihood in makenewz")
-    g1 = d1 / lik
-    lnl = (np.log(lik) - scale_counts * LOG_SCALE_FACTOR) @ pattern_weights
-    dlnl = g1 @ pattern_weights
-    d2lnl = (d2 / lik - g1 * g1) @ pattern_weights
-    return lnl, dlnl, d2lnl
-
-
 def branch_derivatives_persite(
     model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
     pi: np.ndarray,
@@ -649,69 +586,6 @@ def branch_derivatives_persite(
     dlnl = float(pattern_weights @ g1)
     d2lnl = float(pattern_weights @ (d2 / lik - g1 * g1))
     return lnl, dlnl, d2lnl
-
-
-def branch_derivatives_batch_persite(
-    model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    pi: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_clv: np.ndarray,
-    v_clv: np.ndarray,
-    scale_counts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CAT-mode :func:`branch_derivatives_batch`.
-
-    ``model_terms`` matrices have shape ``(K, n_patterns, n, n)``;
-    ``u_clv``/``v_clv`` keep the singleton category axis
-    ``(K, s, 1, n)`` and ``scale_counts`` is ``(K, s)``.
-    """
-    p, dp, d2p = model_terms
-    left = u_clv[:, :, 0, :] * pi[None, None, :]
-    v = v_clv[:, :, 0, :]
-    lik = _einsum("ksi,ksij,ksj->ks", left, p, v)
-    d1 = _einsum("ksi,ksij,ksj->ks", left, dp, v)
-    d2 = _einsum("ksi,ksij,ksj->ks", left, d2p, v)
-    if (lik <= 0).any():
-        raise FloatingPointError("non-positive site likelihood in makenewz")
-    g1 = d1 / lik
-    lnl = (np.log(lik) - scale_counts * LOG_SCALE_FACTOR) @ pattern_weights
-    dlnl = g1 @ pattern_weights
-    d2lnl = (d2 / lik - g1 * g1) @ pattern_weights
-    return lnl, dlnl, d2lnl
-
-
-def branch_gradient_full(
-    model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    pi: np.ndarray,
-    cat_weights: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_clvs: np.ndarray,
-    v_clvs: np.ndarray,
-    scale_counts: np.ndarray,
-    per_site: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused full-tree branch gradient: one contraction for all branches.
-
-    The two-sweep scheme (Ji et al., "Gradients do grow on trees")
-    reduces every branch's derivative to the same bilinear form as
-    :func:`branch_derivatives` — a CLV on each side of the branch plus
-    the transition stack ``(P, dP, d2P)`` at its length.  Once the
-    directional CLVs exist for every branch direction, the whole
-    gradient is one ``K``-stacked contraction where ``K = 2N - 3``;
-    this function is that contraction.  Inputs follow
-    :func:`branch_derivatives_batch` (`(K, s, c, n)` CLVs, ``(K, s)``
-    scale counts, ``(K, c, n, n)`` — or ``(K, s, n, n)`` per-site —
-    model stacks); returns three ``(K,)`` arrays
-    ``(lnL, d lnL/dt, d2 lnL/dt2)``, one entry per branch.  Each
-    ``lnL[k]`` is the *same* tree likelihood evaluated at branch ``k``
-    (the pulley principle), which the verification layer exploits.
-    """
-    if per_site:
-        return branch_derivatives_batch_persite(
-            model_terms, pi, pattern_weights, u_clvs, v_clvs, scale_counts)
-    return branch_derivatives_batch(
-        model_terms, pi, cat_weights, pattern_weights,
-        u_clvs, v_clvs, scale_counts)
 
 
 # -- reference (scalar) implementations --------------------------------------

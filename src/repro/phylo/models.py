@@ -198,47 +198,6 @@ class SubstitutionModel:
         d2p = np.einsum("ik,ck,kj->cij", self._right, lam * lam * e, self._left)
         return p, dp, d2p
 
-    def transition_matrices_batch(self, branch_lengths, rates) -> np.ndarray:
-        """:meth:`transition_matrices` for ``K`` branch lengths at once.
-
-        Returns ``(K, n_categories, n, n)`` — one eigenbasis projection
-        covers every candidate, which is how the batched SPR scorer
-        builds its per-candidate transition stacks in one BLAS call.
-        """
-        ts = np.asarray(branch_lengths, dtype=np.float64)
-        if (ts < 0).any():
-            raise ValueError("branch lengths must be non-negative")
-        rates = np.asarray(rates, dtype=np.float64)
-        exponent = np.exp(
-            self._eigenvalues[None, None, :]
-            * rates[None, :, None]
-            * ts[:, None, None]
-        )  # (K, cats, n)
-        return np.einsum("ik,qck,kj->qcij", self._right, exponent, self._left)
-
-    def transition_derivatives_batch(
-        self, branch_lengths, rates
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`transition_derivatives` for ``K`` branch lengths at once.
-
-        Returns three ``(K, n_categories, n, n)`` stacks sharing one
-        eigenbasis evaluation; feeds the vectorized Newton-Raphson of
-        the batched SPR scorer.
-        """
-        ts = np.asarray(branch_lengths, dtype=np.float64)
-        if (ts < 0).any():
-            raise ValueError("branch lengths must be non-negative")
-        rates = np.asarray(rates, dtype=np.float64)
-        lam = self._eigenvalues[None, :] * rates[:, None]  # (cats, n)
-        e = np.exp(lam[None, :, :] * ts[:, None, None])  # (K, cats, n)
-        lam_e = lam[None, :, :] * e
-        p = np.einsum("ik,qck,kj->qcij", self._right, e, self._left)
-        dp = np.einsum("ik,qck,kj->qcij", self._right, lam_e, self._left)
-        d2p = np.einsum(
-            "ik,qck,kj->qcij", self._right, lam[None, :, :] * lam_e, self._left
-        )
-        return p, dp, d2p
-
     def with_frequencies(self, frequencies) -> "SubstitutionModel":
         """The same exchangeabilities with different frequencies."""
         return SubstitutionModel(

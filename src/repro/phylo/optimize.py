@@ -173,19 +173,14 @@ def optimize_model(
     branch_passes: int = 2,
     max_rounds: int = 5,
     tolerance: float = 0.01,
-    gradient_smoothing: bool = False,
 ) -> ModelOptimizationResult:
     """RAxML's alternating optimization: branches / alpha / GTR rates.
 
     Each round smooths all branch lengths, re-fits alpha (if the rate
     model is Gamma) and re-fits the exchangeabilities; rounds repeat
     until the likelihood gain drops below *tolerance*.
-    ``gradient_smoothing`` routes the branch-smoothing steps through the
-    one-pass full-tree gradient (``mode="gradient"``) instead of the
-    per-branch Newton sweeps.
     """
-    mode = "gradient" if gradient_smoothing else "newton"
-    best = engine.optimize_all_branches(passes=branch_passes, mode=mode)
+    best = engine.optimize_all_branches(passes=branch_passes)
     alpha: Optional[float] = None
     rounds = 0
     for rounds in range(1, max_rounds + 1):
@@ -196,7 +191,7 @@ def optimize_model(
             alpha, best = optimize_alpha(engine, alpha or 1.0)
         if optimize_rates:
             _, best = optimize_exchangeabilities(engine)
-        best = engine.optimize_all_branches(passes=branch_passes, mode=mode)
+        best = engine.optimize_all_branches(passes=branch_passes)
         if best - before < tolerance:
             break
     return ModelOptimizationResult(

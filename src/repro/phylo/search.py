@@ -53,33 +53,10 @@ class SearchConfig:
     #: (nearest-neighbour interchanges only — the cheaper move set of
     #: PHYML-style searches; radius fields are ignored).
     move_set: str = "spr"
-    #: Score each SPR neighborhood with one fused multi-candidate
-    #: contraction (:meth:`LikelihoodEngine.score_spr_candidates`)
-    #: instead of K apply/score/revert cycles.  Candidates whose preview
-    #: score beats the bar are then re-scored with the full three-branch
-    #: optimization before acceptance, so committed moves are judged by
-    #: the same criterion as the serial path.  The preview is a lower
-    #: bound (only the connect branch is optimized), so the batched
-    #: search visits a slightly different trajectory; it is therefore
-    #: opt-in, and the default keeps the paper-faithful serial kernel
-    #: mix that the Cell-simulation traces replay.
-    batch_spr: bool = False
-    #: Smooth branch lengths with the one-pass full-tree gradient
-    #: (:meth:`LikelihoodEngine.branch_gradient_full`): simultaneous
-    #: Newton steps on every branch from two traversals per iteration,
-    #: finished by the per-branch Newton polish so both modes terminate
-    #: at the same fixed point.  Opt-in; the default keeps the
-    #: paper-faithful per-branch ``makenewz`` sweeps.
-    gradient_smoothing: bool = False
 
     def __post_init__(self) -> None:
         if self.move_set not in ("spr", "nni"):
             raise ValueError("move_set must be 'spr' or 'nni'")
-
-    @property
-    def smoothing_mode(self) -> str:
-        """The ``optimize_all_branches`` mode the flag selects."""
-        return "gradient" if self.gradient_smoothing else "newton"
 
 
 @dataclass
@@ -274,9 +251,7 @@ def _hill_climb_nni(
 ) -> SearchResult:
     """Hill climbing over nearest-neighbour interchanges only."""
     tree = engine.tree
-    best = engine.optimize_all_branches(
-        passes=config.smoothing_passes, mode=config.smoothing_mode
-    )
+    best = engine.optimize_all_branches(passes=config.smoothing_passes)
     rounds = 0
     accepted = 0
     evaluated = 0
@@ -318,14 +293,10 @@ def _hill_climb_nni(
                     improved = True
                     break  # keep; try the next candidate branch
                 _revert_nni(tree, record)
-        best = engine.optimize_all_branches(
-        passes=config.smoothing_passes, mode=config.smoothing_mode
-    )
+        best = engine.optimize_all_branches(passes=config.smoothing_passes)
         if not improved:
             break
-    best = engine.optimize_all_branches(
-        passes=config.final_smoothing_passes, mode=config.smoothing_mode
-    )
+    best = engine.optimize_all_branches(passes=config.final_smoothing_passes)
     return SearchResult(
         log_likelihood=best,
         newick=tree.to_newick(),
@@ -367,9 +338,7 @@ def hill_climb(
         return _hill_climb_nni(engine, config, rng, cancel=cancel)
     tree = engine.tree
 
-    best = engine.optimize_all_branches(
-        passes=config.smoothing_passes, mode=config.smoothing_mode
-    )
+    best = engine.optimize_all_branches(passes=config.smoothing_passes)
     radius = config.initial_radius
     rounds = 0
     accepted = 0
@@ -401,43 +370,6 @@ def hill_climb(
                 if keep_side.is_tip:
                     continue
                 targets = spr_neighborhood(tree, prune_branch, keep_side, radius)
-                if config.batch_spr and len(targets) > 1:
-                    # Fused preview of the whole neighborhood: one
-                    # batched contraction ranks the K insertions, then
-                    # only promising ones get the full (serial-identical)
-                    # apply/optimize/evaluate treatment.
-                    scores, _, prune_branch = engine.score_spr_candidates(
-                        prune_branch,
-                        keep_side,
-                        targets,
-                        max_iterations=config.local_branch_iterations,
-                    )
-                    keep_side = prune_branch.nodes[0]
-                    evaluated += len(targets)
-                    for idx in np.argsort(-scores, kind="stable"):
-                        if scores[idx] <= best + config.epsilon:
-                            break  # ranked: the rest preview even lower
-                        target = targets[idx]
-                        if target.retired:
-                            continue
-                        move = _apply_spr(tree, prune_branch, keep_side, target)
-                        for local in list(move.junction.branches):
-                            engine.makenewz(
-                                local,
-                                max_iterations=config.local_branch_iterations,
-                            )
-                        lnl = engine.evaluate(move.connect_branch)
-                        if lnl > best + config.epsilon:
-                            best = lnl
-                            accepted += 1
-                            improved_this_round = True
-                            accepted_here = True
-                            break
-                        prune_branch = _revert_spr(tree, move)
-                        keep_side = prune_branch.nodes[0]
-                    if accepted_here:
-                        break  # prune branch retired by the commit
-                    continue
                 for target in targets:
                     if target.retired:
                         continue  # consumed by the previous try's revert
@@ -464,18 +396,14 @@ def hill_climb(
                 if accepted_here:
                     break  # this prune branch was retired by the commit
 
-        best = engine.optimize_all_branches(
-        passes=config.smoothing_passes, mode=config.smoothing_mode
-    )
+        best = engine.optimize_all_branches(passes=config.smoothing_passes)
         if not improved_this_round:
             if radius < config.max_radius:
                 radius = config.max_radius
             else:
                 break
 
-    best = engine.optimize_all_branches(
-        passes=config.final_smoothing_passes, mode=config.smoothing_mode
-    )
+    best = engine.optimize_all_branches(passes=config.final_smoothing_passes)
     return SearchResult(
         log_likelihood=best,
         newick=tree.to_newick(),

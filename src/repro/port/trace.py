@@ -31,14 +31,13 @@ NESTED_TOP = "top"
 class KernelEvent:
     """One recorded kernel invocation."""
 
-    kernel: str  # "newview" | "makenewz" | "evaluate" | "spr_batch" | "gradient"
+    kernel: str  # "newview" | "makenewz" | "evaluate"
     n_patterns: int
     n_cats: int
     case: str = ""  # newview only: one of NewviewCase
-    iterations: int = 0  # makenewz/spr_batch: Newton iterations
+    iterations: int = 0  # makenewz only: Newton iterations
     scaled: int = 0  # newview only: patterns rescaled
     context: str = NESTED_TOP  # enclosing offload unit
-    batch: int = 1  # spr_batch only: candidates scored in one call
 
     @property
     def is_nested(self) -> bool:
@@ -73,16 +72,9 @@ class Tracer:
         self.makenewz_patterncats = 0.0  # sum over iterations
         self.evaluate_count = 0
         self.evaluate_patterncats = 0.0
-        self.spr_batch_count = 0
-        self.spr_batch_candidates = 0
-        self.spr_batch_patterncats = 0.0  # sum over candidates x iterations
-        self.gradient_count = 0
-        self.gradient_branches = 0
-        self.gradient_patterncats = 0.0  # sum over branches
-        self.gradient_newviews = 0  # directional newview fills inside sweeps
         self.task_boundaries: List[int] = []  # cumulative newview counts
-        #: callables returning engine perf-counter dicts (cache/arena/
-        #: batching efficiency); registered by the likelihood engine.
+        #: callables returning engine perf-counter dicts (cache/arena
+        #: efficiency); registered by the likelihood engine.
         self.counter_sources: List = []
 
     # -- context management (called by the engine wrapper) --------------------
@@ -135,34 +127,6 @@ class Tracer:
                             iterations=iterations, context=self._context)
             )
 
-    def record_spr_batch(self, k: int, n_patterns: int, n_cats: int,
-                         iterations: int) -> None:
-        """One fused multi-candidate SPR scoring call (k candidates)."""
-        self.spr_batch_count += 1
-        self.spr_batch_candidates += k
-        self.spr_batch_patterncats += (
-            k * n_patterns * n_cats * max(iterations, 1)
-        )
-        if self.keep_events:
-            self.events.append(
-                KernelEvent("spr_batch", n_patterns, n_cats,
-                            iterations=iterations, context=self._context,
-                            batch=k)
-            )
-
-    def record_gradient(self, k: int, n_patterns: int, n_cats: int,
-                        newviews: int) -> None:
-        """One full-tree gradient sweep (k branches in one contraction)."""
-        self.gradient_count += 1
-        self.gradient_branches += k
-        self.gradient_patterncats += k * n_patterns * n_cats
-        self.gradient_newviews += newviews
-        if self.keep_events:
-            self.events.append(
-                KernelEvent("gradient", n_patterns, n_cats,
-                            context=self._context, batch=k)
-            )
-
     # -- engine perf counters -------------------------------------------------
 
     def add_counter_source(self, source) -> None:
@@ -199,17 +163,6 @@ class TraceSummary:
     makenewz_patterncats: float
     evaluate_count: int
     evaluate_patterncats: float
-    # Batched SPR scoring events (0 everywhere when the serial search
-    # path is used, e.g. in the paper-faithful harness traces).
-    spr_batch_count: int = 0
-    spr_batch_candidates: int = 0
-    spr_batch_patterncats: float = 0.0
-    # Full-tree gradient sweeps (0 everywhere unless gradient smoothing
-    # is switched on).
-    gradient_count: int = 0
-    gradient_branches: int = 0
-    gradient_patterncats: float = 0.0
-    gradient_newviews: int = 0
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceSummary":
@@ -224,13 +177,6 @@ class TraceSummary:
             makenewz_patterncats=tracer.makenewz_patterncats,
             evaluate_count=tracer.evaluate_count,
             evaluate_patterncats=tracer.evaluate_patterncats,
-            spr_batch_count=tracer.spr_batch_count,
-            spr_batch_candidates=tracer.spr_batch_candidates,
-            spr_batch_patterncats=tracer.spr_batch_patterncats,
-            gradient_count=tracer.gradient_count,
-            gradient_branches=tracer.gradient_branches,
-            gradient_patterncats=tracer.gradient_patterncats,
-            gradient_newviews=tracer.gradient_newviews,
         )
 
     # -- derived quantities --------------------------------------------------
@@ -291,20 +237,10 @@ class TraceSummary:
             self.newview_patterncats
             + self.makenewz_patterncats
             + self.evaluate_patterncats
-            + self.spr_batch_patterncats
-            + self.gradient_patterncats
         )
         # Small loop runs once per kernel call per category; approximate
-        # categories from the patterncats ratio.  Each batched SPR
-        # candidate (and each branch of a fused gradient sweep) builds
-        # its own transition stack, so it counts like one call here.
-        calls = (
-            self.newview_count
-            + self.makenewz_count
-            + self.evaluate_count
-            + self.spr_batch_candidates
-            + self.gradient_branches
-        )
+        # categories from the patterncats ratio.
+        calls = self.newview_count + self.makenewz_count + self.evaluate_count
         return total_patterncats * large + calls * 4 * small
 
     def scale(self, factor: float) -> "TraceSummary":
@@ -324,11 +260,4 @@ class TraceSummary:
             makenewz_patterncats=self.makenewz_patterncats * factor,
             evaluate_count=int(round(self.evaluate_count * factor)),
             evaluate_patterncats=self.evaluate_patterncats * factor,
-            spr_batch_count=int(round(self.spr_batch_count * factor)),
-            spr_batch_candidates=int(round(self.spr_batch_candidates * factor)),
-            spr_batch_patterncats=self.spr_batch_patterncats * factor,
-            gradient_count=int(round(self.gradient_count * factor)),
-            gradient_branches=int(round(self.gradient_branches * factor)),
-            gradient_patterncats=self.gradient_patterncats * factor,
-            gradient_newviews=int(round(self.gradient_newviews * factor)),
         )

@@ -3,7 +3,7 @@
 The likelihood engine's entire claim to fidelity is numeric —
 ``newview()``, ``makenewz()`` and ``evaluate()`` must produce the same
 log likelihoods no matter how aggressively the hot path is rewritten
-(batched contractions, P-matrix caches, CLV arenas).  This package makes
+(fused kernels, P-matrix caches, CLV arenas).  This package makes
 that claim checkable at three independent tiers:
 
 * :mod:`repro.verify.oracle` — :class:`ReferenceEngine`, a deliberately
@@ -19,9 +19,8 @@ that claim checkable at three independent tiers:
   properties the likelihood must satisfy regardless of implementation
   (pulley-principle re-rooting invariance, taxon/site permutation
   invariance, pattern compression, SPR apply→revert round trips,
-  fault-recovery transparency under :mod:`repro.chaos` injection, a
-  JC69 two-taxon analytic closed form, and the full-tree gradient's
-  root/permutation/round-trip invariances).
+  fault-recovery transparency under :mod:`repro.chaos` injection, and
+  a JC69 two-taxon analytic closed form).
 * :mod:`repro.verify.golden` — a committed corpus of exact values for
   fixed seeds, regenerated or checked by ``repro-phylo verify``.
 
@@ -41,10 +40,6 @@ from .differential import (
 from .invariants import (
     InvariantViolation,
     fault_recovery_invariance,
-    gradient_rerooting_invariance,
-    gradient_site_permutation_invariance,
-    gradient_spr_roundtrip_invariance,
-    gradient_taxon_permutation_invariance,
     jc69_two_taxon_closed_form,
     pattern_compression_invariance,
     rerooting_invariance,
@@ -72,10 +67,6 @@ __all__ = [
     "run_differential",
     "InvariantViolation",
     "fault_recovery_invariance",
-    "gradient_rerooting_invariance",
-    "gradient_site_permutation_invariance",
-    "gradient_spr_roundtrip_invariance",
-    "gradient_taxon_permutation_invariance",
     "jc69_two_taxon_closed_form",
     "pattern_compression_invariance",
     "rerooting_invariance",

@@ -10,14 +10,11 @@ instance, and the harness compares:
 * the log likelihood at several branches (``evaluate``),
 * one inner conditional likelihood vector and its scale counts
   (``newview``) — scale counts must match *exactly*,
-* the branch-length derivative triple at a couple of branches, taken
-  from the sumtable probe ``makenewz`` iterates — against the oracle
-  and against the engine's own ``(P, dP, d2P)`` probe
-  (``branch_derivatives``),
-* the one-pass full-tree gradient (``branch_gradient_full``) against
-  the per-branch derivative path on **every** branch, against the
-  oracle at the sampled branches, and — for ``d1`` — against a central
-  finite difference of the oracle's log likelihood.
+* the branch-length derivative triple taken from the sumtable probe
+  ``makenewz`` iterates — against the oracle at a couple of branches,
+  against the engine's own ``(P, dP, d2P)`` probe
+  (``branch_derivatives``) on **every** branch, and — for ``d1`` —
+  against a central finite difference of the oracle's log likelihood.
 
 Divergence is reported both as relative error and in ULPs (units in the
 last place) of the larger magnitude, and a failing case carries its seed
@@ -73,10 +70,12 @@ class Case:
 class Comparison:
     """One compared scalar: where it came from and how far apart.
 
-    ``loose`` marks probes that carry their own coarser bar by design
-    (the finite-difference slope checks, whose truncation error dwarfs
-    1e-9); they still fail a case when violated but are excluded from
-    the tight ``max_rel_err``/``max_ulps`` aggregates.
+    ``loose`` marks probes whose relative gap says nothing about the
+    kernels: the finite-difference slope checks (their own coarser bar,
+    truncation error dwarfs 1e-9) and probe-vs-probe derivatives at
+    near-zero lengths (cancellation).  They still fail a case when
+    violated but are excluded from the tight ``max_rel_err``/``max_ulps``
+    aggregates.
     """
 
     what: str
@@ -293,53 +292,36 @@ def compare_case(
                 f"newview@({node.index},{entry.index}): max element rel "
                 f"err {clv_err:.3e} > {rel_tol:g}"
             )
-        # Branch-length derivatives at two branches.  First and second
-        # derivatives involve cancellation the plain lnL does not, so
-        # they get a small absolute floor on top of the relative bar.
-        deriv_picks = sorted(set(int(i) for i in rng.integers(0, len(branches), 2)))
-        oracle_derivs = {}
-        for i in deriv_picks:
-            b = branches[i]
+        # Branch-length derivatives from the probe makenewz iterates:
+        # against the oracle at two sampled branches, against the same
+        # engine's explicit (P, dP, d2P) probe on EVERY branch.  First
+        # and second derivatives involve cancellation the plain lnL does
+        # not, so they get a small absolute floor on top of the relative
+        # bar.  Below t = 1e-5 any eigenbasis evaluation loses log10(1/t)
+        # digits to cancellation, each in its own way
+        # (tests/test_sumtable.py): off the sampled branches those
+        # comparisons keep their bar but stay out of the aggregates.
+        deriv_picks = {int(i) for i in rng.integers(0, len(branches), 2)}
+        probe_d1 = {}
+        for k, b in enumerate(branches):
+            at = f"@branch{b.index}"
             f_lnl, f_d1, f_d2 = fast_makenewz_derivatives(fast, b)
-            o_lnl, o_d1, o_d2 = oracle.branch_derivatives(b)
-            oracle_derivs[b.index] = (o_lnl, o_d1, o_d2)
-            _compare(result, f"deriv.lnl@branch{b.index}", f_lnl, o_lnl, rel_tol)
-            _compare(result, f"deriv.d1@branch{b.index}", f_d1, o_d1,
-                     rel_tol * 10, abs_tol=1e-7)
-            _compare(result, f"deriv.d2@branch{b.index}", f_d2, o_d2,
-                     rel_tol * 10, abs_tol=1e-7)
-            # ... and the sumtable path against the same engine's
-            # explicit (P, dP, d2P) probe.
+            probe_d1[b.index] = f_d1
+            if k in deriv_picks:
+                o_lnl, o_d1, o_d2 = oracle.branch_derivatives(b)
+                _compare(result, "deriv.lnl" + at, f_lnl, o_lnl, rel_tol)
+                _compare(result, "deriv.d1" + at, f_d1, o_d1,
+                         rel_tol * 10, abs_tol=1e-7)
+                _compare(result, "deriv.d2" + at, f_d2, o_d2,
+                         rel_tol * 10, abs_tol=1e-7)
+            loose = b.length < 1e-5 and k not in deriv_picks
             p_lnl, p_d1, p_d2 = fast.branch_derivatives(b)
-            _compare(result, f"sumtable.lnl@branch{b.index}", f_lnl, p_lnl,
-                     rel_tol)
-            _compare(result, f"sumtable.d1@branch{b.index}", f_d1, p_d1,
-                     rel_tol * 10, abs_tol=1e-7)
-            _compare(result, f"sumtable.d2@branch{b.index}", f_d2, p_d2,
-                     rel_tol * 10, abs_tol=1e-7)
-        # Full-tree gradient: the one-pass fused sweep must agree with
-        # the per-branch derivative probe on EVERY branch (d1/d2 keep
-        # the same absolute floor as above).
-        g_branches, g_lnl, g_d1, g_d2 = fast.branch_gradient_full()
-        grad_by_id = {}
-        for k, b in enumerate(g_branches):
-            grad_by_id[b.index] = k
-            f_lnl, f_d1, f_d2 = fast.branch_derivatives(b)
-            _compare(result, f"grad.lnl@branch{b.index}",
-                     float(g_lnl[k]), f_lnl, rel_tol)
-            _compare(result, f"grad.d1@branch{b.index}",
-                     float(g_d1[k]), f_d1, rel_tol * 10, abs_tol=1e-7)
-            _compare(result, f"grad.d2@branch{b.index}",
-                     float(g_d2[k]), f_d2, rel_tol * 10, abs_tol=1e-7)
-        # ... and with the oracle directly at the branches sampled above.
-        for branch_id, (o_lnl, o_d1, o_d2) in oracle_derivs.items():
-            k = grad_by_id[branch_id]
-            _compare(result, f"grad.oracle.lnl@branch{branch_id}",
-                     float(g_lnl[k]), o_lnl, rel_tol)
-            _compare(result, f"grad.oracle.d1@branch{branch_id}",
-                     float(g_d1[k]), o_d1, rel_tol * 10, abs_tol=1e-7)
-            _compare(result, f"grad.oracle.d2@branch{branch_id}",
-                     float(g_d2[k]), o_d2, rel_tol * 10, abs_tol=1e-7)
+            _compare(result, "sumtable.lnl" + at, f_lnl, p_lnl, rel_tol,
+                     loose=loose)
+            _compare(result, "sumtable.d1" + at, f_d1, p_d1, rel_tol * 10,
+                     abs_tol=1e-7, loose=loose)
+            _compare(result, "sumtable.d2" + at, f_d2, p_d2, rel_tol * 10,
+                     abs_tol=1e-7, loose=loose)
         # Central finite difference on the reference lnL: the analytic
         # d1 really is the derivative of the log likelihood, not just
         # internally consistent between the two analytic paths.  FD is
@@ -356,11 +338,10 @@ def compare_case(
         _compare(result, f"fd.d1@branch{b.index}", o_d1, fd,
                  1e-5, abs_tol=1e-4, loose=True)
         if t0 == float(b.length):
-            # Unclamped: the fused gradient's d1 must match the FD
+            # Unclamped: the makenewz probe's d1 must match the FD
             # slope too (same loose FD bar).
-            _compare(result, f"fd.grad.d1@branch{b.index}",
-                     float(g_d1[grad_by_id[b.index]]), fd,
-                     1e-5, abs_tol=1e-4, loose=True)
+            _compare(result, f"fd.probe.d1@branch{b.index}",
+                     probe_d1[b.index], fd, 1e-5, abs_tol=1e-4, loose=True)
     finally:
         fast.detach()
     return result

@@ -4,7 +4,11 @@ Each :class:`GoldenCase` deterministically derives an (alignment, tree,
 model) instance from its seed and records, into ``tests/golden/*.json``:
 
 * the exact log likelihood of the fast engine *and* the loop oracle,
-* one ``makenewz`` branch optimization (length + lnL),
+* one ``makenewz`` branch optimization (length + lnL) — per-branch
+  derivatives are not recorded: on these cases they are pinned by
+  ``tests/test_sumtable.py``'s every-branch tests (the engine's
+  ``makenewz`` probe against its public ``(P, dP, d2P)`` probe, and
+  sumtable ``makenewz`` against the oracle's on every branch),
 * a tiny but full inference: hill-climb search, bootstrap replicates,
   streaming majority-rule consensus with supports,
 * the shape (sorted key list) of ``perf_counters()``.
@@ -116,20 +120,11 @@ def _split_key(split) -> str:
     return "|".join(sorted(split))
 
 
-def _branch_key(tree: Tree, branch) -> str:
-    """Canonical bipartition label for a branch (lexicographically
-    smaller side), stable across regenerations of the same case."""
-    u, v = branch.nodes
-    side_u = _split_key(tree.subtree_tips(u, branch))
-    side_v = _split_key(tree.subtree_tips(v, branch))
-    return min(side_u, side_v)
-
-
 def build_case_instance(case: GoldenCase):
     """The deterministic (patterns, model, rate_model, tree, rng) for a
     golden case.  The returned ``rng`` has consumed exactly the draws
     :func:`compute_case` would have made up to this point, so callers
-    (e.g. the gradient-smoothing equivalence test) reproduce the same
+    (e.g. the sumtable-vs-oracle ``makenewz`` test) reproduce the same
     instance the committed record describes."""
     rng = np.random.default_rng(np.random.SeedSequence([0x601D, case.seed]))
     seqs = {
@@ -157,23 +152,6 @@ def compute_case(case: GoldenCase) -> Dict:
         log_likelihood = engine.evaluate(tree.branches[0])
         oracle = ReferenceEngine(patterns, model, rate_model, tree)
         oracle_log_likelihood = oracle.evaluate(tree.branches[0])
-
-        # Full-tree gradient vector, keyed by canonical bipartition so
-        # future kernel edits are byte-diffable.  Computed before any
-        # tree mutation and without consuming rng draws, so every other
-        # recorded value is untouched.
-        g_branches, g_lnl, g_d1, g_d2 = engine.branch_gradient_full()
-        gradient = {
-            "log_likelihood": float(g_lnl[0]),
-            "branches": {
-                _branch_key(tree, b): {
-                    "length": float(b.length),
-                    "d1": float(g_d1[k]),
-                    "d2": float(g_d2[k]),
-                }
-                for k, b in enumerate(g_branches)
-            },
-        }
 
         mk_branch = tree.branches[int(rng.integers(len(tree.branches)))]
         mk_length, mk_lnl = engine.makenewz(mk_branch)
@@ -225,7 +203,6 @@ def compute_case(case: GoldenCase) -> Dict:
         },
         "log_likelihood": log_likelihood,
         "oracle_log_likelihood": oracle_log_likelihood,
-        "gradient": gradient,
         "makenewz": {"length": mk_length, "log_likelihood": mk_lnl},
         "inference": {
             "newick": inference.newick,

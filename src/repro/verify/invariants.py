@@ -20,15 +20,6 @@ cannot (both engines wrong the same way):
   bit-for-bit (the contract bit-identical cluster resume relies on).
 * **JC69 two-taxon closed form** — the one case with a textbook
   analytic answer: ``P(same) = 1/4 + 3/4 e^{-4t/3}``.
-* **Full-tree gradient invariances** — the one-pass
-  ``branch_gradient_full`` sweep must be bit-identical no matter which
-  inner node seeds the two traversals, its per-branch lnL entries must
-  all equal the tree likelihood (the pulley principle, once per
-  branch), site/taxon permutations of the alignment must not change it,
-  and an SPR move that is applied and exactly reverted must leave the
-  gradient of every surviving branch unchanged to tight round-off (the
-  round trip reorders the gradient stack, and the batched contraction
-  is not positionally bit-stable).
 
 Checks raise :class:`InvariantViolation` (an ``AssertionError``) with a
 diagnostic message and otherwise return the largest divergence they
@@ -52,10 +43,6 @@ from ..phylo.tree import Tree
 __all__ = [
     "InvariantViolation",
     "fault_recovery_invariance",
-    "gradient_rerooting_invariance",
-    "gradient_site_permutation_invariance",
-    "gradient_spr_roundtrip_invariance",
-    "gradient_taxon_permutation_invariance",
     "jc69_two_taxon_closed_form",
     "pattern_compression_invariance",
     "rerooting_invariance",
@@ -370,208 +357,6 @@ def spr_roundtrip_invariance(
             f"{lnl_before!r} -> {lnl_after!r}"
         )
     return lnl_before, lnl_moved
-
-
-# -- full-tree gradient invariances -----------------------------------------
-
-
-def _engine_gradient(
-    patterns: PatternAlignment,
-    model: SubstitutionModel,
-    rate_model: Optional[RateModel],
-    tree: Tree,
-    backend=None,
-) -> Dict[int, Tuple[float, float, float]]:
-    """``branch id -> (lnL, d1, d2)`` from one fused gradient sweep."""
-    kwargs = {} if backend is None else {"backend": backend}
-    engine = LikelihoodEngine(patterns, model, rate_model, tree, **kwargs)
-    try:
-        branches, lnl, d1, d2 = engine.branch_gradient_full()
-        return {
-            b.index: (float(lnl[k]), float(d1[k]), float(d2[k]))
-            for k, b in enumerate(branches)
-        }
-    finally:
-        engine.detach()
-
-
-def gradient_rerooting_invariance(engine, rel_tol: float = 1e-9) -> float:
-    """The fused gradient must not depend on the sweep root, bit for bit.
-
-    ``branch_gradient_full`` seeds its two traversals at an arbitrary
-    inner node; every directional CLV it fills is root-independent, so
-    two sweeps rooted at *different* inner nodes must return the exact
-    same arrays.  On top of that, each per-branch lnL entry is the tree
-    likelihood evaluated at that branch (the pulley principle), so the
-    lnL vector must be flat to *rel_tol*.  Returns the maximum relative
-    lnL spread.
-    """
-    inner = [n for n in engine.tree.inner_nodes]
-    if len(inner) < 2:
-        raise InvariantViolation(
-            "gradient re-rooting needs at least two inner nodes"
-        )
-    b0, lnl0, d10, d20 = engine.branch_gradient_full(root=inner[0])
-    b1, lnl1, d11, d21 = engine.branch_gradient_full(root=inner[-1])
-    if [b.index for b in b0] != [b.index for b in b1]:
-        raise InvariantViolation(
-            "gradient sweeps enumerated branches in different orders"
-        )
-    for name, a, b in (("lnL", lnl0, lnl1), ("d1", d10, d11),
-                       ("d2", d20, d21)):
-        if not np.array_equal(a, b):
-            k = int(np.argmax(a != b))
-            raise InvariantViolation(
-                f"gradient {name} depends on the sweep root: entry {k} is "
-                f"{a[k]!r} from root {inner[0].index} but {b[k]!r} from "
-                f"root {inner[-1].index}"
-            )
-    worst = 0.0
-    reference = float(lnl0[0])
-    for k in range(1, len(lnl0)):
-        diff = _rel_diff(float(lnl0[k]), reference)
-        worst = max(worst, diff)
-        if diff > rel_tol:
-            raise InvariantViolation(
-                f"gradient lnL vector violates the pulley principle: "
-                f"entry {k} is {float(lnl0[k])!r} but entry 0 gave "
-                f"{reference!r} (rel diff {diff:.3e} > {rel_tol:g})"
-            )
-    return worst
-
-
-def gradient_site_permutation_invariance(
-    sequences: Dict[str, str],
-    model: SubstitutionModel,
-    rate_model: Optional[RateModel],
-    rng: np.random.Generator,
-    backend=None,
-) -> float:
-    """Shuffling columns must leave the full-tree gradient bit-identical.
-
-    Pattern compression canonicalizes column order, so the shuffled
-    alignment compresses to the same instance and every (lnL, d1, d2)
-    triple must come back with the exact same bits.  Returns 0.0.
-    """
-    alignment = Alignment.from_sequences(sequences)
-    permutation = rng.permutation(alignment.n_sites)
-    shuffled = Alignment(alignment.taxa, alignment.data[:, permutation])
-    base = alignment.compress()
-    other = shuffled.compress()
-    tree = Tree.from_tip_names(base.taxa, rng)
-    grad_base = _engine_gradient(base, model, rate_model, tree, backend)
-    grad_other = _engine_gradient(other, model, rate_model, tree, backend)
-    if grad_base != grad_other:
-        culprit = next(
-            idx for idx in grad_base if grad_base[idx] != grad_other.get(idx)
-        )
-        raise InvariantViolation(
-            f"site permutation changed the gradient at branch {culprit}: "
-            f"{grad_base[culprit]!r} vs {grad_other.get(culprit)!r}"
-        )
-    return 0.0
-
-
-def gradient_taxon_permutation_invariance(
-    sequences: Dict[str, str],
-    model: SubstitutionModel,
-    rate_model: Optional[RateModel],
-    rng: np.random.Generator,
-    rel_tol: float = 1e-9,
-    backend=None,
-) -> float:
-    """Reordering alignment rows must not change the gradient.
-
-    Row order permutes the canonical pattern order, so per-branch
-    values accumulate in a different order — agreement is to round-off
-    with the same small absolute floor the differential harness grants
-    d1/d2 (cancellation).  Returns the worst relative difference.
-    """
-    _forbid_per_site(rate_model, "taxon permutation")
-    names = list(sequences)
-    shuffled_names = list(names)
-    rng.shuffle(shuffled_names)
-    reordered = {name: sequences[name] for name in shuffled_names}
-    base = Alignment.from_sequences(sequences).compress()
-    other = Alignment.from_sequences(reordered).compress()
-    tree = Tree.from_tip_names(sorted(names), rng)
-    grad_base = _engine_gradient(base, model, rate_model, tree, backend)
-    grad_other = _engine_gradient(other, model, rate_model, tree, backend)
-    worst = 0.0
-    for idx, triple_base in grad_base.items():
-        triple_other = grad_other[idx]
-        for part, (a, b) in enumerate(zip(triple_base, triple_other)):
-            diff = _rel_diff(a, b)
-            tol = rel_tol if part == 0 else rel_tol * 10
-            if abs(a - b) > tol * max(abs(a), abs(b), 1e-300) + (
-                0.0 if part == 0 else 1e-7
-            ):
-                raise InvariantViolation(
-                    f"taxon permutation changed gradient part {part} at "
-                    f"branch {idx}: {a!r} vs {b!r} (rel diff {diff:.3e})"
-                )
-            worst = max(worst, diff)
-    return worst
-
-
-def gradient_spr_roundtrip_invariance(
-    engine: LikelihoodEngine,
-    rng: np.random.Generator,
-    radius: int = 2,
-    rel_tol: float = 1e-12,
-) -> int:
-    """An applied-then-reverted SPR must leave the gradient unchanged.
-
-    Every branch that survives the round trip (the move retires the
-    pruned branch and recreates it under a fresh id) must get the same
-    (lnL, d1, d2) back to *rel_tol*: the revert restores topology and
-    lengths exactly and the dirtied CLVs recompute to the same bits —
-    but the round trip reorders ``tree.branches``, which shifts each
-    branch's position in the fused gradient stack, and the batched
-    contraction is not positionally bit-stable (a slice's row placement
-    in the underlying GEMM changes its round-off by ~1 ULP).  Agreement
-    is therefore to tight round-off, not bit-for-bit.  Returns the
-    number of surviving branches compared (raises if none survive).
-    """
-    tree = engine.tree
-    moves = []
-    for prune_branch in tree.branches:
-        for keep_side in prune_branch.nodes:
-            if keep_side.is_tip:
-                continue
-            for target in spr_neighborhood(tree, prune_branch, keep_side,
-                                           radius):
-                moves.append((prune_branch, keep_side, target))
-    if not moves:
-        raise InvariantViolation("tree admits no SPR move to round-trip")
-    prune_branch, keep_side, target = moves[int(rng.integers(len(moves)))]
-
-    branches, lnl, d1, d2 = engine.branch_gradient_full()
-    before = {
-        b.index: (float(lnl[k]), float(d1[k]), float(d2[k]))
-        for k, b in enumerate(branches)
-    }
-    move = _apply_spr(tree, prune_branch, keep_side, target)
-    _revert_spr(tree, move)
-    tree.validate()
-    branches, lnl, d1, d2 = engine.branch_gradient_full()
-    after = {
-        b.index: (float(lnl[k]), float(d1[k]), float(d2[k]))
-        for k, b in enumerate(branches)
-    }
-    surviving = sorted(set(before) & set(after))
-    if not surviving:
-        raise InvariantViolation(
-            "gradient SPR round trip is vacuous: no branch survived"
-        )
-    for idx in surviving:
-        for part, (a, b) in enumerate(zip(before[idx], after[idx])):
-            if abs(a - b) > rel_tol * max(abs(a), abs(b)) + 1e-9:
-                raise InvariantViolation(
-                    f"SPR round trip drifted gradient part {part} at "
-                    f"branch {idx}: {a!r} -> {b!r}"
-                )
-    return len(surviving)
 
 
 # -- JC69 two-taxon closed form ---------------------------------------------

@@ -63,7 +63,7 @@ seeds = st.integers(min_value=0, max_value=10_000)
 edit_scripts = st.lists(
     st.tuples(
         st.sampled_from(["set_length", "makenewz", "nni", "spr",
-                         "spr_revert", "spr_batch"]),
+                         "spr_revert"]),
         st.integers(0, 10_000), st.integers(0, 10_000), branch_lengths,
     ),
     min_size=1, max_size=8,

@@ -194,7 +194,6 @@ class TestEngineArenaIntegration:
             "arena_capacity",
             "arena_acquires",
             "arena_grown",
-            "spr_batch_calls",
             "newview_calls",
         ):
             assert key in counters

@@ -16,7 +16,11 @@ from repro.cluster import (
     resume_job,
     run_job,
 )
-from repro.cluster.checkpoint import compact_journal, decode_record
+from repro.cluster.checkpoint import (
+    compact_journal,
+    decode_record,
+    encode_record,
+)
 from repro.harness.report import render_cluster_status
 
 
@@ -299,6 +303,55 @@ class TestResumeDeterminism:
         resumed = resume_job(journal)
         assert resumed.supports == serial_reference.supports
         assert resumed.best.newick == serial_reference.best.newick
+
+    @staticmethod
+    def _older_journal(tiny_patterns, fast_config, workers, tmp_path,
+                       batch_spr):
+        """A run cut after two replicates, its header rewritten the way
+        a build that still had ``batch_spr``/``gradient_smoothing``
+        journalled its ``SearchConfig``."""
+        full = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=workers,
+                journal_path=full)
+        truncated = str(tmp_path / "cut.jsonl")
+        _truncate_after(full, truncated, 2)
+        with open(truncated) as fh:
+            records = [decode_record(line) for line in fh]
+        assert records[0]["event"] == "run_started"
+        records[0]["spec"]["config"].update(batch_spr=batch_spr,
+                                            gradient_smoothing=False)
+        older = str(tmp_path / "older.jsonl")
+        with open(older, "w") as fh:
+            fh.write("".join(encode_record(r) + "\n" for r in records))
+        return older
+
+    def test_resume_accepts_a_header_with_the_retired_options_off(
+            self, tiny_patterns, fast_config, serial_reference,
+            cluster_workers, tmp_path):
+        older = self._older_journal(tiny_patterns, fast_config,
+                                    cluster_workers, tmp_path, False)
+        resumed = resume_job(older, alignment=tiny_patterns,
+                             n_workers=cluster_workers)
+        assert resumed.best.newick == serial_reference.best.newick
+        assert resumed.best.log_likelihood == \
+            serial_reference.best.log_likelihood
+        assert [b.newick for b in resumed.bootstraps] == \
+            [b.newick for b in serial_reference.bootstraps]
+        assert [b.log_likelihood for b in resumed.bootstraps] == \
+            [b.log_likelihood for b in serial_reference.bootstraps]
+        assert resumed.supports == serial_reference.supports
+
+    def test_resume_rejects_a_header_with_a_retired_option_on(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path):
+        older = self._older_journal(tiny_patterns, fast_config,
+                                    cluster_workers, tmp_path, True)
+        before = open(older).read()
+        with pytest.raises(ValueError, match="'batch_spr'"):
+            resume_job(older, alignment=tiny_patterns,
+                       n_workers=cluster_workers)
+        assert open(older).read() == before  # no run_resumed, no task
 
     def test_resume_requires_a_header(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")

@@ -102,9 +102,6 @@ def _run(engine, step):
                     if not n.is_tip and spr_neighborhood(tree, b, n, 3)]
         prune, keep = prunable[first % len(prunable)]
         targets = spr_neighborhood(tree, prune, keep, 3)
-        if operation == "spr_batch":
-            engine.score_spr_candidates(prune, keep, targets)
-            return
         # One lazy-SPR candidate, scored the way the search scores it.
         move = _apply_spr(tree, prune, keep, targets[second % len(targets)])
         for local in list(move.junction.branches):

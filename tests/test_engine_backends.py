@@ -7,6 +7,10 @@ likelihoods within 1e-9, and fixed-stripe-count determinism for the
 partitioned backend.
 """
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,11 +21,14 @@ from repro.phylo.engine import (
     KernelBackend,
     available_backends,
     create_engine,
+    protocol,
     resolve_backend,
 )
+from repro.phylo.engine.backends import partitioned
 from repro.phylo.engine.backends.compiled import compiled_available
 from repro.phylo.engine.backends.partitioned import (
     PartitionedBackend,
+    StripedKernels,
     THREADS_ENV_VAR,
     default_thread_count,
 )
@@ -61,6 +68,57 @@ def test_registry_lists_all_builtin_backends():
     names = available_backends()
     for expected in ("einsum", "reference", "partitioned"):
         assert expected in names
+
+
+# -- protocol surface ---------------------------------------------------------
+
+#: The whole offload seam: update partials, edge lnL, edge derivatives
+#: (sumtable for the Newton loop, explicit (P, dP, d2P) for the one-shot
+#: probe and the oracle), the oracle's own projection, instrumentation.
+PROTOCOL_METHODS = {
+    "newview", "tip_terms", "inner_terms", "newview_combine", "scale_clv",
+    "evaluate_loglik", "branch_sumtable", "branch_derivatives",
+    "transition_matrices", "transition_derivatives", "perf_counters",
+    "close",
+}
+
+
+def _public_methods(cls):
+    return {name for name, _ in inspect.getmembers(cls, inspect.isfunction)
+            if not name.startswith("_")}
+
+
+def _declared_methods(module_file, class_name):
+    """Public methods a class body defines, read from source (the numba
+    flavour cannot be imported where numba is absent)."""
+    tree = ast.parse(Path(module_file).read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == class_name)
+    return {node.name for node in body.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def test_kernel_backend_protocol_is_the_twelve_method_surface():
+    assert _public_methods(KernelBackend) == PROTOCOL_METHODS
+
+
+def test_no_backend_defines_a_method_outside_the_protocol():
+    available_backends()  # registers the built-ins
+    for name, factory in protocol._REGISTRY.items():
+        assert _public_methods(factory) <= PROTOCOL_METHODS, name
+
+
+@pytest.mark.parametrize("module, class_name", [
+    ("partitioned", "EinsumStripedKernels"),
+    ("_compiled_cc", "CcKernels"),
+    ("_compiled_numba", "NumbaKernels"),
+])
+def test_no_striped_flavour_defines_a_method_outside_its_seam(
+        module, class_name):
+    source = Path(partitioned.__file__).with_name(f"{module}.py")
+    assert _declared_methods(source, class_name) <= \
+        _public_methods(StripedKernels)
 
 
 def test_resolve_backend_by_name():
@@ -327,8 +385,8 @@ def test_detach_closes_partitioned_pool(instance):
 
 def test_search_and_makenewz_run_on_partitioned_backend(instance):
     """The whole optimization surface (not just evaluate) must work when
-    striped: makenewz Newton iterations and the fused SPR batch scorer."""
-    from repro.phylo.search import spr_neighborhood
+    striped: makenewz Newton iterations and lazy-SPR candidate scoring."""
+    from repro.phylo.search import _apply_spr, _revert_spr, spr_neighborhood
 
     patterns, tree = instance
     newick = tree.to_newick(digits=17)
@@ -343,19 +401,24 @@ def test_search_and_makenewz_run_on_partitioned_backend(instance):
             inner = [b for b in own_tree.branches if not b.nodes[0].is_tip]
             prune = inner[0]
             keep = prune.nodes[0]
-            targets = spr_neighborhood(own_tree, prune, keep, 2)
-            scores, lengths, _ = engine.score_spr_candidates(
-                prune, keep, targets
-            )
-            assert np.isfinite(scores).all()
-            results[spec] = (length, lnl, scores, lengths)
+            scores = []
+            for target in spr_neighborhood(own_tree, prune, keep, 2):
+                if target.retired:
+                    continue
+                move = _apply_spr(own_tree, prune, keep, target)
+                for local in list(move.junction.branches):
+                    engine.makenewz(local, max_iterations=8)
+                scores.append(engine.evaluate(move.connect_branch))
+                prune = _revert_spr(own_tree, move)
+                keep = prune.nodes[0]
+            assert len(scores) > 1 and np.isfinite(scores).all()
+            results[spec] = (length, lnl, scores)
         finally:
             engine.detach()
     a, b = results["einsum"], results["partitioned:2"]
     assert b[0] == pytest.approx(a[0], rel=1e-6)  # optimized length
     assert b[1] == pytest.approx(a[1], rel=1e-9)  # lnL at the optimum
-    np.testing.assert_allclose(b[2], a[2], rtol=1e-9)  # SPR preview scores
-    np.testing.assert_allclose(b[3], a[3], rtol=1e-6)  # connect lengths
+    np.testing.assert_allclose(b[2], a[2], rtol=1e-9)  # SPR candidate scores
 
 
 @pytest.mark.parametrize("spec", ALL_BACKEND_SPECS)

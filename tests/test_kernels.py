@@ -308,67 +308,6 @@ class TestBranchDerivatives:
         assert abs(d1 - fd1) < 1e-4 * max(1.0, abs(fd1))
         assert abs(d2 - fd2) < 1e-2 * max(1.0, abs(fd2))
 
-    def test_batch_persite_matches_per_k_scalar(self):
-        """The fused CAT-mode batch must equal K serial per-site calls.
-
-        This pins the ``ksi,ksij,ksj->ks`` contraction (which the
-        full-tree gradient rides in CAT mode) to the single-candidate
-        ``si,sij,sj->s`` kernel, branch by branch.
-        """
-        rng = np.random.default_rng(8)
-        model = default_gtr()
-        n_patterns, n_k = 9, 5
-        site_rates = rng.random(n_patterns) + 0.1
-        weights = rng.integers(1, 4, size=n_patterns).astype(float)
-        lengths = rng.uniform(0.05, 1.2, n_k)
-        u = np.stack([random_clv(rng, n_patterns, 1) for _ in range(n_k)])
-        v = np.stack([random_clv(rng, n_patterns, 1) for _ in range(n_k)])
-        scale = rng.integers(0, 3, size=(n_k, n_patterns)).astype(np.int64)
-        terms = tuple(
-            np.stack([model.transition_derivatives(t, site_rates)[order]
-                      for t in lengths])
-            for order in range(3)
-        )
-        batch = kernels.branch_derivatives_batch_persite(
-            terms, model.pi, weights, u, v, scale
-        )
-        for k in range(n_k):
-            single = kernels.branch_derivatives_persite(
-                tuple(part[k] for part in terms), model.pi, weights,
-                u[k], v[k], scale[k],
-            )
-            for part in range(3):
-                got, want = float(batch[part][k]), single[part]
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_branch_gradient_full_dispatch(self):
-        """``branch_gradient_full`` is exactly the batch contraction —
-        integrated mode routes to ``branch_derivatives_batch``, CAT
-        mode to the per-site flavor."""
-        rng = np.random.default_rng(9)
-        model = default_gtr()
-        rates = GammaRates(0.7, 4).rates
-        n_patterns, n_k = 7, 4
-        weights = np.ones(n_patterns)
-        cat_w = np.full(4, 0.25)
-        lengths = rng.uniform(0.05, 1.0, n_k)
-        u = np.stack([random_clv(rng, n_patterns, 4) for _ in range(n_k)])
-        v = np.stack([random_clv(rng, n_patterns, 4) for _ in range(n_k)])
-        scale = np.zeros((n_k, n_patterns), dtype=np.int64)
-        terms = tuple(
-            np.stack([model.transition_derivatives(t, rates)[order]
-                      for t in lengths])
-            for order in range(3)
-        )
-        grad = kernels.branch_gradient_full(
-            terms, model.pi, cat_w, weights, u, v, scale
-        )
-        batch = kernels.branch_derivatives_batch(
-            terms, model.pi, cat_w, weights, u, v, scale
-        )
-        for part in range(3):
-            assert np.array_equal(grad[part], batch[part])
-
     def test_flop_constants_match_paper(self):
         assert kernels.FLOPS_LARGE_LOOP_SCALAR == 44
         assert kernels.FLOPS_LARGE_LOOP_VECTOR == 22
