@@ -25,7 +25,10 @@ Claims checked:
 
 * the interrupted campaign's payload digest equals the baseline's
   (bit-identical best tree, likelihoods, and supports follow, since
-  aggregation is a pure function of the payload set);
+  aggregation is a pure function of the payload set).  The digest
+  itself follows the BLAS build's CPU dispatch, so ``BENCH_engine.json``
+  keeps one ``payload_digests`` entry per ``host``; compare a change
+  against its parent on the same host, never against another host's;
 * every kill actually interrupted the run (three ``run_resumed``
   records) and no replicate was lost or duplicated;
 * after compaction the finished journal replays within
@@ -226,8 +229,16 @@ def main() -> int:
     print(f"compacted:   {compacted_records} records replay in "
           f"{replay_s:.3f}s (budget {REPLAY_BUDGET_S}s)")
 
-    from repro.harness.report import merge_bench_section
+    from repro.harness.report import host_fingerprint, merge_bench_section
 
+    # The digest follows the BLAS build's CPU dispatch, so it is recorded
+    # per host: this host's entry is replaced, other hosts' are kept.
+    host = host_fingerprint()
+    committed = (json.loads(RESULT_PATH.read_text()).get("cluster_scale", {})
+                 if RESULT_PATH.is_file() else {})
+    digests = [entry for entry in committed.get("payload_digests", [])
+               if entry["host"] != host]
+    digests.append({"host": host, "payload_digest": final_digest})
     section = {
         "replicates": REPLICATES,
         "n_workers": N_WORKERS,
@@ -240,7 +251,7 @@ def main() -> int:
         "worker_deaths": len(final.worker_deaths),
         "baseline_wall_seconds": baseline_wall,
         "interrupted_wall_seconds": interrupted_wall,
-        "payload_digest": final_digest,
+        "payload_digests": digests,
         "digest_matches_baseline": final_digest == baseline_digest,
         "compacted_records": compacted_records,
         "compacted_replay_seconds": replay_s,

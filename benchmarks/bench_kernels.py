@@ -283,8 +283,8 @@ def test_makenewz_probe(benchmark, rows, row):
 # -- operand layout: the engine's own operands, three alignment sizes ----------
 
 #: pattern count -> ``synthetic_dataset`` recipe: ``search_sc``'s
-#: alignment, ``engine_smooth``'s, and the 42-taxon one of
-#: ``bench_engine_backends`` (the paper's 42_SC has 1,277 patterns too).
+#: alignment, ``engine_smooth``'s, and the 42-taxon one the end-to-end
+#: per-backend sweep uses (the paper's 42_SC has 1,277 patterns too).
 _DIVERGENT = dict(n_sites=2400, seed=42, mean_branch_length=0.15,
                   invariant_fraction=0.05)
 LAYOUT_SIZES = {

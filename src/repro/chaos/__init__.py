@@ -11,7 +11,6 @@ through every layer of the stack —
 * engine numerics: NaN/Inf poisoning of a CLV stripe, forced underflow
   before rescaling (bit-transparent by construction), corrupted
   P-matrix cache entries;
-* backend execution: a partitioned-stripe worker raising mid-reduction;
 * cluster I/O and processes: worker crash-before-ack, worker hang past
   its heartbeat, torn journal records, checkpoint files torn mid-write,
   transient ``OSError`` on journal append.
@@ -38,7 +37,6 @@ package importable from inside the engine without a cycle.
 from .injector import (
     FaultInjector,
     InjectedCrash,
-    InjectedFault,
     active_injector,
     fire,
     inject,
@@ -68,7 +66,6 @@ from .report import (
 __all__ = [
     "FaultInjector",
     "InjectedCrash",
-    "InjectedFault",
     "active_injector",
     "fire",
     "inject",

@@ -12,8 +12,8 @@ answer and reporting nothing — is the one class that fails CI.
 Two campaign flavours:
 
 * :func:`run_engine_campaign` — in-process, engine-layer faults
-  (CLV poison, forced underflow, P-matrix corruption, stripe raise)
-  against one kernel backend.
+  (CLV poison, forced underflow, P-matrix corruption) against one
+  kernel backend.
 * :func:`run_cluster_campaign` — full journalled master-worker runs
   with process faults (worker crash/hang, torn journal and checkpoint
   writes, transient append errors), including crash-resume loops.
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 #: The shared campaign workload: small enough that a 25-seed sweep over
-#: three backends stays in CI budget, large enough that a search visits
+#: both backends stays in CI budget, large enough that a search visits
 #: every instrumented site many times.
 CAMPAIGN_WORKLOAD = {"n_taxa": 8, "n_sites": 300, "seed": 11}
 

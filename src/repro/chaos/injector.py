@@ -41,22 +41,12 @@ from zlib import crc32
 from .plan import FaultPlan, FaultSpec
 
 __all__ = [
-    "InjectedFault",
     "InjectedCrash",
     "FaultInjector",
     "active_injector",
     "fire",
     "inject",
 ]
-
-
-class InjectedFault(RuntimeError):
-    """A synthetic fault raised *inside* instrumented code.
-
-    Recovery machinery must treat it exactly like the organic failure it
-    models (a stripe worker crashing, a disk write failing); tests can
-    still tell it apart by type.
-    """
 
 
 class InjectedCrash(RuntimeError):
@@ -77,8 +67,8 @@ def _uniform(seed: int, site: str, token: str) -> float:
 class FaultInjector:
     """Per-site visit counting plus deterministic fire decisions.
 
-    Thread-safe: engine sites can be visited from partitioned-backend
-    pool threads concurrently with the main thread.
+    Thread-safe: the serve layer runs jobs on executor threads, so a
+    site can be visited from several threads at once.
     """
 
     def __init__(self, plan: FaultPlan):

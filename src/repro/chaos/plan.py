@@ -21,8 +21,6 @@ site                         meaning
 ``engine.pmat_corrupt``      overwrite a cached P-matrix stack with NaN in
                              place (the corruption *persists* until the cache
                              is invalidated)
-``backend.stripe_raise``     one partitioned-backend stripe task raises
-                             mid-reduction
 ``cluster.worker_crash_ack`` worker calls ``os._exit`` after streaming every
                              replicate but before the task-finished ack
 ``cluster.worker_hang``      worker stops heartbeating and sleeps forever
@@ -71,7 +69,6 @@ __all__ = [
     "ENGINE_CLV_POISON",
     "ENGINE_UNDERFLOW",
     "ENGINE_PMAT_CORRUPT",
-    "BACKEND_STRIPE_RAISE",
     "CLUSTER_WORKER_CRASH_ACK",
     "CLUSTER_WORKER_HANG",
     "CLUSTER_JOURNAL_TORN",
@@ -89,6 +86,8 @@ __all__ = [
     "SERVE_SITES",
     "RESILIENCE_SITES",
     "ALL_SITES",
+    "RETIRED_SITES",
+    "RetiredSiteError",
     "FaultSpec",
     "FaultPlan",
     "default_engine_plan",
@@ -102,7 +101,6 @@ __all__ = [
 ENGINE_CLV_POISON = "engine.clv_poison"
 ENGINE_UNDERFLOW = "engine.underflow"
 ENGINE_PMAT_CORRUPT = "engine.pmat_corrupt"
-BACKEND_STRIPE_RAISE = "backend.stripe_raise"
 CLUSTER_WORKER_CRASH_ACK = "cluster.worker_crash_ack"
 CLUSTER_WORKER_HANG = "cluster.worker_hang"
 CLUSTER_JOURNAL_TORN = "cluster.journal_torn"
@@ -121,7 +119,6 @@ ENGINE_SITES: Tuple[str, ...] = (
     ENGINE_CLV_POISON,
     ENGINE_UNDERFLOW,
     ENGINE_PMAT_CORRUPT,
-    BACKEND_STRIPE_RAISE,
 )
 
 #: Sites visited by the cluster master loop and its workers.
@@ -155,6 +152,15 @@ ALL_SITES: Tuple[str, ...] = (
     ENGINE_SITES + CLUSTER_SITES + SERVE_SITES + RESILIENCE_SITES
 )
 
+#: Sites whose instrumented code was deleted (the stripe-task raise of
+#: the retired striped backends); a spec naming one is refused.
+RETIRED_SITES: Tuple[str, ...] = ("backend.stripe_raise",)
+
+
+class RetiredSiteError(ValueError):
+    """A fault spec names a site in :data:`RETIRED_SITES`: no code
+    visits it any more, so the plan could never fire it."""
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -174,6 +180,11 @@ class FaultSpec:
     value: Optional[str] = None
 
     def __post_init__(self):
+        if self.site in RETIRED_SITES:
+            raise RetiredSiteError(
+                f"fault site {self.site!r} was removed with the striped "
+                f"engine backends; no code visits it"
+            )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1]: {self}")
         if self.max_triggers < 1:
@@ -259,9 +270,6 @@ def default_engine_plan(
         ),
         ENGINE_PMAT_CORRUPT: FaultSpec(
             ENGINE_PMAT_CORRUPT, probability=0.02, max_triggers=1,
-        ),
-        BACKEND_STRIPE_RAISE: FaultSpec(
-            BACKEND_STRIPE_RAISE, probability=0.01, max_triggers=1,
         ),
     }
     return FaultPlan(

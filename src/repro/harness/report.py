@@ -17,9 +17,21 @@ __all__ = [
     "render_report",
     "render_markdown",
     "render_cluster_status",
+    "host_fingerprint",
     "merge_bench_section",
     "main",
 ]
+
+
+def host_fingerprint() -> dict:
+    """The ``host`` stamp of a benchmark section: platform, python,
+    numpy and ``cpu_count`` — what a recorded number is keyed by."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def merge_bench_section(path, section: str, payload: dict) -> dict:
@@ -38,15 +50,7 @@ def merge_bench_section(path, section: str, payload: dict) -> dict:
 
     path = Path(path)
     committed = json.loads(path.read_text()) if path.is_file() else {}
-    committed[section] = {
-        **payload,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-    }
+    committed[section] = {**payload, "host": host_fingerprint()}
     atomic_write(str(path), json.dumps(committed, indent=2) + "\n")
     return committed
 

@@ -204,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "tests/golden/ in the checkout)")
     verify.add_argument("--backend", default=None, metavar="NAME",
                         help="kernel backend for the fast engine in the "
-                        "fuzz pass: a registered name (einsum, reference, "
-                        "partitioned, partitioned:N) or 'all' to fuzz "
-                        "every registered backend (default: the "
-                        "REPRO_ENGINE_BACKEND override, else einsum)")
+                        "fuzz pass: einsum, reference, or 'all' for both "
+                        "(default: the REPRO_ENGINE_BACKEND override, "
+                        "else einsum)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -230,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "hostile clients + wedged workers), both = "
                        "engine+cluster, all = every layer (default both)")
     chaos.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend for the engine campaign, or "
-                       "'all' for einsum + reference + partitioned:2 "
-                       "(+ compiled:2 when a compiled flavor is "
-                       "available) (default: the REPRO_ENGINE_BACKEND "
-                       "override, else einsum)")
+                       help="kernel backend for the engine campaign: "
+                       "einsum, reference, or 'all' for both (default: "
+                       "the REPRO_ENGINE_BACKEND override, else einsum)")
     chaos.add_argument("--workers", type=int, default=2,
                        help="cluster campaign worker processes "
                        "(default 2)")
@@ -495,6 +492,22 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _backend_specs(choice: Optional[str], command: str):
+    """The backends a ``--backend`` choice names (``all`` = every
+    registered one, ``None`` = the session default), each checked up
+    front; ``None`` after printing why when one is refused."""
+    from .engine import available_backends, resolve_backend
+
+    specs = available_backends() if choice == "all" else [choice]
+    for spec in specs:
+        try:
+            resolve_backend(spec)
+        except ValueError as exc:
+            print(f"{command}: {exc}", file=sys.stderr)
+            return None
+    return specs
+
+
 def _cmd_verify(args) -> int:
     from pathlib import Path
 
@@ -511,6 +524,13 @@ def _cmd_verify(args) -> int:
             print(f"wrote {path}")
         return 0
 
+    n_cases = 25 if args.fuzz is None else args.fuzz
+    backends = []
+    if n_cases and not args.check:
+        backends = _backend_specs(args.backend, "verify")
+        if backends is None:
+            return 2
+
     mismatches = check_corpus(corpus_dir)
     if mismatches:
         print(f"golden corpus: {len(mismatches)} mismatch(es)")
@@ -523,27 +543,17 @@ def _cmd_verify(args) -> int:
     if args.check:
         return 0
 
-    n_cases = 25 if args.fuzz is None else args.fuzz
-    if n_cases:
-        from .engine import available_backends
-
-        if args.backend == "all":
-            backends = available_backends()
-        else:
-            backends = [args.backend]  # None = session default
-        failed = False
-        for backend in backends:
-            report = run_differential(
-                n_cases=n_cases, seed=args.seed, rel_tol=args.rel_tol,
-                backend=backend,
-            )
-            label = backend if backend is not None else "default"
-            print(f"[backend={label}] {report.summary()}")
-            if report.failures:
-                failed = True
-        if failed:
-            return 1
-    return 0
+    failed = False
+    for backend in backends:
+        report = run_differential(
+            n_cases=n_cases, seed=args.seed, rel_tol=args.rel_tol,
+            backend=backend,
+        )
+        label = backend if backend is not None else "default"
+        print(f"[backend={label}] {report.summary()}")
+        if report.failures:
+            failed = True
+    return 1 if failed else 0
 
 
 def _cmd_chaos(args) -> int:
@@ -556,14 +566,9 @@ def _cmd_chaos(args) -> int:
 
     reports = []
     if args.mode in ("engine", "both", "all"):
-        if args.backend == "all":
-            backends = ["einsum", "reference", "partitioned:2"]
-            from .engine import available_backends
-
-            if "compiled" in available_backends():
-                backends.append("compiled:2")
-        else:
-            backends = [args.backend]  # None = session default
+        backends = _backend_specs(args.backend, "chaos")
+        if backends is None:
+            return 2
         for backend in backends:
             reports.append(run_engine_campaign(
                 n_seeds=args.seeds, backend=backend,

@@ -8,7 +8,7 @@ Public surface:
   P-matrix LRU, traversal, Newton, SPR batching).
 * :class:`KernelBackend` / :func:`register_backend` /
   :func:`available_backends` / :func:`resolve_backend` — the backend
-  protocol and registry (``einsum``, ``reference``, ``partitioned``).
+  protocol and registry (``einsum``, ``reference``).
 """
 
 from .protocol import (
@@ -16,6 +16,7 @@ from .protocol import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KernelBackend,
+    RetiredBackendError,
     available_backends,
     create_engine,
     register_backend,
@@ -30,6 +31,7 @@ __all__ = [
     "KernelBackend",
     "LikelihoodEngine",
     "NewviewCase",
+    "RetiredBackendError",
     "available_backends",
     "create_engine",
     "estimate_site_rates",

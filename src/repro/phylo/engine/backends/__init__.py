@@ -6,14 +6,10 @@ import time).  Third-party backends can register themselves the same
 way before calling :func:`repro.phylo.engine.create_engine`.
 """
 
-from .compiled import CompiledBackend
 from .einsum import EinsumBackend
-from .partitioned import PartitionedBackend
 from .reference import ReferenceBackend
 
 __all__ = [
-    "CompiledBackend",
     "EinsumBackend",
-    "PartitionedBackend",
     "ReferenceBackend",
 ]

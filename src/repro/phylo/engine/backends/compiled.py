@@ -1,179 +1,24 @@
-"""The ``compiled`` kernel backend: nogil machine-code likelihood loops.
+"""Where the ``compiled`` backend used to live.
 
-This is the BEAGLE-style architecture-specific implementation slot
-behind the one :class:`~..protocol.KernelBackend` API (and the
-reproduction's answer to the paper's SIMD-vectorized SPE kernels): the
-hot loops run as compiled code that releases the GIL, so the
-partitioned dispatcher's stripe threads finally overlap for real
-instead of serialising on the interpreter.
+The ``compiled`` backend (nogil C and numba kernels behind a
+pattern-striped dispatcher) and the ``partitioned`` dispatcher it
+extended were deleted: neither beat ``einsum`` on the end-to-end
+benchmark's engine workloads, and the striped forms took two to three
+times as long (DESIGN.md §10.3).  Asking for either name is refused
+with :class:`~repro.phylo.engine.protocol.RetiredBackendError`.
 
-Two flavors implement the same striped-kernels interface:
-
-``numba``
-    :mod:`._compiled_numba` — ``@njit(nogil=True, cache=True)``
-    kernels.  Preferred when numba is importable
-    (``pip install repro[compiled]``).
-``cc``
-    :mod:`._compiled_cc` — a C translation unit compiled on demand with
-    the host C compiler and called through ctypes (which drops the GIL
-    for every foreign call).  The fallback for hosts without numba;
-    needs only a working ``cc``.
-
-Selection is ``REPRO_COMPILED_FLAVOR``: ``auto`` (default; numba then
-cc), ``numba``, ``cc``, or ``disabled`` (the backend reports itself
-unavailable — used by tests and as a kill switch).  Every flavor is
-self-checked against the einsum kernels at load (1e-12) and the one-time
-build/JIT cost is surfaced as the ``backend_warmup_us`` perf counter so
-benchmarks never charge compile time to the first likelihood call.
-
-When no flavor is available the registry's availability probe reports
-the backend absent (``available_backends()`` omits it) and resolving
-``compiled`` — by name or via ``REPRO_ENGINE_BACKEND`` — raises the
-typed :class:`CompiledBackendUnavailable` naming every flavor's reason;
-nothing falls back silently.  The engine-level fallback is the
-*degradation ladder* (compiled → einsum → reference), which only
-engages on detected numerical faults at runtime.
+This stub remains because the end-to-end benchmark's per-backend sweep
+imports :func:`compiled_available` to label the compiled rows, and that
+benchmark is frozen.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Dict, Optional
+from typing import Optional
 
-from ..protocol import register_backend
-from .partitioned import PartitionedBackend
-
-__all__ = [
-    "FLAVOR_ENV_VAR",
-    "CompiledBackend",
-    "CompiledBackendUnavailable",
-    "compiled_available",
-    "load_compiled_kernels",
-]
-
-#: Environment override for the kernel flavor: auto | numba | cc | disabled.
-FLAVOR_ENV_VAR = "REPRO_COMPILED_FLAVOR"
-
-_FLAVOR_ORDER = ("numba", "cc")
-
-
-class CompiledBackendUnavailable(RuntimeError):
-    """No compiled kernel flavor could be loaded (or the flavor was
-    explicitly disabled).  The typed error the registry/factory raises
-    when ``compiled`` is requested on a host that cannot provide it."""
-
-
-#: Loaded flavor singletons: one warmup per flavor per process.
-_LOADED: Dict[str, object] = {}
-#: Why a flavor failed to load (so availability errors are actionable).
-_FAILURES: Dict[str, str] = {}
-
-
-def _requested_flavor() -> str:
-    return os.environ.get(FLAVOR_ENV_VAR, "").strip().lower() or "auto"
-
-
-def _load_flavor(flavor: str):
-    """Load (or reuse) one flavor's kernel table, self-checked and with
-    its one-time warmup cost recorded.  Raises on any failure."""
-    cached = _LOADED.get(flavor)
-    if cached is not None:
-        return cached
-    from ._compiled_cc import run_self_check
-
-    started = time.perf_counter()
-    if flavor == "numba":
-        from ._compiled_numba import NumbaKernels
-
-        kernel_table = NumbaKernels()
-    elif flavor == "cc":
-        from ._compiled_cc import CcKernels
-
-        kernel_table = CcKernels()
-    else:
-        raise CompiledBackendUnavailable(
-            f"unknown compiled kernel flavor {flavor!r}; expected one of "
-            f"auto, numba, cc, disabled"
-        )
-    # The self-check doubles as the JIT/compile warmup: for numba it
-    # compiles every kernel, for cc it exercises the fresh library.
-    run_self_check(kernel_table)
-    kernel_table._warmup_us = int((time.perf_counter() - started) * 1e6)
-    _LOADED[flavor] = kernel_table
-    return kernel_table
-
-
-def load_compiled_kernels(flavor: Optional[str] = None):
-    """The compiled striped-kernels table for *flavor* (default: the
-    ``REPRO_COMPILED_FLAVOR`` environment selection).
-
-    ``auto`` tries numba then cc and raises
-    :class:`CompiledBackendUnavailable` naming every flavor's failure
-    when none loads; an explicit flavor propagates its own failure.
-    """
-    choice = (flavor or _requested_flavor()).lower()
-    if choice == "disabled":
-        raise CompiledBackendUnavailable(
-            f"compiled backend disabled via {FLAVOR_ENV_VAR}=disabled"
-        )
-    if choice != "auto":
-        try:
-            return _load_flavor(choice)
-        except CompiledBackendUnavailable:
-            raise
-        except Exception as exc:
-            _FAILURES[choice] = str(exc)
-            raise CompiledBackendUnavailable(
-                f"compiled kernel flavor {choice!r} failed to load: {exc}"
-            ) from exc
-    reasons = []
-    for candidate in _FLAVOR_ORDER:
-        try:
-            return _load_flavor(candidate)
-        except Exception as exc:
-            _FAILURES[candidate] = str(exc)
-            reasons.append(f"{candidate}: {exc}")
-    raise CompiledBackendUnavailable(
-        "no compiled kernel flavor available — "
-        + "; ".join(reasons)
-        + " (install numba via `pip install repro[compiled]` or provide "
-        "a C compiler)"
-    )
+__all__ = ["compiled_available"]
 
 
 def compiled_available() -> Optional[str]:
-    """The flavor name the ``compiled`` backend would use right now, or
-    ``None`` when unavailable.  This is the registry availability probe:
-    honest (it actually loads and self-checks the flavor) but one-time
-    per process thanks to the flavor cache."""
-    try:
-        return load_compiled_kernels().flavor
-    except CompiledBackendUnavailable:
-        return None
-
-
-@register_backend("compiled", probe=compiled_available)
-class CompiledBackend(PartitionedBackend):
-    """Pattern stripes dispatched into nogil compiled kernels.
-
-    Subclasses the partitioned dispatcher — stripe bounds, fixed
-    pattern-block reductions, ordered pairwise reduction, the chaos
-    ``backend.stripe_raise`` site, and the perf-counter contract are
-    all inherited — and swaps the inner striped-kernels implementation
-    from einsum to the loaded compiled flavor.  ``compiled:N`` runs N
-    stripes on N pool threads exactly like ``partitioned:N``; unlike
-    the einsum inner kernels, the compiled bodies hold the GIL for
-    none of their runtime, so N > 1 scales on multi-core hosts.
-    """
-
-    name = "compiled"
-
-    def __init__(self, n_stripes: Optional[int] = None,
-                 n_threads: Optional[int] = None,
-                 flavor: Optional[str] = None,
-                 block: Optional[int] = None) -> None:
-        super().__init__(
-            n_stripes, n_threads, inner=load_compiled_kernels(flavor),
-            block=block,
-        )
+    """Always ``None``: no compiled kernel flavour exists."""
+    return None

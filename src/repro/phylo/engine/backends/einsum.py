@@ -91,9 +91,6 @@ class EinsumBackend(KernelBackend):
     def perf_counters(self) -> Dict[str, int]:
         return {
             "backend_kernel_calls": self.kernel_calls,
-            "backend_stripe_tasks": 0,
-            "backend_stripes": 1,
-            "backend_threads": 1,
             "backend_warmup_us": 0,
         }
 

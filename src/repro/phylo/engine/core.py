@@ -49,12 +49,7 @@ from ..arena import ClvArena, ClvSlot
 from ..models import PMatrixCache, SubstitutionModel
 from ..rates import RateModel, UniformRate
 from ..tree import Branch, Node, Tree, MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
-from .protocol import (
-    EngineNumericalError,
-    KernelBackend,
-    KernelExecutionError,
-    resolve_backend,
-)
+from .protocol import EngineNumericalError, KernelBackend, resolve_backend
 
 __all__ = [
     "LikelihoodEngine",
@@ -177,26 +172,24 @@ class LikelihoodEngine:
         ``record_evaluate`` / ``record_makenewz`` calls; used by
         :mod:`repro.port.trace` to build platform-simulation workloads.
     backend:
-        Kernel backend: a registry name (``"einsum"``, ``"reference"``,
-        ``"partitioned"``, or ``"name:N"``), a live
-        :class:`KernelBackend`, or ``None`` to honour the
+        Kernel backend: a registry name (``"einsum"``, ``"reference"``),
+        a live :class:`KernelBackend`, or ``None`` to honour the
         ``REPRO_ENGINE_BACKEND`` environment override (default
         ``einsum``).  Prefer :func:`repro.phylo.engine.create_engine`
         for construction.
     degrade_after:
-        Degradation ladder budget: a detected numerical fault
-        (``FloatingPointError`` from the kernels' non-finite guards, or
-        a :class:`KernelExecutionError` from the backend) first triggers
-        cache invalidation and a recompute — bit-identical when the
-        fault was transient.  After ``degrade_after`` recomputes inside
-        one guarded operation still fault, the engine walks a fallback
-        chain determined by the starting backend — ``compiled`` and
-        ``partitioned`` fall to ``einsum`` then ``reference``, ``einsum``
-        falls to ``reference``, ``reference`` has nowhere to go — one
-        rung per further fault (sticky, counted by the ``degraded`` perf
-        counter and recorded in ``degradation_path``) instead of
-        crashing the search; when the chain is exhausted and the fault
-        persists, the typed :class:`EngineNumericalError` is raised.
+        Degradation ladder budget: a detected numerical fault (a
+        ``FloatingPointError`` from the kernels' non-finite guards)
+        first triggers cache invalidation and a recompute —
+        bit-identical when the fault was transient.  After
+        ``degrade_after`` recomputes inside one guarded operation still
+        fault, the engine walks the ladder ``einsum → reference`` (a
+        third-party backend falls to ``einsum`` first; ``reference`` has
+        nowhere to go), one rung per further fault (sticky, counted by
+        the ``degraded`` perf counter and recorded in
+        ``degradation_path``) instead of crashing the search; when the
+        ladder is exhausted and the fault persists, the typed
+        :class:`EngineNumericalError` is raised.
     """
 
     def __init__(
@@ -281,7 +274,6 @@ class LikelihoodEngine:
         self._degrade_after = degrade_after
         self._in_guard = False
         self._original_backend: Optional[KernelBackend] = None
-        self._retired_backends: List[KernelBackend] = []
         self._fallback_chain = self._fallback_chain_for(self._backend.name)
         #: backend names the ladder has fallen through, in order
         self.degradation_path: List[str] = []
@@ -305,15 +297,10 @@ class LikelihoodEngine:
         return self._backend
 
     def detach(self) -> None:
-        """Unregister from the tree, drop all caches, release the backend."""
+        """Unregister from the tree and drop all caches."""
         self.tree.remove_observer(self._on_branch_dirty)
         self._drop_all_clvs()
         self._pmats.invalidate()
-        self._backend.close()
-        for retired in self._retired_backends:
-            retired.close()
-        if self._original_backend is not None:
-            self._original_backend.close()
 
     # -- graceful degradation -------------------------------------------------
 
@@ -324,10 +311,9 @@ class LikelihoodEngine:
 
     @staticmethod
     def _fallback_chain_for(name: str) -> List[str]:
-        """The remaining ladder rungs below a backend: everything above
-        ``einsum`` (compiled, partitioned, third-party) falls to einsum
-        first — same engine caches, no thread pool, no foreign calls —
-        then to the independent ``reference`` implementation."""
+        """The remaining ladder rungs below a backend: ``einsum`` falls to
+        the independent ``reference`` implementation, and a third-party
+        backend to ``einsum`` first."""
         if name == "reference":
             return []
         if name == "einsum":
@@ -338,20 +324,18 @@ class LikelihoodEngine:
         """Step one rung down the fallback chain (sticky until detach);
         returns False when the chain is exhausted.
 
-        Displaced backends are kept so :meth:`detach` can release their
-        resources (thread pools), and so the degradation is visible to
-        diagnostics.  Every cache is dropped: a backend owning its own
-        transition-matrix projection (reference) must not see cached
-        P-matrices from the failed backend, and CLVs computed by the
-        faulting backend must not leak into the replacement's results.
+        The first displaced backend is kept so the error message can
+        name where the ladder started.  Every cache is dropped: a
+        backend owning its own transition-matrix projection (reference)
+        must not see cached P-matrices from the failed backend, and CLVs
+        computed by the faulting backend must not leak into the
+        replacement's results.
         """
         if not self._fallback_chain:
             return False
         next_name = self._fallback_chain.pop(0)
         if self._original_backend is None:
             self._original_backend = self._backend
-        else:
-            self._retired_backends.append(self._backend)
         self._backend = resolve_backend(next_name)
         self.degradation_path.append(next_name)
         self.invalidate_all()
@@ -360,13 +344,12 @@ class LikelihoodEngine:
     def _guarded(self, label: str, fn):
         """Run ``fn`` under the degradation ladder.
 
-        Detected faults (non-finite kernel guards, backend execution
-        failures) invalidate every cache and recompute; after
-        ``degrade_after`` faulting recomputes, every further fault steps
-        the engine one rung down the backend fallback chain (compiled →
-        einsum → reference) and tries again.  Nested guarded calls
-        (e.g. ``clv`` inside ``evaluate``) run bare so one operation has
-        exactly one ladder.
+        Detected faults (non-finite kernel guards) invalidate every
+        cache and recompute; after ``degrade_after`` faulting
+        recomputes, every further fault steps the engine one rung down
+        the backend fallback chain (einsum → reference) and tries
+        again.  Nested guarded calls (e.g. ``clv`` inside ``evaluate``)
+        run bare so one operation has exactly one ladder.
         """
         if self._in_guard:
             return fn()
@@ -378,7 +361,7 @@ class LikelihoodEngine:
             while True:
                 try:
                     result = fn()
-                except (FloatingPointError, KernelExecutionError) as exc:
+                except FloatingPointError as exc:
                     attempt += 1
                     self.numerical_faults += 1
                     self.invalidate_all()
@@ -777,9 +760,8 @@ class LikelihoodEngine:
 
         For a reversible model the result is branch-independent; the
         default uses an arbitrary branch.  Guarded: a non-finite result
-        or a backend execution failure walks the degradation ladder
-        (recompute, then reference fallback) before surfacing a typed
-        :class:`EngineNumericalError`.
+        walks the degradation ladder (recompute, then reference
+        fallback) before surfacing a typed :class:`EngineNumericalError`.
         """
         return self._guarded("evaluate", lambda: self._evaluate_impl(branch))
 

@@ -15,7 +15,7 @@ per-iteration probe on it is the engine's prepared
 one whole CLV per call, by default the composition of the backend's own
 propagate/combine/rescale kernels.
 
-Four backends register here:
+Two backends register here:
 
 ``einsum``
     The vectorized NumPy kernels of :mod:`repro.phylo.kernels` — the
@@ -26,26 +26,11 @@ Four backends register here:
     element-wise, bypassing the engine's P-matrix cache).  Backing the
     differential oracle: same core, two backends, so the oracle can no
     longer drift from the engine surface.
-``partitioned``
-    The paper's PPE→SPE work partitioning: site patterns are sharded
-    into contiguous stripes and every kernel runs stripe-parallel on a
-    thread pool (NumPy releases the GIL inside the einsum bodies), with
-    partial log likelihoods reduced over fixed pattern blocks in a
-    thread-count-invariant order — exactly as the SPE version reduces
-    its partial results in fixed PPE order.
-``compiled``
-    The partitioned dispatcher with nogil machine-code inner kernels
-    (numba ``@njit(nogil=True)`` or an on-demand-compiled C library) so
-    stripe threads genuinely overlap.  Registered with an availability
-    *probe*: hosts without numba or a C compiler simply do not list it,
-    and requesting it by name raises a typed error.
 
 Select a backend with :func:`create_engine`'s ``backend=`` argument, the
-``REPRO_ENGINE_BACKEND`` environment variable (``name``, ``name:N`` where
-``N`` sets the stripe/thread count, or ``name:N:inner`` where ``inner``
-picks the partitioned dispatcher's inner kernels, e.g.
-``partitioned:2:compiled``), or by passing an already-built
-:class:`KernelBackend` instance.
+``REPRO_ENGINE_BACKEND`` environment variable (a registry name), or by
+passing an already-built :class:`KernelBackend` instance.  A name in
+:data:`RETIRED_BACKENDS` is refused with :class:`RetiredBackendError`.
 """
 
 from __future__ import annotations
@@ -62,20 +47,13 @@ __all__ = [
     "DEFAULT_BACKEND",
     "EngineNumericalError",
     "KernelBackend",
-    "KernelExecutionError",
+    "RETIRED_BACKENDS",
+    "RetiredBackendError",
     "available_backends",
-    "backend_availability",
     "create_engine",
     "register_backend",
     "resolve_backend",
 ]
-
-
-class KernelExecutionError(RuntimeError):
-    """A kernel backend failed to *execute* (as opposed to producing a
-    numerically bad result): a stripe worker raised, a thread pool died.
-    The engine core treats it like a detected numerical fault — drop
-    caches, recompute, and escalate down the degradation ladder."""
 
 
 class EngineNumericalError(RuntimeError):
@@ -84,22 +62,31 @@ class EngineNumericalError(RuntimeError):
     numerical faults.  The typed end state: a caller seeing this knows
     the result was *not* silently wrong — there is no result."""
 
+
+class RetiredBackendError(ValueError):
+    """A backend spec names a backend that was deleted (see
+    :data:`RETIRED_BACKENDS`).  The message names the retired backend
+    and what to use instead."""
+
+
 #: Environment variable overriding the default backend for every engine
-#: built without an explicit ``backend=``: ``einsum``, ``reference``,
-#: ``partitioned``, or ``partitioned:N`` (N stripes on N threads).
+#: built without an explicit ``backend=``: ``einsum`` or ``reference``.
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 
 #: Backend used when neither the caller nor the environment chooses.
 DEFAULT_BACKEND = "einsum"
+
+#: Deleted backends: the pattern-striped thread dispatcher and the
+#: nogil C/numba kernels behind it, neither of which beat ``einsum`` on
+#: the benchmark's engine workloads.  Naming one, with or without the
+#: old ``:N`` stripe suffix, raises :class:`RetiredBackendError`.
+RETIRED_BACKENDS = ("compiled", "partitioned")
 
 #: Counter keys every backend must report (satellite contract: golden
 #: perf-counter checks and the benchmark harness never special-case the
 #: backend).  Values are cumulative since backend construction.
 BACKEND_COUNTER_KEYS = (
     "backend_kernel_calls",
-    "backend_stripe_tasks",
-    "backend_stripes",
-    "backend_threads",
     "backend_warmup_us",
 )
 
@@ -117,11 +104,10 @@ class KernelBackend:
     * Scale counts: ``(s,)`` ``int64``.
 
     Implementations must be *deterministic*: two calls on the same
-    inputs return bit-identical results (the partitioned backend fixes
-    its stripe boundaries and reduction order up front for exactly this
-    reason).  Scale counts must be bit-identical **across** backends —
-    the underflow threshold comparison is exact, so striping or loop
-    order must not change which patterns rescale.
+    inputs return bit-identical results.  Scale counts must be
+    bit-identical **across** backends — the underflow threshold
+    comparison is exact, so loop order must not change which patterns
+    rescale.
     """
 
     #: Registry name (overridden per subclass).
@@ -139,9 +125,8 @@ class KernelBackend:
     #: unit is one call through this interface that does arithmetic, so
     #: it is backend-specific per ``newview``: the default
     #: :meth:`newview` is a composition and counts its four constituent
-    #: kernels (two propagations, combine, rescale — ``reference``,
-    #: ``partitioned``, ``compiled``), while ``einsum``'s fused override
-    #: counts **one** per ``newview``.
+    #: kernels (two propagations, combine, rescale — ``reference``),
+    #: while ``einsum``'s fused override counts **one** per ``newview``.
     kernel_calls: int = 0
 
     #: Scratch for the second child term of :meth:`newview` (lazily
@@ -330,37 +315,20 @@ class KernelBackend:
         special-case the backend."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release backend resources (thread pools); idempotent."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Callable[..., KernelBackend]] = {}
-
-#: Optional availability probes by backend name.  A probe returns a
-#: truthy value (conventionally a short detail string, e.g. the compiled
-#: kernel flavor) when the backend can actually be constructed on this
-#: host, and ``None``/falsy when it cannot.
-_PROBES: Dict[str, Callable[[], object]] = {}
+_REGISTRY: Dict[str, Callable[[], KernelBackend]] = {}
 
 
-def register_backend(name: str, probe: Optional[Callable[[], object]] = None):
-    """Class/factory decorator adding a backend to the registry.
+def register_backend(name: str):
+    """Class/factory decorator adding a backend to the registry."""
 
-    ``probe`` (optional) is a zero-argument availability check: backends
-    that depend on host capabilities (a JIT, a C compiler) register one
-    so :func:`available_backends` only lists what would really build.
-    Probes run lazily — never at registration/import time.
-    """
-
-    def decorate(factory: Callable[..., KernelBackend]):
+    def decorate(factory: Callable[[], KernelBackend]):
         _REGISTRY[name] = factory
-        if probe is not None:
-            _PROBES[name] = probe
         return factory
 
     return decorate
@@ -373,85 +341,43 @@ def _ensure_registered() -> None:
         from . import backends  # noqa: F401  (import side effect)
 
 
-def _probe(name: str) -> bool:
-    probe = _PROBES.get(name)
-    if probe is None:
-        return True
-    try:
-        return bool(probe())
-    except Exception:
-        return False
-
-
 def available_backends() -> List[str]:
-    """Sorted names of every registered backend *usable on this host*
-    (backends whose availability probe fails are omitted)."""
+    """Sorted names of every registered backend."""
     _ensure_registered()
-    return sorted(name for name in _REGISTRY if _probe(name))
-
-
-def backend_availability() -> Dict[str, object]:
-    """Every registered backend name mapped to its availability: ``True``
-    (no probe — always constructible), the probe's truthy detail (e.g.
-    the compiled flavor name), or ``False`` when the probe fails."""
-    _ensure_registered()
-    report: Dict[str, object] = {}
-    for name in sorted(_REGISTRY):
-        probe = _PROBES.get(name)
-        if probe is None:
-            report[name] = True
-            continue
-        try:
-            detail = probe()
-        except Exception:
-            detail = None
-        report[name] = detail if detail else False
-    return report
+    return sorted(_REGISTRY)
 
 
 def resolve_backend(
-    spec: Union[None, str, KernelBackend] = None, **options
+    spec: Union[None, str, KernelBackend] = None
 ) -> KernelBackend:
     """Turn a backend spec into a live :class:`KernelBackend`.
 
-    ``spec`` may be an instance (returned as-is), a registry name, a
-    ``name:N`` string (N = partitioned stripe/thread count), a
-    ``name:N:inner`` string (``inner`` = the partitioned dispatcher's
-    inner striped kernels, e.g. ``partitioned:2:compiled``), or ``None``
-    — which consults :data:`BACKEND_ENV_VAR` and finally falls back to
-    :data:`DEFAULT_BACKEND`.  Keyword options are forwarded to the
-    backend factory.
+    ``spec`` may be an instance (returned as-is), a registry name, or
+    ``None`` — which consults :data:`BACKEND_ENV_VAR` and finally falls
+    back to :data:`DEFAULT_BACKEND`.  A name in :data:`RETIRED_BACKENDS`
+    (bare or with its old ``:N`` suffix) raises
+    :class:`RetiredBackendError`; any other unknown name ``ValueError``.
     """
     if isinstance(spec, KernelBackend):
-        if options:
-            raise ValueError(
-                "backend options cannot be combined with a backend instance"
-            )
         return spec
     _ensure_registered()
+    source = "backend"
     if spec is None:
         spec = os.environ.get(BACKEND_ENV_VAR, "").strip() or DEFAULT_BACKEND
-    name, _, rest = spec.partition(":")
-    if rest:
-        arg, _, inner = rest.partition(":")
-        try:
-            workers = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"malformed backend spec {spec!r}: expected name, name:N, "
-                f"or name:N:inner"
-            ) from None
-        options.setdefault("n_stripes", workers)
-        options.setdefault("n_threads", workers)
-        if inner:
-            options.setdefault("inner", inner)
-    factory = _REGISTRY.get(name)
+        source = BACKEND_ENV_VAR
+    name = spec.partition(":")[0]
+    if name in RETIRED_BACKENDS:
+        raise RetiredBackendError(
+            f"{source}={spec!r}: the {name!r} engine backend was removed; "
+            f"use one of: {', '.join(available_backends())}"
+        )
+    factory = _REGISTRY.get(spec)
     if factory is None:
         raise ValueError(
-            f"unknown engine backend {name!r}; available: "
+            f"unknown engine backend {spec!r}; available: "
             f"{', '.join(available_backends())}"
         )
-    return factory(**options)
+    return factory()
 
 
 def create_engine(
@@ -461,7 +387,6 @@ def create_engine(
     tree=None,
     tracer=None,
     backend: Union[None, str, KernelBackend] = None,
-    **backend_options,
 ):
     """Build a :class:`~repro.phylo.engine.core.LikelihoodEngine` on the
     chosen kernel backend.
@@ -475,10 +400,5 @@ def create_engine(
     from .core import LikelihoodEngine
 
     return LikelihoodEngine(
-        patterns,
-        model,
-        rate_model,
-        tree,
-        tracer=tracer,
-        backend=resolve_backend(backend, **backend_options),
+        patterns, model, rate_model, tree, tracer=tracer, backend=backend
     )

@@ -81,9 +81,8 @@ __all__ = [
 # three-operand derivative kernels, off that path, still come through
 # here.
 #
-# The cache is shared by every engine in the process — including the
-# ``partitioned`` backend's stripe workers, which call these kernels
-# concurrently from a thread pool — so population is guarded by a lock.
+# The cache is shared by every engine in the process, and engines may
+# run on several threads at once, so population is guarded by a lock.
 # Reads take the lock too: a plain dict ``get`` racing a concurrent
 # resize is not guaranteed safe, and the lock cost is dwarfed by the
 # einsum itself.  ``np.einsum_path`` is computed outside the lock (it is
@@ -96,8 +95,8 @@ _PATH_CACHE_LOCK = threading.Lock()
 def contraction_path(subscripts: str, *operands: np.ndarray) -> List:
     """The cached optimal contraction path for ``np.einsum(subscripts, ...)``.
 
-    Thread-safe: concurrent stripe workers of the partitioned backend
-    may populate the cache simultaneously.
+    Thread-safe: engines on different threads may populate the cache
+    simultaneously.
     """
     key = (subscripts,) + tuple(op.shape for op in operands)
     with _PATH_CACHE_LOCK:

@@ -13,7 +13,7 @@ matrices::
 with ``R = diag(pi)^-1/2 U`` and ``L = U^T diag(pi)^1/2`` for the
 orthonormal eigenvectors ``U`` of the symmetrized matrix.  The same
 decomposition yields analytic first and second derivatives of ``P`` with
-respect to ``t``, which :mod:`repro.phylo.likelihood` uses for
+respect to ``t``, which :mod:`repro.phylo.engine` uses for
 Newton-Raphson branch-length optimization (the paper's ``makenewz()``).
 
 The classic four-state DNA models (:func:`JC69`, :func:`K80`,

@@ -1,7 +1,7 @@
 """Model-parameter optimization (the part of RAxML around the kernels).
 
 RAxML alternates three optimization phases until convergence: branch
-lengths (``makenewz``, already in :mod:`repro.phylo.likelihood`), the
+lengths (``makenewz``, already in :mod:`repro.phylo.engine`), the
 Gamma shape parameter ``alpha``, and the GTR exchangeability rates.
 This module supplies the latter two plus the alternating driver.
 

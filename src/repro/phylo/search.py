@@ -14,7 +14,7 @@ The search loop mirrors the structure of RAxML's rapid hill climbing:
    the maximal radius also yields nothing.
 
 Every likelihood operation flows through the
-:class:`~repro.phylo.likelihood.LikelihoodEngine`, so an attached tracer
+:class:`~repro.phylo.engine.LikelihoodEngine`, so an attached tracer
 observes the realistic ``newview``/``makenewz``/``evaluate`` mix that the
 Cell-platform simulation replays.
 """

@@ -2,7 +2,7 @@
 
 Every case is a random (alignment, tree, model, rate model) quadruple
 derived deterministically from one integer seed.  The fast
-:class:`~repro.phylo.likelihood.LikelihoodEngine` — on any registered
+:class:`~repro.phylo.engine.LikelihoodEngine` — on any registered
 kernel backend, selectable per run — and the
 :class:`~repro.verify.oracle.ReferenceEngine` score the identical
 instance, and the harness compares:
@@ -237,7 +237,7 @@ def compare_case(
     """Diff the fast engine (on *backend*) against the oracle on one case.
 
     *backend* is any spec :func:`repro.phylo.engine.resolve_backend`
-    accepts — a registry name like ``"einsum"`` or ``"partitioned:2"``,
+    accepts — a registry name like ``"einsum"`` or ``"reference"``,
     a live backend, or ``None`` for the session default.  Scale counts
     must match the oracle **exactly** whatever the backend; log
     likelihoods must agree within *rel_tol*.

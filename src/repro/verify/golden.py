@@ -144,7 +144,7 @@ def compute_case(case: GoldenCase) -> Dict:
 
     # Golden records are pinned to the einsum backend: a committed file
     # must not depend on the REPRO_ENGINE_BACKEND override the suite
-    # happens to run under (stripe-order reduction shifts lnL round-off).
+    # happens to run under (another backend's round-off moves lnL bits).
     engine = LikelihoodEngine(
         patterns, model, rate_model, tree, backend="einsum"
     )

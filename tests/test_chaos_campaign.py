@@ -1,7 +1,7 @@
 """Campaign and classification tests (repro.chaos.campaign / .report).
 
 Tier-1 runs tiny campaigns (2 chaos seeds on a 6-taxon workload) across
-all three kernel backends; the CI-sized 25-seed sweeps are marked
+both kernel backends; the CI-sized 25-seed sweeps are marked
 ``verify`` and also run from the ``chaos`` CI job via the CLI.
 """
 
@@ -28,7 +28,7 @@ from repro.cluster import RunJournal
 #: backend, so the classification must be the same everywhere.
 NEUTRAL_SITES = (ENGINE_CLV_POISON, ENGINE_UNDERFLOW)
 
-BACKENDS = ("einsum", "reference", "partitioned:2")
+BACKENDS = ("einsum", "reference")
 
 
 class TestEngineCampaign:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, inject
 from repro.chaos.plan import (
-    BACKEND_STRIPE_RAISE,
     ENGINE_CLV_POISON,
     ENGINE_PMAT_CORRUPT,
     ENGINE_SITES,
@@ -84,24 +83,6 @@ class TestTransientRecovery:
         finally:
             engine.detach()
 
-    def test_stripe_raise_recovers_bit_identical(self):
-        patterns, tree = _instance(seed=29)
-        clean = _clean_loglik(patterns, tree, backend="partitioned:2")
-        engine = LikelihoodEngine(
-            patterns, JC69(), None, tree, backend="partitioned:2"
-        )
-        try:
-            plan = _single_site_plan(BACKEND_STRIPE_RAISE)
-            with inject(plan) as injector:
-                recovered = engine.evaluate(tree.branches[0])
-            assert injector.fired[BACKEND_STRIPE_RAISE] == 1
-            assert engine.numerical_faults >= 1
-            assert engine.fault_recoveries >= 1
-            assert not engine.is_degraded
-            assert recovered == clean
-        finally:
-            engine.detach()
-
     def test_recovery_holds_through_makenewz(self):
         patterns, tree = _instance(seed=33)
         branch = tree.branches[1]
@@ -144,31 +125,30 @@ class TestForcedUnderflow:
 
 
 class TestDegradationLadder:
-    def test_repeated_stripe_raise_degrades_down_the_ladder(self):
+    def test_repeated_pmat_corruption_degrades_to_reference(self):
         """Faults outlasting the recompute budget must step down the
         backend ladder — loudly (is_degraded + perf counter +
         degradation_path), with an answer that still agrees with the
-        clean one.  A stripe-level fault dies at the first rung: einsum
-        has no stripe dispatch, so the fault site never fires again."""
+        clean one.  A P-cache fault dies at the one rung below einsum:
+        reference projects its own matrices and never reads the cache,
+        so the fault site is never visited again."""
         patterns, tree = _instance(seed=47)
-        clean = _clean_loglik(patterns, tree, backend="partitioned:2")
-        engine = LikelihoodEngine(
-            patterns, JC69(), None, tree, backend="partitioned:2"
-        )
+        clean = _clean_loglik(patterns, tree)
+        engine = LikelihoodEngine(patterns, JC69(), None, tree)
         try:
             plan = _single_site_plan(
-                BACKEND_STRIPE_RAISE, trigger_at=tuple(range(64)),
+                ENGINE_PMAT_CORRUPT, trigger_at=tuple(range(4096)),
             )
             with inject(plan):
                 value = engine.evaluate(tree.branches[0])
             assert engine.is_degraded
-            assert engine.degradation_path == ["einsum"]
-            assert engine.backend.name == "einsum"
+            assert engine.degradation_path == ["reference"]
+            assert engine.backend.name == "reference"
             assert engine.degraded_evaluations >= 1
             assert engine.perf_counters()["degraded"] >= 1
             assert engine.numerical_faults > engine._degrade_after
-            # The fallback backend does not share the striped reduction
-            # grouping, so agreement is approximate — but loud, not silent.
+            # The fallback backend sums in its own order, so agreement
+            # is approximate — but loud, not silent.
             assert value == pytest.approx(clean, rel=1e-9)
         finally:
             engine.detach()
@@ -224,7 +204,7 @@ class TestDisabledAndInertPaths:
 
 
 class TestVerifyInvariant:
-    @pytest.mark.parametrize("backend", [None, "partitioned:2"])
+    @pytest.mark.parametrize("backend", [None, "reference"])
     def test_fault_recovery_invariance_is_exact(self, backend):
         rng = np.random.default_rng(7)
         sequences = {

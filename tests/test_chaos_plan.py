@@ -20,6 +20,8 @@ from repro.chaos.plan import (
     ALL_SITES,
     ENGINE_CLV_POISON,
     ENGINE_UNDERFLOW,
+    RETIRED_SITES,
+    RetiredSiteError,
     default_cluster_plan,
     default_engine_plan,
 )
@@ -48,6 +50,20 @@ class TestSpecAndPlanValidation:
         assert set(default_cluster_plan(0).sites) <= set(ALL_SITES)
         restricted = default_engine_plan(0, sites=(ENGINE_UNDERFLOW,))
         assert restricted.sites == (ENGINE_UNDERFLOW,)
+
+    def test_retired_site_is_refused_by_name(self):
+        """A plan written for the deleted striped backends names a site
+        no code visits; loading it fails loudly instead of running an
+        adversary that can never fire."""
+        assert not set(RETIRED_SITES) & set(ALL_SITES)
+        payload = {"seed": 0, "specs": [
+            {"site": ENGINE_CLV_POISON, "probability": 0.1},
+            {"site": "backend.stripe_raise", "probability": 0.01},
+        ]}
+        with pytest.raises(RetiredSiteError, match="backend.stripe_raise"):
+            FaultPlan.from_json(payload)
+        with pytest.raises(RetiredSiteError, match="backend.stripe_raise"):
+            FaultSpec("backend.stripe_raise", probability=0.5)
 
 
 class TestJsonRoundTrip:

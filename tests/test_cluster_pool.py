@@ -269,12 +269,26 @@ class TestFaultsOnASharedPool:
         assert not set(pair.idle_pids()) & set(chaotic)
 
 
+class _DrainAfterFirstReplicate:
+    """A journal ``clock`` that drains the run from inside it: the first
+    append after a ``replicate_done`` record reached the journal cancels
+    *token*, so the drain lands mid-run whatever the host's speed."""
+
+    def __init__(self, journal: str, token: CancelToken):
+        self.journal, self.token = journal, token
+
+    def __call__(self) -> float:
+        if not self.token.cancelled:
+            with open(self.journal) as fh:
+                if '"replicate_done"' in fh.read():
+                    self.token.cancel(REASON_DRAIN)
+        return time.time()
+
+
 class TestAbnormalEnds:
     """A run that does not end normally terminates what it holds."""
 
-    #: Long enough (~1 s on two workers) that the 0.3 s drain timer
-    #: below always lands mid-run, however fast a replicate gets.
-    SPEC = JobSpec(n_inferences=1, n_bootstraps=96, seed=3)
+    SPEC = JobSpec(n_inferences=1, n_bootstraps=24, seed=3)
 
     @pytest.fixture(scope="class")
     def uninterrupted(self, tiny_patterns, tmp_path_factory):
@@ -289,14 +303,10 @@ class TestAbnormalEnds:
         held = pair.idle_pids()
         journal = str(tmp_path / "j.jsonl")
         token = CancelToken()
-        timer = threading.Timer(0.3, token.cancel, args=(REASON_DRAIN,))
-        timer.start()
-        try:
-            with pytest.raises(TaskCancelled) as excinfo:
-                run_job(self.SPEC, alignment=tiny_patterns, n_workers=2,
-                        journal_path=journal, cancel=token, pool=pair)
-        finally:
-            timer.cancel()
+        with pytest.raises(TaskCancelled) as excinfo:
+            run_job(self.SPEC, alignment=tiny_patterns, n_workers=2,
+                    journal_path=journal, cancel=token, pool=pair,
+                    clock=_DrainAfterFirstReplicate(journal, token))
         assert excinfo.value.reason == REASON_DRAIN
         assert pair.n_idle == 0
         assert _wait_gone(held, 5.0)

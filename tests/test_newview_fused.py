@@ -29,11 +29,8 @@ from repro.phylo.search import _apply_spr, _revert_spr, spr_neighborhood
 from tests.strategies import random_patterns
 from tests.test_sumtable import CONFIGS, N_PATTERNS, _engine, _rates
 
-#: every registered backend usable here, the striped ones on two stripes
-BACKENDS = [
-    f"{name}:2" if name in ("partitioned", "compiled") else name
-    for name in available_backends()
-]
+#: every registered backend
+BACKENDS = available_backends()
 
 CASES = {
     NewviewCase.TIP_TIP: ("tip", "tip"),
@@ -102,17 +99,14 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("spec", BACKENDS)
     def test_fused_is_the_hand_composition(self, spec, config, case):
         backend = resolve_backend(spec)
-        try:
-            operands = _operands(config, case)
-            want_clv, want_scale, want_scaled = _by_hand(backend, *operands)
-            clv, scale, scaled = _fused(backend, operands)
-            assert np.array_equal(clv, want_clv)
-            assert np.array_equal(scale, want_scale)
-            assert scaled == want_scaled
-            if case == NewviewCase.INNER_INNER:
-                assert scaled > 0  # the operands do cross the threshold
-        finally:
-            backend.close()
+        operands = _operands(config, case)
+        want_clv, want_scale, want_scaled = _by_hand(backend, *operands)
+        clv, scale, scaled = _fused(backend, operands)
+        assert np.array_equal(clv, want_clv)
+        assert np.array_equal(scale, want_scale)
+        assert scaled == want_scaled
+        if case == NewviewCase.INNER_INNER:
+            assert scaled > 0  # the operands do cross the threshold
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -231,55 +225,47 @@ class TestHook:
     @pytest.mark.parametrize("spec", BACKENDS)
     def test_runs_once_between_combine_and_rescale(self, spec):
         backend = resolve_backend(spec)
-        try:
-            operands = _operands("gtr_gamma4", NewviewCase.INNER_INNER)
-            clean_clv, clean_scale, clean_scaled = _fused(backend, operands)
-            seen = []
+        operands = _operands("gtr_gamma4", NewviewCase.INNER_INNER)
+        clean_clv, clean_scale, clean_scaled = _fused(backend, operands)
+        seen = []
 
-            def hook(clv, scale_counts):
-                # the combine is done (no NaN left from the fill) and the
-                # rescale is not: counts are still the children's sum
-                seen.append((np.isfinite(clv).all(), scale_counts.copy()))
+        def hook(clv, scale_counts):
+            # the combine is done (no NaN left from the fill) and the
+            # rescale is not: counts are still the children's sum
+            seen.append((np.isfinite(clv).all(), scale_counts.copy()))
 
-            _fused(backend, operands, hook=hook)
-            assert len(seen) == 1
-            finite, counts = seen[0]
-            assert finite
-            assert np.array_equal(counts, operands[0][1] + operands[2][1])
-            assert clean_scaled > 0
-            assert not np.array_equal(counts, clean_scale)
-        finally:
-            backend.close()
+        _fused(backend, operands, hook=hook)
+        assert len(seen) == 1
+        finite, counts = seen[0]
+        assert finite
+        assert np.array_equal(counts, operands[0][1] + operands[2][1])
+        assert clean_scaled > 0
+        assert not np.array_equal(counts, clean_scale)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("spec", BACKENDS)
     def test_a_poisoned_stripe_meets_this_operations_guard(self, spec, value):
         backend = resolve_backend(spec)
-        try:
-            def poison(clv, scale_counts):
-                clv[: max(1, len(clv) // 4)] = value
 
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                _fused(backend,
-                       _operands("hky_cat", NewviewCase.TIP_INNER),
-                       hook=poison)
-        finally:
-            backend.close()
+        def poison(clv, scale_counts):
+            clv[: max(1, len(clv) // 4)] = value
+
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _fused(backend,
+                   _operands("hky_cat", NewviewCase.TIP_INNER),
+                   hook=poison)
 
     @pytest.mark.parametrize("spec", BACKENDS)
     def test_forced_underflow_round_trips_exactly(self, spec):
         backend = resolve_backend(spec)
-        try:
-            operands = _operands("gtr_gamma4", NewviewCase.TIP_TIP)
-            clean_clv, clean_scale, clean_scaled = _fused(backend, operands)
-            assert clean_scaled == 0  # tips cannot underflow on their own
-            clv, scale, scaled = _fused(
-                backend, operands, hook=LikelihoodEngine._force_underflow)
-            assert scaled > 0
-            assert np.array_equal(clv, clean_clv)
-            assert np.array_equal(scale, clean_scale)
-        finally:
-            backend.close()
+        operands = _operands("gtr_gamma4", NewviewCase.TIP_TIP)
+        clean_clv, clean_scale, clean_scaled = _fused(backend, operands)
+        assert clean_scaled == 0  # tips cannot underflow on their own
+        clv, scale, scaled = _fused(
+            backend, operands, hook=LikelihoodEngine._force_underflow)
+        assert scaled > 0
+        assert np.array_equal(clv, clean_clv)
+        assert np.array_equal(scale, clean_scale)
 
 
 class TestEngineWiring:

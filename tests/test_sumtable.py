@@ -421,7 +421,7 @@ def _engine(config, seed=5, n_taxa=7, backend="einsum"):
 class TestEngineProbe:
     @pytest.mark.parametrize("config",
                              ["jc69_uniform", "gtr_gamma4", "hky_cat"])
-    @pytest.mark.parametrize("backend", ["einsum", "partitioned:2"])
+    @pytest.mark.parametrize("backend", ["einsum", "reference"])
     def test_newton_probe_matches_public_probe_on_every_branch(
             self, config, backend):
         engine = _engine(config, backend=backend)
@@ -646,7 +646,7 @@ class TestGuardParity:
 
 
 class TestAccounting:
-    @pytest.mark.parametrize("backend", ["einsum", "partitioned:2"])
+    @pytest.mark.parametrize("backend", ["einsum", "reference"])
     def test_one_kernel_call_per_derivative_evaluation(self, backend):
         class Iterations:
             total = 0

@@ -11,7 +11,7 @@ from repro.phylo import (
     infer_tree,
     stepwise_addition_tree,
 )
-from repro.phylo.likelihood import NewviewCase
+from repro.phylo.engine import NewviewCase
 from repro.port import NESTED_TOP, Tracer, TraceSummary
 
 

@@ -8,7 +8,6 @@ locally with ``pytest -m verify``).
 import numpy as np
 import pytest
 
-from repro.phylo.engine.backends.compiled import compiled_available
 from repro.verify import (
     DifferentialFailure,
     compare_case,
@@ -16,17 +15,10 @@ from repro.verify import (
     run_differential,
 )
 
-#: Every backend the fast side of the diff runs on, including partitioned
-#: stripe counts that do and do not divide typical pattern counts.  The
-#: "reference" entry diffs the oracle backend against the (stateless,
-#: cache-free) oracle itself — a self-consistency check of the core's
-#: dirty tracking.  The compiled backend joins the sweep whenever a
-#: kernel flavor (numba or a C compiler) is available on the host.
-BACKEND_SPECS = ["einsum", "reference", "partitioned:1", "partitioned:2",
-                 "partitioned:7",
-                 pytest.param("compiled:2", marks=pytest.mark.skipif(
-                     compiled_available() is None,
-                     reason="no compiled kernel flavor available"))]
+#: Every backend the fast side of the diff runs on.  The "reference"
+#: entry diffs the oracle backend against the (stateless, cache-free)
+#: oracle itself — a self-consistency check of the core's dirty tracking.
+BACKEND_SPECS = ["einsum", "reference"]
 
 
 def test_random_case_is_deterministic():
