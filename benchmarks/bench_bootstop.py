@@ -35,11 +35,11 @@ Run standalone::
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.cluster import BootstopConfig, JobSpec, job_status, run_job
+from repro.harness.report import merge_bench_section
 from repro.phylo import SearchConfig, synthetic_dataset
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -137,10 +137,7 @@ def main() -> int:
         "wall_speedup": fixed_wall / auto_wall,
         "support_agreement": agreement,
     }
-    existing = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() \
-        else {}
-    existing["bootstop"] = section
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+    merge_bench_section(RESULT_PATH, "bootstop", section)
     print(f"bench_bootstop: OK — wrote 'bootstop' section to "
           f"{RESULT_PATH.name} ({section['replicate_savings']:.0%} fewer "
           f"replicates, {section['wall_speedup']:.2f}x faster)")

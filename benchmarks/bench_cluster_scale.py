@@ -1,10 +1,10 @@
-"""Thousand-replicate sharded campaign: kill it three times, lose nothing.
+"""Thousand-replicate campaign: kill it three times, lose nothing.
 
-The acceptance bar for the sharded journal (DESIGN.md section 15): a
-large bootstrap campaign on per-worker-group WAL shards, SIGKILLed and
-resumed at three seeded points, must finish with aggregates
-bit-identical to an uninterrupted run — and resuming it must cost
-O(live results), not O(history), thanks to snapshot compaction.
+The acceptance bar for the run journal at scale (DESIGN.md section 15):
+a large bootstrap campaign, SIGKILLed and resumed at three seeded
+points, must finish with aggregates bit-identical to an uninterrupted
+run — and after compaction its journal must replay in O(live results),
+not O(history).
 
 Two arms, both genuinely executed:
 
@@ -16,7 +16,7 @@ Two arms, both genuinely executed:
   completion.
 
 The comparison reads only the journals, so it exercises exactly what an
-operator has after a crash: merged shard replay.  The two journals must
+operator has after a crash: journal replay.  The two journals must
 agree on every result payload (a canonical digest over ``(kind,
 replicate, newick, log likelihood)``), and the interrupted arm must
 journal exactly ``N_KILLS`` resumes.
@@ -59,7 +59,6 @@ RESULT_PATH = REPO / "BENCH_engine.json"
 
 REPLICATES = int(os.environ.get("REPRO_SCALE_REPLICATES", "1000"))
 N_WORKERS = 4
-N_SHARDS = 4
 JOB_SEED = 17
 DATA_SEED = 3
 N_KILLS = 3
@@ -96,7 +95,7 @@ def _child(mode: str, journal: str) -> int:
 
     if mode == "run":
         run_job(_spec(), _alignment(), n_workers=N_WORKERS,
-                journal_path=journal, n_shards=N_SHARDS)
+                journal_path=journal)
     else:
         resume_job(journal, _alignment(), n_workers=N_WORKERS)
     return 0
@@ -150,8 +149,7 @@ def _payload_digest(journal: str) -> str:
 def main() -> int:
     import tempfile
 
-    from repro.cluster import replay
-    from repro.cluster.shards import compact_sharded
+    from repro.cluster import compact_journal, replay
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-cluster-scale-"))
     total = REPLICATES + 1  # bootstraps + the single inference
@@ -164,7 +162,7 @@ def main() -> int:
     baseline = replay(baseline_journal)
     assert baseline.finished and len(baseline.payloads) == total
     print(f"baseline:    {REPLICATES} replicates x {N_WORKERS} workers "
-          f"on {N_SHARDS} shards in {baseline_wall:.1f}s")
+          f"in {baseline_wall:.1f}s")
 
     rng = random.Random(KILL_SEED)
     fractions = sorted(rng.uniform(*KILL_FRACTION_RANGE)
@@ -211,12 +209,12 @@ def main() -> int:
           f"({final_digest[:12]}...)")
 
     # Resume cost after compaction: O(live results), within budget.
-    compact_sharded(interrupted_journal)
+    compact_journal(interrupted_journal)
     start = time.perf_counter()
     compacted = replay(interrupted_journal)
     replay_s = time.perf_counter() - start
-    compacted_records = (int(compacted.shards.get("snapshot_records") or 0)
-                         + sum(compacted.shards["records"].values()))
+    with open(interrupted_journal) as fh:
+        compacted_records = sum(1 for _ in fh)
     assert compacted.payloads == final.payloads
     assert compacted_records <= total + 4, (
         f"{compacted_records} records after compaction for {total} "
@@ -242,7 +240,6 @@ def main() -> int:
     section = {
         "replicates": REPLICATES,
         "n_workers": N_WORKERS,
-        "n_shards": N_SHARDS,
         "kill_seed": KILL_SEED,
         "kill_targets": targets,
         "effective_kill_targets": effective_targets,

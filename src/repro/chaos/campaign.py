@@ -40,7 +40,11 @@ from typing import Dict, Optional, Tuple
 
 from ..cluster.checkpoint import JournalWriteError, atomic_write, replay
 from ..cluster.jobs import JobSpec
-from ..cluster.queue import ClusterConfig, TaskExecutionError
+from ..cluster.queue import (
+    ClusterConfig,
+    TaskExecutionError,
+    _CounterCollector,
+)
 from ..cluster.runner import resume_job, run_job
 from ..phylo.engine.protocol import EngineNumericalError
 from ..phylo.inference import infer_tree
@@ -121,28 +125,6 @@ def campaign_search_config() -> SearchConfig:
         epsilon=0.02,
         local_branch_iterations=6,
     )
-
-
-class _CounterCollector:
-    """Minimal tracer harvesting ``engine.perf_counters`` (no-op hooks)."""
-
-    def __init__(self):
-        self._sources = []
-
-    def add_counter_source(self, source) -> None:
-        self._sources.append(source)
-
-    def perf_counters(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for source in self._sources:
-            merged.update(source())
-        return merged
-
-    def push_context(self, name):
-        return None
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
 
 
 # -- engine campaign ----------------------------------------------------------
@@ -282,8 +264,7 @@ def journal_payload_digest(path: str) -> str:
 def _cluster_chaos_run(patterns, plan: FaultPlan, n_workers: int,
                        rundir: str, baseline_lnl: float,
                        baseline_digest: str,
-                       max_resumes: int,
-                       n_shards: Optional[int] = None) -> ChaosRunResult:
+                       max_resumes: int) -> ChaosRunResult:
     os.makedirs(rundir, exist_ok=True)
     journal_path = os.path.join(rundir, "journal.jsonl")
     best_path = os.path.join(rundir, "best.tree")
@@ -301,7 +282,7 @@ def _cluster_chaos_run(patterns, plan: FaultPlan, n_workers: int,
                             analysis = run_job(
                                 _cluster_spec(), patterns,
                                 journal_path=journal_path, cluster=cfg,
-                                clock=clock, n_shards=n_shards,
+                                clock=clock,
                             )
                         else:
                             resumes += 1
@@ -527,7 +508,6 @@ def run_cluster_campaign(
     start_seed: int = 0,
     patterns=None,
     max_resumes: int = 4,
-    n_shards: Optional[int] = None,
 ) -> ChaosSurvivalReport:
     """Sweep ``n_seeds`` cluster-fault adversaries over journalled runs.
 
@@ -538,12 +518,6 @@ def run_cluster_campaign(
     the replayed payload digest to match the fault-free baseline
     exactly — worker count, retries, and resume boundaries must all be
     invisible in the answer.
-
-    ``n_shards`` runs every chaos seed on a sharded journal (adding the
-    ``cluster.shard_torn`` / ``cluster.steal_race`` sites to the live
-    attack surface) while the baseline stays single-file, so a
-    surviving digest proves shard merge-replay equivalence, not just
-    crash recovery.
     """
     if patterns is None:
         patterns = campaign_patterns()
@@ -558,10 +532,7 @@ def run_cluster_campaign(
     )
     baseline_lnl = baseline.best.log_likelihood
     baseline_digest = journal_payload_digest(baseline_journal)
-    label = f"cluster:{n_workers}w" + (
-        f":{n_shards}s" if n_shards else ""
-    )
-    report = ChaosSurvivalReport(label=label)
+    report = ChaosSurvivalReport(label=f"cluster:{n_workers}w")
     for seed in range(start_seed, start_seed + n_seeds):
         plan = default_cluster_plan(seed, sites=sites)
         report.add(
@@ -569,7 +540,6 @@ def run_cluster_campaign(
                 patterns, plan, n_workers,
                 os.path.join(workdir, f"seed{seed:03d}"),
                 baseline_lnl, baseline_digest, max_resumes,
-                n_shards=n_shards,
             )
         )
     return report

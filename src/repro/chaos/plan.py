@@ -30,13 +30,6 @@ site                         meaning
 ``cluster.journal_oserror``  transient ``OSError`` on journal append
 ``cluster.checkpoint_torn``  atomic checkpoint write dies after writing part
                              of the *temp* file (the target must stay intact)
-``cluster.shard_torn``       a worker's WAL-shard append writes half its
-                             record, then the worker dies (sharded journals
-                             only; the torn line must stay isolated and the
-                             merge-replay must skip it)
-``cluster.steal_race``       a work steal races its victim: the stolen task
-                             is dispatched from *both* queues and idempotent
-                             first-wins results must absorb the duplicate
 ``serve.server_kill``        the serving process dies between two journal
                              appends of a running job (typed
                              :class:`~repro.chaos.injector.InjectedCrash`);
@@ -74,8 +67,6 @@ __all__ = [
     "CLUSTER_JOURNAL_TORN",
     "CLUSTER_JOURNAL_OSERROR",
     "CLUSTER_CHECKPOINT_TORN",
-    "CLUSTER_SHARD_TORN",
-    "CLUSTER_STEAL_RACE",
     "CLUSTER_WORKER_STALL",
     "CLUSTER_WORKER_OOM",
     "SERVE_SERVER_KILL",
@@ -106,8 +97,6 @@ CLUSTER_WORKER_HANG = "cluster.worker_hang"
 CLUSTER_JOURNAL_TORN = "cluster.journal_torn"
 CLUSTER_JOURNAL_OSERROR = "cluster.journal_oserror"
 CLUSTER_CHECKPOINT_TORN = "cluster.checkpoint_torn"
-CLUSTER_SHARD_TORN = "cluster.shard_torn"
-CLUSTER_STEAL_RACE = "cluster.steal_race"
 CLUSTER_WORKER_STALL = "cluster.worker_stall"
 CLUSTER_WORKER_OOM = "cluster.worker_oom"
 SERVE_SERVER_KILL = "serve.server_kill"
@@ -128,8 +117,6 @@ CLUSTER_SITES: Tuple[str, ...] = (
     CLUSTER_JOURNAL_TORN,
     CLUSTER_JOURNAL_OSERROR,
     CLUSTER_CHECKPOINT_TORN,
-    CLUSTER_SHARD_TORN,
-    CLUSTER_STEAL_RACE,
 )
 
 #: Sites visited by the inference service front-end (repro.serve).
@@ -152,9 +139,13 @@ ALL_SITES: Tuple[str, ...] = (
     ENGINE_SITES + CLUSTER_SITES + SERVE_SITES + RESILIENCE_SITES
 )
 
-#: Sites whose instrumented code was deleted (the stripe-task raise of
-#: the retired striped backends); a spec naming one is refused.
-RETIRED_SITES: Tuple[str, ...] = ("backend.stripe_raise",)
+#: Sites whose instrumented code was deleted, each with what it went
+#: with; a spec naming one is refused.
+RETIRED_SITES: Dict[str, str] = {
+    "backend.stripe_raise": "the striped engine backends",
+    "cluster.shard_torn": "the sharded journal",
+    "cluster.steal_race": "the sharded journal's work stealing",
+}
 
 
 class RetiredSiteError(ValueError):
@@ -182,8 +173,8 @@ class FaultSpec:
     def __post_init__(self):
         if self.site in RETIRED_SITES:
             raise RetiredSiteError(
-                f"fault site {self.site!r} was removed with the striped "
-                f"engine backends; no code visits it"
+                f"fault site {self.site!r} was removed with "
+                f"{RETIRED_SITES[self.site]}; no code visits it"
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1]: {self}")
@@ -326,15 +317,6 @@ def default_cluster_plan(
         ),
         CLUSTER_CHECKPOINT_TORN: FaultSpec(
             CLUSTER_CHECKPOINT_TORN, probability=0.05, max_triggers=1,
-        ),
-        # Sharded-journal sites: both are unvisited in single-file runs
-        # (draws are keyed per site), so adding them leaves unsharded
-        # campaigns byte-identical.
-        CLUSTER_SHARD_TORN: FaultSpec(
-            CLUSTER_SHARD_TORN, probability=0.04, max_triggers=1,
-        ),
-        CLUSTER_STEAL_RACE: FaultSpec(
-            CLUSTER_STEAL_RACE, probability=0.15, max_triggers=2,
         ),
     }
     return FaultPlan(

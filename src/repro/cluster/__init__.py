@@ -18,9 +18,6 @@ counterpart on real host cores:
   once, parked between jobs, retired on death or a chaos-epoch change;
 * :mod:`~repro.cluster.checkpoint` - an append-only JSONL run journal
   with exact (bit-identical) checkpoint/resume;
-* :mod:`~repro.cluster.shards` - per-worker-group WAL shards behind a
-  manifest, with a deterministic merge-replay and generation-rotating
-  snapshot compaction (replay cost O(live tasks), not O(history));
 * :mod:`~repro.cluster.scheduler` - the MGPS-inspired multigrain
   dispatch policy (coarse batches while work is plentiful, split to
   fine grain as workers go idle);
@@ -49,19 +46,11 @@ from .jobs import (
     PendingTask,
     TaskGraph,
     expand_job,
-    home_group,
 )
 from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, TaskExecutionError, WorkerPlans
 from .runner import job_status, resume_job, run_job
 from .scheduler import MultigrainScheduler
-from .shards import (
-    ShardedJournal,
-    ShardWriter,
-    compact_sharded,
-    is_manifest,
-    replay_sharded,
-)
 
 __all__ = [
     "CancelToken",
@@ -79,17 +68,11 @@ __all__ = [
     "RunJournal",
     "compact_journal",
     "replay",
-    "ShardedJournal",
-    "ShardWriter",
-    "compact_sharded",
-    "is_manifest",
-    "replay_sharded",
     "ClusterTask",
     "JobSpec",
     "PendingTask",
     "TaskGraph",
     "expand_job",
-    "home_group",
     "ClusterConfig",
     "ClusterQueue",
     "TaskExecutionError",

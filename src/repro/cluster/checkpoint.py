@@ -30,12 +30,9 @@ Durability (hardened by the chaos campaign, DESIGN.md §11):
   crash right after ``os.replace`` could roll the directory entry back
   to the old file.
 
-Sharded journals (DESIGN.md §15): a run may journal through
-per-worker-group WAL shards instead of one file.  The shard layout and
-its deterministic merge-replay live in :mod:`repro.cluster.shards`;
-:func:`replay` and :func:`compact_journal` transparently dispatch when
-*path* is a shard manifest, so every journal consumer (status, resume,
-SSE-free digests) reads both layouts through one entry point.
+One file is the only layout: a shard manifest (the retired sharded
+journal, DESIGN.md §15) at a journal path is refused by :func:`replay`
+with :class:`RetiredJournalFormatError`, before anything is written.
 
 Event vocabulary::
 
@@ -46,7 +43,6 @@ Event vocabulary::
     task_finished   {"task", "attempt", "worker"}
     task_failed     {"task", "attempt", "attempts", "backoff_ms",
                      "error", "will_retry"}
-    task_stolen     {"task", "attempt", "from_group", "to_group"}
     worker_dead     {"worker", "task", "reason"}
     bootstop_converged  {"stop_at", "requested", "metric",
                          "pass_fraction", "threshold", "seed", ...}
@@ -76,13 +72,11 @@ from ..chaos.plan import (
 
 __all__ = [
     "JournalWriteError",
+    "RetiredJournalFormatError",
     "RunJournal",
     "JournalState",
     "atomic_write",
     "compact_journal",
-    "compaction_lines",
-    "apply_bootstop_eviction",
-    "fold_record",
     "replay",
 ]
 
@@ -92,9 +86,17 @@ logger = logging.getLogger(__name__)
 APPEND_RETRIES = 3
 APPEND_RETRY_SLEEP_S = 0.01
 
+#: The ``"format"`` field of a retired sharded-journal manifest.
+_SHARD_MANIFEST_FORMAT = "repro-cluster-shard-manifest"
+
 
 class JournalWriteError(RuntimeError):
     """A journal append failed even after its bounded retries."""
+
+
+class RetiredJournalFormatError(ValueError):
+    """The journal path holds a shard manifest: the sharded journal was
+    deleted, so no code can replay, resume or compact it."""
 
 
 def encode_record(record: dict) -> str:
@@ -302,13 +304,6 @@ class JournalState:
     #: record), or None when the run never stopped early.
     bootstop: Optional[dict] = None
     events: List[dict] = field(default_factory=list)
-    #: ``task_stolen`` records: idle worker groups pulling work from the
-    #: richest other shard queue (sharded runs only).
-    steals: List[dict] = field(default_factory=list)
-    #: Shard layout info when the journal is a shard manifest
-    #: (``n_shards``, ``generation``, ``compactions``, per-shard record
-    #: counts); None for single-file journals.
-    shards: Optional[dict] = None
     #: the run finished *degraded*: its deadline expired and the
     #: ``run_finished`` record salvages only the completed replicates.
     degraded: bool = False
@@ -349,14 +344,8 @@ class JournalState:
         logger.warning("%s", message)
 
 
-def fold_record(state: JournalState, record: dict, label) -> None:
+def _fold_record(state: JournalState, record: dict, line_no: int) -> None:
     """Fold one decoded record into *state*.
-
-    Shared by single-file :func:`replay` and the sharded merge-replay
-    (:func:`repro.cluster.shards.replay_sharded`), so both layouts
-    reconstruct state through identical semantics.  *label* identifies
-    the record's origin in skip warnings (a line number, or
-    ``"shard2.g0.jsonl:17"`` for sharded journals).
 
     Malformed ``replicate_done`` payloads are skipped and counted; every
     other record is appended to ``state.events`` and folded by event.
@@ -368,7 +357,7 @@ def fold_record(state: JournalState, record: dict, label) -> None:
         try:
             validate_payload(record["payload"])
         except (KeyError, ValueError) as exc:
-            state._skip(label, f"bad result payload: {exc}")
+            state._skip(line_no, f"bad result payload: {exc}")
             return
     state.events.append(record)
     if event == "run_started":
@@ -385,8 +374,6 @@ def fold_record(state: JournalState, record: dict, label) -> None:
         state.payloads.setdefault(key, payload)
     elif event == "task_failed":
         state.failures.append(record)
-    elif event == "task_stolen":
-        state.steals.append(record)
     elif event == "worker_dead":
         state.worker_deaths.append(record)
     elif event == "bootstop_converged":
@@ -401,21 +388,6 @@ def fold_record(state: JournalState, record: dict, label) -> None:
             state.degraded = True
 
 
-def apply_bootstop_eviction(state: JournalState) -> None:
-    """Drop bootstrap payloads past the journalled stop decision.
-
-    The stop decision is authoritative: bootstrap replicates that raced
-    past the stop point (journalled before the decision was reached) are
-    excluded so resume reproduces the stopped run bit-identically.
-    """
-    if state.bootstop is None:
-        return
-    stop_at = int(state.bootstop["stop_at"])
-    for key in [k for k in state.payloads
-                if k[0] == "bootstrap" and k[1] >= stop_at]:
-        del state.payloads[key]
-
-
 def replay(path: str) -> JournalState:
     """Reconstruct run state from a journal file.
 
@@ -425,13 +397,12 @@ def replay(path: str) -> JournalState:
     affected replicate simply reruns on resume (idempotent by task
     identity).
 
-    When *path* is a shard manifest the reconstruction dispatches to the
-    deterministic merge-replay in :mod:`repro.cluster.shards`.
-    """
-    from .shards import is_manifest, replay_sharded
+    Bootstrap payloads past a journalled ``bootstop_converged`` decision
+    are dropped: the decision is authoritative, so replicates that raced
+    past the stop point do not change a resumed run.
 
-    if is_manifest(path):
-        return replay_sharded(path)
+    A shard manifest at *path* raises :class:`RetiredJournalFormatError`.
+    """
     state = JournalState()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -443,20 +414,33 @@ def replay(path: str) -> JournalState:
             except ValueError as exc:
                 state._skip(line_no, str(exc))
                 continue
-            fold_record(state, record, line_no)
-    apply_bootstop_eviction(state)
+            if record.get("format") == _SHARD_MANIFEST_FORMAT:
+                raise RetiredJournalFormatError(
+                    f"{path} is a sharded-journal manifest; that format "
+                    f"was removed and only single-file journals are read"
+                )
+            _fold_record(state, record, line_no)
+    if state.bootstop is not None:
+        stop_at = int(state.bootstop["stop_at"])
+        for key in [k for k in state.payloads
+                    if k[0] == "bootstrap" and k[1] >= stop_at]:
+            del state.payloads[key]
     return state
 
 
-def compaction_lines(state: JournalState) -> List[str]:
-    """The durable essence of a replayed run, as encoded journal lines.
+def compact_journal(path: str) -> JournalState:
+    """Rewrite a journal to its durable essence, atomically.
 
     Keeps the run header, the first (winning) ``replicate_done`` per
     result key, the ``bootstop_converged`` decision when one was
     reached (without it a compacted unfinished run would resume past
     the stop point), and the terminal ``run_finished`` — dropping
-    scheduling chatter, retries, and any corrupt lines.
+    scheduling chatter, retries, and any corrupt lines.  The rewrite
+    goes through :func:`atomic_write`, so a crash mid-compaction
+    preserves the original journal.  Returns the replayed state the
+    compaction was derived from.
     """
+    state = replay(path)
     lines: List[str] = []
     seen: Set[Tuple[str, int]] = set()
     trailer: List[str] = []
@@ -477,24 +461,5 @@ def compaction_lines(state: JournalState) -> List[str]:
             lines.append(encode_record(record))
         elif event == "run_finished":
             trailer.append(encode_record(record))
-    return lines + trailer
-
-
-def compact_journal(path: str) -> JournalState:
-    """Rewrite a journal to its durable essence, atomically.
-
-    The single-file rewrite goes through :func:`atomic_write`, so a
-    crash mid-compaction preserves the original journal.  Shard
-    manifests dispatch to the generation-rotating
-    :func:`repro.cluster.shards.compact_sharded`, whose commit point is
-    an atomic manifest replace.  Returns the replayed state the
-    compaction was derived from.
-    """
-    from .shards import compact_sharded, is_manifest
-
-    if is_manifest(path):
-        return compact_sharded(path)
-    state = replay(path)
-    lines = compaction_lines(state)
-    atomic_write(path, "".join(line + "\n" for line in lines))
+    atomic_write(path, "".join(line + "\n" for line in lines + trailer))
     return state

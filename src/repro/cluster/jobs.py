@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-from zlib import crc32
 
 from ..phylo.search import SearchConfig
 from .bootstop import BootstopConfig
@@ -30,7 +29,6 @@ __all__ = [
     "PendingTask",
     "TaskGraph",
     "expand_job",
-    "home_group",
     "validate_payload",
     "AGGREGATE_NODE",
 ]
@@ -146,18 +144,6 @@ def _task_id(kind: str, replicates: Tuple[int, ...]) -> str:
     if len(replicates) == 1:
         return f"{kind}/{replicates[0]}"
     return f"{kind}/{replicates[0]}-{replicates[-1]}"
-
-
-def home_group(task_id: str, n_groups: int) -> int:
-    """The worker group that owns *task_id*'s queue in a sharded run.
-
-    A pure hash of the task identity — not of dispatch history — so the
-    initial queue partition is identical across runs, resumes, and
-    worker counts; only journalled steals move work between groups.
-    """
-    if n_groups <= 1:
-        return 0
-    return crc32(task_id.encode()) % n_groups
 
 
 def _batched(replicates: List[int], batch_size: int) -> Iterable[Tuple[int, ...]]:

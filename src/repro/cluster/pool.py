@@ -149,7 +149,6 @@ class _Worker:
     epoch: object  # the chaos injector active when this worker was forked
     # -- per-run state, reset by the run that checks the worker out -----
     wid: int = -1
-    group: int = 0
     last_seen: float = 0.0
     current: Optional[Tuple[object, int, float]] = None  # task, attempt, t0
     closed: bool = False  # the job's close was acknowledged

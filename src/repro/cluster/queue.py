@@ -36,7 +36,6 @@ import numpy as np
 
 from ..chaos import injector as _chaos
 from ..chaos.plan import (
-    CLUSTER_STEAL_RACE,
     CLUSTER_WORKER_CRASH_ACK,
     CLUSTER_WORKER_HANG,
     CLUSTER_WORKER_OOM,
@@ -51,7 +50,7 @@ from .aggregate import StreamingAggregator
 from .bootstop import BootstopController
 from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
 from .checkpoint import RunJournal
-from .jobs import ClusterTask, JobSpec, PendingTask, home_group
+from .jobs import ClusterTask, JobSpec, PendingTask
 from .pool import CLOSE, WorkerPool, _Worker
 from .scheduler import MultigrainScheduler
 
@@ -264,11 +263,6 @@ class _WorkerJob:
     *logical* id (0…n-1, replacements n, n+1, …), not a process
     identity, so journals read the same whichever process served them.
 
-    With *shard_path* set (sharded journals, DESIGN.md §15) the worker
-    WALs each result into its group's shard *before* streaming it to
-    the master — the disk record, not the pipe message, is the durable
-    one, so a master that dies mid-drain loses nothing.
-
     *deadline* is the run's absolute ``time.monotonic()`` expiry (one
     system-wide clock, so master and worker agree on it without
     traffic).  The worker polls it at the search's safe points and
@@ -281,22 +275,15 @@ class _WorkerJob:
     ctx: ExecutionContext
     plans: WorkerPlans
     heartbeat_interval_s: float
-    shard_path: Optional[str] = None
-    group: int = 0
     deadline: Optional[float] = None
 
     def open(self) -> None:
         """Worker side: build what cannot be pickled."""
-        from .shards import ShardWriter
-
         self._token = (CancelToken(deadline=self.deadline)
                        if self.deadline is not None else None)
-        self._shard = (ShardWriter(self.shard_path, self.group)
-                       if self.shard_path else None)
 
     def close(self) -> None:
-        if self._shard is not None:
-            self._shard.close()
+        """Worker side: the job is over; nothing is held open."""
 
     def run(self, item, send, mute) -> None:
         """Execute one ``(task, attempt)`` item, streaming per replicate."""
@@ -348,18 +335,6 @@ class _WorkerJob:
                     self.patterns, self.ctx, task.kind, replicate,
                     task.seed, cancel=self._token,
                 )
-                if self._shard is not None:
-                    try:
-                        self._shard.append(
-                            "replicate_done", task=task.task_id,
-                            attempt=attempt, payload=payload,
-                        )
-                    except _chaos.InjectedCrash:
-                        # cluster.shard_torn: the append tore and
-                        # the worker dies with it — the master's
-                        # liveness sweep requeues the task and the
-                        # merge-replay isolates the torn line.
-                        os._exit(29)
                 send(
                     ("replicate", worker_id, task.task_id, attempt,
                      payload)
@@ -446,18 +421,7 @@ class ClusterQueue:
         remaining = {
             key for t in tasks for key in t.keys() if key not in results
         }
-        # Sharded journals partition the pending work into one queue per
-        # worker group (task identity decides the home queue); a plain
-        # journal is the degenerate single-group case, so both layouts
-        # run the same loop and stealing simply never fires with one
-        # group.
-        n_groups = int(getattr(self.journal, "n_shards", 1) or 1)
-        sharded = hasattr(self.journal, "shard_path")
-        pending: Dict[int, List[PendingTask]] = {
-            g: [] for g in range(n_groups)
-        }
-        for t in tasks:
-            pending[home_group(t.task_id, n_groups)].append(PendingTask(t))
+        pending = [PendingTask(t) for t in tasks]
         # Replayed results alone may already satisfy the autoMRE
         # criterion (a crash can land between the converging replicate
         # and the journalled decision); check before taking any worker.
@@ -467,27 +431,21 @@ class ClusterQueue:
 
         workers: Dict[int, _Worker] = {}
         next_wid = itertools.count()  # logical ids; never recycled
-        n_pending = sum(len(q) for q in pending.values())
-        n_workers = min(self.cfg.n_workers, max(1, n_pending))
+        n_workers = min(self.cfg.n_workers, max(1, len(pending)))
         self.scheduler = MultigrainScheduler(n_workers)
         pool = self.pool if self.pool is not None else WorkerPool(n_workers)
         deadline = cancel.deadline if cancel is not None else None
 
-        def enlist(worker: _Worker, group: Optional[int] = None) -> None:
+        def enlist(worker: _Worker) -> None:
             """Open this run's job on *worker* under the next logical id."""
-            wid = next(next_wid)
-            if group is None:
-                group = wid % n_groups
-            worker.wid, worker.group = wid, group
+            worker.wid = wid = next(next_wid)
             worker.current, worker.closed = None, False
             worker.last_seen = time.monotonic()
             workers[wid] = worker
             try:
                 worker.inbox.send(_WorkerJob(
                     wid, self.patterns, self.ctx, self.plans,
-                    self.cfg.heartbeat_interval_s,
-                    self.journal.shard_path(group) if sharded else None,
-                    group, deadline,
+                    self.cfg.heartbeat_interval_s, deadline,
                 ))
             except OSError:
                 pass  # died since check-out; the sweep replaces it
@@ -538,9 +496,7 @@ class ClusterQueue:
             )
             if not will_retry:
                 raise TaskExecutionError(task, attempt, error)
-            pending[home_group(task.task_id, n_groups)].append(
-                PendingTask(task, attempt + 1, now + backoff)
-            )
+            pending.append(PendingTask(task, attempt + 1, now + backoff))
 
         clean = False
         try:
@@ -569,16 +525,14 @@ class ClusterQueue:
                 # -- dispatch to idle workers --------------------------------
                 idle = [w for w in workers.values()
                         if w.current is None and w.proc.is_alive()]
-                if idle and any(pending.values()):
-                    pending = self.scheduler.plan_groups(pending, now)
+                if idle and pending:
+                    pending = self.scheduler.plan(pending, now)
                     for worker in idle:
-                        entry, victim = self._next_entry(
-                            pending, worker.group, now
-                        )
-                        if entry is None:
-                            break
-                        if victim is not None:
-                            self._steal(entry, victim, worker, pending)
+                        ready = next((i for i, p in enumerate(pending)
+                                      if p.not_before <= now), None)
+                        if ready is None:
+                            break  # only backoff-gated retries are left
+                        entry = pending.pop(ready)
                         worker.current = (entry.task, entry.attempt, now)
                         try:
                             worker.inbox.send((entry.task, entry.attempt))
@@ -612,11 +566,11 @@ class ClusterQueue:
                             requeue(task, attempt,
                                     f"worker {wid} died ({reason})", now)
                             if remaining:
-                                enlist(pool.spawn(), worker.group)
+                                enlist(pool.spawn())
                     elif dead or over_rss:
                         retire(wid)
-                        if any(pending.values()) or remaining:
-                            enlist(pool.spawn(), worker.group)
+                        if pending or remaining:
+                            enlist(pool.spawn())
 
             # All replicates landed; drain the trailing task_finished
             # acknowledgements so the journal closes every task.  A
@@ -635,66 +589,10 @@ class ClusterQueue:
             "run_progress",
             phases=summarize_phases(phases),
             splits=self.scheduler.splits,
-            steals=self.scheduler.steals,
         )
         return results
 
     # -- internals ----------------------------------------------------------
-
-    def _next_entry(self, pending: Dict[int, List[PendingTask]],
-                    home: int, now: float):
-        """Pop the next ready entry for a worker in group *home*.
-
-        Own queue first (FIFO head).  An empty home queue steals from
-        the deterministically-chosen *richest* other queue (most ready
-        entries; ties break toward the lowest group index) and takes its
-        *tail* — the entry its owner would reach last — so steals and
-        owner dispatch collide as late as possible.  Returns
-        ``(entry, victim_group)``; ``victim_group`` is None for an
-        own-queue pop, and ``(None, None)`` means nothing is ready
-        anywhere (backoff gates included).
-        """
-        own = pending.get(home, ())
-        for entry in own:
-            if entry.not_before <= now:
-                own.remove(entry)
-                return entry, None
-        victim, richest = None, 0
-        for group in sorted(pending):
-            if group == home:
-                continue
-            ready = sum(1 for p in pending[group] if p.not_before <= now)
-            if ready > richest:
-                victim, richest = group, ready
-        if victim is None:
-            return None, None
-        for entry in reversed(pending[victim]):
-            if entry.not_before <= now:
-                pending[victim].remove(entry)
-                return entry, victim
-        return None, None
-
-    def _steal(self, entry: PendingTask, victim: int, worker: _Worker,
-               pending: Dict[int, List[PendingTask]]) -> None:
-        """Account for a cross-group steal (journal + chaos site).
-
-        The ``cluster.steal_race`` fault models the distributed race
-        this single-master design is immune to by construction: the
-        victim queue keeps a duplicate of the stolen entry, so the task
-        is dispatched twice and the idempotent first-wins result map
-        must absorb the second delivery.
-        """
-        self.scheduler.stole()
-        self.journal.append(
-            "task_stolen", task=entry.task.task_id, attempt=entry.attempt,
-            from_group=victim, to_group=worker.group,
-        )
-        if _chaos._ACTIVE is not None and _chaos.fire(
-            CLUSTER_STEAL_RACE, key=f"{entry.task.task_id}:{entry.attempt}"
-        ):
-            pending[victim].append(
-                PendingTask(entry.task, entry.attempt, entry.not_before)
-            )
 
     def _bootstop_stopped_replicate(self, payload: dict) -> bool:
         """True when bootstopping has already cancelled this replicate."""
@@ -742,10 +640,7 @@ class ClusterQueue:
             check_every=self.bootstop.config.check_every,
             seed=self.bootstop.seed,
         )
-        pending = {
-            group: [p for p in queue if p.task.kind != "bootstrap"]
-            for group, queue in pending.items()
-        }
+        pending = [p for p in pending if p.task.kind != "bootstrap"]
         for key in [k for k in remaining if k[0] == "bootstrap"]:
             remaining.discard(key)
         for key in [k for k in results
@@ -777,12 +672,8 @@ class ClusterQueue:
                 if self.bootstop is not None and payload.get("is_bootstrap"):
                     self.bootstop.note(payload["replicate"],
                                        payload["newick"])
-                if not hasattr(self.journal, "shard_path"):
-                    # Sharded runs WAL the payload in the worker before
-                    # it is streamed; journaling it again here would
-                    # re-create the single-file funnel.
-                    self.journal.append("replicate_done", task=task_id,
-                                        payload=payload)
+                self.journal.append("replicate_done", task=task_id,
+                                    payload=payload)
             remaining.discard(key)
         elif kind == "finished":
             _, _, task_id, attempt = message
@@ -826,12 +717,11 @@ class ClusterQueue:
 
         Only a run that ended normally parks anything, and only workers
         that are idle, alive, under the RSS ceiling and have
-        acknowledged the job's close (their shard is flushed and their
-        pipe is quiet).  Everything else — a cancelled run's
-        mid-replicate workers, a wedged one, whatever an unwinding
-        exception leaves behind — is terminated, not waited on:
-        completed replicates are already journalled, partial ones are
-        discarded by design.
+        acknowledged the job's close (their pipe is quiet).  Everything
+        else — a cancelled run's mid-replicate workers, a wedged one,
+        whatever an unwinding exception leaves behind — is terminated,
+        not waited on: completed replicates are already journalled,
+        partial ones are discarded by design.
         """
         parked: List[_Worker] = []
         try:

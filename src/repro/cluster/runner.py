@@ -19,28 +19,8 @@ from .checkpoint import JournalState, RunJournal, replay
 from .jobs import JobSpec, expand_job
 from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, ExecutionContext, WorkerPlans
-from .shards import ShardedJournal, is_manifest
 
 __all__ = ["run_job", "resume_job", "job_status"]
-
-
-def _open_journal(journal_path: Optional[str], n_shards: Optional[int],
-                  clock, append: bool = False):
-    """Pick the journal layout: plain JSONL or a shard manifest.
-
-    A fresh run shards when ``n_shards`` asks for it; a resume follows
-    whatever layout the journal on disk already has (the manifest is
-    self-describing, so ``n_shards`` is ignored on append).
-    """
-    if append:
-        if is_manifest(journal_path):
-            return ShardedJournal(journal_path, append=True, clock=clock)
-        return RunJournal(journal_path, append=True, clock=clock)
-    if n_shards is not None and n_shards > 0:
-        if journal_path is None:
-            raise ValueError("sharded journals need a journal_path")
-        return ShardedJournal(journal_path, n_shards=n_shards, clock=clock)
-    return RunJournal(journal_path, clock=clock)
 
 
 def _bootstop_controller(spec: JobSpec) -> Optional[BootstopController]:
@@ -141,7 +121,6 @@ def run_job(
     cluster: Optional[ClusterConfig] = None,
     plans: Optional[WorkerPlans] = None,
     clock=None,
-    n_shards: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
     pool: Optional[WorkerPool] = None,
 ) -> AnalysisResult:
@@ -151,10 +130,7 @@ def run_job(
     when omitted, from ``spec.alignment_path``.  Results match
     :func:`repro.phylo.inference.run_full_analysis` bit for bit.
     ``clock`` stamps journal records (chaos campaigns pass a
-    deterministic counter for byte-identical journals).  ``n_shards``
-    switches the journal to per-worker-group WAL shards
-    (:mod:`repro.cluster.shards`): workers persist their own results
-    instead of funnelling them through the master's file handle.
+    deterministic counter for byte-identical journals).
     ``cancel`` is an external cancellation token (the serve layer's
     drain); ``spec.deadline_s`` is folded into it, and a tripped token
     either salvages a degraded result (deadline) or raises a typed
@@ -166,13 +142,9 @@ def run_job(
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
     cluster = _with_workers(cluster, n_workers)
-    journal = _open_journal(journal_path, n_shards, clock)
-    header_extra = (
-        {"n_shards": journal.n_shards} if isinstance(journal, ShardedJournal)
-        else {}
-    )
+    journal = RunJournal(journal_path, clock=clock)
     journal.append("run_started", spec=spec.to_json(),
-                   n_workers=cluster.n_workers, **header_extra)
+                   n_workers=cluster.n_workers)
     queue = ClusterQueue(
         patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
         journal=journal, plans=plans, bootstop=_bootstop_controller(spec),
@@ -201,9 +173,9 @@ def resume_job(
     Finished replicates are taken verbatim from the journal (floats
     round-trip exactly through JSON); only the remainder is executed.
     The final trees, likelihoods, and supports are bit-identical to an
-    uninterrupted run.  The journal layout follows whatever is on disk:
-    a shard manifest resumes sharded (merge-replay, per-group WALs), a
-    plain JSONL file resumes single-file.
+    uninterrupted run.  A shard manifest at *journal_path* raises
+    :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`
+    before anything is written.
     """
     state = replay(journal_path)
     if state.spec is None:
@@ -229,14 +201,14 @@ def resume_job(
         aggregator = StreamingAggregator()
         for payload in state.payloads.values():
             aggregator.ingest(payload)
-        journal = _open_journal(journal_path, None, clock, append=True)
+        journal = RunJournal(journal_path, append=True, clock=clock)
         journal.append("run_resumed", remaining=0)
         return _finalize(journal, aggregator)
 
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
     cluster = _with_workers(cluster, n_workers)
-    journal = _open_journal(journal_path, None, clock, append=True)
+    journal = RunJournal(journal_path, append=True, clock=clock)
     journal.append("run_resumed", remaining=sum(t.grain for t in tasks),
                    n_workers=cluster.n_workers)
     queue = ClusterQueue(
@@ -299,8 +271,6 @@ def job_status(journal_path: str) -> Dict[str, object]:
         "consensus_newick": consensus_tree,
         "retries": state.retries,
         "worker_deaths": state.worker_deaths,
-        "steals": state.steals,
-        "shards": state.shards,
         "degraded": state.degraded,
         "deadline_exceeded": state.deadline_exceeded,
         "perf": state.perf_totals(),

@@ -18,7 +18,7 @@ the same mode strings (``"edtlp"`` / ``"llp"``), and summarized with
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..sched.mgps import MGPSPhase
 from .jobs import PendingTask
@@ -35,13 +35,11 @@ class MultigrainScheduler:
     def __init__(self, n_workers: int):
         self.n_workers = max(1, n_workers)
         self.splits = 0
-        self.steals = 0
         self._phases: List[MGPSPhase] = []
         self._mode: Optional[str] = None
         self._phase_started = 0.0
         self._phase_tasks = 0
         self._phase_splits = 0
-        self._phase_steals = 0
 
     def plan(self, pending: List[PendingTask], now: Optional[float] = None
              ) -> List[PendingTask]:
@@ -53,50 +51,28 @@ class MultigrainScheduler:
         batches stay coarse so their attempt accounting (and any
         injected failure plan keyed on the batch id) remains stable.
         """
-        return self.plan_groups({0: pending}, now)[0]
-
-    def plan_groups(
-        self,
-        groups: Dict[int, List[PendingTask]],
-        now: Optional[float] = None,
-    ) -> Dict[int, List[PendingTask]]:
-        """:meth:`plan` over per-shard-group queues.
-
-        The coarse/fine decision is made on the *total* outstanding
-        count — granularity is a property of the run, not of one shard —
-        and fine-grained children stay in their parent's group, so a
-        split never silently migrates work between shards (migration is
-        work *stealing*, which the master journals).
-        """
         if now is None:
             now = time.monotonic()
-        total = sum(len(pending) for pending in groups.values())
-        mode = COARSE if total >= self.n_workers else FINE
+        mode = COARSE if len(pending) >= self.n_workers else FINE
         if mode == FINE:
-            for group, pending in groups.items():
-                regrained: List[PendingTask] = []
-                for entry in pending:
-                    if entry.task.grain > 1 and entry.attempt == 1:
-                        for child in entry.task.split():
-                            regrained.append(
-                                PendingTask(child, 1, entry.not_before)
-                            )
-                        self.splits += 1
-                        self._phase_splits += 1
-                    else:
-                        regrained.append(entry)
-                groups[group] = regrained
+            regrained: List[PendingTask] = []
+            for entry in pending:
+                if entry.task.grain > 1 and entry.attempt == 1:
+                    for child in entry.task.split():
+                        regrained.append(
+                            PendingTask(child, 1, entry.not_before)
+                        )
+                    self.splits += 1
+                    self._phase_splits += 1
+                else:
+                    regrained.append(entry)
+            pending = regrained
         self._enter(mode, now)
-        return groups
+        return pending
 
     def dispatched(self, entry: PendingTask) -> None:
         """Count a task against the current phase."""
         self._phase_tasks += 1
-
-    def stole(self) -> None:
-        """Count a cross-group work steal against the current phase."""
-        self.steals += 1
-        self._phase_steals += 1
 
     def finish(self, now: Optional[float] = None) -> List[MGPSPhase]:
         """Close the open phase and return the full phase log."""
@@ -119,7 +95,6 @@ class MultigrainScheduler:
         self._phase_started = now
         self._phase_tasks = 0
         self._phase_splits = 0
-        self._phase_steals = 0
 
     def _close(self, now: float) -> None:
         if self._mode is None:
@@ -130,8 +105,7 @@ class MultigrainScheduler:
                 n_tasks=self._phase_tasks,
                 duration_s=now - self._phase_started,
                 detail={"n_workers": self.n_workers,
-                        "splits": self._phase_splits,
-                        "steals": self._phase_steals},
+                        "splits": self._phase_splits},
             )
         )
         self._mode = None

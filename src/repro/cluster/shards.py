@@ -1,463 +1,20 @@
-"""Per-worker-group WAL shards with a deterministic merge-replay.
+"""Retired: the sharded WAL journal (DESIGN.md §15).
 
-The single-journal design funnels every worker's result payload through
-one master-side file handle — exactly the serial bottleneck in front of
-parallel workers that RAxML-Cell's offload pipeline exists to remove
-(PAPER.md).  This module shards the write path: each worker group
-appends its ``replicate_done`` payloads to its *own* CRC-hardened WAL
-shard (the record format of :mod:`repro.cluster.checkpoint`, one JSON
-line + CRC32), while the master keeps run-level bookkeeping in a
-``meta`` shard.  No lock, no funnel: concurrent appenders never share a
-file position because a shard has exactly one writer group, and
-within a group ``O_APPEND`` + single-``write`` appends keep records
-whole across processes.
-
-Layout (DESIGN.md §15) — the *manifest* lives at the journal path
-itself, so every existing path-shaped API (resume, status, digests)
-works unchanged::
-
-    run.jsonl            <- manifest: one JSON object, not JSONL
-    run.jsonl.d/
-        meta.g0.jsonl        <- master shard: run/task lifecycle events
-        shard0.g0.jsonl      <- worker group 0: replicate_done records
-        shard1.g0.jsonl
-        snapshot.g1.jsonl    <- compaction output (generation 1+)
-
-Merge-replay total order: records sort by
-
-    (event_rank, task_key, attempt, event, shard_index, line_seq)
-
-— a pure function of record *content* and shard placement, never wall
-clock, so two interleavings of the same logical run replay to the same
-:class:`~repro.cluster.checkpoint.JournalState` (and resume stays
-bit-identical: result payloads are first-occurrence-wins by
-``(kind, replicate)``, and duplicates are bit-identical by
-construction).
-
-Snapshot compaction rotates generations: replay the manifest, write the
-state's durable essence to ``snapshot.g{n+1}.jsonl`` via
-:func:`~repro.cluster.checkpoint.atomic_write`, then commit by
-atomically replacing the manifest (pointing at the snapshot and fresh,
-empty live shards).  A crash before the manifest replace leaves the old
-generation fully intact (the half-built snapshot is an ignored orphan);
-a crash after it leaves only unreferenced old-generation files.  Replay
-cost after compaction is O(live tasks), not O(history).
+Only ``ShardWriter`` is left, because the frozen end-to-end harness
+(``benchmarks/e2e/layers.py``) imports it to time an append path.  It
+now hands back the one journal format there is, a single-file
+:class:`~repro.cluster.checkpoint.RunJournal`.  A shard manifest found
+at a journal path is refused with
+:class:`~repro.cluster.checkpoint.RetiredJournalFormatError`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Callable, List, Optional, Tuple
+from .checkpoint import RunJournal
 
-from ..chaos import injector as _chaos
-from ..chaos.plan import CLUSTER_SHARD_TORN
-from .checkpoint import (
-    APPEND_RETRIES,
-    APPEND_RETRY_SLEEP_S,
-    JournalState,
-    JournalWriteError,
-    RunJournal,
-    _repair_torn_tail,
-    apply_bootstop_eviction,
-    atomic_write,
-    compaction_lines,
-    decode_record,
-    encode_record,
-    fold_record,
-)
-
-__all__ = [
-    "MANIFEST_FORMAT",
-    "ShardWriter",
-    "ShardedJournal",
-    "is_manifest",
-    "load_manifest",
-    "replay_sharded",
-    "compact_sharded",
-]
-
-MANIFEST_FORMAT = "repro-cluster-shard-manifest"
-MANIFEST_VERSION = 1
-
-#: Total live-shard records above which ``ShardedJournal`` compacts at
-#: its safe points (resume-open and close).
-DEFAULT_COMPACT_THRESHOLD = 4096
-
-#: Merge rank: frame events sort around the task-keyed body so the
-#: merged event stream always opens with the run header and closes with
-#: the terminal record, matching single-file journal shape.
-_EVENT_RANK = {
-    "run_started": 0,
-    "run_resumed": 1,
-    "run_progress": 3,
-    "bootstop_converged": 3,
-    "run_finished": 4,
-}
+__all__ = ["ShardWriter"]
 
 
-def _merge_key(record: dict, shard_index: int, seq: int) -> tuple:
-    """Total order for the sharded merge — content, never wall clock."""
-    event = record.get("event", "")
-    return (
-        _EVENT_RANK.get(event, 2),
-        str(record.get("task", "")),
-        int(record.get("attempt", 0) or 0),
-        event,
-        shard_index,
-        seq,
-    )
-
-
-def _shard_dir(path: str) -> str:
-    return os.fspath(path) + ".d"
-
-
-def _meta_name(generation: int) -> str:
-    return f"meta.g{generation}.jsonl"
-
-
-def _shard_name(group: int, generation: int) -> str:
-    return f"shard{group}.g{generation}.jsonl"
-
-
-def _snapshot_name(generation: int) -> str:
-    return f"snapshot.g{generation}.jsonl"
-
-
-def is_manifest(path: str) -> bool:
-    """True when *path* holds a shard manifest instead of a JSONL journal.
-
-    A manifest is a single small JSON object carrying the
-    ``"format"`` discriminator; a journal's first line is a journal
-    record (``"event"`` key) and an empty or missing file is neither.
-    """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4096)
-    except OSError:
-        return False
-    first = head.split(b"\n", 1)[0].strip()
-    if not first.startswith(b"{"):
-        return False
-    try:
-        obj = json.loads(first.decode("utf-8", errors="replace"))
-    except ValueError:
-        return False
-    return isinstance(obj, dict) and obj.get("format") == MANIFEST_FORMAT
-
-
-def load_manifest(path: str) -> dict:
-    """Parse and validate the shard manifest at *path*."""
-    with open(path) as fh:
-        manifest = json.loads(fh.readline())
-    if not isinstance(manifest, dict) \
-            or manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"not a shard manifest: {path}")
-    if int(manifest.get("version", 0)) > MANIFEST_VERSION:
-        raise ValueError(
-            f"shard manifest version {manifest['version']} is newer than "
-            f"this reader (max {MANIFEST_VERSION}): {path}"
-        )
-    return manifest
-
-
-def _write_manifest(path: str, manifest: dict) -> None:
-    atomic_write(path, json.dumps(manifest) + "\n")
-
-
-def _build_manifest(n_shards: int, generation: int, compactions: int,
-                    snapshot: Optional[str]) -> dict:
-    return {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "n_shards": int(n_shards),
-        "generation": int(generation),
-        "compactions": int(compactions),
-        "snapshot": snapshot,
-        # meta first: shard_index 0 is the master's lifecycle shard,
-        # 1..n are the worker groups — the index doubles as the merge
-        # tiebreaker, so this order is part of the replay contract.
-        "shards": [_meta_name(generation)] + [
-            _shard_name(g, generation) for g in range(int(n_shards))
-        ],
-    }
-
-
-class ShardWriter:
-    """Lock-free appender for one WAL shard.
-
-    Opens the shard with ``O_APPEND`` and emits each record as one
-    ``os.write`` of one encoded line, so concurrent writers (several
-    workers mapped to the same group, or a worker racing the master's
-    liveness sweep) interleave whole records, never bytes.  Safe to
-    construct inside a forked worker — it holds its own fd.
-
-    The ``cluster.shard_torn`` chaos site models the writer dying
-    mid-append: half the record reaches the disk, then
-    :class:`~repro.chaos.injector.InjectedCrash` propagates (workers
-    turn it into an exit, like a real death).  Transient ``OSError``
-    retries mirror :class:`~repro.cluster.checkpoint.RunJournal`.
-    """
-
-    def __init__(self, path: str, group: int,
-                 clock: Optional[Callable[[], float]] = None):
-        self.path = os.fspath(path)
-        self.group = int(group)
-        self._clock = clock if clock is not None else time.time
-        self._fd: Optional[int] = os.open(
-            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
-
-    def append(self, event: str, **fields) -> dict:
-        record = {"event": event, "time": self._clock(),
-                  "group": self.group, **fields}
-        data = (encode_record(record) + "\n").encode()
-        if _chaos._ACTIVE is not None and _chaos.fire(
-            CLUSTER_SHARD_TORN, key=self._chaos_token(event, fields)
-        ):
-            os.write(self._fd, data[: max(1, len(data) // 2)])
-            raise _chaos.InjectedCrash(
-                f"shard append torn mid-write during {event!r} "
-                f"(group {self.group})"
-            )
-        last_error: Optional[OSError] = None
-        for attempt in range(APPEND_RETRIES):
-            try:
-                os.write(self._fd, data)
-                return record
-            except OSError as exc:
-                last_error = exc
-                time.sleep(APPEND_RETRY_SLEEP_S * (attempt + 1))
-        raise JournalWriteError(
-            f"shard append failed after {APPEND_RETRIES} attempts "
-            f"({event!r}, group {self.group}): {last_error}"
-        ) from last_error
-
-    @staticmethod
-    def _chaos_token(event: str, fields: dict) -> str:
-        # Keyed on logical record identity (task/attempt/replicate), so
-        # the injection schedule is independent of worker count and
-        # dispatch order — the campaign determinism contract.
-        token = f"{event}:{fields.get('task', '')}:{fields.get('attempt', '')}"
-        payload = fields.get("payload")
-        if isinstance(payload, dict):
-            token += f":{payload.get('kind', '')}:{payload.get('replicate', '')}"
-        return token
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self) -> "ShardWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ShardedJournal:
-    """Master-side facade over a shard manifest.
-
-    Quacks like :class:`~repro.cluster.checkpoint.RunJournal` for the
-    master's run-level events (``append``/``close``/``events``), which
-    land in the ``meta`` shard, and additionally hands out per-group
-    shard paths for the workers' own :class:`ShardWriter` instances.
-
-    Compaction runs only at *safe points* — opening for append (resume:
-    no workers yet) and :meth:`close` (workers gone) — when the live
-    record count exceeds ``compact_threshold``; live shard files are
-    never rotated under an active writer's fd.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        n_shards: int = 2,
-        append: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
-    ):
-        self.path = os.fspath(path)
-        self.dir = _shard_dir(self.path)
-        self.compact_threshold = int(compact_threshold)
-        self._clock = clock
-        if append:
-            manifest = load_manifest(self.path)
-            for name in manifest["shards"]:
-                _repair_torn_tail(os.path.join(self.dir, name))
-            if self.live_record_count() > self.compact_threshold:
-                compact_sharded(self.path)
-                manifest = load_manifest(self.path)
-        else:
-            if int(n_shards) < 1:
-                raise ValueError(f"n_shards must be >= 1: {n_shards}")
-            os.makedirs(self.dir, exist_ok=True)
-            manifest = _build_manifest(
-                n_shards=n_shards, generation=0, compactions=0, snapshot=None
-            )
-            # Empty live shards exist from birth so replay never has to
-            # guess whether a missing file is pre-creation or lost.
-            for name in manifest["shards"]:
-                open(os.path.join(self.dir, name), "a").close()
-            _write_manifest(self.path, manifest)
-        self.n_shards = int(manifest["n_shards"])
-        self.generation = int(manifest["generation"])
-        self.compactions = int(manifest["compactions"])
-        self._meta = RunJournal(
-            os.path.join(self.dir, _meta_name(self.generation)),
-            append=True, clock=clock,
-        )
-
-    @property
-    def events(self) -> List[dict]:
-        return self._meta.events
-
-    def append(self, event: str, **fields) -> dict:
-        return self._meta.append(event, **fields)
-
-    def shard_path(self, group: int) -> str:
-        """The live WAL shard for worker group *group* (0-based)."""
-        if not 0 <= int(group) < self.n_shards:
-            raise ValueError(
-                f"group {group} out of range for {self.n_shards} shards"
-            )
-        return os.path.join(self.dir, _shard_name(int(group), self.generation))
-
-    def live_record_count(self) -> int:
-        """Total lines across the current generation's live shards."""
-        manifest = load_manifest(self.path)
-        total = 0
-        for name in manifest["shards"]:
-            total += _count_lines(os.path.join(self.dir, name))
-        return total
-
-    def close(self) -> None:
-        self._meta.close()
-        if self.live_record_count() > self.compact_threshold:
-            compact_sharded(self.path)
-            manifest = load_manifest(self.path)
-            self.generation = int(manifest["generation"])
-            self.compactions = int(manifest["compactions"])
-
-    def __enter__(self) -> "ShardedJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _count_lines(path: str) -> int:
-    try:
-        with open(path, "rb") as fh:
-            return sum(1 for _ in fh)
-    except FileNotFoundError:
-        return 0
-
-
-def _read_records(path: str, name: str, state: JournalState
-                  ) -> List[Tuple[int, dict]]:
-    """Decode one shard's lines; corrupt lines are counted, not trusted."""
-    records: List[Tuple[int, dict]] = []
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        return records
-    with fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append((line_no, decode_record(line)))
-            except ValueError as exc:
-                state._skip(f"{name}:{line_no}", str(exc))
-    return records
-
-
-def replay_sharded(path: str) -> JournalState:
-    """Merge-replay a shard manifest into a ``JournalState``.
-
-    Snapshot records fold first in file order (they are already the
-    compacted essence of a previous generation); live-shard records then
-    fold in the :func:`_merge_key` total order, which depends only on
-    record content and shard placement — replaying the same logical run
-    yields the same state regardless of how workers interleaved their
-    appends.  A listed-but-missing shard file reads as empty (a fresh
-    post-compaction generation whose group never wrote).
-    """
-    manifest = load_manifest(path)
-    directory = _shard_dir(path)
-    state = JournalState()
-
-    snapshot = manifest.get("snapshot")
-    snapshot_records = 0
-    if snapshot:
-        for line_no, record in _read_records(
-            os.path.join(directory, snapshot), snapshot, state
-        ):
-            fold_record(state, record, f"{snapshot}:{line_no}")
-            snapshot_records += 1
-
-    counts = {}
-    merged: List[Tuple[tuple, dict, str, int]] = []
-    for shard_index, name in enumerate(manifest["shards"]):
-        records = _read_records(os.path.join(directory, name), name, state)
-        counts[name] = len(records)
-        for seq, record in records:
-            merged.append(
-                (_merge_key(record, shard_index, seq), record, name, seq)
-            )
-    merged.sort(key=lambda item: item[0])
-    for _, record, name, seq in merged:
-        fold_record(state, record, f"{name}:{seq}")
-
-    apply_bootstop_eviction(state)
-    state.shards = {
-        "n_shards": int(manifest["n_shards"]),
-        "generation": int(manifest["generation"]),
-        "compactions": int(manifest["compactions"]),
-        "snapshot": snapshot,
-        "snapshot_records": snapshot_records,
-        "records": counts,
-    }
-    return state
-
-
-def compact_sharded(path: str) -> JournalState:
-    """Snapshot-compact a sharded journal, rotating its generation.
-
-    Replays the manifest, writes the state's durable essence to the
-    next generation's snapshot file, then commits by atomically
-    replacing the manifest; old-generation files are unlinked last,
-    best-effort (an interrupted cleanup leaves orphans, never damage).
-    Must only run at safe points — no live shard writers.  Returns the
-    replayed state the snapshot was derived from.
-    """
-    old = load_manifest(path)
-    directory = _shard_dir(path)
-    state = replay_sharded(path)
-
-    generation = int(old["generation"]) + 1
-    snapshot = _snapshot_name(generation)
-    lines = compaction_lines(state)
-    atomic_write(os.path.join(directory, snapshot),
-                 "".join(line + "\n" for line in lines))
-
-    manifest = _build_manifest(
-        n_shards=old["n_shards"], generation=generation,
-        compactions=int(old["compactions"]) + 1, snapshot=snapshot,
-    )
-    _write_manifest(path, manifest)  # <- the commit point
-
-    stale = list(old["shards"])
-    if old.get("snapshot"):
-        stale.append(old["snapshot"])
-    for name in stale:
-        try:
-            os.unlink(os.path.join(directory, name))
-        except OSError:
-            pass
-    return state
+def ShardWriter(path: str, group: int = 0) -> RunJournal:
+    """A single-file journal appending to *path*; *group* is ignored."""
+    return RunJournal(path, append=True)

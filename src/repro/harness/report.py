@@ -152,10 +152,8 @@ def render_cluster_status(journal_path: str) -> str:
     """Summarize a :mod:`repro.cluster` run journal as a text block.
 
     Backs ``repro-phylo cluster status``: progress, fault/retry
-    accounting, shard topology for manifest-backed journals (shard
-    count, compaction generation, steal count, per-shard record
-    counts), the merged per-task engine perf counters (PR 1's
-    cache/arena statistics, now visible for distributed runs), and the
+    accounting, the merged per-task engine perf counters (the engine's
+    cache/arena statistics, visible for distributed runs), and the
     streaming partial results (running best tree and majority-rule
     consensus) that are servable before the run completes.
     """
@@ -207,24 +205,6 @@ def render_cluster_status(journal_path: str) -> str:
         f"{len(status['worker_deaths'])} worker death(s), "
         f"{state.resumes} resume(s)"
     )
-    shards = status.get("shards")
-    if shards:
-        lines.append(
-            f"   shards: {shards['n_shards']} WAL shard(s), "
-            f"generation {shards['generation']}, "
-            f"{shards['compactions']} compaction(s), "
-            f"{len(status['steals'])} steal(s)"
-        )
-        counts = shards.get("records") or {}
-        if counts:
-            per_file = ", ".join(f"{name}={counts[name]}"
-                                 for name in sorted(counts))
-            snapshot = shards.get("snapshot_records")
-            snapshot_text = (f" (+{snapshot} snapshot record(s))"
-                             if snapshot else "")
-            lines.append(f"   shard records: {per_file}{snapshot_text}")
-    elif status.get("steals"):
-        lines.append(f"   steals: {len(status['steals'])}")
     if state.corrupt_records:
         lines.append(
             f"   corrupt journal records skipped: {state.corrupt_records} "

@@ -136,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "multigrain scheduler splits them (default 4)")
     crun.add_argument("--journal", required=True,
                       help="append-only JSONL run journal path")
-    crun.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="shard the journal into N per-worker-group "
-                      "WAL files behind a manifest (removes the single-"
-                      "file append funnel; enables work stealing between "
-                      "shard queues; default: one shared journal)")
     crun.add_argument("-o", "--output",
                       help="write the best tree (newick, with support "
                       "labels when bootstrapping) here")
@@ -235,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=2,
                        help="cluster campaign worker processes "
                        "(default 2)")
-    chaos.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run the cluster campaign against N-shard "
-                       "journals (the fault-free baseline stays single-"
-                       "file, so a surviving digest also proves the "
-                       "shard merge-replay is equivalent)")
     chaos.add_argument("--start-seed", type=int, default=0,
                        help="first campaign seed (default 0)")
     chaos.add_argument("--workdir", default=None,
@@ -436,6 +426,16 @@ def _write_best_tree(analysis, output: str) -> None:
 
 
 def _cmd_cluster(args) -> int:
+    from ..cluster.checkpoint import RetiredJournalFormatError
+
+    try:
+        return _cluster_command(args)
+    except RetiredJournalFormatError as exc:
+        print(f"cluster {args.cluster_command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _cluster_command(args) -> int:
     from ..cluster import JobSpec, resume_job, run_job
 
     if args.cluster_command == "status":
@@ -481,8 +481,7 @@ def _cmd_cluster(args) -> int:
             bootstop=bootstop,
         )
         analysis = run_job(spec, n_workers=args.workers,
-                           journal_path=args.journal,
-                           n_shards=args.shards)
+                           journal_path=args.journal)
     else:  # resume
         analysis = resume_job(args.journal, n_workers=args.workers)
     _print_analysis(analysis)
@@ -578,7 +577,6 @@ def _cmd_chaos(args) -> int:
         reports.append(run_cluster_campaign(
             n_seeds=args.seeds, n_workers=args.workers,
             workdir=args.workdir, start_seed=args.start_seed,
-            n_shards=args.shards,
         ))
     if args.mode in ("serve", "all"):
         reports.append(run_serve_campaign(

@@ -52,18 +52,21 @@ class TestSpecAndPlanValidation:
         assert restricted.sites == (ENGINE_UNDERFLOW,)
 
     def test_retired_site_is_refused_by_name(self):
-        """A plan written for the deleted striped backends names a site
-        no code visits; loading it fails loudly instead of running an
-        adversary that can never fire."""
+        """A plan written for the deleted striped backends or sharded
+        journal names a site no code visits; loading it fails loudly
+        instead of running an adversary that can never fire."""
         assert not set(RETIRED_SITES) & set(ALL_SITES)
-        payload = {"seed": 0, "specs": [
-            {"site": ENGINE_CLV_POISON, "probability": 0.1},
-            {"site": "backend.stripe_raise", "probability": 0.01},
-        ]}
-        with pytest.raises(RetiredSiteError, match="backend.stripe_raise"):
-            FaultPlan.from_json(payload)
-        with pytest.raises(RetiredSiteError, match="backend.stripe_raise"):
-            FaultSpec("backend.stripe_raise", probability=0.5)
+        for site in ("backend.stripe_raise", "cluster.shard_torn",
+                     "cluster.steal_race"):
+            assert site in RETIRED_SITES
+            payload = {"seed": 0, "specs": [
+                {"site": ENGINE_CLV_POISON, "probability": 0.1},
+                {"site": site, "probability": 0.01},
+            ]}
+            with pytest.raises(RetiredSiteError, match=site):
+                FaultPlan.from_json(payload)
+            with pytest.raises(RetiredSiteError, match=site):
+                FaultSpec(site, probability=0.5)
 
 
 class TestJsonRoundTrip:

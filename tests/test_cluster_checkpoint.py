@@ -1,11 +1,15 @@
-"""Journal replay and resume-determinism tests.
+"""Journal replay, compaction and resume-determinism tests.
 
-The acceptance bar: a run interrupted at any task boundary and resumed
-from its journal produces bit-identical trees, log likelihoods, and
-bootstrap supports to an uninterrupted run.
+The acceptance bar: a run interrupted at any task boundary — or killed
+mid-append — and resumed from its journal produces bit-identical trees,
+log likelihoods, and bootstrap supports to an uninterrupted run, and
+``replay(compact(journal))`` equals ``replay(journal)`` for any journal,
+however damaged.
 """
 
 import json
+import os
+import random
 
 import pytest
 
@@ -17,11 +21,13 @@ from repro.cluster import (
     run_job,
 )
 from repro.cluster.checkpoint import (
+    RetiredJournalFormatError,
     compact_journal,
     decode_record,
     encode_record,
 )
 from repro.harness.report import render_cluster_status
+from repro.phylo import cli
 
 
 def _truncate_after(journal_path: str, out_path: str, k: int) -> int:
@@ -256,6 +262,92 @@ class TestJournalHardening:
         assert first == second
 
 
+def _essence(state):
+    """The resume-relevant projection of a replayed state: everything a
+    compaction must preserve (scheduling chatter and corrupt-line counts
+    are deliberately excluded — dropping those is compaction's job)."""
+    return {
+        "spec": state.spec,
+        "payloads": state.payloads,
+        "done_inferences": state.done_inferences,
+        "done_bootstraps": state.done_bootstraps,
+        "bootstop": state.bootstop,
+        "finished": state.finished,
+        "perf": state.perf_totals(),
+    }
+
+
+def _random_payload(kind, replicate, rng):
+    return {
+        "kind": kind,
+        "replicate": replicate,
+        "newick": f"(t0:0.{rng.randrange(9)},t1:0.1,t2:0.2);",
+        "log_likelihood": -100.0 - rng.random(),
+        "is_bootstrap": kind == "bootstrap",
+        "perf": {"newview_calls": rng.randrange(1, 50)},
+    }
+
+
+def _corrupt_lines(path, rng):
+    """Chaos-seeded damage: garbage lines, CRC flips, and a torn tail."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return
+    out = []
+    for i, line in enumerate(lines):
+        roll = rng.random()
+        if i > 0 and roll < 0.10:
+            out.append("{not json at all")  # malformed line
+        elif i > 0 and roll < 0.20:
+            out.append(line.replace('"', "'", 1))  # CRC-breaking flip
+        else:
+            out.append(line)
+    text = "\n".join(out) + "\n"
+    if rng.random() < 0.5:  # writer died mid-append
+        text += out[-1][: max(1, len(out[-1]) // 2)]
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+class TestCompactionProperty:
+    """replay(compact(journal)) == replay(journal), for any damage."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_file_journal(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = str(tmp_path / "j.jsonl")
+        with RunJournal(path) as journal:
+            journal.append("run_started",
+                           spec={"n_inferences": 1, "n_bootstraps": 8})
+            for _ in range(rng.randrange(4, 14)):
+                kind = "bootstrap" if rng.random() < 0.75 else "inference"
+                rep = rng.randrange(0, 8)
+                task = f"{kind}/{rep}"
+                journal.append("task_started", task=task, attempt=1, worker=0)
+                journal.append("replicate_done", task=task, attempt=1,
+                               payload=_random_payload(kind, rep, rng))
+                journal.append("task_finished", task=task, attempt=1,
+                               worker=0)
+            if rng.random() < 0.3:
+                journal.append("bootstop_converged", stop_at=4, requested=8,
+                               metric=0.01, pass_fraction=1.0)
+            if rng.random() < 0.5:
+                journal.append("run_finished", n_results=1, perf={})
+        _corrupt_lines(path, rng)
+
+        before = replay(path)
+        compact_journal(path)
+        after = replay(path)
+        assert _essence(after) == _essence(before)
+        assert after.corrupt_records == 0  # damage never survives compaction
+        with open(path) as fh:
+            n_lines = sum(1 for _ in fh)
+        assert n_lines <= (1 + len(before.payloads)
+                           + (1 if before.bootstop else 0)
+                           + (1 if before.finished else 0))
+
+
 class TestResumeDeterminism:
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_resume_after_k_replicates_is_bit_identical(
@@ -287,6 +379,44 @@ class TestResumeDeterminism:
         assert resumed.supports == serial_reference.supports
 
         state = replay(truncated)
+        assert state.resumes == 1
+        assert state.finished
+
+    @pytest.mark.parametrize("kill_seed", [101, 202, 303])
+    def test_kill_and_resume_is_bit_identical(
+            self, tiny_patterns, fast_config, serial_reference,
+            cluster_workers, tmp_path, kill_seed):
+        """A run killed at a seeded record, possibly mid-append (a torn
+        half-record), resumes to the serial reference bit for bit."""
+        full = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=1,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=full)
+
+        journal = str(tmp_path / f"killed{kill_seed}.jsonl")
+        with open(full) as fh:
+            lines = fh.read().splitlines(True)
+        rng = random.Random(kill_seed)
+        keep = rng.randint(1, len(lines))  # the header always survives
+        text = "".join(lines[:keep])
+        if keep < len(lines) and rng.random() < 0.5:
+            torn = lines[keep]
+            text += torn[: max(1, len(torn) // 2)]  # died mid-write
+        with open(journal, "w") as fh:
+            fh.write(text)
+
+        resumed = resume_job(journal, alignment=tiny_patterns,
+                             n_workers=cluster_workers)
+        assert resumed.best.newick == serial_reference.best.newick
+        assert resumed.best.log_likelihood == \
+            serial_reference.best.log_likelihood
+        assert [b.newick for b in resumed.bootstraps] == \
+            [b.newick for b in serial_reference.bootstraps]
+        assert [b.log_likelihood for b in resumed.bootstraps] == \
+            [b.log_likelihood for b in serial_reference.bootstraps]
+        assert resumed.supports == serial_reference.supports
+        state = replay(journal)
         assert state.resumes == 1
         assert state.finished
 
@@ -416,3 +546,58 @@ class TestStatusRendering:
             fh.write("\n".join(lines) + "\n")
         text = render_cluster_status(full)
         assert "corrupt journal records skipped: 2" in text
+
+
+def _shard_manifest(tmp_path, spec):
+    """What the retired sharded journal left at a journal path: a
+    one-line manifest naming per-group shard files under ``<path>.d/``,
+    whose meta shard holds a resumable run header."""
+    shard_dir = tmp_path / "run.jsonl.d"
+    shard_dir.mkdir()
+    (shard_dir / "meta.g0.jsonl").write_text(encode_record(
+        {"event": "run_started", "time": 1.0, "spec": spec.to_json()}
+    ) + "\n")
+    (shard_dir / "shard0.g0.jsonl").write_text("")
+    path = tmp_path / "run.jsonl"
+    path.write_text(json.dumps({
+        "format": "repro-cluster-shard-manifest", "version": 1,
+        "n_shards": 1, "generation": 0, "compactions": 0, "snapshot": None,
+        "shards": ["meta.g0.jsonl", "shard0.g0.jsonl"],
+    }) + "\n")
+    return str(path)
+
+
+def _tree_bytes(root):
+    paths = [os.path.join(d, name)
+             for d, _, files in os.walk(root) for name in files]
+    return {path: open(path, "rb").read() for path in paths}
+
+
+class TestRetiredShardManifest:
+    """The sharded journal is gone; its manifest is refused, not read as
+    a corrupt single-file journal and appended to."""
+
+    @pytest.mark.parametrize("entry", ["replay", "resume_job",
+                                       "compact_journal"])
+    def test_manifest_is_refused_before_any_write(
+            self, tiny_patterns, fast_config, tmp_path, entry):
+        spec = JobSpec(n_inferences=1, n_bootstraps=2, seed=9,
+                       config=fast_config)
+        path = _shard_manifest(tmp_path, spec)
+        before = _tree_bytes(tmp_path)
+        call = {
+            "replay": lambda: replay(path),
+            "resume_job": lambda: resume_job(path, alignment=tiny_patterns,
+                                             n_workers=1),
+            "compact_journal": lambda: compact_journal(path),
+        }[entry]
+        with pytest.raises(RetiredJournalFormatError, match="manifest"):
+            call()
+        assert _tree_bytes(tmp_path) == before
+
+    def test_cluster_status_exits_2(self, fast_config, tmp_path, capsys):
+        spec = JobSpec(n_inferences=1, n_bootstraps=2, seed=9,
+                       config=fast_config)
+        path = _shard_manifest(tmp_path, spec)
+        assert cli.main(["cluster", "status", "--journal", path]) == 2
+        assert "manifest" in capsys.readouterr().err
