@@ -30,6 +30,12 @@ same file records the parent's column from a clone of it (kept beside
 
     PYTHONPATH=<parent clone>/src python benchmarks/bench_kernels.py \
         --parent <commit>
+
+Its ``storage_us`` rows (:func:`storage_rows`, DESIGN 7.6) time the CLV
+storage itself at the same three sizes: each kernel on the engine's
+category-major ``(c, s, n)`` operands (``csn``) against a bench-local
+copy of the form it replaced on a pattern-major ``(s, c, n)`` copy of
+the same operands (``scn``).  A plain run records both columns.
 """
 
 import json
@@ -43,6 +49,7 @@ import pytest
 
 from repro.phylo import CatRates, GammaRates, default_gtr
 from repro.phylo import kernels
+from repro.phylo.dna import TIP_PARTIAL_ROWS
 from repro.phylo.models import PMatrixCache
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -57,8 +64,8 @@ def working_set():
     model = default_gtr()
     rates = GammaRates(0.8, N_CATS).rates
     p = PMatrixCache(model, rates).matrices(0.1)  # as the engine gets it
-    left = rng.random((N_PATTERNS, N_CATS, 4)) + 1e-3
-    right = rng.random((N_PATTERNS, N_CATS, 4)) + 1e-3
+    left = rng.random((N_CATS, N_PATTERNS, 4)) + 1e-3
+    right = rng.random((N_CATS, N_PATTERNS, 4)) + 1e-3
     masks = rng.choice([1, 2, 4, 8], size=N_PATTERNS).astype(np.uint8)
     weights = rng.integers(1, 6, size=N_PATTERNS).astype(float)
     scale = np.zeros(N_PATTERNS, dtype=np.int64)
@@ -77,7 +84,7 @@ def test_newview_inner_inner(benchmark, working_set):
         return terms
 
     result = benchmark(newview)
-    assert result.shape == (N_PATTERNS, N_CATS, 4)
+    assert result.shape == (N_CATS, N_PATTERNS, 4)
 
 
 def test_newview_tip_tip(benchmark, working_set):
@@ -90,7 +97,7 @@ def test_newview_tip_tip(benchmark, working_set):
         )
 
     result = benchmark(newview)
-    assert result.shape == (N_PATTERNS, N_CATS, 4)
+    assert result.shape == (N_CATS, N_PATTERNS, 4)
 
 
 @pytest.mark.parametrize("case", ["tip_tip", "tip_inner", "inner_inner"])
@@ -147,8 +154,8 @@ def test_newview_protein_20_states(benchmark):
     model = PoissonAA()
     rates = GammaRates(0.8, N_CATS).rates
     p = model.transition_matrices(0.1, rates)
-    left = rng.random((N_PATTERNS, N_CATS, 20)) + 1e-3
-    right = rng.random((N_PATTERNS, N_CATS, 20)) + 1e-3
+    left = rng.random((N_CATS, N_PATTERNS, 20)) + 1e-3
+    right = rng.random((N_CATS, N_PATTERNS, 20)) + 1e-3
 
     def newview():
         terms = kernels.newview_combine(
@@ -159,7 +166,7 @@ def test_newview_protein_20_states(benchmark):
         return terms
 
     result = benchmark(newview)
-    assert result.shape == (N_PATTERNS, N_CATS, 20)
+    assert result.shape == (N_CATS, N_PATTERNS, 20)
 
 
 def test_makenewz_sumtable_build(benchmark, working_set):
@@ -221,7 +228,7 @@ def _probe_on_random_table(n_patterns, cat):
     else:
         rates, cat_w = GammaRates(0.8, N_CATS).rates, \
             np.full(N_CATS, 1.0 / N_CATS)
-    shape = (n_patterns, len(cat_w), 4)
+    shape = (len(cat_w), n_patterns, 4)
     table = kernels.branch_sumtable(
         model._right, model._left, model.pi, len(cat_w),
         rng.random(shape) + 1e-3, rng.random(shape) + 1e-3)
@@ -379,6 +386,172 @@ def test_operand_layout(benchmark, layout, row):
     benchmark(layout[row])
 
 
+# -- CLV storage: pattern-major (s, c, n) forms against the category-major ---
+#
+# Bench-local copies of the kernels as they were on ``(s, c, n)`` CLVs:
+# transposed views into every GEMM, a transposed ``out=``, and a
+# category-major copy inside ``evaluate_loglik``.
+
+
+def _scn_inner_terms(p, clv, out):
+    np.matmul(clv.transpose(1, 0, 2), p.transpose(0, 2, 1),
+              out=out.transpose(1, 0, 2))
+
+
+def _scn_tip_terms(p, masks, out):
+    per_code = TIP_PARTIAL_ROWS @ p.transpose(0, 2, 1)
+    np.take(per_code.transpose(1, 0, 2), masks, axis=0, out=out, mode="clip")
+
+
+def _scn_scale_clv(clv, scale_counts):
+    if (clv.min(initial=np.inf) >= kernels.SCALE_THRESHOLD
+            and clv.max(initial=0.0) < np.inf):
+        return 0
+    needs = np.max(clv, axis=(1, 2), initial=0.0) < kernels.SCALE_THRESHOLD
+    clv[needs] *= kernels.SCALE_FACTOR
+    scale_counts[needs] += 1
+    return int(needs.sum())
+
+
+def _scn_newview(left, p_left, right, p_right, out_clv, out_scale, work):
+    scales = []
+    for side, p, out in ((left, p_left, out_clv), (right, p_right, work)):
+        if type(side) is tuple:
+            _scn_inner_terms(p, side[0], out)
+            scales.append(side[1])
+        else:
+            _scn_tip_terms(p, side, out)
+            scales.append(None)
+    np.multiply(out_clv, work, out=out_clv)
+    kernels.add_scale_counts(*scales, out_scale)
+    return _scn_scale_clv(out_clv, out_scale)
+
+
+def _scn_sumtable(model, n_cats, u_side, v_side, out, work):
+    shape = (n_cats, model.n_states, len(u_side))
+    out, work = out.reshape(shape), work.reshape(shape)
+    for side, basis_t, into in ((u_side, model._right.T * model.pi, out),
+                                (v_side, model._left, work)):
+        if side.ndim == 1:
+            np.take(basis_t @ TIP_PARTIAL_ROWS.T, side, axis=1, out=into[0],
+                    mode="clip")
+            into[1:] = into[0]
+        else:
+            np.matmul(basis_t, side.transpose(1, 2, 0), out=into)
+    np.multiply(out, work, out=out)
+    return out.reshape(-1, shape[2])
+
+
+def _scn_evaluate_loglik(pi, cat_weights, pattern_weights, u_term, v_term,
+                         scale_counts):
+    s, c, n = v_term.shape
+    product = np.empty((c, s, n))
+    np.multiply(u_term.transpose(1, 0, 2), v_term.transpose(1, 0, 2),
+                out=product)
+    per_cat = (product.reshape(c * s, n) @ pi).reshape(c, s).T
+    logs = np.log(per_cat @ cat_weights) \
+        - scale_counts * kernels.LOG_SCALE_FACTOR
+    return float(pattern_weights @ logs)
+
+
+STORAGE_KINDS = ("inner_terms", "newview[inner_inner]", "newview[tip_inner]",
+                 "branch_sumtable[inner_inner]", "branch_sumtable[tip_inner]",
+                 "evaluate_loglik")
+STORAGE_ROW_NAMES = [f"{kind}@{n}" for n in LAYOUT_SIZES
+                     for kind in STORAGE_KINDS]
+
+
+def _storage_rows_at(n_patterns, recipe):
+    """``{"csn": {kind: call}, "scn": {kind: call}}`` on one engine's
+    operands.  ``evaluate_loglik`` includes the propagation into its
+    scratch operand, as ``LikelihoodEngine.evaluate`` calls it: the
+    kernel consumes that operand."""
+    from repro.phylo import LikelihoodEngine, Tree, synthetic_dataset
+
+    patterns = synthetic_dataset(**recipe).compress()
+    tree = Tree.from_tip_names(patterns.taxa, np.random.default_rng(7))
+    model = default_gtr().with_frequencies(patterns.base_frequencies())
+    rate_model = GammaRates(0.7, N_CATS)
+    engine = LikelihoodEngine(patterns, model, rate_model, tree)
+    engine.optimize_all_branches(passes=2)
+    inner = max((b for b in tree.branches
+                 if not (b.nodes[0].is_tip or b.nodes[1].is_tip)),
+                key=lambda b: b.length)
+    u, v = (engine._operand(node, inner) for node in inner.nodes)
+    tip = engine._tip_masks(tree.tips[0])
+    p = engine._pmat(inner)
+    pi, cat_w, weights = model.pi, rate_model.weights, patterns.weights
+    scale = u[1] + v[1]
+
+    def scn(clv):
+        return np.ascontiguousarray(clv.transpose(1, 0, 2))
+
+    su, sv = (scn(u[0]), u[1]), (scn(v[0]), v[1])
+    out, work, term = (np.empty_like(u[0]) for _ in range(3))
+    s_out, s_work, s_term = (np.empty_like(su[0]) for _ in range(3))
+    out_scale = np.empty(n_patterns, dtype=np.int64)
+    table, s_table = np.empty(u[0].size), np.empty(u[0].size)
+
+    def evaluate():
+        kernels.inner_terms(p, v[0], out=term)
+        return kernels.evaluate_loglik(pi, cat_w, weights, u[0], term, scale)
+
+    def scn_evaluate():
+        _scn_inner_terms(p, sv[0], s_term)
+        return _scn_evaluate_loglik(pi, cat_w, weights, su[0], s_term, scale)
+
+    assert evaluate() == scn_evaluate()
+    sumtable = (model._right, model._left, model.pi, N_CATS)
+    return {
+        "csn": {
+            "inner_terms": lambda: kernels.inner_terms(p, u[0], out=out),
+            "newview[inner_inner]": lambda: kernels.newview(
+                u, p, v, p, out, out_scale, None, False, work),
+            "newview[tip_inner]": lambda: kernels.newview(
+                tip, p, v, p, out, out_scale, None, False, work),
+            "branch_sumtable[inner_inner]": lambda: kernels.branch_sumtable(
+                *sumtable, u[0], v[0], out=table, work=work),
+            "branch_sumtable[tip_inner]": lambda: kernels.branch_sumtable(
+                *sumtable, tip, v[0], out=table, work=work),
+            "evaluate_loglik": evaluate,
+        },
+        "scn": {
+            "inner_terms": lambda: _scn_inner_terms(p, su[0], s_out),
+            "newview[inner_inner]": lambda: _scn_newview(
+                su, p, sv, p, s_out, out_scale, s_work),
+            "newview[tip_inner]": lambda: _scn_newview(
+                tip, p, sv, p, s_out, out_scale, s_work),
+            "branch_sumtable[inner_inner]": lambda: _scn_sumtable(
+                model, N_CATS, su[0], sv[0], s_table, s_work),
+            "branch_sumtable[tip_inner]": lambda: _scn_sumtable(
+                model, N_CATS, tip, sv[0], s_table, s_work),
+            "evaluate_loglik": scn_evaluate,
+        },
+    }
+
+
+def storage_rows():
+    """Row name -> zero-argument callable: ``scn/<kind>@<n>`` (the old
+    form on an ``(s, c, n)`` copy) and ``csn/<kind>@<n>`` (today's)."""
+    rows = {}
+    for n_patterns, recipe in LAYOUT_SIZES.items():
+        for storage, calls in _storage_rows_at(n_patterns, recipe).items():
+            for kind, call in calls.items():
+                rows[f"{storage}/{kind}@{n_patterns}"] = call
+    return rows
+
+
+@pytest.fixture(scope="module")
+def storage():
+    return storage_rows()
+
+
+@pytest.mark.parametrize("layout", ["scn", "csn"])
+@pytest.mark.parametrize("row", STORAGE_ROW_NAMES)
+def test_clv_storage(benchmark, storage, row, layout):
+    benchmark(storage[f"{layout}/{row}"])
+
+
 def _record(calls) -> dict:
     """Median of 15 batch means, microseconds per call, row by row.
     The batches are taken round-robin — one batch of every row, fifteen
@@ -427,6 +600,11 @@ def main(argv=None) -> int:
             "rows_us": _record(calls),
         })
         section["rows_us"] = _record(layout_rows())
+        timed = _record(storage_rows())
+        section["storage_us"] = {
+            row: {layout: timed[f"{layout}/{row}"]
+                  for layout in ("scn", "csn")}
+            for row in STORAGE_ROW_NAMES}
     merge_bench_section(RESULT_PATH, "operand_layout", section)
     print(f"bench_kernels: wrote {RESULT_PATH.name}")
     return 0

@@ -3,13 +3,15 @@
 The paper's double-buffering optimization (section 5.2.4) works because
 the SPE kernels write into *preallocated* local-store buffers instead of
 touching the allocator on every ``newview()``.  The reproduction's
-likelihood engine used to allocate a fresh ``(n_patterns, n_cats, n)``
-array per cached CLV — thousands of heap round trips per hill-climb
-sweep.  :class:`ClvArena` replaces that churn with a slab allocator:
+likelihood engine used to allocate a fresh CLV array per cached
+direction — thousands of heap round trips per hill-climb sweep.
+:class:`ClvArena` replaces that churn with a slab allocator:
 
 * CLV slots live in large C-contiguous blocks of shape
-  ``(slots, n_patterns, n_cats, n_states)`` (plus a matching ``int64``
-  block for the per-pattern scale counters);
+  ``(slots, n_cats, n_patterns, n_states)`` — category-major, so each
+  category's ``(n_patterns, n_states)`` block is one contiguous operand
+  for the kernels' GEMMs (DESIGN 7.6) — plus a matching ``int64`` block
+  for the per-pattern scale counters;
 * a free list recycles slots released by cache invalidation, so a
   steady-state search performs **zero** new slot allocations — the
   ``grown`` counter stays flat, which the engine benchmark asserts;
@@ -34,7 +36,7 @@ class ClvSlot:
 
     def __init__(self, index: int, clv: np.ndarray, scale_counts: np.ndarray):
         self.index = index
-        self.clv = clv  # (n_patterns, n_cats, n_states) view
+        self.clv = clv  # (n_cats, n_patterns, n_states) view
         self.scale_counts = scale_counts  # (n_patterns,) int64 view
         self.free = True
 
@@ -49,7 +51,8 @@ class ClvArena:
     Parameters
     ----------
     n_patterns, n_cats, n_states:
-        Shape of each slot's CLV buffer.
+        Sizes of each slot's ``(n_cats, n_patterns, n_states)`` CLV
+        buffer.
     initial_slots:
         Slots preallocated up front.  The pool doubles when exhausted
         (each growth allocates one new contiguous block; existing slot
@@ -80,7 +83,7 @@ class ClvArena:
 
     def _grow(self, count: int) -> None:
         block = np.empty(
-            (count, self.n_patterns, self.n_cats, self.n_states),
+            (count, self.n_cats, self.n_patterns, self.n_states),
             dtype=np.float64, order="C",
         )
         scales = np.empty((count, self.n_patterns), dtype=np.int64)
@@ -144,5 +147,5 @@ class ClvArena:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ClvArena {self.in_use}/{self.capacity} slots "
-            f"({self.n_patterns}x{self.n_cats}x{self.n_states})>"
+            f"({self.n_cats}x{self.n_patterns}x{self.n_states})>"
         )

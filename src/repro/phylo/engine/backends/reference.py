@@ -100,13 +100,13 @@ class ReferenceBackend(KernelBackend):
         return p[s] if per_site else p[c]
 
     def _propagate(self, p, source, out: np.ndarray, per_site: bool) -> None:
-        """``out[s,c,i] = sum_j P[.,i,j] source[s][c][j]`` by scalar loops."""
-        n_patterns, n_cats, n = out.shape
+        """``out[c,s,i] = sum_j P[.,i,j] source[c][s][j]`` by scalar loops."""
+        n_cats, n_patterns, n = out.shape
         p = np.asarray(p).tolist()
         for s in range(n_patterns):
             for c in range(n_cats):
                 mat = self._p_row(p, s, c, per_site)
-                src = source[s][c]
+                src = source[c][s]
                 dst = [0.0] * n
                 for i in range(n):
                     acc = 0.0
@@ -114,23 +114,17 @@ class ReferenceBackend(KernelBackend):
                     for j in range(n):
                         acc += row[j] * src[j]
                     dst[i] = acc
-                out[s, c] = dst
+                out[c, s] = dst
 
     def tip_terms(self, p, masks, code_table, out=None, per_site=False):
         self.kernel_calls += 1
         table = TIP_PARTIAL_ROWS if code_table is None else code_table
         rows = table[np.asarray(masks)].tolist()  # (s, n)
-        if per_site:
-            n_patterns = len(rows)
-            n_cats = 1
-        else:
-            n_patterns = len(rows)
-            n_cats = len(np.asarray(p))
+        n_cats = 1 if per_site else len(np.asarray(p))
         n = len(rows[0]) if rows else 0
         if out is None:
-            out = np.empty((n_patterns, n_cats, n), dtype=np.float64)
-        source = [[rows[s]] * out.shape[1] for s in range(n_patterns)]
-        self._propagate(p, source, out, per_site)
+            out = np.empty((n_cats, len(rows), n), dtype=np.float64)
+        self._propagate(p, [rows] * out.shape[0], out, per_site)
         return out
 
     def inner_terms(self, p, clv, out=None, per_site=False):
@@ -144,25 +138,24 @@ class ReferenceBackend(KernelBackend):
         self.kernel_calls += 1
         left = np.asarray(left_term).tolist()
         right = np.asarray(right_term).tolist()
-        n_patterns = len(left)
         if out is None:
             out = np.empty_like(np.asarray(left_term), dtype=np.float64)
-        for s in range(n_patterns):
-            ls, rs = left[s], right[s]
-            for c in range(len(ls)):
-                t1, t2 = ls[c], rs[c]
-                out[s, c] = [t1[i] * t2[i] for i in range(len(t1))]
+        for c in range(len(left)):
+            lc, rc = left[c], right[c]
+            for s in range(len(lc)):
+                t1, t2 = lc[s], rc[s]
+                out[c, s] = [t1[i] * t2[i] for i in range(len(t1))]
         return out
 
     def scale_clv(self, clv, scale_counts) -> int:
         self.kernel_calls += 1
-        n_patterns, n_cats, n = clv.shape
+        n_cats, n_patterns, n = clv.shape
         values = clv.tolist()
         count = 0
         for s in range(n_patterns):
             pattern_max = 0.0
             for c in range(n_cats):
-                row = values[s][c]
+                row = values[c][s]
                 for i in range(n):
                     value = row[i]
                     if not math.isfinite(value):
@@ -174,10 +167,10 @@ class ReferenceBackend(KernelBackend):
                         pattern_max = value
             if pattern_max < SCALE_THRESHOLD:
                 for c in range(n_cats):
-                    row = values[s][c]
+                    row = values[c][s]
                     for i in range(n):
                         row[i] *= SCALE_FACTOR
-                    clv[s, c] = row
+                    clv[c, s] = row
                 scale_counts[s] += 1
                 count += 1
         return count
@@ -191,14 +184,13 @@ class ReferenceBackend(KernelBackend):
         v = np.asarray(v_term).tolist()
         pi = [float(x) for x in pi]
         cw = [float(x) for x in cat_weights]
-        n_patterns = len(u)
+        n_patterns = len(u[0])
         n = len(pi)
         total = 0.0
         for s in range(n_patterns):
             site = 0.0
-            us_row, vs_row = u[s], v[s]
             for c in range(len(cw)):
-                us, vs = us_row[c], vs_row[c]
+                us, vs = u[c][s], v[c][s]
                 cat = 0.0
                 for i in range(n):
                     cat += pi[i] * us[i] * vs[i]
@@ -223,7 +215,7 @@ class ReferenceBackend(KernelBackend):
         v = np.asarray(v_clv).tolist()
         pi = [float(x) for x in pi]
         cw = [float(x) for x in cat_weights]
-        n_patterns = len(u)
+        n_patterns = len(u[0])
         n = len(pi)
         lnl = dlnl = d2lnl = 0.0
         for s in range(n_patterns):
@@ -232,7 +224,7 @@ class ReferenceBackend(KernelBackend):
                 mat = self._p_row(p, s, c, per_site)
                 dmat = self._p_row(dp, s, c, per_site)
                 d2mat = self._p_row(d2p, s, c, per_site)
-                us, vs = u[s][c], v[s][c]
+                us, vs = u[c][s], v[c][s]
                 f = f1 = f2 = 0.0
                 for i in range(n):
                     left = us[i] * pi[i]

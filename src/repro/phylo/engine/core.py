@@ -141,7 +141,7 @@ _PARKED_CLVS = 16
 
 @dataclass
 class _CachedCLV:
-    clv: np.ndarray  # (n_patterns, n_cats, n) — a view into an arena slot
+    clv: np.ndarray  # (n_cats, n_patterns, n) — a view into an arena slot
     scale_counts: np.ndarray  # (n_patterns,) int64 — same slot
     deps: FrozenSet[int]  # branch ids this CLV depends on
     slot: ClvSlot  # arena slot backing the views
@@ -254,7 +254,7 @@ class LikelihoodEngine:
         #: scratch for evaluate's propagated term and the sumtable's
         #: second projection (newview's scratch is the backend's)
         self._term_scratch = np.empty(
-            (patterns.n_patterns, self._n_cats, self._n_states)
+            (self._n_cats, patterns.n_patterns, self._n_states)
         )
         #: the makenewz sumtable, ``(c*k, s)`` as the probe reads it,
         #: rebuilt in place once per makenewz call
@@ -437,12 +437,12 @@ class LikelihoodEngine:
         (e.g. a rate model with a different category count)."""
         if self._arena.n_cats == self._n_cats:
             return
-        shape = (self.patterns.n_patterns, self._n_cats, self._n_states)
+        s, c, n = self.patterns.n_patterns, self._n_cats, self._n_states
         self._clv_cache.clear()  # old entries view the old arena's blocks
         self._parked.clear()
-        self._arena = ClvArena(*shape)
-        self._term_scratch = np.empty(shape)
-        self._sumtable = np.empty((shape[1] * shape[2], shape[0]))
+        self._arena = ClvArena(s, c, n)
+        self._term_scratch = np.empty((c, s, n))
+        self._sumtable = np.empty((c * n, s))
 
     def _push_context(self, name: str):
         """Tell the tracer (if any) that nested kernel calls follow."""
@@ -532,12 +532,9 @@ class LikelihoodEngine:
         return self.patterns.patterns[self._tip_index[node.index]]
 
     def _tip_clv(self, node: Node) -> np.ndarray:
-        """Tip CLV expanded to ``(n_patterns, n_cats, n_states)``."""
+        """Tip CLV expanded to ``(n_cats, n_patterns, n_states)``."""
         rows = self.patterns.tip_partials(self._tip_index[node.index])
-        return np.broadcast_to(
-            rows[:, None, :],
-            (self.patterns.n_patterns, self._n_cats, self._n_states),
-        )
+        return np.broadcast_to(rows, (self._n_cats,) + rows.shape)
 
     def _propagated(
         self, node: Node, via: Branch, out: Optional[np.ndarray] = None
@@ -709,10 +706,11 @@ class LikelihoodEngine:
             spec = injector.spec(_chaos_plan.ENGINE_CLV_POISON)
             value = np.inf if spec is not None and spec.value == "inf" \
                 else np.nan
-            # Poison the first stripe (a quarter of the patterns): the
-            # non-finite guard in scale_clv must catch it.
-            stripe = max(1, clv.shape[0] // 4)
-            clv[:stripe] = value
+            # Poison the first stripe (a quarter of the patterns, in
+            # every category): the non-finite guard in scale_clv must
+            # catch it.
+            stripe = max(1, clv.shape[1] // 4)
+            clv[:, :stripe] = value
         if injector.fire(_chaos_plan.ENGINE_UNDERFLOW):
             self._force_underflow(clv, scale_counts)
 
@@ -732,9 +730,8 @@ class LikelihoodEngine:
         entry at least ``2**-700`` (so no entry goes subnormal and loses
         mantissa bits on the way down).
         """
-        flat = clv.reshape(clv.shape[0], -1)
-        pattern_max = flat.max(axis=1)
-        nonzero_min = np.where(flat > 0.0, flat, np.inf).min(axis=1)
+        pattern_max = clv.max(axis=(0, 2))
+        nonzero_min = np.where(clv > 0.0, clv, np.inf).min(axis=(0, 2))
         eligible = (
             (pattern_max >= kernels.SCALE_THRESHOLD)
             & (pattern_max < 1.0)
@@ -742,7 +739,7 @@ class LikelihoodEngine:
         )
         if not eligible.any():
             return
-        clv[eligible] *= 2.0**-256
+        clv[:, eligible] *= 2.0**-256
         scale_counts[eligible] -= 1
 
     # -- evaluate ------------------------------------------------------------
@@ -819,9 +816,9 @@ class LikelihoodEngine:
         u_clv, u_sc = self._side(u, branch)
         v_term, v_sc = self._propagated(v, branch)
         per_cat = np.einsum(
-            "sci,i->sc", u_clv * v_term, self.model.pi, optimize=True
+            "csi,i->cs", u_clv * v_term, self.model.pi, optimize=True
         )
-        site_lik = per_cat @ self._cat_weights
+        site_lik = per_cat.T @ self._cat_weights
         return np.log(site_lik) - (u_sc + v_sc) * kernels.LOG_SCALE_FACTOR
 
     # -- makenewz ------------------------------------------------------------

@@ -97,7 +97,8 @@ class KernelBackend:
     Array-shape conventions (``s`` patterns, ``c`` rate categories,
     ``n`` states):
 
-    * CLVs and propagated terms: ``(s, c, n)``.
+    * CLVs and propagated terms: ``(c, s, n)``, category-major with
+      the states innermost (the arena's storage).
     * Integrated-mode transition matrices: ``(c, n, n)``; CAT
       (``per_site=True``) matrices: ``(s, n, n)`` — one per pattern,
       with the CLV keeping a singleton category axis.
@@ -155,7 +156,7 @@ class KernelBackend:
         ``left`` / ``right`` are each a ``(s,)`` vector of tip state
         codes or an inner ``(clv, scale_counts)`` pair, with ``p_left``
         / ``p_right`` the transition stacks of the two child branches.
-        The parent CLV is written into ``out_clv`` ``(s, c, n)`` and the
+        The parent CLV is written into ``out_clv`` ``(c, s, n)`` and the
         summed child scale counts (plus this operation's rescaling) into
         ``out_scale`` ``(s,)``; returns how many patterns were rescaled.
 
@@ -215,7 +216,7 @@ class KernelBackend:
         out: Optional[np.ndarray] = None,
         per_site: bool = False,
     ) -> np.ndarray:
-        """Propagate an inner CLV across a branch: ``sum_j P[.,i,j] clv[s,c,j]``."""
+        """Propagate an inner CLV across a branch: ``sum_j P[.,i,j] clv[c,s,j]``."""
         raise NotImplementedError
 
     def newview_combine(
@@ -242,7 +243,9 @@ class KernelBackend:
         v_term: np.ndarray,
         scale_counts: np.ndarray,
     ) -> float:
-        """Weighted log likelihood at a branch."""
+        """Weighted log likelihood at a branch.  ``v_term`` (the side
+        propagated across the branch) is the caller's scratch: a backend
+        may overwrite it."""
         raise NotImplementedError
 
     # -- makenewz kernels ----------------------------------------------------
@@ -270,7 +273,7 @@ class KernelBackend:
         """Project both sides of a branch into the eigenbasis, once per
         ``makenewz``: the ``(c*k, s)`` table of
         :func:`repro.phylo.kernels.branch_sumtable`.  A side is an inner
-        CLV ``(s, c, n)`` or a ``(s,)`` vector of tip state codes.  Not
+        CLV ``(c, s, n)`` or a ``(s,)`` vector of tip state codes.  Not
         counted in ``kernel_calls``: the accounting unit of ``makenewz``
         is the derivative evaluation."""
         return kernels.branch_sumtable(

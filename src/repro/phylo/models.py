@@ -177,7 +177,7 @@ class SubstitutionModel:
         exponent = np.exp(
             self._eigenvalues[None, :] * (rates[:, None] * branch_length)
         )  # (cats, n)
-        return np.einsum("ik,ck,kj->cij", self._right, exponent, self._left)
+        return self._project(exponent)
 
     def transition_derivatives(
         self, branch_length: float, rates
@@ -193,10 +193,13 @@ class SubstitutionModel:
         rates = np.asarray(rates, dtype=np.float64)
         lam = self._eigenvalues[None, :] * rates[:, None]  # (cats, n)
         e = np.exp(lam * branch_length)
-        p = np.einsum("ik,ck,kj->cij", self._right, e, self._left)
-        dp = np.einsum("ik,ck,kj->cij", self._right, lam * e, self._left)
-        d2p = np.einsum("ik,ck,kj->cij", self._right, lam * lam * e, self._left)
-        return p, dp, d2p
+        return (self._project(e), self._project(lam * e),
+                self._project(lam * lam * e))
+
+    def _project(self, weights: np.ndarray) -> np.ndarray:
+        """``R diag(w_c) L`` for every row ``w_c`` of *weights*: one
+        batched ``(c, n, k) @ (k, n)`` GEMM."""
+        return (self._right * weights[:, None, :]) @ self._left
 
     def with_frequencies(self, frequencies) -> "SubstitutionModel":
         """The same exchangeabilities with different frequencies."""

@@ -95,7 +95,7 @@ def estimate_clv_mb(n_taxa: int, n_patterns: int, n_states: int = 4,
 
     An unrooted binary tree over ``n_taxa`` leaves has ``n_taxa - 2``
     inner nodes, each holding one CLV of shape
-    ``(n_patterns, categories, n_states)`` in float64; the engine keeps
+    ``(categories, n_patterns, n_states)`` in float64; the engine keeps
     roughly one extra CLV's worth of scratch per traversal direction,
     so we budget ``n_taxa`` CLVs total.
     """

@@ -10,14 +10,26 @@ from repro.phylo.models import PMatrixCache
 
 class TestClvArena:
     def test_initial_capacity_and_shapes(self):
-        arena = ClvArena(17, 4, 4, initial_slots=8)
+        arena = ClvArena(17, 3, 4, initial_slots=8)
         assert arena.capacity == 8
         assert arena.in_use == 0
         slot = arena.acquire()
-        assert slot.clv.shape == (17, 4, 4)
+        # category-major: (n_cats, n_patterns, n_states), each
+        # category's (patterns, states) block one contiguous operand
+        assert slot.clv.shape == (3, 17, 4)
         assert slot.clv.flags["C_CONTIGUOUS"]
+        assert all(block.flags["C_CONTIGUOUS"] for block in slot.clv)
         assert slot.scale_counts.shape == (17,)
         assert slot.scale_counts.dtype == np.int64
+
+    def test_engine_slots_are_category_major(self, engine):
+        engine.evaluate()
+        n_cats = engine.rate_model.n_categories
+        for entry in engine._clv_cache.values():
+            assert entry.clv.shape == (n_cats, engine.patterns.n_patterns,
+                                       engine.model.n_states)
+            assert entry.clv.flags["C_CONTIGUOUS"]
+        assert engine._term_scratch.shape == entry.clv.shape
 
     def test_acquire_release_recycles(self):
         arena = ClvArena(5, 2, 4, initial_slots=2)

@@ -48,11 +48,15 @@ def _single_site_plan(site, *, trigger_at=(0,), max_triggers=None, value=None):
 
 
 class TestTransientRecovery:
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_clv_poison_recovers_bit_identical(self, value):
+    @pytest.mark.parametrize("value,backend", [
+        ("nan", None), ("inf", None),
+        ("nan", "reference"), ("inf", "reference"),
+    ], ids=["nan", "inf", "nan-reference", "inf-reference"])
+    def test_clv_poison_recovers_bit_identical(self, value, backend):
         patterns, tree = _instance()
-        clean = _clean_loglik(patterns, tree)
-        engine = LikelihoodEngine(patterns, JC69(), None, tree)
+        clean = _clean_loglik(patterns, tree, backend=backend)
+        engine = LikelihoodEngine(patterns, JC69(), None, tree,
+                                  backend=backend)
         try:
             plan = _single_site_plan(ENGINE_CLV_POISON, value=value)
             with inject(plan) as injector:
@@ -106,10 +110,18 @@ class TestForcedUnderflow:
     def test_forced_underflow_is_bit_transparent(self):
         """The injected power-of-two push-down must be undone exactly by
         scale_clv's mandatory rescale — no guard trip, no lnL change."""
+        self._round_trip(None)
+
+    def test_forced_underflow_is_bit_transparent_on_reference(self):
+        self._round_trip("reference")
+
+    @staticmethod
+    def _round_trip(backend):
         patterns, tree = _instance(seed=41)
-        clean = _clean_loglik(patterns, tree, rates=GammaRates(0.5, 4))
+        clean = _clean_loglik(patterns, tree, backend=backend,
+                              rates=GammaRates(0.5, 4))
         engine = LikelihoodEngine(
-            patterns, JC69(), GammaRates(0.5, 4), tree
+            patterns, JC69(), GammaRates(0.5, 4), tree, backend=backend
         )
         try:
             plan = _single_site_plan(
@@ -122,6 +134,39 @@ class TestForcedUnderflow:
             assert value == clean
         finally:
             engine.detach()
+
+
+class TestHooksOnCategoryMajorStorage:
+    """The hooks see the arena's ``(c, s, n)`` CLV: both decide per
+    *pattern*, across every category."""
+
+    def test_clv_poison_takes_a_quarter_of_the_patterns_in_every_category(
+            self):
+        patterns, tree = _instance()
+        engine = LikelihoodEngine(patterns, JC69(), GammaRates(0.5, 4), tree)
+        try:
+            clv = np.full((4, 12, 4), 0.5)
+            scale = np.zeros(12, dtype=np.int64)
+            with inject(_single_site_plan(ENGINE_CLV_POISON, value="nan")):
+                engine._chaos_newview_hooks(clv, scale)
+            assert np.isnan(clv[:, :3]).all()
+            assert (clv[:, 3:] == 0.5).all()
+        finally:
+            engine.detach()
+
+    def test_underflow_eligibility_is_per_pattern(self):
+        clv = np.full((2, 4, 4), 0.25)
+        clv[1, 1, 2] = 1.0  # pattern 1: the max over categories is 1.0
+        clv[0, 2, 0] = 2.0**-800  # pattern 2: would go subnormal
+        clv[1, 3] = 0.0  # pattern 3: zeros do not block the push
+        scale = np.zeros(4, dtype=np.int64)
+        want = clv.copy()
+        LikelihoodEngine._force_underflow(clv, scale)
+        assert list(scale) == [-1, 0, 0, -1]
+        for pattern, pushed in enumerate(scale == -1):
+            factor = 2.0**-256 if pushed else 1.0
+            assert np.array_equal(clv[:, pattern],
+                                  want[:, pattern] * factor)
 
 
 class TestDegradationLadder:

@@ -1,6 +1,7 @@
 """Tests for the numerical kernels (repro.phylo.kernels)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.phylo import (
     LikelihoodEngine,
     PoissonAA,
     Tree,
+    UniformRate,
     default_gtr,
 )
 from repro.phylo import kernels
@@ -32,7 +34,7 @@ def make_pmats(n_cats=4, t=0.3):
 
 
 def random_clv(rng, n_patterns, n_cats):
-    return rng.random((n_patterns, n_cats, 4)) + 1e-3
+    return rng.random((n_cats, n_patterns, 4)) + 1e-3
 
 
 class TestTipTerms:
@@ -41,7 +43,7 @@ class TestTipTerms:
         p, _ = make_pmats()
         masks = rng.choice([1, 2, 4, 8, 15], size=37).astype(np.uint8)
         terms = kernels.tip_terms(p, masks)
-        dense = np.einsum("cij,sj->sci", p, TIP_PARTIAL_ROWS[masks])
+        dense = np.einsum("cij,sj->csi", p, TIP_PARTIAL_ROWS[masks])
         assert np.allclose(terms, dense)
 
     def test_persite_variant(self):
@@ -51,10 +53,10 @@ class TestTipTerms:
         p = model.transition_matrices(0.2, site_rates)  # (s, 4, 4)
         masks = rng.choice([1, 2, 4, 8], size=20).astype(np.uint8)
         terms = kernels.tip_terms_persite(p, masks)
-        assert terms.shape == (20, 1, 4)
+        assert terms.shape == (1, 20, 4)
         for s in range(20):
             expected = p[s] @ TIP_PARTIAL_ROWS[masks[s]]
-            assert np.allclose(terms[s, 0], expected)
+            assert np.allclose(terms[0, s], expected)
 
 
 class TestInnerTerms:
@@ -65,7 +67,7 @@ class TestInnerTerms:
         terms = kernels.inner_terms(p, clv)
         for s in range(13):
             for c in range(4):
-                assert np.allclose(terms[s, c], p[c] @ clv[s, c])
+                assert np.allclose(terms[c, s], p[c] @ clv[c, s])
 
     def test_persite_matches_matmul(self):
         rng = np.random.default_rng(3)
@@ -75,7 +77,7 @@ class TestInnerTerms:
         clv = random_clv(rng, 11, 1)
         terms = kernels.inner_terms_persite(p, clv)
         for s in range(11):
-            assert np.allclose(terms[s, 0], p[s] @ clv[s, 0])
+            assert np.allclose(terms[0, s], p[s] @ clv[0, s])
 
 
 class TestNewviewAgainstReference:
@@ -107,7 +109,7 @@ class TestNewviewAgainstReference:
 
 class TestScaling:
     def test_no_scaling_above_threshold(self):
-        clv = np.full((5, 2, 4), 0.5)
+        clv = np.full((2, 5, 4), 0.5)
         counts = np.zeros(5, dtype=np.int64)
         scaled = kernels.scale_clv(clv, counts)
         assert scaled == 0
@@ -115,14 +117,14 @@ class TestScaling:
         assert np.all(clv == 0.5)
 
     def test_scaling_below_threshold(self):
-        clv = np.full((3, 2, 4), kernels.SCALE_THRESHOLD / 4.0)
-        clv[1] = 0.5  # pattern 1 healthy
+        clv = np.full((2, 3, 4), kernels.SCALE_THRESHOLD / 4.0)
+        clv[:, 1] = 0.5  # pattern 1 healthy
         counts = np.zeros(3, dtype=np.int64)
         scaled = kernels.scale_clv(clv, counts)
         assert scaled == 2
         assert list(counts) == [1, 0, 1]
-        assert np.all(clv[0] == kernels.SCALE_THRESHOLD / 4.0 * kernels.SCALE_FACTOR)
-        assert np.all(clv[1] == 0.5)
+        assert np.all(clv[:, 0] == kernels.SCALE_THRESHOLD / 4.0 * kernels.SCALE_FACTOR)
+        assert np.all(clv[:, 1] == 0.5)
 
     def test_scaling_is_exactly_compensated(self):
         # log(value) must be invariant: stored * factor, count += 1.
@@ -134,8 +136,8 @@ class TestScaling:
         assert abs(recovered - math.log(value)) < 1e-9
 
     def test_pattern_scaled_when_all_entries_small(self):
-        clv = np.full((1, 2, 4), kernels.SCALE_THRESHOLD / 2)
-        clv[0, 1, 3] = 1.0  # one healthy entry blocks scaling
+        clv = np.full((2, 1, 4), kernels.SCALE_THRESHOLD / 2)
+        clv[1, 0, 3] = 1.0  # one healthy entry blocks scaling
         counts = np.zeros(1, dtype=np.int64)
         assert kernels.scale_clv(clv, counts) == 0
 
@@ -143,49 +145,49 @@ class TestScaling:
         # Regression: NaN compares false against the threshold, so the
         # old max()-based check silently skipped rescaling and the NaN
         # surfaced much later as an inscrutable log-likelihood failure.
-        clv = np.full((4, 2, 4), 0.5)
-        clv[2, 1, 0] = np.nan
+        clv = np.full((2, 4, 4), 0.5)
+        clv[1, 2, 0] = np.nan
         counts = np.zeros(4, dtype=np.int64)
         with pytest.raises(FloatingPointError, match="pattern 2"):
             kernels.scale_clv(clv, counts)
 
     def test_inf_raises_floating_point_error(self):
-        clv = np.full((3, 1, 4), 0.5)
+        clv = np.full((1, 3, 4), 0.5)
         clv[0, 0, 1] = np.inf
         counts = np.zeros(3, dtype=np.int64)
         with pytest.raises(FloatingPointError, match="non-finite"):
             kernels.scale_clv(clv, counts)
 
     def test_empty_clv_is_safe(self):
-        # np.max with initial= must not raise on a zero-pattern CLV.
-        clv = np.empty((0, 2, 4))
+        # The reductions must not raise on a zero-pattern CLV.
+        clv = np.empty((2, 0, 4))
         counts = np.zeros(0, dtype=np.int64)
         assert kernels.scale_clv(clv, counts) == 0
 
     def test_row_exactly_at_threshold_is_not_scaled(self):
-        clv = np.full((3, 2, 4), kernels.SCALE_THRESHOLD)
+        clv = np.full((2, 3, 4), kernels.SCALE_THRESHOLD)
         counts = np.zeros(3, dtype=np.int64)
         assert kernels.scale_clv(clv, counts) == 0
         assert np.all(clv == kernels.SCALE_THRESHOLD)
         assert not counts.any()
 
     def test_all_zero_row_is_scaled_and_stays_zero(self):
-        clv = np.full((3, 2, 4), 0.5)
-        clv[1] = 0.0
+        clv = np.full((2, 3, 4), 0.5)
+        clv[:, 1] = 0.0
         counts = np.zeros(3, dtype=np.int64)
         assert kernels.scale_clv(clv, counts) == 1
         assert list(counts) == [0, 1, 0]
-        assert not clv[1].any()
+        assert not clv[:, 1].any()
 
     @staticmethod
     def _per_pattern_path(clv, scale_counts):
         """The check with no whole-array shortcut in front of it."""
-        pattern_max = np.max(clv, axis=(1, 2), initial=0.0)
+        pattern_max = np.max(clv, axis=(0, 2), initial=0.0)
         if not np.isfinite(pattern_max).all():
             bad = int(np.flatnonzero(~np.isfinite(pattern_max))[0])
             raise FloatingPointError(f"non-finite CLV entries at pattern {bad}")
         needs = pattern_max < kernels.SCALE_THRESHOLD
-        clv[needs] *= kernels.SCALE_FACTOR
+        clv[:, needs] *= kernels.SCALE_FACTOR
         scale_counts[needs] += 1
         return int(needs.sum())
 
@@ -200,15 +202,15 @@ class TestScaling:
         infinity, zero, negative, on or just under the threshold,
         subnormal — the fast path and the per-pattern path agree: same
         raise naming the same pattern, or same count, CLV and counters."""
-        clv = np.full((5, 2, 4), 0.25)
-        clv[0] = kernels.SCALE_THRESHOLD / 2.0  # one row that does rescale
+        clv = np.full((2, 5, 4), 0.25)
+        clv[:, 0] = kernels.SCALE_THRESHOLD / 2.0  # one row that does rescale
         if whole_row:
-            clv[3] = entry
+            clv[:, 3] = entry
         else:
-            clv[3, 1, 2] = entry
+            clv[1, 3, 2] = entry
         for rows in (slice(None), slice(1, None)):  # with / without row 0
-            got, want = clv[rows].copy(), clv[rows].copy()
-            got_counts = np.arange(len(got), dtype=np.int64)
+            got, want = clv[:, rows].copy(), clv[:, rows].copy()
+            got_counts = np.arange(got.shape[1], dtype=np.int64)
             want_counts = got_counts.copy()
             try:
                 expected = self._per_pattern_path(want, want_counts)
@@ -252,8 +254,8 @@ class TestEvaluate:
         assert abs(fast - slow) < 1e-8
 
     def test_underflow_raises(self):
-        u = np.zeros((2, 1, 4))
-        v = np.zeros((2, 1, 4))
+        u = np.zeros((1, 2, 4))
+        v = np.zeros((1, 2, 4))
         with pytest.raises(FloatingPointError):
             kernels.evaluate_loglik(
                 np.full(4, 0.25), np.ones(1), np.ones(2), u, v,
@@ -315,15 +317,15 @@ class TestBranchDerivatives:
         assert kernels.FLOPS_SMALL_LOOP_VECTOR == 24
 
 
-# -- operand layout (DESIGN 7.5) ----------------------------------------------
+# -- operand layout and CLV storage (DESIGN 7.5, 7.6) ---------------------------
 #
-# The propagation kernels kept their code; what changed is the operand
-# they are handed — the P-matrix cache stores every stack
-# transposed-contiguous — and ``take`` no longer runs in mode="raise".
-# Each is held to a test-local copy of the old form on a plain C-ordered
-# stack: bit for bit at 4 states in the integrated modes; to 1e-12 at 20
-# states and in CAT, where the products reach BLAS kernels whose
-# summation order follows the matrix's memory order (<= 2 ulp seen).
+# CLVs are stored category-major, ``(c, s, n)``, and P stacks
+# transposed-contiguous.  Each kernel is held to a test-local copy of
+# the form it replaced, run on a pattern-major ``(s, c, n)`` copy of the
+# same CLVs and a plain C-ordered P stack: bit for bit at 4 states in
+# the integrated modes (Gamma and uniform); to 1e-12 at 20 states and in
+# CAT, where the products reach BLAS kernels whose summation order
+# follows the operands' memory order (<= 2 ulp seen).
 
 
 def _same(got, want, exact):
@@ -337,36 +339,62 @@ def _cache_layout(p):
     return np.ascontiguousarray(p.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def _old_tip_terms(p, masks, table):
+def _scn(clv):
+    """A pattern-major ``(s, c, n)`` copy of a ``(c, s, n)`` CLV."""
+    return np.ascontiguousarray(clv.transpose(1, 0, 2))
+
+
+def _scn_tip_terms(p, masks, table):
     per_code = table @ p.transpose(0, 2, 1)
-    return np.take(per_code.transpose(1, 0, 2), masks, axis=0)  # "raise"
+    return np.take(per_code.transpose(1, 0, 2), masks, axis=0, mode="clip")
 
 
-def _old_inner_terms(p, clv):
+def _scn_inner_terms(p, clv):
     out = np.empty_like(clv)
     np.matmul(clv.transpose(1, 0, 2), p.transpose(0, 2, 1),
               out=out.transpose(1, 0, 2))
     return out
 
 
-def _old_newview(left, p_left, right, p_right, table, per_site):
+def _scn_scale_clv(clv, scale_counts):
+    pattern_max = np.max(clv, axis=(1, 2), initial=0.0)
+    needs = pattern_max < kernels.SCALE_THRESHOLD
+    clv[needs] *= kernels.SCALE_FACTOR
+    scale_counts[needs] += 1
+    return int(needs.sum())
+
+
+def _scn_newview(left, p_left, right, p_right, table, per_site):
     def term(side, p):
         if isinstance(side, tuple):
             if per_site:
                 return np.matmul(side[0], p.transpose(0, 2, 1)), side[1]
-            return _old_inner_terms(p, side[0]), side[1]
+            return _scn_inner_terms(p, side[0]), side[1]
         if per_site:
             tips = table[side][:, None, :]
             return np.matmul(tips, p.transpose(0, 2, 1)), 0
-        return _old_tip_terms(p, side, table), 0
+        return _scn_tip_terms(p, side, table), 0
     (t1, s1), (t2, s2) = term(left, p_left), term(right, p_right)
     clv = t1 * t2
     scale = np.zeros(len(clv), dtype=np.int64) + s1 + s2
-    return clv, scale, kernels.scale_clv(clv, scale)
+    return clv, scale, _scn_scale_clv(clv, scale)
+
+
+def _scn_evaluate_loglik(pi, cat_weights, pattern_weights, u_term, v_term,
+                         scale_counts):
+    s, c, n = v_term.shape
+    product = np.empty((c, s, n))
+    np.multiply(u_term.transpose(1, 0, 2), v_term.transpose(1, 0, 2),
+                out=product)
+    per_cat = (product.reshape(c * s, n) @ pi).reshape(c, s).T
+    logs = np.log(per_cat @ cat_weights) \
+        - scale_counts * kernels.LOG_SCALE_FACTOR
+    return float(pattern_weights @ logs)
 
 
 class TestOperandLayout:
-    CASES = [(4, "gamma"), (4, "cat"), (20, "gamma"), (20, "cat")]
+    CASES = [(4, "gamma"), (4, "uniform"), (4, "cat"), (20, "gamma"),
+             (20, "cat")]
 
     @staticmethod
     def _stacks(states, mode, n_patterns, rng):
@@ -375,42 +403,52 @@ class TestOperandLayout:
         else:
             model = PoissonAA(tuple(np.linspace(1.0, 3.0, 20)))
             table = AA_CODE_TABLE
-        rates = (rng.uniform(0.25, 4.0, n_patterns) if mode == "cat"
-                 else GammaRates(0.7, 4).rates)
-        n_cats = 1 if mode == "cat" else 4
+        rate_model = {"gamma": GammaRates(0.7, 4), "uniform": UniformRate(),
+                      "cat": None}[mode]
+        if rate_model is None:
+            rates, cat_weights = rng.uniform(0.25, 4.0, n_patterns), np.ones(1)
+        else:
+            rates, cat_weights = rate_model.rates, rate_model.weights
         plain = [model.transition_matrices(t, rates) for t in (0.07, 1.9)]
         clvs = []
         for _ in range(2):  # magnitudes straddle the rescaling threshold
-            clv = rng.uniform(1e-3, 1.0, (n_patterns, n_cats, states))
-            clv *= 10.0 ** rng.integers(-60, 1, (n_patterns, 1, 1))
+            clv = rng.uniform(1e-3, 1.0, (len(cat_weights), n_patterns,
+                                          states))
+            clv *= 10.0 ** rng.integers(-60, 1, (1, n_patterns, 1))
             clvs.append((clv, rng.integers(0, 4, n_patterns)))
         tips = [rng.integers(1, len(table), n_patterns).astype(np.uint8)
                 for _ in range(2)]
-        return plain, clvs, tips, table
+        return model, cat_weights, plain, clvs, tips, table
+
+    @staticmethod
+    def _exact(states, mode):
+        return states == 4 and mode != "cat"
 
     @pytest.mark.parametrize("n_patterns", [9, 207, 732])
     @pytest.mark.parametrize("states,mode", CASES)
     def test_propagation_keeps_its_bits_on_the_cache_layout(
             self, states, mode, n_patterns):
         rng = np.random.default_rng([states, n_patterns])
-        (plain, _), ((clv, _), _), (masks, _), table = self._stacks(
+        _, _, (plain, _), ((clv, _), _), (masks, _), table = self._stacks(
             states, mode, n_patterns, rng)
         stored = _cache_layout(plain)
         assert np.array_equal(stored, plain)
         assert stored.transpose(0, 2, 1).flags.c_contiguous
+        exact = self._exact(states, mode)
+        out = np.full_like(clv, np.nan)
         if mode == "cat":
-            _same(kernels.inner_terms_persite(stored, clv),
-                  np.matmul(clv, plain.transpose(0, 2, 1)), exact=False)
-            _same(kernels.tip_terms_persite(stored, masks, table),
-                  np.matmul(table[masks][:, None, :],
-                            plain.transpose(0, 2, 1)), exact=False)
+            assert kernels.inner_terms_persite(stored, clv, out=out) is out
+            _same(_scn(out), np.matmul(_scn(clv), plain.transpose(0, 2, 1)),
+                  exact)
+            assert kernels.tip_terms_persite(stored, masks, table,
+                                             out=out) is out
+            _same(_scn(out), np.matmul(table[masks][:, None, :],
+                                       plain.transpose(0, 2, 1)), exact)
         else:
-            _same(kernels.inner_terms(stored, clv),
-                  _old_inner_terms(plain, clv), exact=states == 4)
-            out = np.full_like(clv, np.nan)
+            assert kernels.inner_terms(stored, clv, out=out) is out
+            _same(_scn(out), _scn_inner_terms(plain, _scn(clv)), exact)
             assert kernels.tip_terms(stored, masks, table, out=out) is out
-            _same(out, _old_tip_terms(plain, masks, table),
-                  exact=states == 4)
+            _same(_scn(out), _scn_tip_terms(plain, masks, table), exact)
 
     @pytest.mark.parametrize("n_patterns", [9, 207])
     @pytest.mark.parametrize("kinds", ["tip-tip", "tip-inner", "inner-inner"])
@@ -418,19 +456,89 @@ class TestOperandLayout:
     def test_newview_keeps_its_bits_on_the_cache_layout(
             self, states, mode, kinds, n_patterns):
         rng = np.random.default_rng([states, n_patterns, len(kinds)])
-        plain, clvs, tips, table = self._stacks(states, mode, n_patterns, rng)
+        _, _, plain, clvs, tips, table = self._stacks(
+            states, mode, n_patterns, rng)
         left, right = [{"tip": tips, "inner": clvs}[kind][i]
                        for i, kind in enumerate(kinds.split("-"))]
-        want = _old_newview(left, plain[0], right, plain[1], table,
+        as_scn = [side if kind == "tip" else (_scn(side[0]), side[1])
+                  for kind, side in zip(kinds.split("-"), (left, right))]
+        want = _scn_newview(as_scn[0], plain[0], as_scn[1], plain[1], table,
                             mode == "cat")
         clv = np.full_like(clvs[0][0], np.nan)
         scale = np.full(n_patterns, -7, dtype=np.int64)
         scaled = kernels.newview(
             left, _cache_layout(plain[0]), right, _cache_layout(plain[1]),
             clv, scale, table, mode == "cat")
-        _same(clv, want[0], exact=(states, mode) == (4, "gamma"))
+        _same(_scn(clv), want[0], self._exact(states, mode))
         assert np.array_equal(scale, want[1])
         assert scaled == want[2]
+
+    @pytest.mark.parametrize("n_patterns", [9, 207, 732, 1277])
+    @pytest.mark.parametrize("states,mode", CASES)
+    def test_evaluate_drops_its_copy_and_keeps_its_bits(
+            self, states, mode, n_patterns):
+        """The same ``(c*s, n) @ (n,)`` product on the same values, laid
+        out the same way: bit-identical in every mode."""
+        rng = np.random.default_rng([states, n_patterns, 3])
+        model, cat_weights, _, ((u, _), (v, _)), _, _ = self._stacks(
+            states, mode, n_patterns, rng)
+        u, v = u + 1e-3, v + 1e-3  # no underflowing site likelihood
+        weights = rng.integers(1, 9, n_patterns).astype(np.float64)
+        scale = rng.integers(0, 3, n_patterns)
+        want = _scn_evaluate_loglik(model.pi, cat_weights, weights, _scn(u),
+                                    _scn(v), scale)
+        got = kernels.evaluate_loglik(model.pi, cat_weights, weights, u, v,
+                                      scale)
+        assert got == want
+
+    def test_hot_kernels_allocate_nothing_pattern_sized(self):
+        """``inner_terms`` into the caller's buffer and
+        ``evaluate_loglik`` on its scratch operand allocate less than
+        one CLV at their peak: no transposed ``out=`` buffered by
+        matmul, no category-major product copy."""
+        rng = np.random.default_rng(9)
+        p, model = make_pmats()
+        p, pi = _cache_layout(p), model.pi
+        u, v = random_clv(rng, 732, 4), random_clv(rng, 732, 4)
+        term = np.empty_like(v)
+        weights, cat_w = np.ones(732), np.full(4, 0.25)
+        scale = np.zeros(732, dtype=np.int64)
+
+        def hot_calls():
+            kernels.inner_terms(p, v, out=term)
+            return kernels.evaluate_loglik(pi, cat_w, weights, u, term,
+                                           scale)
+
+        hot_calls()  # warm
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            hot_calls()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes
+
+    @pytest.mark.parametrize("states", [4, 20])
+    def test_pmatrix_miss_path_is_the_batched_matmul(self, states):
+        """``R diag(e) L`` as ``(R * e[:, None, :]) @ L``: the einsum it
+        replaced to a few ulps, for ``P`` and both derivatives."""
+        model = (default_gtr() if states == 4
+                 else PoissonAA(tuple(np.linspace(1.0, 3.0, 20))))
+        rates = GammaRates(0.7, 4).rates
+        lam = model._eigenvalues[None, :] * rates[:, None]
+        for t in (1e-8, 0.07, 1.9):
+            e = np.exp(lam * t)
+            got = (model.transition_matrices(t, rates),) \
+                + model.transition_derivatives(t, rates)
+            weights = (np.exp(model._eigenvalues[None, :]
+                              * (rates[:, None] * t)),
+                       e, lam * e, lam * lam * e)
+            for g, w in zip(got, weights):
+                w = np.einsum("ik,ck,kj->cij", model._right, w, model._left)
+                np.testing.assert_allclose(
+                    g, w, rtol=0.0, atol=8 * np.finfo(float).eps
+                    * np.abs(w).max())
 
     @pytest.mark.parametrize("states,mode", CASES)
     def test_pmatrix_cache_stores_transposed_contiguous(self, states, mode):
@@ -440,7 +548,7 @@ class TestOperandLayout:
                  else GammaRates(0.7, 4).rates)
         cache = PMatrixCache(model, rates)
         entry = cache.matrices(0.25)
-        # 0.25 is its own canonical length: the one einsum keeps its bits
+        # 0.25 is its own canonical length: the miss path keeps its bits
         assert np.array_equal(entry, model.transition_matrices(0.25, rates))
         assert entry.shape == (len(rates), states, states)
         assert entry.transpose(0, 2, 1).flags.c_contiguous

@@ -427,7 +427,7 @@ class TestCATMode:
         clv_entry = engine.clv(
             tree.inner_nodes[0], tree.inner_nodes[0].branches[0]
         )
-        assert clv_entry.clv.shape[1] == 1  # singleton category axis
+        assert clv_entry.clv.shape[0] == 1  # singleton category axis
         engine.detach()
 
     def test_cat_requires_full_assignment(self):

@@ -46,8 +46,8 @@ def _side(rng, kind, n_cats, table):
     threshold and whose counts are non-zero."""
     if kind == "tip":
         return rng.integers(1, len(table), N_PATTERNS).astype(np.uint8)
-    clv = rng.uniform(1e-3, 1.0, (N_PATTERNS, n_cats, table.shape[1]))
-    clv *= 10.0 ** rng.integers(-60, 1, (N_PATTERNS, 1, 1))
+    clv = rng.uniform(1e-3, 1.0, (n_cats, N_PATTERNS, table.shape[1]))
+    clv *= 10.0 ** rng.integers(-60, 1, (1, N_PATTERNS, 1))
     return clv, rng.integers(0, 4, N_PATTERNS)
 
 
@@ -86,7 +86,7 @@ def _by_hand(backend, left, p_left, right, p_right, code_table, per_site):
 def _fused(backend, operands, hook=None):
     left, p_left, right, p_right, code_table, per_site = operands
     n_cats = 1 if per_site else p_left.shape[0]
-    clv = np.full((N_PATTERNS, n_cats, p_left.shape[-1]), np.nan)
+    clv = np.full((n_cats, N_PATTERNS, p_left.shape[-1]), np.nan)
     scale = np.full(N_PATTERNS, -7, dtype=np.int64)  # must be overwritten
     scaled = backend.newview(left, p_left, right, p_right, clv, scale,
                              code_table, per_site, hook=hook)
@@ -142,31 +142,31 @@ class TestMatmulForms:
         if rate_model.is_per_site:
             p = model.transition_matrices(
                 0.3, rng.uniform(0.25, 4.0, n_patterns))
-            clv = rng.uniform(1e-9, 1.0, (n_patterns, 1, n))
+            clv = rng.uniform(1e-9, 1.0, (1, n_patterns, n))
             assert np.array_equal(
                 kernels.inner_terms_persite(p, clv),
-                np.einsum("sij,scj->sci", p, clv, optimize=True))
+                np.einsum("sij,csj->csi", p, clv, optimize=True))
             assert np.array_equal(
                 kernels.tip_terms_persite(p, masks, table),
                 np.einsum("sij,sj->si", p, table[masks],
-                          optimize=True)[:, None, :])
+                          optimize=True)[None])
             cat_weights = np.ones(1)
         else:
             p = model.transition_matrices(0.3, rate_model.rates)
             cat_weights = rate_model.weights
-            clv = rng.uniform(1e-9, 1.0, (n_patterns, len(cat_weights), n))
+            clv = rng.uniform(1e-9, 1.0, (len(cat_weights), n_patterns, n))
             assert np.array_equal(
                 kernels.inner_terms(p, clv),
-                np.einsum("cij,scj->sci", p, clv, optimize=True))
+                np.einsum("cij,csj->csi", p, clv, optimize=True))
             assert np.array_equal(
                 kernels.tip_terms(p, masks, table),
-                np.einsum("cij,mj->mci", p, table, optimize=True)[masks])
+                np.einsum("cij,mj->cmi", p, table, optimize=True)[:, masks])
         other = rng.uniform(1e-9, 1.0, clv.shape)
         weights = rng.integers(1, 9, n_patterns).astype(np.float64)
         scale = rng.integers(0, 3, n_patterns)
-        per_cat = np.einsum("sci,sci,i->sc", clv, other, model.pi,
+        per_cat = np.einsum("csi,csi,i->cs", clv, other, model.pi,
                             optimize="optimal")
-        want = float(weights @ (np.log(per_cat @ cat_weights)
+        want = float(weights @ (np.log(per_cat.T @ cat_weights)
                                 - scale * kernels.LOG_SCALE_FACTOR))
         assert kernels.evaluate_loglik(
             model.pi, cat_weights, weights, clv, other, scale) == want
@@ -248,7 +248,7 @@ class TestHook:
         backend = resolve_backend(spec)
 
         def poison(clv, scale_counts):
-            clv[: max(1, len(clv) // 4)] = value
+            clv[:, : max(1, clv.shape[1] // 4)] = value
 
         with pytest.raises(FloatingPointError, match="non-finite"):
             _fused(backend,

@@ -90,10 +90,10 @@ def _random_side(rng, kind, n_cats, table):
     if kind == "tip":
         codes = rng.integers(1, len(table), N_PATTERNS).astype(np.uint8)
         clv = np.broadcast_to(
-            table[codes][:, None, :], (N_PATTERNS, n_cats, table.shape[1])
+            table[codes], (n_cats, N_PATTERNS, table.shape[1])
         )
         return codes, clv
-    clv = rng.uniform(1e-3, 1.0, (N_PATTERNS, n_cats, table.shape[1]))
+    clv = rng.uniform(1e-3, 1.0, (n_cats, N_PATTERNS, table.shape[1]))
     return clv, clv
 
 
@@ -173,8 +173,8 @@ class TestKernels:
     def test_buffers_are_used_in_place(self):
         model, rate_model, _ = CONFIGS["gtr_gamma4"]
         rng = np.random.default_rng(3)
-        u = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
-        v = rng.uniform(0.1, 1.0, (N_PATTERNS, 4, 4))
+        u = rng.uniform(0.1, 1.0, (4, N_PATTERNS, 4))
+        v = rng.uniform(0.1, 1.0, (4, N_PATTERNS, 4))
         out, work = np.empty((16, N_PATTERNS)), np.empty_like(u)
         table = kernels.branch_sumtable(
             model._right, model._left, model.pi, 4, u, v,
@@ -282,8 +282,16 @@ class TestPreparedProbe:
                 evaluate(0.1)
 
 
-# -- operand layout (DESIGN 7.5): today's kernels against a test-local
-#    copy of the forms they replaced -----------------------------------------
+# -- operand layout and CLV storage (DESIGN 7.5, 7.6): today's kernels
+#    against test-local copies of the forms they replaced, on
+#    pattern-major ``(s, c, n)`` copies of the same CLVs ---------------------
+
+
+def _scn(side):
+    """A tip side's codes as they are; an inner ``(c, s, n)`` CLV as a
+    pattern-major ``(s, c, n)`` copy."""
+    return side if side.ndim == 1 else np.ascontiguousarray(
+        side.transpose(1, 0, 2))
 
 
 def _old_sumtable(right, left, pi, cat_weights, u_side, v_side, code_table):
@@ -335,7 +343,7 @@ def _layout_case(states, mode, n_cats, n_patterns, seed=0):
     sides = {
         "tip": lambda: rng.integers(1, len(table), n_patterns).astype(
             np.uint8),
-        "inner": lambda: rng.uniform(1e-3, 1.0, (n_patterns, c, n)),
+        "inner": lambda: rng.uniform(1e-3, 1.0, (c, n_patterns, n)),
     }
     weights = rng.integers(1, 5, n_patterns).astype(np.float64)
     return model, code_table, rates, cat_weights, sides, weights
@@ -346,11 +354,13 @@ class TestOperandLayout:
     the table keeps its bits at 4 states (1e-12 at 20, where the
     per-category GEMM sums in another order), the probe agrees to
     1e-12 — the folded weights are exact at 1, 2, 4 categories and one
-    rounding per term at 3, 5, 6."""
+    rounding per term at 3, 5, 6 — and the category-major CLV storage
+    builds the table the ``(s, c, n)`` storage did."""
 
-    @pytest.mark.parametrize("n_patterns", [9, 207, 732])
+    @pytest.mark.parametrize("n_patterns", [9, 207, 732, 1277])
     @pytest.mark.parametrize("kinds", [("inner", "inner"), ("tip", "inner"),
-                                       ("tip", "tip")], ids="-".join)
+                                       ("inner", "tip"), ("tip", "tip")],
+                             ids="-".join)
     @pytest.mark.parametrize("states,mode,n_cats", [
         (4, "gamma", 1), (4, "gamma", 3), (4, "gamma", 4), (4, "gamma", 5),
         (4, "gamma", 6), (4, "cat", 1), (20, "gamma", 4), (20, "gamma", 5),
@@ -370,7 +380,7 @@ class TestOperandLayout:
         assert table.flags.c_contiguous
 
         unweighted = _old_sumtable(*eigen, np.ones_like(cat_weights),
-                                   u_side, v_side, code_table)
+                                   _scn(u_side), _scn(v_side), code_table)
         as_old = table.reshape(-1, k, n_patterns).transpose(2, 0, 1)
         if states == 4:
             assert np.array_equal(as_old, unweighted)
@@ -379,8 +389,8 @@ class TestOperandLayout:
                 as_old, unweighted, rtol=1e-12,
                 atol=1e-14 * np.abs(unweighted).max())
 
-        old_table = _old_sumtable(*eigen, cat_weights, u_side, v_side,
-                                  code_table)
+        old_table = _old_sumtable(*eigen, cat_weights, _scn(u_side),
+                                  _scn(v_side), code_table)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
                                       cat_weights, per_site).load(table)
         for t in (0.02, 0.3, 2.5):
@@ -458,7 +468,11 @@ class TestEngineProbe:
             for branch in scaled[:3]:
                 got = engine._newton_probe(branch)(branch.length)
                 _assert_triples_agree(got, engine.branch_derivatives(branch))
-                _assert_triples_agree(got, oracle.branch_derivatives(branch))
+                # The oracle projects P element-wise, in another order than
+                # the engine's GEMM, so at the 1e-8 clamp (the first branch)
+                # it is held to the helper's 1e-14 / t bar.
+                _assert_triples_agree(got, oracle.branch_derivatives(branch),
+                                      branch.length)
         finally:
             engine.detach()
             oracle.detach()
@@ -624,7 +638,7 @@ class TestGuardParity:
         try:
             branch = engine.tree.branches[0]
             inner = next(n for n in branch.nodes if not n.is_tip)
-            engine.clv(inner, branch).clv[0] = 0.0
+            engine.clv(inner, branch).clv[:, 0] = 0.0
             with pytest.raises(FloatingPointError, match="non-positive"):
                 engine._newton_probe(branch)(branch.length)
             assert engine.makenewz(branch) == clean

@@ -45,7 +45,7 @@ def test_oracle_newview_shapes_and_scale_counts(instance):
         inner = next(n for n in tree.inner_nodes)
         entry = inner.branches[0]
         clv, scale = oracle.newview(inner, entry)
-        assert clv.shape == (patterns.n_patterns, 1, 4)
+        assert clv.shape == (1, patterns.n_patterns, 4)
         assert scale.shape == (patterns.n_patterns,)
         cached = fast.clv(inner, entry)
         assert np.array_equal(scale, cached.scale_counts)
