@@ -31,6 +31,16 @@ same file records the parent's column from a clone of it (kept beside
     PYTHONPATH=<parent clone>/src python benchmarks/bench_kernels.py \
         --parent <commit>
 
+The ``spr_scoring`` section (:func:`spr_rows`, DESIGN 7.7) times
+``LikelihoodEngine.score_insertions`` on a pruned tree whose side CLVs
+are cached — the three-stage stacked scoring of K = 1 / 4 / 16 regraft
+targets at 207 and 732 patterns, in as many calls as the candidate
+stacks take — and records microseconds per scored candidate.  Recording
+only; ``--spr`` records that section alone, leaving the others as they
+are:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py --spr
+
 Its ``storage_us`` rows (:func:`storage_rows`, DESIGN 7.6) time the CLV
 storage itself at the same three sizes: each kernel on the engine's
 category-major ``(c, s, n)`` operands (``csn``) against a bench-local
@@ -552,6 +562,75 @@ def test_clv_storage(benchmark, storage, row, layout):
     benchmark(storage[f"{layout}/{row}"])
 
 
+# -- prune-once insertion scoring ----------------------------------------------
+
+SPR_STACKS, SPR_SIZES = (1, 4, 16), (207, 732)
+
+
+def _spr_row(k, n_patterns):
+    return f"score_insertions[K={k}]@{n_patterns}"
+
+
+SPR_ROW_NAMES = [_spr_row(k, n) for n in SPR_SIZES for k in SPR_STACKS]
+
+
+def _spr_rows_at(n_patterns, recipe):
+    from repro.phylo import LikelihoodEngine, SearchConfig, Tree, \
+        synthetic_dataset
+    from repro.phylo.search import spr_neighborhood
+
+    patterns = synthetic_dataset(**recipe).compress()
+    assert patterns.n_patterns == n_patterns
+    tree = Tree.from_tip_names(patterns.taxa, np.random.default_rng(7))
+    model = default_gtr().with_frequencies(patterns.base_frequencies())
+    engine = LikelihoodEngine(patterns, model, GammaRates(0.7, N_CATS), tree)
+    engine.optimize_all_branches(passes=2)
+    # The widest neighbourhood of an inner subtree, pruned for good.
+    prune, keep = max(
+        ((b, keep) for b in tree.branches for keep in b.nodes
+         if not keep.is_tip and not b.other(keep).is_tip),
+        key=lambda pair: len(spr_neighborhood(tree, *pair, 99)))
+    targets = spr_neighborhood(tree, prune, keep, 99)
+    assert len(targets) >= max(SPR_STACKS)
+    root = prune.other(keep)
+    engine.clv(root, prune)
+    _, connect = tree.prune_subtree(prune, keep)
+    iterations = SearchConfig().local_branch_iterations
+
+    def score(k):
+        # One call scores as many targets as the stacks hold.
+        scores = []
+        while len(scores) < k:
+            scores += engine.score_insertions(
+                root, targets[len(scores):k], connect,
+                max_iterations=iterations)
+        return scores
+
+    score(len(targets))  # every side cached
+    return {k: (lambda k=k: score(k)) for k in SPR_STACKS}
+
+
+def spr_rows():
+    """Row name -> zero-argument callable for the ``spr_scoring``
+    section: one ``score_insertions`` call on K targets."""
+    rows = {}
+    for n_patterns in SPR_SIZES:
+        for k, call in _spr_rows_at(n_patterns,
+                                    LAYOUT_SIZES[n_patterns]).items():
+            rows[_spr_row(k, n_patterns)] = call
+    return rows
+
+
+@pytest.fixture(scope="module")
+def spr():
+    return spr_rows()
+
+
+@pytest.mark.parametrize("row", SPR_ROW_NAMES)
+def test_spr_scoring(benchmark, spr, row):
+    benchmark(spr[row])
+
+
 def _record(calls) -> dict:
     """Median of 15 batch means, microseconds per call, row by row.
     The batches are taken round-robin — one batch of every row, fifteen
@@ -561,7 +640,8 @@ def _record(calls) -> dict:
         _repoint(calls, name)
         call = calls[name]
         call()  # warm
-        inner = 50 if ("solve" in name or "makenewz" in name) else 200
+        inner = 50 if any(word in name for word in
+                          ("solve", "makenewz", "score_insertions")) else 200
         started = time.perf_counter()
         for _ in range(inner):
             call()
@@ -578,12 +658,28 @@ def _record(calls) -> dict:
     return rows
 
 
+def _record_spr(statistic: str) -> None:
+    from repro.harness.report import merge_bench_section
+
+    per_call = _record(spr_rows())
+    merge_bench_section(RESULT_PATH, "spr_scoring", {
+        "statistic": statistic.replace("per call", "per scored candidate"),
+        "candidate_us": {
+            f"K={k}@{n}": round(per_call[_spr_row(k, n)] / k, 2)
+            for n in SPR_SIZES for k in SPR_STACKS},
+    })
+
+
 def main(argv=None) -> int:
     from repro.harness.report import merge_bench_section
 
     argv = sys.argv[1:] if argv is None else argv
     statistic = ("median of 15 batch means taken round-robin over the "
                  "rows, microseconds per call")
+    if argv[:1] == ["--spr"]:
+        _record_spr(statistic)
+        print(f"bench_kernels: wrote spr_scoring to {RESULT_PATH.name}")
+        return 0
     committed = json.loads(RESULT_PATH.read_text()) \
         if RESULT_PATH.is_file() else {}
     section = dict(committed.get("operand_layout", {}), statistic=statistic)
@@ -600,6 +696,7 @@ def main(argv=None) -> int:
             "rows_us": _record(calls),
         })
         section["rows_us"] = _record(layout_rows())
+        _record_spr(statistic)
         timed = _record(storage_rows())
         section["storage_us"] = {
             row: {layout: timed[f"{layout}/{row}"]

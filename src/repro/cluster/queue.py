@@ -574,12 +574,23 @@ class ClusterQueue:
 
             # All replicates landed; drain the trailing task_finished
             # acknowledgements so the journal closes every task.  A
-            # cancelled run skips this — its workers are being killed.
+            # worker that died after streaming the run's last replicate
+            # never acks: its death is journalled here, as the sweep
+            # would have done had any work remained.  A cancelled run
+            # skips this — its workers are being killed.
             completed = self.cancelled_reason is None
             settle_by = time.monotonic() + (1.0 if completed else 0.0)
             while (any(w.current is not None for w in workers.values())
                    and time.monotonic() < settle_by):
                 drain_messages(0.05)
+                for wid, worker in list(workers.items()):
+                    if worker.current is not None \
+                            and not worker.proc.is_alive():
+                        self.journal.append(
+                            "worker_dead", worker=wid,
+                            task=worker.current[0].task_id, reason="crash",
+                        )
+                        retire(wid)
             clean = completed  # nothing raised on the way here either
         finally:
             self._release(pool, workers, clean, drain_messages)

@@ -63,13 +63,35 @@ __all__ = [
 #: are a tie (summation round-off over the patterns is a few ulps).
 LNL_TIE_ULPS = 8
 _LNL_TIE = LNL_TIE_ULPS * np.finfo(float).eps
+#: Newton's stop rule: a derivative or a step below it ends the loop
+NEWTON_TOLERANCE = 1e-8
+
+
+def newton_wins(lnl: float, best_lnl: float) -> bool:
+    """The tie rule: ``lnl`` replaces the best unless it is worse by more
+    than :data:`LNL_TIE_ULPS` ulps."""
+    return lnl >= best_lnl - _LNL_TIE * abs(lnl)
+
+
+def newton_step(t: float, d1: float, d2: float,
+                tolerance: float = NEWTON_TOLERANCE) -> Tuple[float, bool]:
+    """One safeguarded step from ``t``: ``(next t, stop)``."""
+    if abs(d1) < tolerance:
+        return t, True
+    if d2 < 0.0:
+        new_t = t - d1 / d2
+    else:
+        # Not locally concave: move in the uphill direction.
+        new_t = t * 2.0 if d1 > 0 else t * 0.5
+    new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
+    return new_t, abs(new_t - t) < tolerance
 
 
 def newton_branch_length(
     derivatives_at: Callable[[float], Tuple[float, float, float]],
     start: float,
     max_iterations: int = 32,
-    tolerance: float = 1e-8,
+    tolerance: float = NEWTON_TOLERANCE,
     lnl_at: Optional[Callable[[float], float]] = None,
 ) -> Tuple[float, float, int]:
     """Safeguarded Newton-Raphson on one branch length.
@@ -91,6 +113,8 @@ def newton_branch_length(
     *tolerance* of *start* returns *start* itself: a branch already
     converged to the step tolerance is not moved (a sub-tolerance move
     gains nothing measurable but dirties every CLV behind the branch).
+    The stacked form of this loop (``engine.insertion.masked_newton``)
+    runs the same two rules, :func:`newton_wins` and :func:`newton_step`.
     """
     t, scored = start, None
     best_t, best_lnl = t, -np.inf
@@ -98,26 +122,17 @@ def newton_branch_length(
     for iterations in range(1, max_iterations + 1):
         lnl, d1, d2 = derivatives_at(t)
         scored = t
-        if lnl >= best_lnl - _LNL_TIE * abs(lnl):
+        if newton_wins(lnl, best_lnl):
             best_lnl, best_t = lnl, t
-        if abs(d1) < tolerance:
+        t, stop = newton_step(t, d1, d2, tolerance)
+        if stop:
             break
-        if d2 < 0.0:
-            new_t = t - d1 / d2
-        else:
-            # Not locally concave: move in the uphill direction.
-            new_t = t * 2.0 if d1 > 0 else t * 0.5
-        new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-        if abs(new_t - t) < tolerance:
-            t = new_t
-            break
-        t = new_t
 
     # Score the final point too (the loop may end right after a step),
     # unless it is the point just scored: same t, same bits, same best.
     if t != scored:
         lnl = derivatives_at(t)[0] if lnl_at is None else lnl_at(t)
-        if lnl >= best_lnl - _LNL_TIE * abs(lnl):
+        if newton_wins(lnl, best_lnl):
             best_lnl, best_t = lnl, t
     if abs(best_t - start) < tolerance:
         best_t = start
@@ -261,6 +276,8 @@ class LikelihoodEngine:
         self._sumtable = np.empty(
             (self._n_cats * self._n_states, patterns.n_patterns)
         )
+        #: ``score_insertions``' candidate stacks, made at first use
+        self._insertion_stacks = None
         #: shared zero scale-count vector handed out for tip sides
         self._zero_scale = np.zeros(patterns.n_patterns, dtype=np.int64)
         self._zero_scale.setflags(write=False)
@@ -301,6 +318,7 @@ class LikelihoodEngine:
         self.tree.remove_observer(self._on_branch_dirty)
         self._drop_all_clvs()
         self._pmats.invalidate()
+        self._insertion_stacks = None
 
     # -- graceful degradation -------------------------------------------------
 
@@ -443,6 +461,7 @@ class LikelihoodEngine:
         self._arena = ClvArena(s, c, n)
         self._term_scratch = np.empty((c, s, n))
         self._sumtable = np.empty((c * n, s))
+        self._insertion_stacks = None
 
     def _push_context(self, name: str):
         """Tell the tracer (if any) that nested kernel calls follow."""
@@ -863,7 +882,7 @@ class LikelihoodEngine:
         self,
         branch: Branch,
         max_iterations: int = 32,
-        tolerance: float = 1e-8,
+        tolerance: float = NEWTON_TOLERANCE,
     ) -> Tuple[float, float]:
         """Optimize one branch length by Newton-Raphson.
 
@@ -884,7 +903,7 @@ class LikelihoodEngine:
         self,
         branch: Branch,
         max_iterations: int = 32,
-        tolerance: float = 1e-8,
+        tolerance: float = NEWTON_TOLERANCE,
     ) -> Tuple[float, float]:
         context = self._push_context("makenewz")
         try:
@@ -942,6 +961,16 @@ class LikelihoodEngine:
         )
         offset = float(self.patterns.weights @ (u_sc + v_sc))
         return self._probe.load(table, offset * kernels.LOG_SCALE_FACTOR)
+
+    def score_insertions(self, subtree_root: Node, targets: List[Branch],
+                         connect_length: float, max_iterations: int = 32):
+        """Score regrafting the pruned subtree at *subtree_root* into the
+        leading *targets*, as many as one candidate stack holds: the bits
+        of regraft → ``makenewz`` ×3 → ``evaluate``, with no tree edit
+        (:mod:`repro.phylo.engine.insertion`).  Guarded."""
+        from .insertion import score_insertions
+        return self._guarded("score_insertions", lambda: score_insertions(
+            self, subtree_root, targets, connect_length, max_iterations))
 
     def _sumtable_side(
         self, node: Node, branch: Branch

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -521,6 +521,69 @@ class SumtableProbe:
         if not math.isfinite(lnl):
             raise FloatingPointError(f"non-finite log likelihood: {lnl!r}")
         return lnl
+
+    # Stacked forms: K branches at once, ``tables`` a ``(K, c*k, s)``
+    # stack, ``lengths`` and ``offsets`` (the :meth:`load` offsets) K
+    # floats.  Each slice runs the NumPy operations of one call above —
+    # the same GEMM / GEMV per slice, the same element-wise ufuncs, the
+    # same per-row dot for the log-likelihood-only sum, the offset taken
+    # off one Python float — so every branch gets the bits a probe loaded
+    # with its table alone gives it.  They work in the caller's
+    # :meth:`stack_work` buffers, and take lengths as the Newton loop
+    # hands them out: clamped, never negative.
+
+    def stack_work(self, count: int) -> Tuple[np.ndarray, ...]:
+        """Work buffers for the stacked forms on up to ``count``
+        branches: exponentials, basis, sums and a square row each."""
+        s = len(self._weights)
+        return (np.empty((count,) + self._lam.shape),
+                np.empty((count,) + self._powers.shape),
+                np.empty((count, 3, s)), np.empty((count, 1, s)))
+
+    def _stacked_exponentials(self, lengths: Sequence[float], work):
+        count = len(lengths)
+        self.calls += count
+        exp, basis, sums, square = (buffer[:count] for buffer in work)
+        np.multiply.outer(lengths, self._lam, out=exp)
+        return np.exp(exp, out=exp), basis, sums, square
+
+    def stacked(self, tables: np.ndarray, lengths: Sequence[float],
+                offsets: Sequence[float], work: Tuple[np.ndarray, ...]
+                ) -> List[Tuple[float, float, float]]:
+        """:meth:`__call__` on a stack: one ``(lnL, d1, d2)`` per branch."""
+        exp, basis, sums, square = self._stacked_exponentials(lengths, work)
+        if self._per_site:
+            np.multiply(exp, tables, out=exp)
+            np.multiply(self._powers, exp[:, None], out=basis)
+            basis.sum(axis=2, out=sums)
+        else:
+            np.multiply(self._powers, exp[:, None, :], out=basis)
+            np.matmul(basis, tables, out=sums)
+        lik = self._positive(sums[:, 0])
+        np.divide(sums[:, 1:], lik[:, None], out=sums[:, 1:])
+        np.log(lik, out=lik)
+        np.multiply(sums[:, 1], sums[:, 1], out=square[:, 0])
+        np.subtract(sums[:, 2], square[:, 0], out=sums[:, 2])
+        totals = (sums @ self._weights).tolist()  # K rows: lnL, d1, d2
+        return [finite_derivatives(lnl - offset, d1, d2)
+                for (lnl, d1, d2), offset in zip(totals, offsets)]
+
+    def stacked_lnl(self, tables: np.ndarray, lengths: Sequence[float],
+                    offsets: Sequence[float], work: Tuple[np.ndarray, ...]
+                    ) -> List[float]:
+        """:meth:`lnl` on a stack: one log likelihood per branch."""
+        exp, _, _, lik = self._stacked_exponentials(lengths, work)
+        if self._per_site:
+            np.multiply(exp, tables, out=exp).sum(axis=1, out=lik[:, 0])
+        else:
+            np.multiply(self._powers[0], exp, out=exp)
+            np.matmul(exp[:, None, :], tables, out=lik)
+        logs = np.log(self._positive(lik[:, 0]), out=lik[:, 0])
+        lnls = [float(self._weights @ row) - offset
+                for row, offset in zip(logs, offsets)]
+        if not all(map(math.isfinite, lnls)):
+            raise FloatingPointError(f"non-finite log likelihood: {lnls!r}")
+        return lnls
 
 
 def sumtable_derivatives(

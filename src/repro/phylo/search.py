@@ -6,23 +6,33 @@ The search loop mirrors the structure of RAxML's rapid hill climbing:
 2. Repeatedly sweep over every subtree: prune it, try re-insertions into
    all branches within a *rearrangement radius* of the pruning point,
    and score each insertion **lazily** — only the three branches around
-   the insertion junction are Newton-optimized before evaluating.
-3. Commit any move that improves the best log likelihood (first
-   improvement, continuing the sweep on the improved tree), otherwise
-   revert the move exactly (topology and branch lengths).
+   the insertion junction are Newton-optimized before evaluating.  The
+   neighbourhood is scored while the subtree is pruned, as many targets
+   per engine call as one candidate stack holds — all of them on small
+   alignments (:meth:`LikelihoodEngine.score_insertions`, DESIGN §7.7).
+3. Walk the scored targets in order, applying and reverting each SPR as
+   if it had been scored there: commit the first move that improves the
+   best log likelihood (first improvement, continuing the sweep on the
+   improved tree) with its three optimized lengths, otherwise revert it
+   exactly (topology and branch lengths).  The walk does no kernel work
+   beyond asking, at the prune of a target not yet scored, for the next
+   stack of scores; it keeps the branch ids and orders a per-candidate
+   search would leave,
+   because those decide the next neighbourhoods and every smoothing order.
 4. After a sweep with no improvement, enlarge the radius once; stop when
    the maximal radius also yields nothing.
 
 Every likelihood operation flows through the
 :class:`~repro.phylo.engine.LikelihoodEngine`, so an attached tracer
 observes the realistic ``newview``/``makenewz``/``evaluate`` mix that the
-Cell-platform simulation replays.
+Cell-platform simulation replays (per scored insertion: three junction
+CLVs by ``newview``, three ``makenewz`` and one ``evaluate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,8 +146,14 @@ class _AppliedMove:
 
 
 def _apply_spr(tree: Tree, prune_branch: Branch, keep_side: Node,
-               target: Branch) -> _AppliedMove:
-    """Perform an SPR while recording everything needed to revert it."""
+               target: Branch,
+               on_pruned: Optional[Callable[[Node, float], None]] = None,
+               ) -> _AppliedMove:
+    """Perform an SPR while recording everything needed to revert it.
+
+    ``on_pruned(subtree_root, connect_length)``, when given, runs between
+    the prune and the regraft, while the subtree dangles.
+    """
     bx, by = [b for b in keep_side.branches if b is not prune_branch]
     tx, ty = target.nodes
     origin_x = bx.other(keep_side)
@@ -145,7 +161,10 @@ def _apply_spr(tree: Tree, prune_branch: Branch, keep_side: Node,
     length_x, length_y = bx.length, by.length
     length_sub = prune_branch.length
     target_length = target.length
-    connect = tree.spr(prune_branch, keep_side, target)
+    subtree_root, _ = tree.prune_subtree(prune_branch, keep_side)
+    if on_pruned is not None:
+        on_pruned(subtree_root, length_sub)
+    connect = tree.regraft_subtree(subtree_root, target, length_sub)
     return _AppliedMove(
         connect_branch=connect,
         origin_x=origin_x,
@@ -350,10 +369,15 @@ def hill_climb(
         rounds += 1
         improved_this_round = False
 
-        # Snapshot candidate prune branches.  Every try retires ids —
-        # a *rejected* move too: its prune branch, both origin branches
-        # and the split target all come back under fresh ids — so most
-        # of the snapshot is gone after the first few neighbourhoods
+        # Snapshot candidate prune branches by id.  The walk below applies
+        # and reverts each target up to the first accepted one, and each
+        # try retires ids — its prune branch, both origin branches and
+        # the split target come back under fresh ones — so a listed
+        # branch that any try has touched is skipped, and most of the
+        # list is gone after the first few neighbourhoods.  Those ids,
+        # and the order of ``tree.branches`` they leave behind, decide
+        # the next snapshot and every smoothing order: the walk must
+        # replay them even though the scores come from the pruned tree
         # (ROADMAP, search-quality open item).
         candidate_ids = [b.index for b in tree.branches]
         rng.shuffle(candidate_ids)
@@ -370,19 +394,28 @@ def hill_climb(
                 if keep_side.is_tip:
                     continue
                 targets = spr_neighborhood(tree, prune_branch, keep_side, radius)
-                for target in targets:
-                    if target.retired:
-                        continue  # consumed by the previous try's revert
-                    move = _apply_spr(tree, prune_branch, keep_side, target)
-                    # Lazy scoring: optimize only the three branches at
-                    # the new junction, then evaluate there.
-                    for local in list(move.junction.branches):
-                        engine.makenewz(
-                            local, max_iterations=config.local_branch_iterations
-                        )
+                scores = []
+
+                def score(subtree_root: Node, connect_length: float) -> None:
+                    # Lazy scoring while the subtree is pruned: only the
+                    # three branches at each new junction are optimized
+                    # before evaluating there.  One call scores as many
+                    # of the targets left as one candidate stack holds.
+                    scores.extend(engine.score_insertions(
+                        subtree_root, targets[len(scores):], connect_length,
+                        max_iterations=config.local_branch_iterations,
+                    ))
+
+                for index, target in enumerate(targets):
+                    unscored = index == len(scores)
+                    move = _apply_spr(tree, prune_branch, keep_side, target,
+                                      on_pruned=score if unscored else None)
+                    lnl, *lengths = scores[index]
                     evaluated += 1
-                    lnl = engine.evaluate(move.connect_branch)
                     if lnl > best + config.epsilon:
+                        for branch, length in zip(
+                                list(move.junction.branches), lengths):
+                            tree.set_length(branch, length)
                         best = lnl
                         accepted += 1
                         improved_this_round = True

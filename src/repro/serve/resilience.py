@@ -115,18 +115,26 @@ def estimate_job_memory_mb(
     """Pessimistic peak working-set estimate for one submission, MiB.
 
     The dominant term is the CLV arena (see :func:`estimate_clv_mb`),
-    scaled by the overhead factor and by how many engines run at once
+    scaled by the overhead factor, plus the search's insertion-scoring
+    stacks (at most ``STACK_BUDGET_BYTES``, or one candidate's worth when
+    a single candidate is larger), all times how many engines run at once
     (one per worker process; each worker also pays the fixed process
     floor).  ``spec`` supplies ``aa``/``categories`` when the explicit
     arguments are omitted.
     """
+    # Imported here: cache-hit traffic never estimates, and the server
+    # need not load the search's scoring module to serve it.
+    from ..phylo.engine.insertion import stack_bytes
+
     if n_states is None:
         n_states = 20 if (spec is not None and spec.aa) else 4
     if categories is None:
         categories = spec.categories if spec is not None else 4
     per_engine = estimate_clv_mb(n_taxa, n_patterns, n_states, categories)
+    stacks = stack_bytes(n_patterns, categories, n_states) / (1024.0 * 1024.0)
     workers = max(1, int(n_workers))
-    return workers * (_BASE_PROCESS_MB + _OVERHEAD_FACTOR * per_engine)
+    return workers * (_BASE_PROCESS_MB + _OVERHEAD_FACTOR * per_engine
+                      + stacks)
 
 
 def preflight(patterns, spec: JobSpec, limit_mb: Optional[float],

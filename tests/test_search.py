@@ -260,3 +260,101 @@ class TestHillClimb:
         inferred = Tree.from_newick(result.newick)
         assert sorted(inferred.tip_names()) == sorted(medium_patterns.taxa)
         engine.detach()
+
+
+def _pin_searches():
+    """The pinned searches, by name: ``search_sc``'s three (12 × 3,000,
+    207 patterns), one bootstrap replicate (zero-weight patterns), one
+    CAT search and one 20-state search."""
+    from repro.phylo import HKY85, CatRates, ProteinAlignment
+    from repro.phylo.inference import bootstrap_analysis, infer_tree
+    from tests.test_protein import related_sequences
+
+    def search_sc(seed):
+        patterns = synthetic_dataset(n_taxa=12, n_sites=3000,
+                                     seed=42).compress()
+        return infer_tree(patterns, seed=seed)
+
+    def bootstrap():
+        patterns = synthetic_dataset(n_taxa=9, n_sites=300, seed=7).compress()
+        (replicate,) = bootstrap_analysis(patterns, 1, seed=2)
+        return replicate
+
+    def cat():
+        patterns = synthetic_dataset(n_taxa=9, n_sites=300, seed=5).compress()
+        rates = np.random.default_rng(5).uniform(0.25, 4.0,
+                                                 patterns.n_patterns)
+        return infer_tree(patterns, model=HKY85(3.0, (0.3, 0.2, 0.2, 0.3)),
+                          rate_model=CatRates(rates, n_categories=3), seed=1)
+
+    def protein():
+        patterns = ProteinAlignment.from_sequences(
+            related_sequences(n_taxa=7, n_sites=80, seed=2)).compress()
+        return infer_tree(patterns, rate_model=GammaRates(0.8, 4), seed=0)
+
+    return {
+        "search_sc_0": lambda: search_sc(0),
+        "search_sc_1": lambda: search_sc(1),
+        "search_sc_2": lambda: search_sc(2),
+        "bootstrap": bootstrap,
+        "cat": cat,
+        "protein": protein,
+    }
+
+
+class TestTrajectoryPin:
+    """Whole searches pinned to the bit: newick, lnL ``float.hex``,
+    rounds and evaluated / accepted moves.  Recorded before prune-once
+    insertion scoring replaced the per-candidate apply → ``makenewz`` ×3
+    → ``evaluate`` loop, and held by it: the scoring path may change
+    what a search costs, never where it goes."""
+
+    PINS = {
+        "search_sc_0": (
+            "((((T009:1e-08,T010:1e-08):0.00761294,((T005:0.0423597,"
+            "T003:0.0153559):0.004688,T011:0.0102808):0.000711133):1e-08,"
+            "T004:0.00346866):9.62535e-05,(T000:0.0355681,((T001:0.00714402,"
+            "T006:0.0105196):0.0127808,T008:0.0200188):0.00304579)"
+            ":0.000713328,(T002:0.000333587,T007:0.00273886):0.00362705);",
+            "-0x1.bdb1228aef4eap+12", (5, 113, 3)),
+        "search_sc_1": (
+            "((T003:0.0184172,(T005:0.0418405,T000:0.0308638):0.00452508)"
+            ":0.00152482,(((T011:0.0107115,(T007:0.00274042,T002:0.000328955)"
+            ":0.00349859):0.000275463,T004:0.0034066):0.000372004,"
+            "(T009:1e-08,T010:1e-08):0.00735878):0.000324727,(T008:0.0203563,"
+            "(T001:0.00723723,T006:0.0103353):0.0123861):0.00330348);",
+            "-0x1.bdb45374840dcp+12", (3, 85, 1)),
+        "search_sc_2": (
+            "(T008:0.0202528,(T006:0.0105281,T001:0.00707047):0.0125105,"
+            "((((T003:0.014983,T005:0.0424352):0.00433802,T000:0.0348465)"
+            ":0.00108441,(T009:1e-08,T010:1e-08):0.00710743):0.000361567,"
+            "((T011:0.0107153,(T007:0.00273966,T002:0.00033086):0.00350264)"
+            ":0.000273367,T004:0.00340906):0.000225487):0.00353976);",
+            "-0x1.bd890573c1e0ap+12", (4, 81, 3)),
+        "bootstrap": (
+            "(((T001:0.00337674,(T005:0.00333026,T000:0.0138533):0.0102251)"
+            ":1e-08,((T006:1e-08,(T002:0.0165933,T003:0.0152402):0.00246671)"
+            ":1e-08,T008:0.00336386):1e-08):1e-08,T007:1e-08,"
+            "T004:0.0172921);",
+            "-0x1.1d80623c7f8fep+9", (4, 52, 3)),
+        "cat": (
+            "(((T006:1e-08,(T000:0.00985295,T005:0.00238685):0.00736718)"
+            ":0.00242825,T004:1e-08):1e-08,(T007:0.00731764,((T008:0.0148123,"
+            "T001:0.00242167):0.0118228,T003:0.0121624):0.00303402):1e-08,"
+            "T002:0.0073128);",
+            "-0x1.3fb8252602ed9p+9", (3, 43, 2)),
+        "protein": (
+            "(p0:1e-08,(p4:0.46137,p2:0.241567):0.0302033,(p6:0.829381,"
+            "(p5:0.788735,(p3:0.3854,p1:0.0723818):0.0475381):1e-08):1e-08);",
+            "-0x1.f8503697b139ep+9", (5, 47, 6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_search_is_pinned(self, name):
+        newick, lnl, moves = self.PINS[name]
+        result = _pin_searches()[name]()
+        search = result.search
+        assert result.newick == newick
+        assert float(result.log_likelihood).hex() == lnl
+        assert (search.rounds, search.evaluated_moves,
+                search.accepted_moves) == moves
