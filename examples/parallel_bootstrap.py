@@ -3,21 +3,22 @@
 
 The paper's master-worker MPI scheme (section 3.1) distributes
 independent tree searches across ranks; this example runs the same
-workload with a process pool and shows that parallel results are
-bit-identical to serial ones (deterministic per-task seeding), then
-prints the best tree as an ASCII cladogram with bootstrap supports.
+workload on the fault-tolerant work queue (:func:`repro.cluster.run_job`)
+and shows that parallel results are bit-identical to serial ones
+(deterministic per-task seeding), then prints the best tree as an
+ASCII cladogram with bootstrap supports.
 
 Run:  python examples/parallel_bootstrap.py
 """
 
 import time
 
+from repro.cluster import JobSpec, run_job
 from repro.phylo import (
     SearchConfig,
     Tree,
     ascii_tree,
     newick_with_support,
-    parallel_analysis,
     run_full_analysis,
     synthetic_dataset,
 )
@@ -34,7 +35,7 @@ def main() -> None:
     t_serial = time.time() - t0
 
     t0 = time.time()
-    parallel = parallel_analysis(patterns, n_workers=4, **jobs)
+    parallel = run_job(JobSpec(**jobs), alignment=patterns, n_workers=4)
     t_parallel = time.time() - t0
 
     print(f"serial   : {t_serial:.1f}s")

@@ -20,8 +20,9 @@ injection schedule — probability draws hash ``(seed, site, key-or-visit
 -index)`` through CRC32, never ``random.random()`` — so every chaos
 failure reproduces from its seed alone.
 
-:mod:`~repro.chaos.campaign` runs K-seed campaigns over the engine and
-the cluster and classifies every run into a
+:mod:`~repro.chaos.campaign` runs K-seed campaigns — one driver over
+four arms: engine, cluster, serve and resilience — and classifies every
+run into a
 :class:`~repro.chaos.report.ChaosSurvivalReport`: a run either completes
 with a log likelihood bit-identical to the fault-free baseline, survives
 *loudly degraded* (the engine fell back to the reference backend and
@@ -45,12 +46,11 @@ from .plan import (
     ALL_SITES,
     CLUSTER_SITES,
     ENGINE_SITES,
+    RESILIENCE_SITES,
     SERVE_SITES,
     FaultPlan,
     FaultSpec,
-    default_cluster_plan,
-    default_engine_plan,
-    default_serve_plan,
+    default_plan,
 )
 from .report import (
     CLASSIFICATIONS,
@@ -72,12 +72,11 @@ __all__ = [
     "ALL_SITES",
     "CLUSTER_SITES",
     "ENGINE_SITES",
+    "RESILIENCE_SITES",
     "SERVE_SITES",
     "FaultPlan",
     "FaultSpec",
-    "default_cluster_plan",
-    "default_engine_plan",
-    "default_serve_plan",
+    "default_plan",
     "CLASSIFICATIONS",
     "ChaosRunResult",
     "ChaosSurvivalReport",
@@ -87,16 +86,13 @@ __all__ = [
     "TYPED_FAILURE",
     "UNTYPED_FAILURE",
     # lazily loaded (heavy imports):
-    "run_engine_campaign",
-    "run_cluster_campaign",
-    "run_serve_campaign",
-    "run_resilience_campaign",
+    "ARMS",
+    "Campaign",
+    "run_campaign",
     "journal_payload_digest",
 ]
 
-_LAZY = ("run_engine_campaign", "run_cluster_campaign",
-         "run_serve_campaign", "run_resilience_campaign",
-         "journal_payload_digest")
+_LAZY = ("ARMS", "Campaign", "run_campaign", "journal_payload_digest")
 
 
 def __getattr__(name):

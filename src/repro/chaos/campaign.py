@@ -1,32 +1,40 @@
 """K-seed chaos campaigns against fault-free baselines.
 
-A campaign runs the *same* small inference workload once cleanly and
-then ``n_seeds`` times under seeded :class:`~repro.chaos.plan.FaultPlan`
+A campaign runs the *same* small workload once cleanly and then
+``n_seeds`` times under seeded :class:`~repro.chaos.plan.FaultPlan`
 adversaries, classifying every run against the baseline (see
 :mod:`repro.chaos.report`).  The contract it enforces is binary: a run
-either completes with a log likelihood bit-identical to the fault-free
+either completes with an answer bit-identical to the fault-free
 baseline (or loudly degraded within tolerance), or it fails with a
 typed error.  ``silent_corruption`` — completing with a different
 answer and reporting nothing — is the one class that fails CI.
 
-Two campaign flavours:
+One driver, :func:`run_campaign` (per seed: :meth:`Campaign.run_seed`),
+owns what every campaign shares: the ``baseline/`` and ``seed%03d/``
+run directories, the seed loop, the injector and its ``fired`` capture,
+the failure classifier (:func:`classify_failure`) and the
+:class:`~repro.chaos.report.ChaosSurvivalReport`.  An :class:`Arm`
+keeps only what differs — its default sites, how it builds its
+baseline, how it drives one job, and its verdict — and :data:`ARMS`
+registers four:
 
-* :func:`run_engine_campaign` — in-process, engine-layer faults
-  (CLV poison, forced underflow, P-matrix corruption) against one
-  kernel backend.
-* :func:`run_cluster_campaign` — full journalled master-worker runs
-  with process faults (worker crash/hang, torn journal and checkpoint
-  writes, transient append errors), including crash-resume loops.
-* :func:`run_serve_campaign` — the inference service under
-  ``serve.server_kill``: the serving process dies between journal
-  appends of a running job, a fresh service recovers the same store
-  root, and the finished result (plus the content-addressed cache
-  behaviour) must be byte-identical to the fault-free baseline.
-* :func:`run_resilience_campaign` — a *live* HTTP server under hostile
-  clients (slowloris submits, mid-SSE disconnects) and wedged workers
-  (``cluster.worker_stall``, ``cluster.worker_oom``), every step under
-  its own watchdog: typed errors, journalled degradation, or
-  bit-identical results — never a hang.
+``engine``
+    one in-process :func:`~repro.phylo.inference.infer_tree` per kernel
+    backend under CLV poison, forced underflow and P-matrix corruption.
+``cluster``
+    a journalled master-worker job under worker crash/hang, torn journal
+    and checkpoint writes and transient append errors, resumed from its
+    journal after every injected master crash.
+``serve``
+    the inference service under ``serve.server_kill``: a fresh service
+    recovers the same store root after every kill, and the result (plus
+    the cache hit of an identical resubmission) must be byte-identical.
+``resilience``
+    a *live* HTTP server under hostile clients (slowloris submits,
+    mid-SSE disconnects) and wedged workers (``cluster.worker_stall``,
+    ``cluster.worker_oom``), every step under its own watchdog: typed
+    errors, journalled degradation, or bit-identical results — never a
+    hang.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
 from ..cluster.checkpoint import JournalWriteError, atomic_write, replay
 from ..cluster.jobs import JobSpec
@@ -46,19 +55,21 @@ from ..cluster.queue import (
     _CounterCollector,
 )
 from ..cluster.runner import resume_job, run_job
+from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.engine.protocol import EngineNumericalError
 from ..phylo.inference import infer_tree
 from ..phylo.search import SearchConfig
 from ..phylo.simulate import synthetic_dataset
-from .injector import InjectedCrash, inject
+from .injector import InjectedCrash, fire, inject
 from .plan import (
+    CLUSTER_SITES,
+    ENGINE_SITES,
+    RESILIENCE_SITES,
     SERVE_CLIENT_DISCONNECT_MID_SSE,
+    SERVE_SITES,
     SERVE_SLOW_CLIENT,
     FaultPlan,
-    default_cluster_plan,
-    default_engine_plan,
-    default_resilience_plan,
-    default_serve_plan,
+    default_plan,
 )
 from .report import (
     SILENT_CORRUPTION,
@@ -71,14 +82,18 @@ from .report import (
 )
 
 __all__ = [
+    "ARMS",
+    "Arm",
+    "Baseline",
+    "Campaign",
+    "CampaignJob",
+    "SeedRun",
     "CAMPAIGN_WORKLOAD",
-    "campaign_patterns",
+    "MAX_RECOVERIES",
     "campaign_search_config",
-    "run_engine_campaign",
-    "run_cluster_campaign",
-    "run_serve_campaign",
-    "run_resilience_campaign",
+    "classify_failure",
     "journal_payload_digest",
+    "run_campaign",
 ]
 
 #: The shared campaign workload: small enough that a 25-seed sweep over
@@ -86,14 +101,18 @@ __all__ = [
 #: every instrumented site many times.
 CAMPAIGN_WORKLOAD = {"n_taxa": 8, "n_sites": 300, "seed": 11}
 
-#: Inference seed for the engine campaign (all chaos seeds rerun the
-#: *same* search so the baseline comparison is bit-for-bit meaningful).
+#: Inference seed for the engine arm (all chaos seeds rerun the *same*
+#: search so the baseline comparison is bit-for-bit meaningful).
 ENGINE_INFER_SEED = 3
 
 #: A degraded run fell back to the reference backend mid-flight; its
 #: answer may differ from the original backend's in the last bits but
 #: must agree to this relative tolerance.
 DEGRADED_REL_TOL = 1e-6
+
+#: Master crashes (cluster) or server kills (serve) one seed may recover
+#: from; the next injected crash is its typed failure.
+MAX_RECOVERIES = 4
 
 #: Typed errors a chaos run is allowed to die with (the loud-failure
 #: contract of DESIGN.md §11); anything else is ``untyped_failure``.
@@ -104,14 +123,15 @@ TYPED_ERRORS = (
     InjectedCrash,
 )
 
+#: Further typed names a failed job record's error string may start
+#: with: the service stores errors as text, not as exceptions.
+TYPED_RECORD_ERRORS = tuple(t.__name__ for t in TYPED_ERRORS) + (
+    "TaskCancelled", "AlignmentError", "ResourceLimitError",
+)
 
-def campaign_patterns():
-    """The compressed campaign alignment (~30 patterns)."""
-    return synthetic_dataset(
-        n_taxa=CAMPAIGN_WORKLOAD["n_taxa"],
-        n_sites=CAMPAIGN_WORKLOAD["n_sites"],
-        seed=CAMPAIGN_WORKLOAD["seed"],
-    ).compress()
+#: The prefix the resilience arm raises a failed job record's error
+#: under (``RuntimeError(JOB_FAILED + record["error"])``).
+JOB_FAILED = "job failed: "
 
 
 def campaign_search_config() -> SearchConfig:
@@ -127,95 +147,153 @@ def campaign_search_config() -> SearchConfig:
     )
 
 
-# -- engine campaign ----------------------------------------------------------
+def classify_failure(exc: BaseException) -> Tuple[str, str]:
+    """``(classification, error text)`` of a seed that raised *exc*.
 
-
-def _engine_once(patterns, backend: Optional[str]
-                 ) -> Tuple[float, Dict[str, int]]:
-    """One full inference; returns (lnL, engine perf counters)."""
-    collector = _CounterCollector()
-    result = infer_tree(
-        patterns,
-        config=campaign_search_config(),
-        seed=ENGINE_INFER_SEED,
-        tracer=collector,
-        backend=backend,
-    )
-    return result.log_likelihood, collector.perf_counters()
-
-
-def _engine_chaos_run(patterns, backend: Optional[str], plan: FaultPlan,
-                      baseline_lnl: float) -> ChaosRunResult:
-    fired: Dict[str, int] = {}
-    try:
-        with inject(plan) as injector:
-            try:
-                lnl, counters = _engine_once(patterns, backend)
-            finally:
-                fired = dict(injector.fired)
-        degraded = int(counters.get("degraded", 0))
-        if degraded == 0 and lnl == baseline_lnl:
-            classification = SURVIVED_IDENTICAL
-        elif degraded > 0 and abs(lnl - baseline_lnl) <= (
-            DEGRADED_REL_TOL * abs(baseline_lnl)
-        ):
-            classification = SURVIVED_DEGRADED
-        else:
-            classification = SILENT_CORRUPTION
-        return ChaosRunResult(
-            seed=plan.seed,
-            classification=classification,
-            log_likelihood=lnl,
-            baseline_log_likelihood=baseline_lnl,
-            fired=fired,
-            degraded=degraded,
-        )
-    except TYPED_ERRORS as exc:
-        return ChaosRunResult(
-            seed=plan.seed, classification=TYPED_FAILURE,
-            baseline_log_likelihood=baseline_lnl, fired=fired,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    except Exception as exc:  # noqa: BLE001 — the untyped-failure gate
-        return ChaosRunResult(
-            seed=plan.seed, classification=UNTYPED_FAILURE,
-            baseline_log_likelihood=baseline_lnl, fired=fired,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def run_engine_campaign(
-    n_seeds: int = 25,
-    backend: Optional[str] = None,
-    sites: Optional[Tuple[str, ...]] = None,
-    start_seed: int = 0,
-    patterns=None,
-) -> ChaosSurvivalReport:
-    """Sweep ``n_seeds`` engine-fault adversaries against one backend.
-
-    Every chaos seed reruns the identical search under
-    :func:`~repro.chaos.plan.default_engine_plan`; ``sites`` restricts
-    the adversary (e.g. to backend-neutral sites for cross-backend
-    classification comparisons).
+    Typed errors are ``typed_failure``; an expired watchdog is an
+    untyped "Hang"; a failed job record whose error names a typed
+    failure is typed; anything else is ``untyped_failure``.
     """
-    if patterns is None:
-        patterns = campaign_patterns()
-    baseline_lnl, _ = _engine_once(patterns, backend)
-    report = ChaosSurvivalReport(label=f"engine:{backend or 'default'}")
+    text = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, TYPED_ERRORS):
+        return TYPED_FAILURE, text
+    if isinstance(exc, asyncio.TimeoutError):
+        return UNTYPED_FAILURE, "Hang: step watchdog expired"
+    message = str(exc)
+    if (isinstance(exc, RuntimeError) and message.startswith(JOB_FAILED)
+            and message[len(JOB_FAILED):].startswith(TYPED_RECORD_ERRORS)):
+        return TYPED_FAILURE, text
+    return UNTYPED_FAILURE, text
+
+
+# -- the driver ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CampaignJob:
+    """The workload every seed of one campaign reruns, and where: the
+    alignment as patterns (in-process arms) and as FASTA text (served
+    arms), the job spec, the worker count and the kernel backend."""
+
+    patterns: PatternAlignment
+    fasta: str
+    spec: Optional[JobSpec]
+    n_workers: int
+    backend: Optional[str]
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """The fault-free answer: its log likelihood and the fingerprint a
+    surviving seed must reproduce byte for byte (the replayed payload
+    digest, or the canonical result JSON)."""
+
+    log_likelihood: float
+    fingerprint: Optional[str] = None
+
+
+@dataclass
+class SeedRun:
+    """One run in flight: its directory, and what its job driver records
+    besides the injector's fires."""
+
+    rundir: str
+    seed: Optional[int] = None  # None for the fault-free baseline
+    resumes: int = 0
+    #: read back from the journal or the store after the run (worker
+    #: deaths by reason, retries, a cache miss on the duplicate
+    #: submission); never counted as an injector fire.
+    observed: Dict[str, int] = field(default_factory=dict)
+
+
+#: ``(classification, log likelihood, degraded count)`` of a survived run.
+Verdict = Tuple[str, Optional[float], int]
+
+
+@dataclass(frozen=True)
+class Arm:
+    """What one kind of campaign does that the driver does not."""
+
+    name: str
+    sites: Tuple[str, ...]
+    #: the job every seed runs unless the caller passes another
+    spec: Optional[JobSpec]
+    baseline: Callable[[CampaignJob, SeedRun], Baseline]
+    #: drives one job under the active injector; returns its outcome
+    drive: Callable[[CampaignJob, SeedRun], object]
+    #: the outcome against the baseline, after the injector is off
+    verdict: Callable[[CampaignJob, object, Baseline, SeedRun], Verdict]
+    #: the engine arm runs once per kernel backend
+    per_backend: bool = False
+
+
+class Campaign:
+    """One arm's workload and its fault-free baseline, computed on
+    construction under ``workdir/baseline``; every seed then runs in
+    ``workdir/seed%03d``."""
+
+    def __init__(self, arm: str, *, n_workers: int = 2,
+                 backend: Optional[str] = None,
+                 workdir: Optional[str] = None,
+                 alignment: Optional[Alignment] = None,
+                 spec: Optional[JobSpec] = None):
+        self.arm = ARMS[arm]
+        if alignment is None:
+            alignment = synthetic_dataset(**CAMPAIGN_WORKLOAD)
+        self.job = CampaignJob(alignment.compress(), alignment.to_fasta(),
+                               spec or self.arm.spec, n_workers, backend)
+        self.workdir = workdir or tempfile.mkdtemp(
+            prefix=f"repro-chaos-{arm}-")
+        self.baseline = self.arm.baseline(
+            self.job, SeedRun(os.path.join(self.workdir, "baseline")))
+
+    @property
+    def label(self) -> str:
+        if self.arm.per_backend:
+            return f"{self.arm.name}:{self.job.backend or 'default'}"
+        return f"{self.arm.name}:{self.job.n_workers}w"
+
+    def run_seed(self, plan: FaultPlan) -> ChaosRunResult:
+        """Run the job under *plan* and classify it against the baseline."""
+        run = SeedRun(os.path.join(self.workdir, f"seed{plan.seed:03d}"),
+                      plan.seed)
+        fired: Dict[str, int] = {}
+        lnl, degraded, error = None, 0, None
+        try:
+            with inject(plan) as injector:
+                try:
+                    outcome = self.arm.drive(self.job, run)
+                finally:
+                    fired = dict(injector.fired)
+            classification, lnl, degraded = self.arm.verdict(
+                self.job, outcome, self.baseline, run)
+        except Exception as exc:  # noqa: BLE001 — the untyped-failure gate
+            classification, error = classify_failure(exc)
+        return ChaosRunResult(
+            seed=plan.seed, classification=classification,
+            log_likelihood=lnl,
+            baseline_log_likelihood=self.baseline.log_likelihood,
+            fired=fired, observed=run.observed, error=error,
+            resumes=run.resumes, degraded=degraded,
+        )
+
+
+def run_campaign(arm: str, n_seeds: int = 25, *, start_seed: int = 0,
+                 sites: Optional[Tuple[str, ...]] = None,
+                 **setup) -> ChaosSurvivalReport:
+    """Sweep seeds ``start_seed ..`` of *arm* (a key of :data:`ARMS`)
+    under the standard plan over *sites* (default: the arm's);
+    ``setup`` is :class:`Campaign`'s keywords (``n_workers``,
+    ``backend``, ``workdir``, ``alignment``, ``spec``)."""
+    campaign = Campaign(arm, **setup)
+    sites = campaign.arm.sites if sites is None else sites
+    report = ChaosSurvivalReport(label=campaign.label)
     for seed in range(start_seed, start_seed + n_seeds):
-        plan = default_engine_plan(seed, sites=sites)
-        report.add(_engine_chaos_run(patterns, backend, plan, baseline_lnl))
+        report.add(campaign.run_seed(default_plan(sites, seed)))
     return report
 
 
-# -- cluster campaign ---------------------------------------------------------
-
-
-def _cluster_spec() -> JobSpec:
-    return JobSpec(
-        n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,
-        config=campaign_search_config(),
-    )
+# -- shared pieces ------------------------------------------------------------
 
 
 def _cluster_config(n_workers: int) -> ClusterConfig:
@@ -261,125 +339,138 @@ def journal_payload_digest(path: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _cluster_chaos_run(patterns, plan: FaultPlan, n_workers: int,
-                       rundir: str, baseline_lnl: float,
-                       baseline_digest: str,
-                       max_resumes: int) -> ChaosRunResult:
-    os.makedirs(rundir, exist_ok=True)
-    journal_path = os.path.join(rundir, "journal.jsonl")
-    best_path = os.path.join(rundir, "best.tree")
-    cfg = _cluster_config(n_workers)
-    clock = _make_clock()
-    resumes = 0
-    fired: Dict[str, int] = {}
-    try:
-        with inject(plan) as injector:
-            try:
-                analysis = None
-                while analysis is None:
-                    try:
-                        if not os.path.exists(journal_path):
-                            analysis = run_job(
-                                _cluster_spec(), patterns,
-                                journal_path=journal_path, cluster=cfg,
-                                clock=clock,
-                            )
-                        else:
-                            resumes += 1
-                            analysis = resume_job(
-                                journal_path, patterns, cluster=cfg,
-                                clock=clock,
-                            )
-                    except InjectedCrash:
-                        if resumes >= max_resumes:
-                            raise
-                # Post-run checkpoint: the atomic best-tree write is
-                # itself a fault site (cluster.checkpoint_torn); a torn
-                # attempt must leave the target intact, and the bounded
-                # retry must land the full content.
-                attempt = 0
-                while True:
-                    try:
-                        atomic_write(best_path,
-                                     analysis.best.newick + "\n")
-                        break
-                    except InjectedCrash:
-                        attempt += 1
-                        if attempt > 3:
-                            raise
-            finally:
-                fired = dict(injector.fired)
-        lnl = analysis.best.log_likelihood
-        digest = journal_payload_digest(journal_path)
-        with open(best_path) as fh:
-            checkpoint_ok = fh.read() == analysis.best.newick + "\n"
-        state = replay(journal_path)
-        if state.worker_deaths:
-            fired["observed.worker_deaths"] = len(state.worker_deaths)
-        if state.retries:
-            fired["observed.retries"] = len(state.retries)
-        identical = (
-            lnl == baseline_lnl
-            and digest == baseline_digest
-            and checkpoint_ok
-        )
-        return ChaosRunResult(
-            seed=plan.seed,
-            classification=SURVIVED_IDENTICAL if identical
-            else SILENT_CORRUPTION,
-            log_likelihood=lnl,
-            baseline_log_likelihood=baseline_lnl,
-            fired=fired,
-            resumes=resumes,
-        )
-    except TYPED_ERRORS as exc:
-        return ChaosRunResult(
-            seed=plan.seed, classification=TYPED_FAILURE,
-            baseline_log_likelihood=baseline_lnl, fired=fired,
-            error=f"{type(exc).__name__}: {exc}", resumes=resumes,
-        )
-    except Exception as exc:  # noqa: BLE001 — the untyped-failure gate
-        return ChaosRunResult(
-            seed=plan.seed, classification=UNTYPED_FAILURE,
-            baseline_log_likelihood=baseline_lnl, fired=fired,
-            error=f"{type(exc).__name__}: {exc}", resumes=resumes,
-        )
-
-
-# -- serve campaign -----------------------------------------------------------
-
-
-def _serve_workload() -> str:
-    """The campaign alignment as submittable FASTA text."""
-    return synthetic_dataset(
-        n_taxa=CAMPAIGN_WORKLOAD["n_taxa"],
-        n_sites=CAMPAIGN_WORKLOAD["n_sites"],
-        seed=CAMPAIGN_WORKLOAD["seed"],
-    ).to_fasta()
+def _observe_journal(path: str, run: SeedRun) -> None:
+    """Count the journal's worker deaths by reason, and its retries."""
+    state = replay(path)
+    for death in state.worker_deaths:
+        key = f"worker_{death.get('reason')}"
+        run.observed[key] = run.observed.get(key, 0) + 1
+    if state.retries:
+        run.observed["retries"] = len(state.retries)
 
 
 def _canonical_result(payload: Optional[dict]) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _serve_run_to_completion(root: str, fasta: str, spec: JobSpec,
-                             n_workers: int, max_restarts: int) -> Tuple[dict, int, object]:
+# -- engine arm ---------------------------------------------------------------
+
+
+def _engine_drive(job: CampaignJob, run: SeedRun
+                  ) -> Tuple[float, Dict[str, int]]:
+    """One full inference; returns (lnL, engine perf counters)."""
+    collector = _CounterCollector()
+    result = infer_tree(
+        job.patterns,
+        config=campaign_search_config(),
+        seed=ENGINE_INFER_SEED,
+        tracer=collector,
+        backend=job.backend,
+    )
+    return result.log_likelihood, collector.perf_counters()
+
+
+def _engine_baseline(job: CampaignJob, run: SeedRun) -> Baseline:
+    return Baseline(_engine_drive(job, run)[0])
+
+
+def _engine_verdict(job, outcome, baseline: Baseline, run) -> Verdict:
+    lnl, counters = outcome
+    degraded = int(counters.get("degraded", 0))
+    if degraded == 0 and lnl == baseline.log_likelihood:
+        return SURVIVED_IDENTICAL, lnl, degraded
+    if degraded > 0 and abs(lnl - baseline.log_likelihood) <= (
+        DEGRADED_REL_TOL * abs(baseline.log_likelihood)
+    ):
+        return SURVIVED_DEGRADED, lnl, degraded
+    return SILENT_CORRUPTION, lnl, degraded
+
+
+# -- cluster arm --------------------------------------------------------------
+
+
+def _cluster_drive(job: CampaignJob, run: SeedRun):
+    """Run the job to completion through master crashes, resuming from
+    the journal after each, then write the best-tree checkpoint."""
+    os.makedirs(run.rundir, exist_ok=True)
+    journal_path = os.path.join(run.rundir, "journal.jsonl")
+    cfg = _cluster_config(job.n_workers)
+    clock = _make_clock()
+    analysis = None
+    while analysis is None:
+        try:
+            if not os.path.exists(journal_path):
+                analysis = run_job(job.spec, job.patterns,
+                                   journal_path=journal_path, cluster=cfg,
+                                   clock=clock)
+            else:
+                run.resumes += 1
+                analysis = resume_job(journal_path, job.patterns,
+                                      cluster=cfg, clock=clock)
+        except InjectedCrash:
+            if run.resumes >= MAX_RECOVERIES:
+                raise
+    # Post-run checkpoint: the atomic best-tree write is itself a fault
+    # site (cluster.checkpoint_torn); a torn attempt must leave the
+    # target intact, and the bounded retry must land the full content.
+    attempt = 0
+    while True:
+        try:
+            atomic_write(os.path.join(run.rundir, "best.tree"),
+                         analysis.best.newick + "\n")
+            break
+        except InjectedCrash:
+            attempt += 1
+            if attempt > 3:
+                raise
+    return analysis
+
+
+def _cluster_baseline(job: CampaignJob, run: SeedRun) -> Baseline:
+    analysis = _cluster_drive(job, run)
+    return Baseline(
+        analysis.best.log_likelihood,
+        journal_payload_digest(os.path.join(run.rundir, "journal.jsonl")),
+    )
+
+
+def _cluster_verdict(job, analysis, baseline: Baseline, run: SeedRun
+                     ) -> Verdict:
+    """Survival requires the best log likelihood, the replayed payload
+    digest and the checkpoint to match the baseline exactly — worker
+    count, retries and resume boundaries must be invisible."""
+    journal_path = os.path.join(run.rundir, "journal.jsonl")
+    lnl = analysis.best.log_likelihood
+    with open(os.path.join(run.rundir, "best.tree")) as fh:
+        checkpoint_ok = fh.read() == analysis.best.newick + "\n"
+    _observe_journal(journal_path, run)
+    identical = (
+        lnl == baseline.log_likelihood
+        and journal_payload_digest(journal_path) == baseline.fingerprint
+        and checkpoint_ok
+    )
+    return (SURVIVED_IDENTICAL if identical else SILENT_CORRUPTION), lnl, 0
+
+
+# -- serve arm ----------------------------------------------------------------
+
+
+def _serve_drive(job: CampaignJob, run: SeedRun):
     """Drive one submission to completion through server kills.
 
     Each :class:`~repro.chaos.injector.InjectedCrash` models the serving
     process dying; we discard the service object (its scheduler state
     dies with it) and build a fresh one over the same store root, whose
     :meth:`~repro.serve.jobstore.JobService.recover` re-enqueues the
-    orphaned job.  Returns ``(result payload, restarts, final service)``.
+    orphaned job.  Returns ``(result payload, final service)``.
     """
     from ..serve.jobstore import JobService
 
-    cfg = _cluster_config(n_workers)
-    restarts = 0
-    service = JobService(root, n_workers=n_workers, cluster=cfg,
+    cfg = _cluster_config(job.n_workers)
+    service = JobService(run.rundir, n_workers=job.n_workers, cluster=cfg,
                          clock=_make_clock())
     try:
-        record, hit = service.submit(fasta, spec, client="campaign")
+        record, hit = service.submit(job.fasta, job.spec, client="campaign")
         if hit:
             raise RuntimeError(
                 "campaign submission unexpectedly hit the cache")
@@ -387,12 +478,12 @@ def _serve_run_to_completion(root: str, fasta: str, spec: JobSpec,
             try:
                 done = service.run_next()
             except InjectedCrash:
-                restarts += 1
-                if restarts > max_restarts:
+                if run.resumes >= MAX_RECOVERIES:
                     raise
+                run.resumes += 1
                 service.close()  # the dead server's workers die with it
-                service = JobService(root, n_workers=n_workers, cluster=cfg,
-                                     clock=_make_clock())
+                service = JobService(run.rundir, n_workers=job.n_workers,
+                                     cluster=cfg, clock=_make_clock())
                 service.recover()
                 continue
             if done is None or done.job_id == record.job_id:
@@ -408,151 +499,39 @@ def _serve_run_to_completion(root: str, fasta: str, spec: JobSpec,
             f"job finished without a result: state={record.state} "
             f"error={record.error}"
         )
-    return result, restarts, service
+    return result, service
 
 
-def _serve_chaos_run(fasta: str, spec: JobSpec, plan: FaultPlan,
-                     n_workers: int, rundir: str,
-                     baseline_canonical: str,
-                     max_restarts: int) -> ChaosRunResult:
-    os.makedirs(rundir, exist_ok=True)
-    fired: Dict[str, int] = {}
-    restarts = 0
-    try:
-        with inject(plan) as injector:
-            try:
-                result, restarts, service = _serve_run_to_completion(
-                    rundir, fasta, spec, n_workers, max_restarts
-                )
-            finally:
-                fired = dict(injector.fired)
-        # The survived store must also keep its caching contract: an
-        # identical resubmission is a hit and schedules no new run.
-        runs_before = service.store.runs_executed
-        _record2, hit2 = service.submit(fasta, spec, client="campaign-dup")
-        cache_ok = hit2 and service.store.runs_executed == runs_before
-        identical = (
-            _canonical_result(result) == baseline_canonical and cache_ok
-        )
-        if not cache_ok:
-            fired["observed.cache_miss_on_dup"] = 1
-        return ChaosRunResult(
-            seed=plan.seed,
-            classification=SURVIVED_IDENTICAL if identical
-            else SILENT_CORRUPTION,
-            log_likelihood=result["best_log_likelihood"],
-            fired=fired,
-            resumes=restarts,
-        )
-    except TYPED_ERRORS as exc:
-        return ChaosRunResult(
-            seed=plan.seed, classification=TYPED_FAILURE, fired=fired,
-            error=f"{type(exc).__name__}: {exc}", resumes=restarts,
-        )
-    except Exception as exc:  # noqa: BLE001 — the untyped-failure gate
-        return ChaosRunResult(
-            seed=plan.seed, classification=UNTYPED_FAILURE, fired=fired,
-            error=f"{type(exc).__name__}: {exc}", resumes=restarts,
-        )
+def _serve_baseline(job: CampaignJob, run: SeedRun) -> Baseline:
+    result, _service = _serve_drive(job, run)
+    return Baseline(result["best_log_likelihood"], _canonical_result(result))
 
 
-def run_serve_campaign(
-    n_seeds: int = 25,
-    n_workers: int = 2,
-    workdir: Optional[str] = None,
-    sites: Optional[Tuple[str, ...]] = None,
-    start_seed: int = 0,
-    max_restarts: int = 4,
-    fasta: Optional[str] = None,
-    spec: Optional[JobSpec] = None,
-) -> ChaosSurvivalReport:
-    """Sweep ``n_seeds`` server-kill adversaries over the job service.
-
-    Each seed submits the campaign job to a fresh store root and drives
-    it to completion under :func:`~repro.chaos.plan.default_serve_plan`,
-    replacing the service with a recovered one after every injected
-    kill.  Survival requires the final result payload — best tree,
-    supports, consensus, perf counters — to be *byte-identical* to the
-    fault-free baseline's, and an identical resubmission to hit the
-    result cache without scheduling a new run.
-    """
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-serve-")
-    if fasta is None:
-        fasta = _serve_workload()
-    if spec is None:
-        spec = _cluster_spec()
-    baseline, _restarts, _svc = _serve_run_to_completion(
-        os.path.join(workdir, "baseline"), fasta, spec, n_workers,
-        max_restarts=0,
-    )
-    baseline_canonical = _canonical_result(baseline)
-    report = ChaosSurvivalReport(label=f"serve:{n_workers}w")
-    for seed in range(start_seed, start_seed + n_seeds):
-        plan = default_serve_plan(seed, sites=sites)
-        report.add(
-            _serve_chaos_run(
-                fasta, spec, plan, n_workers,
-                os.path.join(workdir, f"seed{seed:03d}"),
-                baseline_canonical, max_restarts,
-            )
-        )
-    return report
+def _serve_verdict(job, outcome, baseline: Baseline, run: SeedRun
+                   ) -> Verdict:
+    """The result must be byte-identical to the baseline's, and the
+    survived store must keep its caching contract: an identical
+    resubmission is a hit and schedules no new run."""
+    result, service = outcome
+    runs_before = service.store.runs_executed
+    _record, hit = service.submit(job.fasta, job.spec, client="campaign-dup")
+    cache_ok = hit and service.store.runs_executed == runs_before
+    if not cache_ok:
+        run.observed["cache_miss_on_dup"] = 1
+    identical = _canonical_result(result) == baseline.fingerprint and cache_ok
+    return ((SURVIVED_IDENTICAL if identical else SILENT_CORRUPTION),
+            result["best_log_likelihood"], 0)
 
 
-def run_cluster_campaign(
-    n_seeds: int = 25,
-    n_workers: int = 2,
-    workdir: Optional[str] = None,
-    sites: Optional[Tuple[str, ...]] = None,
-    start_seed: int = 0,
-    patterns=None,
-    max_resumes: int = 4,
-) -> ChaosSurvivalReport:
-    """Sweep ``n_seeds`` cluster-fault adversaries over journalled runs.
-
-    Each seed executes the full job (1 inference + 4 bootstraps) under
-    :func:`~repro.chaos.plan.default_cluster_plan`, resuming from the
-    journal after every injected master crash (torn journal append,
-    torn checkpoint).  Survival requires the best log likelihood *and*
-    the replayed payload digest to match the fault-free baseline
-    exactly — worker count, retries, and resume boundaries must all be
-    invisible in the answer.
-    """
-    if patterns is None:
-        patterns = campaign_patterns()
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    baseline_dir = os.path.join(workdir, "baseline")
-    os.makedirs(baseline_dir, exist_ok=True)
-    baseline_journal = os.path.join(baseline_dir, "journal.jsonl")
-    baseline = run_job(
-        _cluster_spec(), patterns, journal_path=baseline_journal,
-        cluster=_cluster_config(n_workers), clock=_make_clock(),
-    )
-    baseline_lnl = baseline.best.log_likelihood
-    baseline_digest = journal_payload_digest(baseline_journal)
-    report = ChaosSurvivalReport(label=f"cluster:{n_workers}w")
-    for seed in range(start_seed, start_seed + n_seeds):
-        plan = default_cluster_plan(seed, sites=sites)
-        report.add(
-            _cluster_chaos_run(
-                patterns, plan, n_workers,
-                os.path.join(workdir, f"seed{seed:03d}"),
-                baseline_lnl, baseline_digest, max_resumes,
-            )
-        )
-    return report
-
-# -- resilience campaign ------------------------------------------------------
+# -- resilience arm -----------------------------------------------------------
 #
-# The live-server arm (ISSUE 10): a real ServeApp over HTTP attacked by
-# hostile *clients* (slowloris submits, mid-SSE disconnects) while its
-# workers wedge (cluster.worker_stall) or balloon (cluster.worker_oom)
-# underneath.  The contract is the zero-hang closure: every step runs
-# under its own asyncio watchdog, and a seed either survives with a
-# result byte-identical to the fault-free baseline (journalled
-# degradation allowed), or dies with a typed error — never a hang.
+# A real ServeApp over HTTP attacked by hostile *clients* (slowloris
+# submits, mid-SSE disconnects) while its workers wedge
+# (cluster.worker_stall) or balloon (cluster.worker_oom) underneath.  The
+# contract is the zero-hang closure: every step runs under its own
+# asyncio watchdog, and a seed either survives with a result
+# byte-identical to the fault-free baseline (journalled degradation
+# allowed), or dies with a typed error — never a hang.
 
 #: Per-HTTP-step watchdog; a step that outlives this is a hang, which
 #: is classified untyped and fails the campaign.
@@ -561,17 +540,6 @@ RESILIENCE_STEP_TIMEOUT_S = 60.0
 #: End-to-end watchdog for one seed's job reaching a terminal state
 #: (covers a stalled worker costing one task timeout plus the rerun).
 RESILIENCE_JOB_TIMEOUT_S = 300.0
-
-
-def _resilience_spec() -> JobSpec:
-    """The campaign job exactly as the HTTP API would build it.
-
-    No custom ``SearchConfig``: the submission surface only exposes the
-    ``model`` block, so the baseline must use the same default search
-    the API-built spec implies — otherwise the two runs answer
-    different questions and the byte-identity check is meaningless.
-    """
-    return JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=2)
 
 
 def _resilience_cluster_config(n_workers: int) -> ClusterConfig:
@@ -705,161 +673,100 @@ async def _poll_terminal(host: str, port: int, job_id: str) -> dict:
     return await asyncio.wait_for(_go(), RESILIENCE_JOB_TIMEOUT_S)
 
 
-def _typed_error_text(error: Optional[str]) -> bool:
-    """Whether a failed record's error string names a typed failure."""
-    if not error:
-        return False
-    typed_names = tuple(t.__name__ for t in TYPED_ERRORS) + (
-        "TaskCancelled", "AlignmentError", "ResourceLimitError",
-    )
-    return error.startswith(typed_names)
-
-
-async def _resilience_seed(seed: int, fasta: str, spec: JobSpec,
-                           n_workers: int, rundir: str,
-                           baseline_canonical: str) -> ChaosRunResult:
+async def _resilience_session(job: CampaignJob, run: SeedRun
+                              ) -> Optional[dict]:
+    """Boot a live server, play this seed's hostile clients, submit the
+    job over HTTP and fetch its result."""
     from ..serve.app import ServeApp
     from ..serve.jobstore import JobService
 
-    plan = default_resilience_plan(seed)
-    fired: Dict[str, int] = {}
-    try:
-        with inject(plan) as injector:
-            try:
-                service = JobService(
-                    rundir, n_workers=n_workers,
-                    cluster=_resilience_cluster_config(n_workers),
-                    clock=_make_clock(),
-                )
-                app = ServeApp(service, port=0, poll_interval=0.05,
-                               header_timeout_s=0.5, body_timeout_s=5.0,
-                               drain_grace_s=20.0)
-                await app.start()
-                try:
-                    host, port = app.host, app.port
-                    # Scenario draws: whether this seed plays each
-                    # hostile-client behaviour (one draw per seed, so
-                    # the schedule is independent of request count).
-                    slow = injector.fire(SERVE_SLOW_CLIENT,
-                                         key=f"seed{seed}")
-                    sse_drop = injector.fire(SERVE_CLIENT_DISCONNECT_MID_SSE,
-                                             key=f"seed{seed}")
-                    if slow:
-                        await _slow_client_probe(host, port,
-                                                 app.header_timeout_s)
-                    status, body = await _http_json(
-                        host, port, "POST", "/jobs",
-                        {"alignment": fasta,
-                         "model": {"n_inferences": spec.n_inferences,
-                                   "n_bootstraps": spec.n_bootstraps,
-                                   "seed": spec.seed,
-                                   "batch_size": spec.batch_size},
-                         "client": "campaign"},
-                    )
-                    if status not in (200, 201):
-                        raise RuntimeError(
-                            f"submit rejected: {status} {body}")
-                    job_id = body["job_id"]
-                    if sse_drop:
-                        await _sse_disconnect_probe(host, port, job_id,
-                                                    app)
-                    record = await _poll_terminal(host, port, job_id)
-                    if record["state"] == "failed":
-                        raise RuntimeError(
-                            f"job failed: {record.get('error')}")
-                    _status, result = await _http_json(
-                        host, port, "GET", f"/jobs/{job_id}/result")
-                finally:
-                    await asyncio.wait_for(app.stop(),
-                                           app.drain_grace_s + 30.0)
-                # Worker faults fire in forked children (their injector
-                # counters die with them); observe them from the journal.
-                journal = service.store.journal_path(job_id)
-                if os.path.exists(journal):
-                    state = replay(journal)
-                    for death in state.worker_deaths:
-                        reason = str(death.get("reason"))
-                        key = f"observed.worker_{reason}"
-                        fired[key] = fired.get(key, 0) + 1
-            finally:
-                for site, count in injector.fired.items():
-                    fired[site] = fired.get(site, 0) + count
-        if _canonical_result(result) == baseline_canonical:
-            classification = SURVIVED_IDENTICAL
-        elif result is not None and result.get("degraded"):
-            classification = SURVIVED_DEGRADED
-        else:
-            classification = SILENT_CORRUPTION
-        return ChaosRunResult(
-            seed=seed, classification=classification,
-            log_likelihood=(result or {}).get("best_log_likelihood"),
-            fired=fired,
-        )
-    except asyncio.TimeoutError:
-        return ChaosRunResult(
-            seed=seed, classification=UNTYPED_FAILURE, fired=fired,
-            error="Hang: step watchdog expired",
-        )
-    except TYPED_ERRORS as exc:
-        return ChaosRunResult(
-            seed=seed, classification=TYPED_FAILURE, fired=fired,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    except RuntimeError as exc:
-        # A failed job record carries its (string-typed) error; honour
-        # the typed/untyped split it encodes.
-        failed_typed = str(exc).startswith("job failed: ") and \
-            _typed_error_text(str(exc)[len("job failed: "):])
-        return ChaosRunResult(
-            seed=seed,
-            classification=TYPED_FAILURE if failed_typed
-            else UNTYPED_FAILURE,
-            fired=fired, error=f"{type(exc).__name__}: {exc}",
-        )
-    except Exception as exc:  # noqa: BLE001 — the untyped-failure gate
-        return ChaosRunResult(
-            seed=seed, classification=UNTYPED_FAILURE, fired=fired,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def run_resilience_campaign(
-    n_seeds: int = 15,
-    n_workers: int = 2,
-    workdir: Optional[str] = None,
-    start_seed: int = 0,
-    fasta: Optional[str] = None,
-    spec: Optional[JobSpec] = None,
-) -> ChaosSurvivalReport:
-    """Sweep hostile clients + wedged workers against a live server.
-
-    Each seed boots a real :class:`~repro.serve.app.ServeApp` on an
-    ephemeral port over a fresh store root and, per
-    :func:`~repro.chaos.plan.default_resilience_plan`, plays a
-    slowloris submit (expects a typed 408), drops an SSE stream mid-job
-    (expects release within one poll interval), and lets
-    ``cluster.worker_stall`` / ``cluster.worker_oom`` fire inside the
-    forked workers (expects the task timeout / RSS watchdog to journal
-    and requeue).  Every step runs under its own watchdog: a hang is an
-    automatic campaign failure.  Survival requires the final result to
-    be byte-identical to the fault-free baseline.
-    """
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-resilience-")
-    if fasta is None:
-        fasta = _serve_workload()
-    if spec is None:
-        spec = _resilience_spec()
-    baseline, _restarts, _svc = _serve_run_to_completion(
-        os.path.join(workdir, "baseline"), fasta, spec, n_workers,
-        max_restarts=0,
+    service = JobService(
+        run.rundir, n_workers=job.n_workers,
+        cluster=_resilience_cluster_config(job.n_workers),
+        clock=_make_clock(),
     )
-    baseline_canonical = _canonical_result(baseline)
-    report = ChaosSurvivalReport(label=f"resilience:{n_workers}w")
-    for seed in range(start_seed, start_seed + n_seeds):
-        report.add(asyncio.run(_resilience_seed(
-            seed, fasta, spec, n_workers,
-            os.path.join(workdir, f"seed{seed:03d}"),
-            baseline_canonical,
-        )))
-    return report
+    app = ServeApp(service, port=0, poll_interval=0.05,
+                   header_timeout_s=0.5, body_timeout_s=5.0,
+                   drain_grace_s=20.0)
+    await app.start()
+    try:
+        host, port = app.host, app.port
+        # Scenario draws: whether this seed plays each hostile-client
+        # behaviour (one draw per run, so the schedule is independent
+        # of request count).
+        key = f"seed{run.seed}"
+        slow = fire(SERVE_SLOW_CLIENT, key=key)
+        sse_drop = fire(SERVE_CLIENT_DISCONNECT_MID_SSE, key=key)
+        if slow:
+            await _slow_client_probe(host, port, app.header_timeout_s)
+        spec = job.spec
+        status, body = await _http_json(
+            host, port, "POST", "/jobs",
+            {"alignment": job.fasta,
+             "model": {"n_inferences": spec.n_inferences,
+                       "n_bootstraps": spec.n_bootstraps,
+                       "seed": spec.seed,
+                       "batch_size": spec.batch_size},
+             "client": "campaign"},
+        )
+        if status not in (200, 201):
+            raise RuntimeError(f"submit rejected: {status} {body}")
+        job_id = body["job_id"]
+        if sse_drop:
+            await _sse_disconnect_probe(host, port, job_id, app)
+        record = await _poll_terminal(host, port, job_id)
+        if record["state"] == "failed":
+            raise RuntimeError(f"{JOB_FAILED}{record.get('error')}")
+        _status, result = await _http_json(
+            host, port, "GET", f"/jobs/{job_id}/result")
+    finally:
+        await asyncio.wait_for(app.stop(), app.drain_grace_s + 30.0)
+    # Worker faults fire in forked children (their injector counters die
+    # with them); observe them from the journal.
+    journal = service.store.journal_path(job_id)
+    if os.path.exists(journal):
+        _observe_journal(journal, run)
+    return result
+
+
+def _resilience_drive(job: CampaignJob, run: SeedRun) -> Optional[dict]:
+    return asyncio.run(_resilience_session(job, run))
+
+
+def _resilience_verdict(job, result, baseline: Baseline, run) -> Verdict:
+    lnl = (result or {}).get("best_log_likelihood")
+    if _canonical_result(result) == baseline.fingerprint:
+        return SURVIVED_IDENTICAL, lnl, 0
+    if result is not None and result.get("degraded"):
+        return SURVIVED_DEGRADED, lnl, 0
+    return SILENT_CORRUPTION, lnl, 0
+
+
+# -- the registry -------------------------------------------------------------
+
+#: The serve and cluster arms' job: 1 inference + 4 bootstraps.
+_CAMPAIGN_SPEC = JobSpec(
+    n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,
+    config=campaign_search_config(),
+)
+
+#: The resilience job exactly as the HTTP API builds it: the submission
+#: surface only exposes the ``model`` block, so the baseline must use the
+#: default search the API-built spec implies — otherwise the two runs
+#: answer different questions and the byte-identity check is meaningless.
+_RESILIENCE_SPEC = JobSpec(n_inferences=1, n_bootstraps=4, seed=9,
+                           batch_size=2)
+
+ARMS: Dict[str, Arm] = {
+    arm.name: arm for arm in (
+        Arm("engine", ENGINE_SITES, None, _engine_baseline, _engine_drive,
+            _engine_verdict, per_backend=True),
+        Arm("cluster", CLUSTER_SITES, _CAMPAIGN_SPEC, _cluster_baseline,
+            _cluster_drive, _cluster_verdict),
+        Arm("serve", SERVE_SITES, _CAMPAIGN_SPEC, _serve_baseline,
+            _serve_drive, _serve_verdict),
+        # The baseline runs in process: the served result must equal it.
+        Arm("resilience", RESILIENCE_SITES, _RESILIENCE_SPEC,
+            _serve_baseline, _resilience_drive, _resilience_verdict),
+    )
+}

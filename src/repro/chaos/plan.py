@@ -56,7 +56,7 @@ site                         meaning
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
     "ENGINE_CLV_POISON",
@@ -81,10 +81,8 @@ __all__ = [
     "RetiredSiteError",
     "FaultSpec",
     "FaultPlan",
-    "default_engine_plan",
-    "default_cluster_plan",
-    "default_serve_plan",
-    "default_resilience_plan",
+    "SITE_CATALOGUE",
+    "default_plan",
 ]
 
 # -- the site taxonomy --------------------------------------------------------
@@ -238,120 +236,73 @@ class FaultPlan:
         )
 
 
-def default_engine_plan(
-    seed: int, sites: Optional[Tuple[str, ...]] = None
-) -> FaultPlan:
-    """The standard engine-layer adversary for one campaign seed.
+#: The one site catalogue: each site's standard :class:`FaultSpec` as a
+#: function of the campaign seed.  Probabilities are tuned per layer:
+#:
+#: * engine sites are per visit over the campaign's small workloads (tens
+#:   of ``newview`` visits): most seeds draw at least one fault, and
+#:   ``max_triggers`` bounds the damage so the recompute ladder — not
+#:   retry exhaustion — is what gets exercised.  The poison value
+#:   alternates NaN/Inf by seed so both non-finite classes are covered;
+#: * cluster process faults key their draws on ``task_id:attempt``, so
+#:   the schedule is identical regardless of worker count or dispatch
+#:   order; per *task attempt* (a campaign job has ~5-7) roughly every
+#:   other seed loses a worker, and journal faults stay rare enough that
+#:   retry budgets are exercised but not exhausted;
+#: * ``serve.server_kill`` is visited once per journal append of the
+#:   running job (a few dozen), so most seeds kill the server at least
+#:   once mid-job and a second kill may land in the resumed run;
+#: * the client-side resilience sites are *scenario* draws, consulted
+#:   once per run, so their probabilities are per job; the worker
+#:   wedges fire inside forked workers keyed on ``task_id:attempt``,
+#:   and roughly half the seeds wedge at least one worker.
+SITE_CATALOGUE: Dict[str, Callable[[int], FaultSpec]] = {
+    ENGINE_CLV_POISON: lambda seed: FaultSpec(
+        ENGINE_CLV_POISON, probability=0.05, max_triggers=2,
+        value="inf" if seed % 2 else "nan",
+    ),
+    ENGINE_UNDERFLOW: lambda seed: FaultSpec(
+        ENGINE_UNDERFLOW, probability=0.08, max_triggers=2,
+    ),
+    ENGINE_PMAT_CORRUPT: lambda seed: FaultSpec(
+        ENGINE_PMAT_CORRUPT, probability=0.02, max_triggers=1,
+    ),
+    CLUSTER_WORKER_CRASH_ACK: lambda seed: FaultSpec(
+        CLUSTER_WORKER_CRASH_ACK, probability=0.10, max_triggers=1,
+    ),
+    CLUSTER_WORKER_HANG: lambda seed: FaultSpec(
+        CLUSTER_WORKER_HANG, probability=0.06, max_triggers=1,
+    ),
+    CLUSTER_JOURNAL_TORN: lambda seed: FaultSpec(
+        CLUSTER_JOURNAL_TORN, probability=0.04, max_triggers=1,
+    ),
+    CLUSTER_JOURNAL_OSERROR: lambda seed: FaultSpec(
+        CLUSTER_JOURNAL_OSERROR, probability=0.04, max_triggers=2,
+    ),
+    CLUSTER_CHECKPOINT_TORN: lambda seed: FaultSpec(
+        CLUSTER_CHECKPOINT_TORN, probability=0.05, max_triggers=1,
+    ),
+    SERVE_SERVER_KILL: lambda seed: FaultSpec(
+        SERVE_SERVER_KILL, probability=0.08, max_triggers=2,
+    ),
+    SERVE_SLOW_CLIENT: lambda seed: FaultSpec(
+        SERVE_SLOW_CLIENT, probability=0.5, max_triggers=1,
+    ),
+    SERVE_CLIENT_DISCONNECT_MID_SSE: lambda seed: FaultSpec(
+        SERVE_CLIENT_DISCONNECT_MID_SSE, probability=0.5, max_triggers=1,
+    ),
+    CLUSTER_WORKER_STALL: lambda seed: FaultSpec(
+        CLUSTER_WORKER_STALL, probability=0.08, max_triggers=1,
+    ),
+    CLUSTER_WORKER_OOM: lambda seed: FaultSpec(
+        CLUSTER_WORKER_OOM, probability=0.08, max_triggers=1,
+    ),
+}
 
-    Probabilities are tuned for the campaign's small workloads (tens of
-    ``newview`` visits): most seeds draw at least one fault, and
-    ``max_triggers`` bounds the damage so the recompute ladder — not
-    retry exhaustion — is what gets exercised.  The poison value
-    alternates NaN/Inf by seed so both non-finite classes are covered
-    across a campaign.
-    """
-    sites = ENGINE_SITES if sites is None else sites
-    catalogue = {
-        ENGINE_CLV_POISON: FaultSpec(
-            ENGINE_CLV_POISON, probability=0.05, max_triggers=2,
-            value="inf" if seed % 2 else "nan",
-        ),
-        ENGINE_UNDERFLOW: FaultSpec(
-            ENGINE_UNDERFLOW, probability=0.08, max_triggers=2,
-        ),
-        ENGINE_PMAT_CORRUPT: FaultSpec(
-            ENGINE_PMAT_CORRUPT, probability=0.02, max_triggers=1,
-        ),
-    }
+
+def default_plan(sites: Tuple[str, ...], seed: int) -> FaultPlan:
+    """The standard adversary over *sites* for one campaign seed: each
+    site's :data:`SITE_CATALOGUE` spec, in the order *sites* names them."""
     return FaultPlan(
-        seed=seed, specs=tuple(catalogue[s] for s in sites)
-    )
-
-
-def default_serve_plan(
-    seed: int, sites: Optional[Tuple[str, ...]] = None
-) -> FaultPlan:
-    """The standard service-layer adversary for one campaign seed.
-
-    The kill site is visited once per journal append of the running
-    job (a campaign job appends a few dozen records), so most seeds
-    kill the server at least once mid-job and ``max_triggers`` allows
-    a second kill during the resumed run — the restart path itself
-    gets chaos coverage.
-    """
-    sites = SERVE_SITES if sites is None else sites
-    catalogue = {
-        SERVE_SERVER_KILL: FaultSpec(
-            SERVE_SERVER_KILL, probability=0.08, max_triggers=2,
-        ),
-    }
-    return FaultPlan(
-        seed=seed, specs=tuple(catalogue[s] for s in sites)
-    )
-
-
-def default_cluster_plan(
-    seed: int, sites: Optional[Tuple[str, ...]] = None
-) -> FaultPlan:
-    """The standard cluster-layer adversary for one campaign seed.
-
-    Process faults key their draws on ``task_id:attempt``, so the
-    schedule is identical regardless of worker count or dispatch order.
-    Probabilities are per *task attempt* (a campaign job has ~5-7), so
-    roughly every other seed loses a worker and journal faults stay
-    rare enough that retry budgets are exercised but not exhausted.
-    """
-    sites = CLUSTER_SITES if sites is None else sites
-    catalogue = {
-        CLUSTER_WORKER_CRASH_ACK: FaultSpec(
-            CLUSTER_WORKER_CRASH_ACK, probability=0.10, max_triggers=1,
-        ),
-        CLUSTER_WORKER_HANG: FaultSpec(
-            CLUSTER_WORKER_HANG, probability=0.06, max_triggers=1,
-        ),
-        CLUSTER_JOURNAL_TORN: FaultSpec(
-            CLUSTER_JOURNAL_TORN, probability=0.04, max_triggers=1,
-        ),
-        CLUSTER_JOURNAL_OSERROR: FaultSpec(
-            CLUSTER_JOURNAL_OSERROR, probability=0.04, max_triggers=2,
-        ),
-        CLUSTER_CHECKPOINT_TORN: FaultSpec(
-            CLUSTER_CHECKPOINT_TORN, probability=0.05, max_triggers=1,
-        ),
-    }
-    return FaultPlan(
-        seed=seed, specs=tuple(catalogue[s] for s in sites)
-    )
-
-
-def default_resilience_plan(
-    seed: int, sites: Optional[Tuple[str, ...]] = None
-) -> FaultPlan:
-    """The standard resilience adversary for one campaign seed.
-
-    The client-side sites are *scenario* draws — the campaign driver
-    consults them once per run to decide whether to play the hostile
-    client — so their probabilities are per job, not per visit.  The
-    worker sites fire inside forked workers keyed on
-    ``task_id:attempt`` like every other process fault; a campaign job
-    has a handful of attempts, so roughly half the seeds wedge at least
-    one worker.
-    """
-    sites = RESILIENCE_SITES if sites is None else sites
-    catalogue = {
-        SERVE_SLOW_CLIENT: FaultSpec(
-            SERVE_SLOW_CLIENT, probability=0.5, max_triggers=1,
-        ),
-        SERVE_CLIENT_DISCONNECT_MID_SSE: FaultSpec(
-            SERVE_CLIENT_DISCONNECT_MID_SSE, probability=0.5, max_triggers=1,
-        ),
-        CLUSTER_WORKER_STALL: FaultSpec(
-            CLUSTER_WORKER_STALL, probability=0.08, max_triggers=1,
-        ),
-        CLUSTER_WORKER_OOM: FaultSpec(
-            CLUSTER_WORKER_OOM, probability=0.08, max_triggers=1,
-        ),
-    }
-    return FaultPlan(
-        seed=seed, specs=tuple(catalogue[s] for s in sites)
+        seed=seed, specs=tuple(SITE_CATALOGUE[s](seed) for s in sites)
     )

@@ -62,7 +62,13 @@ class ChaosRunResult:
     classification: str
     log_likelihood: Optional[float] = None
     baseline_log_likelihood: Optional[float] = None
+    #: injector fires per site: the same plan over the same program
+    #: fires the same faults, so identical runs agree on this exactly.
     fired: Dict[str, int] = field(default_factory=dict)
+    #: what the campaign read back after the run (worker deaths by
+    #: reason, retries, a cache miss on the duplicate submission); these
+    #: follow process timing and are not fault fires.
+    observed: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
     resumes: int = 0
     degraded: int = 0
@@ -84,6 +90,7 @@ class ChaosRunResult:
             "log_likelihood": self.log_likelihood,
             "baseline_log_likelihood": self.baseline_log_likelihood,
             "fired": dict(self.fired),
+            "observed": dict(self.observed),
             "error": self.error,
             "resumes": self.resumes,
             "degraded": self.degraded,
@@ -124,6 +131,15 @@ class ChaosSurvivalReport:
     def faults_fired(self) -> int:
         return sum(run.faults_fired for run in self.runs)
 
+    @property
+    def observed(self) -> Dict[str, int]:
+        """Every run's ``observed`` counts, summed per key."""
+        total: Dict[str, int] = {}
+        for run in self.runs:
+            for key, count in run.observed.items():
+                total[key] = total.get(key, 0) + count
+        return dict(sorted(total.items()))
+
     def offenders(self) -> List[ChaosRunResult]:
         return [
             run for run in self.runs
@@ -139,7 +155,8 @@ class ChaosSurvivalReport:
         verdict = "OK" if self.ok else "FAILED"
         lines = [
             f"chaos[{self.label}]: {len(self.runs)} runs, "
-            f"{self.faults_fired} faults fired — "
+            f"{self.faults_fired} faults fired, "
+            f"observed {self.observed or 'nothing'} — "
             f"{', '.join(parts) or 'no runs'} — {verdict}"
         ]
         for run in self.offenders():
@@ -156,6 +173,7 @@ class ChaosSurvivalReport:
             "n_runs": len(self.runs),
             "counts": self.counts,
             "faults_fired": self.faults_fired,
+            "observed": self.observed,
             "ok": self.ok,
             "runs": [run.to_json() for run in self.runs],
         }

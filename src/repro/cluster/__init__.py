@@ -9,8 +9,8 @@ counterpart on real host cores:
 
 * :mod:`~repro.cluster.jobs` - declarative job specs expanded into an
   idempotent task DAG (tasks derive deterministically from
-  ``(seed, kind, replicate)``, exactly like
-  :class:`repro.phylo.parallel.TaskSpec`);
+  ``(seed, kind, replicate)``, exactly like the serial
+  :func:`repro.phylo.inference.run_full_analysis`);
 * :mod:`~repro.cluster.queue` - a multiprocessing work queue with
   worker heartbeats, per-task timeouts, bounded retry with backoff and
   dead-worker requeue;

@@ -133,9 +133,9 @@ def decode_record(line: str) -> dict:
 class RunJournal:
     """Append-only JSONL sink; ``path=None`` keeps events in memory only.
 
-    The in-memory mode backs ephemeral runs (the
-    :func:`repro.phylo.parallel.parallel_analysis` facade) that want
-    retry/heartbeat semantics without a durable artifact.
+    The in-memory mode backs ephemeral runs (:func:`repro.cluster.run_job`
+    without a ``journal_path``) that want retry/heartbeat semantics
+    without a durable artifact.
 
     ``clock`` (default ``time.time``) stamps every record; chaos
     campaigns inject a deterministic counter here so two runs of the

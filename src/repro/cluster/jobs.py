@@ -4,8 +4,9 @@ A *job* is the paper's section-3.1 workload: ``n`` independent
 inferences plus ``n`` bootstrap replicates over one alignment.  Each
 schedulable *task* covers one or more replicates of one kind; every
 replicate's result is a pure function of ``(seed, kind, replicate)`` -
-the same derivation as :class:`repro.phylo.parallel.TaskSpec` - so any
-task can be re-run (after a crash, a timeout, or a resume) and produce
+the same derivation as the serial
+:func:`repro.phylo.inference.run_full_analysis` - so any task can be
+re-run (after a crash, a timeout, or a resume) and produce
 bit-identical output.  That is what makes the DAG idempotent: task
 identity, not execution history, determines results.
 

@@ -205,7 +205,7 @@ def _build_model(ctx: ExecutionContext, patterns):
 
 def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
                       replicate: int, seed: int, cancel=None) -> dict:
-    """Run one replicate; the seed derivation of ``parallel.TaskSpec``.
+    """Run one replicate, seeded from ``(seed, kind, replicate)`` alone.
 
     Returns a JSON-safe payload (Newick, log likelihood, kernel call
     counts, and the engine's :meth:`perf_counters` snapshot).  A

@@ -138,7 +138,11 @@ def run_job(
     ``pool`` is where worker processes come from and are parked again
     afterwards (the serve layer's resident workers); without one the
     run forks its own and terminates them when it ends.
+    A spec with no inference is refused before anything is journalled
+    or forked: there would be no best tree to pick.
     """
+    if spec.n_inferences < 1:
+        raise ValueError("need at least one inference to pick a best tree")
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
     cluster = _with_workers(cluster, n_workers)

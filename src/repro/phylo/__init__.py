@@ -42,7 +42,6 @@ from .optimize import (
     optimize_gamma_inv,
     optimize_model,
 )
-from .parallel import parallel_analysis
 from .protein import (
     AA_STATES,
     PoissonAA,
@@ -99,7 +98,6 @@ __all__ = [
     "JC69",
     "K80",
     "SubstitutionModel",
-    "parallel_analysis",
     "AA_STATES",
     "PoissonAA",
     "ProteinAlignment",

@@ -228,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "einsum, reference, or 'all' for both (default: "
                        "the REPRO_ENGINE_BACKEND override, else einsum)")
     chaos.add_argument("--workers", type=int, default=2,
-                       help="cluster campaign worker processes "
-                       "(default 2)")
+                       help="worker processes of the cluster, serve and "
+                       "resilience campaigns (default 2)")
     chaos.add_argument("--start-seed", type=int, default=0,
                        help="first campaign seed (default 0)")
     chaos.add_argument("--workdir", default=None,
-                       help="cluster campaign journal directory (default: "
-                       "a fresh temp dir)")
+                       help="campaign run directory, holding baseline/ and "
+                       "seedNNN/ (default: a fresh temp dir)")
     chaos.add_argument("--json", action="store_true",
                        help="print the full JSON reports instead of "
                        "summaries")
@@ -556,38 +556,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from ..chaos import (
-        run_cluster_campaign,
-        run_engine_campaign,
-        run_resilience_campaign,
-        run_serve_campaign,
-    )
+    from ..chaos import ARMS, run_campaign
 
+    selected = {"both": ("engine", "cluster"), "all": tuple(ARMS)}.get(
+        args.mode, (args.mode,))
     reports = []
-    if args.mode in ("engine", "both", "all"):
-        backends = _backend_specs(args.backend, "chaos")
-        if backends is None:
-            return 2
+    for name in selected:
+        backends = [None]
+        if ARMS[name].per_backend:
+            backends = _backend_specs(args.backend, "chaos")
+            if backends is None:
+                return 2
         for backend in backends:
-            reports.append(run_engine_campaign(
-                n_seeds=args.seeds, backend=backend,
-                start_seed=args.start_seed,
+            reports.append(run_campaign(
+                name, args.seeds, start_seed=args.start_seed,
+                n_workers=args.workers, backend=backend,
+                workdir=args.workdir,
             ))
-    if args.mode in ("cluster", "both", "all"):
-        reports.append(run_cluster_campaign(
-            n_seeds=args.seeds, n_workers=args.workers,
-            workdir=args.workdir, start_seed=args.start_seed,
-        ))
-    if args.mode in ("serve", "all"):
-        reports.append(run_serve_campaign(
-            n_seeds=args.seeds, n_workers=args.workers,
-            workdir=args.workdir, start_seed=args.start_seed,
-        ))
-    if args.mode in ("resilience", "all"):
-        reports.append(run_resilience_campaign(
-            n_seeds=args.seeds, n_workers=args.workers,
-            workdir=args.workdir, start_seed=args.start_seed,
-        ))
 
     for report in reports:
         if args.json:
@@ -602,7 +587,7 @@ def _cmd_chaos(args) -> int:
         from ..harness.report import merge_bench_section
 
         # Merge per campaign label, never replace the section wholesale:
-        # CI runs engine, cluster, and resilience arms as separate
+        # CI runs the engine, cluster, serve and resilience arms as separate
         # invocations against the same file, and each must keep the
         # others' committed stats.
         campaigns = {}
@@ -619,6 +604,7 @@ def _cmd_chaos(args) -> int:
                 "n_runs": len(report.runs),
                 "counts": report.counts,
                 "faults_fired": report.faults_fired,
+                "observed": report.observed,
                 "ok": report.ok,
             }
         merge_bench_section(args.bench, "chaos_campaign",

@@ -90,9 +90,14 @@ def tiny_search_config() -> SearchConfig:
 # -- cluster fixtures --------------------------------------------------------
 
 @pytest.fixture(scope="session")
-def tiny_patterns():
+def tiny_alignment() -> Alignment:
     """6 taxa x 120 sites — small enough for many-process cluster tests."""
-    return synthetic_dataset(n_taxa=6, n_sites=120, seed=3).compress()
+    return synthetic_dataset(n_taxa=6, n_sites=120, seed=3)
+
+
+@pytest.fixture(scope="session")
+def tiny_patterns(tiny_alignment):
+    return tiny_alignment.compress()
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ both kernel backends; the CI-sized 25-seed sweeps are marked
 ``verify`` and also run from the ``chaos`` CI job via the CLI.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -13,16 +14,19 @@ from repro.chaos import (
     SILENT_CORRUPTION,
     SURVIVED_IDENTICAL,
     TYPED_FAILURE,
+    UNTYPED_FAILURE,
     ChaosRunResult,
     ChaosSurvivalReport,
+    InjectedCrash,
 )
 from repro.chaos.campaign import (
+    classify_failure,
     journal_payload_digest,
-    run_cluster_campaign,
-    run_engine_campaign,
+    run_campaign,
 )
 from repro.chaos.plan import ENGINE_CLV_POISON, ENGINE_UNDERFLOW
 from repro.cluster import RunJournal
+from repro.cluster.checkpoint import JournalWriteError
 
 #: Backend-neutral engine sites: both recover bit-identically on every
 #: backend, so the classification must be the same everywhere.
@@ -33,11 +37,11 @@ BACKENDS = ("einsum", "reference")
 
 class TestEngineCampaign:
     def test_tiny_campaign_classifies_identically_on_every_backend(
-            self, tiny_patterns):
+            self, tiny_alignment):
         reports = {
-            backend: run_engine_campaign(
-                n_seeds=2, backend=backend, sites=NEUTRAL_SITES,
-                patterns=tiny_patterns,
+            backend: run_campaign(
+                "engine", 2, backend=backend, sites=NEUTRAL_SITES,
+                alignment=tiny_alignment,
             )
             for backend in BACKENDS
         }
@@ -56,26 +60,26 @@ class TestEngineCampaign:
                 assert run.classification == SURVIVED_IDENTICAL
                 assert run.log_likelihood == run.baseline_log_likelihood
 
-    def test_start_seed_shifts_the_adversaries(self, tiny_patterns):
-        report = run_engine_campaign(
-            n_seeds=2, sites=NEUTRAL_SITES, start_seed=7,
-            patterns=tiny_patterns,
+    def test_start_seed_shifts_the_adversaries(self, tiny_alignment):
+        report = run_campaign(
+            "engine", 2, sites=NEUTRAL_SITES, start_seed=7,
+            alignment=tiny_alignment,
         )
         assert [run.seed for run in report.runs] == [7, 8]
 
     @pytest.mark.verify
     def test_full_25_seed_campaign_has_no_silent_corruption(self):
-        report = run_engine_campaign(n_seeds=25)
+        report = run_campaign("engine", 25)
         assert report.ok, report.summary()
         assert report.faults_fired > 0  # the adversary was not vacuous
 
 
 class TestClusterCampaign:
-    def test_tiny_campaign_survives_identically(self, tiny_patterns,
+    def test_tiny_campaign_survives_identically(self, tiny_alignment,
                                                 cluster_workers, tmp_path):
-        report = run_cluster_campaign(
-            n_seeds=2, n_workers=cluster_workers,
-            workdir=str(tmp_path), patterns=tiny_patterns,
+        report = run_campaign(
+            "cluster", 2, n_workers=cluster_workers,
+            workdir=str(tmp_path), alignment=tiny_alignment,
         )
         assert report.ok, report.summary()
         assert report.label == f"cluster:{cluster_workers}w"
@@ -85,11 +89,49 @@ class TestClusterCampaign:
     @pytest.mark.verify
     def test_full_25_seed_campaign_has_no_silent_corruption(
             self, cluster_workers, tmp_path):
-        report = run_cluster_campaign(
-            n_seeds=25, n_workers=cluster_workers, workdir=str(tmp_path),
+        report = run_campaign(
+            "cluster", 25, n_workers=cluster_workers, workdir=str(tmp_path),
         )
         assert report.ok, report.summary()
         assert report.faults_fired > 0
+
+    def test_fired_counts_only_injector_fires(self, tiny_alignment,
+                                              cluster_workers, tmp_path):
+        """Two runs of the same seeds fire the same faults; what the
+        journal shows afterwards (worker deaths, retries) follows process
+        timing and is reported apart, as ``observed``."""
+        reports = [
+            run_campaign("cluster", 2, start_seed=1,
+                         n_workers=cluster_workers,
+                         workdir=str(tmp_path / f"run{i}"),
+                         alignment=tiny_alignment)
+            for i in range(2)
+        ]
+        fired = [[run.fired for run in report.runs] for report in reports]
+        assert fired[0] == fired[1]
+        assert reports[0].faults_fired > 0
+        for report in reports:
+            assert report.ok, report.summary()
+            for run in report.runs:
+                assert not any(k.startswith("observed") for k in run.fired)
+
+
+class TestFailureClassifier:
+    @pytest.mark.parametrize("exc, classification, error", [
+        (InjectedCrash("torn"), TYPED_FAILURE, "InjectedCrash: torn"),
+        (JournalWriteError("disk"), TYPED_FAILURE,
+         "JournalWriteError: disk"),
+        (KeyError("job_id"), UNTYPED_FAILURE, "KeyError: 'job_id'"),
+        (asyncio.TimeoutError(), UNTYPED_FAILURE,
+         "Hang: step watchdog expired"),
+        (RuntimeError("job failed: EngineNumericalError: NaN lnL"),
+         TYPED_FAILURE, "RuntimeError: job failed: EngineNumericalError: "
+         "NaN lnL"),
+        (RuntimeError("job failed: KeyError: 'x'"), UNTYPED_FAILURE,
+         "RuntimeError: job failed: KeyError: 'x'"),
+    ])
+    def test_one_classifier_for_every_arm(self, exc, classification, error):
+        assert classify_failure(exc) == (classification, error)
 
 
 class TestPayloadDigest:
@@ -158,9 +200,16 @@ class TestReportSemantics:
                                   classification=SURVIVED_IDENTICAL,
                                   log_likelihood=-10.25,
                                   baseline_log_likelihood=-10.25,
-                                  fired={"engine.underflow": 1}))
+                                  fired={"engine.underflow": 1},
+                                  observed={"worker_crash": 2}))
         payload = json.loads(report.to_json_text())
         assert payload["label"] == "unit"
         assert payload["ok"] is True
         assert payload["counts"][SURVIVED_IDENTICAL] == 1
         assert payload["runs"][0]["fired"] == {"engine.underflow": 1}
+        # Observations are reported, but never counted as fires.
+        assert payload["runs"][0]["observed"] == {"worker_crash": 2}
+        assert payload["faults_fired"] == 1
+        assert payload["observed"] == {"worker_crash": 2}
+        assert "1 faults fired, observed {'worker_crash': 2}" in \
+            report.summary()

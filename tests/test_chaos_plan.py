@@ -6,6 +6,9 @@ fire decisions hash (seed, site, key-or-visit-index) through CRC32 and
 never touch global RNG state.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos import (
@@ -18,12 +21,15 @@ from repro.chaos import (
 from repro.chaos.injector import FaultInjector, _uniform
 from repro.chaos.plan import (
     ALL_SITES,
+    CLUSTER_SITES,
     ENGINE_CLV_POISON,
+    ENGINE_SITES,
     ENGINE_UNDERFLOW,
+    RESILIENCE_SITES,
     RETIRED_SITES,
+    SERVE_SITES,
     RetiredSiteError,
-    default_cluster_plan,
-    default_engine_plan,
+    default_plan,
 )
 
 
@@ -46,9 +52,10 @@ class TestSpecAndPlanValidation:
             ))
 
     def test_default_plans_cover_their_site_lists(self):
-        assert set(default_engine_plan(0).sites) <= set(ALL_SITES)
-        assert set(default_cluster_plan(0).sites) <= set(ALL_SITES)
-        restricted = default_engine_plan(0, sites=(ENGINE_UNDERFLOW,))
+        assert default_plan(ENGINE_SITES, 0).sites == ENGINE_SITES
+        assert default_plan(CLUSTER_SITES, 0).sites == CLUSTER_SITES
+        assert set(ENGINE_SITES + CLUSTER_SITES) <= set(ALL_SITES)
+        restricted = default_plan((ENGINE_UNDERFLOW,), 0)
         assert restricted.sites == (ENGINE_UNDERFLOW,)
 
     def test_retired_site_is_refused_by_name(self):
@@ -81,9 +88,35 @@ class TestJsonRoundTrip:
     def test_round_trip_survives_json_serialization(self):
         import json
 
-        plan = default_engine_plan(11)
+        plan = default_plan(ENGINE_SITES, 11)
         payload = json.loads(json.dumps(plan.to_json()))
         assert FaultPlan.from_json(payload) == plan
+
+
+class TestDefaultPlanPin:
+    """Every campaign arm's default plans, byte for byte: the sha256 of
+    the plan JSON of seeds 0-24, one JSON document per line.  A change
+    here moves every campaign's fault schedule."""
+
+    PINS = {
+        ENGINE_SITES: "6778cd25e20b834495105aa37b628155"
+                      "c8123c7b90f16f99a837a93c5c97d4cf",
+        CLUSTER_SITES: "43e4377674b0aa4d7979560aff19cda6"
+                       "b3cd11e4881a4fd5da24aec70fd61c1b",
+        SERVE_SITES: "5c2ef823d0c9e2a88b8c6b0afe42386d"
+                     "a890e33b2941f1437be623f97ad5fce8",
+        RESILIENCE_SITES: "abb2ea1548b7078634130d69de2a47a8"
+                          "4c9740b40bb5ba1c5c56232378618bd1",
+        (ENGINE_CLV_POISON, ENGINE_UNDERFLOW):
+            "22afa1fb529f7199a57fa02944d4b2fd"
+            "a442850a58fa68bdac0e61668bbb584f",
+    }
+
+    @pytest.mark.parametrize("sites", list(PINS), ids=lambda s: "+".join(s))
+    def test_default_plans_are_byte_identical(self, sites):
+        text = "\n".join(json.dumps(default_plan(sites, seed).to_json())
+                         for seed in range(25))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[sites]
 
 
 class TestDeterminism:

@@ -404,9 +404,8 @@ class TestOwnership:
 
     @pytest.mark.parametrize("campaign", ["cluster", "serve", "resilience"])
     def test_campaigns_leave_no_live_children(self, campaign, tmp_path):
-        from repro.chaos import campaign as campaigns
+        from repro.chaos import run_campaign
 
-        run = getattr(campaigns, f"run_{campaign}_campaign")
-        report = run(n_seeds=1, workdir=str(tmp_path))
+        report = run_campaign(campaign, 1, workdir=str(tmp_path))
         assert len(report.runs) == 1 and report.ok, report.summary()
         assert not multiprocessing.active_children()

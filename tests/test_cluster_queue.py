@@ -14,8 +14,6 @@ from repro.cluster import (
     replay,
     run_job,
 )
-from repro.phylo.alignment import PatternAlignment
-from repro.phylo.parallel import parallel_analysis
 
 FAST_RETRY = dict(retry_backoff_s=0.01)
 
@@ -122,49 +120,3 @@ class TestRetries:
         assert set(phases) <= {"edtlp", "llp"}
         total = sum(entry["tasks"] for entry in phases.values())
         assert total >= 3  # every dispatched task is accounted somewhere
-
-
-class TestParallelFacade:
-    def test_facade_matches_serial(self, tiny_patterns, fast_config,
-                                   serial_reference, cluster_workers):
-        result = parallel_analysis(
-            tiny_patterns, n_inferences=1, n_bootstraps=4,
-            config=fast_config, seed=9, n_workers=cluster_workers,
-        )
-        assert result.best.newick == serial_reference.best.newick
-        assert result.supports == serial_reference.supports
-
-    def test_serial_fallback_surfaces_task_spec(self, fast_config):
-        with pytest.raises(TaskExecutionError) as err:
-            parallel_analysis(
-                _BrokenPatterns(), n_inferences=1, n_bootstraps=1,
-                config=fast_config, seed=6, n_workers=1,
-            )
-        message = str(err.value)
-        assert "kind=inference" in message or "kind=bootstrap" in message
-        assert "seed=6" in message
-
-    def test_pool_failure_surfaces_task_spec(self, fast_config,
-                                             cluster_workers):
-        with pytest.raises(TaskExecutionError) as err:
-            parallel_analysis(
-                _BrokenPatterns(), n_inferences=1, n_bootstraps=1,
-                config=fast_config, seed=6, n_workers=cluster_workers,
-            )
-        assert "seed=6" in str(err.value)
-
-
-class _BrokenPatterns(PatternAlignment):
-    """Passes the type check but explodes inside the task body."""
-
-    def __init__(self):  # noqa: D401 — deliberately skips parent init
-        pass
-
-    def __reduce__(self):  # picklable across worker processes
-        return (_BrokenPatterns, ())
-
-    def base_frequencies(self):
-        raise RuntimeError("boom: broken alignment")
-
-    def bootstrap_replicate(self, rng):
-        raise RuntimeError("boom: broken alignment")

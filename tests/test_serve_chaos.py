@@ -1,27 +1,16 @@
 """server_kill chaos: the service dies mid-job, restarts, and resumes.
 
-A forced-kill run (``trigger_at``) proves the mechanism
-deterministically; a small seeded campaign exercises the public
-entry point the CI chaos job uses.
+A forced-kill run (``trigger_at``) through the campaign driver's
+per-seed entry proves the mechanism deterministically; a small seeded
+campaign exercises the public entry point the CI chaos job uses.
 """
 
 import pytest
 
 from repro.chaos import SURVIVED_IDENTICAL, FaultPlan, FaultSpec
-from repro.chaos.campaign import (
-    _canonical_result,
-    _serve_chaos_run,
-    _serve_run_to_completion,
-    run_serve_campaign,
-)
-from repro.chaos.plan import SERVE_SERVER_KILL, default_serve_plan
+from repro.chaos.campaign import Campaign, run_campaign
+from repro.chaos.plan import SERVE_SERVER_KILL, SERVE_SITES, default_plan
 from repro.cluster import JobSpec
-from repro.phylo import synthetic_dataset
-
-
-@pytest.fixture(scope="module")
-def tiny_fasta():
-    return synthetic_dataset(n_taxa=6, n_sites=120, seed=3).to_fasta()
 
 
 @pytest.fixture(scope="module")
@@ -31,81 +20,64 @@ def tiny_spec(fast_config):
 
 
 @pytest.fixture(scope="module")
-def baseline(tiny_fasta, tiny_spec, cluster_workers, tmp_path_factory):
-    root = tmp_path_factory.mktemp("serve-baseline")
-    result, restarts, _service = _serve_run_to_completion(
-        str(root), tiny_fasta, tiny_spec, cluster_workers, max_restarts=0,
+def campaign(tiny_alignment, tiny_spec, cluster_workers, tmp_path_factory):
+    """The serve arm with its fault-free baseline; each test below runs
+    its own plan seed, so each gets its own ``seed%03d`` store root."""
+    return Campaign(
+        "serve", n_workers=cluster_workers, alignment=tiny_alignment,
+        spec=tiny_spec, workdir=str(tmp_path_factory.mktemp("serve-chaos")),
     )
-    assert restarts == 0
-    return result
 
 
 class TestForcedServerKill:
     def test_kill_between_journal_appends_resumes_bit_identical(
-            self, tiny_fasta, tiny_spec, cluster_workers, baseline,
-            tmp_path):
+            self, campaign):
         # Fire unconditionally on the 6th journal append: mid-job, after
         # the header and the first few scheduling records.
-        plan = FaultPlan(seed=0, specs=(
+        plan = FaultPlan(seed=1, specs=(
             FaultSpec(SERVE_SERVER_KILL, trigger_at=(5,)),
         ))
-        run = _serve_chaos_run(
-            tiny_fasta, tiny_spec, plan, cluster_workers,
-            str(tmp_path / "killed"), _canonical_result(baseline),
-            max_restarts=4,
-        )
+        run = campaign.run_seed(plan)
         assert run.classification == SURVIVED_IDENTICAL, run.error
         assert run.resumes >= 1
         assert run.fired.get(SERVE_SERVER_KILL) == 1
-        assert run.log_likelihood == baseline["best_log_likelihood"]
+        assert run.log_likelihood == campaign.baseline.log_likelihood
 
-    def test_double_kill_also_survives(self, tiny_fasta, tiny_spec,
-                                       cluster_workers, baseline,
-                                       tmp_path):
+    def test_double_kill_also_survives(self, campaign):
         # The second kill lands in the *resumed* run: restart-of-restart.
-        plan = FaultPlan(seed=0, specs=(
+        plan = FaultPlan(seed=2, specs=(
             FaultSpec(SERVE_SERVER_KILL, trigger_at=(5, 9),
                       max_triggers=2),
         ))
-        run = _serve_chaos_run(
-            tiny_fasta, tiny_spec, plan, cluster_workers,
-            str(tmp_path / "killed-twice"), _canonical_result(baseline),
-            max_restarts=4,
-        )
+        run = campaign.run_seed(plan)
         assert run.classification == SURVIVED_IDENTICAL, run.error
         assert run.resumes == 2
         assert run.fired.get(SERVE_SERVER_KILL) == 2
 
-    def test_restart_budget_exhaustion_is_a_typed_failure(
-            self, tiny_fasta, tiny_spec, cluster_workers, baseline,
-            tmp_path):
-        plan = FaultPlan(seed=0, specs=(
+    def test_restart_budget_exhaustion_is_a_typed_failure(self, campaign):
+        plan = FaultPlan(seed=3, specs=(
             FaultSpec(SERVE_SERVER_KILL, probability=1.0,
                       max_triggers=1000),
         ))
-        run = _serve_chaos_run(
-            tiny_fasta, tiny_spec, plan, cluster_workers,
-            str(tmp_path / "doomed"), _canonical_result(baseline),
-            max_restarts=2,
-        )
+        run = campaign.run_seed(plan)
         assert run.classification == "typed_failure"
         assert "InjectedCrash" in run.error
 
 
 class TestServeCampaign:
-    def test_tiny_campaign_has_no_silent_corruption(self, tiny_fasta,
+    def test_tiny_campaign_has_no_silent_corruption(self, tiny_alignment,
                                                     tiny_spec,
                                                     cluster_workers,
                                                     tmp_path):
-        report = run_serve_campaign(
-            n_seeds=2, n_workers=cluster_workers,
-            workdir=str(tmp_path), fasta=tiny_fasta, spec=tiny_spec,
+        report = run_campaign(
+            "serve", 2, n_workers=cluster_workers,
+            workdir=str(tmp_path), alignment=tiny_alignment, spec=tiny_spec,
         )
         assert report.label == f"serve:{cluster_workers}w"
         assert len(report.runs) == 2
         assert report.ok, report.summary()
 
     def test_default_plan_round_trips_and_names_the_site(self):
-        plan = default_serve_plan(3)
+        plan = default_plan(SERVE_SITES, 3)
         assert plan.sites == (SERVE_SERVER_KILL,)
         assert FaultPlan.from_json(plan.to_json()) == plan
