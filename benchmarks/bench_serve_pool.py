@@ -11,8 +11,22 @@ sites, 1 inference + 1 / 2 / 3 bootstraps) go through
 * **shared** — one :class:`~repro.cluster.WorkerPool` for all of them:
   workers are forked once and parked between jobs (``serve`` now).
 
+Then two closed-loop clients run the mix one shape apart (as the
+``serve_jobs`` clients do) through a FIFO job queue on the shared pool,
+by turns:
+
+* **one at a time** — one executor thread runs one job at once, the
+  serve dispatcher before the pool became the core budget;
+* **lent** — ``N_WORKERS`` executor threads run both clients' jobs at
+  once, and the jobs borrow the pool's workers task by task (``serve``
+  now).
+
+A job's latency runs from its client asking to its result, waiting
+included; the row records the median per shape.  Lending pays off when
+the ``lent`` median is clearly below "own job + the other's".
+
 What is asserted is correctness: each job's canonical result payload
-(``perf`` counters included) is byte-identical both ways, the shared
+(``perf`` counters included) is byte-identical every way, the shared
 pool's worker pids never change, and nothing is left running.  The wall
 times land in the ``serve_pool`` section of ``BENCH_engine.json`` with
 the host's ``cpu_count`` beside them.
@@ -26,9 +40,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import queue
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -40,6 +56,11 @@ SHAPES = ((5, 100, 1, 11), (6, 120, 2, 12), (8, 200, 3, 13))
 DATA_SEED = 3
 N_WORKERS = 2
 ROUNDS = 7
+N_CLIENTS = 2
+#: Rounds of the two-client arms (even: each arm goes first as often),
+#: and cycles of the mix per client in each.
+TWO_CLIENT_ROUNDS = 6
+CYCLES = 3
 
 
 def main() -> int:
@@ -57,7 +78,59 @@ def main() -> int:
     shared = WorkerPool(N_WORKERS)
     shared.prefork()
     pids = shared.idle_pids()
-    walls = {"private": [[] for _ in jobs], "shared": [[] for _ in jobs]}
+    walls = {arm: [[] for _ in jobs]
+             for arm in ("private", "shared", "one at a time", "lent")}
+    reference = {}
+
+    def canonical(spec, journal):
+        return json.dumps(result_payload("digest", spec, journal),
+                          sort_keys=True)
+
+    def two_clients(arm, round_):
+        """Each client runs ``CYCLES`` cycles of the mix through one FIFO
+        job queue, served by one executor thread (one at a time) or by
+        ``N_WORKERS`` of them (lent); latencies land in ``walls[arm]``."""
+        asked = queue.Queue()
+        errors = []
+
+        def executor():
+            for k, journal, done in iter(asked.get, None):
+                patterns, spec = jobs[k]
+                try:
+                    run_job(spec, alignment=patterns, n_workers=N_WORKERS,
+                            journal_path=journal, pool=shared)
+                    if canonical(spec, journal) != reference[k]:
+                        errors.append(f"shape {SHAPES[k]}: {arm} differs")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+                done.set()
+
+        def client(c):
+            for i in range(CYCLES * len(jobs)):
+                k = (i + c) % len(jobs)
+                done = threading.Event()
+                started = time.perf_counter()
+                asked.put((k, str(workdir / f"{arm}-{round_}-{c}-{i}.jsonl"),
+                           done))
+                done.wait()
+                walls[arm][k].append(time.perf_counter() - started)
+
+        n_executors = 1 if arm == "one at a time" else N_WORKERS
+        executors = [threading.Thread(target=executor)
+                     for _ in range(n_executors)]
+        clients = [threading.Thread(target=client, args=(c,))
+                   for c in range(N_CLIENTS)]
+        for thread in executors + clients:
+            thread.start()
+        for thread in clients:
+            thread.join()
+        for _ in executors:
+            asked.put(None)
+        for thread in executors:
+            thread.join()
+        assert not errors, errors
+        assert shared.idle_pids() == pids, "a resident worker changed"
+
     try:
         for round_ in range(ROUNDS):
             for k, (patterns, spec) in enumerate(jobs):
@@ -71,13 +144,17 @@ def main() -> int:
                             journal_path=journal,
                             pool=shared if arm == "shared" else None)
                     walls[arm][k].append(time.perf_counter() - started)
-                    payloads[arm] = json.dumps(
-                        result_payload("digest", spec, journal),
-                        sort_keys=True)
+                    payloads[arm] = canonical(spec, journal)
                 assert payloads["private"] == payloads["shared"], (
                     f"shape {SHAPES[k]}: result differs between a private "
                     f"and the shared pool")
                 assert shared.idle_pids() == pids, "a resident worker changed"
+                reference[k] = payloads["shared"]
+        for round_ in range(TWO_CLIENT_ROUNDS):
+            arms = ("one at a time", "lent") if round_ % 2 else \
+                ("lent", "one at a time")
+            for arm in arms:
+                two_clients(arm, round_)
     finally:
         shared.close()
     assert not multiprocessing.active_children(), "a worker outlived its pool"
@@ -95,6 +172,21 @@ def main() -> int:
         })
         print(f"  {t} x {s}, 1+{n_boot}: private {private * 1e3:6.1f} ms   "
               f"shared {pooled * 1e3:6.1f} ms   ({pooled / private:.2f}x)")
+    two = []
+    for k, (t, s, n_boot, seed) in enumerate(SHAPES):
+        alone = shapes[k]["shared_pool_run_job_s"]
+        serial = statistics.median(walls["one at a time"][k])
+        lent = statistics.median(walls["lent"][k])
+        two.append({
+            "n_taxa": t, "n_sites": s, "n_bootstraps": n_boot,
+            "job_seed": seed,
+            "one_at_a_time_p50_s": round(serial, 4),
+            "lent_p50_s": round(lent, 4),
+            "ratio": round(lent / serial, 3),
+        })
+        print(f"  two clients, {t} x {s}: one at a time {serial * 1e3:6.1f} "
+              f"ms   lent {lent * 1e3:6.1f} ms   (alone "
+              f"{alone * 1e3:.1f} ms)")
     merge_bench_section(RESULT_PATH, "serve_pool", {
         "n_workers": N_WORKERS,
         "rounds": ROUNDS,
@@ -102,6 +194,12 @@ def main() -> int:
         "statistic": "median run_job wall seconds over the rounds",
         "payloads_identical": True,
         "shapes": shapes,
+        "two_clients": {
+            "n_clients": N_CLIENTS,
+            "statistic": "median seconds from a client's ask to its "
+                         "result, per shape, over the rounds",
+            "shapes": two,
+        },
     })
     print(f"bench_serve_pool: OK — wrote 'serve_pool' section to "
           f"{RESULT_PATH.name}")

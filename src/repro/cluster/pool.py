@@ -1,17 +1,27 @@
-"""Resident worker processes: fork once, park between jobs.
+"""Resident worker processes: the server's one core budget.
 
-A :class:`WorkerPool` owns the worker *processes* of the cluster layer;
-a :class:`~repro.cluster.queue.ClusterQueue` run checks workers out,
-drives them through one job, and checks the idle, live ones back in.  A
+A :class:`WorkerPool` owns the worker *processes* of the cluster layer
+and never holds more than ``n_workers`` of them, parked plus lent out.
+A :class:`~repro.cluster.queue.ClusterQueue` run borrows workers,
+drives them through its tasks, and gives each one back as soon as it
+has nothing left to dispatch to it; a run with a ready task and no idle
+worker borrows another mid-run.  Jobs running side by side thus meet
+only at the pool and share it task by task — the paper's EDTLP, where
+the next idle SPE goes to whichever MPI process has a task ready.  A
 run given no pool makes a private one and closes it when it ends (fork
 per run, the behaviour of ``cluster run``); the serve layer keeps one
 pool for its whole life, so a worker is forked once, imports what it
-needs once, and then serves job after job warm — the paper's SPE thread,
-created once per MPI process and kept resident.
+needs once, and then serves job after job warm — the paper's SPE
+thread, created once and kept resident.
 
-Worker lifecycle::
+Worker lifecycle (lent + parked <= ``n_workers`` at every instant)::
 
-    fork -> [ open -> item, item, ... -> close ] -> parked -> ... -> retired
+             checkout                                 checkin
+    fork ------------> [ open -> item, ... -> close ] -------> parked
+                       ^          lent to one run               |
+                       +------------------ checkout ------------+
+
+    a dead, stale-epoch or over-RSS worker is retired instead
 
 What ``fork`` used to carry implicitly now travels in the per-job *open*
 message: any object with ``worker_id`` and ``heartbeat_interval_s``
@@ -151,7 +161,8 @@ class _Worker:
     wid: int = -1
     last_seen: float = 0.0
     current: Optional[Tuple[object, int, float]] = None  # task, attempt, t0
-    closed: bool = False  # the job's close was acknowledged
+    closing: bool = False  # the job's close was sent
+    closed: bool = False  # ... and acknowledged
 
 
 def _retire(workers: Sequence[_Worker], owner_pid: int) -> None:
@@ -175,27 +186,33 @@ def _retire(workers: Sequence[_Worker], owner_pid: int) -> None:
 
 
 class WorkerPool:
-    """Forks, parks and retires worker processes.
+    """Forks, lends, parks and retires at most *n_workers* processes.
 
-    Parks at most *n_workers* idle workers; safe to use from several
-    threads (the serve layer runs ``max_concurrent_jobs`` executor
-    threads over one pool).  Closing the pool terminates whatever is
-    parked and stops further parking; workers still checked out belong
-    to their run, which retires them when it ends.  A pool dropped
-    without ``close()`` is cleaned up by a ``weakref.finalize``.
+    The budget counts parked and lent-out workers together: a check-out
+    forks only while it has room, and a worker that goes back — parked
+    by :meth:`checkin`, killed by :meth:`retire` — frees its share for
+    whichever run asks next.  Safe to use from several threads (the
+    serve layer runs up to ``n_workers`` jobs over one pool, one
+    executor thread each).  Closing the pool terminates whatever is
+    parked and stops further parking; workers still lent out belong to
+    their run, which retires them when it ends.  A pool dropped without
+    ``close()`` is cleaned up by a ``weakref.finalize``.
     """
 
     def __init__(self, n_workers: int):
         self.n_workers = n_workers
         self._idle: List[_Worker] = []
-        self._lock = threading.Lock()
+        self._lent = 0
+        self._returned = threading.Condition()
         self._closed = False
         self._owner_pid = os.getpid()
         self._finalizer = weakref.finalize(
             self, _retire, self._idle, self._owner_pid)
 
     def spawn(self) -> _Worker:
-        """Fork one worker (checked out to the caller)."""
+        """Fork one worker: the pool's one fork point.  It takes no
+        share of the budget; :meth:`checkout` and :meth:`prefork`
+        reserve one before they call it."""
         mp = multiprocessing.get_context("fork")
         item_rx, item_tx = mp.Pipe(duplex=False)
         result_rx, result_tx = mp.Pipe(duplex=False)
@@ -212,10 +229,12 @@ class WorkerPool:
                        epoch=_chaos._ACTIVE)
 
     def prefork(self) -> None:
-        """Fill the pool with parked workers (serve start-up)."""
-        fresh = [self.spawn() for _ in range(self.n_workers - self.n_idle)]
-        for worker in fresh:
-            self.checkin(worker)
+        """Fill the budget with parked workers (serve start-up)."""
+        with self._returned:
+            room = self.n_workers - len(self._idle) - self._lent
+            self._lent += room
+        for _ in range(room):
+            self.checkin(self.spawn())
 
     @staticmethod
     def _usable(worker: _Worker, epoch) -> bool:
@@ -234,43 +253,57 @@ class WorkerPool:
             pass
         return False
 
-    def checkout(self, n: int) -> List[_Worker]:
-        """*n* live workers of the current epoch, forking what is missing."""
+    def checkout(self, n: int, wait: float = 0.0) -> List[_Worker]:
+        """Lend up to *n* live workers of the current epoch.
+
+        Parked workers go first, then forks while the budget has room.
+        With nothing parked and no room, first wait up to *wait* seconds
+        for a check-in.  The result may hold fewer than *n* workers, or
+        none: the caller polls its cancel token and asks again.
+        """
         epoch = _chaos._ACTIVE
         taken: List[_Worker] = []
         stale: List[_Worker] = []
-        with self._lock:
-            parked, self._idle[:] = list(self._idle), []
-            for worker in parked:
-                if not self._usable(worker, epoch):
-                    stale.append(worker)
-                elif len(taken) < n:
-                    taken.append(worker)
-                else:
-                    self._idle.append(worker)
-        self.retire(*stale)
-        while len(taken) < n:
-            taken.append(self.spawn())
-        return taken
+        with self._returned:
+            if not self._idle and self._lent >= self.n_workers and wait > 0:
+                self._returned.wait(wait)
+            while self._idle and len(taken) < n:
+                worker = self._idle.pop(0)
+                (taken if self._usable(worker, epoch) else stale).append(worker)
+            # Stale workers die before their room is reused, under the
+            # lock: no other run can fork into it while they live.
+            _retire(stale, self._owner_pid)
+            room = self.n_workers - len(self._idle) - self._lent - len(taken)
+            forks = max(0, min(n - len(taken), room))
+            self._lent += len(taken) + forks
+        return taken + [self.spawn() for _ in range(forks)]
 
     def checkin(self, worker: _Worker) -> None:
-        """Park an idle, live worker (retire it when there is no room)."""
-        with self._lock:
-            room = not self._closed and len(self._idle) < self.n_workers
-            if room:
+        """Take back an idle, live lent worker: park it (retire it once
+        the pool is closed)."""
+        with self._returned:
+            park = not self._closed
+            if park:
                 self._idle.append(worker)
-        if not room:
+                self._lent -= 1
+                self._returned.notify_all()
+        if not park:
             self.retire(worker)
 
     def retire(self, *workers: _Worker) -> None:
+        """Kill lent *workers*; their share of the budget is free again
+        only once they are gone."""
         _retire(workers, self._owner_pid)
+        with self._returned:
+            self._lent -= len(workers)
+            self._returned.notify_all()
 
     def close(self) -> None:
         """Terminate and join the parked workers; park no more."""
-        with self._lock:
+        with self._returned:
             self._closed = True
             parked, self._idle[:] = list(self._idle), []
-        self.retire(*parked)
+        _retire(parked, self._owner_pid)
 
     @property
     def n_idle(self) -> int:

@@ -12,7 +12,7 @@ Workers heartbeat from a daemon thread while a job is open, stream one
 message per finished *replicate* (so a batch that dies mid-way loses
 only its tail), and report failures with full tracebacks.  The master
 requeues work from dead, hung, or timed-out workers with bounded
-exponential backoff and forks replacements, so an injected ``os._exit``
+exponential backoff and borrows replacements, so an injected ``os._exit``
 mid-task (see :class:`WorkerPlans`) costs one retry, never the run.
 
 Determinism: every replicate result is a pure function of
@@ -249,6 +249,10 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
     }
 
 
+#: How often a run with a ready task and no idle worker looks for one
+#: that another run has checked back in.
+LEND_POLL_S = 0.002
+
 #: Pages the ``cluster.worker_oom`` site pins resident, in MiB.
 _OOM_BALLAST_MB = 192
 
@@ -408,10 +412,12 @@ class ClusterQueue:
         :attr:`cancelled_reason`, terminates the workers, and returns
         the completed results so the caller can salvage or checkpoint.
 
-        Workers are checked out of :attr:`pool` and, when the run ends
-        normally, the idle live ones are checked back in; a run that
-        ends any other way (cancelled, or unwinding an exception)
-        terminates the workers it holds.
+        Workers are borrowed from :attr:`pool` while the run has a
+        ready task and no idle worker, up to ``n_workers``, and each
+        live one is closed and checked back in as soon as nothing is
+        left to dispatch to it; a run that ends any other way
+        (cancelled, or unwinding an exception) terminates the workers
+        it holds.
         """
         results: Dict[Tuple[str, int], dict] = dict(already or {})
         for payload in results.values():
@@ -439,7 +445,7 @@ class ClusterQueue:
         def enlist(worker: _Worker) -> None:
             """Open this run's job on *worker* under the next logical id."""
             worker.wid = wid = next(next_wid)
-            worker.current, worker.closed = None, False
+            worker.current, worker.closing, worker.closed = None, False, False
             worker.last_seen = time.monotonic()
             workers[wid] = worker
             try:
@@ -500,8 +506,6 @@ class ClusterQueue:
 
         clean = False
         try:
-            for worker in pool.checkout(n_workers):
-                enlist(worker)
             while remaining:
                 now = time.monotonic()
 
@@ -522,9 +526,21 @@ class ClusterQueue:
                         )
                     break
 
+                # -- borrow for ready work no idle worker can take ---------
+                idle = [w for w in workers.values() if w.current is None
+                        and not w.closing and w.proc.is_alive()]
+                want = 0 if idle else min(
+                    sum(p.not_before <= now for p in pending),
+                    n_workers - len(workers))
+                if want:
+                    # Holding nothing, wait briefly for another run's
+                    # check-in; the cancel token is polled above.
+                    idle = pool.checkout(want, wait=0.0 if workers else 0.05)
+                    for worker in idle:
+                        enlist(worker)
+                short = want > len(idle)  # a ready task found no worker
+
                 # -- dispatch to idle workers --------------------------------
-                idle = [w for w in workers.values()
-                        if w.current is None and w.proc.is_alive()]
                 if idle and pending:
                     pending = self.scheduler.plan(pending, now)
                     for worker in idle:
@@ -539,10 +555,24 @@ class ClusterQueue:
                         except OSError:
                             pass  # died this instant; the sweep requeues
                         self.scheduler.dispatched(entry)
+                if not pending:
+                    # Nothing left to dispatch: give idle workers back now,
+                    # for whichever run has a task ready.
+                    for worker in idle:
+                        if worker.current is None:
+                            self._close(worker)
 
                 # -- drain worker messages -----------------------------------
-                drain_messages(0.05)
+                # A run short of workers polls for a check-in (its pipes
+                # cannot wake it); one holding none has just waited.
+                drain_messages((LEND_POLL_S if workers else 0.0) if short
+                               else 0.05)
                 pending = self._bootstop_check(pending, remaining, results)
+                for wid in [wid for wid, w in workers.items() if w.closed]:
+                    if self._parkable(workers[wid]):
+                        pool.checkin(workers.pop(wid))
+                    else:
+                        retire(wid)
 
                 # -- liveness / timeout / RSS sweep --------------------------
                 now = time.monotonic()
@@ -565,12 +595,8 @@ class ClusterQueue:
                             retire(wid)
                             requeue(task, attempt,
                                     f"worker {wid} died ({reason})", now)
-                            if remaining:
-                                enlist(pool.spawn())
                     elif dead or over_rss:
                         retire(wid)
-                        if pending or remaining:
-                            enlist(pool.spawn())
 
             # All replicates landed; drain the trailing task_finished
             # acknowledgements so the journal closes every task.  A
@@ -727,8 +753,8 @@ class ClusterQueue:
         """Hand the run's workers back: park the good, kill the rest.
 
         Only a run that ended normally parks anything, and only workers
-        that are idle, alive, under the RSS ceiling and have
-        acknowledged the job's close (their pipe is quiet).  Everything
+        that have acknowledged the job's close (their pipe is quiet)
+        and are :meth:`_parkable`.  Everything
         else — a cancelled run's mid-replicate workers, a wedged one,
         whatever an unwinding exception leaves behind — is terminated,
         not waited on: completed replicates are already journalled,
@@ -746,19 +772,29 @@ class ClusterQueue:
             if pool is not self.pool:
                 pool.close()  # a private pool dies with its run
 
-    def _close_jobs(self, workers: Dict[int, _Worker],
-                    drain_messages) -> List[_Worker]:
-        """Close the job on every idle worker; return those that acked."""
-        idle = [w for w in workers.values()
-                if w.current is None and w.proc.is_alive()]
-        for worker in idle:
+    @staticmethod
+    def _close(worker: _Worker) -> None:
+        """Close the job on an idle *worker* (once); it acks ``closed``."""
+        if not worker.closing:
+            worker.closing = True
             try:
                 worker.inbox.send(CLOSE)
             except OSError:
                 pass
+
+    def _parkable(self, worker: _Worker) -> bool:
+        return worker.proc.is_alive() and not self._over_rss(worker)
+
+    def _close_jobs(self, workers: Dict[int, _Worker],
+                    drain_messages) -> List[_Worker]:
+        """Close the job on every idle worker; return those that acked
+        and may be parked."""
+        idle = [w for w in workers.values()
+                if w.current is None and w.proc.is_alive()]
+        for worker in idle:
+            self._close(worker)
         ack_by = time.monotonic() + 1.0
         while (not all(w.closed for w in idle)
                and time.monotonic() < ack_by):
             drain_messages(0.05)
-        return [w for w in idle if w.closed and w.proc.is_alive()
-                and not self._over_rss(w)]
+        return [w for w in idle if w.closed and self._parkable(w)]

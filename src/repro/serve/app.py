@@ -148,7 +148,6 @@ class ServeApp:
         service: JobService,
         host: str = "127.0.0.1",
         port: int = 8642,
-        max_concurrent_jobs: int = 1,
         poll_interval: float = 0.1,
         drain_grace_s: float = 10.0,
         header_timeout_s: float = 5.0,
@@ -161,11 +160,13 @@ class ServeApp:
         self.drain_grace_s = drain_grace_s
         self.header_timeout_s = header_timeout_s
         self.body_timeout_s = body_timeout_s
+        # Up to one running job per worker of the pool: the pool is the
+        # core budget, and the jobs share it task by task.
+        self._max_concurrent = service.pool.n_workers
         self._executor = ThreadPoolExecutor(
-            max_workers=max_concurrent_jobs,
+            max_workers=self._max_concurrent,
             thread_name_prefix="repro-serve-job",
         )
-        self._max_concurrent = max_concurrent_jobs
         self._inflight: set = set()
         #: job id -> event set when its execute returns (any outcome);
         #: present from admission (or recovery) until then.
@@ -251,7 +252,8 @@ class ServeApp:
     # -- dispatch -----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Pull jobs off the fair scheduler into the thread pool."""
+        """Pull jobs off the fair scheduler into the thread pool while
+        fewer jobs run than the worker pool has workers."""
         loop = asyncio.get_event_loop()
         while not self._stopping.is_set():
             started = False
@@ -325,7 +327,7 @@ class ServeApp:
                 # shutdown(SHUT_WR) the socket, don't just close the fd.
                 # The resident workers are forked before the listener
                 # opens, but a *replacement* forked mid-service (after a
-                # worker death, or for a second concurrent job) inherits
+                # worker death or a chaos epoch change) inherits
                 # whatever connections are open at that instant; a plain
                 # close of one of those sends no FIN until that worker
                 # exits and a client reading to EOF hangs meanwhile.

@@ -195,6 +195,85 @@ class TestResidentWorkers:
         assert not multiprocessing.active_children()
 
 
+def _times(journal: str, event: str):
+    """The ``time`` stamps of *journal*'s *event* records."""
+    with open(journal) as fh:
+        return [r["time"] for r in map(json.loads, fh) if r["event"] == event]
+
+
+class TestLendingAcrossRuns:
+    """Two runs on one two-worker pool share it task by task (the
+    paper's EDTLP): never more than two worker processes, always the
+    same two, the second run starts on a worker the first gave back
+    while the first is still running, and no payload depends on which
+    run a worker served before."""
+
+    JOBS = {
+        # inference/0, bootstrap/0-5, bootstrap/6: the batch keeps one
+        # worker busy long after the other has nothing left to run.
+        "three": JobSpec(n_inferences=1, n_bootstraps=7, batch_size=6,
+                         seed=12),
+        # inference/0, bootstrap/0-5.
+        "two": JobSpec(n_inferences=1, n_bootstraps=6, batch_size=6,
+                       seed=11),
+    }
+
+    @pytest.mark.parametrize("first, second",
+                             [("three", "two"), ("two", "three")])
+    def test_second_run_borrows_what_the_first_gives_back(
+            self, first, second, tiny_patterns, other_patterns, pair,
+            tmp_path):
+        data = {"three": tiny_patterns, "two": other_patterns}
+        errors = []
+
+        def run(name, tag, pool=None):
+            journal = str(tmp_path / f"{tag}-{name}.jsonl")
+            try:
+                run_job(self.JOBS[name], alignment=data[name], n_workers=2,
+                        journal_path=journal, pool=pool)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            return journal
+
+        fresh = {name: _canonical(self.JOBS[name], run(name, "fresh"))
+                 for name in (first, second)}
+        pair.prefork()
+        pids = pair.idle_pids()
+        seen = []
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                seen.append({p.pid for p in multiprocessing.active_children()})
+                time.sleep(0.001)
+
+        threads = [threading.Thread(target=sample)] + [
+            threading.Thread(target=run, args=(name, "shared", pair))
+            for name in (first, second)]
+        journals = {name: str(tmp_path / f"shared-{name}.jsonl")
+                    for name in (first, second)}
+        threads[0].start()
+        threads[1].start()
+        # The second run starts once the first holds both workers.
+        deadline = time.monotonic() + 30.0
+        while (not os.path.exists(journals[first])
+               or len(_times(journals[first], "task_started")) < 2):
+            assert time.monotonic() < deadline and not errors, errors
+            time.sleep(0.001)
+        threads[2].start()
+        for thread in threads[1:]:
+            thread.join(60)
+        done.set()
+        threads[0].join()
+        assert not errors, errors
+        assert seen and all(s <= set(pids) for s in seen)
+        assert pair.idle_pids() == pids
+        assert min(_times(journals[second], "task_started")) \
+            < max(_times(journals[first], "replicate_done"))
+        for name in (first, second):
+            assert _canonical(self.JOBS[name], journals[name]) == fresh[name]
+
+
 class TestFaultsOnASharedPool:
     def _spec(self, fast_config):
         return JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,

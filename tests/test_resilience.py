@@ -198,6 +198,30 @@ class TestDeadlineEndToEnd:
         assert "TaskCancelled" in done.error
         assert service.result(record.job_id) is None
 
+    def test_deadline_while_waiting_for_a_worker_is_the_typed_path(
+            self, tiny_fasta, fast_config, tmp_path):
+        """Every worker is lent to another run: the job waits for a
+        check-in, and its deadline trips during the wait."""
+        import multiprocessing
+
+        service = JobService(str(tmp_path / "root"), n_workers=2)
+        held = service.pool.checkout(2)
+        try:
+            spec = JobSpec(n_inferences=1, n_bootstraps=2, seed=5,
+                           config=fast_config, deadline_s=0.3)
+            record, _ = service.submit(tiny_fasta, spec, client="alice")
+            done = service.run_next()
+            assert done.state == "failed"
+            assert done.error.startswith("TaskCancelled: deadline exceeded")
+            journal = service.store.journal_path(record.job_id)
+            events = [json.loads(line)["event"] for line in open(journal)]
+            assert "task_deadline_exceeded" in events
+            assert "task_started" not in events
+        finally:
+            service.pool.retire(*held)
+            service.close()
+        assert not multiprocessing.active_children()
+
 
 # -- graceful drain end to end -----------------------------------------------
 
@@ -294,6 +318,79 @@ class TestDrainEndToEnd:
         assert resumed["digest"] == baseline["digest"]
         assert json.dumps(resumed, sort_keys=True) == \
             json.dumps(baseline, sort_keys=True)
+
+    def test_drain_reaches_a_job_waiting_for_a_worker(self, tiny_fasta,
+                                                      tmp_path):
+        """Job B waits on a fully lent pool when the drain lands: it
+        unwinds with a typed drain, its record stays resumable, and no
+        executor thread or worker outlives the server."""
+        import multiprocessing
+        import threading
+
+        root = str(tmp_path / "root")
+        submission = json.dumps({
+            "alignment": tiny_fasta,
+            "model": {"n_inferences": 1, "n_bootstraps": 2, "seed": 4},
+            "client": "bob",
+        }).encode()
+
+        async def scenario():
+            service = JobService(root, n_workers=2)
+            app = ServeApp(service, port=0, poll_interval=0.05)
+            await app.start()
+            held = service.pool.checkout(2)  # job A holds every worker
+            try:
+                status, _, blob = await _http(app.host, app.port, "POST",
+                                              "/jobs", submission)
+                assert status == 201
+                job_id = json.loads(blob)["job_id"]
+                journal = service.store.journal_path(job_id)
+                for _ in range(500):
+                    if os.path.exists(journal) \
+                            and "run_started" in open(journal).read():
+                        break
+                    await asyncio.sleep(0.01)
+                else:
+                    raise AssertionError("job B never started")
+                (future,) = app._inflight
+                app.begin_drain()
+                await asyncio.wait({future}, timeout=10.0)
+                exc = future.exception()
+                assert isinstance(exc, TaskCancelled)
+                assert exc.reason == REASON_DRAIN
+            finally:
+                service.pool.retire(*held)
+                await app.stop()
+            return job_id
+
+        job_id = asyncio.run(scenario())
+        for _ in range(200):
+            if not any(t.name.startswith("repro-serve-job")
+                       for t in threading.enumerate()):
+                break
+            time.sleep(0.01)
+        else:
+            raise AssertionError("an executor thread outlived the server")
+        assert not multiprocessing.active_children()
+
+        service = JobService(root, n_workers=2)
+        try:
+            assert service.store.get(job_id).state == "running"
+            events = [json.loads(line)["event"] for line in
+                      open(service.store.journal_path(job_id))]
+            assert "run_cancelled" in events and "task_started" not in events
+            assert job_id in [r.job_id for r in service.recover()]
+            assert service.run_next().state == "done"
+            resumed = service.result(job_id)
+        finally:
+            service.close()
+        from repro.phylo import Alignment
+        from repro.phylo.inference import run_full_analysis
+
+        local = run_full_analysis(Alignment.from_fasta(tiny_fasta).compress(),
+                                  1, 2, seed=4)
+        assert resumed["best_newick"] == local.best.newick
+        assert resumed["best_log_likelihood"] == local.best.log_likelihood
 
     def test_service_drain_rejects_submissions(self, tiny_fasta,
                                                fast_config, tmp_path):
