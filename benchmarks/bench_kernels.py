@@ -9,11 +9,12 @@ iteration on it, and — for comparison — the explicit ``(P, dP, d2P)``
 iteration it replaced).  The reported per-call times are this machine's
 equivalents of the paper's 71 us average ``newview()`` invocation.
 
-The ``makenewz`` probe rows (:func:`probe_rows`: the prepared probe,
-full and lnL-only, at ``search_sc``'s 207 patterns and at 600, Gamma-4
-and CAT, beside the one-shot ``sumtable_derivatives`` and a whole
-Newton solve) are also recorded, with the host's ``cpu_count``, into
-the ``makenewz_probe`` section of ``BENCH_engine.json``.  Recording
+The ``makenewz`` probe rows (:func:`probe_rows`: the prepared probe on
+a one-row stack, full and lnL-only, at ``search_sc``'s 207 patterns and
+at 600, Gamma-4 and CAT, and a whole Newton solve) are also recorded,
+with the host's ``cpu_count``, into the ``makenewz_probe`` section of
+``BENCH_engine.json``; a ``parent_rows_us`` column already there (the
+same rows recorded on a parent commit) is carried forward.  Recording
 only — no speed-up bar::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -24,9 +25,9 @@ cache, CLVs out of the arena, the engine's own sumtable and prepared
 probe — at 207 / 732 / 1,277 patterns: one inner propagation, the three
 ``newview`` cases, the sumtable build (inner/inner, tip/inner), one
 probe evaluation (full, lnL-only) and a whole ``makenewz``.  Its rows
-go only through calls that exist unchanged on the parent commit, so the
-same file records the parent's column from a clone of it (kept beside
-``rows_us`` as ``parent_rows_us``; a plain run carries it forward)::
+go only through engine calls, so the same file records a parent's
+column from a clone of it that has those calls (kept beside ``rows_us``
+as ``parent_rows_us``; a plain run carries it forward)::
 
     PYTHONPATH=<parent clone>/src python benchmarks/bench_kernels.py \
         --parent <commit>
@@ -192,17 +193,16 @@ def test_makenewz_sumtable_build(benchmark, working_set):
 
 
 def test_makenewz_sumtable_iteration(benchmark, working_set):
-    """One derivative evaluation on the sumtable, one-shot (a probe
-    built and used once; ``makenewz`` pays ``probe_full`` below)."""
+    """One derivative evaluation on the sumtable: the prepared probe on
+    a one-row stack, as ``makenewz`` pays it."""
     model, rates, _, left, right, _, weights, _ = working_set
     cat_w = np.full(N_CATS, 1.0 / N_CATS)
     table = kernels.branch_sumtable(
         model._right, model._left, model.pi, N_CATS, left, right)
+    probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat_w)
 
-    lnl, d1, d2 = benchmark(
-        kernels.sumtable_derivatives, table, model._eigenvalues, rates,
-        0.2, weights, cat_w,
-    )
+    (lnl, d1, d2), = benchmark(probe.stacked, table[None], [0.2], [0.0],
+                               probe.stack_work(1))
     assert np.isfinite(lnl) and np.isfinite(d1) and np.isfinite(d2)
 
 
@@ -226,8 +226,8 @@ def test_makenewz_newton_iteration(benchmark, working_set):
 
 
 def _probe_on_random_table(n_patterns, cat):
-    """A loaded probe on a random ``n_patterns``-row sumtable, plus the
-    arguments of the equivalent one-shot ``sumtable_derivatives``."""
+    """``(full, lnl_only)`` at ``t = 0.2``: a prepared probe on a random
+    ``n_patterns``-row sumtable, as a one-row stack."""
     rng = np.random.default_rng(n_patterns)
     model = default_gtr()
     weights = rng.integers(1, 6, size=n_patterns).astype(float)
@@ -244,8 +244,8 @@ def _probe_on_random_table(n_patterns, cat):
         rng.random(shape) + 1e-3, rng.random(shape) + 1e-3)
     probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat_w,
                                   cat)
-    return probe.load(table), (table, model._eigenvalues, rates, 0.2,
-                               weights, cat_w, 0.0, cat)
+    args = (table[None], [0.2], [0.0], probe.stack_work(1))
+    return (lambda: probe.stacked(*args)), (lambda: probe.stacked_lnl(*args))
 
 
 def _newton_solve():
@@ -253,7 +253,7 @@ def _newton_solve():
     ``search_sc`` alignment: 207 patterns, Gamma-4, the longest branch
     from 1.5x its optimum (six iterations, then the lnL-only re-score)."""
     from repro.phylo import LikelihoodEngine, Tree, synthetic_dataset
-    from repro.phylo.engine.core import newton_branch_length
+    from repro.phylo.engine.core import masked_newton
 
     patterns = synthetic_dataset(n_taxa=12, n_sites=3000, seed=42).compress()
     tree = Tree.from_tip_names(patterns.taxa, np.random.default_rng(0))
@@ -261,15 +261,14 @@ def _newton_solve():
                               tree)
     engine.optimize_all_branches(passes=2)
     branch = max(tree.branches, key=lambda b: b.length)
-    probe, start = engine._newton_probe(branch), 1.5 * branch.length
-    return lambda: newton_branch_length(probe, start, lnl_at=probe.lnl)
+    probe, start = engine._newton_probe(branch), [1.5 * branch.length]
+    return lambda: masked_newton(*probe, start)
 
 
 PROBE_SHAPES = {"207_gamma4": (207, False), "600_gamma4": (600, False),
                 "207_cat": (207, True)}
 PROBE_ROW_NAMES = [f"{kind}[{label}]" for label in PROBE_SHAPES
-                   for kind in ("probe_full", "probe_lnl_only",
-                                "sumtable_derivatives_one_shot")] \
+                   for kind in ("probe_full", "probe_lnl_only")] \
     + ["newton_solve[207_gamma4]"]
 
 
@@ -277,12 +276,8 @@ def probe_rows():
     """Row name -> zero-argument callable, one per recorded row."""
     rows = {}
     for label, (n_patterns, cat) in PROBE_SHAPES.items():
-        probe, one_shot = _probe_on_random_table(n_patterns, cat)
-        rows[f"probe_full[{label}]"] = lambda probe=probe: probe(0.2)
-        rows[f"probe_lnl_only[{label}]"] = \
-            lambda probe=probe: probe.lnl(0.2)
-        rows[f"sumtable_derivatives_one_shot[{label}]"] = \
-            lambda args=one_shot: kernels.sumtable_derivatives(*args)
+        rows[f"probe_full[{label}]"], rows[f"probe_lnl_only[{label}]"] = \
+            _probe_on_random_table(n_patterns, cat)
     rows["newton_solve[207_gamma4]"] = _newton_solve()
     return rows
 
@@ -319,7 +314,7 @@ LAYOUT_ROW_NAMES = [f"{kind}@{n}" for n in LAYOUT_SIZES
 
 def _layout_rows_at(n_patterns, recipe):
     from repro.phylo import LikelihoodEngine, Tree, synthetic_dataset
-    from repro.phylo.engine.core import newton_branch_length
+    from repro.phylo.engine.core import masked_newton
 
     patterns = synthetic_dataset(**recipe).compress()
     assert patterns.n_patterns == n_patterns
@@ -339,18 +334,18 @@ def _layout_rows_at(n_patterns, recipe):
     p = engine._pmat(inner)
     out_clv, work = np.empty_like(u[0]), np.empty_like(u[0])
     out_scale = np.empty(n_patterns, dtype=np.int64)
-    for branch in (inner, leaf):  # the CLVs facing both are cached now
-        engine._newton_probe(branch)
+    engine._newton_probe(leaf)  # the CLVs facing both are cached now
+    derivatives, lnl_at = engine._newton_probe(inner)
 
     def newview(left, right):
         return lambda: kernels.newview(left, p, right, p, out_clv,
                                        out_scale, None, False, work)
 
-    def makenewz(start=1.5 * inner.length):
-        probe = engine._newton_probe(inner)
-        return newton_branch_length(probe, start, lnl_at=probe.lnl)
+    start, probe_at = [1.5 * inner.length], [inner.length]
 
-    probe_at = inner.length
+    def makenewz():
+        return masked_newton(*engine._newton_probe(inner), start)
+
     return {
         "inner_terms": lambda: kernels.inner_terms(p, u[0], out=out_clv),
         "newview[inner_inner]": newview(u, v),
@@ -358,8 +353,8 @@ def _layout_rows_at(n_patterns, recipe):
         "newview[tip_tip]": newview(tips[0], tips[1]),
         "branch_sumtable[inner_inner]": lambda: engine._newton_probe(inner),
         "branch_sumtable[tip_inner]": lambda: engine._newton_probe(leaf),
-        "probe_full": lambda: engine._probe(probe_at),
-        "probe_lnl_only": lambda: engine._probe.lnl(probe_at),
+        "probe_full": lambda: derivatives(probe_at, [0]),
+        "probe_lnl_only": lambda: lnl_at(probe_at, [0]),
         "makenewz": makenewz,
     }
 
@@ -383,8 +378,8 @@ def layout():
 
 
 def _repoint(calls, name) -> None:
-    """An engine has one probe: before timing a ``probe_*@n`` row, load
-    it with that engine's inner branch again."""
+    """An engine has one sumtable: before timing a ``probe_*@n`` row,
+    build it for that engine's inner branch again."""
     kind, _, size = name.partition("@")
     if size and kind.startswith("probe"):
         calls[f"branch_sumtable[inner_inner]@{size}"]()
@@ -689,10 +684,14 @@ def main(argv=None) -> int:
         section["parent_rows_us"] = _record(layout_rows())
     else:
         calls = probe_rows()
+        parent = committed.get("makenewz_probe", {})
         merge_bench_section(RESULT_PATH, "makenewz_probe", {
             "statistic": statistic,
+            **{key: parent[key] for key in ("parent_commit",
+                                            "parent_rows_us")
+               if key in parent},
             "newton_solve_iterations":
-                calls["newton_solve[207_gamma4]"]()[2],
+                calls["newton_solve[207_gamma4]"]()[2][0],
             "rows_us": _record(calls),
         })
         section["rows_us"] = _record(layout_rows())

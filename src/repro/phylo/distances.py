@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .alignment import PatternAlignment, check_tip_codes
-from .engine.core import newton_branch_length
+from .engine.core import masked_newton
 from .models import SubstitutionModel, JC69
 from .rates import RateModel, UniformRate
 from .tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH, Tree
@@ -72,8 +72,6 @@ def ml_distance(
     j: int,
     model: Optional[SubstitutionModel] = None,
     rate_model: Optional[RateModel] = None,
-    max_iterations: int = 50,
-    tolerance: float = 1e-8,
 ) -> float:
     """ML distance between two sequences by Newton-Raphson.
 
@@ -95,9 +93,9 @@ def ml_distance(
                 MAX_BRANCH_LENGTH)
     probe = kernels.SumtableProbe(
         model._eigenvalues, rate_model.rates, patterns.weights,
-        rate_model.weights).load(table)
-    best_t, _, _ = newton_branch_length(
-        probe, start, max_iterations, tolerance, lnl_at=probe.lnl)
+        rate_model.weights)
+    (best_t,), _, _ = masked_newton(
+        *probe.rows(table[None], [0.0], probe.stack_work(1)), [start])
     return best_t
 
 

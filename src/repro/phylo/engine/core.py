@@ -15,6 +15,9 @@ RAxML's runtime (76.8 % / 19.16 % / 2.37 % per the paper's gprof profile):
   Newton-Raphson with analytic first and second derivatives, projecting
   the two CLVs facing the branch into the eigenbasis once (the
   "sumtable") so each iteration is ``O(patterns * cats * states)``.
+  Its Newton loop, :func:`masked_newton`, is the only one: ``makenewz``
+  runs it on one branch, insertion scoring
+  (:mod:`~repro.phylo.engine.insertion`) on a stack of candidates.
 
 The core holds everything *structural* — CLV cache and arena, quantized
 P-matrix LRU, dirty tracking through the tree's observer protocol,
@@ -37,7 +40,8 @@ and CAT (one category per site; per-pattern transition matrices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -55,7 +59,7 @@ __all__ = [
     "LikelihoodEngine",
     "NewviewCase",
     "estimate_site_rates",
-    "newton_branch_length",
+    "masked_newton",
 ]
 
 
@@ -67,75 +71,90 @@ _LNL_TIE = LNL_TIE_ULPS * np.finfo(float).eps
 NEWTON_TOLERANCE = 1e-8
 
 
-def newton_wins(lnl: float, best_lnl: float) -> bool:
-    """The tie rule: ``lnl`` replaces the best unless it is worse by more
-    than :data:`LNL_TIE_ULPS` ulps."""
-    return lnl >= best_lnl - _LNL_TIE * abs(lnl)
-
-
-def newton_step(t: float, d1: float, d2: float,
-                tolerance: float = NEWTON_TOLERANCE) -> Tuple[float, bool]:
-    """One safeguarded step from ``t``: ``(next t, stop)``."""
-    if abs(d1) < tolerance:
-        return t, True
-    if d2 < 0.0:
-        new_t = t - d1 / d2
-    else:
-        # Not locally concave: move in the uphill direction.
-        new_t = t * 2.0 if d1 > 0 else t * 0.5
-    new_t = min(max(new_t, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
-    return new_t, abs(new_t - t) < tolerance
-
-
-def newton_branch_length(
-    derivatives_at: Callable[[float], Tuple[float, float, float]],
-    start: float,
+def masked_newton(
+    derivatives: Callable[[List[float], List[int]],
+                          List[Tuple[float, float, float]]],
+    lnl_at: Callable[[List[float], List[int]], List[float]],
+    start: Sequence[float],
     max_iterations: int = 32,
     tolerance: float = NEWTON_TOLERANCE,
-    lnl_at: Optional[Callable[[float], float]] = None,
-) -> Tuple[float, float, int]:
-    """Safeguarded Newton-Raphson on one branch length.
+    arrange: Optional[Callable[[List[int]], List[int]]] = None,
+) -> Tuple[List[float], List[float], List[int]]:
+    """Safeguarded Newton-Raphson on ``K`` independent branch lengths at
+    once (``makenewz`` is ``K = 1``).
 
-    ``derivatives_at(t)`` returns ``(lnL, d lnL/dt, d2 lnL/dt2)``;
-    ``lnl_at(t)``, when given, is a cheaper ``lnL`` alone for the final
-    re-score.  Newton steps where the likelihood is locally concave,
-    doubling / halving uphill otherwise, every iterate clamped to
-    ``[MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH]``; stops on a derivative or
-    a step below *tolerance*.  Returns ``(best_t, best_lnl,
-    iterations)`` — the best point *scored*, including the final
-    iterate — so a step that loses likelihood is never kept.
+    ``derivatives(t, rows)`` returns one ``(lnL, d lnL/dt, d2 lnL/dt2)``
+    per branch of ``rows`` (a list of indices) at the lengths ``t`` (a
+    list); ``lnl_at(t, rows)`` their ``lnL`` alone, for the final
+    re-score; ``arrange(rows)`` may reorder the rows before each call
+    (into the order the probe's stack holds them in), and no branch's
+    arithmetic depends on it.  One probe call per iteration serves every
+    branch still active.  Each branch steps where its likelihood is
+    locally concave and doubles / halves uphill otherwise, every iterate
+    clamped to ``[MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH]``, and leaves the
+    active set on a derivative or a step below *tolerance*.  Returns
+    ``(best_t, best_lnl, iterations)`` lists — each branch's best point
+    *scored*, including its final iterate — so a step that loses
+    likelihood is never kept.
 
     Two rules keep the returned length independent of which kernel's
     round-off scored the iterates.  A later iterate that ties the best
     within :data:`LNL_TIE_ULPS` ulps wins: converged iterates agree in
     ``lnL`` to the last bit while still one Newton step (~1e-7) apart,
-    and the later one is the converged one.  And a result within
-    *tolerance* of *start* returns *start* itself: a branch already
-    converged to the step tolerance is not moved (a sub-tolerance move
-    gains nothing measurable but dirties every CLV behind the branch).
-    The stacked form of this loop (``engine.insertion.masked_newton``)
-    runs the same two rules, :func:`newton_wins` and :func:`newton_step`.
+    and the later one is the converged one.
+    And a result within *tolerance* of its start returns the start
+    itself: a branch already converged to the step tolerance is not
+    moved (a sub-tolerance move gains nothing measurable but dirties
+    every CLV behind the branch).
     """
-    t, scored = start, None
-    best_t, best_lnl = t, -np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        lnl, d1, d2 = derivatives_at(t)
-        scored = t
-        if newton_wins(lnl, best_lnl):
-            best_lnl, best_t = lnl, t
-        t, stop = newton_step(t, d1, d2, tolerance)
-        if stop:
+    t = list(map(float, start))
+    count = len(t)
+    start, best_t = t[:], t[:]
+    best_lnl = [-np.inf] * count
+    iterations = [max_iterations] * count
+    # Each final point is scored too (a loop may end right after a
+    # step), unless it is the point just scored: same t, same bits.
+    rescore: List[int] = []
+    rows, lengths = list(range(count)), t[:]  # the active rows, their t
+    for iteration in range(1, max_iterations + 1):
+        if arrange is not None:
+            rows = arrange(rows)
+            lengths = [t[r] for r in rows]
+        active, ahead = [], []
+        for r, at, (lnl, d1, d2) in zip(rows, lengths,
+                                        derivatives(lengths, rows)):
+            if lnl >= best_lnl[r] - _LNL_TIE * abs(lnl):  # the tie rule
+                best_lnl[r], best_t[r] = lnl, at
+            step = at
+            if abs(d1) >= tolerance:
+                if d2 < 0.0:
+                    step = at - d1 / d2
+                else:  # not locally concave: move uphill
+                    step = at * 2.0 if d1 > 0 else at * 0.5
+                step = min(max(step, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
+            t[r] = step
+            if abs(step - at) >= tolerance:
+                active.append(r)
+                ahead.append(step)
+            else:
+                iterations[r] = iteration
+                if step != at:
+                    rescore.append(r)
+        if not active:
             break
-
-    # Score the final point too (the loop may end right after a step),
-    # unless it is the point just scored: same t, same bits, same best.
-    if t != scored:
-        lnl = derivatives_at(t)[0] if lnl_at is None else lnl_at(t)
-        if newton_wins(lnl, best_lnl):
-            best_lnl, best_t = lnl, t
-    if abs(best_t - start) < tolerance:
-        best_t = start
+        rows, lengths = active, ahead
+    else:
+        rescore += rows
+    if rescore:
+        if arrange is not None:
+            rescore = arrange(rescore)
+        for r, lnl in zip(rescore, lnl_at([t[r] for r in rescore],
+                                          rescore)):
+            if lnl >= best_lnl[r] - _LNL_TIE * abs(lnl):
+                best_lnl[r], best_t[r] = lnl, t[r]
+    for r in range(count):
+        if abs(best_t[r] - start[r]) < tolerance:
+            best_t[r] = start[r]
     return best_t, best_lnl, iterations
 
 
@@ -260,8 +279,9 @@ class LikelihoodEngine:
         #: backend (a backend with ``uses_pmat_cache=False`` simply
         #: leaves the hit/miss counters at zero).
         self._pmats = PMatrixCache(model, self._rates_for_pmat())
-        #: the prepared makenewz probe (same lifetime as the P-matrices)
-        self._probe = self._prepared_probe()
+        #: the prepared makenewz probe and its one-row work (same
+        #: lifetime as the P-matrices)
+        self._prepare_probe()
         #: preallocated CLV slot pool with free-list recycling
         self._arena = ClvArena(
             patterns.n_patterns, self._n_cats, self._n_states
@@ -423,14 +443,15 @@ class LikelihoodEngine:
             self._rates_for_pmat(), dtype=np.float64
         )
         self._pmats.invalidate()
-        self._probe = self._prepared_probe()
+        self._prepare_probe()
 
-    def _prepared_probe(self) -> kernels.SumtableProbe:
-        return kernels.SumtableProbe(
+    def _prepare_probe(self) -> None:
+        self._probe = kernels.SumtableProbe(
             self.model._eigenvalues, self._rates_for_pmat(),
             self.patterns.weights, self._cat_weights,
             per_site=self._site_rates is not None,
         )
+        self._probe_work = self._probe.stack_work(1)
 
     def set_model(self, model: SubstitutionModel) -> None:
         """Swap the substitution model and drop caches."""
@@ -910,46 +931,54 @@ class LikelihoodEngine:
             probe = self._newton_probe(branch)
         finally:
             self._pop_context(context)
-        evaluations = self._probe.calls
-        best_t, best_lnl, iterations = newton_branch_length(
-            probe, branch.length, max_iterations, tolerance,
-            lnl_at=probe.lnl if probe is self._probe else None,
-        )
-        # One kernel call per sumtable probe (the oracle's explicit
-        # (P, dP, d2P) probes count themselves in the backend).
-        self._backend.kernel_calls += self._probe.calls - evaluations
+        (best_t,), (best_lnl,) = self._newton(
+            probe, [branch.length], max_iterations, tolerance)
         self.tree.set_length(branch, best_t)
-        self.makenewz_calls += 1
-        if self.tracer is not None:
-            self.tracer.record_makenewz(
-                n_patterns=self.patterns.n_patterns,
-                n_cats=self._n_cats,
-                iterations=iterations,
-            )
         return best_t, best_lnl
 
-    def _newton_probe(
-        self, branch: Branch
-    ) -> Callable[[float], Tuple[float, float, float]]:
-        """``t -> (lnL, d lnL/dt, d2 lnL/dt2)`` at *branch* for the
-        Newton loop, with the CLVs facing the branch filled (calling
-        ``newview()`` as needed) and everything length-independent done.
+    def _newton(self, probe, start: Sequence[float], max_iterations: int,
+                tolerance: float = NEWTON_TOLERANCE,
+                arrange: Optional[Callable[[List[int]], List[int]]] = None,
+                ) -> Tuple[List[float], List[float]]:
+        """:func:`masked_newton` on ``probe``'s ``(derivatives, lnl_at)``
+        rows, counted: one ``makenewz`` per row, and one backend kernel
+        call per sumtable probe evaluation (the oracle's explicit ``(P,
+        dP, d2P)`` probes count themselves in the backend).  Returns
+        ``(best_t, best_lnl)`` lists."""
+        evaluations = self._probe.calls
+        best_t, best_lnl, iterations = masked_newton(
+            *probe, start, max_iterations, tolerance, arrange)
+        self._backend.kernel_calls += self._probe.calls - evaluations
+        self.makenewz_calls += len(iterations)
+        if self.tracer is not None:
+            for count in iterations:
+                self.tracer.record_makenewz(
+                    n_patterns=self.patterns.n_patterns,
+                    n_cats=self._n_cats,
+                    iterations=count,
+                )
+        return best_t, best_lnl
+
+    def _newton_probe(self, branch: Branch):
+        """The Newton loop's ``(derivatives, lnl_at)`` row callables at
+        *branch*, one row, with the CLVs facing the branch filled
+        (calling ``newview()`` as needed) and everything
+        length-independent done.
 
         Both sides are projected into the eigenbasis once (the backend's
         ``branch_sumtable``, into the engine's scratch table; a tip side
         goes in as its state codes), the summed scale counts fold into
-        one scalar, and the engine's prepared
-        :class:`~repro.phylo.kernels.SumtableProbe` is pointed at the
-        pair — it reads the one scratch table, so it is good until the
-        next ``_newton_probe`` call.  A backend that owns its projection
-        (the reference oracle) keeps the per-iteration ``(P, dP, d2P)`` path.
+        one scalar, and the rows are the engine's prepared
+        :class:`~repro.phylo.kernels.SumtableProbe` on that table as a
+        one-row stack — good until the next ``_newton_probe`` call.  A
+        backend that owns its projection (the reference oracle) keeps
+        the per-iteration ``(P, dP, d2P)`` probe.
         """
         u, v = branch.nodes
         if not self._backend.uses_pmat_cache:
             u_clv, u_sc = self._side(u, branch)
             v_clv, v_sc = self._side(v, branch)
-            scale = u_sc + v_sc
-            return lambda t: self._derivatives_at(t, u_clv, v_clv, scale)
+            return self._explicit_rows([(u_clv, v_clv, u_sc + v_sc)])
         u_side, u_sc = self._sumtable_side(u, branch)
         v_side, v_sc = self._sumtable_side(v, branch)
         model = self.model
@@ -960,7 +989,19 @@ class LikelihoodEngine:
             out=self._sumtable, work=self._term_scratch,
         )
         offset = float(self.patterns.weights @ (u_sc + v_sc))
-        return self._probe.load(table, offset * kernels.LOG_SCALE_FACTOR)
+        return self._probe.rows(table[None],
+                                [offset * kernels.LOG_SCALE_FACTOR],
+                                self._probe_work)
+
+    def _explicit_rows(self, pairs):
+        """The Newton loop's row callables on the explicit ``(P, dP,
+        d2P)`` probe: row ``r`` is ``pairs[r]``, the ``(u_clv, v_clv,
+        scale_counts)`` facing its branch."""
+        def derivatives(t, rows):
+            return [self._derivatives_at(length, *pairs[r])
+                    for length, r in zip(t, rows)]
+        return derivatives, lambda t, rows: [d[0] for d in
+                                             derivatives(t, rows)]
 
     def score_insertions(self, subtree_root: Node, targets: List[Branch],
                          connect_length: float, max_iterations: int = 32):

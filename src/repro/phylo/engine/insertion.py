@@ -31,11 +31,13 @@ Every junction CLV is built from the backend's propagate / combine /
 rescale kernels with the chaos hook between combine and rescale,
 exactly as ``newview`` does.
 
-Each stage runs one :func:`masked_newton` over all candidates: on
-``einsum`` the probe is the engine's :class:`~repro.phylo.kernels.
-SumtableProbe` on a ``(K, c·k, s)`` stack of sumtables; on
-``reference`` (which owns its projection) it is the per-candidate
-explicit ``(P, dP, d2P)`` probe.  :data:`STACK_BUDGET_BYTES` bounds the
+Each stage runs the engine's one Newton loop
+(:func:`~repro.phylo.engine.core.masked_newton`, the loop ``makenewz``
+runs on one branch) over all candidates: on ``einsum`` the probe is the
+engine's :class:`~repro.phylo.kernels.SumtableProbe` on a ``(K, c·k,
+s)`` stack of sumtables; on ``reference`` (which owns its projection) it
+is the per-candidate explicit ``(P, dP, d2P)`` probe.
+:data:`STACK_BUDGET_BYTES` bounds the
 stacks: one call scores the leading targets that fit them, at least
 one, and the caller asks again, at its next prune, for the rest it
 still needs — so a search that accepts a target early in a long
@@ -51,12 +53,11 @@ import numpy as np
 from ...chaos import injector as _chaos
 from .. import kernels
 from ..tree import MIN_BRANCH_LENGTH, Branch, Node
-from .core import NEWTON_TOLERANCE, NewviewCase, newton_step, newton_wins
+from .core import NewviewCase
 
 __all__ = [
     "InsertionScore",
     "STACK_BUDGET_BYTES",
-    "masked_newton",
     "score_insertions",
     "stack_bytes",
     "stack_capacity",
@@ -103,66 +104,6 @@ def stack_bytes(n_patterns: int, n_cats: int, n_states: int,
     """Largest stack footprint of one call (the memory estimate's term)."""
     return (stack_capacity(n_patterns, n_cats, n_states, per_site)
             * _candidate_bytes(n_patterns, n_cats, n_states, per_site))
-
-
-def masked_newton(
-    derivatives: Callable[[List[float], List[int]],
-                          List[Tuple[float, float, float]]],
-    lnl_at: Callable[[List[float], List[int]], List[float]],
-    start: Sequence[float],
-    max_iterations: int = 32,
-    arrange: Callable[[List[int]], List[int]] = list,
-) -> Tuple[List[float], List[float], List[int]]:
-    """:func:`~repro.phylo.engine.core.newton_branch_length` on ``K``
-    independent branches at once.
-
-    ``derivatives(t, rows)`` returns one ``(lnL, d1, d2)`` per branch of
-    ``rows`` (a list of indices) at the lengths ``t`` (a list);
-    ``lnl_at(t, rows)`` their final re-score's ``lnL``; ``arrange(rows)``
-    may reorder the rows before each call (into the order the probe's
-    stack holds them in), and no branch's arithmetic depends on it.  One probe
-    call per iteration serves every branch still active; each branch
-    then takes the scalar loop's own rules on Python floats — the tie
-    rule (:func:`~repro.phylo.engine.core.newton_wins`), the clamped,
-    safeguarded step and its stop rule (:func:`~repro.phylo.engine.core.
-    newton_step`), the re-score of an unscored final point and "return
-    ``start`` if within tolerance" — and leaves the active set where the
-    scalar loop would break.  Returns ``(best_t, best_lnl, iterations)``
-    lists.
-    """
-    start = [float(x) for x in start]
-    count = len(start)
-    t, best_t = list(start), list(start)
-    best_lnl = [-np.inf] * count
-    scored: List[Optional[float]] = [None] * count
-    iterations = [0] * count
-    rows = list(range(count))
-    for iteration in range(1, max_iterations + 1):
-        if not rows:
-            break
-        rows = arrange(rows)
-        active = []
-        for r, (lnl, d1, d2) in zip(rows, derivatives([t[r] for r in rows],
-                                                      rows)):
-            iterations[r] = iteration
-            scored[r] = t[r]
-            if newton_wins(lnl, best_lnl[r]):
-                best_lnl[r], best_t[r] = lnl, t[r]
-            t[r], stop = newton_step(t[r], d1, d2)
-            if not stop:
-                active.append(r)
-        rows = active
-    rescore = [r for r in range(count) if t[r] != scored[r]]
-    if rescore:
-        rescore = arrange(rescore)
-        for r, lnl in zip(rescore, lnl_at([t[r] for r in rescore],
-                                          rescore)):
-            if newton_wins(lnl, best_lnl[r]):
-                best_lnl[r], best_t[r] = lnl, t[r]
-    for r in range(count):
-        if abs(best_t[r] - start[r]) < NEWTON_TOLERANCE:
-            best_t[r] = start[r]
-    return best_t, best_lnl, iterations
 
 
 class _Side(NamedTuple):
@@ -313,23 +254,13 @@ class _Scorer:
                 scaled=scaled,
             )
 
-    def _record_makenewz(self, iterations: List[int]) -> None:
-        engine = self.engine
-        engine.makenewz_calls += len(iterations)
-        if engine.tracer is not None:
-            for count in iterations:
-                engine.tracer.record_makenewz(
-                    n_patterns=self.shape[1], n_cats=self.shape[0],
-                    iterations=count,
-                )
-
     # -- one stage ---------------------------------------------------------------
 
     def _stage(self, build: Callable[[int, np.ndarray, np.ndarray],
                                      Tuple[_Side, _Side]],
                count: int, start: Sequence[float]) -> List[float]:
-        """Build ``count`` junction probes and run one masked Newton;
-        returns the optimised lengths.
+        """Build ``count`` junction probes and run one Newton loop over
+        them; returns the optimised lengths.
 
         ``build(k, clv, scale)`` computes candidate ``k``'s junction CLV
         (into ``clv`` / ``scale`` unless it keeps its own) and returns the
@@ -356,7 +287,6 @@ class _Scorer:
                 offsets[k] = 0.0 if not (u.scaled or v.scaled) else (
                     float(self.weights @ (self._scale(u) + self._scale(v)))
                     * kernels.LOG_SCALE_FACTOR)
-            probe, work = engine._probe, stacks.work
             held = list(range(count))  # slot -> candidate
             slot = list(range(count))  # candidate -> slot
 
@@ -380,18 +310,7 @@ class _Scorer:
                         slot[candidate], slot[other] = i, j
                 return held[:count_rows]
 
-            def stacked(form, t, rows):
-                return form(tables[:len(rows)], t,
-                            [offsets[r] for r in rows], work)
-
-            calls = probe.calls
-            best_t, _, iterations = masked_newton(
-                lambda t, rows: stacked(probe.stacked, t, rows),
-                lambda t, rows: stacked(probe.stacked_lnl, t, rows),
-                start, self.max_iterations, arrange,
-            )
-            # One kernel call per candidate probe evaluation, as makenewz.
-            self.backend.kernel_calls += probe.calls - calls
+            probe = engine._probe.rows(tables, offsets, stacks.work)
         else:
             pairs = []
             for k in range(count):
@@ -400,16 +319,9 @@ class _Scorer:
                 pairs.append((self._unpropagated(u), self._unpropagated(v),
                               self._scale(u) + self._scale(v)))
 
-            def derivatives(t, rows):
-                return [engine._derivatives_at(length, *pairs[row])
-                        for length, row in zip(t, rows)]
-
-            best_t, _, iterations = masked_newton(
-                derivatives,
-                lambda t, rows: [d[0] for d in derivatives(t, rows)],
-                start, self.max_iterations,
-            )
-        self._record_makenewz(iterations)
+            probe, arrange = engine._explicit_rows(pairs), None
+        best_t, _ = engine._newton(probe, start, self.max_iterations,
+                                   arrange=arrange)
         return best_t
 
     def _scale(self, side: _Side) -> np.ndarray:

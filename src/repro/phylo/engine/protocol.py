@@ -11,7 +11,9 @@ CLV cache and arena, P-matrix LRU, dirty tracking, traversal order,
 Newton iteration.  The ``makenewz`` sumtable is
 implemented on the protocol itself, so every backend shares it (the
 per-iteration probe on it is the engine's prepared
-:class:`~repro.phylo.kernels.SumtableProbe`), and so is ``newview`` —
+:class:`~repro.phylo.kernels.SumtableProbe`, which takes a stack of
+tables: one for ``makenewz``, one per candidate for insertion scoring),
+and so is ``newview`` —
 one whole CLV per call, by default the composition of the backend's own
 propagate/combine/rescale kernels.
 

@@ -21,7 +21,7 @@ These functions are the compute bodies of RAxML's three hot functions:
   (the "sumtable"), then pay only a diagonal ``exp(lambda r t)``
   contraction per Newton-Raphson iteration for the log likelihood and
   its first two branch-length derivatives, on a probe prepared once per
-  model (:func:`sumtable_derivatives` is its one-shot form).
+  model that takes a stack of tables (one branch is a one-row stack).
 * :func:`branch_derivatives` — the same three numbers from explicit
   ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe and
   what the sumtable path is differentially checked against.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +57,8 @@ __all__ = [
     "evaluate_loglik",
     "branch_sumtable",
     "finite_derivatives",
+    "StackWork",
     "SumtableProbe",
-    "sumtable_derivatives",
     "branch_derivatives",
     "branch_derivatives_persite",
     "newview_combine_reference",
@@ -422,21 +422,84 @@ def finite_derivatives(lnl: float, d1: float,
     return lnl, d1, d2
 
 
+class _Rows(NamedTuple):
+    """One row count's views of a :class:`StackWork`: the row itself
+    for one branch, the leading ``count`` rows for more."""
+
+    exp: np.ndarray  # exponentials, ``(c*k,)`` or ``(k, s)`` a row
+    exp_across: np.ndarray  # ``exp`` broadcast against the powers
+    basis: np.ndarray  # ``w [e, lam e, lam^2 e]`` a row
+    sums: np.ndarray  # ``(3, s)`` a row: likelihoods, d1, d2
+    lik: np.ndarray
+    lik_across: np.ndarray  # ``lik`` broadcast against d1 and d2
+    ratios: np.ndarray  # d1 and d2
+    d1: np.ndarray
+    d2: np.ndarray
+    square: np.ndarray  # ``(s,)`` a row: d1 squared, or lnL-only sums
+    square_out: np.ndarray  # ``square`` as the lnL-only GEMV writes it
+    single: bool  # one row: single-row operations
+
+    @classmethod
+    def of(cls, buffers: Tuple[np.ndarray, ...], count: int) -> "_Rows":
+        if count == 1:
+            exp, basis, sums, square = (buffer[0] for buffer in buffers)
+            exp_across = exp
+        else:
+            exp, basis, sums, square = (buffer[:count] for buffer in buffers)
+            exp_across = exp[:, None]
+        lik, row = sums[..., 0, :], square[..., 0, :]
+        return cls(exp, exp_across, basis, sums, lik, lik[..., None, :],
+                   sums[..., 1:, :], sums[..., 1, :], sums[..., 2, :], row,
+                   square if count > 1 else row, count == 1)
+
+
+class StackWork(dict):
+    """Work rows of :meth:`SumtableProbe.stacked` and
+    :meth:`SumtableProbe.stacked_lnl` for up to ``capacity`` branches,
+    and ``work[count]``, the views of the leading ``count`` rows.
+
+    Each count's views are made the first time the count is used and
+    kept, so a call builds none: building about eleven views a call is
+    what made a one-row call dearer than a probe on one table.
+    """
+
+    def __init__(self, capacity: int, exponents: Tuple[int, ...],
+                 powers: Tuple[int, ...], n_patterns: int):
+        super().__init__()
+        self._buffers = (np.empty((capacity,) + exponents),
+                         np.empty((capacity,) + powers),
+                         np.empty((capacity, 3, n_patterns)),
+                         np.empty((capacity, 1, n_patterns)))
+
+    def __missing__(self, count: int) -> _Rows:
+        rows = self[count] = _Rows.of(self._buffers, count)
+        return rows
+
+
 class SumtableProbe:
-    """``t -> (lnL, d lnL/dt, d2 lnL/dt2)`` on a :func:`branch_sumtable`
-    — the per-iteration body of ``makenewz()``, prepared once.
+    """``t -> (lnL, d lnL/dt, d2 lnL/dt2)`` on :func:`branch_sumtable`
+    stacks — the per-iteration body of ``makenewz()``, prepared once.
 
     Everything that depends only on the model, the rates and the pattern
-    count is built here: ``lam = lambda_k r_c``, the powers ``w_c [1,
+    count is built here: ``lam = lambda_k r_c`` and the powers ``w_c [1,
     lam, lam^2]`` (the category weights live here, not in the table:
     exact wherever ``w_c`` is a power of two, one rounding per term
-    elsewhere) and the work buffers.  :meth:`load` points the probe at
-    one branch's table; each evaluation is then about ten NumPy calls.
+    elsewhere).  Work buffers come from :meth:`stack_work`.
+
+    Both forms take ``K`` branches at once: ``tables`` a ``(K, c*k, s)``
+    stack, ``lengths`` and ``offsets`` ``K`` floats, an offset being a
+    branch's rescaling correction folded into one scalar,
+    ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.  A single
+    branch is a one-row stack and runs single-row operations, with none
+    of the per-row bookkeeping.  Each of ``K`` rows gets the bits the
+    same branch gets alone: the same GEMM / GEMV per slice, the same
+    element-wise ufuncs, the same per-row dot for the lnL-only sum, the
+    offset taken off one Python float.  Tables are read, not copied.
 
     Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials, one
     ``(3, c*k) @ (c*k, s)`` product against ``w [e, lam e, lam^2 e]`` and
-    one ``(3, s) @ weights``.  CAT (``per_site=True``, ``rates`` is
-    ``(s,)``, one category): the same table against a per-pattern
+    one ``(3, s) @ weights`` a branch.  CAT (``per_site=True``, ``rates``
+    is ``(s,)``, one category): the same table against a per-pattern
     ``(k, s)`` exponent, element-wise.  Agrees with
     :func:`branch_derivatives` / :func:`branch_derivatives_persite` to
     round-off.
@@ -456,33 +519,36 @@ class SumtableProbe:
         self._per_site = per_site
         self._lam = lam
         self._powers = powers
+        self._weighted = powers[0]  # the lnL-only form's w
         self._weights = pattern_weights
-        s = len(pattern_weights)
-        self._exp = np.empty_like(lam)
-        self._basis = np.empty_like(self._powers)
-        self._sums = np.empty((3, s), dtype=np.float64)
-        self._square = np.empty(s, dtype=np.float64)
-        self._table: Optional[np.ndarray] = None
-        self._offset = 0.0
-        #: evaluations so far (both flavours), for kernel-call accounting
+        #: evaluations so far (both forms, one per branch), for
+        #: kernel-call accounting
         self.calls = 0
 
-    def load(self, sumtable: np.ndarray,
-             scale_offset: float = 0.0) -> "SumtableProbe":
-        """Point the probe at one branch: its ``(c*k, s)`` sumtable and
-        its rescaling correction folded into one scalar,
-        ``(pattern_weights @ scale_counts) * LOG_SCALE_FACTOR``.  The
-        table is read, not copied: the probe is good until it changes."""
-        self._table = sumtable
-        self._offset = scale_offset
-        return self
+    def stack_work(self, capacity: int) -> StackWork:
+        """Work buffers for the stacked forms on up to ``capacity``
+        branches: exponentials, basis, sums and a square row each."""
+        return StackWork(capacity, self._lam.shape, self._powers.shape,
+                         len(self._weights))
 
-    def _exponentials(self, branch_length: float) -> np.ndarray:
-        if branch_length < 0:
-            raise ValueError("branch length must be non-negative")
-        self.calls += 1
-        np.multiply(self._lam, branch_length, out=self._exp)
-        return np.exp(self._exp, out=self._exp)
+    def _exponentials(self, tables: np.ndarray, lengths: Sequence[float],
+                      work: StackWork) -> Tuple[_Rows, np.ndarray]:
+        """The exponentials into the work rows: ``(views, tables)``, the
+        tables as the operations read them (one row: its table)."""
+        count = len(lengths)
+        if count == 1:
+            if lengths[0] < 0:
+                raise ValueError("branch length must be non-negative")
+            rows, tables = work[1], tables[0]
+            np.multiply(self._lam, lengths[0], out=rows.exp)
+        else:
+            if min(lengths) < 0:
+                raise ValueError("branch length must be non-negative")
+            rows = work[count]
+            np.multiply.outer(lengths, self._lam, out=rows.exp)
+        self.calls += count
+        np.exp(rows.exp, out=rows.exp)
+        return rows, tables
 
     @staticmethod
     def _positive(lik: np.ndarray) -> np.ndarray:
@@ -491,116 +557,69 @@ class SumtableProbe:
                 "non-positive site likelihood in makenewz")
         return lik
 
-    def __call__(self, branch_length: float) -> Tuple[float, float, float]:
-        exp, sums = self._exponentials(branch_length), self._sums
-        if self._per_site:
-            np.multiply(exp, self._table, out=exp)
-            np.multiply(self._powers, exp, out=self._basis)
-            self._basis.sum(axis=1, out=sums)
-        else:
-            np.multiply(self._powers, exp, out=self._basis)
-            np.matmul(self._basis, self._table, out=sums)
-        lik = self._positive(sums[0])
-        np.divide(sums[1:], lik, out=sums[1:])  # d1/lik, d2/lik
-        np.log(lik, out=lik)
-        np.multiply(sums[1], sums[1], out=self._square)
-        np.subtract(sums[2], self._square, out=sums[2])
-        lnl, d1, d2 = (sums @ self._weights).tolist()
-        return finite_derivatives(lnl - self._offset, d1, d2)
-
-    def lnl(self, branch_length: float) -> float:
-        """The log likelihood alone (no derivatives): the Newton loop's
-        final re-score.  Equal to ``self(t)[0]`` to summation round-off."""
-        exp = self._exponentials(branch_length)
-        if self._per_site:
-            lik = np.multiply(exp, self._table, out=exp).sum(axis=0)
-        else:
-            lik = np.multiply(self._powers[0], exp, out=exp) @ self._table
-        lnl = float(self._weights @ np.log(self._positive(lik)))
-        lnl -= self._offset
-        if not math.isfinite(lnl):
-            raise FloatingPointError(f"non-finite log likelihood: {lnl!r}")
-        return lnl
-
-    # Stacked forms: K branches at once, ``tables`` a ``(K, c*k, s)``
-    # stack, ``lengths`` and ``offsets`` (the :meth:`load` offsets) K
-    # floats.  Each slice runs the NumPy operations of one call above —
-    # the same GEMM / GEMV per slice, the same element-wise ufuncs, the
-    # same per-row dot for the log-likelihood-only sum, the offset taken
-    # off one Python float — so every branch gets the bits a probe loaded
-    # with its table alone gives it.  They work in the caller's
-    # :meth:`stack_work` buffers, and take lengths as the Newton loop
-    # hands them out: clamped, never negative.
-
-    def stack_work(self, count: int) -> Tuple[np.ndarray, ...]:
-        """Work buffers for the stacked forms on up to ``count``
-        branches: exponentials, basis, sums and a square row each."""
-        s = len(self._weights)
-        return (np.empty((count,) + self._lam.shape),
-                np.empty((count,) + self._powers.shape),
-                np.empty((count, 3, s)), np.empty((count, 1, s)))
-
-    def _stacked_exponentials(self, lengths: Sequence[float], work):
-        count = len(lengths)
-        self.calls += count
-        exp, basis, sums, square = (buffer[:count] for buffer in work)
-        np.multiply.outer(lengths, self._lam, out=exp)
-        return np.exp(exp, out=exp), basis, sums, square
-
     def stacked(self, tables: np.ndarray, lengths: Sequence[float],
-                offsets: Sequence[float], work: Tuple[np.ndarray, ...]
+                offsets: Sequence[float], work: StackWork
                 ) -> List[Tuple[float, float, float]]:
-        """:meth:`__call__` on a stack: one ``(lnL, d1, d2)`` per branch."""
-        exp, basis, sums, square = self._stacked_exponentials(lengths, work)
+        """One ``(lnL, d1, d2)`` per branch."""
+        rows, tables = self._exponentials(tables, lengths, work)
         if self._per_site:
-            np.multiply(exp, tables, out=exp)
-            np.multiply(self._powers, exp[:, None], out=basis)
-            basis.sum(axis=2, out=sums)
+            np.multiply(rows.exp, tables, out=rows.exp)
+            np.multiply(self._powers, rows.exp_across, out=rows.basis)
+            rows.basis.sum(axis=-2, out=rows.sums)
         else:
-            np.multiply(self._powers, exp[:, None, :], out=basis)
-            np.matmul(basis, tables, out=sums)
-        lik = self._positive(sums[:, 0])
-        np.divide(sums[:, 1:], lik[:, None], out=sums[:, 1:])
+            np.multiply(self._powers, rows.exp_across, out=rows.basis)
+            np.matmul(rows.basis, tables, out=rows.sums)
+        lik = self._positive(rows.lik)
+        np.divide(rows.ratios, rows.lik_across, out=rows.ratios)
         np.log(lik, out=lik)
-        np.multiply(sums[:, 1], sums[:, 1], out=square[:, 0])
-        np.subtract(sums[:, 2], square[:, 0], out=sums[:, 2])
-        totals = (sums @ self._weights).tolist()  # K rows: lnL, d1, d2
+        np.multiply(rows.d1, rows.d1, out=rows.square)
+        np.subtract(rows.d2, rows.square, out=rows.d2)
+        totals = (rows.sums @ self._weights).tolist()  # lnL, d1, d2 a row
+        if rows.single:
+            lnl, d1, d2 = totals
+            return [finite_derivatives(lnl - offsets[0], d1, d2)]
         return [finite_derivatives(lnl - offset, d1, d2)
                 for (lnl, d1, d2), offset in zip(totals, offsets)]
 
     def stacked_lnl(self, tables: np.ndarray, lengths: Sequence[float],
-                    offsets: Sequence[float], work: Tuple[np.ndarray, ...]
+                    offsets: Sequence[float], work: StackWork
                     ) -> List[float]:
-        """:meth:`lnl` on a stack: one log likelihood per branch."""
-        exp, _, _, lik = self._stacked_exponentials(lengths, work)
+        """One log likelihood (no derivatives) per branch: the Newton
+        loop's final re-score.  Equal to :meth:`stacked`'s to summation
+        round-off."""
+        rows, tables = self._exponentials(tables, lengths, work)
+        lik = rows.square
         if self._per_site:
-            np.multiply(exp, tables, out=exp).sum(axis=1, out=lik[:, 0])
+            np.multiply(rows.exp, tables, out=rows.exp).sum(axis=-2, out=lik)
         else:
-            np.multiply(self._powers[0], exp, out=exp)
-            np.matmul(exp[:, None, :], tables, out=lik)
-        logs = np.log(self._positive(lik[:, 0]), out=lik[:, 0])
-        lnls = [float(self._weights @ row) - offset
-                for row, offset in zip(logs, offsets)]
-        if not all(map(math.isfinite, lnls)):
-            raise FloatingPointError(f"non-finite log likelihood: {lnls!r}")
-        return lnls
+            np.multiply(self._weighted, rows.exp, out=rows.exp)
+            np.matmul(rows.exp_across, tables, out=rows.square_out)
+        logs = np.log(self._positive(lik), out=lik)
+        if rows.single:
+            lnls = [float(self._weights @ logs) - offsets[0]]
+            if math.isfinite(lnls[0]):
+                return lnls
+        else:
+            lnls = [float(self._weights @ row) - offset
+                    for row, offset in zip(logs, offsets)]
+            if all(map(math.isfinite, lnls)):
+                return lnls
+        raise FloatingPointError(f"non-finite log likelihood: {lnls!r}")
 
+    def rows(self, tables: np.ndarray, offsets: Sequence[float],
+             work: StackWork):
+        """The Newton loop's ``(derivatives, lnl_at)`` row callables on
+        a stack: row ``r`` has offset ``offsets[r]``, and the loop's
+        ``rows`` are the stack's leading tables in that order."""
+        if len(offsets) == 1:
+            return (lambda t, rows: self.stacked(tables, t, offsets, work),
+                    lambda t, rows: self.stacked_lnl(tables, t, offsets,
+                                                     work))
 
-def sumtable_derivatives(
-    sumtable: np.ndarray,
-    eigenvalues: np.ndarray,
-    rates: np.ndarray,
-    branch_length: float,
-    pattern_weights: np.ndarray,
-    cat_weights: np.ndarray,
-    scale_offset: float = 0.0,
-    per_site: bool = False,
-) -> Tuple[float, float, float]:
-    """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from a
-    :func:`branch_sumtable`: a one-shot :class:`SumtableProbe`."""
-    probe = SumtableProbe(eigenvalues, rates, pattern_weights, cat_weights,
-                          per_site)
-    return probe.load(sumtable, scale_offset)(branch_length)
+        def on(form):
+            return lambda t, rows: form(tables[:len(rows)], t,
+                                        [offsets[r] for r in rows], work)
+        return on(self.stacked), on(self.stacked_lnl)
 
 
 def branch_derivatives(

@@ -351,10 +351,11 @@ def fast_makenewz_derivatives(
     engine: LikelihoodEngine, branch, length: Optional[float] = None
 ) -> Tuple[float, float, float]:
     """The fast engine's ``(lnL, d1, d2)`` at a branch from the very
-    probe :meth:`LikelihoodEngine.makenewz` iterates: the sumtable pair
-    on every backend but the oracle's."""
+    probe :meth:`LikelihoodEngine.makenewz` iterates, as its one row:
+    the sumtable pair on every backend but the oracle's."""
     t = branch.length if length is None else length
-    return engine._newton_probe(branch)(t)
+    derivatives, _ = engine._newton_probe(branch)
+    return derivatives([t], [0])[0]
 
 
 def run_differential(

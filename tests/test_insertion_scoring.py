@@ -6,9 +6,8 @@ t_connect)`` must be ``==`` what the search used to compute one
 candidate at a time — apply the SPR, ``makenewz`` the three junction
 branches in creation order, ``evaluate`` at the connecting branch,
 revert — which survives here only as the test-local oracle
-:func:`_oracle`.  The stacked Newton must equal the scalar
-``newton_branch_length`` per candidate, and a fault injected inside a
-stage must recover to the same bits.
+:func:`_oracle`.  The Newton loop on K rows must equal K one-row solves,
+and a fault injected inside a stage must recover to the same bits.
 """
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.phylo import (
 )
 from repro.phylo import kernels
 from repro.phylo.engine import insertion
-from repro.phylo.engine.core import newton_branch_length
+from repro.phylo.engine.core import masked_newton
 from repro.phylo.search import _apply_spr, _revert_spr, spr_neighborhood
 from repro.phylo.tree import MIN_BRANCH_LENGTH
 from tests.strategies import random_patterns
@@ -305,7 +304,7 @@ def test_fault_inside_a_stage_recovers_to_the_same_bits(site):
         engine.detach()
 
 
-# -- the masked Newton ---------------------------------------------------------
+# -- the Newton loop on K rows ------------------------------------------------
 
 
 def _tables(rng, count, n_patterns, identical):
@@ -336,21 +335,24 @@ def _tables(rng, count, n_patterns, identical):
                                         3.0, 20.0, 50.0]),
                        min_size=7, max_size=7),
        identical=st.lists(st.booleans(), min_size=7, max_size=7))
-def test_masked_newton_equals_the_scalar_loop(seed, count, max_iterations,
-                                              starts, identical):
+def test_k_rows_give_k_one_row_solves(seed, count, max_iterations, starts,
+                                      identical):
+    """Bit for bit, ``(best_t, best_lnl, iterations)``: the K-row stack
+    drops rows as they converge, and a one-row stack runs the
+    single-row operations ``makenewz`` does."""
     rng = np.random.default_rng(seed)
     probe, tables = _tables(rng, count, 23, identical)
     offsets = rng.uniform(0.0, 40.0, count)
     start = np.array(starts[:count])
     work = probe.stack_work(count)
-    best_t, best_lnl, iterations = insertion.masked_newton(
+    best_t, best_lnl, iterations = masked_newton(
         lambda t, rows: probe.stacked(tables[rows], t,
                                       offsets[rows].tolist(), work),
         lambda t, rows: probe.stacked_lnl(tables[rows], t,
                                           offsets[rows].tolist(), work),
         start, max_iterations)
     for k in range(count):
-        probe.load(tables[k], offsets[k])
-        want = newton_branch_length(probe, float(start[k]), max_iterations,
-                                    lnl_at=probe.lnl)
-        assert (best_t[k], best_lnl[k], iterations[k]) == want
+        (t,), (lnl,), (its,) = masked_newton(
+            *probe.rows(tables[k:k + 1], [offsets[k]], probe.stack_work(1)),
+            [float(start[k])], max_iterations)
+        assert (best_t[k], best_lnl[k], iterations[k]) == (t, lnl, its)

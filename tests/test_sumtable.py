@@ -1,8 +1,8 @@
 """The ``makenewz`` sumtable: kernels, engine wiring, guards, accounting.
 
-The sumtable pair (``branch_sumtable`` + ``sumtable_derivatives``) must
-reproduce the explicit ``(P, dP, d2P)`` derivative kernels — and the
-loop-based ``reference`` backend — on every side combination, model
+The sumtable pair (``branch_sumtable`` + ``SumtableProbe`` on a one-row
+stack) must reproduce the explicit ``(P, dP, d2P)`` derivative kernels —
+and the loop-based ``reference`` backend — on every side combination, model
 shape and branch length, and swapping it under ``makenewz`` must change
 nothing an operator can observe: guards, degradation ladder, counters.
 """
@@ -35,11 +35,11 @@ from repro.phylo.alignment import AlignmentError
 from repro.phylo.distances import ml_distance
 from repro.phylo.dna import TIP_PARTIAL_ROWS
 from repro.phylo.engine.backends.reference import ReferenceBackend
-from repro.phylo.engine.core import LNL_TIE_ULPS, newton_branch_length
+from repro.phylo.engine.core import LNL_TIE_ULPS, masked_newton
 from repro.phylo.engine.protocol import EngineNumericalError
 from repro.phylo.protein import AA_CODE_TABLE
 from repro.phylo.tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
-from repro.verify.differential import random_case
+from repro.verify.differential import fast_makenewz_derivatives, random_case
 from repro.verify.golden import (
     GOLDEN_CASES,
     build_case_instance,
@@ -97,6 +97,23 @@ def _random_side(rng, kind, n_cats, table):
     return clv, clv
 
 
+def _one_row(probe, table, offset=0.0, work=None):
+    """``(full, lnl_only)``: ``t ->`` ``probe`` on one sumtable, as a
+    one-row stack."""
+    work = probe.stack_work(1) if work is None else work
+    return (lambda t: probe.stacked(table[None], [t], [offset], work)[0],
+            lambda t: probe.stacked_lnl(table[None], [t], [offset],
+                                        work)[0])
+
+
+def _probe_once(table, eigenvalues, rates, t, weights, cat_weights,
+                offset=0.0, per_site=False):
+    """``(lnL, d1, d2)`` from a probe built and used once."""
+    probe = kernels.SumtableProbe(eigenvalues, rates, weights, cat_weights,
+                                  per_site)
+    return _one_row(probe, table, offset)[0](t)
+
+
 def _assert_triples_agree(got, want, t=1.0):
     """1e-9 relative; d1/d2 sum signed terms, so they also get the
     differential battery's absolute floor.
@@ -149,7 +166,7 @@ class TestKernels:
             model._right, model._left, model.pi, len(cat_weights),
             u_side, v_side, code_table,
         )
-        got = kernels.sumtable_derivatives(
+        got = _probe_once(
             sumtable, model._eigenvalues, rates, t, weights, cat_weights,
             float(weights @ scale) * kernels.LOG_SCALE_FACTOR,
             per_site=per_site,
@@ -194,15 +211,16 @@ class TestKernels:
         args = (model._eigenvalues, rate_model.rates)
         weights = (np.ones(N_PATTERNS), rate_model.weights)
         with pytest.raises(ValueError, match="non-negative"):
-            kernels.sumtable_derivatives(table, *args, -0.1, *weights)
+            _probe_once(table, *args, -0.1, *weights)
         table[:, 0] = 0.0  # a pattern no state pair can explain
         with pytest.raises(FloatingPointError, match="non-positive"):
-            kernels.sumtable_derivatives(table, *args, 0.1, *weights)
+            _probe_once(table, *args, 0.1, *weights)
 
 
 class TestPreparedProbe:
-    """One prepared probe, loaded per branch, is the one-shot kernel —
-    and both are the explicit ``(P, dP, d2P)`` derivatives."""
+    """One prepared probe, with one work buffer, on table after table is
+    a probe built for one table — and both are the explicit ``(P, dP,
+    d2P)`` derivatives."""
 
     @staticmethod
     def _tables(config, seed, count=3):
@@ -213,6 +231,7 @@ class TestPreparedProbe:
         weights = rng.integers(1, 5, N_PATTERNS).astype(np.float64)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
                                       cat_weights, per_site)
+        work = probe.stack_work(1)
         for kinds in [("inner", "inner"), ("tip", "inner"),
                       ("tip", "tip")][:count]:
             u_side, u_clv = _random_side(rng, kinds[0], len(cat_weights),
@@ -224,8 +243,8 @@ class TestPreparedProbe:
                 model._right, model._left, model.pi, len(cat_weights),
                 u_side, v_side, code_table)
             offset = float(weights @ scale) * kernels.LOG_SCALE_FACTOR
-            yield probe.load(sumtable, offset), sumtable, offset, \
-                (u_clv, v_clv, scale, weights)
+            yield _one_row(probe, sumtable, offset, work), probe, \
+                sumtable, offset, (u_clv, v_clv, scale, weights)
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @given(seed=seeds, t=st.floats(0.01, 2.0))
@@ -233,12 +252,12 @@ class TestPreparedProbe:
                                                          seed, t):
         model, rate_model, _ = CONFIGS[config]
         per_site, rates, cat_weights = _rates(rate_model)
-        for probe, sumtable, offset, (u_clv, v_clv, scale, weights) in \
-                self._tables(config, seed):
-            got = probe(t)
+        for (full, _), _, sumtable, offset, \
+                (u_clv, v_clv, scale, weights) in self._tables(config, seed):
+            got = full(t)
             # the same code on the same inputs: the same bits, however
             # many tables the prepared buffers have served before
-            assert got == kernels.sumtable_derivatives(
+            assert got == _probe_once(
                 sumtable, model._eigenvalues, rates, t, weights,
                 cat_weights, offset, per_site=per_site)
             terms = model.transition_derivatives(t, rates)
@@ -259,27 +278,59 @@ class TestPreparedProbe:
         # (Not below t = 0.01: a mismatched tip pair's O(t) likelihood
         # is assembled from O(1) eigen-terms there, and any two
         # summation orders differ by eps / t, not by ulps.)
-        for probe, *_ in self._tables(config, seed):
-            full, alone = probe(t)[0], probe.lnl(t)
+        for (full, lnl_only), *_ in self._tables(config, seed):
+            full, alone = full(t)[0], lnl_only(t)
             assert abs(alone - full) <= \
                 LNL_TIE_ULPS * np.finfo(float).eps * abs(full)
 
     def test_guards_and_evaluation_count(self):
-        (probe, sumtable, *_), = self._tables("gtr_gamma4", 0, count=1)
+        (forms, probe, sumtable, *_), = self._tables("gtr_gamma4", 0,
+                                                    count=1)
         before = probe.calls
-        probe(0.1), probe.lnl(0.1)
+        for evaluate in forms:
+            evaluate(0.1)
         assert probe.calls - before == 2
-        for evaluate in (probe, probe.lnl):
+        for evaluate in forms:
             with pytest.raises(ValueError, match="non-negative"):
                 evaluate(-0.1)
         sumtable[:, 0] = 0.0  # the probe reads the table, it holds no copy
-        for evaluate in (probe, probe.lnl):
+        for evaluate in forms:
             with pytest.raises(FloatingPointError, match="non-positive"):
                 evaluate(0.1)
         sumtable[:, 0] = np.nan
-        for evaluate in (probe, probe.lnl):
+        for evaluate in forms:
             with pytest.raises(FloatingPointError, match="non-finite"):
                 evaluate(0.1)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_stacked_forms_reject_negative_lengths(self, count):
+        (_, probe, sumtable, *_), = self._tables("gtr_gamma4", 0, count=1)
+        tables = np.stack([sumtable] * count)
+        lengths, offsets = [0.1] * (count - 1) + [-0.1], [0.0] * count
+        work = probe.stack_work(count)
+        for form in (probe.stacked, probe.stacked_lnl):
+            with pytest.raises(ValueError, match="non-negative"):
+                form(tables, lengths, offsets, work)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_row_views_survive_alternating_counts(self, config):
+        """One work buffer serves 3, then 1, then 3 rows: each count's
+        views are made once and give the bits of a fresh buffer."""
+        tables, offsets = [], []
+        for _, probe, sumtable, offset, _ in self._tables(config, 1):
+            tables.append(sumtable.copy())
+            offsets.append(offset)
+        tables = np.stack(tables)
+        lengths = [0.05, 0.3, 1.7]
+        work = probe.stack_work(3)
+        for count in (3, 1, 3):
+            for form in (probe.stacked, probe.stacked_lnl):
+                got = form(tables[:count], lengths[:count], offsets[:count],
+                           work)
+                assert got == form(tables[:count], lengths[:count],
+                                   offsets[:count], probe.stack_work(count))
+            assert work[count] is work[count]
+        assert sorted(work) == [1, 3]
 
 
 # -- operand layout and CLV storage (DESIGN 7.5, 7.6): today's kernels
@@ -392,15 +443,16 @@ class TestOperandLayout:
         old_table = _old_sumtable(*eigen, cat_weights, _scn(u_side),
                                   _scn(v_side), code_table)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
-                                      cat_weights, per_site).load(table)
+                                      cat_weights, per_site)
+        full, lnl_only = _one_row(probe, table)
         for t in (0.02, 0.3, 2.5):
             want, want_alone = _old_probe(
                 old_table, model._eigenvalues, rates, t, weights, per_site)
-            got = probe(t)
+            got = full(t)
             assert got[0] == pytest.approx(want[0], rel=1e-12)
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-10)
             assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-10)
-            assert probe.lnl(t) == pytest.approx(want_alone, rel=1e-12)
+            assert lnl_only(t) == pytest.approx(want_alone, rel=1e-12)
 
     def test_out_of_table_code_is_rejected_once_not_per_call(self):
         """``take(mode="clip")`` no longer bounds-checks per call; the
@@ -440,7 +492,7 @@ class TestEngineProbe:
                 for t in (MIN_BRANCH_LENGTH, branch.length,
                           MAX_BRANCH_LENGTH):
                     _assert_triples_agree(
-                        engine._newton_probe(branch)(t),
+                        fast_makenewz_derivatives(engine, branch, t),
                         engine.branch_derivatives(branch, t), t,
                     )
         finally:
@@ -466,7 +518,7 @@ class TestEngineProbe:
             ]
             assert scaled  # rescaling actually happened
             for branch in scaled[:3]:
-                got = engine._newton_probe(branch)(branch.length)
+                got = fast_makenewz_derivatives(engine, branch)
                 _assert_triples_agree(got, engine.branch_derivatives(branch))
                 # The oracle projects P element-wise, in another order than
                 # the engine's GEMM, so at the 1e-8 clamp (the first branch)
@@ -559,9 +611,18 @@ def test_makenewz_lengths_match_the_oracle_loop_on_the_200_case_fuzz():
     assert _oracle_length_gap(range(200)) <= 1.0
 
 
+def _solve(derivatives_at, start):
+    """The Newton loop on one branch: ``(best_t, best_lnl, iterations)``
+    of its one row."""
+    best_t, best_lnl, iterations = masked_newton(
+        lambda t, rows: [derivatives_at(t[0])],
+        lambda t, rows: [derivatives_at(t[0])[0]], [start])
+    return best_t[0], best_lnl[0], iterations[0]
+
+
 class TestNewtonTieRules:
-    """``newton_branch_length`` must not let the last ulp of lnL (i.e.
-    which kernel summed the patterns) choose the returned length."""
+    """The Newton loop must not let the last ulp of lnL (i.e. which
+    kernel summed the patterns) choose the returned length."""
 
     @staticmethod
     def _flat(t):
@@ -569,18 +630,18 @@ class TestNewtonTieRules:
         return -100.0, -2.0 * (t - 1.0), -2.0
 
     def test_lnl_tie_keeps_the_later_iterate(self):
-        t, lnl, iterations = newton_branch_length(self._flat, 0.5)
+        t, lnl, iterations = _solve(self._flat, 0.5)
         assert (t, lnl, iterations) == (1.0, -100.0, 2)
 
     def test_result_within_tolerance_of_start_returns_start(self):
         start = 1.0 + 8e-9  # d1 above tolerance, Newton step below it
-        t, _, _ = newton_branch_length(self._flat, start)
+        t, _, _ = _solve(self._flat, start)
         assert t == start
 
     def test_a_step_that_loses_likelihood_is_not_kept(self):
         def overshoot(t):
             return -100.0 - abs(t - 0.5), -2.0 * (t - 1.0), -2.0
-        t, lnl, _ = newton_branch_length(overshoot, 0.5)
+        t, lnl, _ = _solve(overshoot, 0.5)
         assert (t, lnl) == (0.5, -100.0)
 
 
@@ -640,7 +701,7 @@ class TestGuardParity:
             inner = next(n for n in branch.nodes if not n.is_tip)
             engine.clv(inner, branch).clv[:, 0] = 0.0
             with pytest.raises(FloatingPointError, match="non-positive"):
-                engine._newton_probe(branch)(branch.length)
+                fast_makenewz_derivatives(engine, branch)
             assert engine.makenewz(branch) == clean
             assert engine.numerical_faults == 1
             assert engine.fault_recoveries == 1
@@ -652,7 +713,7 @@ class TestGuardParity:
         try:
             branch = engine.tree.branches[0]
             with pytest.raises(ValueError, match="non-negative"):
-                engine._newton_probe(branch)(-1.0)
+                fast_makenewz_derivatives(engine, branch, -1.0)
             with pytest.raises(ValueError, match="non-negative"):
                 engine.branch_derivatives(branch, -1.0)
         finally:
