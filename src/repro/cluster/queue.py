@@ -29,7 +29,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 from zlib import crc32
 
 import numpy as np
@@ -88,11 +88,6 @@ class ClusterConfig:
     retry_backoff_s: float = 0.05
     #: Exponential backoff ceiling: retries never wait longer than this.
     retry_backoff_cap_s: float = 2.0
-    #: Deterministic jitter fraction on top of the capped exponential
-    #: delay (0.25 = up to +25%), derived from the task id and attempt —
-    #: never ``random.random()`` — so two runs of the same plan produce
-    #: the same retry schedule.
-    retry_jitter: float = 0.25
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
     #: Per-worker resident-set ceiling in MiB (None = watchdog off).
@@ -112,6 +107,13 @@ def _rss_bytes(pid: int) -> Optional[int]:
         return None
 
 
+#: Deterministic jitter fraction on top of the capped exponential retry
+#: delay (0.25 = up to +25%), derived from the task id and attempt —
+#: never ``random.random()`` — so two runs of the same plan produce the
+#: same retry schedule.
+RETRY_JITTER = 0.25
+
+
 def retry_backoff(cfg: ClusterConfig, task_id: str, attempt: int) -> float:
     """Capped exponential backoff with deterministic seeded jitter.
 
@@ -125,7 +127,7 @@ def retry_backoff(cfg: ClusterConfig, task_id: str, attempt: int) -> float:
         cfg.retry_backoff_s * (2 ** (attempt - 1)),
     )
     jitter = crc32(f"{task_id}:{attempt}".encode()) / 2**32
-    return base * (1.0 + cfg.retry_jitter * jitter)
+    return base * (1.0 + RETRY_JITTER * jitter)
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,11 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
 #: that another run has checked back in.
 LEND_POLL_S = 0.002
 
+#: How long a run whose last replicate has landed waits for trailing
+#: acks (a task's ``finished``, a job's ``closed``) before it retires
+#: the workers that have not sent theirs.
+SETTLE_S = 1.0
+
 #: Pages the ``cluster.worker_oom`` site pins resident, in MiB.
 _OOM_BALLAST_MB = 192
 
@@ -365,7 +372,12 @@ class _WorkerJob:
 
 
 class ClusterQueue:
-    """The master loop: dispatch, monitor, retry, aggregate."""
+    """The master of one run: dispatch, monitor, retry, aggregate.
+
+    A queue runs once (``run_job`` and ``resume_job`` each build their
+    own), so the run's state lives on it and :meth:`run` is one loop
+    over that state.
+    """
 
     def __init__(
         self,
@@ -391,6 +403,16 @@ class ClusterQueue:
         self.scheduler: Optional[MultigrainScheduler] = None
         #: why the run stopped early (``REASON_*``), None on completion
         self.cancelled_reason: Optional[str] = None
+        #: ``(kind, replicate) -> payload``, replayed and streamed
+        self.results: Dict[Tuple[str, int], dict] = {}
+        #: result keys still owed (bootstopping cancels the bootstraps')
+        self.remaining: Set[Tuple[str, int]] = set()
+        self.pending: List[PendingTask] = []
+        #: the workers the run holds, by logical id
+        self.workers: Dict[int, _Worker] = {}
+        self._wids = itertools.count()  # logical ids; never recycled
+        #: the cancel token's absolute deadline, shipped to every worker
+        self.deadline: Optional[float] = None
 
     def run(
         self,
@@ -415,211 +437,79 @@ class ClusterQueue:
         Workers are borrowed from :attr:`pool` while the run has a
         ready task and no idle worker, up to ``n_workers``, and each
         live one is closed and checked back in as soon as nothing is
-        left to dispatch to it; a run that ends any other way
-        (cancelled, or unwinding an exception) terminates the workers
-        it holds.
+        left to dispatch to it.  Once the last replicate lands, the
+        loop runs on for at most :data:`SETTLE_S` for trailing acks.
+        Whatever the run still holds when it ends — after that window,
+        cancelled, or unwinding an exception — is terminated, not
+        waited on: completed replicates are already journalled, partial
+        ones are discarded by design.
         """
-        results: Dict[Tuple[str, int], dict] = dict(already or {})
-        for payload in results.values():
-            self.aggregator.ingest(payload)
-            if self.bootstop is not None and payload.get("is_bootstrap"):
-                self.bootstop.note(payload["replicate"], payload["newick"])
-        remaining = {
-            key for t in tasks for key in t.keys() if key not in results
-        }
-        pending = [PendingTask(t) for t in tasks]
+        for payload in (already or {}).values():
+            self._accept(payload)
+        self.remaining = {key for t in tasks for key in t.keys()
+                          if key not in self.results}
+        self.pending = [PendingTask(t) for t in tasks]
         # Replayed results alone may already satisfy the autoMRE
         # criterion (a crash can land between the converging replicate
         # and the journalled decision); check before taking any worker.
-        pending = self._bootstop_check(pending, remaining, results)
-        if not remaining:
-            return results
+        self._bootstop_check()
+        if not self.remaining:
+            return self.results
 
-        workers: Dict[int, _Worker] = {}
-        next_wid = itertools.count()  # logical ids; never recycled
-        n_workers = min(self.cfg.n_workers, max(1, len(pending)))
+        n_workers = min(self.cfg.n_workers, max(1, len(self.pending)))
         self.scheduler = MultigrainScheduler(n_workers)
-        pool = self.pool if self.pool is not None else WorkerPool(n_workers)
-        deadline = cancel.deadline if cancel is not None else None
-
-        def enlist(worker: _Worker) -> None:
-            """Open this run's job on *worker* under the next logical id."""
-            worker.wid = wid = next(next_wid)
-            worker.current, worker.closing, worker.closed = None, False, False
-            worker.last_seen = time.monotonic()
-            workers[wid] = worker
-            try:
-                worker.inbox.send(_WorkerJob(
-                    wid, self.patterns, self.ctx, self.plans,
-                    self.cfg.heartbeat_interval_s, deadline,
-                ))
-            except OSError:
-                pass  # died since check-out; the sweep replaces it
-
-        def retire(wid: int) -> None:
-            """Forget a worker; kill it and discard its pipes."""
-            pool.retire(workers.pop(wid))
-
-        def drain_messages(timeout: float) -> None:
-            """Receive from every readable worker pipe.
-
-            A dead worker's pipe raises EOF/OSError mid-``recv`` — the
-            partial frame is discarded here and the liveness sweep
-            journals the death; no other worker's channel is affected.
-            """
-            conns = [w.conn for w in workers.values()]
-            if not conns:
-                time.sleep(timeout)
-                return
-            try:
-                ready = mp_connection.wait(conns, timeout)
-            except OSError:
-                return
-            for conn in ready:
-                try:
-                    while True:
-                        self._handle(conn.recv(), workers, results,
-                                     remaining, requeue, time.monotonic())
-                        if not conn.poll():
-                            break
-                except (EOFError, OSError):
-                    continue  # worker died mid-write; the sweep reaps it
-
-        def requeue(task: ClusterTask, attempt: int, error: str,
-                    now: float) -> None:
-            if self._bootstop_cancelled(task, results):
-                return  # bootstopping already cancelled this work
-            if all(key in results for key in task.keys()):
-                return  # everything streamed out before the death
-            will_retry = attempt < 1 + self.cfg.max_retries
-            backoff = retry_backoff(self.cfg, task.task_id, attempt)
-            self.journal.append(
-                "task_failed", task=task.task_id, attempt=attempt,
-                attempts=1 + self.cfg.max_retries,
-                backoff_ms=round(backoff * 1000.0, 3),
-                error=error.strip().splitlines()[-1] if error else "",
-                will_retry=will_retry,
-            )
-            if not will_retry:
-                raise TaskExecutionError(task, attempt, error)
-            pending.append(PendingTask(task, attempt + 1, now + backoff))
-
-        clean = False
+        private = self.pool is None
+        if private:
+            self.pool = WorkerPool(n_workers)
+        self.deadline = cancel.deadline if cancel is not None else None
+        settle_by = None
         try:
-            while remaining:
+            while self.workers or self.remaining:
                 now = time.monotonic()
-
-                # -- cooperative cancellation --------------------------------
-                if cancel is not None and cancel.cancelled:
-                    reason = cancel.reason
-                    self.cancelled_reason = reason
-                    if reason == REASON_DEADLINE:
-                        self.journal.append(
-                            "task_deadline_exceeded",
-                            remaining=len(remaining),
-                            n_done=len(results),
-                        )
-                    else:
-                        self.journal.append(
-                            "run_cancelled", reason=reason,
-                            remaining=len(remaining), n_done=len(results),
-                        )
+                if not self.remaining:
+                    # Every replicate landed: settle trailing acks.
+                    settle_by = settle_by or now + SETTLE_S
+                    if now >= settle_by:
+                        break
+                elif cancel is not None and cancel.cancelled:
+                    self._cancelled(cancel.reason)
                     break
 
                 # -- borrow for ready work no idle worker can take ---------
-                idle = [w for w in workers.values() if w.current is None
+                idle = [w for w in self.workers.values() if w.current is None
                         and not w.closing and w.proc.is_alive()]
                 want = 0 if idle else min(
-                    sum(p.not_before <= now for p in pending),
-                    n_workers - len(workers))
+                    sum(p.not_before <= now for p in self.pending),
+                    n_workers - len(self.workers))
                 if want:
                     # Holding nothing, wait briefly for another run's
                     # check-in; the cancel token is polled above.
-                    idle = pool.checkout(want, wait=0.0 if workers else 0.05)
+                    idle = self.pool.checkout(
+                        want, wait=0.0 if self.workers else 0.05)
                     for worker in idle:
-                        enlist(worker)
+                        self._enlist(worker)
                 short = want > len(idle)  # a ready task found no worker
 
-                # -- dispatch to idle workers --------------------------------
-                if idle and pending:
-                    pending = self.scheduler.plan(pending, now)
-                    for worker in idle:
-                        ready = next((i for i, p in enumerate(pending)
-                                      if p.not_before <= now), None)
-                        if ready is None:
-                            break  # only backoff-gated retries are left
-                        entry = pending.pop(ready)
-                        worker.current = (entry.task, entry.attempt, now)
-                        try:
-                            worker.inbox.send((entry.task, entry.attempt))
-                        except OSError:
-                            pass  # died this instant; the sweep requeues
-                        self.scheduler.dispatched(entry)
-                if not pending:
-                    # Nothing left to dispatch: give idle workers back now,
-                    # for whichever run has a task ready.
-                    for worker in idle:
-                        if worker.current is None:
-                            self._close(worker)
+                self._dispatch(idle, now)
 
                 # -- drain worker messages -----------------------------------
                 # A run short of workers polls for a check-in (its pipes
                 # cannot wake it); one holding none has just waited.
-                drain_messages((LEND_POLL_S if workers else 0.0) if short
-                               else 0.05)
-                pending = self._bootstop_check(pending, remaining, results)
-                for wid in [wid for wid, w in workers.items() if w.closed]:
-                    if self._parkable(workers[wid]):
-                        pool.checkin(workers.pop(wid))
+                self._drain((LEND_POLL_S if self.workers else 0.0) if short
+                            else 0.05)
+                self._bootstop_check()
+                for wid in [i for i, w in self.workers.items() if w.closed]:
+                    worker = self.workers.pop(wid)
+                    if worker.proc.is_alive() and not self._over_rss(worker):
+                        self.pool.checkin(worker)
                     else:
-                        retire(wid)
-
-                # -- liveness / timeout / RSS sweep --------------------------
-                now = time.monotonic()
-                for wid, worker in list(workers.items()):
-                    dead = not worker.proc.is_alive()
-                    over_rss = not dead and self._over_rss(worker)
-                    if worker.current is not None:
-                        task, attempt, t0 = worker.current
-                        timed_out = now - t0 > self.cfg.task_timeout_s
-                        stale = (now - worker.last_seen
-                                 > self.cfg.heartbeat_timeout_s)
-                        if dead or timed_out or stale or over_rss:
-                            reason = ("crash" if dead else
-                                      "rss" if over_rss else
-                                      "timeout" if timed_out else "heartbeat")
-                            self.journal.append(
-                                "worker_dead", worker=wid,
-                                task=task.task_id, reason=reason,
-                            )
-                            retire(wid)
-                            requeue(task, attempt,
-                                    f"worker {wid} died ({reason})", now)
-                    elif dead or over_rss:
-                        retire(wid)
-
-            # All replicates landed; drain the trailing task_finished
-            # acknowledgements so the journal closes every task.  A
-            # worker that died after streaming the run's last replicate
-            # never acks: its death is journalled here, as the sweep
-            # would have done had any work remained.  A cancelled run
-            # skips this — its workers are being killed.
-            completed = self.cancelled_reason is None
-            settle_by = time.monotonic() + (1.0 if completed else 0.0)
-            while (any(w.current is not None for w in workers.values())
-                   and time.monotonic() < settle_by):
-                drain_messages(0.05)
-                for wid, worker in list(workers.items()):
-                    if worker.current is not None \
-                            and not worker.proc.is_alive():
-                        self.journal.append(
-                            "worker_dead", worker=wid,
-                            task=worker.current[0].task_id, reason="crash",
-                        )
-                        retire(wid)
-            clean = completed  # nothing raised on the way here either
+                        self.pool.retire(worker)
+                self._sweep(time.monotonic())
         finally:
-            self._release(pool, workers, clean, drain_messages)
+            self.pool.retire(*self.workers.values())
+            self.workers.clear()
+            if private:
+                self.pool.close()  # a private pool dies with its run
 
         phases = self.scheduler.finish()
         self.journal.append(
@@ -627,43 +517,154 @@ class ClusterQueue:
             phases=summarize_phases(phases),
             splits=self.scheduler.splits,
         )
-        return results
+        return self.results
 
     # -- internals ----------------------------------------------------------
 
-    def _bootstop_stopped_replicate(self, payload: dict) -> bool:
-        """True when bootstopping has already cancelled this replicate."""
-        return (
-            self.bootstop is not None
-            and self.bootstop.stopped_at is not None
-            and bool(payload.get("is_bootstrap"))
-            and payload["replicate"] >= self.bootstop.stopped_at
-        )
+    def _cancelled(self, reason: str) -> None:
+        self.cancelled_reason = reason
+        counts = dict(remaining=len(self.remaining), n_done=len(self.results))
+        if reason == REASON_DEADLINE:
+            self.journal.append("task_deadline_exceeded", **counts)
+        else:
+            self.journal.append("run_cancelled", reason=reason, **counts)
 
-    def _bootstop_cancelled(self, task: ClusterTask, results) -> bool:
-        """True when every outstanding replicate of *task* is cancelled."""
-        if self.bootstop is None or self.bootstop.stopped_at is None:
+    def _dispatch(self, idle: List[_Worker], now: float) -> None:
+        """Hand ready tasks to *idle* workers; close those left idle
+        once nothing is pending, for whichever run has a task ready."""
+        if idle and self.pending:
+            self.pending = self.scheduler.plan(self.pending, now)
+            for worker in idle:
+                ready = next((i for i, p in enumerate(self.pending)
+                              if p.not_before <= now), None)
+                if ready is None:
+                    break  # only backoff-gated retries are left
+                entry = self.pending.pop(ready)
+                worker.current = (entry.task, entry.attempt, now)
+                self._send(worker, (entry.task, entry.attempt))
+                self.scheduler.dispatched()
+        if not self.pending:
+            for worker in idle:
+                if worker.current is None:
+                    worker.closing = True
+                    self._send(worker, CLOSE)  # acked ``closed``
+
+    @staticmethod
+    def _send(worker: _Worker, message) -> None:
+        try:
+            worker.inbox.send(message)
+        except OSError:
+            pass  # died since; the sweep reaps it and requeues its task
+
+    def _enlist(self, worker: _Worker) -> None:
+        """Open this run's job on *worker* under the next logical id."""
+        worker.wid = wid = next(self._wids)
+        worker.current, worker.closing, worker.closed = None, False, False
+        worker.last_seen = time.monotonic()
+        self.workers[wid] = worker
+        self._send(worker, _WorkerJob(
+            wid, self.patterns, self.ctx, self.plans,
+            self.cfg.heartbeat_interval_s, self.deadline,
+        ))
+
+    def _drain(self, timeout: float) -> None:
+        """Receive from every readable worker pipe.
+
+        A dead worker's pipe raises EOF/OSError mid-``recv`` — the
+        partial frame is discarded here and the liveness sweep journals
+        the death; no other worker's channel is affected.
+        """
+        conns = [w.conn for w in self.workers.values()]
+        if not conns:
+            time.sleep(timeout)
+            return
+        try:
+            ready = mp_connection.wait(conns, timeout)
+        except OSError:
+            return
+        for conn in ready:
+            try:
+                while True:
+                    self._handle(conn.recv(), time.monotonic())
+                    if not conn.poll():
+                        break
+            except (EOFError, OSError):
+                continue  # worker died mid-write; the sweep reaps it
+
+    def _sweep(self, now: float) -> None:
+        """Liveness / timeout / RSS: retire what is dead, hung or too
+        big, journalling and requeueing whatever task it held."""
+        for wid, worker in list(self.workers.items()):
+            dead = not worker.proc.is_alive()
+            over_rss = not dead and self._over_rss(worker)
+            if worker.current is not None:
+                task, attempt, t0 = worker.current
+                timed_out = now - t0 > self.cfg.task_timeout_s
+                stale = now - worker.last_seen > self.cfg.heartbeat_timeout_s
+                if dead or timed_out or stale or over_rss:
+                    reason = ("crash" if dead else
+                              "rss" if over_rss else
+                              "timeout" if timed_out else "heartbeat")
+                    self.journal.append(
+                        "worker_dead", worker=wid,
+                        task=task.task_id, reason=reason,
+                    )
+                    self.pool.retire(self.workers.pop(wid))
+                    self._requeue(task, attempt,
+                                  f"worker {wid} died ({reason})", now)
+            elif dead or over_rss:
+                self.pool.retire(self.workers.pop(wid))
+
+    def _requeue(self, task: ClusterTask, attempt: int, error: str,
+                 now: float) -> None:
+        if all(key in self.results or self._bootstopped(*key)
+               for key in task.keys()):
+            return  # streamed out before the death, or bootstopped
+        will_retry = attempt < 1 + self.cfg.max_retries
+        backoff = retry_backoff(self.cfg, task.task_id, attempt)
+        self.journal.append(
+            "task_failed", task=task.task_id, attempt=attempt,
+            attempts=1 + self.cfg.max_retries,
+            backoff_ms=round(backoff * 1000.0, 3),
+            error=error.strip().splitlines()[-1] if error else "",
+            will_retry=will_retry,
+        )
+        if not will_retry:
+            raise TaskExecutionError(task, attempt, error)
+        self.pending.append(PendingTask(task, attempt + 1, now + backoff))
+
+    def _bootstopped(self, kind: str, replicate: int) -> bool:
+        """True when bootstopping has cancelled this replicate."""
+        stop_at = None if self.bootstop is None else self.bootstop.stopped_at
+        return (stop_at is not None and kind == "bootstrap"
+                and replicate >= stop_at)
+
+    def _accept(self, payload: dict) -> bool:
+        """Take a replayed or streamed result; False for a duplicate or
+        one past the bootstop point (it raced the stop decision)."""
+        key = (payload["kind"], payload["replicate"])
+        if key in self.results or self._bootstopped(*key):
             return False
-        stop_at = self.bootstop.stopped_at
-        return task.kind == "bootstrap" and all(
-            r >= stop_at or ("bootstrap", r) in results
-            for r in task.replicates
-        )
+        self.results[key] = payload
+        self.aggregator.ingest(payload)
+        if self.bootstop is not None and payload.get("is_bootstrap"):
+            self.bootstop.note(payload["replicate"], payload["newick"])
+        return True
 
-    def _bootstop_check(self, pending, remaining, results):
+    def _bootstop_check(self) -> None:
         """Poll the autoMRE controller; cancel bootstrap work on stop.
 
         Journals the decision, drops the pending bootstrap tasks, and
         evicts replicates past the stop point from the aggregate and
         the result map — in-flight workers may still deliver them, but
-        :meth:`_handle` discards those arrivals, so the final payload
+        :meth:`_accept` discards those arrivals, so the final payload
         set is exactly ``[0, stop_at)`` regardless of timing.
         """
         if self.bootstop is None:
-            return pending
+            return
         check = self.bootstop.poll()
         if check is None:
-            return pending
+            return
         stop_at = self.bootstop.stopped_at
         self.journal.append(
             "bootstop_converged",
@@ -677,19 +678,15 @@ class ClusterQueue:
             check_every=self.bootstop.config.check_every,
             seed=self.bootstop.seed,
         )
-        pending = [p for p in pending if p.task.kind != "bootstrap"]
-        for key in [k for k in remaining if k[0] == "bootstrap"]:
-            remaining.discard(key)
-        for key in [k for k in results
-                    if k[0] == "bootstrap" and k[1] >= stop_at]:
-            del results[key]
+        self.pending = [p for p in self.pending if p.task.kind != "bootstrap"]
+        self.remaining = {k for k in self.remaining if k[0] != "bootstrap"}
+        for key in [k for k in self.results if self._bootstopped(*k)]:
+            del self.results[key]
         self.aggregator.truncate_bootstraps(stop_at)
-        return pending
 
-    def _handle(self, message, workers, results, remaining, requeue,
-                now: float) -> None:
+    def _handle(self, message, now: float) -> None:
         kind, wid = message[0], message[1]
-        worker = workers.get(wid)
+        worker = self.workers.get(wid)
         if worker is not None:
             worker.last_seen = now
         if kind == "heartbeat":
@@ -700,18 +697,10 @@ class ClusterQueue:
                                 attempt=attempt, worker=wid)
         elif kind == "replicate":
             _, _, task_id, attempt, payload = message
-            if self._bootstop_stopped_replicate(payload):
-                return  # raced past the journalled stop decision
-            key = (payload["kind"], payload["replicate"])
-            if key not in results:
-                results[key] = payload
-                self.aggregator.ingest(payload)
-                if self.bootstop is not None and payload.get("is_bootstrap"):
-                    self.bootstop.note(payload["replicate"],
-                                       payload["newick"])
+            if self._accept(payload):
                 self.journal.append("replicate_done", task=task_id,
                                     payload=payload)
-            remaining.discard(key)
+            self.remaining.discard((payload["kind"], payload["replicate"]))
         elif kind == "finished":
             _, _, task_id, attempt = message
             self.journal.append("task_finished", task=task_id,
@@ -731,7 +720,7 @@ class ClusterQueue:
             if worker is not None and worker.current is not None:
                 task = worker.current[0]
                 worker.current = None
-                requeue(task, attempt, error, now)
+                self._requeue(task, attempt, error, now)
 
     def _over_rss(self, worker: _Worker) -> bool:
         """RSS watchdog: journal and report a worker over the ceiling."""
@@ -747,54 +736,3 @@ class ClusterQueue:
             limit_mb=self.cfg.max_worker_rss_mb,
         )
         return True
-
-    def _release(self, pool: WorkerPool, workers: Dict[int, _Worker],
-                 clean: bool, drain_messages) -> None:
-        """Hand the run's workers back: park the good, kill the rest.
-
-        Only a run that ended normally parks anything, and only workers
-        that have acknowledged the job's close (their pipe is quiet)
-        and are :meth:`_parkable`.  Everything
-        else — a cancelled run's mid-replicate workers, a wedged one,
-        whatever an unwinding exception leaves behind — is terminated,
-        not waited on: completed replicates are already journalled,
-        partial ones are discarded by design.
-        """
-        parked: List[_Worker] = []
-        try:
-            if clean:
-                parked = self._close_jobs(workers, drain_messages)
-        finally:
-            pool.retire(*(w for w in workers.values() if w not in parked))
-            for worker in parked:
-                pool.checkin(worker)
-            workers.clear()
-            if pool is not self.pool:
-                pool.close()  # a private pool dies with its run
-
-    @staticmethod
-    def _close(worker: _Worker) -> None:
-        """Close the job on an idle *worker* (once); it acks ``closed``."""
-        if not worker.closing:
-            worker.closing = True
-            try:
-                worker.inbox.send(CLOSE)
-            except OSError:
-                pass
-
-    def _parkable(self, worker: _Worker) -> bool:
-        return worker.proc.is_alive() and not self._over_rss(worker)
-
-    def _close_jobs(self, workers: Dict[int, _Worker],
-                    drain_messages) -> List[_Worker]:
-        """Close the job on every idle worker; return those that acked
-        and may be parked."""
-        idle = [w for w in workers.values()
-                if w.current is None and w.proc.is_alive()]
-        for worker in idle:
-            self._close(worker)
-        ack_by = time.monotonic() + 1.0
-        while (not all(w.closed for w in idle)
-               and time.monotonic() < ack_by):
-            drain_messages(0.05)
-        return [w for w in idle if w.closed and self._parkable(w)]

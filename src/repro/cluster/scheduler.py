@@ -70,7 +70,7 @@ class MultigrainScheduler:
         self._enter(mode, now)
         return pending
 
-    def dispatched(self, entry: PendingTask) -> None:
+    def dispatched(self) -> None:
         """Count a task against the current phase."""
         self._phase_tasks += 1
 
@@ -79,10 +79,6 @@ class MultigrainScheduler:
         if now is None:
             now = time.monotonic()
         self._close(now)
-        return list(self._phases)
-
-    @property
-    def phases(self) -> List[MGPSPhase]:
         return list(self._phases)
 
     # -- internals ----------------------------------------------------------

@@ -207,8 +207,7 @@ class TestCheckpointFaults:
 
 class TestRetryBackoff:
     def test_backoff_is_capped_exponential_with_deterministic_jitter(self):
-        cfg = ClusterConfig(retry_backoff_s=0.05, retry_backoff_cap_s=2.0,
-                            retry_jitter=0.25)
+        cfg = ClusterConfig(retry_backoff_s=0.05, retry_backoff_cap_s=2.0)
         delays = [retry_backoff(cfg, "bootstrap/0-1", a)
                   for a in range(1, 12)]
         assert delays == [retry_backoff(cfg, "bootstrap/0-1", a)
@@ -220,12 +219,6 @@ class TestRetryBackoff:
         assert all(2.0 <= d <= 2.5 for d in delays[-3:])
 
     def test_jitter_decorrelates_tasks(self):
-        cfg = ClusterConfig(retry_backoff_s=0.05, retry_jitter=0.25)
+        cfg = ClusterConfig(retry_backoff_s=0.05)
         assert retry_backoff(cfg, "inference/0", 1) != \
             retry_backoff(cfg, "bootstrap/0-1", 1)
-
-    def test_zero_jitter_is_plain_capped_exponential(self):
-        cfg = ClusterConfig(retry_backoff_s=0.05, retry_backoff_cap_s=0.4,
-                            retry_jitter=0.0)
-        assert [retry_backoff(cfg, "t", a) for a in (1, 2, 3, 4, 5)] == \
-            [0.05, 0.1, 0.2, 0.4, 0.4]

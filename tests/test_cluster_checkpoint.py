@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import (
     JobSpec,
     RunJournal,
+    WorkerPool,
     replay,
     resume_job,
     run_job,
@@ -27,7 +28,7 @@ from repro.cluster.checkpoint import (
     encode_record,
 )
 from repro.harness.report import render_cluster_status
-from repro.phylo import cli
+from repro.phylo import cli, run_full_analysis
 
 
 def _truncate_after(journal_path: str, out_path: str, k: int) -> int:
@@ -47,6 +48,18 @@ def _truncate_after(journal_path: str, out_path: str, k: int) -> int:
     with open(out_path, "w") as fh:
         fh.write("\n".join(kept) + "\n")
     return min(k, replicates)
+
+
+def _events(path: str) -> list:
+    """The event names of a journal's readable records."""
+    events = []
+    with open(path) as fh:
+        for line in fh:
+            try:
+                events.append(decode_record(line)["event"])
+            except ValueError:
+                pass  # a torn or corrupt line
+    return events
 
 
 class TestJournal:
@@ -419,6 +432,61 @@ class TestResumeDeterminism:
         state = replay(journal)
         assert state.resumes == 1
         assert state.finished
+
+    @pytest.mark.parametrize("n_inferences,n_bootstraps", [(1, 4), (2, 3)],
+                             ids=["1+4", "2+3"])
+    def test_every_journal_cut_resumes_bit_identical(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path,
+            n_inferences, n_bootstraps):
+        """A run killed after any record of its journal, cleanly or
+        mid-append (a torn half-record), resumes to the serial reference
+        bit for bit: every cut k = 1..N is tried, on one shared pool."""
+        reference = run_full_analysis(
+            tiny_patterns, n_inferences=n_inferences,
+            n_bootstraps=n_bootstraps, config=fast_config, seed=9)
+        full = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=n_inferences, n_bootstraps=n_bootstraps,
+                       seed=9, batch_size=1, config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=full)
+        with open(full) as fh:
+            lines = fh.read().splitlines(True)
+        cuts = [(k, False) for k in range(1, len(lines) + 1)]
+        cuts += [(k, True) for k in range(1, len(lines))]
+
+        pool = WorkerPool(cluster_workers)
+        try:
+            for k, torn in cuts:
+                text = "".join(lines[:k])  # the header always survives
+                if torn:
+                    text += lines[k][: max(1, len(lines[k]) // 2)]
+                journal = str(tmp_path / f"cut{k}{'t' if torn else ''}.jsonl")
+                with open(journal, "w") as fh:
+                    fh.write(text)
+
+                resumed = resume_job(journal, alignment=tiny_patterns,
+                                     n_workers=cluster_workers, pool=pool)
+                cut = (k, torn)
+                assert resumed.best.newick == reference.best.newick, cut
+                assert resumed.best.log_likelihood == \
+                    reference.best.log_likelihood, cut
+                for got, want in ((resumed.inferences, reference.inferences),
+                                  (resumed.bootstraps, reference.bootstraps)):
+                    assert [r.newick for r in got] == \
+                        [r.newick for r in want], cut
+                    assert [r.log_likelihood for r in got] == \
+                        [r.log_likelihood for r in want], cut
+                assert resumed.supports == reference.supports, cut
+                state = replay(journal)
+                assert state.resumes == 1, cut
+                assert state.finished, cut
+                # The resume finalizes once.  Only the uncut journal
+                # already held the run's own run_finished, and resuming
+                # a complete run finalizes it again.
+                assert _events(journal).count("run_finished") == \
+                    (2 if k == len(lines) else 1), cut
+        finally:
+            pool.close()
 
     def test_resume_of_complete_run_spawns_no_workers(
             self, tiny_patterns, fast_config, serial_reference,
