@@ -86,10 +86,6 @@ class MFC:
         """Queue a main-memory -> local-store transfer."""
         self._issue(DMACommand(n_bytes, tag, "get"))
 
-    def dma_put(self, n_bytes: int, tag: int = 0) -> None:
-        """Queue a local-store -> main-memory transfer."""
-        self._issue(DMACommand(n_bytes, tag, "put"))
-
     def dma_list(self, sizes: Sequence[int], tag: int = 0,
                  direction: str = "get") -> None:
         """Queue a DMA-list transfer (for moves larger than 16 KB)."""

@@ -40,10 +40,6 @@ class PPE:
         self.spans = []
         self.max_spans = 40_000
 
-    @property
-    def active_threads(self) -> int:
-        return self._threads.in_use
-
     def compute(self, duration: float) -> Generator:
         """Process-generator: occupy one SMT thread for *duration* work.
 

@@ -101,24 +101,9 @@ class CellTiming:
 
     # -- derived helpers ------------------------------------------------------
 
-    @property
-    def cycle_s(self) -> float:
-        """Seconds per clock cycle."""
-        return 1.0 / self.clock_hz
-
     def cycles(self, n: float) -> float:
         """Seconds taken by *n* cycles."""
         return n / self.clock_hz
-
-    def dp_flops_per_second_scalar(self) -> float:
-        """Sustained scalar DP issue rate of one SPU (no SIMD)."""
-        return self.clock_hz * self.dp_ops_per_issue / self.dp_issue_interval_cycles
-
-    def dma_transfer_time(self, n_bytes: int) -> float:
-        """Latency + EIB-bandwidth time of a single DMA transfer."""
-        if n_bytes <= 0:
-            return 0.0
-        return self.dma_latency_s + n_bytes / self.eib_bandwidth_bytes_per_s
 
 
 #: The 3.2 GHz Cell blade configuration used throughout the paper.

@@ -49,11 +49,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..cluster.checkpoint import JournalWriteError, atomic_write, replay
 from ..cluster.jobs import JobSpec
-from ..cluster.queue import (
-    ClusterConfig,
-    TaskExecutionError,
-    _CounterCollector,
-)
+from ..cluster.queue import ClusterConfig, TaskExecutionError
 from ..cluster.runner import resume_job, run_job
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.engine.protocol import EngineNumericalError
@@ -359,15 +355,13 @@ def _canonical_result(payload: Optional[dict]) -> str:
 def _engine_drive(job: CampaignJob, run: SeedRun
                   ) -> Tuple[float, Dict[str, int]]:
     """One full inference; returns (lnL, engine perf counters)."""
-    collector = _CounterCollector()
     result = infer_tree(
         job.patterns,
         config=campaign_search_config(),
         seed=ENGINE_INFER_SEED,
-        tracer=collector,
         backend=job.backend,
     )
-    return result.log_likelihood, collector.perf_counters()
+    return result.log_likelihood, result.perf
 
 
 def _engine_baseline(job: CampaignJob, run: SeedRun) -> Baseline:

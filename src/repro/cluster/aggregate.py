@@ -226,4 +226,5 @@ def _to_result(payload: dict) -> InferenceResult:
         evaluate_calls=payload.get("evaluate_calls", 0),
         is_bootstrap=bool(payload.get("is_bootstrap")),
         replicate=payload["replicate"],
+        perf=payload.get("perf") or {},
     )

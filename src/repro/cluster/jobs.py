@@ -37,9 +37,14 @@ __all__ = [
 #: Terminal DAG node: the streaming aggregation barrier every task feeds.
 AGGREGATE_NODE = "aggregate/consensus"
 
-#: Removed ``SearchConfig`` options an older run header still carries;
-#: ``false`` (the only value the kept search reproduces) is dropped.
-_RETIRED_CONFIG_FIELDS = ("batch_spr", "gradient_smoothing")
+#: Removed ``SearchConfig`` options an older run header still carries,
+#: each with the one value the kept search reproduces; a header holding
+#: that value drops the field.
+_RETIRED_CONFIG_FIELDS = {
+    "batch_spr": False,
+    "gradient_smoothing": False,
+    "move_set": "spr",
+}
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,8 @@ class JobSpec:
         spec = cls(**data)
         if config is not None:
             config = dict(config)
-            for name in _RETIRED_CONFIG_FIELDS:
-                if config.pop(name, False):
+            for name, kept in _RETIRED_CONFIG_FIELDS.items():
+                if config.pop(name, kept) != kept:
                     raise ValueError(
                         f"run header sets the retired search option "
                         f"{name!r}: its replicates came from a search "

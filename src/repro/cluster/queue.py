@@ -160,32 +160,6 @@ class ExecutionContext:
                    alpha=spec.alpha, categories=spec.categories)
 
 
-class _CounterCollector:
-    """Minimal tracer: harvests ``engine.perf_counters`` per task.
-
-    Every other tracer hook is a no-op, so attaching it cannot perturb
-    the search trajectory (bit-identical to an untraced run).
-    """
-
-    def __init__(self):
-        self._sources = []
-
-    def add_counter_source(self, source) -> None:
-        self._sources.append(source)
-
-    def perf_counters(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for source in self._sources:
-            merged.update(source())
-        return merged
-
-    def push_context(self, name):  # engine calls these unconditionally
-        return None
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
-
-
 def _build_model(ctx: ExecutionContext, patterns):
     """The same model the serial CLI path would construct."""
     name = ctx.model_name
@@ -216,14 +190,13 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
     whole, never streamed, so the result set stays a pure function of
     the completed replicate keys.
     """
-    collector = _CounterCollector()
     model = _build_model(ctx, patterns)
     rate_model = (GammaRates(ctx.alpha, ctx.categories)
                   if ctx.alpha is not None else None)
     if kind == "inference":
         result = infer_tree(
             patterns, model=model, rate_model=rate_model, config=ctx.config,
-            seed=seed, tracer=collector, replicate=replicate, cancel=cancel,
+            seed=seed, replicate=replicate, cancel=cancel,
         )
     elif kind == "bootstrap":
         rng = np.random.default_rng(
@@ -232,8 +205,7 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
         result = infer_tree(
             patterns.bootstrap_replicate(rng), model=model,
             rate_model=rate_model, config=ctx.config, seed=seed + 1,
-            tracer=collector, is_bootstrap=True, replicate=replicate,
-            cancel=cancel,
+            is_bootstrap=True, replicate=replicate, cancel=cancel,
         )
     else:
         raise ValueError(f"unknown task kind {kind!r}")
@@ -247,7 +219,7 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
         "makenewz_calls": result.makenewz_calls,
         "evaluate_calls": result.evaluate_calls,
         "is_bootstrap": result.is_bootstrap,
-        "perf": collector.perf_counters(),
+        "perf": result.perf,
     }
 
 

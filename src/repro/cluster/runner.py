@@ -8,14 +8,14 @@ uninterrupted run), and ``job_status`` summarizes a journal for the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.inference import AnalysisResult
 from .aggregate import StreamingAggregator
 from .bootstop import BootstopController
 from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
-from .checkpoint import JournalState, RunJournal, replay
+from .checkpoint import RunJournal, replay
 from .jobs import JobSpec, expand_job
 from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, ExecutionContext, WorkerPlans
@@ -177,7 +177,9 @@ def resume_job(
     Finished replicates are taken verbatim from the journal (floats
     round-trip exactly through JSON); only the remainder is executed.
     The final trees, likelihoods, and supports are bit-identical to an
-    uninterrupted run.  A shard manifest at *journal_path* raises
+    uninterrupted run.  A journal that already holds its
+    ``run_finished`` is only read: the journalled analysis comes back
+    and nothing is appended.  A shard manifest at *journal_path* raises
     :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`
     before anything is written.
     """
@@ -201,10 +203,14 @@ def resume_job(
     tasks = expand_job(spec_for_tasks, state.done_inferences,
                        state.done_bootstraps)
 
-    if not tasks:
+    if state.finished or not tasks:
         aggregator = StreamingAggregator()
         for payload in state.payloads.values():
             aggregator.ingest(payload)
+        if state.finished:
+            analysis = aggregator.analysis()
+            analysis.degraded = state.degraded
+            return analysis
         journal = RunJournal(journal_path, append=True, clock=clock)
         journal.append("run_resumed", remaining=0)
         return _finalize(journal, aggregator)

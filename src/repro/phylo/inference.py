@@ -38,7 +38,11 @@ __all__ = [
 
 @dataclass
 class InferenceResult:
-    """One completed tree search."""
+    """One completed tree search.
+
+    ``perf`` is the engine's :meth:`perf_counters` snapshot at the end
+    of the search (after its caches were dropped).
+    """
 
     newick: str
     log_likelihood: float
@@ -48,6 +52,7 @@ class InferenceResult:
     evaluate_calls: int
     is_bootstrap: bool = False
     replicate: int = 0
+    perf: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -139,18 +144,19 @@ def infer_tree(
         engine.cancel = cancel
     try:
         search = hill_climb(engine, config, rng, cancel=cancel)
-        return InferenceResult(
-            newick=search.newick,
-            log_likelihood=search.log_likelihood,
-            search=search,
-            newview_calls=engine.newview_calls,
-            makenewz_calls=engine.makenewz_calls,
-            evaluate_calls=engine.evaluate_calls,
-            is_bootstrap=is_bootstrap,
-            replicate=replicate,
-        )
     finally:
         engine.detach()
+    return InferenceResult(
+        newick=search.newick,
+        log_likelihood=search.log_likelihood,
+        search=search,
+        newview_calls=engine.newview_calls,
+        makenewz_calls=engine.makenewz_calls,
+        evaluate_calls=engine.evaluate_calls,
+        is_bootstrap=is_bootstrap,
+        replicate=replicate,
+        perf=engine.perf_counters(),
+    )
 
 
 def multiple_inferences(

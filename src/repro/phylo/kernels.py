@@ -26,9 +26,8 @@ These functions are the compute bodies of RAxML's three hot functions:
   ``(P, dP/dt, d2P/dt2)`` stacks: the one-shot derivative probe and
   what the sumtable path is differentially checked against.
 
-Every vectorized kernel has a ``*_reference`` twin written as plain
-Python loops.  The references are orders of magnitude slower and exist
-only as oracles for the test suite.
+The loop-based oracle for every kernel here is the ``reference``
+backend (:mod:`repro.phylo.engine.backends.reference`).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dna import NUM_STATES, TIP_PARTIAL_ROWS
+from .dna import TIP_PARTIAL_ROWS
 
 __all__ = [
     "SCALE_THRESHOLD",
@@ -61,8 +60,6 @@ __all__ = [
     "SumtableProbe",
     "branch_derivatives",
     "branch_derivatives_persite",
-    "newview_combine_reference",
-    "evaluate_loglik_reference",
 ]
 
 # -- einsum contraction-path cache --------------------------------------------
@@ -682,62 +679,6 @@ def branch_derivatives_persite(
     dlnl = float(pattern_weights @ g1)
     d2lnl = float(pattern_weights @ (d2 / lik - g1 * g1))
     return lnl, dlnl, d2lnl
-
-
-# -- reference (scalar) implementations --------------------------------------
-
-
-def newview_combine_reference(
-    p_left: np.ndarray,
-    p_right: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> np.ndarray:
-    """Scalar-loop oracle for the full newview computation.
-
-    ``left``/``right`` are child CLVs of shape ``(c, s, 4)`` (tips must be
-    expanded by the caller).  Returns the unscaled parent CLV.
-    """
-    n_cats, n_patterns, _ = left.shape
-    out = np.zeros_like(left)
-    for s in range(n_patterns):
-        for c in range(n_cats):
-            for i in range(NUM_STATES):
-                acc_l = 0.0
-                acc_r = 0.0
-                for j in range(NUM_STATES):
-                    acc_l += p_left[c, i, j] * left[c, s, j]
-                    acc_r += p_right[c, i, j] * right[c, s, j]
-                out[c, s, i] = acc_l * acc_r
-    return out
-
-
-def evaluate_loglik_reference(
-    p: np.ndarray,
-    pi: np.ndarray,
-    cat_weights: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_clv: np.ndarray,
-    v_clv: np.ndarray,
-    scale_counts: np.ndarray,
-) -> float:
-    """Scalar-loop oracle for ``evaluate()`` on ``(c, s, 4)`` CLVs."""
-    n_cats, n_patterns, _ = u_clv.shape
-    total = 0.0
-    for s in range(n_patterns):
-        site = 0.0
-        for c in range(n_cats):
-            cat = 0.0
-            for i in range(NUM_STATES):
-                prop = 0.0
-                for j in range(NUM_STATES):
-                    prop += p[c, i, j] * v_clv[c, s, j]
-                cat += pi[i] * u_clv[c, s, i] * prop
-            site += cat_weights[c] * cat
-        total += pattern_weights[s] * (
-            math.log(site) - scale_counts[s] * LOG_SCALE_FACTOR
-        )
-    return total
 
 
 # -- FLOP accounting ----------------------------------------------------------

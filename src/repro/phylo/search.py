@@ -59,14 +59,6 @@ class SearchConfig:
     final_smoothing_passes: int = 4
     epsilon: float = 0.01
     local_branch_iterations: int = 8
-    #: "spr" (RAxML's rapid hill climbing, the default) or "nni"
-    #: (nearest-neighbour interchanges only — the cheaper move set of
-    #: PHYML-style searches; radius fields are ignored).
-    move_set: str = "spr"
-
-    def __post_init__(self) -> None:
-        if self.move_set not in ("spr", "nni"):
-            raise ValueError("move_set must be 'spr' or 'nni'")
 
 
 @dataclass
@@ -207,124 +199,6 @@ def _revert_spr(tree: Tree, move: _AppliedMove) -> Branch:
     return new_connect
 
 
-@dataclass
-class _AppliedNNI:
-    """Bookkeeping to exactly undo one NNI move."""
-
-    branch: Branch  # the central branch (survives the move)
-    u: Node
-    v: Node
-    su: Node  # subtree root swapped away from u
-    sv: Node  # subtree root swapped away from v
-    length_u: float
-    length_v: float
-    central_length: float
-    bystander_lengths: List[Tuple[int, float]]  # untouched adjacent branches
-
-
-def _apply_nni(tree: Tree, branch: Branch, variant: int) -> _AppliedNNI:
-    """Perform an NNI while recording everything needed to revert it."""
-    u, v = branch.nodes
-    u_sides = [b for b in u.branches if b is not branch]
-    v_sides = [b for b in v.branches if b is not branch]
-    bu = u_sides[0]
-    bv = v_sides[variant % 2]
-    bystanders = [
-        (b.index, b.length)
-        for b in u_sides + v_sides
-        if b is not bu and b is not bv
-    ]
-    record = _AppliedNNI(
-        branch=branch,
-        u=u,
-        v=v,
-        su=bu.other(u),
-        sv=bv.other(v),
-        length_u=bu.length,
-        length_v=bv.length,
-        central_length=branch.length,
-        bystander_lengths=bystanders,
-    )
-    tree.nni(branch, variant)
-    return record
-
-
-def _revert_nni(tree: Tree, record: _AppliedNNI) -> None:
-    """Swap the subtrees back and restore every original length."""
-    b1 = _find_branch(tree, record.u, record.sv)
-    b2 = _find_branch(tree, record.v, record.su)
-    tree._retire_branch(b1)
-    tree._retire_branch(b2)
-    tree._new_branch(record.u, record.su, record.length_u)
-    tree._new_branch(record.v, record.sv, record.length_v)
-    tree.set_length(record.branch, record.central_length)
-    for branch_id, length in record.bystander_lengths:
-        tree.set_length(tree.branch_by_id(branch_id), length)
-
-
-def _hill_climb_nni(
-    engine: LikelihoodEngine,
-    config: SearchConfig,
-    rng: np.random.Generator,
-    cancel=None,
-) -> SearchResult:
-    """Hill climbing over nearest-neighbour interchanges only."""
-    tree = engine.tree
-    best = engine.optimize_all_branches(passes=config.smoothing_passes)
-    rounds = 0
-    accepted = 0
-    evaluated = 0
-    while rounds < config.max_rounds:
-        if cancel is not None:
-            cancel.check()
-        rounds += 1
-        improved = False
-        candidate_ids = [
-            b.index for b in tree.branches
-            if not b.nodes[0].is_tip and not b.nodes[1].is_tip
-        ]
-        rng.shuffle(candidate_ids)
-        for branch_id in candidate_ids:
-            if cancel is not None:
-                cancel.check()
-            try:
-                branch = tree.branch_by_id(branch_id)
-            except KeyError:
-                continue
-            for variant in (0, 1):
-                record = _apply_nni(tree, branch, variant)
-                # Lazy scoring: optimize the five branches around the
-                # central edge, then evaluate there.
-                seen = set()
-                for endpoint in branch.nodes:
-                    for local in list(endpoint.branches):
-                        if local.index not in seen:
-                            seen.add(local.index)
-                            engine.makenewz(
-                                local,
-                                max_iterations=config.local_branch_iterations,
-                            )
-                evaluated += 1
-                lnl = engine.evaluate(branch)
-                if lnl > best + config.epsilon:
-                    best = lnl
-                    accepted += 1
-                    improved = True
-                    break  # keep; try the next candidate branch
-                _revert_nni(tree, record)
-        best = engine.optimize_all_branches(passes=config.smoothing_passes)
-        if not improved:
-            break
-    best = engine.optimize_all_branches(passes=config.final_smoothing_passes)
-    return SearchResult(
-        log_likelihood=best,
-        newick=tree.to_newick(),
-        rounds=rounds,
-        accepted_moves=accepted,
-        evaluated_moves=evaluated,
-    )
-
-
 def _find_branch(tree: Tree, a: Node, b: Node) -> Branch:
     for branch in a.branches:
         if branch.other(a) is b:
@@ -338,10 +212,7 @@ def hill_climb(
     rng: Optional[np.random.Generator] = None,
     cancel=None,
 ) -> SearchResult:
-    """Run hill climbing on the engine's tree (modified in place).
-
-    The default move set is RAxML's lazy SPR; ``move_set="nni"``
-    restricts the search to nearest-neighbour interchanges.
+    """Run lazy-SPR hill climbing on the engine's tree (modified in place).
 
     ``cancel`` is an optional cooperative cancellation token (any
     object with a ``check()`` method that raises to unwind, e.g.
@@ -353,8 +224,6 @@ def hill_climb(
     """
     config = config or SearchConfig()
     rng = rng or np.random.default_rng()
-    if config.move_set == "nni":
-        return _hill_climb_nni(engine, config, rng, cancel=cancel)
     tree = engine.tree
 
     best = engine.optimize_all_branches(passes=config.smoothing_passes)

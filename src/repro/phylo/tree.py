@@ -17,8 +17,7 @@ Supported edits are the two used by RAxML's rapid hill climbing: NNI
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,9 +46,6 @@ class Node:
     @property
     def degree(self) -> int:
         return len(self.branches)
-
-    def neighbors(self) -> List["Node"]:
-        return [b.other(self) for b in self.branches]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name if self.is_tip else f"inner{self.index}"

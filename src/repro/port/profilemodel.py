@@ -487,10 +487,3 @@ class CellCostModel:
                 for key, paper_value in cells.items()
             }
         return out
-
-    def table8_comparison(self) -> Dict[int, Tuple[float, float]]:
-        """(paper, model) for each Table 8 bootstrap count."""
-        return {
-            b: (paper_value, self.mgps_total_s(b))
-            for b, paper_value in P.TABLE8.items()
-        }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..phylo import kernels as _k
 from ..phylo.engine import NewviewCase
@@ -38,10 +38,6 @@ class KernelEvent:
     iterations: int = 0  # makenewz only: Newton iterations
     scaled: int = 0  # newview only: patterns rescaled
     context: str = NESTED_TOP  # enclosing offload unit
-
-    @property
-    def is_nested(self) -> bool:
-        return self.context != NESTED_TOP
 
 
 class Tracer:
@@ -72,7 +68,6 @@ class Tracer:
         self.makenewz_patterncats = 0.0  # sum over iterations
         self.evaluate_count = 0
         self.evaluate_patterncats = 0.0
-        self.task_boundaries: List[int] = []  # cumulative newview counts
         #: callables returning engine perf-counter dicts (cache/arena
         #: efficiency); registered by the likelihood engine.
         self.counter_sources: List = []
@@ -86,10 +81,6 @@ class Tracer:
 
     def pop_context(self, previous: str) -> None:
         self._context = previous
-
-    def mark_task_boundary(self) -> None:
-        """Note the end of one task (bootstrap/inference)."""
-        self.task_boundaries.append(self.newview_count)
 
     # -- recording protocol -------------------------------------------------------
 

@@ -52,9 +52,6 @@ class MGPSResult:
     def llp_tasks(self) -> int:
         return sum(p.n_tasks for p in self.phases if p.mode == "llp")
 
-    def phase_summary(self) -> Dict[str, Dict[str, float]]:
-        return summarize_phases(self.phases)
-
 
 def summarize_phases(phases: Sequence[MGPSPhase]
                      ) -> Dict[str, Dict[str, float]]:

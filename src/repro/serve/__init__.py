@@ -56,7 +56,7 @@ from .resilience import (
     estimate_job_memory_mb,
     preflight,
 )
-from .sse import JournalTail, format_sse, tail_to_completion
+from .sse import JournalTail, format_sse
 
 __all__ = [
     "ApiError",
@@ -87,5 +87,4 @@ __all__ = [
     "preflight",
     "JournalTail",
     "format_sse",
-    "tail_to_completion",
 ]

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cluster.checkpoint import decode_record
 
-__all__ = ["JournalTail", "format_sse", "tail_to_completion"]
+__all__ = ["JournalTail", "format_sse"]
 
 
 def format_sse(record: Dict[str, object], event_id: int) -> str:
@@ -93,27 +93,3 @@ class JournalTail:
     def is_terminal(record: Dict[str, object]) -> bool:
         """True for events after which no more journal lines will come."""
         return record.get("event") == "run_finished"
-
-
-def tail_to_completion(path: str, poll_interval: float = 0.1,
-                       timeout: Optional[float] = None) -> List[str]:
-    """Blocking convenience: collect SSE blocks until ``run_finished``.
-
-    Used by tests and the smoke example; the asyncio app does the same
-    loop with ``await asyncio.sleep`` instead.
-    """
-    import time
-
-    tail = JournalTail(path)
-    blocks: List[str] = []
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        records = tail.poll()
-        for record in records:
-            blocks.append(format_sse(record, tail.next_id))
-            tail.next_id += 1
-            if JournalTail.is_terminal(record):
-                return blocks
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(f"journal {path} did not finish in time")
-        time.sleep(poll_interval)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.phylo import GammaRates, LikelihoodEngine, default_gtr, kernels
+from repro.phylo import GammaRates, default_gtr
 from repro.phylo.arena import ClvArena
+from repro.phylo.engine.backends.reference import ReferenceBackend
 from repro.phylo.models import PMatrixCache
 
 
@@ -183,8 +184,10 @@ class TestEngineArenaIntegration:
 
             left = expanded(q1, b1)
             right = expanded(q2, b2)
-            reference = kernels.newview_combine_reference(
-                engine._pmat(b1), engine._pmat(b2), left, right
+            ref = ReferenceBackend()
+            reference = ref.newview_combine(
+                ref.inner_terms(engine._pmat(b1), left),
+                ref.inner_terms(engine._pmat(b2), right),
             )
             assert np.allclose(cached.clv, reference, rtol=1e-12)
             break

@@ -478,13 +478,12 @@ class TestResumeDeterminism:
                         [r.log_likelihood for r in want], cut
                 assert resumed.supports == reference.supports, cut
                 state = replay(journal)
-                assert state.resumes == 1, cut
+                # The uncut journal already holds the run's run_finished,
+                # and resuming it only reads it; every other cut is
+                # resumed and finalized once.
+                assert state.resumes == (0 if k == len(lines) else 1), cut
                 assert state.finished, cut
-                # The resume finalizes once.  Only the uncut journal
-                # already held the run's own run_finished, and resuming
-                # a complete run finalizes it again.
-                assert _events(journal).count("run_finished") == \
-                    (2 if k == len(lines) else 1), cut
+                assert _events(journal).count("run_finished") == 1, cut
         finally:
             pool.close()
 
@@ -501,6 +500,34 @@ class TestResumeDeterminism:
         resumed = resume_job(journal)
         assert resumed.supports == serial_reference.supports
         assert resumed.best.newick == serial_reference.best.newick
+
+    def test_resume_of_finished_run_writes_nothing(
+            self, tiny_patterns, fast_config, serial_reference,
+            cluster_workers, tmp_path):
+        """A journal that already ends in ``run_finished`` is read, not
+        appended to: resuming it returns the journalled analysis and
+        leaves the file byte for byte as it was."""
+        journal = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=journal)
+        with open(journal, "rb") as fh:
+            before = fh.read()
+        for _ in range(2):
+            resumed = resume_job(journal)
+            assert resumed.best.newick == serial_reference.best.newick
+            assert resumed.best.log_likelihood == \
+                serial_reference.best.log_likelihood
+            assert [b.newick for b in resumed.bootstraps] == \
+                [b.newick for b in serial_reference.bootstraps]
+            assert resumed.supports == serial_reference.supports
+            assert resumed.degraded is False
+        with open(journal, "rb") as fh:
+            assert fh.read() == before
+        state = replay(journal)
+        assert state.resumes == 0
+        assert _events(journal).count("run_finished") == 1
 
     @staticmethod
     def _older_journal(tiny_patterns, fast_config, workers, tmp_path,

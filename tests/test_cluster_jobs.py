@@ -1,5 +1,9 @@
 """Tests for job specs and their expansion into the task DAG."""
 
+import pytest
+
+from repro.cluster import resume_job, run_job
+from repro.cluster.checkpoint import decode_record, encode_record
 from repro.cluster.jobs import (
     AGGREGATE_NODE,
     ClusterTask,
@@ -97,3 +101,59 @@ class TestJobSpecJson:
         assert JobSpec.from_json(
             json.loads(json.dumps(spec.to_json()))
         ) == spec
+
+
+class TestRetiredMoveSet:
+    """``SearchConfig.move_set`` was removed with the NNI search; a run
+    header written before that carries ``"move_set": "spr"``."""
+
+    @staticmethod
+    def _older_journal(tiny_patterns, fast_config, workers, tmp_path,
+                       move_set):
+        """A run cut after two replicates, its header's config holding
+        *move_set* the way the older build journalled it."""
+        full = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=workers,
+                journal_path=full)
+        records, replicates = [], 0
+        with open(full) as fh:
+            for line in fh:
+                record = decode_record(line)
+                if record["event"] == "replicate_done":
+                    replicates += 1
+                if replicates <= 2 and record["event"] != "run_finished":
+                    records.append(record)
+        assert records[0]["event"] == "run_started"
+        records[0]["spec"]["config"]["move_set"] = move_set
+        older = str(tmp_path / "older.jsonl")
+        with open(older, "w") as fh:
+            fh.write("".join(encode_record(r) + "\n" for r in records))
+        return older
+
+    def test_header_with_spr_resumes_bit_identically(
+            self, tiny_patterns, fast_config, serial_reference,
+            cluster_workers, tmp_path):
+        older = self._older_journal(tiny_patterns, fast_config,
+                                    cluster_workers, tmp_path, "spr")
+        resumed = resume_job(older, alignment=tiny_patterns,
+                             n_workers=cluster_workers)
+        assert resumed.best.newick == serial_reference.best.newick
+        assert resumed.best.log_likelihood == \
+            serial_reference.best.log_likelihood
+        assert [b.newick for b in resumed.bootstraps] == \
+            [b.newick for b in serial_reference.bootstraps]
+        assert [b.log_likelihood for b in resumed.bootstraps] == \
+            [b.log_likelihood for b in serial_reference.bootstraps]
+        assert resumed.supports == serial_reference.supports
+
+    def test_header_with_nni_is_refused(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path):
+        older = self._older_journal(tiny_patterns, fast_config,
+                                    cluster_workers, tmp_path, "nni")
+        before = open(older).read()
+        with pytest.raises(ValueError, match="'move_set'"):
+            resume_job(older, alignment=tiny_patterns,
+                       n_workers=cluster_workers)
+        assert open(older).read() == before  # no run_resumed, no task

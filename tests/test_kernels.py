@@ -21,6 +21,7 @@ from repro.phylo import (
 )
 from repro.phylo import kernels
 from repro.phylo.dna import TIP_PARTIAL_ROWS
+from repro.phylo.engine.backends.reference import ReferenceBackend
 from repro.phylo.models import PMatrixCache
 from repro.phylo.protein import AA_CODE_TABLE
 from tests.strategies import random_patterns
@@ -91,7 +92,9 @@ class TestNewviewAgainstReference:
             kernels.inner_terms(p_left, left),
             kernels.inner_terms(p_right, right),
         )
-        slow = kernels.newview_combine_reference(p_left, p_right, left, right)
+        ref = ReferenceBackend()
+        slow = ref.newview_combine(ref.inner_terms(p_left, left),
+                                   ref.inner_terms(p_right, right))
         assert np.allclose(fast, slow, rtol=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -103,7 +106,9 @@ class TestNewviewAgainstReference:
         fast = kernels.newview_combine(
             kernels.inner_terms(p, left), kernels.inner_terms(p, right)
         )
-        slow = kernels.newview_combine_reference(p, p, left, right)
+        ref = ReferenceBackend()
+        slow = ref.newview_combine(ref.inner_terms(p, left),
+                                   ref.inner_terms(p, right))
         assert np.allclose(fast, slow, rtol=1e-10)
 
 
@@ -248,8 +253,9 @@ class TestEvaluate:
         fast = kernels.evaluate_loglik(
             model.pi, cat_w, weights, u, kernels.inner_terms(p, v), scale
         )
-        slow = kernels.evaluate_loglik_reference(
-            p, model.pi, cat_w, weights, u, v, scale
+        ref = ReferenceBackend()
+        slow = ref.evaluate_loglik(
+            model.pi, cat_w, weights, u, ref.inner_terms(p, v), scale
         )
         assert abs(fast - slow) < 1e-8
 

@@ -125,76 +125,6 @@ class TestApplyRevert:
         engine.detach()
 
 
-class TestNNISearch:
-    def test_nni_revert_is_exact(self, small_patterns):
-        from repro.phylo.search import _apply_nni, _revert_nni
-
-        engine = make_engine(small_patterns, seed=21)
-        tree = engine.tree
-        base = engine.evaluate()
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            internal = [
-                b for b in tree.branches
-                if not b.nodes[0].is_tip and not b.nodes[1].is_tip
-            ]
-            branch = internal[rng.integers(len(internal))]
-            record = _apply_nni(tree, branch, int(rng.integers(2)))
-            _revert_nni(tree, record)
-            tree.validate()
-            assert abs(engine.evaluate() - base) < 1e-9
-        engine.detach()
-
-    def test_nni_revert_after_local_optimization(self, small_patterns):
-        from repro.phylo.search import _apply_nni, _revert_nni
-
-        engine = make_engine(small_patterns, seed=23)
-        tree = engine.tree
-        base = engine.evaluate()
-        branch = next(
-            b for b in tree.branches
-            if not b.nodes[0].is_tip and not b.nodes[1].is_tip
-        )
-        record = _apply_nni(tree, branch, 0)
-        for endpoint in branch.nodes:
-            for local in list(endpoint.branches):
-                engine.makenewz(local)
-        _revert_nni(tree, record)
-        assert abs(engine.evaluate() - base) < 1e-9
-        engine.detach()
-
-    def test_nni_search_improves_from_random_start(self, medium_patterns):
-        engine = make_engine(medium_patterns, seed=24, start="random")
-        start = engine.evaluate()
-        result = hill_climb(
-            engine,
-            SearchConfig(move_set="nni", max_rounds=4),
-            np.random.default_rng(24),
-        )
-        assert result.log_likelihood > start
-        engine.tree.validate()
-        engine.detach()
-
-    def test_spr_at_least_matches_nni(self, medium_patterns):
-        # SPR's move set strictly contains NNI's reachable improvements;
-        # from the same start it should end at least as high.
-        results = {}
-        for move_set in ("nni", "spr"):
-            engine = make_engine(medium_patterns, seed=25, start="random")
-            results[move_set] = hill_climb(
-                engine,
-                SearchConfig(move_set=move_set, initial_radius=2,
-                             max_radius=4, max_rounds=4),
-                np.random.default_rng(25),
-            ).log_likelihood
-            engine.detach()
-        assert results["spr"] >= results["nni"] - 1.0
-
-    def test_invalid_move_set_rejected(self):
-        with pytest.raises(ValueError, match="move_set"):
-            SearchConfig(move_set="tbr")
-
-
 class TestHillClimb:
     def test_monotone_improvement(self, small_patterns):
         engine = make_engine(small_patterns, seed=5, start="random")
