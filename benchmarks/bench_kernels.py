@@ -232,9 +232,13 @@ def _probe_on_random_table(n_patterns, cat):
     model = default_gtr()
     weights = rng.integers(1, 6, size=n_patterns).astype(float)
     if cat:
-        rate_model = CatRates(rng.uniform(0.25, 4.0, n_patterns), 4)
-        rates = rate_model.rates[rate_model.site_categories]
+        # A CAT engine's layout: four category blocks of ceil(s / 4)
+        # patterns, the short ones padded with weight-0 copies.
+        rates = CatRates(rng.uniform(0.25, 4.0, n_patterns), 4).rates
         cat_w = np.ones(1)
+        padded = len(rates) * -(-n_patterns // len(rates))
+        weights = np.concatenate([weights, np.zeros(padded - n_patterns)])
+        n_patterns = padded
     else:
         rates, cat_w = GammaRates(0.8, N_CATS).rates, \
             np.full(N_CATS, 1.0 / N_CATS)
@@ -242,8 +246,7 @@ def _probe_on_random_table(n_patterns, cat):
     table = kernels.branch_sumtable(
         model._right, model._left, model.pi, len(cat_w),
         rng.random(shape) + 1e-3, rng.random(shape) + 1e-3)
-    probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat_w,
-                                  cat)
+    probe = kernels.SumtableProbe(model._eigenvalues, rates, weights, cat_w)
     args = (table[None], [0.2], [0.0], probe.stack_work(1))
     return (lambda: probe.stacked(*args)), (lambda: probe.stacked_lnl(*args))
 

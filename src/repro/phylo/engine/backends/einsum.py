@@ -34,24 +34,20 @@ class EinsumBackend(KernelBackend):
     # -- newview -------------------------------------------------------------
 
     def newview(self, left, p_left, right, p_right, out_clv, out_scale,
-                code_table, per_site, hook=None) -> int:
+                code_table, hook=None) -> int:
         """The fused kernel: one counted call per CLV."""
         self.kernel_calls += 1
         return kernels.newview(
             left, p_left, right, p_right, out_clv, out_scale, code_table,
-            per_site, self._newview_scratch(out_clv), hook,
+            self._newview_scratch(out_clv), hook,
         )
 
-    def tip_terms(self, p, masks, code_table, out=None, per_site=False):
+    def tip_terms(self, p, masks, code_table, out=None):
         self.kernel_calls += 1
-        if per_site:
-            return kernels.tip_terms_persite(p, masks, code_table, out=out)
         return kernels.tip_terms(p, masks, code_table, out=out)
 
-    def inner_terms(self, p, clv, out=None, per_site=False):
+    def inner_terms(self, p, clv, out=None):
         self.kernel_calls += 1
-        if per_site:
-            return kernels.inner_terms_persite(p, clv, out=out)
         return kernels.inner_terms(p, clv, out=out)
 
     def newview_combine(self, left_term, right_term, out=None):
@@ -74,13 +70,9 @@ class EinsumBackend(KernelBackend):
     # -- makenewz ------------------------------------------------------------
 
     def branch_derivatives(self, model_terms, pi, cat_weights,
-                           pattern_weights, u_clv, v_clv, scale_counts,
-                           per_site=False) -> Tuple[float, float, float]:
+                           pattern_weights, u_clv, v_clv, scale_counts
+                           ) -> Tuple[float, float, float]:
         self.kernel_calls += 1
-        if per_site:
-            return kernels.branch_derivatives_persite(
-                model_terms, pi, pattern_weights, u_clv, v_clv, scale_counts
-            )
         return kernels.branch_derivatives(
             model_terms, pi, cat_weights, pattern_weights, u_clv, v_clv,
             scale_counts,

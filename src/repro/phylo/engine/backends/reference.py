@@ -95,17 +95,21 @@ class ReferenceBackend(KernelBackend):
     # -- newview -------------------------------------------------------------
 
     @staticmethod
-    def _p_row(p: List, s: int, c: int, per_site: bool) -> List[List[float]]:
-        """The (n, n) transition matrix for pattern *s*, category *c*."""
-        return p[s] if per_site else p[c]
+    def _matrix_index(n_matrices: int, n_cats: int, n_patterns: int):
+        """``(s, c) ->`` the index of pattern *s*'s category-*c* matrix:
+        ``c`` when each category has one; under CAT (one category, ``K``
+        matrices over ``K`` equal pattern blocks) *s*'s block."""
+        width = n_patterns * n_cats // n_matrices
+        return lambda s, c: (s // width) * n_cats + c
 
-    def _propagate(self, p, source, out: np.ndarray, per_site: bool) -> None:
+    def _propagate(self, p, source, out: np.ndarray) -> None:
         """``out[c,s,i] = sum_j P[.,i,j] source[c][s][j]`` by scalar loops."""
         n_cats, n_patterns, n = out.shape
         p = np.asarray(p).tolist()
+        index = self._matrix_index(len(p), n_cats, n_patterns)
         for s in range(n_patterns):
             for c in range(n_cats):
-                mat = self._p_row(p, s, c, per_site)
+                mat = p[index(s, c)]
                 src = source[c][s]
                 dst = [0.0] * n
                 for i in range(n):
@@ -116,22 +120,21 @@ class ReferenceBackend(KernelBackend):
                     dst[i] = acc
                 out[c, s] = dst
 
-    def tip_terms(self, p, masks, code_table, out=None, per_site=False):
+    def tip_terms(self, p, masks, code_table, out=None):
         self.kernel_calls += 1
         table = TIP_PARTIAL_ROWS if code_table is None else code_table
         rows = table[np.asarray(masks)].tolist()  # (s, n)
-        n_cats = 1 if per_site else len(np.asarray(p))
         n = len(rows[0]) if rows else 0
         if out is None:
-            out = np.empty((n_cats, len(rows), n), dtype=np.float64)
-        self._propagate(p, [rows] * out.shape[0], out, per_site)
+            out = np.empty((len(p), len(rows), n), dtype=np.float64)
+        self._propagate(p, [rows] * out.shape[0], out)
         return out
 
-    def inner_terms(self, p, clv, out=None, per_site=False):
+    def inner_terms(self, p, clv, out=None):
         self.kernel_calls += 1
         if out is None:
             out = np.empty_like(np.asarray(clv), dtype=np.float64)
-        self._propagate(p, np.asarray(clv).tolist(), out, per_site)
+        self._propagate(p, np.asarray(clv).tolist(), out)
         return out
 
     def newview_combine(self, left_term, right_term, out=None):
@@ -207,8 +210,8 @@ class ReferenceBackend(KernelBackend):
     # -- makenewz ------------------------------------------------------------
 
     def branch_derivatives(self, model_terms, pi, cat_weights,
-                           pattern_weights, u_clv, v_clv, scale_counts,
-                           per_site=False) -> Tuple[float, float, float]:
+                           pattern_weights, u_clv, v_clv, scale_counts
+                           ) -> Tuple[float, float, float]:
         self.kernel_calls += 1
         p, dp, d2p = (np.asarray(part).tolist() for part in model_terms)
         u = np.asarray(u_clv).tolist()
@@ -217,13 +220,13 @@ class ReferenceBackend(KernelBackend):
         cw = [float(x) for x in cat_weights]
         n_patterns = len(u[0])
         n = len(pi)
+        index = self._matrix_index(len(p), len(cw), n_patterns)
         lnl = dlnl = d2lnl = 0.0
         for s in range(n_patterns):
             lik = d1 = d2 = 0.0
             for c in range(len(cw)):
-                mat = self._p_row(p, s, c, per_site)
-                dmat = self._p_row(dp, s, c, per_site)
-                d2mat = self._p_row(d2p, s, c, per_site)
+                m = index(s, c)
+                mat, dmat, d2mat = p[m], dp[m], d2p[m]
                 us, vs = u[c][s], v[c][s]
                 f = f1 = f2 = 0.0
                 for i in range(n):

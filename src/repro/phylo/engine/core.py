@@ -34,11 +34,15 @@ counts in the workload traces fed to the Cell simulator).
 
 Both rate-heterogeneity treatments are supported: Gamma (every site
 integrates over all categories; shared per-category transition matrices)
-and CAT (one category per site; per-pattern transition matrices).
+and CAT (one category per site).  A CAT engine sorts its patterns by
+category once (:func:`_category_layout`): its CLVs keep one category axis
+over ``K`` equal pattern blocks, and the kernels propagate block ``b``
+with category ``b``'s matrix — the same ``(K, n, n)`` stacks Gamma uses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple, Union)
@@ -250,20 +254,7 @@ class LikelihoodEngine:
         #: per-code tip indicator rows (None = the DNA mask table)
         self._tip_table = getattr(patterns, "tip_code_table", None)
         check_tip_codes(patterns.patterns, self._tip_table)
-
-        if self.rate_model.is_per_site:
-            if len(self.rate_model.site_categories) != patterns.n_patterns:
-                raise ValueError(
-                    "CAT site_categories must assign every pattern a category"
-                )
-            #: per-pattern rate multipliers (CAT mode)
-            self._site_rates = self.rate_model.rates[self.rate_model.site_categories]
-            self._cat_weights = np.ones(1)
-            self._n_cats = 1
-        else:
-            self._site_rates = None
-            self._cat_weights = self.rate_model.weights
-            self._n_cats = self.rate_model.n_categories
+        self._use_rate_model(self.rate_model)
 
         self._tip_index: Dict[int, int] = {}
         for node in tree.tips:
@@ -278,29 +269,12 @@ class LikelihoodEngine:
         #: ``perf_counters()`` reports the identical key set for every
         #: backend (a backend with ``uses_pmat_cache=False`` simply
         #: leaves the hit/miss counters at zero).
-        self._pmats = PMatrixCache(model, self._rates_for_pmat())
+        self._pmats = PMatrixCache(model, self._rates)
         #: the prepared makenewz probe and its one-row work (same
         #: lifetime as the P-matrices)
         self._prepare_probe()
-        #: preallocated CLV slot pool with free-list recycling
-        self._arena = ClvArena(
-            patterns.n_patterns, self._n_cats, self._n_states
-        )
-        #: scratch for evaluate's propagated term and the sumtable's
-        #: second projection (newview's scratch is the backend's)
-        self._term_scratch = np.empty(
-            (self._n_cats, patterns.n_patterns, self._n_states)
-        )
-        #: the makenewz sumtable, ``(c*k, s)`` as the probe reads it,
-        #: rebuilt in place once per makenewz call
-        self._sumtable = np.empty(
-            (self._n_cats * self._n_states, patterns.n_patterns)
-        )
-        #: ``score_insertions``' candidate stacks, made at first use
-        self._insertion_stacks = None
-        #: shared zero scale-count vector handed out for tip sides
-        self._zero_scale = np.zeros(patterns.n_patterns, dtype=np.int64)
-        self._zero_scale.setflags(write=False)
+        self._arena: Optional[ClvArena] = None
+        self._ensure_buffers()
         tree.add_observer(self._on_branch_dirty)
 
         #: running counters (cheap, always on) — used for sanity checks
@@ -439,17 +413,14 @@ class LikelihoodEngine:
         efficiency stays visible in :meth:`perf_counters`.
         """
         self._pmats.model = self.model
-        self._pmats.rates = np.asarray(
-            self._rates_for_pmat(), dtype=np.float64
-        )
+        self._pmats.rates = np.asarray(self._rates, dtype=np.float64)
         self._pmats.invalidate()
         self._prepare_probe()
 
     def _prepare_probe(self) -> None:
         self._probe = kernels.SumtableProbe(
-            self.model._eigenvalues, self._rates_for_pmat(),
-            self.patterns.weights, self._cat_weights,
-            per_site=self._site_rates is not None,
+            self.model._eigenvalues, self._rates, self._patterns.weights,
+            self._cat_weights,
         )
         self._probe_work = self._probe.stack_work(1)
 
@@ -460,29 +431,59 @@ class LikelihoodEngine:
 
     def set_rate_model(self, rate_model: RateModel) -> None:
         """Swap the rate model (same mode/category layout) and drop caches."""
-        if rate_model.is_per_site != self.rate_model.is_per_site:
+        if (rate_model.site_categories is None) != (
+                self.rate_model.site_categories is None):
             raise ValueError("cannot switch between integrated and CAT modes")
         self.rate_model = rate_model
-        if rate_model.is_per_site:
-            self._site_rates = rate_model.rates[rate_model.site_categories]
-        else:
-            self._cat_weights = rate_model.weights
-            self._n_cats = rate_model.n_categories
+        self._use_rate_model(rate_model)
         self._ensure_buffers()
         self.invalidate_all()
 
+    def _use_rate_model(self, rate_model: RateModel) -> None:
+        """The category weights and P-matrix rates of *rate_model* and,
+        under CAT, the pattern layout the kernels see."""
+        if rate_model.site_categories is not None:
+            if len(rate_model.site_categories) != self.patterns.n_patterns:
+                raise ValueError(
+                    "CAT site_categories must assign every pattern a category"
+                )
+            self._patterns, self._rates, self._position = _category_layout(
+                self.patterns, rate_model)
+            self._cat_weights = np.ones(1)
+            self._n_cats = 1
+        else:
+            #: the patterns as the kernels see them (CAT: sorted, padded)
+            self._patterns = self.patterns
+            #: caller pattern -> layout column (CAT only)
+            self._position: Optional[np.ndarray] = None
+            #: one rate per matrix of a P stack
+            self._rates = rate_model.rates
+            self._cat_weights = rate_model.weights
+            self._n_cats = rate_model.n_categories
+
     def _ensure_buffers(self) -> None:
-        """Recreate arena/scratch buffers if the CLV shape changed
-        (e.g. a rate model with a different category count)."""
-        if self._arena.n_cats == self._n_cats:
+        """(Re)create the arena and scratch buffers when the CLV shape
+        changed: at construction, or after a rate model with another
+        category count or CAT layout."""
+        s, c, n = self._patterns.n_patterns, self._n_cats, self._n_states
+        arena = self._arena
+        if arena is not None and (arena.n_cats, arena.n_patterns) == (c, s):
             return
-        s, c, n = self.patterns.n_patterns, self._n_cats, self._n_states
         self._clv_cache.clear()  # old entries view the old arena's blocks
         self._parked.clear()
+        #: preallocated CLV slot pool with free-list recycling
         self._arena = ClvArena(s, c, n)
+        #: scratch for evaluate's propagated term and the sumtable's
+        #: second projection (newview's scratch is the backend's)
         self._term_scratch = np.empty((c, s, n))
+        #: the makenewz sumtable, ``(c*k, s)`` as the probe reads it,
+        #: rebuilt in place once per makenewz call
         self._sumtable = np.empty((c * n, s))
+        #: ``score_insertions``' candidate stacks, made at first use
         self._insertion_stacks = None
+        #: shared zero scale-count vector handed out for tip sides
+        self._zero_scale = np.zeros(s, dtype=np.int64)
+        self._zero_scale.setflags(write=False)
 
     def _push_context(self, name: str):
         """Tell the tracer (if any) that nested kernel calls follow."""
@@ -523,14 +524,9 @@ class LikelihoodEngine:
 
     # -- transition matrices -------------------------------------------------
 
-    def _rates_for_pmat(self) -> np.ndarray:
-        if self._site_rates is not None:
-            return self._site_rates
-        return self.rate_model.rates
-
     def _transition_matrices(self, length: float) -> np.ndarray:
-        """Transition matrices at *length*: ``(n_cats, n, n)`` for the
-        integrated modes, ``(n_patterns, n, n)`` for CAT.  Served from
+        """Transition matrices at *length*, ``(K, n, n)``: one per rate
+        category (under CAT, per pattern block).  Served from
         the quantized-length :class:`PMatrixCache` (branches sharing a
         length share one stack) — unless the backend opts out of the
         cache to own its projection end to end (the reference oracle)."""
@@ -547,7 +543,7 @@ class LikelihoodEngine:
                 mats.setflags(write=False)
             return mats
         return self._backend.transition_matrices(
-            self.model, self._rates_for_pmat(), length
+            self.model, self._rates, length
         )
 
     def _transition_derivatives(
@@ -556,11 +552,9 @@ class LikelihoodEngine:
         """``(P, dP/dt, d2P/dt2)`` stacks at *length* (uncached: only the
         one-shot derivative probe and the oracle's Newton loop ask)."""
         if self._backend.uses_pmat_cache:
-            return self.model.transition_derivatives(
-                length, self._rates_for_pmat()
-            )
+            return self.model.transition_derivatives(length, self._rates)
         return self._backend.transition_derivatives(
-            self.model, self._rates_for_pmat(), length
+            self.model, self._rates, length
         )
 
     def _pmat(self, branch: Branch) -> np.ndarray:
@@ -569,11 +563,11 @@ class LikelihoodEngine:
     # -- CLV computation -----------------------------------------------------
 
     def _tip_masks(self, node: Node) -> np.ndarray:
-        return self.patterns.patterns[self._tip_index[node.index]]
+        return self._patterns.patterns[self._tip_index[node.index]]
 
     def _tip_clv(self, node: Node) -> np.ndarray:
         """Tip CLV expanded to ``(n_cats, n_patterns, n_states)``."""
-        rows = self.patterns.tip_partials(self._tip_index[node.index])
+        rows = self._patterns.tip_partials(self._tip_index[node.index])
         return np.broadcast_to(rows, (self._n_cats,) + rows.shape)
 
     def _propagated(
@@ -584,17 +578,13 @@ class LikelihoodEngine:
         written into the caller's buffer.  A tip side returns the shared
         read-only zero scale-count vector (callers only ever add it)."""
         p = self._pmat(via)
-        per_site = self._site_rates is not None
         if node.is_tip:
             term = self._backend.tip_terms(
-                p, self._tip_masks(node), self._tip_table,
-                out=out, per_site=per_site,
+                p, self._tip_masks(node), self._tip_table, out=out,
             )
             return term, self._zero_scale
         entry = self.clv(node, via)
-        term = self._backend.inner_terms(
-            p, entry.clv, out=out, per_site=per_site
-        )
+        term = self._backend.inner_terms(p, entry.clv, out=out)
         return term, entry.scale_counts
 
     def _operand(self, node: Node, via: Branch):
@@ -697,8 +687,7 @@ class LikelihoodEngine:
         try:
             scaled = self._backend.newview(
                 sides[0], p1, sides[1], p2, slot.clv, slot.scale_counts,
-                self._tip_table, self._site_rates is not None,
-                self._chaos_newview_hooks if chaos else None,
+                self._tip_table, self._chaos_newview_hooks if chaos else None,
             )
         except BaseException:
             # The slot is not yet cached: release it or it leaks from
@@ -714,6 +703,8 @@ class LikelihoodEngine:
         self._clv_cache[(node.index, entry.index)] = entry_cache
 
         self.newview_calls += 1
+        # Traces count the alignment's patterns, the loop length of the
+        # paper's kernels, not the CAT layout's weight-0 padding.
         if self.tracer is not None:
             if q1.is_tip and q2.is_tip:
                 case = NewviewCase.TIP_TIP
@@ -822,7 +813,7 @@ class LikelihoodEngine:
         result = self._backend.evaluate_loglik(
             self.model.pi,
             self._cat_weights,
-            self.patterns.weights,
+            self._patterns.weights,
             u_clv,
             v_term,
             u_sc + v_sc,
@@ -847,19 +838,21 @@ class LikelihoodEngine:
     loglik = evaluate
 
     def site_log_likelihoods(self, branch: Optional[Branch] = None) -> np.ndarray:
-        """Per-pattern log likelihoods (diagnostics; CAT rate estimation)."""
+        """Per-pattern log likelihoods (diagnostics; CAT rate estimation),
+        in the caller's pattern order."""
         if branch is None:
             branch = self.tree.branches[0]
         u, v = branch.nodes
         if v.is_tip and not u.is_tip:
             u, v = v, u
         u_clv, u_sc = self._side(u, branch)
-        v_term, v_sc = self._propagated(v, branch)
+        v_term, v_sc = self._propagated(v, branch, out=self._term_scratch)
         per_cat = np.einsum(
             "csi,i->cs", u_clv * v_term, self.model.pi, optimize=True
         )
         site_lik = per_cat.T @ self._cat_weights
-        return np.log(site_lik) - (u_sc + v_sc) * kernels.LOG_SCALE_FACTOR
+        logs = np.log(site_lik) - (u_sc + v_sc) * kernels.LOG_SCALE_FACTOR
+        return logs if self._position is None else logs[self._position]
 
     # -- makenewz ------------------------------------------------------------
 
@@ -892,11 +885,10 @@ class LikelihoodEngine:
             self._transition_derivatives(length),
             self.model.pi,
             self._cat_weights,
-            self.patterns.weights,
+            self._patterns.weights,
             u_clv,
             v_clv,
             scale,
-            per_site=self._site_rates is not None,
         ))
 
     def makenewz(
@@ -988,7 +980,7 @@ class LikelihoodEngine:
             u_side, v_side, self._tip_table,
             out=self._sumtable, work=self._term_scratch,
         )
-        offset = float(self.patterns.weights @ (u_sc + v_sc))
+        offset = float(self._patterns.weights @ (u_sc + v_sc))
         return self._probe.rows(table[None],
                                 [offset * kernels.LOG_SCALE_FACTOR],
                                 self._probe_work)
@@ -1064,6 +1056,41 @@ class LikelihoodEngine:
                 break
             last = lnl
         return lnl
+
+
+def _category_layout(patterns: PatternAlignment, rate_model: RateModel
+                     ) -> Tuple[PatternAlignment, np.ndarray, np.ndarray]:
+    """CAT's pattern layout: ``(layout, rates, position)``.
+
+    ``layout`` holds the patterns sorted by category into one block per
+    category that has any, each padded to the longest block with
+    weight-0 copies of its own first pattern (equal-population bins
+    differ by at most one).  ``rates`` are those categories' rates, block
+    by block; ``position[p]`` is caller pattern ``p``'s column.
+    """
+    categories = np.asarray(rate_model.site_categories)
+    counts = np.bincount(categories)
+    used = np.flatnonzero(counts)
+    width = int(counts.max())
+    order = np.argsort(categories, kind="stable")
+    columns = np.empty((len(used), width), dtype=np.intp)
+    weights = np.zeros((len(used), width))
+    position = np.empty(len(categories), dtype=np.intp)
+    start = 0
+    for block, count in enumerate(counts[used]):
+        members = order[start:start + count]
+        start += count
+        columns[block] = members[0]
+        columns[block, :count] = members
+        weights[block, :count] = patterns.weights[members]
+        position[members] = block * width + np.arange(count)
+    layout = dataclasses.replace(
+        patterns, patterns=patterns.patterns[:, columns.ravel()],
+        weights=weights.ravel(),
+        site_to_pattern=position[patterns.site_to_pattern],
+        _tip_partial_cache={},
+    )
+    return layout, rate_model.rates[used], position
 
 
 def estimate_site_rates(

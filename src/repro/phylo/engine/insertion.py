@@ -82,28 +82,26 @@ class InsertionScore(NamedTuple):
     t_connect: float
 
 
-def _candidate_bytes(n_patterns: int, n_cats: int, n_states: int,
-                     per_site: bool = False) -> int:
+def _candidate_bytes(n_patterns: int, n_cats: int, n_states: int) -> int:
     """One candidate's rows: sumtable and term, scale counts, and the
-    probe's exponentials and basis (one per exponent: ``c·k``, or
-    ``k·s`` in CAT), sums and square (:meth:`SumtableProbe.stack_work`)."""
-    exponents = n_states * (n_patterns if per_site else n_cats)
+    probe's exponentials and basis (one per exponent, ``c·k``), sums and
+    square (:meth:`SumtableProbe.stack_work`).  CAT's ``K·k`` exponents
+    on its one category axis are ``4·(K-1)·k`` doubles more than this
+    counts: 384 bytes for DNA in four categories."""
     return 8 * (2 * n_cats * n_patterns * n_states + 5 * n_patterns
-                + 4 * exponents)
+                + 4 * n_cats * n_states)
 
 
-def stack_capacity(n_patterns: int, n_cats: int, n_states: int,
-                   per_site: bool = False) -> int:
+def stack_capacity(n_patterns: int, n_cats: int, n_states: int) -> int:
     """Candidates one stack holds within :data:`STACK_BUDGET_BYTES`."""
-    per = _candidate_bytes(n_patterns, n_cats, n_states, per_site)
+    per = _candidate_bytes(n_patterns, n_cats, n_states)
     return max(1, STACK_BUDGET_BYTES // per)
 
 
-def stack_bytes(n_patterns: int, n_cats: int, n_states: int,
-                per_site: bool = False) -> int:
+def stack_bytes(n_patterns: int, n_cats: int, n_states: int) -> int:
     """Largest stack footprint of one call (the memory estimate's term)."""
-    return (stack_capacity(n_patterns, n_cats, n_states, per_site)
-            * _candidate_bytes(n_patterns, n_cats, n_states, per_site))
+    return (stack_capacity(n_patterns, n_cats, n_states)
+            * _candidate_bytes(n_patterns, n_cats, n_states))
 
 
 class _Side(NamedTuple):
@@ -140,10 +138,9 @@ class _Stacks:
     one runs."""
 
     def __init__(self, engine):
-        c, s, n = self.shape = (engine._n_cats, engine.patterns.n_patterns,
+        c, s, n = self.shape = (engine._n_cats, engine._patterns.n_patterns,
                                 engine._n_states)
-        self.capacity = stack_capacity(s, c, n,
-                                       engine._site_rates is not None)
+        self.capacity = stack_capacity(s, c, n)
         self.tables = np.empty((self.capacity, c * n, s))
         self.terms = np.empty((self.capacity, c, s, n))
         self.scales = np.empty((self.capacity, s), dtype=np.int64)
@@ -166,10 +163,9 @@ class _Scorer:
         self.engine = engine
         self.backend = engine.backend
         self.stacked = self.backend.uses_pmat_cache
-        self.per_site = engine._site_rates is not None
-        self.shape = (engine._n_cats, engine.patterns.n_patterns,
+        self.shape = (engine._n_cats, engine._patterns.n_patterns,
                       engine._n_states)
-        self.weights = engine.patterns.weights
+        self.weights = engine._patterns.weights
         self.connect = connect_length
         self.max_iterations = max_iterations
         self.stacks = _Stacks.of(engine)
@@ -207,7 +203,7 @@ class _Scorer:
         scale = np.empty(self.shape[1], dtype=np.int64)
         scaled = self.backend.newview(
             sides[0], engine._pmat(b1), sides[1], engine._pmat(b2), clv,
-            scale, engine._tip_table, self.per_site, self._hook(),
+            scale, engine._tip_table, self._hook(),
         )
         self._record_newview(
             _case(b1.other(root).is_tip, b2.other(root).is_tip), scaled)
@@ -219,10 +215,8 @@ class _Scorer:
         p = self.engine._transition_matrices(length)
         if side.is_tip:
             return self.backend.tip_terms(p, side.operand,
-                                          self.engine._tip_table, out=out,
-                                          per_site=self.per_site)
-        return self.backend.inner_terms(p, side.operand, out=out,
-                                        per_site=self.per_site)
+                                          self.engine._tip_table, out=out)
+        return self.backend.inner_terms(p, side.operand, out=out)
 
     def _hook(self):
         return (self.engine._chaos_newview_hooks
@@ -250,8 +244,8 @@ class _Scorer:
         engine.newview_calls += 1
         if engine.tracer is not None:
             engine.tracer.record_newview(
-                case=case, n_patterns=self.shape[1], n_cats=self.shape[0],
-                scaled=scaled,
+                case=case, n_patterns=engine.patterns.n_patterns,
+                n_cats=self.shape[0], scaled=scaled,
             )
 
     # -- one stage ---------------------------------------------------------------
@@ -397,8 +391,8 @@ class _Scorer:
                 f"non-finite log likelihood: {result!r}")
         engine.evaluate_calls += 1
         if engine.tracer is not None:
-            engine.tracer.record_evaluate(n_patterns=self.shape[1],
-                                          n_cats=self.shape[0])
+            engine.tracer.record_evaluate(
+                n_patterns=engine.patterns.n_patterns, n_cats=self.shape[0])
         return result
 
 

@@ -101,9 +101,11 @@ class KernelBackend:
 
     * CLVs and propagated terms: ``(c, s, n)``, category-major with
       the states innermost (the arena's storage).
-    * Integrated-mode transition matrices: ``(c, n, n)``; CAT
-      (``per_site=True``) matrices: ``(s, n, n)`` — one per pattern,
-      with the CLV keeping a singleton category axis.
+    * Transition matrices: ``(K, n, n)``, one per rate category.  Under
+      CAT the CLV keeps one category axis over ``K`` equal
+      category-sorted pattern blocks, ``(1, K*m, n)``; the propagations
+      and the derivative probe read it as ``(K, m, n)``, block ``b``
+      against matrix ``b`` (the engine's layout, DESIGN §7).
     * Scale counts: ``(s,)`` ``int64``.
 
     Implementations must be *deterministic*: two calls on the same
@@ -147,7 +149,6 @@ class KernelBackend:
         out_clv: np.ndarray,
         out_scale: np.ndarray,
         code_table: Optional[np.ndarray],
-        per_site: bool,
         hook: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
     ) -> int:
         """One whole ``newview()`` — the paper's offloaded unit: both
@@ -174,10 +175,8 @@ class KernelBackend:
         gives.  ``einsum`` overrides it with one fused kernel.
         """
         work = self._newview_scratch(out_clv)
-        left_scale = self._child_term(left, p_left, code_table, per_site,
-                                      out_clv)
-        right_scale = self._child_term(right, p_right, code_table, per_site,
-                                       work)
+        left_scale = self._child_term(left, p_left, code_table, out_clv)
+        right_scale = self._child_term(right, p_right, code_table, work)
         self.newview_combine(out_clv, work, out=out_clv)
         kernels.add_scale_counts(left_scale, right_scale, out_scale)
         if hook is not None:
@@ -190,14 +189,14 @@ class KernelBackend:
             work = self._newview_work = np.empty_like(like)
         return work
 
-    def _child_term(self, side, p, code_table, per_site, out):
+    def _child_term(self, side, p, code_table, out):
         """Propagate one :meth:`newview` child into ``out``; returns its
         scale counts (``None`` for a tip side)."""
         if type(side) is tuple:
             clv, scale_counts = side
-            self.inner_terms(p, clv, out=out, per_site=per_site)
+            self.inner_terms(p, clv, out=out)
             return scale_counts
-        self.tip_terms(p, side, code_table, out=out, per_site=per_site)
+        self.tip_terms(p, side, code_table, out=out)
         return None
 
     def tip_terms(
@@ -206,9 +205,10 @@ class KernelBackend:
         masks: np.ndarray,
         code_table: Optional[np.ndarray],
         out: Optional[np.ndarray] = None,
-        per_site: bool = False,
     ) -> np.ndarray:
-        """Propagate tip states across a branch: ``sum_j P[.,i,j] tip[s,j]``."""
+        """Propagate tip states across a branch: ``sum_j P[c,i,j]
+        tip[s,j]`` (under CAT ``out`` is required: it carries the
+        layout)."""
         raise NotImplementedError
 
     def inner_terms(
@@ -216,9 +216,9 @@ class KernelBackend:
         p: np.ndarray,
         clv: np.ndarray,
         out: Optional[np.ndarray] = None,
-        per_site: bool = False,
     ) -> np.ndarray:
-        """Propagate an inner CLV across a branch: ``sum_j P[.,i,j] clv[c,s,j]``."""
+        """Propagate an inner CLV across a branch: ``sum_j P[c,i,j]
+        clv[c,s,j]``."""
         raise NotImplementedError
 
     def newview_combine(
@@ -292,7 +292,6 @@ class KernelBackend:
         u_clv: np.ndarray,
         v_clv: np.ndarray,
         scale_counts: np.ndarray,
-        per_site: bool = False,
     ) -> Tuple[float, float, float]:
         """``(lnL, d lnL/dt, d2 lnL/dt2)`` at one branch length from an
         explicit ``(P, dP/dt, d2P/dt2)`` stack."""

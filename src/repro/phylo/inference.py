@@ -41,7 +41,7 @@ class InferenceResult:
     """One completed tree search.
 
     ``perf`` is the engine's :meth:`perf_counters` snapshot at the end
-    of the search (after its caches were dropped).
+    of the search, before its caches were dropped.
     """
 
     newick: str
@@ -144,6 +144,7 @@ def infer_tree(
         engine.cancel = cancel
     try:
         search = hill_climb(engine, config, rng, cancel=cancel)
+        perf = engine.perf_counters()
     finally:
         engine.detach()
     return InferenceResult(
@@ -155,7 +156,7 @@ def infer_tree(
         evaluate_calls=engine.evaluate_calls,
         is_bootstrap=is_bootstrap,
         replicate=replicate,
-        perf=engine.perf_counters(),
+        perf=perf,
     )
 
 

@@ -47,8 +47,6 @@ __all__ = [
     "contraction_path",
     "tip_terms",
     "inner_terms",
-    "tip_terms_persite",
-    "inner_terms_persite",
     "newview_combine",
     "scale_clv",
     "add_scale_counts",
@@ -59,7 +57,6 @@ __all__ = [
     "StackWork",
     "SumtableProbe",
     "branch_derivatives",
-    "branch_derivatives_persite",
 ]
 
 # -- einsum contraction-path cache --------------------------------------------
@@ -118,6 +115,16 @@ SCALE_FACTOR = 2.0 ** 256
 LOG_SCALE_FACTOR = 256.0 * math.log(2.0)
 
 
+def _blocks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``a`` as the P step reads it against the ``(K, n, n)`` stack ``p``.
+
+    A CAT CLV ``(1, K*m, n)`` holds one category axis over patterns
+    sorted into ``K`` equal category blocks: viewed ``(K, m, n)``, block
+    ``b`` meets matrix ``b`` as category ``b`` does under Gamma.
+    """
+    return a.reshape(len(p), -1, a.shape[-1])
+
+
 def tip_terms(p: np.ndarray, masks: np.ndarray,
               code_table: Optional[np.ndarray] = None,
               out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -136,16 +143,28 @@ def tip_terms(p: np.ndarray, masks: np.ndarray,
     code_table: ``(n_codes, n)`` indicator rows per code; defaults to
         the DNA ambiguity-mask table.
     out: optional ``(n_cats, n_patterns, n)`` buffer to gather into.
+        Under CAT it is required: a ``(1, K*m, n)`` CLV whose ``K``
+        pattern blocks each gather from their own matrix's codes.
 
     Returns
     -------
-    ``(n_cats, n_patterns, n)`` propagated terms.
+    ``(n_cats, n_patterns, n)`` propagated terms (``out`` when given).
     """
     table = TIP_PARTIAL_ROWS if code_table is None else code_table
     per_code = table @ p.transpose(0, 2, 1)  # (cats, n_codes, n)
-    # mode="clip": the default "raise" buffers ``out``; the bounds check
-    # it pays for is made once, by whoever owns the pattern matrix.
-    return per_code.take(masks, axis=1, out=out, mode="clip")
+    if out is None or len(out) == len(p):
+        # mode="clip": the default "raise" buffers ``out``; the bounds
+        # check it pays for is made once, by whoever owns the pattern
+        # matrix.
+        return per_code.take(masks, axis=1, out=out, mode="clip")
+    # CAT: one gather over the stacked per-code rows, block b's codes
+    # offset into matrix b's rows.
+    n_blocks, n_codes, n = per_code.shape
+    codes = masks.reshape(n_blocks, -1) + np.arange(
+        0, n_blocks * n_codes, n_codes)[:, None]
+    per_code.reshape(-1, n).take(codes, axis=0, out=_blocks(out, p),
+                                 mode="clip")
+    return out
 
 
 def inner_terms(p: np.ndarray, clv: np.ndarray,
@@ -153,38 +172,14 @@ def inner_terms(p: np.ndarray, clv: np.ndarray,
     """Propagate an inner CLV across a branch: ``sum_j P[c,i,j] clv[c,s,j]``.
 
     One batched ``(s, n) @ (n, n)`` product per category, on the
-    ``(c, s, n)`` operands as stored.
+    ``(c, s, n)`` operands as stored; under CAT the same product on the
+    ``(K, m, n)`` block view of the ``(1, K*m, n)`` CLV.
     """
-    return np.matmul(clv, p.transpose(0, 2, 1), out=out)
-
-
-def tip_terms_persite(p: np.ndarray, masks: np.ndarray,
-                      code_table: Optional[np.ndarray] = None,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """CAT-mode tip propagation with per-pattern transition matrices.
-
-    ``p`` has shape ``(n_patterns, n, n)`` (each site's own rate); the
-    result keeps the singleton category axis: ``(1, n_patterns, n)``.
-    """
-    table = TIP_PARTIAL_ROWS if code_table is None else code_table
-    tips = table[masks]  # (s, n)
-    if out is None:
-        out = np.empty((1,) + tips.shape)
-    # One (1, n) @ (n, n) product per pattern; (s, 1, n) is the same
-    # memory as the (1, s, n) result.
-    np.matmul(tips[:, None, :], p.transpose(0, 2, 1),
-              out=out.transpose(1, 0, 2))
-    return out
-
-
-def inner_terms_persite(p: np.ndarray, clv: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """CAT-mode inner propagation with per-pattern transition matrices:
-    ``clv`` and the result are ``(1, n_patterns, n)``."""
+    if len(clv) == len(p):
+        return np.matmul(clv, p.transpose(0, 2, 1), out=out)
     if out is None:
         out = np.empty_like(clv)
-    np.matmul(clv.transpose(1, 0, 2), p.transpose(0, 2, 1),
-              out=out.transpose(1, 0, 2))
+    np.matmul(_blocks(clv, p), p.transpose(0, 2, 1), out=_blocks(out, p))
     return out
 
 
@@ -252,27 +247,20 @@ def add_scale_counts(left: Optional[np.ndarray],
 
 
 def _child_term(side, p: np.ndarray, code_table: Optional[np.ndarray],
-                per_site: bool, out: np.ndarray) -> Optional[np.ndarray]:
+                out: np.ndarray) -> Optional[np.ndarray]:
     """Propagate one ``newview`` child across ``p`` into ``out``;
     returns its scale counts (``None`` for a tip side)."""
     if type(side) is tuple:
         clv, scale_counts = side
-        if per_site:
-            inner_terms_persite(p, clv, out=out)
-        else:
-            inner_terms(p, clv, out=out)
+        inner_terms(p, clv, out=out)
         return scale_counts
-    if per_site:
-        tip_terms_persite(p, side, code_table, out=out)
-    else:
-        tip_terms(p, side, code_table, out=out)
+    tip_terms(p, side, code_table, out=out)
     return None
 
 
 def newview(left, p_left: np.ndarray, right, p_right: np.ndarray,
             out_clv: np.ndarray, out_scale: np.ndarray,
             code_table: Optional[np.ndarray] = None,
-            per_site: bool = False,
             work: Optional[np.ndarray] = None,
             hook=None) -> int:
     """One whole ``newview()``: the parent CLV and scale counts of two
@@ -294,8 +282,8 @@ def newview(left, p_left: np.ndarray, right, p_right: np.ndarray,
     """
     if work is None:
         work = np.empty_like(out_clv)
-    left_scale = _child_term(left, p_left, code_table, per_site, out_clv)
-    right_scale = _child_term(right, p_right, code_table, per_site, work)
+    left_scale = _child_term(left, p_left, code_table, out_clv)
+    right_scale = _child_term(right, p_right, code_table, work)
     np.multiply(out_clv, work, out=out_clv)
     add_scale_counts(left_scale, right_scale, out_scale)
     if hook is not None:
@@ -423,7 +411,7 @@ class _Rows(NamedTuple):
     """One row count's views of a :class:`StackWork`: the row itself
     for one branch, the leading ``count`` rows for more."""
 
-    exp: np.ndarray  # exponentials, ``(c*k,)`` or ``(k, s)`` a row
+    exp: np.ndarray  # exponentials, ``(c*k,)`` or CAT's ``(K, k)`` a row
     exp_across: np.ndarray  # ``exp`` broadcast against the powers
     basis: np.ndarray  # ``w [e, lam e, lam^2 e]`` a row
     sums: np.ndarray  # ``(3, s)`` a row: likelihoods, d1, d2
@@ -493,30 +481,29 @@ class SumtableProbe:
     element-wise ufuncs, the same per-row dot for the lnL-only sum, the
     offset taken off one Python float.  Tables are read, not copied.
 
-    Integrated modes (``rates`` is ``(c,)``): ``c*k`` exponentials, one
-    ``(3, c*k) @ (c*k, s)`` product against ``w [e, lam e, lam^2 e]`` and
-    one ``(3, s) @ weights`` a branch.  CAT (``per_site=True``, ``rates``
-    is ``(s,)``, one category): the same table against a per-pattern
-    ``(k, s)`` exponent, element-wise.  Agrees with
-    :func:`branch_derivatives` / :func:`branch_derivatives_persite` to
-    round-off.
+    Integrated modes (one rate per category of ``cat_weights``): ``c*k``
+    exponentials, one ``(3, c*k) @ (c*k, s)`` product against ``w [e,
+    lam e, lam^2 e]`` and one ``(3, s) @ weights`` a branch.  CAT (one
+    category of weight one, ``K`` rates): the ``(k, K*m)`` table of ``K``
+    category-sorted pattern blocks, ``K*k`` exponentials, and one ``(3,
+    k) @ (k, m)`` product per block on the block view.  Agrees with
+    :func:`branch_derivatives` to round-off.
     """
 
     def __init__(self, eigenvalues: np.ndarray, rates: np.ndarray,
-                 pattern_weights: np.ndarray, cat_weights: np.ndarray,
-                 per_site: bool = False):
-        lam = rates[:, None] * eigenvalues[None, :]  # (c, k) or (s, k)
+                 pattern_weights: np.ndarray, cat_weights: np.ndarray):
+        lam = rates[:, None] * eigenvalues[None, :]  # (c, k)
         powers = np.stack([np.ones_like(lam), lam, lam * lam])
-        if per_site:  # one category of weight one; patterns innermost
-            lam = np.ascontiguousarray(lam.T)  # (k, s)
-            powers = np.ascontiguousarray(powers.transpose(0, 2, 1))
+        #: pattern blocks: one per rate under CAT, 1 when integrated
+        self._n_blocks = len(rates) // len(cat_weights)
+        if self._n_blocks > 1:  # weight one; (K, 3, k), a block's (3, k)
+            powers = np.ascontiguousarray(powers.transpose(1, 0, 2))
         else:
             powers *= cat_weights[:, None]
             lam, powers = lam.ravel(), powers.reshape(3, -1)  # (c*k,)
-        self._per_site = per_site
+            self._weighted = powers[0]  # the lnL-only form's w
         self._lam = lam
         self._powers = powers
-        self._weighted = powers[0]  # the lnL-only form's w
         self._weights = pattern_weights
         #: evaluations so far (both forms, one per branch), for
         #: kernel-call accounting
@@ -547,6 +534,11 @@ class SumtableProbe:
         np.exp(rows.exp, out=rows.exp)
         return rows, tables
 
+    def _blocks(self, a: np.ndarray) -> np.ndarray:
+        """CAT's block view of a ``(..., r, K*m)`` operand: ``(..., K, r,
+        m)``, one ``(r, m)`` matrix per pattern block."""
+        return a.reshape(a.shape[:-1] + (self._n_blocks, -1)).swapaxes(-2, -3)
+
     @staticmethod
     def _positive(lik: np.ndarray) -> np.ndarray:
         if lik.min() <= 0:
@@ -559,10 +551,10 @@ class SumtableProbe:
                 ) -> List[Tuple[float, float, float]]:
         """One ``(lnL, d1, d2)`` per branch."""
         rows, tables = self._exponentials(tables, lengths, work)
-        if self._per_site:
-            np.multiply(rows.exp, tables, out=rows.exp)
-            np.multiply(self._powers, rows.exp_across, out=rows.basis)
-            rows.basis.sum(axis=-2, out=rows.sums)
+        if self._n_blocks > 1:
+            np.multiply(self._powers, rows.exp[..., None, :], out=rows.basis)
+            np.matmul(rows.basis, self._blocks(tables),
+                      out=self._blocks(rows.sums))
         else:
             np.multiply(self._powers, rows.exp_across, out=rows.basis)
             np.matmul(rows.basis, tables, out=rows.sums)
@@ -586,8 +578,9 @@ class SumtableProbe:
         round-off."""
         rows, tables = self._exponentials(tables, lengths, work)
         lik = rows.square
-        if self._per_site:
-            np.multiply(rows.exp, tables, out=rows.exp).sum(axis=-2, out=lik)
+        if self._n_blocks > 1:
+            np.matmul(rows.exp[..., None, :], self._blocks(tables),
+                      out=self._blocks(lik[..., None, :]))
         else:
             np.multiply(self._weighted, rows.exp, out=rows.exp)
             np.matmul(rows.exp_across, tables, out=rows.square_out)
@@ -630,48 +623,24 @@ def branch_derivatives(
 ) -> Tuple[float, float, float]:
     """Log-likelihood and its first two branch-length derivatives.
 
-    ``model_terms`` is ``(P, dP/dt, d2P/dt2)``, each ``(n_cats, 4, 4)``.
-    ``u_clv``/``v_clv`` are the CLVs facing the branch (tips already
-    expanded).  Returns ``(lnL, d lnL/dt, d2 lnL/dt2)``.
+    ``model_terms`` is ``(P, dP/dt, d2P/dt2)``, each ``(K, n, n)``: one
+    matrix per category, or under CAT one per pattern block of the
+    ``(1, K*m, n)`` CLVs.  ``u_clv``/``v_clv`` are the CLVs facing the
+    branch (tips already expanded).  Returns ``(lnL, d lnL/dt, d2
+    lnL/dt2)``.
     """
     p, dp, d2p = model_terms
     # w[c,s,i,j] contraction done in two steps to stay O(c*s*16).
     left = u_clv * pi  # fold pi into the u side
-    f = _einsum("csi,cij,csj->cs", left, p, v_clv)
-    f1 = _einsum("csi,cij,csj->cs", left, dp, v_clv)
-    f2 = _einsum("csi,cij,csj->cs", left, d2p, v_clv)
+    if len(left) != len(p):  # CAT: the block view, then back to (1, s)
+        left, v_clv = _blocks(left, p), _blocks(v_clv, p)
+    shape = (len(cat_weights), -1)
+    f = _einsum("csi,cij,csj->cs", left, p, v_clv).reshape(shape)
+    f1 = _einsum("csi,cij,csj->cs", left, dp, v_clv).reshape(shape)
+    f2 = _einsum("csi,cij,csj->cs", left, d2p, v_clv).reshape(shape)
     lik = f.T @ cat_weights
     d1 = f1.T @ cat_weights
     d2 = f2.T @ cat_weights
-    if (lik <= 0).any():
-        raise FloatingPointError("non-positive site likelihood in makenewz")
-    g1 = d1 / lik
-    lnl = float(pattern_weights @ (np.log(lik) - scale_counts * LOG_SCALE_FACTOR))
-    dlnl = float(pattern_weights @ g1)
-    d2lnl = float(pattern_weights @ (d2 / lik - g1 * g1))
-    return lnl, dlnl, d2lnl
-
-
-def branch_derivatives_persite(
-    model_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    pi: np.ndarray,
-    pattern_weights: np.ndarray,
-    u_clv: np.ndarray,
-    v_clv: np.ndarray,
-    scale_counts: np.ndarray,
-) -> Tuple[float, float, float]:
-    """CAT-mode :func:`branch_derivatives`: per-pattern P matrices.
-
-    ``model_terms`` matrices have shape ``(n_patterns, 4, 4)`` (each
-    site's own rate); CLVs keep their singleton category axis,
-    ``(1, n_patterns, n)``.
-    """
-    p, dp, d2p = model_terms
-    left = u_clv[0] * pi
-    v = v_clv[0]
-    lik = _einsum("si,sij,sj->s", left, p, v)
-    d1 = _einsum("si,sij,sj->s", left, dp, v)
-    d2 = _einsum("si,sij,sj->s", left, d2p, v)
     if (lik <= 0).any():
         raise FloatingPointError("non-positive site likelihood in makenewz")
     g1 = d1 / lik

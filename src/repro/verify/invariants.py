@@ -28,6 +28,7 @@ observed, so tests can additionally assert tightness.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Dict, Optional, Tuple, Type
 
@@ -61,13 +62,17 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _forbid_per_site(rate_model: Optional[RateModel], what: str) -> None:
-    if rate_model is not None and rate_model.is_per_site:
-        raise ValueError(
-            f"{what} re-derives the pattern set, which would invalidate a "
-            "CAT model's per-pattern category assignment; use a uniform or "
-            "Gamma rate model"
-        )
+def _carried(rate_model: Optional[RateModel], source: PatternAlignment,
+             target: PatternAlignment) -> Optional[RateModel]:
+    """*rate_model* for *target*, a re-derived pattern set of *source*'s
+    sites: a CAT assignment is carried site by site (``site_to_pattern``
+    of both); other rate models apply as they are."""
+    if rate_model is None or not rate_model.is_per_site:
+        return rate_model
+    categories = np.empty(target.n_patterns, dtype=np.intp)
+    categories[target.site_to_pattern] = \
+        rate_model.site_categories[source.site_to_pattern]
+    return dataclasses.replace(rate_model, site_categories=categories)
 
 
 # -- re-rooting (pulley principle) ------------------------------------------
@@ -227,10 +232,11 @@ def taxon_permutation_invariance(
 
     Row order changes the canonical pattern *order* (``unique_columns`` sorts
     lexicographically by row), so sums accumulate in a different order —
-    agreement is to round-off, not bit-for-bit.  Returns the relative
+    agreement is to round-off, not bit-for-bit.  A CAT *rate_model*
+    assigns the patterns of the alignment as given; the reordered one's
+    patterns get the same sites' categories.  Returns the relative
     difference.
     """
-    _forbid_per_site(rate_model, "taxon permutation")
     names = list(sequences)
     shuffled_names = list(names)
     rng.shuffle(shuffled_names)
@@ -241,7 +247,8 @@ def taxon_permutation_invariance(
     tree = Tree.from_tip_names(sorted(names), rng)
 
     lnl_base = _engine_loglik(base, model, rate_model, tree, engine_cls, backend)
-    lnl_other = _engine_loglik(other, model, rate_model, tree, engine_cls, backend)
+    lnl_other = _engine_loglik(other, model, _carried(rate_model, base, other),
+                               tree, engine_cls, backend)
     diff = _rel_diff(lnl_base, lnl_other)
     if diff > rel_tol:
         raise InvariantViolation(
@@ -263,10 +270,10 @@ def pattern_compression_invariance(
     """Compressed patterns must score like one weight-1 pattern per site.
 
     Builds an *uncompressed* :class:`PatternAlignment` (every column its
-    own pattern, weight 1, duplicates retained) and compares.  Returns
-    the relative difference.
+    own pattern, weight 1, duplicates retained) and compares; a CAT
+    *rate_model* assigns the compressed patterns, and each site takes its
+    pattern's category.  Returns the relative difference.
     """
-    _forbid_per_site(rate_model, "pattern compression comparison")
     alignment = Alignment.from_sequences(sequences)
     compressed = alignment.compress()
     uncompressed = PatternAlignment(
@@ -281,7 +288,8 @@ def pattern_compression_invariance(
         compressed, model, rate_model, tree, engine_cls, backend
     )
     lnl_full = _engine_loglik(
-        uncompressed, model, rate_model, tree, engine_cls, backend
+        uncompressed, model, _carried(rate_model, compressed, uncompressed),
+        tree, engine_cls, backend
     )
     diff = _rel_diff(lnl_compressed, lnl_full)
     if diff > rel_tol:

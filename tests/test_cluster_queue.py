@@ -66,6 +66,21 @@ class TestCleanRuns:
             p["perf"]["newview_calls"] for p in state.payloads.values()
         )
 
+    def test_perf_is_the_live_engine_at_the_end_of_the_search(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path):
+        """Snapshotted before the engine's caches are dropped: the CLV
+        cache, P-matrix cache and arena occupancy it ended with."""
+        journal = str(tmp_path / "run.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=1, seed=2,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=journal)
+        for payload in replay(journal).payloads.values():
+            perf = payload["perf"]
+            assert perf["clv_cache_entries"] > 0
+            assert perf["pmat_entries"] > 0
+            assert perf["arena_in_use"] >= perf["clv_cache_entries"]
+
 
 class TestRetries:
     def test_transient_failure_is_retried(self, tiny_patterns, fast_config,

@@ -22,7 +22,8 @@ def executor():
 
 
 class TestCATMakenewz:
-    """makenewz under CAT rates (per-pattern transition matrices)."""
+    """makenewz under CAT rates (one transition matrix per category,
+    over the engine's category-sorted pattern blocks)."""
 
     def _cat_engine(self, patterns, seed=0):
         rng = np.random.default_rng(seed)
@@ -48,28 +49,14 @@ class TestCATMakenewz:
         engine.detach()
 
     def test_cat_derivatives_match_finite_differences(self, small_patterns):
-        from repro.phylo import kernels
-
         engine = self._cat_engine(small_patterns, seed=2)
         branch = engine.tree.branches[3]
-        u, _ = engine._side(branch.nodes[0], branch)
-        v, _ = engine._side(branch.nodes[1], branch)
-        scale = np.zeros(small_patterns.n_patterns, dtype=np.int64)
-        rates = engine._rates_for_pmat()
-        pi = engine.model.pi
-        w = small_patterns.weights
         t, h = 0.2, 1e-6
 
         def lnl_at(x):
-            terms = engine.model.transition_derivatives(x, rates)
-            return kernels.branch_derivatives_persite(
-                terms, pi, w, u, v, scale
-            )[0]
+            return engine.branch_derivatives(branch, x)[0]
 
-        terms = engine.model.transition_derivatives(t, rates)
-        _, d1, d2 = kernels.branch_derivatives_persite(
-            terms, pi, w, u, v, scale
-        )
+        _, d1, d2 = engine.branch_derivatives(branch, t)
         fd1 = (lnl_at(t + h) - lnl_at(t - h)) / (2 * h)
         # Second differences need a larger step: with h = 1e-6 the
         # difference is ~1e-11 of lnl and cancellation noise dominates.

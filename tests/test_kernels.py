@@ -47,16 +47,15 @@ class TestTipTerms:
         dense = np.einsum("cij,sj->csi", p, TIP_PARTIAL_ROWS[masks])
         assert np.allclose(terms, dense)
 
-    def test_persite_variant(self):
+    def test_category_blocks(self):
+        """CAT: a ``(1, K*m, n)`` term, block ``b`` under matrix ``b``."""
         rng = np.random.default_rng(1)
         model = default_gtr()
-        site_rates = rng.random(20) + 0.1
-        p = model.transition_matrices(0.2, site_rates)  # (s, 4, 4)
+        p = model.transition_matrices(0.2, rng.random(4) + 0.1)  # (K, 4, 4)
         masks = rng.choice([1, 2, 4, 8], size=20).astype(np.uint8)
-        terms = kernels.tip_terms_persite(p, masks)
-        assert terms.shape == (1, 20, 4)
+        terms = kernels.tip_terms(p, masks, out=np.empty((1, 20, 4)))
         for s in range(20):
-            expected = p[s] @ TIP_PARTIAL_ROWS[masks[s]]
+            expected = p[s // 5] @ TIP_PARTIAL_ROWS[masks[s]]
             assert np.allclose(terms[0, s], expected)
 
 
@@ -70,15 +69,15 @@ class TestInnerTerms:
             for c in range(4):
                 assert np.allclose(terms[c, s], p[c] @ clv[c, s])
 
-    def test_persite_matches_matmul(self):
+    def test_category_blocks_match_matmul(self):
         rng = np.random.default_rng(3)
         model = default_gtr()
-        site_rates = rng.random(11) + 0.1
-        p = model.transition_matrices(0.15, site_rates)
-        clv = random_clv(rng, 11, 1)
-        terms = kernels.inner_terms_persite(p, clv)
-        for s in range(11):
-            assert np.allclose(terms[0, s], p[s] @ clv[0, s])
+        p = model.transition_matrices(0.15, rng.random(3) + 0.1)
+        clv = random_clv(rng, 12, 1)
+        terms = kernels.inner_terms(p, clv)
+        assert terms.shape == (1, 12, 4)
+        for s in range(12):
+            assert np.allclose(terms[0, s], p[s // 4] @ clv[0, s])
 
 
 class TestNewviewAgainstReference:
@@ -370,13 +369,19 @@ def _scn_scale_clv(clv, scale_counts):
     return int(needs.sum())
 
 
-def _scn_newview(left, p_left, right, p_right, table, per_site):
+def _per_pattern(p, n_patterns):
+    """CAT's ``(K, n, n)`` block matrices as the ``(s, n, n)`` stack of
+    one matrix per pattern they replaced (block ``b`` is ``s // m``)."""
+    return np.repeat(p, n_patterns // len(p), axis=0)
+
+
+def _scn_newview(left, p_left, right, p_right, table, per_pattern):
     def term(side, p):
         if isinstance(side, tuple):
-            if per_site:
+            if per_pattern:
                 return np.matmul(side[0], p.transpose(0, 2, 1)), side[1]
             return _scn_inner_terms(p, side[0]), side[1]
-        if per_site:
+        if per_pattern:
             tips = table[side][:, None, :]
             return np.matmul(tips, p.transpose(0, 2, 1)), 0
         return _scn_tip_terms(p, side, table), 0
@@ -411,8 +416,8 @@ class TestOperandLayout:
             table = AA_CODE_TABLE
         rate_model = {"gamma": GammaRates(0.7, 4), "uniform": UniformRate(),
                       "cat": None}[mode]
-        if rate_model is None:
-            rates, cat_weights = rng.uniform(0.25, 4.0, n_patterns), np.ones(1)
+        if rate_model is None:  # three category blocks of patterns
+            rates, cat_weights = rng.uniform(0.25, 4.0, 3), np.ones(1)
         else:
             rates, cat_weights = rate_model.rates, rate_model.weights
         plain = [model.transition_matrices(t, rates) for t in (0.07, 1.9)]
@@ -443,13 +448,12 @@ class TestOperandLayout:
         exact = self._exact(states, mode)
         out = np.full_like(clv, np.nan)
         if mode == "cat":
-            assert kernels.inner_terms_persite(stored, clv, out=out) is out
-            _same(_scn(out), np.matmul(_scn(clv), plain.transpose(0, 2, 1)),
-                  exact)
-            assert kernels.tip_terms_persite(stored, masks, table,
-                                             out=out) is out
+            per_pattern = _per_pattern(plain, n_patterns).transpose(0, 2, 1)
+            assert kernels.inner_terms(stored, clv, out=out) is out
+            _same(_scn(out), np.matmul(_scn(clv), per_pattern), exact)
+            assert kernels.tip_terms(stored, masks, table, out=out) is out
             _same(_scn(out), np.matmul(table[masks][:, None, :],
-                                       plain.transpose(0, 2, 1)), exact)
+                                       per_pattern), exact)
         else:
             assert kernels.inner_terms(stored, clv, out=out) is out
             _same(_scn(out), _scn_inner_terms(plain, _scn(clv)), exact)
@@ -468,13 +472,15 @@ class TestOperandLayout:
                        for i, kind in enumerate(kinds.split("-"))]
         as_scn = [side if kind == "tip" else (_scn(side[0]), side[1])
                   for kind, side in zip(kinds.split("-"), (left, right))]
-        want = _scn_newview(as_scn[0], plain[0], as_scn[1], plain[1], table,
+        old = ([_per_pattern(p, n_patterns) for p in plain] if mode == "cat"
+               else plain)
+        want = _scn_newview(as_scn[0], old[0], as_scn[1], old[1], table,
                             mode == "cat")
         clv = np.full_like(clvs[0][0], np.nan)
         scale = np.full(n_patterns, -7, dtype=np.int64)
         scaled = kernels.newview(
             left, _cache_layout(plain[0]), right, _cache_layout(plain[1]),
-            clv, scale, table, mode == "cat")
+            clv, scale, table)
         _same(_scn(clv), want[0], self._exact(states, mode))
         assert np.array_equal(scale, want[1])
         assert scaled == want[2]

@@ -32,12 +32,15 @@ from repro.phylo.tree import Tree as _Tree
 # ---------------------------------------------------------------------------
 
 
-def brute_force_loglik(tree, patterns, model, rate_model):
-    """Exact likelihood by summing over all internal-node state vectors.
+def brute_force_site_logliks(tree, patterns, model, rate_model):
+    """Exact per-pattern log likelihoods by summing over all
+    internal-node state vectors, in the caller's pattern order.
 
     Only feasible for tiny trees (k internal nodes -> 4^k terms per
     pattern per category), but completely independent of the engine's
-    pruning, caching and scaling machinery.
+    pruning, caching and scaling machinery — and of its CAT pattern
+    layout: under CAT pattern ``s`` has the one rate
+    ``rates[site_categories[s]]`` with weight 1.
     """
     inner = tree.inner_nodes
     root = inner[0]
@@ -54,10 +57,14 @@ def brute_force_loglik(tree, patterns, model, rate_model):
         for t in tree.tips
     }
     pi = model.pi
-    total = 0.0
+    logs = np.empty(patterns.n_patterns)
     for s in range(patterns.n_patterns):
         site_lik = 0.0
-        for rate, cat_w in zip(rate_model.rates, rate_model.weights):
+        categories = zip(rate_model.rates, rate_model.weights)
+        if rate_model.is_per_site:
+            categories = [(rate_model.rates[rate_model.site_categories[s]],
+                           1.0)]
+        for rate, cat_w in categories:
             pmats = {
                 b.index: model.transition_matrices(b.length, [rate])[0]
                 for b in tree.branches
@@ -75,8 +82,14 @@ def brute_force_loglik(tree, patterns, model, rate_model):
                         term *= row[states[child.index]]
                 cat_lik += term
             site_lik += cat_w * cat_lik
-        total += patterns.weights[s] * math.log(site_lik)
-    return total
+        logs[s] = math.log(site_lik)
+    return logs
+
+
+def brute_force_loglik(tree, patterns, model, rate_model):
+    """The weighted sum of :func:`brute_force_site_logliks`."""
+    return float(patterns.weights @ brute_force_site_logliks(
+        tree, patterns, model, rate_model))
 
 
 def tiny_dataset(n_taxa=4, n_sites=40, seed=5):
@@ -96,6 +109,24 @@ class TestAgainstBruteForce:
         engine = LikelihoodEngine(patterns, model, rates, tree)
         expected = brute_force_loglik(tree, patterns, model, rates)
         assert abs(engine.evaluate() - expected) < 1e-8
+        engine.detach()
+
+    @pytest.mark.parametrize("n_taxa", [4, 5])
+    def test_matches_enumeration_cat(self, n_taxa):
+        """Three categories over unevenly many, unsorted patterns: the
+        engine's sorted, padded layout is invisible in the lnL and in
+        the per-pattern values, returned in the caller's order."""
+        patterns = tiny_dataset(n_taxa=n_taxa)
+        model = default_gtr()
+        rng = np.random.default_rng(n_taxa)
+        cat = CatRates(rng.uniform(0.2, 3.0, patterns.n_patterns), 3)
+        assert patterns.n_patterns % 3  # blocks differ: padding is used
+        tree = Tree.from_tip_names(patterns.taxa, np.random.default_rng(1))
+        engine = LikelihoodEngine(patterns, model, cat, tree)
+        expected = brute_force_site_logliks(tree, patterns, model, cat)
+        assert abs(engine.evaluate() - patterns.weights @ expected) < 1e-8
+        np.testing.assert_allclose(engine.site_log_likelihoods(), expected,
+                                   rtol=0.0, atol=1e-8)
         engine.detach()
 
     def test_matches_enumeration_jc_uniform(self):

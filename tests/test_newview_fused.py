@@ -54,24 +54,25 @@ def _side(rng, kind, n_cats, table):
 def _operands(config, case, seed=11):
     model, rate_model, code_table = CONFIGS[config]
     table = TIP_PARTIAL_ROWS if code_table is None else code_table
-    per_site, rates, cat_weights = _rates(rate_model)
+    rates, cat_weights = _rates(rate_model)
     rng = np.random.default_rng(seed)
     kinds = CASES[case]
     left = _side(rng, kinds[0], len(cat_weights), table)
     right = _side(rng, kinds[1], len(cat_weights), table)
     p_left = model.transition_matrices(0.07, rates)
     p_right = model.transition_matrices(1.9, rates)
-    return left, p_left, right, p_right, code_table, per_site
+    return left, p_left, right, p_right, code_table, len(cat_weights)
 
 
-def _by_hand(backend, left, p_left, right, p_right, code_table, per_site):
+def _by_hand(backend, left, p_left, right, p_right, code_table, n_cats):
     """What ``_newview`` did before the fused kernel: four backend calls
     and a scale-count sum."""
 
     def term(side, p):
         if isinstance(side, tuple):
-            return backend.inner_terms(p, side[0], per_site=per_site), side[1]
-        return (backend.tip_terms(p, side, code_table, per_site=per_site),
+            return backend.inner_terms(p, side[0]), side[1]
+        out = np.empty((n_cats, len(side), p.shape[-1]))
+        return (backend.tip_terms(p, side, code_table, out=out),
                 np.zeros(len(side), dtype=np.int64))
 
     term1, sc1 = term(left, p_left)
@@ -84,12 +85,11 @@ def _by_hand(backend, left, p_left, right, p_right, code_table, per_site):
 
 
 def _fused(backend, operands, hook=None):
-    left, p_left, right, p_right, code_table, per_site = operands
-    n_cats = 1 if per_site else p_left.shape[0]
+    left, p_left, right, p_right, code_table, n_cats = operands
     clv = np.full((n_cats, N_PATTERNS, p_left.shape[-1]), np.nan)
     scale = np.full(N_PATTERNS, -7, dtype=np.int64)  # must be overwritten
     scaled = backend.newview(left, p_left, right, p_right, clv, scale,
-                             code_table, per_site, hook=hook)
+                             code_table, hook=hook)
     return clv, scale, scaled
 
 
@@ -139,17 +139,20 @@ class TestMatmulForms:
         rng = np.random.default_rng(n_patterns)
         n = model.n_states
         masks = rng.integers(1, len(table), n_patterns).astype(np.uint8)
-        if rate_model.is_per_site:
-            p = model.transition_matrices(
-                0.3, rng.uniform(0.25, 4.0, n_patterns))
+        if rate_model.is_per_site:  # K pattern blocks, Gamma's forms on each
+            blocks = 3 if n_patterns % 3 == 0 else 1
+            p = model.transition_matrices(0.3, rng.uniform(0.25, 4.0, blocks))
             clv = rng.uniform(1e-9, 1.0, (1, n_patterns, n))
+            view = (blocks, -1, n)
             assert np.array_equal(
-                kernels.inner_terms_persite(p, clv),
-                np.einsum("sij,csj->csi", p, clv, optimize=True))
+                kernels.inner_terms(p, clv),
+                np.einsum("cij,csj->csi", p, clv.reshape(view),
+                          optimize=True).reshape(clv.shape))
+            per_code = np.einsum("cij,mj->cmi", p, table, optimize=True)
             assert np.array_equal(
-                kernels.tip_terms_persite(p, masks, table),
-                np.einsum("sij,sj->si", p, table[masks],
-                          optimize=True)[None])
+                kernels.tip_terms(p, masks, table, out=np.empty(clv.shape)),
+                per_code[np.arange(blocks)[:, None],
+                         masks.reshape(blocks, -1)].reshape(clv.shape))
             cat_weights = np.ones(1)
         else:
             p = model.transition_matrices(0.3, rate_model.rates)
@@ -190,7 +193,7 @@ def _hand_recompute(engine, key):
             child_max = max(child_max, int(below.scale_counts.max()))
     clv, scale, _ = _by_hand(
         engine.backend, sides[0], pmats[0], sides[1], pmats[1],
-        engine._tip_table, engine._site_rates is not None)
+        engine._tip_table, engine._n_cats)
     return clv, scale, child_max
 
 

@@ -272,7 +272,7 @@ class TestTrajectoryPin:
             ":0.00242825,T004:1e-08):1e-08,(T007:0.00731764,((T008:0.0148123,"
             "T001:0.00242167):0.0118228,T003:0.0121624):0.00303402):1e-08,"
             "T002:0.0073128);",
-            "-0x1.3fb8252602ed9p+9", (3, 43, 2)),
+            "-0x1.3fb8252602edbp+9", (3, 43, 2)),
         "protein": (
             "(p0:1e-08,(p4:0.46137,p2:0.241567):0.0302033,(p6:0.829381,"
             "(p5:0.788735,(p3:0.3854,p1:0.0723818):0.0475381):1e-08):1e-08);",

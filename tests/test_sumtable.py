@@ -52,7 +52,8 @@ from tests.test_protein import related_sequences
 N_PATTERNS = 9
 
 #: name -> (model, rate model, tip code table); the rate model of the
-#: CAT configuration assigns one category per pattern.
+#: CAT configuration puts its patterns in category order, three to a
+#: category: the layout a CAT engine gives them.
 CONFIGS = {
     "jc69_uniform": (JC69(), UniformRate(), None),
     "gtr_gamma4": (
@@ -79,10 +80,13 @@ lengths = st.one_of(
 
 
 def _rates(rate_model):
-    """``(per_site, rates, cat_weights)`` the way the engine feeds kernels."""
+    """``(rates, cat_weights)`` the way the engine feeds kernels: under
+    CAT one rate per pattern block and one category axis."""
     if rate_model.is_per_site:
-        return True, rate_model.rates[rate_model.site_categories], np.ones(1)
-    return False, rate_model.rates, rate_model.weights
+        assert np.array_equal(rate_model.site_categories,
+                              np.arange(N_PATTERNS) // 3)
+        return rate_model.rates, np.ones(1)
+    return rate_model.rates, rate_model.weights
 
 
 def _random_side(rng, kind, n_cats, table):
@@ -107,10 +111,9 @@ def _one_row(probe, table, offset=0.0, work=None):
 
 
 def _probe_once(table, eigenvalues, rates, t, weights, cat_weights,
-                offset=0.0, per_site=False):
+                offset=0.0):
     """``(lnL, d1, d2)`` from a probe built and used once."""
-    probe = kernels.SumtableProbe(eigenvalues, rates, weights, cat_weights,
-                                  per_site)
+    probe = kernels.SumtableProbe(eigenvalues, rates, weights, cat_weights)
     return _one_row(probe, table, offset)[0](t)
 
 
@@ -155,7 +158,7 @@ class TestKernels:
                                                    seed, t):
         model, rate_model, code_table = CONFIGS[config]
         table = TIP_PARTIAL_ROWS if code_table is None else code_table
-        per_site, rates, cat_weights = _rates(rate_model)
+        rates, cat_weights = _rates(rate_model)
         rng = np.random.default_rng(seed)
         u_side, u_clv = _random_side(rng, sides[0], len(cat_weights), table)
         v_side, v_clv = _random_side(rng, sides[1], len(cat_weights), table)
@@ -169,22 +172,17 @@ class TestKernels:
         got = _probe_once(
             sumtable, model._eigenvalues, rates, t, weights, cat_weights,
             float(weights @ scale) * kernels.LOG_SCALE_FACTOR,
-            per_site=per_site,
         )
 
         terms = model.transition_derivatives(t, rates)
-        if per_site:
-            want = kernels.branch_derivatives_persite(
-                terms, model.pi, weights, u_clv, v_clv, scale)
-        else:
-            want = kernels.branch_derivatives(
-                terms, model.pi, cat_weights, weights, u_clv, v_clv, scale)
+        want = kernels.branch_derivatives(
+            terms, model.pi, cat_weights, weights, u_clv, v_clv, scale)
         _assert_triples_agree(got, want, t)
 
         oracle = ReferenceBackend()
         _assert_triples_agree(got, oracle.branch_derivatives(
             oracle.transition_derivatives(model, rates, t), model.pi,
-            cat_weights, weights, u_clv, v_clv, scale, per_site=per_site,
+            cat_weights, weights, u_clv, v_clv, scale,
         ), t)
 
     def test_buffers_are_used_in_place(self):
@@ -226,11 +224,11 @@ class TestPreparedProbe:
     def _tables(config, seed, count=3):
         model, rate_model, code_table = CONFIGS[config]
         table = TIP_PARTIAL_ROWS if code_table is None else code_table
-        per_site, rates, cat_weights = _rates(rate_model)
+        rates, cat_weights = _rates(rate_model)
         rng = np.random.default_rng(seed)
         weights = rng.integers(1, 5, N_PATTERNS).astype(np.float64)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
-                                      cat_weights, per_site)
+                                      cat_weights)
         work = probe.stack_work(1)
         for kinds in [("inner", "inner"), ("tip", "inner"),
                       ("tip", "tip")][:count]:
@@ -251,7 +249,7 @@ class TestPreparedProbe:
     def test_prepared_is_one_shot_is_pmatrix_derivatives(self, config,
                                                          seed, t):
         model, rate_model, _ = CONFIGS[config]
-        per_site, rates, cat_weights = _rates(rate_model)
+        rates, cat_weights = _rates(rate_model)
         for (full, _), _, sumtable, offset, \
                 (u_clv, v_clv, scale, weights) in self._tables(config, seed):
             got = full(t)
@@ -259,15 +257,10 @@ class TestPreparedProbe:
             # many tables the prepared buffers have served before
             assert got == _probe_once(
                 sumtable, model._eigenvalues, rates, t, weights,
-                cat_weights, offset, per_site=per_site)
+                cat_weights, offset)
             terms = model.transition_derivatives(t, rates)
-            if per_site:
-                want = kernels.branch_derivatives_persite(
-                    terms, model.pi, weights, u_clv, v_clv, scale)
-            else:
-                want = kernels.branch_derivatives(
-                    terms, model.pi, cat_weights, weights, u_clv, v_clv,
-                    scale)
+            want = kernels.branch_derivatives(
+                terms, model.pi, cat_weights, weights, u_clv, v_clv, scale)
             assert got[0] == pytest.approx(want[0], rel=1e-11)
             assert got[1] == pytest.approx(want[1], rel=1e-11, abs=1e-10)
             assert got[2] == pytest.approx(want[2], rel=1e-11, abs=1e-10)
@@ -358,14 +351,15 @@ def _old_sumtable(right, left, pi, cat_weights, u_side, v_side, code_table):
     return out * cat_weights[None, :, None]
 
 
-def _old_probe(table, eigenvalues, rates, t, weights, per_site):
-    """The old probe on an old table: ``((lnL, d1, d2), lnL alone)``."""
+def _old_probe(table, eigenvalues, rates, t, weights, per_pattern):
+    """The old probe on an old table: ``((lnL, d1, d2), lnL alone)``;
+    ``per_pattern``: CAT's one rate per pattern."""
     lam = rates[:, None] * eigenvalues[None, :]
-    lam = lam if per_site else lam.ravel()
+    lam = lam if per_pattern else lam.ravel()
     table = table.reshape(len(table), -1)  # (s, c*k)
     exp = np.exp(lam * t)
     powers = np.stack([np.ones_like(lam), lam, lam * lam])
-    if per_site:
+    if per_pattern:
         sums = (powers * (exp * table)).sum(axis=2)
         alone = (exp * table).sum(axis=1)
     else:
@@ -384,8 +378,9 @@ def _layout_case(states, mode, n_cats, n_patterns, seed=0):
         model, code_table = CONFIGS["gtr_gamma4"][0], None
     else:
         model, code_table = CONFIGS["poisson_aa_gamma4"][0], AA_CODE_TABLE
-    if mode == "cat":
-        rates, cat_weights = rng.uniform(0.25, 4.0, n_patterns), np.ones(1)
+    if mode == "cat":  # three pattern blocks, or one pattern a block
+        blocks = 3 if n_patterns % 3 == 0 else n_patterns
+        rates, cat_weights = rng.uniform(0.25, 4.0, blocks), np.ones(1)
     else:
         rate_model = GammaRates(0.6, n_cats) if n_cats > 1 else UniformRate()
         rates, cat_weights = rate_model.rates, rate_model.weights
@@ -421,7 +416,7 @@ class TestOperandLayout:
                                                  kinds, n_patterns):
         model, code_table, rates, cat_weights, sides, weights = \
             _layout_case(states, mode, n_cats, n_patterns)
-        per_site = mode == "cat"
+        per_pattern = mode == "cat"
         u_side, v_side = sides[kinds[0]](), sides[kinds[1]]()
         eigen = (model._right, model._left, model.pi)
         table = kernels.branch_sumtable(*eigen, len(cat_weights), u_side,
@@ -443,11 +438,14 @@ class TestOperandLayout:
         old_table = _old_sumtable(*eigen, cat_weights, _scn(u_side),
                                   _scn(v_side), code_table)
         probe = kernels.SumtableProbe(model._eigenvalues, rates, weights,
-                                      cat_weights, per_site)
+                                      cat_weights)
+        old_rates = (np.repeat(rates, n_patterns // len(rates))
+                     if per_pattern else rates)
         full, lnl_only = _one_row(probe, table)
         for t in (0.02, 0.3, 2.5):
             want, want_alone = _old_probe(
-                old_table, model._eigenvalues, rates, t, weights, per_site)
+                old_table, model._eigenvalues, old_rates, t, weights,
+                per_pattern)
             got = full(t)
             assert got[0] == pytest.approx(want[0], rel=1e-12)
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-10)

@@ -142,18 +142,20 @@ def test_spr_roundtrip_bit_identical_every_backend(backend):
         engine.detach()
 
 
-def test_per_site_rate_models_rejected_where_unsound():
-    """Permuting taxa / dropping compression invalidates a CAT model's
-    per-pattern category map, so those checks must refuse it."""
+def test_cat_assignment_carried_through_rederived_patterns():
+    """Permuting taxa re-derives the pattern set and dropping compression
+    gives every site its own pattern: a CAT model's categories follow
+    the sites, on every backend."""
     from repro.phylo import Alignment, CatRates
 
     sequences, rng = _fixture(10)
     patterns = Alignment.from_sequences(sequences).compress()
     cat = CatRates(np.linspace(0.5, 2.0, patterns.n_patterns), 2)
-    with pytest.raises(ValueError, match="CAT"):
-        taxon_permutation_invariance(sequences, MODEL, cat, rng)
-    with pytest.raises(ValueError, match="CAT"):
-        pattern_compression_invariance(sequences, MODEL, cat, rng)
+    for backend in BACKEND_SPECS:
+        assert taxon_permutation_invariance(
+            sequences, MODEL, cat, rng, backend=backend) < 1e-12
+        assert pattern_compression_invariance(
+            sequences, MODEL, cat, rng, backend=backend) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
