@@ -88,25 +88,22 @@ def _alignment():
     return synthetic_dataset(n_taxa=6, n_sites=120, seed=DATA_SEED)
 
 
-def _child(mode: str, journal: str) -> int:
-    """Run one campaign segment (``run`` from scratch, ``resume`` from
-    the journal) in this process; the parent may SIGKILL us any time."""
-    from repro.cluster import resume_job, run_job
+def _child(journal: str) -> int:
+    """Run the campaign in this process, on from whatever *journal*
+    holds (nothing at first, a killed run's records after a kill); the
+    parent may SIGKILL us any time."""
+    from repro.cluster import run_job
 
-    if mode == "run":
-        run_job(_spec(), _alignment(), n_workers=N_WORKERS,
-                journal_path=journal)
-    else:
-        resume_job(journal, _alignment(), n_workers=N_WORKERS)
+    run_job(_spec(), _alignment(), n_workers=N_WORKERS, journal_path=journal)
     return 0
 
 
-def _spawn(mode: str, journal: str) -> subprocess.Popen:
+def _spawn(journal: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
                REPRO_SCALE_REPLICATES=str(REPLICATES))
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()),
-         "--child", mode, journal],
+         "--child", journal],
         env=env, start_new_session=True,
     )
 
@@ -156,7 +153,7 @@ def main() -> int:
 
     baseline_journal = str(workdir / "baseline.jsonl")
     start = time.perf_counter()
-    proc = _spawn("run", baseline_journal)
+    proc = _spawn(baseline_journal)
     assert proc.wait() == 0, "baseline campaign failed"
     baseline_wall = time.perf_counter() - start
     baseline = replay(baseline_journal)
@@ -174,7 +171,7 @@ def main() -> int:
     start = time.perf_counter()
     kills = 0
     effective_targets = []
-    proc = _spawn("run", interrupted_journal)
+    proc = _spawn(interrupted_journal)
     for target in targets:
         # A kill can overshoot its target (a whole batch of results
         # lands between polls); the next target must demand *new*
@@ -186,7 +183,7 @@ def main() -> int:
             break
         kills += 1
         print(f"  killed at >= {target} replicates done; resuming")
-        proc = _spawn("resume", interrupted_journal)
+        proc = _spawn(interrupted_journal)
     assert proc.wait() == 0, "final resume failed"
     interrupted_wall = time.perf_counter() - start
 
@@ -261,6 +258,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 4 and sys.argv[1] == "--child":
-        sys.exit(_child(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) >= 3 and sys.argv[1] == "--child":
+        sys.exit(_child(sys.argv[2]))
     raise SystemExit(main())

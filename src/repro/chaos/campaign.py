@@ -50,7 +50,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..cluster.checkpoint import JournalWriteError, atomic_write, replay
 from ..cluster.jobs import JobSpec
 from ..cluster.queue import ClusterConfig, TaskExecutionError
-from ..cluster.runner import resume_job, run_job
+from ..cluster.runner import run_job
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.engine.protocol import EngineNumericalError
 from ..phylo.inference import infer_tree
@@ -384,8 +384,9 @@ def _engine_verdict(job, outcome, baseline: Baseline, run) -> Verdict:
 
 
 def _cluster_drive(job: CampaignJob, run: SeedRun):
-    """Run the job to completion through master crashes, resuming from
-    the journal after each, then write the best-tree checkpoint."""
+    """Run the job to completion through master crashes (``run_job``
+    again after each continues its journal, or starts afresh when the
+    crash tore the header), then write the best-tree checkpoint."""
     os.makedirs(run.rundir, exist_ok=True)
     journal_path = os.path.join(run.rundir, "journal.jsonl")
     cfg = _cluster_config(job.n_workers)
@@ -393,17 +394,13 @@ def _cluster_drive(job: CampaignJob, run: SeedRun):
     analysis = None
     while analysis is None:
         try:
-            if not os.path.exists(journal_path):
-                analysis = run_job(job.spec, job.patterns,
-                                   journal_path=journal_path, cluster=cfg,
-                                   clock=clock)
-            else:
-                run.resumes += 1
-                analysis = resume_job(journal_path, job.patterns,
-                                      cluster=cfg, clock=clock)
+            analysis = run_job(job.spec, job.patterns,
+                               journal_path=journal_path, cluster=cfg,
+                               clock=clock)
         except InjectedCrash:
             if run.resumes >= MAX_RECOVERIES:
                 raise
+            run.resumes += 1
     # Post-run checkpoint: the atomic best-tree write is itself a fault
     # site (cluster.checkpoint_torn); a torn attempt must leave the
     # target intact, and the bounded retry must land the full content.

@@ -44,7 +44,6 @@ from .jobs import (
     ClusterTask,
     JobSpec,
     PendingTask,
-    TaskGraph,
     expand_job,
 )
 from .pool import WorkerPool
@@ -71,7 +70,6 @@ __all__ = [
     "ClusterTask",
     "JobSpec",
     "PendingTask",
-    "TaskGraph",
     "expand_job",
     "ClusterConfig",
     "ClusterQueue",

@@ -71,6 +71,7 @@ from ..chaos.plan import (
 )
 
 __all__ = [
+    "JournalMismatchError",
     "JournalWriteError",
     "RetiredJournalFormatError",
     "RunJournal",
@@ -92,6 +93,11 @@ _SHARD_MANIFEST_FORMAT = "repro-cluster-shard-manifest"
 
 class JournalWriteError(RuntimeError):
     """A journal append failed even after its bounded retries."""
+
+
+class JournalMismatchError(ValueError):
+    """The journal at a run's path holds another job: continuing it
+    would mix two jobs' replicates, and rewriting it would lose one."""
 
 
 class RetiredJournalFormatError(ValueError):

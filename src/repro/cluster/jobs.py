@@ -18,7 +18,7 @@ multigrain scheduler when workers go idle (the LLP grain) - see
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..phylo.search import SearchConfig
@@ -28,14 +28,9 @@ __all__ = [
     "JobSpec",
     "ClusterTask",
     "PendingTask",
-    "TaskGraph",
     "expand_job",
     "validate_payload",
-    "AGGREGATE_NODE",
 ]
-
-#: Terminal DAG node: the streaming aggregation barrier every task feeds.
-AGGREGATE_NODE = "aggregate/consensus"
 
 #: Removed ``SearchConfig`` options an older run header still carries,
 #: each with the one value the kept search reproduces; a header holding
@@ -223,34 +218,3 @@ def expand_job(
         tasks.append(ClusterTask(_task_id("bootstrap", batch), "bootstrap",
                                  batch, spec.seed))
     return tasks
-
-
-@dataclass
-class TaskGraph:
-    """The job's dependency structure.
-
-    The workload is embarrassingly parallel, so the DAG is flat: every
-    task is immediately ready, and all of them feed one terminal
-    aggregation node (:data:`AGGREGATE_NODE`) - the streaming consensus
-    barrier that :mod:`repro.cluster.aggregate` services incrementally.
-    """
-
-    tasks: List[ClusterTask]
-    dependencies: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    @classmethod
-    def from_spec(cls, spec: JobSpec, **done) -> "TaskGraph":
-        tasks = expand_job(spec, **done)
-        ids = [t.task_id for t in tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate task ids in expansion: {ids}")
-        return cls(tasks=tasks, dependencies={AGGREGATE_NODE: tuple(ids)})
-
-    def ready(self) -> List[ClusterTask]:
-        """Tasks with no unmet dependencies (all of them, by design)."""
-        blocked = set(self.dependencies)
-        return [t for t in self.tasks if t.task_id not in blocked]
-
-    @property
-    def n_replicates(self) -> int:
-        return sum(t.grain for t in self.tasks)

@@ -41,8 +41,7 @@ from ..chaos.plan import (
     CLUSTER_WORKER_OOM,
     CLUSTER_WORKER_STALL,
 )
-from ..phylo.inference import default_model_for, infer_tree
-from ..phylo.models import GTR, HKY85, JC69, K80
+from ..phylo.inference import infer_tree, named_model
 from ..phylo.rates import GammaRates
 from ..phylo.search import SearchConfig
 from ..sched.mgps import summarize_phases
@@ -160,25 +159,6 @@ class ExecutionContext:
                    alpha=spec.alpha, categories=spec.categories)
 
 
-def _build_model(ctx: ExecutionContext, patterns):
-    """The same model the serial CLI path would construct."""
-    name = ctx.model_name
-    if name is None:
-        return None  # infer_tree applies default_model_for per replicate
-    if name == "GTR":
-        return GTR((1.0, 2.5, 1.0, 1.0, 2.5, 1.0),
-                   tuple(patterns.base_frequencies()))
-    if name == "JC69":
-        return JC69()
-    if name == "K80":
-        return K80()
-    if name == "HKY85":
-        return HKY85(2.0, tuple(patterns.base_frequencies()))
-    if name == "default":
-        return default_model_for(patterns)
-    raise ValueError(f"unknown model {name}")
-
-
 def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
                       replicate: int, seed: int, cancel=None) -> dict:
     """Run one replicate, seeded from ``(seed, kind, replicate)`` alone.
@@ -190,7 +170,7 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
     whole, never streamed, so the result set stays a pure function of
     the completed replicate keys.
     """
-    model = _build_model(ctx, patterns)
+    model = named_model(ctx.model_name, patterns)
     rate_model = (GammaRates(ctx.alpha, ctx.categories)
                   if ctx.alpha is not None else None)
     if kind == "inference":
@@ -346,9 +326,9 @@ class _WorkerJob:
 class ClusterQueue:
     """The master of one run: dispatch, monitor, retry, aggregate.
 
-    A queue runs once (``run_job`` and ``resume_job`` each build their
-    own), so the run's state lives on it and :meth:`run` is one loop
-    over that state.
+    A queue runs once (``run_job`` builds one per run, fresh or
+    continued), so the run's state lives on it and :meth:`run` is one
+    loop over that state.
     """
 
     def __init__(

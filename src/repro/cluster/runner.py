@@ -1,21 +1,25 @@
 """High-level run / resume / status entry points over the cluster queue.
 
-``run_job`` starts a fresh journalled run, ``resume_job`` replays a
-journal and executes only the missing replicates (bit-identical to an
-uninterrupted run), and ``job_status`` summarizes a journal for the
-``cluster status`` CLI without spawning any workers.
+``run_job`` is the one way into a run: it replays the job's journal and
+executes only the missing replicates (bit-identical to an uninterrupted
+run), starting afresh when the journal holds no header yet.
+``resume_job`` continues a journal under the spec its header names, and
+``job_status`` summarizes a journal for the ``cluster status`` CLI
+without spawning any workers.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
 from typing import Dict, Optional
 
-from ..phylo.alignment import Alignment, PatternAlignment
-from ..phylo.inference import AnalysisResult
+from ..phylo.alignment import PatternAlignment, load_alignment_text
+from ..phylo.inference import AnalysisResult, _as_patterns
 from .aggregate import StreamingAggregator
 from .bootstop import BootstopController
 from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
-from .checkpoint import RunJournal, replay
+from .checkpoint import JournalMismatchError, JournalState, RunJournal, replay
 from .jobs import JobSpec, expand_job
 from .pool import WorkerPool
 from .queue import ClusterConfig, ClusterQueue, ExecutionContext, WorkerPlans
@@ -29,31 +33,13 @@ def _bootstop_controller(spec: JobSpec) -> Optional[BootstopController]:
     return BootstopController(spec.bootstop, spec.n_bootstraps, spec.seed)
 
 
-def _as_patterns(alignment) -> PatternAlignment:
-    if isinstance(alignment, PatternAlignment):
-        return alignment
-    compress = getattr(alignment, "compress", None)
-    if compress is not None:
-        return compress()
-    raise TypeError("expected an alignment or pattern alignment")
-
-
 def _load_patterns(spec: JobSpec) -> PatternAlignment:
     if spec.alignment_path is None:
         raise ValueError(
             "job spec has no alignment_path; pass the alignment explicitly"
         )
     with open(spec.alignment_path) as fh:
-        text = fh.read()
-    if spec.aa:
-        from ..phylo.protein import ProteinAlignment
-
-        cls = ProteinAlignment
-    else:
-        cls = Alignment
-    if text.lstrip().startswith(">"):
-        return cls.from_fasta(text).compress()
-    return cls.from_phylip(text).compress()
+        return load_alignment_text(fh.read(), aa=spec.aa).compress()
 
 
 def _finalize(journal: RunJournal, aggregator: StreamingAggregator,
@@ -124,7 +110,20 @@ def run_job(
     cancel: Optional[CancelToken] = None,
     pool: Optional[WorkerPool] = None,
 ) -> AnalysisResult:
-    """Execute a job from scratch, journalling to *journal_path*.
+    """Execute a job, continuing whatever its journal already holds.
+
+    The journal at *journal_path* decides how the run starts:
+
+    * none, an empty file, or a torn ``run_started`` header: a fresh
+      run, the file rewritten from its header;
+    * a header of an equal job: the run continues.  Finished
+      replicates are taken verbatim from the journal (floats
+      round-trip exactly through JSON) and only the remainder runs, so
+      the result is bit-identical to an uninterrupted run; a journal
+      that already holds its ``run_finished`` is only read;
+    * a header of another job:
+      :class:`~repro.cluster.checkpoint.JournalMismatchError` naming
+      the journal, before anything is written.
 
     The alignment comes from *alignment* (any alignment object) or,
     when omitted, from ``spec.alignment_path``.  Results match
@@ -139,27 +138,23 @@ def run_job(
     afterwards (the serve layer's resident workers); without one the
     run forks its own and terminates them when it ends.
     A spec with no inference is refused before anything is journalled
-    or forked: there would be no best tree to pick.
+    or forked: there would be no best tree to pick.  A shard manifest
+    at *journal_path* raises
+    :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`.
     """
     if spec.n_inferences < 1:
         raise ValueError("need at least one inference to pick a best tree")
-    patterns = (_as_patterns(alignment) if alignment is not None
-                else _load_patterns(spec))
-    cluster = _with_workers(cluster, n_workers)
-    journal = RunJournal(journal_path, clock=clock)
-    journal.append("run_started", spec=spec.to_json(),
-                   n_workers=cluster.n_workers)
-    queue = ClusterQueue(
-        patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
-        journal=journal, plans=plans, bootstop=_bootstop_controller(spec),
-        pool=pool,
-    )
-    try:
-        queue.run(expand_job(spec), cancel=_resolve_cancel(spec, cancel))
-    except BaseException:
-        journal.close()
-        raise
-    return _settle(queue, journal)
+    state = None
+    if journal_path is not None and os.path.exists(journal_path):
+        state = replay(journal_path)
+        if state.spec is None:
+            state = None  # nothing journalled yet: start afresh
+        elif JobSpec.from_json(state.spec) != spec:
+            raise JournalMismatchError(
+                f"{journal_path}: journal holds another job; continue it "
+                f"with its own spec or choose a new journal path")
+    return _execute(spec, state, alignment, n_workers, journal_path,
+                    cluster, plans, clock, cancel, pool)
 
 
 def resume_job(
@@ -172,61 +167,70 @@ def resume_job(
     cancel: Optional[CancelToken] = None,
     pool: Optional[WorkerPool] = None,
 ) -> AnalysisResult:
-    """Resume an interrupted run from its journal.
+    """Continue the job journalled at *journal_path*, taking its spec
+    from the journal's header (:func:`run_job` with that spec).
 
-    Finished replicates are taken verbatim from the journal (floats
-    round-trip exactly through JSON); only the remainder is executed.
-    The final trees, likelihoods, and supports are bit-identical to an
-    uninterrupted run.  A journal that already holds its
-    ``run_finished`` is only read: the journalled analysis comes back
-    and nothing is appended.  A shard manifest at *journal_path* raises
-    :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`
-    before anything is written.
+    Raises ``ValueError`` when the journal has no ``run_started``
+    header, and :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`
+    for a shard manifest, before anything is written.
     """
     state = replay(journal_path)
     if state.spec is None:
         raise ValueError(f"{journal_path}: no run_started header to resume")
-    spec = JobSpec.from_json(state.spec)
+    return _execute(JobSpec.from_json(state.spec), state, alignment,
+                    n_workers, journal_path, cluster, plans, clock, cancel,
+                    pool)
+
+
+def _execute(spec: JobSpec, state: Optional[JournalState], alignment,
+             n_workers, journal_path, cluster, plans, clock, cancel,
+             pool) -> AnalysisResult:
+    """Run *spec* from scratch (``state=None``) or on from the replayed
+    *state* of its journal."""
     bootstop = _bootstop_controller(spec)
-    if state.bootstop is not None:
-        # A journalled autoMRE stop decision is final: truncate the
-        # resume DAG to the stopped prefix (replay already evicted any
-        # replicate past it) instead of re-deriving the decision.
-        stop_at = int(state.bootstop["stop_at"])
-        from dataclasses import replace as _replace
-
-        spec_for_tasks = _replace(spec, n_bootstraps=stop_at)
-        if bootstop is not None:
-            bootstop.restore(stop_at)
+    if state is None:
+        tasks, already = expand_job(spec), None
     else:
-        spec_for_tasks = spec
-    tasks = expand_job(spec_for_tasks, state.done_inferences,
-                       state.done_bootstraps)
-
-    if state.finished or not tasks:
-        aggregator = StreamingAggregator()
-        for payload in state.payloads.values():
-            aggregator.ingest(payload)
-        if state.finished:
-            analysis = aggregator.analysis()
-            analysis.degraded = state.degraded
-            return analysis
-        journal = RunJournal(journal_path, append=True, clock=clock)
-        journal.append("run_resumed", remaining=0)
-        return _finalize(journal, aggregator)
+        remaining = spec
+        if state.bootstop is not None:
+            # A journalled autoMRE stop decision is final: truncate the
+            # resume DAG to the stopped prefix (replay already evicted
+            # any replicate past it) instead of re-deriving the decision.
+            stop_at = int(state.bootstop["stop_at"])
+            remaining = replace(spec, n_bootstraps=stop_at)
+            if bootstop is not None:
+                bootstop.restore(stop_at)
+        tasks = expand_job(remaining, state.done_inferences,
+                           state.done_bootstraps)
+        already = dict(state.payloads)
+        if state.finished or not tasks:
+            aggregator = StreamingAggregator()
+            for payload in state.payloads.values():
+                aggregator.ingest(payload)
+            if state.finished:
+                analysis = aggregator.analysis()
+                analysis.degraded = state.degraded
+                return analysis
+            journal = RunJournal(journal_path, append=True, clock=clock)
+            journal.append("run_resumed", remaining=0)
+            return _finalize(journal, aggregator)
 
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
     cluster = _with_workers(cluster, n_workers)
-    journal = RunJournal(journal_path, append=True, clock=clock)
-    journal.append("run_resumed", remaining=sum(t.grain for t in tasks),
-                   n_workers=cluster.n_workers)
+    journal = RunJournal(journal_path, append=state is not None, clock=clock)
+    if state is None:
+        journal.append("run_started", spec=spec.to_json(),
+                       n_workers=cluster.n_workers)
+    else:
+        journal.append("run_resumed", remaining=sum(t.grain for t in tasks),
+                       n_workers=cluster.n_workers)
     queue = ClusterQueue(
         patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
         journal=journal, plans=plans, bootstop=bootstop, pool=pool,
     )
     try:
-        queue.run(tasks, already=dict(state.payloads),
+        queue.run(tasks, already=already,
                   cancel=_resolve_cancel(spec, cancel))
     except BaseException:
         journal.close()
@@ -291,7 +295,5 @@ def _with_workers(cluster: Optional[ClusterConfig],
                   n_workers: Optional[int]) -> ClusterConfig:
     cluster = cluster or ClusterConfig()
     if n_workers is not None and n_workers != cluster.n_workers:
-        from dataclasses import replace
-
         cluster = replace(cluster, n_workers=n_workers)
     return cluster

@@ -30,6 +30,7 @@ __all__ = [
     "PatternAlignment",
     "check_tip_codes",
     "unique_columns",
+    "load_alignment_text",
     "parse_alignment",
     "parse_fasta",
     "parse_phylip",
@@ -454,6 +455,20 @@ def parse_alignment(text: str, cls: Optional[type] = None) -> "Alignment":
         if "duplicate" in message:
             raise AlignmentError("duplicate_taxon", message) from exc
         raise AlignmentError("parse_error", message or repr(exc)) from exc
+
+
+def load_alignment_text(text: str, aa: bool = False) -> "Alignment":
+    """Parse FASTA/PHYLIP *text* as DNA, or as amino acids with *aa*.
+
+    The one loader of every command, job and submission: it goes
+    through :func:`parse_alignment`, so a malformed input surfaces as
+    a typed :class:`AlignmentError` with a stable ``code``.
+    """
+    if aa:
+        from .protein import ProteinAlignment
+
+        return parse_alignment(text, cls=ProteinAlignment)
+    return parse_alignment(text)
 
 
 def _read_source(source: Union[str, os.PathLike]) -> str:

@@ -29,12 +29,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from .alignment import Alignment
+from .alignment import AlignmentError, load_alignment_text
 from .distances import distance_matrix, neighbor_joining
-from .inference import run_full_analysis
-from .models import GTR, HKY85, JC69, K80
+from .inference import named_model, run_full_analysis
 from .rates import GammaRates
 from .search import SearchConfig
 from .simulate import synthetic_dataset
@@ -106,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = cluster.add_subparsers(dest="cluster_command", required=True)
 
-    crun = csub.add_parser("run", help="start a journalled cluster run")
+    crun = csub.add_parser("run", help="start or continue a journalled "
+                           "cluster run")
     crun.add_argument("-s", "--sequences", required=True,
                       help="alignment file (FASTA or PHYLIP)")
     crun.add_argument("-n", "--runs", type=int, default=1,
@@ -135,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bootstraps per coarse task before the "
                       "multigrain scheduler splits them (default 4)")
     crun.add_argument("--journal", required=True,
-                      help="append-only JSONL run journal path")
+                      help="append-only JSONL run journal path; an "
+                      "existing journal of the same job is continued, one "
+                      "of another job is refused")
     crun.add_argument("-o", "--output",
                       help="write the best tree (newick, with support "
                       "labels when bootstrapping) here")
@@ -292,30 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_alignment(path: str, amino_acids: bool = False):
     with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if amino_acids:
-        from .protein import ProteinAlignment
-
-        if stripped.startswith(">"):
-            return ProteinAlignment.from_fasta(text)
-        return ProteinAlignment.from_phylip(text)
-    if stripped.startswith(">"):
-        return Alignment.from_fasta(text)
-    return Alignment.from_phylip(text)
-
-
-def _model_for(name: str, patterns):
-    if name == "GTR":
-        return GTR((1.0, 2.5, 1.0, 1.0, 2.5, 1.0),
-                   tuple(patterns.base_frequencies()))
-    if name == "JC69":
-        return JC69()
-    if name == "K80":
-        return K80()
-    if name == "HKY85":
-        return HKY85(2.0, tuple(patterns.base_frequencies()))
-    raise ValueError(f"unknown model {name}")
+        return load_alignment_text(fh.read(), aa=amino_acids)
 
 
 def _cmd_infer(args) -> int:
@@ -329,17 +306,11 @@ def _cmd_infer(args) -> int:
         max_radius=args.max_radius,
         max_rounds=args.rounds,
     )
-    if args.aa:
-        from .inference import default_model_for
-
-        model = default_model_for(patterns)
-    else:
-        model = _model_for(args.model, patterns)
     analysis = run_full_analysis(
         patterns,
         n_inferences=args.runs,
         n_bootstraps=args.bootstraps,
-        model=model,
+        model=named_model("default" if args.aa else args.model, patterns),
         rate_model=GammaRates(args.alpha, args.categories),
         config=config,
         seed=args.seed,
@@ -426,11 +397,14 @@ def _write_best_tree(analysis, output: str) -> None:
 
 
 def _cmd_cluster(args) -> int:
-    from ..cluster.checkpoint import RetiredJournalFormatError
+    from ..cluster.checkpoint import (
+        JournalMismatchError,
+        RetiredJournalFormatError,
+    )
 
     try:
         return _cluster_command(args)
-    except RetiredJournalFormatError as exc:
+    except (JournalMismatchError, RetiredJournalFormatError) as exc:
         print(f"cluster {args.cluster_command}: {exc}", file=sys.stderr)
         return 2
 
@@ -650,7 +624,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except AlignmentError as exc:
+        print(f"{args.command}: alignment error ({exc.code}): {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

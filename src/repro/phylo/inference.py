@@ -18,7 +18,7 @@ import numpy as np
 
 from .alignment import Alignment, PatternAlignment
 from .engine import create_engine
-from .models import SubstitutionModel, GTR
+from .models import GTR, HKY85, JC69, K80, SubstitutionModel
 from .parsimony import stepwise_addition_tree
 from .rates import GammaRates, RateModel
 from .search import SearchConfig, SearchResult, hill_climb
@@ -33,6 +33,7 @@ __all__ = [
     "bootstrap_analysis",
     "support_values",
     "default_model_for",
+    "named_model",
 ]
 
 
@@ -91,6 +92,27 @@ def default_model_for(patterns: PatternAlignment) -> SubstitutionModel:
     from .protein import PoissonAA
 
     return PoissonAA(tuple(frequencies))
+
+
+def named_model(name: Optional[str],
+                patterns: PatternAlignment) -> Optional[SubstitutionModel]:
+    """The model a command or job spec names: ``GTR``, ``JC69``,
+    ``K80``, ``HKY85`` or ``"default"`` (:func:`default_model_for`);
+    ``None`` leaves the choice to :func:`infer_tree`."""
+    if name is None:
+        return None
+    if name == "GTR":
+        return GTR((1.0, 2.5, 1.0, 1.0, 2.5, 1.0),
+                   tuple(patterns.base_frequencies()))
+    if name == "JC69":
+        return JC69()
+    if name == "K80":
+        return K80()
+    if name == "HKY85":
+        return HKY85(2.0, tuple(patterns.base_frequencies()))
+    if name == "default":
+        return default_model_for(patterns)
+    raise ValueError(f"unknown model {name}")
 
 
 def _as_patterns(alignment) -> PatternAlignment:

@@ -31,8 +31,8 @@ from ..cluster.checkpoint import atomic_write, replay
 from ..cluster.jobs import JobSpec
 from ..cluster.pool import WorkerPool
 from ..cluster.queue import ClusterConfig
-from ..cluster.runner import job_status, resume_job, run_job
-from ..phylo.alignment import Alignment, parse_alignment
+from ..cluster.runner import job_status, run_job
+from ..phylo.alignment import load_alignment_text
 from .cache import ResultCache, job_digest
 from .fairness import FairScheduler
 from .resilience import (
@@ -60,25 +60,6 @@ JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
-
-
-def load_alignment_text(text: str, aa: bool = False):
-    """Parse submitted FASTA/PHYLIP text into an alignment object.
-
-    Routed through the hardened entry point
-    (:func:`repro.phylo.alignment.parse_alignment`), so any malformed
-    submission surfaces as a typed
-    :class:`~repro.phylo.alignment.AlignmentError` with a stable
-    ``code`` — never a bare ``IndexError``/``ValueError`` from deep in
-    a parser.
-    """
-    if aa:
-        from ..phylo.protein import ProteinAlignment
-
-        cls = ProteinAlignment
-    else:
-        cls = Alignment
-    return parse_alignment(text, cls=cls)
 
 
 def digest_of(alignment_text: str, spec: JobSpec) -> str:
@@ -285,7 +266,8 @@ class JobStore:
                 cluster: Optional[ClusterConfig] = None,
                 cancel: Optional[CancelToken] = None,
                 pool: Optional[WorkerPool] = None) -> Dict[str, object]:
-        """Run (or resume) the job's cluster analysis; cache the result.
+        """Run the job's cluster analysis, continuing its journal; cache
+        the result.
 
         ``cancel`` threads the service's drain token (and the spec's
         own ``deadline_s``) down to every worker.  A deadline that
@@ -300,21 +282,13 @@ class JobStore:
         patterns = load_alignment_text(text, aa=record.spec.aa).compress()
         journal = self.journal_path(record.job_id)
         self.runs_executed += 1
-        # Resume only a journal that got as far as its run_started
-        # header.  A server killed between opening the journal and the
-        # first append leaves an empty (or torn-header) file; run_job
-        # opens with "w" and starts that job from scratch.
-        resumable = (os.path.exists(journal)
-                     and replay(journal).spec is not None)
-        if resumable:
-            analysis = resume_job(journal, patterns, n_workers=n_workers,
-                                  cluster=cluster, clock=self._run_clock(),
-                                  cancel=cancel, pool=pool)
-        else:
-            analysis = run_job(record.spec, patterns, n_workers=n_workers,
-                               journal_path=journal, cluster=cluster,
-                               clock=self._run_clock(), cancel=cancel,
-                               pool=pool)
+        # run_job continues whatever the journal holds, and starts
+        # afresh on the empty (or torn-header) file a server killed
+        # before its first append leaves.
+        analysis = run_job(record.spec, patterns, n_workers=n_workers,
+                           journal_path=journal, cluster=cluster,
+                           clock=self._run_clock(), cancel=cancel,
+                           pool=pool)
         payload = result_payload(record.digest, record.spec, journal)
         perf = payload.get("perf") or {}
         self.engine_counters["fault_recoveries"] += int(

@@ -12,7 +12,14 @@ die with a typed error.
 
 import pytest
 
-from repro.chaos import FaultPlan, FaultSpec, InjectedCrash, inject
+from repro.chaos import (
+    SURVIVED_IDENTICAL,
+    Campaign,
+    FaultPlan,
+    FaultSpec,
+    InjectedCrash,
+    inject,
+)
 from repro.chaos.injector import _uniform
 from repro.chaos.plan import (
     CLUSTER_CHECKPOINT_TORN,
@@ -175,6 +182,24 @@ class TestJournalFaults:
         state = replay(journal)
         assert state.corrupt_records == 1  # exactly the torn line
         assert state.resumes == 1
+        assert state.finished
+
+    def test_torn_header_restarts_the_run(self, tiny_alignment,
+                                          cluster_workers, tmp_path):
+        """The master dies mid-write of the ``run_started`` header: the
+        journal holds half a line and no job, so the next ``run_job``
+        starts it afresh and the seed survives identically."""
+        campaign = Campaign("cluster", n_workers=cluster_workers,
+                            workdir=str(tmp_path), alignment=tiny_alignment)
+        run = campaign.run_seed(FaultPlan(seed=0, specs=(
+            FaultSpec(CLUSTER_JOURNAL_TORN, trigger_at=(0,)),
+        )))
+        assert run.classification == SURVIVED_IDENTICAL, run.error
+        assert run.fired == {CLUSTER_JOURNAL_TORN: 1}
+        assert run.resumes == 1
+        state = replay(str(tmp_path / "seed000" / "journal.jsonl"))
+        assert state.corrupt_records == 0  # the torn header was rewritten
+        assert state.resumes == 0
         assert state.finished
 
 

@@ -141,3 +141,36 @@ class TestCluster:
         code = main(["cluster", "resume", "--journal", journal])
         assert code == 0
         assert "best tree:" in capsys.readouterr().out
+
+    def test_cluster_run_refuses_another_jobs_journal(
+            self, fasta_path, tmp_path, capsys):
+        from repro.cluster import JobSpec, RunJournal
+
+        journal = tmp_path / "run.jsonl"
+        with RunJournal(str(journal)) as other:
+            other.append("run_started", n_workers=2, spec=JobSpec(
+                n_inferences=3, n_bootstraps=0).to_json())
+        before = journal.read_bytes()
+        code = main(["cluster", "run", "-s", fasta_path,
+                     "--journal", str(journal)])
+        assert code == 2
+        assert "journal holds another job" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+
+class TestAlignmentErrors:
+    @pytest.mark.parametrize("command", [
+        ["infer"], ["distances"], ["cluster", "run", "--journal", "{j}"],
+    ], ids=["infer", "distances", "cluster-run"])
+    def test_malformed_alignment_exits_2_with_its_code(
+            self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.fa"
+        bad.write_text(">a\nACGT\n>b\nACG\n>c\nACGT\n>d\nACGT\n")
+        journal = tmp_path / "run.jsonl"
+        argv = [arg.format(j=journal) for arg in command]
+        assert main(argv + ["-s", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "length_mismatch" in err
+        assert "Traceback" not in err
+        assert not journal.exists()

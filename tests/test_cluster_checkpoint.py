@@ -440,7 +440,9 @@ class TestResumeDeterminism:
             n_inferences, n_bootstraps):
         """A run killed after any record of its journal, cleanly or
         mid-append (a torn half-record), resumes to the serial reference
-        bit for bit: every cut k = 1..N is tried, on one shared pool."""
+        bit for bit: every cut k = 0..N is tried, on one shared pool,
+        each through ``run_job``.  At k = 0 the file is empty or holds
+        half a header, and the run starts afresh."""
         reference = run_full_analysis(
             tiny_patterns, n_inferences=n_inferences,
             n_bootstraps=n_bootstraps, config=fast_config, seed=9)
@@ -451,21 +453,22 @@ class TestResumeDeterminism:
                 journal_path=full)
         with open(full) as fh:
             lines = fh.read().splitlines(True)
-        cuts = [(k, False) for k in range(1, len(lines) + 1)]
-        cuts += [(k, True) for k in range(1, len(lines))]
+        cuts = [(k, False) for k in range(len(lines) + 1)]
+        cuts += [(k, True) for k in range(len(lines))]
 
         pool = WorkerPool(cluster_workers)
         try:
             for k, torn in cuts:
-                text = "".join(lines[:k])  # the header always survives
+                text = "".join(lines[:k])
                 if torn:
                     text += lines[k][: max(1, len(lines[k]) // 2)]
                 journal = str(tmp_path / f"cut{k}{'t' if torn else ''}.jsonl")
                 with open(journal, "w") as fh:
                     fh.write(text)
 
-                resumed = resume_job(journal, alignment=tiny_patterns,
-                                     n_workers=cluster_workers, pool=pool)
+                resumed = run_job(spec, alignment=tiny_patterns,
+                                  n_workers=cluster_workers,
+                                  journal_path=journal, pool=pool)
                 cut = (k, torn)
                 assert resumed.best.newick == reference.best.newick, cut
                 assert resumed.best.log_likelihood == \
@@ -479,9 +482,11 @@ class TestResumeDeterminism:
                 assert resumed.supports == reference.supports, cut
                 state = replay(journal)
                 # The uncut journal already holds the run's run_finished,
-                # and resuming it only reads it; every other cut is
-                # resumed and finalized once.
-                assert state.resumes == (0 if k == len(lines) else 1), cut
+                # and continuing it only reads it; a cut without a header
+                # starts afresh; every other cut is resumed and
+                # finalized once.
+                assert state.resumes == (0 if k in (0, len(lines)) else 1), cut
+                assert _events(journal).count("run_started") == 1, cut
                 assert state.finished, cut
                 assert _events(journal).count("run_finished") == 1, cut
         finally:
@@ -584,6 +589,50 @@ class TestResumeDeterminism:
         with pytest.raises(ValueError, match="no run_started header"):
             resume_job(path)
 
+    def test_run_job_on_a_finished_journal_writes_nothing(
+            self, tiny_patterns, fast_config, serial_reference,
+            cluster_workers, tmp_path):
+        """``run_job`` over the finished journal of the same job only
+        reads it: the journalled analysis comes back, the file is left
+        byte for byte, and no alignment is needed."""
+        journal = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=journal)
+        with open(journal, "rb") as fh:
+            before = fh.read()
+        again = run_job(spec, n_workers=cluster_workers,
+                        journal_path=journal)
+        assert again.best.newick == serial_reference.best.newick
+        assert again.best.log_likelihood == \
+            serial_reference.best.log_likelihood
+        assert [b.newick for b in again.bootstraps] == \
+            [b.newick for b in serial_reference.bootstraps]
+        assert again.supports == serial_reference.supports
+        with open(journal, "rb") as fh:
+            assert fh.read() == before
+
+    def test_run_job_refuses_another_jobs_journal(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path):
+        journal = str(tmp_path / "cut.jsonl")
+        full = str(tmp_path / "full.jsonl")
+        spec = JobSpec(n_inferences=1, n_bootstraps=4, seed=9,
+                       config=fast_config)
+        run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
+                journal_path=full)
+        _truncate_after(full, journal, 2)
+        with open(journal, "rb") as fh:
+            before = fh.read()
+        other = JobSpec(n_inferences=1, n_bootstraps=4, seed=10,
+                        config=fast_config)
+        with pytest.raises(ValueError, match="cut.jsonl: journal holds "
+                           "another job"):
+            run_job(other, alignment=tiny_patterns,
+                    n_workers=cluster_workers, journal_path=journal)
+        with open(journal, "rb") as fh:
+            assert fh.read() == before
+
 
 class TestStatusRendering:
     def test_status_of_partial_run(self, tiny_patterns, fast_config,
@@ -672,7 +721,7 @@ class TestRetiredShardManifest:
     """The sharded journal is gone; its manifest is refused, not read as
     a corrupt single-file journal and appended to."""
 
-    @pytest.mark.parametrize("entry", ["replay", "resume_job",
+    @pytest.mark.parametrize("entry", ["replay", "run_job", "resume_job",
                                        "compact_journal"])
     def test_manifest_is_refused_before_any_write(
             self, tiny_patterns, fast_config, tmp_path, entry):
@@ -682,6 +731,8 @@ class TestRetiredShardManifest:
         before = _tree_bytes(tmp_path)
         call = {
             "replay": lambda: replay(path),
+            "run_job": lambda: run_job(spec, alignment=tiny_patterns,
+                                       n_workers=1, journal_path=path),
             "resume_job": lambda: resume_job(path, alignment=tiny_patterns,
                                              n_workers=1),
             "compact_journal": lambda: compact_journal(path),

@@ -4,13 +4,7 @@ import pytest
 
 from repro.cluster import resume_job, run_job
 from repro.cluster.checkpoint import decode_record, encode_record
-from repro.cluster.jobs import (
-    AGGREGATE_NODE,
-    ClusterTask,
-    JobSpec,
-    TaskGraph,
-    expand_job,
-)
+from repro.cluster.jobs import ClusterTask, JobSpec, expand_job
 from repro.phylo.search import SearchConfig
 
 
@@ -36,6 +30,13 @@ class TestExpansion:
     def test_expansion_is_deterministic(self):
         spec = JobSpec(n_inferences=2, n_bootstraps=6, seed=1, batch_size=3)
         assert expand_job(spec) == expand_job(spec)
+
+    def test_expansion_idempotent(self):
+        spec = JobSpec(n_inferences=2, n_bootstraps=4, batch_size=2)
+        tasks = expand_job(spec)
+        assert tasks == expand_job(spec)
+        ids = [t.task_id for t in tasks]
+        assert len(set(ids)) == len(ids)
 
     def test_done_replicates_are_excluded(self):
         spec = JobSpec(n_inferences=2, n_bootstraps=4, batch_size=2)
@@ -64,20 +65,6 @@ class TestExpansion:
     def test_singleton_split_is_identity(self):
         task = ClusterTask("inference/0", "inference", (0,), seed=5)
         assert task.split() == [task]
-
-
-class TestTaskGraph:
-    def test_graph_is_flat_with_aggregate_barrier(self):
-        graph = TaskGraph.from_spec(JobSpec(n_inferences=1, n_bootstraps=2))
-        assert len(graph.ready()) == 3  # every task immediately runnable
-        assert graph.dependencies[AGGREGATE_NODE] == (
-            "inference/0", "bootstrap/0", "bootstrap/1",
-        )
-        assert graph.n_replicates == 3
-
-    def test_graph_expansion_idempotent(self):
-        spec = JobSpec(n_inferences=2, n_bootstraps=4, batch_size=2)
-        assert TaskGraph.from_spec(spec).tasks == TaskGraph.from_spec(spec).tasks
 
 
 class TestJobSpecJson:
