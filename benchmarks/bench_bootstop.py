@@ -86,9 +86,14 @@ def _agreement(auto_supports, fixed_supports):
 def main() -> int:
     import tempfile
 
+    with tempfile.TemporaryDirectory(prefix="bench-bootstop-") as workdir:
+        return _compare(Path(workdir))
+
+
+def _compare(workdir: Path) -> int:
+    """autoMRE against the fixed budget, journals under *workdir*."""
     alignment = synthetic_dataset(n_taxa=N_TAXA, n_sites=N_SITES,
                                   seed=DATA_SEED)
-    workdir = Path(tempfile.mkdtemp(prefix="bench-bootstop-"))
 
     auto_spec = JobSpec(n_inferences=1, n_bootstraps=REQUESTED,
                         seed=JOB_SEED, batch_size=5, config=CONFIG,

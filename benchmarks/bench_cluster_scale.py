@@ -146,9 +146,15 @@ def _payload_digest(journal: str) -> str:
 def main() -> int:
     import tempfile
 
+    with tempfile.TemporaryDirectory(prefix="bench-cluster-scale-") as tmp:
+        return _campaign(Path(tmp))
+
+
+def _campaign(workdir: Path) -> int:
+    """The baseline and the killed-and-resumed run, journals under
+    *workdir*."""
     from repro.cluster import compact_journal, replay
 
-    workdir = Path(tempfile.mkdtemp(prefix="bench-cluster-scale-"))
     total = REPLICATES + 1  # bootstraps + the single inference
 
     baseline_journal = str(workdir / "baseline.jsonl")

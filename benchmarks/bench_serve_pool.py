@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import queue
+import shutil
 import statistics
 import sys
 import tempfile
@@ -157,6 +158,7 @@ def main() -> int:
                 two_clients(arm, round_)
     finally:
         shared.close()
+        shutil.rmtree(workdir, ignore_errors=True)
     assert not multiprocessing.active_children(), "a worker outlived its pool"
 
     shapes = []

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..cluster.checkpoint import JournalWriteError, atomic_write, replay
-from ..cluster.jobs import JobSpec
+from ..cluster.jobs import JOB_FIELDS, JobSpec
 from ..cluster.queue import ClusterConfig, TaskExecutionError
 from ..cluster.runner import run_job
 from ..phylo.alignment import Alignment, PatternAlignment
@@ -228,9 +228,8 @@ class Campaign:
     construction under ``workdir/baseline``; every seed then runs in
     ``workdir/seed%03d``."""
 
-    def __init__(self, arm: str, *, n_workers: int = 2,
+    def __init__(self, arm: str, *, workdir: str, n_workers: int = 2,
                  backend: Optional[str] = None,
-                 workdir: Optional[str] = None,
                  alignment: Optional[Alignment] = None,
                  spec: Optional[JobSpec] = None):
         self.arm = ARMS[arm]
@@ -238,8 +237,7 @@ class Campaign:
             alignment = synthetic_dataset(**CAMPAIGN_WORKLOAD)
         self.job = CampaignJob(alignment.compress(), alignment.to_fasta(),
                                spec or self.arm.spec, n_workers, backend)
-        self.workdir = workdir or tempfile.mkdtemp(
-            prefix=f"repro-chaos-{arm}-")
+        self.workdir = workdir
         self.baseline = self.arm.baseline(
             self.job, SeedRun(os.path.join(self.workdir, "baseline")))
 
@@ -280,12 +278,15 @@ def run_campaign(arm: str, n_seeds: int = 25, *, start_seed: int = 0,
     """Sweep seeds ``start_seed ..`` of *arm* (a key of :data:`ARMS`)
     under the standard plan over *sites* (default: the arm's);
     ``setup`` is :class:`Campaign`'s keywords (``n_workers``,
-    ``backend``, ``workdir``, ``alignment``, ``spec``)."""
-    campaign = Campaign(arm, **setup)
-    sites = campaign.arm.sites if sites is None else sites
-    report = ChaosSurvivalReport(label=campaign.label)
-    for seed in range(start_seed, start_seed + n_seeds):
-        report.add(campaign.run_seed(default_plan(sites, seed)))
+    ``backend``, ``workdir``, ``alignment``, ``spec``); without a
+    ``workdir`` the campaign runs in a temporary one, removed after."""
+    with tempfile.TemporaryDirectory(prefix=f"repro-chaos-{arm}-") as tmp:
+        campaign = Campaign(arm, **{**setup,
+                                    "workdir": setup.get("workdir") or tmp})
+        sites = campaign.arm.sites if sites is None else sites
+        report = ChaosSurvivalReport(label=campaign.label)
+        for seed in range(start_seed, start_seed + n_seeds):
+            report.add(campaign.run_seed(default_plan(sites, seed)))
     return report
 
 
@@ -694,10 +695,8 @@ async def _resilience_session(job: CampaignJob, run: SeedRun
         status, body = await _http_json(
             host, port, "POST", "/jobs",
             {"alignment": job.fasta,
-             "model": {"n_inferences": spec.n_inferences,
-                       "n_bootstraps": spec.n_bootstraps,
-                       "seed": spec.seed,
-                       "batch_size": spec.batch_size},
+             "model": {f.name: getattr(spec, f.name)
+                       for f in JOB_FIELDS if not f.search},
              "client": "campaign"},
         )
         if status not in (200, 201):

@@ -18,14 +18,18 @@ multigrain scheduler when workers go idle (the LLP grain) - see
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..phylo.inference import MODEL_NAMES
 from ..phylo.search import SearchConfig
 from .bootstop import BootstopConfig
 
 __all__ = [
+    "JOB_FIELDS",
     "JobSpec",
+    "JobSpecError",
     "ClusterTask",
     "PendingTask",
     "expand_job",
@@ -41,6 +45,75 @@ _RETIRED_CONFIG_FIELDS = {
     "move_set": "spr",
 }
 
+_MODEL_CHOICES = MODEL_NAMES + ("default",)
+
+
+class JobSpecError(ValueError):
+    """A job field holds a value no run accepts."""
+
+
+@dataclass(frozen=True)
+class JobField:
+    """One client-settable job field: type (a ``float`` takes an ``int``,
+    a number never a ``bool``), rule, help, and ``infer`` / ``cluster
+    run`` flags (none: HTTP only).  A ``search`` field belongs to the
+    spec's ``SearchConfig`` (command line only).  The default is the
+    owning dataclass's; ``nullable`` lets ``None`` stand for it."""
+
+    name: str
+    kind: type
+    check: Callable[[object], bool]
+    rule: str
+    help: str
+    flags: Tuple[str, ...] = ()
+    nullable: bool = False
+    search: bool = False
+
+    @property
+    def default(self) -> object:
+        owner = SearchConfig if self.search else JobSpec
+        return owner.__dataclass_fields__[self.name].default
+
+
+#: The job's client fields, declared once: :class:`JobSpec` validates
+#: them, and the HTTP ``model`` block (:mod:`repro.serve.api`) and the
+#: ``infer`` / ``cluster run`` flags (:mod:`repro.phylo.cli`) read them.
+JOB_FIELDS: Tuple[JobField, ...] = (
+    JobField("n_inferences", int, lambda v: v >= 1, "at least one "
+             "inference to pick a best tree", "independent inferences",
+             ("-n", "--runs")),
+    JobField("n_bootstraps", int, lambda v: v >= 0, "an integer >= 0",
+             "bootstrap replicates (the budget, with bootstopping)",
+             ("-b", "--bootstraps")),
+    JobField("seed", int, lambda v: True, "an integer", "RNG seed",
+             ("--seed",)),
+    JobField("batch_size", int, lambda v: v >= 1, "an integer >= 1",
+             "bootstraps per coarse task before the multigrain scheduler "
+             "splits them", ("--batch-size",)),
+    JobField("aa", bool, lambda v: True, "true or false",
+             "treat the input as amino-acid sequences", ("--aa",)),
+    JobField("model_name", str, lambda v: v in _MODEL_CHOICES,
+             f"one of {', '.join(_MODEL_CHOICES)}", "substitution model "
+             "(none or default: GTR for DNA, Poisson+F for amino acids, "
+             "which take no other)", ("-m", "--model"), nullable=True),
+    JobField("alpha", float, lambda v: 0 < v < math.inf, "a finite number "
+             "> 0", "Gamma shape (none: the engine's default rates)",
+             ("--alpha",), nullable=True),
+    JobField("categories", int, lambda v: 1 <= v <= 16, "an integer in "
+             "1..16", "Gamma rate categories (ignored while alpha is unset)",
+             ("--categories",)),
+    JobField("deadline_s", float, lambda v: v > 0, "a number > 0",
+             "wall-clock budget in seconds, after which a degraded result "
+             "is salvaged from the finished replicates; execution policy, "
+             "which the result digest ignores", nullable=True),
+    JobField("initial_radius", int, lambda v: v >= 1, "an integer >= 1",
+             "initial SPR rearrangement radius", ("--radius",), search=True),
+    JobField("max_radius", int, lambda v: v >= 1, "an integer >= 1",
+             "maximum SPR radius", ("--max-radius",), search=True),
+    JobField("max_rounds", int, lambda v: v >= 0, "an integer >= 0",
+             "maximum SPR rounds", ("--rounds",), search=True),
+)
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -48,18 +121,11 @@ class JobSpec:
 
     The spec is journalled verbatim in the run header, so ``resume``
     can rebuild the exact same task DAG without the original process.
-    ``model_name=None`` means the engine default
-    (:func:`repro.phylo.inference.default_model_for`); ``alpha=None``
-    means the engine's default Gamma rates.  ``bootstop`` activates the
-    autoMRE-style early-stop policy (:mod:`repro.cluster.bootstop`):
-    ``n_bootstraps`` then becomes the replicate *budget*, and the run
-    may journal a ``bootstop_converged`` decision and finish with fewer.
-    ``deadline_s`` is a wall-clock budget for the whole run: when it
-    expires the master journals ``task_deadline_exceeded``, discards
-    in-flight replicates, and finalizes a *degraded* result from the
-    completed ones (:mod:`repro.cluster.cancel`).  Like
-    ``alignment_path`` it is execution policy, not content — the result
-    cache digest ignores it.
+    Construction checks the fields of :data:`JOB_FIELDS`, whose help
+    says what each means (:class:`JobSpecError`).  ``bootstop``
+    activates the autoMRE-style early-stop policy
+    (:mod:`repro.cluster.bootstop`): the run may journal a
+    ``bootstop_converged`` decision and finish with fewer replicates.
     """
 
     n_inferences: int
@@ -75,34 +141,40 @@ class JobSpec:
     config: Optional[SearchConfig] = None
     bootstop: Optional[BootstopConfig] = None
 
+    def __post_init__(self) -> None:
+        for f in JOB_FIELDS:
+            owner = self.config if f.search else self
+            value = getattr(owner, f.name, None)
+            if value is None and (owner is None or f.nullable):
+                continue
+            kinds = (int, float) if f.kind is float else f.kind
+            if (isinstance(value, bool) != (f.kind is bool)
+                    or not isinstance(value, kinds) or not f.check(value)):
+                raise JobSpecError(
+                    f"job field {f.name}={value!r}, need {f.rule}")
+        if self.aa and self.model_name not in (None, "default"):
+            raise JobSpecError(f"job field model_name="
+                               f"{self.model_name!r}, need default with aa")
+
     def to_json(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload["config"] = asdict(self.config) if self.config else None
-        payload["bootstop"] = (
-            self.bootstop.to_json() if self.bootstop else None
-        )
-        return payload
+        return asdict(self)  # config and bootstop become dicts too
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobSpec":
         data = dict(payload)
-        config = data.pop("config", None)
-        bootstop = data.pop("bootstop", None)
-        spec = cls(**data)
+        config = data.get("config")
         if config is not None:
             config = dict(config)
             for name, kept in _RETIRED_CONFIG_FIELDS.items():
                 if config.pop(name, kept) != kept:
-                    raise ValueError(
+                    raise JobSpecError(
                         f"run header sets the retired search option "
                         f"{name!r}: its replicates came from a search "
                         f"this version no longer runs")
-            object.__setattr__(spec, "config", SearchConfig(**config))
-        if bootstop is not None:
-            object.__setattr__(
-                spec, "bootstop", BootstopConfig.from_json(bootstop)
-            )
-        return spec
+            data["config"] = SearchConfig(**config)
+        if data.get("bootstop") is not None:
+            data["bootstop"] = BootstopConfig.from_json(data["bootstop"])
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -214,7 +286,7 @@ def expand_job(
         tasks.append(ClusterTask(_task_id("inference", (i,)), "inference",
                                  (i,), spec.seed))
     remaining = [r for r in range(spec.n_bootstraps) if r not in done_bootstraps]
-    for batch in _batched(remaining, max(1, spec.batch_size)):
+    for batch in _batched(remaining, spec.batch_size):
         tasks.append(ClusterTask(_task_id("bootstrap", batch), "bootstrap",
                                  batch, spec.seed))
     return tasks

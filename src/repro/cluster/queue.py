@@ -43,7 +43,6 @@ from ..chaos.plan import (
 )
 from ..phylo.inference import infer_tree, named_model
 from ..phylo.rates import GammaRates
-from ..phylo.search import SearchConfig
 from ..sched.mgps import summarize_phases
 from .aggregate import StreamingAggregator
 from .bootstop import BootstopController
@@ -144,22 +143,7 @@ class WorkerPlans:
     hang: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
-    """Model/search parameters shipped to every worker."""
-
-    config: Optional[SearchConfig] = None
-    model_name: Optional[str] = None
-    alpha: Optional[float] = None
-    categories: int = 4
-
-    @classmethod
-    def from_spec(cls, spec: JobSpec) -> "ExecutionContext":
-        return cls(config=spec.config, model_name=spec.model_name,
-                   alpha=spec.alpha, categories=spec.categories)
-
-
-def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
+def execute_replicate(patterns, spec: JobSpec, kind: str,
                       replicate: int, seed: int, cancel=None) -> dict:
     """Run one replicate, seeded from ``(seed, kind, replicate)`` alone.
 
@@ -170,12 +154,12 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
     whole, never streamed, so the result set stays a pure function of
     the completed replicate keys.
     """
-    model = named_model(ctx.model_name, patterns)
-    rate_model = (GammaRates(ctx.alpha, ctx.categories)
-                  if ctx.alpha is not None else None)
+    model = named_model(spec.model_name, patterns)
+    rate_model = (GammaRates(spec.alpha, spec.categories)
+                  if spec.alpha is not None else None)
     if kind == "inference":
         result = infer_tree(
-            patterns, model=model, rate_model=rate_model, config=ctx.config,
+            patterns, model=model, rate_model=rate_model, config=spec.config,
             seed=seed, replicate=replicate, cancel=cancel,
         )
     elif kind == "bootstrap":
@@ -184,7 +168,7 @@ def execute_replicate(patterns, ctx: ExecutionContext, kind: str,
         )
         result = infer_tree(
             patterns.bootstrap_replicate(rng), model=model,
-            rate_model=rate_model, config=ctx.config, seed=seed + 1,
+            rate_model=rate_model, config=spec.config, seed=seed + 1,
             is_bootstrap=True, replicate=replicate, cancel=cancel,
         )
     else:
@@ -235,7 +219,7 @@ class _WorkerJob:
 
     worker_id: int
     patterns: object
-    ctx: ExecutionContext
+    spec: JobSpec
     plans: WorkerPlans
     heartbeat_interval_s: float
     deadline: Optional[float] = None
@@ -295,7 +279,7 @@ class _WorkerJob:
                 if crash and position == last:
                     os._exit(17)  # simulated mid-task worker death
                 payload = execute_replicate(
-                    self.patterns, self.ctx, task.kind, replicate,
+                    self.patterns, self.spec, task.kind, replicate,
                     task.seed, cancel=self._token,
                 )
                 send(
@@ -334,7 +318,7 @@ class ClusterQueue:
     def __init__(
         self,
         patterns,
-        ctx: Optional[ExecutionContext] = None,
+        spec: JobSpec,
         cluster: Optional[ClusterConfig] = None,
         journal: Optional[RunJournal] = None,
         plans: Optional[WorkerPlans] = None,
@@ -343,7 +327,7 @@ class ClusterQueue:
         pool: Optional[WorkerPool] = None,
     ):
         self.patterns = patterns
-        self.ctx = ctx or ExecutionContext()
+        self.spec = spec
         self.cfg = cluster or ClusterConfig()
         self.journal = journal or RunJournal(None)
         self.plans = plans or WorkerPlans()
@@ -515,7 +499,7 @@ class ClusterQueue:
         worker.last_seen = time.monotonic()
         self.workers[wid] = worker
         self._send(worker, _WorkerJob(
-            wid, self.patterns, self.ctx, self.plans,
+            wid, self.patterns, self.spec, self.plans,
             self.cfg.heartbeat_interval_s, self.deadline,
         ))
 

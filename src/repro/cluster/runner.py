@@ -22,7 +22,7 @@ from .cancel import REASON_DEADLINE, CancelToken, TaskCancelled
 from .checkpoint import JournalMismatchError, JournalState, RunJournal, replay
 from .jobs import JobSpec, expand_job
 from .pool import WorkerPool
-from .queue import ClusterConfig, ClusterQueue, ExecutionContext, WorkerPlans
+from .queue import ClusterConfig, ClusterQueue, WorkerPlans
 
 __all__ = ["run_job", "resume_job", "job_status"]
 
@@ -137,13 +137,9 @@ def run_job(
     ``pool`` is where worker processes come from and are parked again
     afterwards (the serve layer's resident workers); without one the
     run forks its own and terminates them when it ends.
-    A spec with no inference is refused before anything is journalled
-    or forked: there would be no best tree to pick.  A shard manifest
-    at *journal_path* raises
+    A shard manifest at *journal_path* raises
     :class:`~repro.cluster.checkpoint.RetiredJournalFormatError`.
     """
-    if spec.n_inferences < 1:
-        raise ValueError("need at least one inference to pick a best tree")
     state = None
     if journal_path is not None and os.path.exists(journal_path):
         state = replay(journal_path)
@@ -226,7 +222,7 @@ def _execute(spec: JobSpec, state: Optional[JournalState], alignment,
         journal.append("run_resumed", remaining=sum(t.grain for t in tasks),
                        n_workers=cluster.n_workers)
     queue = ClusterQueue(
-        patterns, ctx=ExecutionContext.from_spec(spec), cluster=cluster,
+        patterns, spec, cluster=cluster,
         journal=journal, plans=plans, bootstop=bootstop, pool=pool,
     )
     try:

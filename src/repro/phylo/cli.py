@@ -29,14 +29,65 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..cluster import BootstopConfig, compact_journal, resume_job, run_job
+from ..cluster.checkpoint import (JournalMismatchError,
+                                  RetiredJournalFormatError, atomic_write)
+from ..cluster.jobs import JOB_FIELDS, JobSpec, JobSpecError
 from .alignment import AlignmentError, load_alignment_text
 from .distances import distance_matrix, neighbor_joining
-from .inference import named_model, run_full_analysis
+from .inference import MODEL_NAMES, named_model, run_full_analysis
 from .rates import GammaRates
 from .search import SearchConfig
 from .simulate import synthetic_dataset
 
 __all__ = ["main", "build_parser"]
+
+#: Where a job flag's default differs from its field's in
+#: :data:`~repro.cluster.jobs.JOB_FIELDS`: journal headers record these,
+#: so they stay; ``-m`` offers the named DNA models only.
+_CLI_OVERRIDES = {
+    "n_inferences": {"default": 1},
+    "n_bootstraps": {"default": 0},
+    "model_name": {"default": "GTR", "choices": MODEL_NAMES},
+    "alpha": {"default": 1.0},
+    "max_rounds": {"default": 8},
+    "batch_size": {"default": 4},
+}
+
+
+def _add_job_flags(parser: argparse.ArgumentParser, skip=()) -> None:
+    """The flags ``infer`` and ``cluster run`` share: the alignment, the
+    output tree, and one per job field that has command-line spellings."""
+    parser.add_argument("-s", "--sequences", required=True,
+                        help="alignment file (FASTA or PHYLIP)")
+    parser.add_argument("-o", "--output", help="write the best tree "
+                        "(newick, with support labels when bootstrapping) "
+                        "here")
+    for field in JOB_FIELDS:
+        if not field.flags or field.name in skip:
+            continue
+        options = ({"action": "store_true"} if field.kind is bool else
+                   {"type": field.kind, "default": field.default,
+                    **_CLI_OVERRIDES.get(field.name, {})})
+        default = options.get("default")
+        parser.add_argument(*field.flags, help=field.help + (
+            f" (default {default})" if default is not None else ""),
+            **options)
+
+
+def _job_spec(args, **values) -> JobSpec:
+    """The :class:`JobSpec` the job flags in *args* describe; ``-m`` is
+    ignored with ``--aa``, which runs the default model (Poisson+F)."""
+    values["alignment_path"], search = args.sequences, {}
+    for field in JOB_FIELDS:
+        # argparse's dest for the long flag; a flag-less field has none
+        dest = "".join(field.flags[-1:]).lstrip("-").replace("-", "_")
+        if dest and hasattr(args, dest):
+            (search if field.search else values)[field.name] = \
+                getattr(args, dest)
+    if values["aa"]:
+        values["model_name"] = "default"
+    return JobSpec(config=SearchConfig(**search), **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,35 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     infer = sub.add_parser("infer", help="run tree searches + bootstraps")
-    infer.add_argument("-s", "--sequences", required=True,
-                       help="alignment file (FASTA or PHYLIP)")
-    infer.add_argument("-n", "--runs", type=int, default=1,
-                       help="independent inferences (default 1)")
-    infer.add_argument("-b", "--bootstraps", type=int, default=0,
-                       help="bootstrap replicates (default 0)")
-    infer.add_argument("-m", "--model", default="GTR",
-                       choices=["GTR", "JC69", "K80", "HKY85"],
-                       help="substitution model (default GTR, empirical "
-                       "base frequencies; ignored with --aa, which uses "
-                       "Poisson+F)")
-    infer.add_argument("--aa", action="store_true",
-                       help="treat the input as amino-acid sequences")
-    infer.add_argument("--alpha", type=float, default=1.0,
-                       help="Gamma shape (default 1.0)")
-    infer.add_argument("--categories", type=int, default=4,
-                       help="Gamma rate categories (default 4)")
-    infer.add_argument("--radius", type=int, default=3,
-                       help="initial SPR rearrangement radius (default 3)")
-    infer.add_argument("--max-radius", type=int, default=6,
-                       help="maximum SPR radius (default 6)")
-    infer.add_argument("--rounds", type=int, default=8,
-                       help="maximum SPR rounds (default 8)")
-    infer.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_job_flags(infer, skip=("batch_size",))
     infer.add_argument("--draw", action="store_true",
                        help="print an ASCII cladogram of the best tree")
-    infer.add_argument("-o", "--output",
-                       help="write the best tree (newick) here; with "
-                       "bootstraps, internal nodes carry support labels")
 
     simulate = sub.add_parser("simulate", help="generate a synthetic "
                               "alignment (42_SC-style)")
@@ -105,40 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     crun = csub.add_parser("run", help="start or continue a journalled "
                            "cluster run")
-    crun.add_argument("-s", "--sequences", required=True,
-                      help="alignment file (FASTA or PHYLIP)")
-    crun.add_argument("-n", "--runs", type=int, default=1,
-                      help="independent inferences (default 1)")
-    crun.add_argument("-b", "--bootstraps", type=int, default=0,
-                      help="bootstrap replicates (default 0)")
-    crun.add_argument("-m", "--model", default="GTR",
-                      choices=["GTR", "JC69", "K80", "HKY85"],
-                      help="substitution model (default GTR)")
-    crun.add_argument("--aa", action="store_true",
-                      help="treat the input as amino-acid sequences")
-    crun.add_argument("--alpha", type=float, default=1.0,
-                      help="Gamma shape (default 1.0)")
-    crun.add_argument("--categories", type=int, default=4,
-                      help="Gamma rate categories (default 4)")
-    crun.add_argument("--radius", type=int, default=3,
-                      help="initial SPR rearrangement radius (default 3)")
-    crun.add_argument("--max-radius", type=int, default=6,
-                      help="maximum SPR radius (default 6)")
-    crun.add_argument("--rounds", type=int, default=8,
-                      help="maximum SPR rounds (default 8)")
-    crun.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_job_flags(crun)
     crun.add_argument("--workers", type=int, default=2,
                       help="worker processes (default 2)")
-    crun.add_argument("--batch-size", type=int, default=4,
-                      help="bootstraps per coarse task before the "
-                      "multigrain scheduler splits them (default 4)")
     crun.add_argument("--journal", required=True,
                       help="append-only JSONL run journal path; an "
                       "existing journal of the same job is continued, one "
                       "of another job is refused")
-    crun.add_argument("-o", "--output",
-                      help="write the best tree (newick, with support "
-                      "labels when bootstrapping) here")
 
     cresume = csub.add_parser("resume",
                               help="resume an interrupted run bit-"
@@ -296,24 +294,20 @@ def _load_alignment(path: str, amino_acids: bool = False):
 
 
 def _cmd_infer(args) -> int:
-    alignment = _load_alignment(args.sequences, amino_acids=args.aa)
+    spec = _job_spec(args)
+    alignment = _load_alignment(spec.alignment_path, amino_acids=spec.aa)
     patterns = alignment.compress()
-    kind = "AA" if args.aa else "DNA"
+    kind = "AA" if spec.aa else "DNA"
     print(f"alignment: {alignment.n_taxa} taxa x {alignment.n_sites} "
           f"{kind} sites ({patterns.n_patterns} patterns)")
-    config = SearchConfig(
-        initial_radius=args.radius,
-        max_radius=args.max_radius,
-        max_rounds=args.rounds,
-    )
     analysis = run_full_analysis(
         patterns,
-        n_inferences=args.runs,
-        n_bootstraps=args.bootstraps,
-        model=named_model("default" if args.aa else args.model, patterns),
-        rate_model=GammaRates(args.alpha, args.categories),
-        config=config,
-        seed=args.seed,
+        n_inferences=spec.n_inferences,
+        n_bootstraps=spec.n_bootstraps,
+        model=named_model(spec.model_name, patterns),
+        rate_model=GammaRates(spec.alpha, spec.categories),
+        config=spec.config,
+        seed=spec.seed,
     )
     _print_analysis(analysis)
     if args.draw:
@@ -380,8 +374,6 @@ def _print_analysis(analysis) -> None:
 
 
 def _write_best_tree(analysis, output: str) -> None:
-    from ..cluster.checkpoint import atomic_write
-
     out_newick = analysis.best.newick
     if analysis.bootstraps:
         from .drawing import newick_with_support
@@ -397,21 +389,6 @@ def _write_best_tree(analysis, output: str) -> None:
 
 
 def _cmd_cluster(args) -> int:
-    from ..cluster.checkpoint import (
-        JournalMismatchError,
-        RetiredJournalFormatError,
-    )
-
-    try:
-        return _cluster_command(args)
-    except (JournalMismatchError, RetiredJournalFormatError) as exc:
-        print(f"cluster {args.cluster_command}: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cluster_command(args) -> int:
-    from ..cluster import JobSpec, resume_job, run_job
-
     if args.cluster_command == "status":
         from ..harness.report import render_cluster_status
 
@@ -419,8 +396,6 @@ def _cluster_command(args) -> int:
         return 0
 
     if args.cluster_command == "compact":
-        from ..cluster.checkpoint import compact_journal
-
         state = compact_journal(args.journal)
         done = len(state.payloads)
         print(f"compacted {args.journal}: {done} replicate record(s) kept"
@@ -429,33 +404,11 @@ def _cluster_command(args) -> int:
         return 0
 
     if args.cluster_command == "run":
-        bootstop = None
-        if args.bootstop:
-            from ..cluster import BootstopConfig
-
-            bootstop = BootstopConfig(
-                check_every=args.bootstop_check_every,
-                threshold=args.bootstop_threshold,
-            )
-        spec = JobSpec(
-            n_inferences=args.runs,
-            n_bootstraps=args.bootstraps,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            alignment_path=args.sequences,
-            aa=args.aa,
-            model_name="default" if args.aa else args.model,
-            alpha=args.alpha,
-            categories=args.categories,
-            config=SearchConfig(
-                initial_radius=args.radius,
-                max_radius=args.max_radius,
-                max_rounds=args.rounds,
-            ),
-            bootstop=bootstop,
-        )
-        analysis = run_job(spec, n_workers=args.workers,
-                           journal_path=args.journal)
+        bootstop = (BootstopConfig(check_every=args.bootstop_check_every,
+                                   threshold=args.bootstop_threshold)
+                    if args.bootstop else None)
+        analysis = run_job(_job_spec(args, bootstop=bootstop),
+                           n_workers=args.workers, journal_path=args.journal)
     else:  # resume
         analysis = resume_job(args.journal, n_workers=args.workers)
     _print_analysis(analysis)
@@ -628,6 +581,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args)
     except AlignmentError as exc:
         print(f"{args.command}: alignment error ({exc.code}): {exc}",
+              file=sys.stderr)
+        return 2
+    except (JobSpecError, JournalMismatchError,
+            RetiredJournalFormatError) as exc:
+        command = getattr(args, "cluster_command", None)
+        print(f"{args.command} {command or ''}".rstrip() + f": {exc}",
               file=sys.stderr)
         return 2
 

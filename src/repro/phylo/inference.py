@@ -33,6 +33,7 @@ __all__ = [
     "bootstrap_analysis",
     "support_values",
     "default_model_for",
+    "MODEL_NAMES",
     "named_model",
 ]
 
@@ -94,25 +95,29 @@ def default_model_for(patterns: PatternAlignment) -> SubstitutionModel:
     return PoissonAA(tuple(frequencies))
 
 
+#: The DNA models :func:`named_model` builds by name.
+_NAMED_MODELS = {
+    "GTR": lambda p: GTR((1.0, 2.5, 1.0, 1.0, 2.5, 1.0),
+                         tuple(p.base_frequencies())),
+    "JC69": lambda p: JC69(),
+    "K80": lambda p: K80(),
+    "HKY85": lambda p: HKY85(2.0, tuple(p.base_frequencies())),
+}
+MODEL_NAMES = tuple(_NAMED_MODELS)
+
+
 def named_model(name: Optional[str],
                 patterns: PatternAlignment) -> Optional[SubstitutionModel]:
-    """The model a command or job spec names: ``GTR``, ``JC69``,
-    ``K80``, ``HKY85`` or ``"default"`` (:func:`default_model_for`);
+    """The model a command or job spec names: one of
+    :data:`MODEL_NAMES` or ``"default"`` (:func:`default_model_for`);
     ``None`` leaves the choice to :func:`infer_tree`."""
     if name is None:
         return None
-    if name == "GTR":
-        return GTR((1.0, 2.5, 1.0, 1.0, 2.5, 1.0),
-                   tuple(patterns.base_frequencies()))
-    if name == "JC69":
-        return JC69()
-    if name == "K80":
-        return K80()
-    if name == "HKY85":
-        return HKY85(2.0, tuple(patterns.base_frequencies()))
     if name == "default":
         return default_model_for(patterns)
-    raise ValueError(f"unknown model {name}")
+    if name not in _NAMED_MODELS:
+        raise ValueError(f"unknown model {name}")
+    return _NAMED_MODELS[name](patterns)
 
 
 def _as_patterns(alignment) -> PatternAlignment:

@@ -19,35 +19,25 @@ A submission body looks like::
       "client": "alice",
       "priority": 10
     }
+
+The ``model`` keys, types and rules are the job table's
+(:data:`repro.cluster.jobs.JOB_FIELDS`, all but its search options).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..cluster.bootstop import BootstopConfig
-from ..cluster.jobs import JobSpec
+from ..cluster.jobs import JOB_FIELDS, JobSpec, JobSpecError
 
 __all__ = ["ApiError", "parse_submission", "spec_from_request"]
 
-#: ``model`` keys accepted from clients, with (type, validator) pairs.
-#: Everything else in :class:`~repro.cluster.jobs.JobSpec` is an
-#: execution detail the service chooses, not the client.
-_MODEL_FIELDS = {
-    "n_inferences": (int, lambda v: v >= 1),
-    "n_bootstraps": (int, lambda v: v >= 0),
-    "seed": (int, lambda v: True),
-    "batch_size": (int, lambda v: v >= 1),
-    "aa": (bool, lambda v: True),
-    "model_name": (str, lambda v: bool(v)),
-    "alpha": (float, lambda v: v > 0),
-    "categories": (int, lambda v: 1 <= v <= 16),
-    "deadline_s": (float, lambda v: v > 0),
-}
-
-#: ``model`` fields where an explicit JSON ``null`` means "default".
-_NULLABLE_FIELDS = ("model_name", "alpha", "deadline_s")
+#: The ``model`` keys a client may set; the rest of a ``JobSpec`` is
+#: an execution detail the service chooses, not the client.
+_MODEL_KEYS = {f.name: f for f in JOB_FIELDS if not f.search}
 
 _MAX_ALIGNMENT_BYTES = 4 * 1024 * 1024
 
@@ -88,45 +78,33 @@ def spec_from_request(model: object, bootstop: object = None) -> JobSpec:
     """Build a :class:`JobSpec` from a submission's ``model`` block."""
     if not isinstance(model, dict):
         raise _bad("model_invalid", "'model' must be an object")
-    unknown = sorted(set(model) - set(_MODEL_FIELDS))
+    unknown = sorted(set(model) - set(_MODEL_KEYS))
     if unknown:
         raise _bad("model_unknown_field",
                    f"unknown model field(s): {', '.join(unknown)}")
     fields: Dict[str, object] = {}
     for name, value in model.items():
-        expected, check = _MODEL_FIELDS[name]
-        if value is None and name in _NULLABLE_FIELDS:
-            continue
-        if expected in (int, float) and isinstance(value, bool):
-            raise _bad("model_invalid",
-                       f"model field {name!r} must be {expected.__name__}")
-        if expected is float and isinstance(value, int):
+        if _MODEL_KEYS[name].kind is float and type(value) is int:
             value = float(value)
-        if not isinstance(value, expected) or not check(value):
-            raise _bad("model_invalid",
-                       f"model field {name!r} is invalid: {value!r}")
         fields[name] = value
     for required in ("n_inferences", "n_bootstraps", "seed"):
         if required not in fields:
             raise _bad("model_missing_field",
                        f"model field {required!r} is required")
-    if bootstop not in (None, False):
-        if bootstop is True:
-            config = BootstopConfig()
-        elif isinstance(bootstop, dict):
-            try:
-                config = BootstopConfig.from_json(bootstop)
-            except (TypeError, ValueError) as exc:
-                raise _bad("bootstop_invalid",
-                           f"bad bootstop config: {exc}") from exc
-        else:
-            raise _bad("bootstop_invalid",
-                       "'bootstop' must be true or a config object")
-        fields["bootstop"] = config
     try:
-        return JobSpec(**fields)
-    except (TypeError, ValueError) as exc:  # defensive; fields are vetted
-        raise _bad("model_invalid", f"bad model: {exc}") from exc
+        spec = JobSpec(**fields)
+    except JobSpecError as exc:
+        raise _bad("model_invalid", str(exc)) from exc
+    if bootstop in (None, False):
+        return spec
+    if bootstop is not True and not isinstance(bootstop, dict):
+        raise _bad("bootstop_invalid",
+                   "'bootstop' must be true or a config object")
+    try:
+        config = BootstopConfig.from_json({} if bootstop is True else bootstop)
+    except (TypeError, ValueError) as exc:
+        raise _bad("bootstop_invalid", f"bad bootstop config: {exc}") from exc
+    return replace(spec, bootstop=config)
 
 
 def parse_submission(body: bytes) -> Tuple[str, JobSpec, str, int]:

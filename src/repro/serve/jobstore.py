@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..chaos import injector as _chaos
 from ..chaos.plan import SERVE_SERVER_KILL
 from ..cluster.checkpoint import atomic_write, replay
-from ..cluster.jobs import JobSpec
+from ..cluster.jobs import JobSpec, JobSpecError
 from ..cluster.pool import WorkerPool
 from ..cluster.queue import ClusterConfig
 from ..cluster.runner import job_status, run_job
@@ -76,7 +76,7 @@ class JobRecord:
     client: str
     priority: int
     digest: str
-    spec: JobSpec
+    spec: Optional[JobSpec]
     state: str = JOB_QUEUED
     cached: bool = False
     submitted_seq: int = 0
@@ -87,14 +87,19 @@ class JobRecord:
     degraded: bool = False
 
     def to_json(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload["spec"] = self.spec.to_json()
-        return payload
+        return asdict(self)  # the spec as JobSpec.to_json gives it
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobRecord":
+        """A spec an older version accepted and this one refuses loads
+        as a failed record without a spec: that job can never run."""
         data = dict(payload)
-        data["spec"] = JobSpec.from_json(data["spec"])
+        try:
+            data["spec"] = JobSpec.from_json(data["spec"])
+        except JobSpecError as exc:
+            data["spec"] = None
+            if data["state"] != JOB_FAILED:
+                data.update(state=JOB_FAILED, error=f"JobSpecError: {exc}")
         return cls(**data)
 
 

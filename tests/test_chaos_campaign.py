@@ -7,6 +7,7 @@ both kernel backends; the CI-sized 25-seed sweeps are marked
 
 import asyncio
 import json
+import tempfile
 
 import pytest
 
@@ -66,6 +67,13 @@ class TestEngineCampaign:
             alignment=tiny_alignment,
         )
         assert [run.seed for run in report.runs] == [7, 8]
+
+    def test_campaign_removes_the_workdir_it_made(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_campaign("engine", 1)
+        assert report.ok, report.summary()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.verify
     def test_full_25_seed_campaign_has_no_silent_corruption(self):

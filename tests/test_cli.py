@@ -174,3 +174,22 @@ class TestAlignmentErrors:
         assert "length_mismatch" in err
         assert "Traceback" not in err
         assert not journal.exists()
+
+
+class TestInvalidJob:
+    @pytest.mark.parametrize("command, flag, message", [
+        (["cluster", "run", "--journal", "{j}"], ["--categories", "0"],
+         "cluster run: job field categories=0"),
+        (["infer"], ["--alpha", "-1"], "infer: job field alpha=-1.0"),
+    ], ids=["cluster-run-categories", "infer-alpha"])
+    def test_bad_job_flag_exits_2_before_any_journal(
+            self, command, flag, message, fasta_path, tmp_path, capsys):
+        journal = tmp_path / "run.jsonl"
+        argv = [arg.format(j=journal) for arg in command]
+        assert main(argv + ["-s", fasta_path] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+        assert "lnL" not in captured.out
+        assert not journal.exists()

@@ -118,17 +118,18 @@ class TestConsensus:
 class TestFinalAssembly:
     def test_analysis_matches_serial_assembly(self, tiny_patterns,
                                               fast_config):
-        from repro.cluster.queue import ExecutionContext, execute_replicate
+        from repro.cluster.jobs import JobSpec
+        from repro.cluster.queue import execute_replicate
         from repro.phylo import run_full_analysis
 
         serial = run_full_analysis(tiny_patterns, n_inferences=2,
                                    n_bootstraps=2, config=fast_config, seed=4)
-        ctx = ExecutionContext(config=fast_config)
+        spec = JobSpec(n_inferences=2, n_bootstraps=2, config=fast_config)
         agg = StreamingAggregator()
         # Scrambled arrival order.
         for kind, rep in [("bootstrap", 1), ("inference", 1),
                           ("bootstrap", 0), ("inference", 0)]:
-            agg.ingest(execute_replicate(tiny_patterns, ctx, kind, rep, 4))
+            agg.ingest(execute_replicate(tiny_patterns, spec, kind, rep, 4))
         result = agg.analysis()
         assert result.best.newick == serial.best.newick
         assert result.best.log_likelihood == serial.best.log_likelihood

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import resume_job, run_job
 from repro.cluster.checkpoint import decode_record, encode_record
-from repro.cluster.jobs import ClusterTask, JobSpec, expand_job
+from repro.cluster.jobs import ClusterTask, JobSpec, JobSpecError, expand_job
 from repro.phylo.search import SearchConfig
 
 
@@ -49,8 +49,8 @@ class TestExpansion:
         # After a resume excluded replicate 1, replicates 0 and 2 must not
         # collapse into a "bootstrap/0-2" batch that would lie about its
         # range.
-        spec = JobSpec(n_inferences=0, n_bootstraps=3, batch_size=2)
-        tasks = expand_job(spec, done_bootstraps={1})
+        spec = JobSpec(n_inferences=1, n_bootstraps=3, batch_size=2)
+        tasks = expand_job(spec, done_inferences={0}, done_bootstraps={1})
         assert [t.replicates for t in tasks] == [(0,), (2,)]
 
     def test_split_produces_fine_children(self):
@@ -88,6 +88,55 @@ class TestJobSpecJson:
         assert JobSpec.from_json(
             json.loads(json.dumps(spec.to_json()))
         ) == spec
+
+
+class TestJobSpecValidation:
+    """Every reader of a spec (a constructor call, a run header, a
+    JobStore record) refuses a bad field the same way."""
+
+    @pytest.mark.parametrize("fields", [
+        {"n_inferences": 0},
+        {"n_bootstraps": -1},
+        {"batch_size": 0},
+        {"categories": 0},
+        {"categories": 17},
+        {"alpha": -1.0},
+        {"alpha": float("nan")},
+        {"deadline_s": 0.0},
+        {"seed": 1.5},
+        {"n_bootstraps": True},
+        {"model_name": "FOO"},
+        {"model_name": ""},
+        {"aa": True, "model_name": "JC69"},
+        {"config": SearchConfig(max_radius=0)},
+        {"config": SearchConfig(max_rounds=-1)},
+    ])
+    def test_bad_field_is_refused(self, fields):
+        values = {"n_inferences": 1, "n_bootstraps": 2, **fields}
+        with pytest.raises(JobSpecError, match="job field"):
+            JobSpec(**values)
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"aa": True}, {"aa": True, "model_name": "default"},
+        {"model_name": "HKY85", "alpha": 1, "categories": 16},
+        {"deadline_s": 2.5, "batch_size": 3, "seed": -4},
+    ])
+    def test_good_fields_are_kept(self, fields):
+        spec = JobSpec(n_inferences=1, n_bootstraps=0, **fields)
+        assert JobSpec.from_json(spec.to_json()) == spec
+
+    def test_run_header_with_bad_categories_is_refused(self):
+        header = JobSpec(n_inferences=1, n_bootstraps=2).to_json()
+        header["categories"] = 0
+        with pytest.raises(ValueError, match="categories=0"):
+            JobSpec.from_json(header)
+
+    def test_run_header_config_is_validated(self):
+        header = JobSpec(n_inferences=1, n_bootstraps=2,
+                         config=SearchConfig()).to_json()
+        header["config"]["initial_radius"] = 0
+        with pytest.raises(JobSpecError, match="initial_radius=0"):
+            JobSpec.from_json(header)
 
 
 class TestRetiredMoveSet:

@@ -52,6 +52,10 @@ class TestParseSubmission:
         (body(model={"n_inferences": 0, "n_bootstraps": 2, "seed": 0}),
          "model_invalid"),
         (body(model={"n_inferences": 1, "seed": 0}), "model_missing_field"),
+        (body(model={"n_inferences": 1, "n_bootstraps": 0, "seed": 1,
+                     "model_name": "FOO"}), "model_invalid"),
+        (body(model={"n_inferences": 1, "n_bootstraps": 0, "seed": 1,
+                     "aa": True, "model_name": "JC69"}), "model_invalid"),
         (body(priority=-1), "priority_invalid"),
         (body(priority=True), "priority_invalid"),
         (body(client=""), "client_invalid"),
@@ -63,6 +67,23 @@ class TestParseSubmission:
             parse_submission(raw)
         assert excinfo.value.code == code
         assert excinfo.value.status in (400, 413)
+
+    def test_bad_model_is_refused_before_any_record(self, tmp_path):
+        import multiprocessing
+
+        service = JobService(str(tmp_path), n_workers=1)
+        app = ServeApp(service, port=0)
+        try:
+            with pytest.raises(ApiError) as excinfo:
+                app._submit(body(model={"n_inferences": 1, "n_bootstraps": 0,
+                                        "seed": 1, "model_name": "FOO"}))
+            assert (excinfo.value.status, excinfo.value.code) == \
+                (400, "model_invalid")
+            assert service.store.load_all() == []
+            assert service.run_next() is None
+            assert not multiprocessing.active_children()
+        finally:
+            service.close()
 
     def test_bootstop_true_uses_defaults(self):
         spec = spec_from_request(
@@ -78,6 +99,46 @@ class TestParseSubmission:
         )
         assert spec.bootstop.check_every == 25
         assert spec.bootstop.threshold == 0.05
+
+
+class TestRestartOnOlderState:
+    """A root an older version wrote can hold records whose spec this
+    version refuses (it validated less at submit): the service still
+    starts, and such a job loads failed instead of running."""
+
+    @staticmethod
+    def _write_record(root, job_id, state, error):
+        from repro.cluster import JobSpec
+        from repro.serve import JobRecord
+
+        record = JobRecord(job_id=job_id, client="old", priority=10,
+                           digest="0" * 64, spec=JobSpec(1, 0, seed=1),
+                           state=state, error=error, submitted_seq=7)
+        payload = record.to_json()
+        payload["spec"]["model_name"] = "FOO"
+        jobs = root / "jobs"
+        jobs.mkdir(parents=True, exist_ok=True)
+        (jobs / f"{job_id}.json").write_text(json.dumps(payload))
+
+    def test_service_starts_on_a_record_it_now_refuses(self, tmp_path):
+        failure = ("TaskExecutionError: task inference/0 failed after 3 "
+                   "attempt(s): ValueError: unknown model FOO")
+        self._write_record(tmp_path, "j000007-failed", "failed", failure)
+        self._write_record(tmp_path, "j000008-queued", "queued", None)
+        service = JobService(str(tmp_path), n_workers=1)
+        try:
+            assert service.recover() == []
+            failed = service.status("j000007-failed")
+            assert (failed["state"], failed["error"]) == ("failed", failure)
+            queued = service.status("j000008-queued")
+            assert queued["state"] == "failed"
+            assert queued["error"].startswith("JobSpecError: ")
+            assert "model_name='FOO'" in queued["error"]
+            assert service.result("j000008-queued") is None
+            assert service.run_next() is None
+            assert service.store._next_seq == 8
+        finally:
+            service.close()
 
 
 # -- end-to-end over a real socket -------------------------------------------
