@@ -87,6 +87,13 @@ def wait_state(port, job_id, want, timeout=60.0):
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-drain-smoke-") as root, \
+            tempfile.TemporaryDirectory(
+                prefix="repro-drain-baseline-") as baseline_root:
+        return drain_and_resume(root, baseline_root)
+
+
+def drain_and_resume(root: str, baseline_root: str) -> int:
     from repro.phylo import synthetic_dataset
 
     # Big enough that a replicate takes a noticeable fraction of a
@@ -99,7 +106,6 @@ def main() -> int:
                   "seed": 11},
         "client": "drain-smoke",
     }
-    root = tempfile.mkdtemp(prefix="repro-drain-smoke-")
     port = free_port()
 
     server = start_server(root, port)
@@ -170,7 +176,6 @@ def main() -> int:
         server.wait(timeout=DRAIN_GRACE_S + 10.0)
 
     # Bit-identity: the same submission in a fresh root must agree.
-    baseline_root = tempfile.mkdtemp(prefix="repro-drain-baseline-")
     baseline_server = start_server(baseline_root, port)
     try:
         status, _, body = http_json(port, "POST", "/jobs", submission)

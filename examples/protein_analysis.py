@@ -13,10 +13,11 @@ Run:  python examples/protein_analysis.py
 import numpy as np
 
 from repro.phylo import (
+    AA,
     AA_STATES,
+    Alignment,
     GammaRates,
     PoissonAA,
-    ProteinAlignment,
     SearchConfig,
     Tree,
     ascii_tree,
@@ -41,7 +42,7 @@ def simulate_family(n_taxa: int = 9, n_sites: int = 200, seed: int = 4):
         name = f"P{i:03d}"
         sequences[name] = "".join(mutant)
         names.append(name)
-    return ProteinAlignment.from_sequences(sequences)
+    return Alignment.from_sequences(sequences, AA)
 
 
 def main() -> None:

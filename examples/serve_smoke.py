@@ -39,8 +39,12 @@ async def http(host, port, method, path, payload=None):
 
 
 async def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as root:
+        return await smoke(root)
+
+
+async def smoke(root: str) -> int:
     fasta = synthetic_dataset(n_taxa=6, n_sites=120, seed=3).to_fasta()
-    root = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     app = ServeApp(JobService(root, n_workers=N_WORKERS), port=0)
     await app.start()
     host, port = app.host, app.port

@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 #: Salt mixed into the permutation seed so bootstop draws never collide
-#: with the replicate-seed derivation (7919) of the task DAG.
+#: with the replicate-seed derivation (7919) of
+#: :func:`repro.phylo.inference.bootstrap_inputs`.
 _PERMUTATION_SALT = 104729
 
 Splits = FrozenSet[FrozenSet[str]]

@@ -163,6 +163,12 @@ class RunJournal:
                 _repair_torn_tail(path)
             self._fh = open(path, "a" if append else "w")
 
+    @property
+    def last_time(self) -> float:
+        """The newest record's stamp (0.0 before any): the journal's
+        clock as of its last event, read without calling it again."""
+        return self.events[-1]["time"] if self.events else 0.0
+
     def append(self, event: str, **fields) -> dict:
         record = {"event": event, "time": self._clock(), **fields}
         self.events.append(record)

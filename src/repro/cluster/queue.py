@@ -41,7 +41,7 @@ from ..chaos.plan import (
     CLUSTER_WORKER_OOM,
     CLUSTER_WORKER_STALL,
 )
-from ..phylo.inference import infer_tree, named_model
+from ..phylo.inference import bootstrap_inputs, infer_tree, named_model
 from ..phylo.rates import GammaRates
 from ..sched.mgps import summarize_phases
 from .aggregate import StreamingAggregator
@@ -163,12 +163,11 @@ def execute_replicate(patterns, spec: JobSpec, kind: str,
             seed=seed, replicate=replicate, cancel=cancel,
         )
     elif kind == "bootstrap":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, 7919, replicate])
-        )
+        replicate_patterns, search_seed = bootstrap_inputs(
+            patterns, seed, replicate)
         result = infer_tree(
-            patterns.bootstrap_replicate(rng), model=model,
-            rate_model=rate_model, config=spec.config, seed=seed + 1,
+            replicate_patterns, model=model,
+            rate_model=rate_model, config=spec.config, seed=search_seed,
             is_bootstrap=True, replicate=replicate, cancel=cancel,
         )
     else:
@@ -447,7 +446,7 @@ class ClusterQueue:
             if private:
                 self.pool.close()  # a private pool dies with its run
 
-        phases = self.scheduler.finish()
+        phases = self.scheduler.finish(self.journal.last_time)
         self.journal.append(
             "run_progress",
             phases=summarize_phases(phases),
@@ -469,7 +468,8 @@ class ClusterQueue:
         """Hand ready tasks to *idle* workers; close those left idle
         once nothing is pending, for whichever run has a task ready."""
         if idle and self.pending:
-            self.pending = self.scheduler.plan(self.pending, now)
+            self.pending = self.scheduler.plan(self.pending,
+                                               self.journal.last_time)
             for worker in idle:
                 ready = next((i for i, p in enumerate(self.pending)
                               if p.not_before <= now), None)

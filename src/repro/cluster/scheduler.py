@@ -12,12 +12,14 @@ single-replicate *fine* tasks so idle workers can help finish the tail
 
 Phases are recorded as :class:`repro.sched.mgps.MGPSPhase` records with
 the same mode strings (``"edtlp"`` / ``"llp"``), and summarized with
-:func:`repro.sched.mgps.summarize_phases` into the run journal.
+:func:`repro.sched.mgps.summarize_phases` into the run journal.  The
+scheduler reads no clock: the caller passes each ``now``, the run
+journal's latest stamp, so phase times are in the journal's clock and an
+injected clock journals them deterministically.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 from ..sched.mgps import MGPSPhase
@@ -41,7 +43,7 @@ class MultigrainScheduler:
         self._phase_tasks = 0
         self._phase_splits = 0
 
-    def plan(self, pending: List[PendingTask], now: Optional[float] = None
+    def plan(self, pending: List[PendingTask], now: float
              ) -> List[PendingTask]:
         """Re-grain the pending queue for the current load.
 
@@ -51,8 +53,6 @@ class MultigrainScheduler:
         batches stay coarse so their attempt accounting (and any
         injected failure plan keyed on the batch id) remains stable.
         """
-        if now is None:
-            now = time.monotonic()
         mode = COARSE if len(pending) >= self.n_workers else FINE
         if mode == FINE:
             regrained: List[PendingTask] = []
@@ -74,10 +74,8 @@ class MultigrainScheduler:
         """Count a task against the current phase."""
         self._phase_tasks += 1
 
-    def finish(self, now: Optional[float] = None) -> List[MGPSPhase]:
+    def finish(self, now: float) -> List[MGPSPhase]:
         """Close the open phase and return the full phase log."""
-        if now is None:
-            now = time.monotonic()
         self._close(now)
         return list(self._phases)
 

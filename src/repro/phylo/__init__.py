@@ -8,6 +8,7 @@ the Cell-platform simulation in :mod:`repro.cell` / :mod:`repro.port`.
 """
 
 from .alignment import Alignment, PatternAlignment, parse_fasta, parse_phylip
+from .dna import DNA, Alphabet
 from .inference import (
     AnalysisResult,
     InferenceResult,
@@ -42,13 +43,7 @@ from .optimize import (
     optimize_gamma_inv,
     optimize_model,
 )
-from .protein import (
-    AA_STATES,
-    PoissonAA,
-    ProteinAlignment,
-    ProteinPatternAlignment,
-    protein_model,
-)
+from .protein import AA, AA_STATES, PoissonAA, protein_model
 from .parsimony import fitch_score, random_starting_trees, stepwise_addition_tree
 from .rates import (
     CatRates,
@@ -100,8 +95,9 @@ __all__ = [
     "SubstitutionModel",
     "AA_STATES",
     "PoissonAA",
-    "ProteinAlignment",
-    "ProteinPatternAlignment",
+    "AA",
+    "Alphabet",
+    "DNA",
     "protein_model",
     "fitch_score",
     "random_starting_trees",

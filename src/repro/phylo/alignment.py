@@ -1,7 +1,12 @@
 """Multiple sequence alignments and site-pattern compression.
 
-An :class:`Alignment` stores a set of equal-length DNA sequences as a
-``(n_taxa, n_sites)`` matrix of 4-bit ambiguity masks.  Before likelihood
+An :class:`Alignment` stores a set of equal-length sequences as a
+``(n_taxa, n_sites)`` matrix of state codes over its
+:class:`~repro.phylo.dna.Alphabet`: 4-bit ambiguity masks for
+:data:`~repro.phylo.dna.DNA` (the default), code indices for the
+amino-acid :data:`~repro.phylo.protein.AA`.  Every table a method
+needs (encoding, tip rows, parsimony masks) comes from that alphabet,
+so DNA and amino acids share one type.  Before likelihood
 computation the alignment is *compressed*: identical columns (site
 patterns) are merged and carry an integer weight.  This is the single most
 important algorithmic optimization in any ML code — the ``42_SC`` dataset
@@ -15,6 +20,7 @@ exactly as RAxML implements non-parametric bootstrapping.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 from dataclasses import dataclass, field
@@ -22,12 +28,14 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from . import dna
+from .dna import DNA, Alphabet, decode_mask, mask_matrix
+from .protein import AA
 
 __all__ = [
     "Alignment",
     "AlignmentError",
     "PatternAlignment",
+    "alphabet_for",
     "check_tip_codes",
     "unique_columns",
     "load_alignment_text",
@@ -58,11 +66,20 @@ class AlignmentError(ValueError):
         super().__init__(message)
 
 
-def check_tip_codes(patterns: np.ndarray, code_table=None) -> None:
-    """Reject a pattern matrix holding a state code outside *code_table*
-    (default: the DNA mask table).  Made once by whoever owns the
-    matrix, so the kernels' per-call gathers need no bounds pass."""
-    n_codes = len(dna.TIP_PARTIAL_ROWS if code_table is None else code_table)
+def alphabet_for(n_states: int) -> Alphabet:
+    """The alphabet of an ``n_states``-state model: DNA or amino acids."""
+    for alphabet in (DNA, AA):
+        if alphabet.n_states == n_states:
+            return alphabet
+    raise ValueError(f"no alphabet for a {n_states}-state model (4 = DNA, "
+                     f"{AA.n_states} = amino acids)")
+
+
+def check_tip_codes(patterns: np.ndarray, code_table: np.ndarray) -> None:
+    """Reject a pattern matrix holding a state code outside *code_table*.
+    Made once by whoever owns the matrix, so the kernels' per-call
+    gathers need no bounds pass."""
+    n_codes = len(code_table)
     if patterns.size and int(patterns.max()) >= n_codes:
         raise AlignmentError(
             "code_out_of_table",
@@ -102,20 +119,40 @@ def unique_columns(data: np.ndarray):
     return patterns, site_to_pattern, counts
 
 
+def _state_frequencies(alphabet: Alphabet, codes: np.ndarray,
+                       weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Empirical state frequencies of a code matrix, each character (or
+    pattern, by its weight) split uniformly over the states it permits;
+    uniform when nothing is counted.  The result sums to 1."""
+    rows = alphabet.code_table[codes]  # (taxa, columns, n_states)
+    per_char = rows / rows.sum(axis=-1, keepdims=True)
+    if weights is not None:
+        per_char = per_char * weights[None, :, None]
+    freqs = per_char.sum(axis=(0, 1))
+    total = freqs.sum()
+    if total == 0:
+        return np.full(alphabet.n_states, 1.0 / alphabet.n_states)
+    return freqs / total
+
+
 @dataclass
 class Alignment:
-    """A multiple sequence alignment of DNA data.
+    """A multiple sequence alignment over an alphabet.
 
     Parameters
     ----------
     taxa:
         Taxon names, unique, in row order.
     data:
-        ``(n_taxa, n_sites)`` uint8 matrix of 4-bit ambiguity masks.
+        ``(n_taxa, n_sites)`` uint8 matrix of *alphabet*'s state codes
+        (for DNA, 4-bit ambiguity masks).
+    alphabet:
+        :data:`~repro.phylo.dna.DNA` or :data:`~repro.phylo.protein.AA`.
     """
 
     taxa: List[str]
     data: np.ndarray
+    alphabet: Alphabet = DNA
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.uint8)
@@ -127,30 +164,32 @@ class Alignment:
             )
         if len(set(self.taxa)) != len(self.taxa):
             raise ValueError("duplicate taxon names")
-        if self.data.size and (
-            (self.data == 0).any() or (self.data > dna.GAP_MASK).any()
-        ):
+        if self.data.size and self.alphabet.invalid(self.data).any():
             raise ValueError("alignment contains invalid state masks")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_sequences(cls, named_sequences: Dict[str, str]) -> "Alignment":
+    def from_sequences(cls, named_sequences: Dict[str, str],
+                       alphabet: Alphabet = DNA) -> "Alignment":
         """Build an alignment from a ``{name: sequence}`` mapping."""
         taxa = list(named_sequences)
-        return cls(taxa, dna.mask_matrix(named_sequences.values()))
+        return cls(taxa, mask_matrix(named_sequences.values(), alphabet),
+                   alphabet)
 
     @classmethod
-    def from_fasta(cls, source: Union[str, os.PathLike]) -> "Alignment":
+    def from_fasta(cls, source: Union[str, os.PathLike],
+                   alphabet: Alphabet = DNA) -> "Alignment":
         """Read a FASTA file (path or raw text)."""
         text = _read_source(source)
-        return cls.from_sequences(parse_fasta(text))
+        return cls.from_sequences(parse_fasta(text), alphabet)
 
     @classmethod
-    def from_phylip(cls, source: Union[str, os.PathLike]) -> "Alignment":
+    def from_phylip(cls, source: Union[str, os.PathLike],
+                    alphabet: Alphabet = DNA) -> "Alignment":
         """Read a sequential/relaxed PHYLIP file (path or raw text)."""
         text = _read_source(source)
-        return cls.from_sequences(parse_phylip(text))
+        return cls.from_sequences(parse_phylip(text), alphabet)
 
     # -- basic properties --------------------------------------------------
 
@@ -164,14 +203,14 @@ class Alignment:
 
     def sequence(self, taxon: str) -> str:
         """Return the IUPAC string for *taxon*."""
-        return dna.decode_mask(self.data[self.taxa.index(taxon)])
+        return decode_mask(self.data[self.taxa.index(taxon)], self.alphabet)
 
     # -- serialization -----------------------------------------------------
 
     def to_fasta(self) -> str:
         out = io.StringIO()
         for i, name in enumerate(self.taxa):
-            out.write(f">{name}\n{dna.decode_mask(self.data[i])}\n")
+            out.write(f">{name}\n{decode_mask(self.data[i], self.alphabet)}\n")
         return out.getvalue()
 
     def to_phylip(self) -> str:
@@ -179,25 +218,20 @@ class Alignment:
         out.write(f"{self.n_taxa} {self.n_sites}\n")
         width = max((len(t) for t in self.taxa), default=0) + 2
         for i, name in enumerate(self.taxa):
-            out.write(name.ljust(width) + dna.decode_mask(self.data[i]) + "\n")
+            out.write(name.ljust(width)
+                      + decode_mask(self.data[i], self.alphabet) + "\n")
         return out.getvalue()
 
     # -- analysis ----------------------------------------------------------
 
     def base_frequencies(self) -> np.ndarray:
-        """Empirical base frequencies (ambiguity mass split uniformly).
+        """Empirical state frequencies (ambiguity mass split uniformly).
 
         Each character contributes total weight 1, divided equally among the
-        states its mask permits, so gaps/N add 0.25 to every state.  The
-        result sums to 1.
+        states its code permits, so a DNA gap/N adds 0.25 to every state.
+        The result sums to 1.
         """
-        rows = dna.TIP_PARTIAL_ROWS[self.data]  # (taxa, sites, 4)
-        per_char = rows / rows.sum(axis=-1, keepdims=True)
-        freqs = per_char.sum(axis=(0, 1))
-        total = freqs.sum()
-        if total == 0:
-            return np.full(dna.NUM_STATES, 0.25)
-        return freqs / total
+        return _state_frequencies(self.alphabet, self.data)
 
     def compress(self) -> "PatternAlignment":
         """Merge identical columns into weighted site patterns."""
@@ -210,6 +244,7 @@ class Alignment:
             weights=counts.astype(np.float64),
             site_to_pattern=site_to_pattern,
             n_sites=self.n_sites,
+            alphabet=self.alphabet,
         )
 
 
@@ -222,13 +257,17 @@ class PatternAlignment:
     taxa:
         Taxon names in row order.
     patterns:
-        ``(n_taxa, n_patterns)`` uint8 mask matrix of distinct columns.
+        ``(n_taxa, n_patterns)`` uint8 state-code matrix of distinct
+        columns.
     weights:
         Per-pattern multiplicities (floats: bootstrap replicates re-weight).
     site_to_pattern:
         For each original site, the index of its pattern.
     n_sites:
         Length of the uncompressed alignment.
+    alphabet:
+        What the codes mean; the engine gathers tip rows from its
+        ``code_table``.
     """
 
     taxa: List[str]
@@ -236,6 +275,7 @@ class PatternAlignment:
     weights: np.ndarray
     site_to_pattern: np.ndarray
     n_sites: int
+    alphabet: Alphabet = DNA
     _tip_partial_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -264,36 +304,23 @@ class PatternAlignment:
         return self.taxa.index(name)
 
     def tip_partials(self, taxon_index: int) -> np.ndarray:
-        """Tip conditional-likelihood rows, ``(n_patterns, 4)``, cached."""
+        """Tip conditional-likelihood rows, ``(n_patterns, n_states)``,
+        cached."""
         cached = self._tip_partial_cache.get(taxon_index)
         if cached is None:
-            cached = dna.tip_partials(self.patterns[taxon_index])
+            cached = self.alphabet.code_table[self.patterns[taxon_index]]
             cached.setflags(write=False)
             self._tip_partial_cache[taxon_index] = cached
         return cached
 
-    def tip_is_unambiguous(self, taxon_index: int) -> bool:
-        """True if the taxon row holds only fully determined bases."""
-        row = self.patterns[taxon_index]
-        return bool(np.isin(row, (1, 2, 4, 8)).all())
-
     def parsimony_masks(self, taxon_index: int) -> np.ndarray:
-        """Per-pattern state-set bitmasks for Fitch parsimony.
-
-        For DNA the stored 4-bit ambiguity masks already are the state
-        sets; protein alignments override this with 20-bit masks.
-        """
-        return self.patterns[taxon_index]
+        """Per-pattern state-set bitmasks for Fitch parsimony (for DNA
+        the 4-bit ambiguity masks themselves, for amino acids 20-bit)."""
+        return self.alphabet.bitmasks[self.patterns[taxon_index]]
 
     def base_frequencies(self) -> np.ndarray:
-        """Empirical base frequencies honouring the pattern weights."""
-        rows = dna.TIP_PARTIAL_ROWS[self.patterns]  # (taxa, patterns, 4)
-        per_char = rows / rows.sum(axis=-1, keepdims=True)
-        freqs = (per_char * self.weights[None, :, None]).sum(axis=(0, 1))
-        total = freqs.sum()
-        if total == 0:
-            return np.full(dna.NUM_STATES, 0.25)
-        return freqs / total
+        """Empirical state frequencies honouring the pattern weights."""
+        return _state_frequencies(self.alphabet, self.patterns, self.weights)
 
     def expand_to_sites(self, per_pattern: np.ndarray) -> np.ndarray:
         """Map a per-pattern vector back to per-site values."""
@@ -314,14 +341,7 @@ class PatternAlignment:
 
     def with_weights(self, weights: np.ndarray) -> "PatternAlignment":
         """A view of this alignment carrying different pattern weights."""
-        return PatternAlignment(
-            taxa=self.taxa,
-            patterns=self.patterns,
-            weights=np.asarray(weights, dtype=np.float64),
-            site_to_pattern=self.site_to_pattern,
-            n_sites=self.n_sites,
-            _tip_partial_cache=self._tip_partial_cache,
-        )
+        return dataclasses.replace(self, weights=weights)
 
     def bootstrap_replicate(self, rng: np.random.Generator) -> "PatternAlignment":
         """Convenience: a replicate alignment with bootstrap weights."""
@@ -408,7 +428,7 @@ def parse_phylip(text: str) -> Dict[str, str]:
     return sequences
 
 
-def parse_alignment(text: str, cls: Optional[type] = None) -> "Alignment":
+def parse_alignment(text: str, alphabet: Alphabet = DNA) -> "Alignment":
     """Hardened parse entry point for untrusted alignment text.
 
     Detects the format (FASTA when the first non-blank character is
@@ -419,11 +439,9 @@ def parse_alignment(text: str, cls: Optional[type] = None) -> "Alignment":
     ``IndexError`` leaking from a parser bug is contained as the
     ``parse_error`` code rather than crashing an admission path.
 
-    ``cls`` selects the alignment class (``Alignment`` by default;
-    pass ``ProteinAlignment`` for amino-acid data).
+    ``alphabet`` says what the characters mean (DNA by default; pass
+    :data:`~repro.phylo.protein.AA` for amino-acid data).
     """
-    if cls is None:
-        cls = Alignment
     try:
         if not isinstance(text, str) or not text.strip():
             raise AlignmentError("empty", "empty alignment input")
@@ -443,7 +461,7 @@ def parse_alignment(text: str, cls: Optional[type] = None) -> "Alignment":
                 "length_mismatch",
                 f"sequences have unequal lengths: {sorted(set(lengths.values()))}"
             )
-        return cls.from_sequences(sequences)
+        return Alignment.from_sequences(sequences, alphabet)
     except AlignmentError:
         raise
     except (ValueError, KeyError, IndexError) as exc:
@@ -464,11 +482,7 @@ def load_alignment_text(text: str, aa: bool = False) -> "Alignment":
     through :func:`parse_alignment`, so a malformed input surfaces as
     a typed :class:`AlignmentError` with a stable ``code``.
     """
-    if aa:
-        from .protein import ProteinAlignment
-
-        return parse_alignment(text, cls=ProteinAlignment)
-    return parse_alignment(text)
+    return parse_alignment(text, AA if aa else DNA)
 
 
 def _read_source(source: Union[str, os.PathLike]) -> str:

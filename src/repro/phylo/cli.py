@@ -404,9 +404,12 @@ def _cmd_cluster(args) -> int:
         return 0
 
     if args.cluster_command == "run":
-        bootstop = (BootstopConfig(check_every=args.bootstop_check_every,
-                                   threshold=args.bootstop_threshold)
-                    if args.bootstop else None)
+        try:
+            bootstop = (BootstopConfig(check_every=args.bootstop_check_every,
+                                       threshold=args.bootstop_threshold)
+                        if args.bootstop else None)
+        except ValueError as exc:
+            raise JobSpecError(f"bootstop {exc}") from None
         analysis = run_job(_job_spec(args, bootstop=bootstop),
                            n_workers=args.workers, journal_path=args.journal)
     else:  # resume

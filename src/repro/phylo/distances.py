@@ -84,10 +84,11 @@ def ml_distance(
     if rate_model.is_per_site:
         raise ValueError("ml_distance expects an integrated rate model")
     # Both sides are tips: the sumtable takes their state codes.
-    check_tip_codes(patterns.patterns[[i, j]])
+    code_table = patterns.alphabet.code_table
+    check_tip_codes(patterns.patterns[[i, j]], code_table)
     table = kernels.branch_sumtable(
         model._right, model._left, model.pi, rate_model.n_categories,
-        patterns.patterns[i], patterns.patterns[j],
+        patterns.patterns[i], patterns.patterns[j], code_table,
     )
     start = min(max(jc69_distance(patterns, i, j), MIN_BRANCH_LENGTH),
                 MAX_BRANCH_LENGTH)

@@ -1,29 +1,82 @@
-"""Nucleotide state encoding.
+"""State alphabets, and the nucleotide one.
+
+An :class:`Alphabet` is the value an alignment carries to say what its
+characters mean: how each byte encodes to a state code, how a code
+spells back, which states each code permits (the tip indicator rows the
+likelihood kernels gather) and its state set as a parsimony bitmask.
+One encode (:func:`encode_sequence`) and one decode
+(:func:`decode_mask`) serve every alphabet.
 
 DNA characters are encoded as 4-bit ambiguity masks over the state order
 ``A, C, G, T`` (bit 0 = A .. bit 3 = T), the same representation RAxML and
 most ML codes use internally.  A fully determined base has exactly one bit
 set; IUPAC ambiguity codes and gaps set several bits.  The mask of a tip
 character directly yields its conditional-likelihood row: a 0/1 indicator
-over the four states.
+over the four states.  The amino-acid alphabet lives in
+:mod:`repro.phylo.protein`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 __all__ = [
+    "Alphabet",
+    "DNA",
     "STATES",
     "NUM_STATES",
     "AMBIGUITY_CODES",
     "GAP_MASK",
     "encode_sequence",
     "decode_mask",
-    "is_valid_sequence",
     "mask_matrix",
-    "tip_partials",
     "TIP_PARTIAL_ROWS",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class Alphabet:
+    """A state space and the encoding of its characters.
+
+    ``encode_table`` maps each byte to a state code, and a byte that
+    is no character of the alphabet to an invalid one; ``decode_chars``
+    spells code ``k`` as its ``k``-th character; ``code_table`` is the
+    ``(n_codes, n_states)`` 0/1 indicator row of the states each code
+    permits; ``bitmasks`` holds each code's state set as an integer for
+    Fitch parsimony; ``noun`` names the characters in error messages.
+
+    The valid codes are one range: from the first non-zero row of
+    ``code_table`` (DNA's mask 0 is an all-zero row before it) to the
+    end of the table, so checking a code matrix is two comparisons.
+    """
+
+    states: str
+    encode_table: np.ndarray
+    decode_chars: str
+    code_table: np.ndarray
+    bitmasks: np.ndarray
+    noun: str
+    #: the first valid code, and code -> character byte (both derived)
+    _first: int = field(init=False, repr=False)
+    _spell: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_first",
+                           int(self.code_table.any(axis=1).argmax()))
+        object.__setattr__(self, "_spell", np.frombuffer(
+            self.decode_chars.encode("ascii"), dtype=np.uint8))
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
+    def invalid(self, codes: np.ndarray) -> np.ndarray:
+        """Boolean mask of the entries of a uint8 *codes* array that
+        are not codes of this alphabet."""
+        return (codes < self._first) | (codes >= len(self.code_table))
+
 
 #: Canonical state order.  Index ``i`` of every likelihood vector refers to
 #: ``STATES[i]``.
@@ -60,7 +113,7 @@ AMBIGUITY_CODES = {
     "O": GAP_MASK,
 }
 
-# Build a 256-entry lookup table: byte value of (upper-cased) character to
+# Build a 256-entry lookup table: byte value of (either-case) character to
 # mask, with 0 marking invalid characters.
 _CHAR_TO_MASK = np.zeros(256, dtype=np.uint8)
 for _ch, _mask in AMBIGUITY_CODES.items():
@@ -72,7 +125,6 @@ _MASK_TO_CHAR = ["?"] * 16
 for _ch in "ACGTRYSWKMBDHVN":
     _MASK_TO_CHAR[AMBIGUITY_CODES[_ch]] = _ch
 _MASK_TO_CHAR[0] = "!"  # invalid marker, never produced by encode
-_MASK_TO_BYTE = np.frombuffer("".join(_MASK_TO_CHAR).encode(), dtype=np.uint8)
 
 #: Precomputed (16, 4) matrix of tip conditional-likelihood rows: row ``m``
 #: is the 0/1 indicator over states allowed by mask ``m``.  Row 0 (invalid)
@@ -85,55 +137,46 @@ for _m in range(1, 16):
 TIP_PARTIAL_ROWS.setflags(write=False)
 
 
-def encode_sequence(sequence: str) -> np.ndarray:
-    """Encode a DNA string into a ``uint8`` array of 4-bit ambiguity masks.
+#: The nucleotide alphabet: codes are the 4-bit masks themselves, so
+#: they are also its parsimony bitmasks.
+DNA = Alphabet(STATES, _CHAR_TO_MASK, "".join(_MASK_TO_CHAR),
+               TIP_PARTIAL_ROWS, np.arange(16, dtype=np.uint8), "nucleotide")
 
-    Raises ``ValueError`` if the sequence contains a character that is not
-    an IUPAC nucleotide code or gap symbol.
+
+def encode_sequence(sequence: str, alphabet: Alphabet = DNA) -> np.ndarray:
+    """Encode a string into a ``uint8`` array of *alphabet*'s state codes
+    (for DNA, 4-bit ambiguity masks): one table lookup per character.
+
+    Raises ``ValueError`` naming the offenders if the sequence contains
+    a character the alphabet has no code for.
     """
     if not sequence.isascii():
         bad = sorted({ch for ch in sequence if not ch.isascii()})
-        raise ValueError(f"invalid nucleotide characters: {bad!r}")
+        raise ValueError(f"invalid {alphabet.noun} characters: {bad!r}")
     raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
-    masks = _CHAR_TO_MASK[raw]
-    if (masks == 0).any():
-        bad = sorted({sequence[i] for i in np.nonzero(masks == 0)[0]})
-        raise ValueError(f"invalid nucleotide characters: {bad!r}")
-    return masks
+    codes = alphabet.encode_table[raw]
+    invalid = alphabet.invalid(codes)
+    if invalid.any():
+        bad = sorted({sequence[i] for i in np.flatnonzero(invalid)})
+        raise ValueError(f"invalid {alphabet.noun} characters: {bad!r}")
+    return codes
 
 
-def decode_mask(masks: np.ndarray) -> str:
-    """Decode an array of 4-bit masks back to an IUPAC string.
+def decode_mask(masks: np.ndarray, alphabet: Alphabet = DNA) -> str:
+    """Decode an array of state codes back to *alphabet*'s characters.
 
-    Fully ambiguous masks decode to ``N`` (the gap/unknown distinction is
-    not preserved by the mask representation).
+    Fully ambiguous DNA masks decode to ``N`` (the gap/unknown
+    distinction is not preserved by the mask representation).
     """
-    return _MASK_TO_BYTE[np.asarray(masks, dtype=np.intp)].tobytes().decode()
+    return alphabet._spell[np.asarray(masks, dtype=np.intp)].tobytes().decode()
 
 
-def is_valid_sequence(sequence: str) -> bool:
-    """Return True if every character of *sequence* is a valid DNA code."""
-    if not sequence.isascii():
-        return False
-    raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
-    return bool((_CHAR_TO_MASK[raw] != 0).all())
-
-
-def mask_matrix(sequences) -> np.ndarray:
-    """Encode an iterable of equal-length DNA strings as a 2-D mask matrix.
+def mask_matrix(sequences, alphabet: Alphabet = DNA) -> np.ndarray:
+    """Encode an iterable of equal-length strings as a 2-D code matrix.
 
     Returns an array of shape ``(n_sequences, n_sites)``.
     """
-    rows = [encode_sequence(s) for s in sequences]
+    rows = [encode_sequence(s, alphabet) for s in sequences]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("sequences have unequal lengths")
     return np.vstack(rows) if rows else np.zeros((0, 0), dtype=np.uint8)
-
-
-def tip_partials(masks: np.ndarray) -> np.ndarray:
-    """Expand an array of masks into tip conditional-likelihood rows.
-
-    Input shape ``(n_sites,)`` produces output shape ``(n_sites, 4)`` where
-    each row is the 0/1 indicator over permitted states.
-    """
-    return TIP_PARTIAL_ROWS[masks]

@@ -242,6 +242,7 @@ class LikelihoodEngine:
     ):
         if tree is None:
             raise ValueError("a tree is required")
+        _check_state_count(patterns, model)
         self.patterns = patterns
         self.model = model
         self.rate_model = rate_model or UniformRate()
@@ -251,8 +252,8 @@ class LikelihoodEngine:
         self._backend = resolve_backend(backend)
         #: state-space size (4 for DNA, 20 for amino acids)
         self._n_states = model.n_states
-        #: per-code tip indicator rows (None = the DNA mask table)
-        self._tip_table = getattr(patterns, "tip_code_table", None)
+        #: per-code tip indicator rows of the patterns' alphabet
+        self._tip_table = patterns.alphabet.code_table
         check_tip_codes(patterns.patterns, self._tip_table)
         self._use_rate_model(self.rate_model)
 
@@ -426,6 +427,7 @@ class LikelihoodEngine:
 
     def set_model(self, model: SubstitutionModel) -> None:
         """Swap the substitution model and drop caches."""
+        _check_state_count(self.patterns, model)
         self.model = model
         self.invalidate_all()
 
@@ -1056,6 +1058,16 @@ class LikelihoodEngine:
                 break
             last = lnl
         return lnl
+
+
+def _check_state_count(patterns: PatternAlignment,
+                       model: SubstitutionModel) -> None:
+    """Refuse a model whose state space is not the patterns' alphabet's."""
+    alphabet = patterns.alphabet
+    if model.n_states != alphabet.n_states:
+        raise ValueError(
+            f"a {model.n_states}-state model cannot score "
+            f"{alphabet.n_states}-state {alphabet.noun} patterns")
 
 
 def _category_layout(patterns: PatternAlignment, rate_model: RateModel

@@ -12,7 +12,7 @@ Cell port's task-level parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "infer_tree",
     "multiple_inferences",
     "bootstrap_analysis",
+    "bootstrap_inputs",
     "support_values",
     "default_model_for",
     "MODEL_NAMES",
@@ -123,11 +124,8 @@ def named_model(name: Optional[str],
 def _as_patterns(alignment) -> PatternAlignment:
     if isinstance(alignment, PatternAlignment):
         return alignment
-    compress = getattr(alignment, "compress", None)
-    if compress is not None:
-        # Alignment or ProteinAlignment (duck-typed: both compress to a
-        # PatternAlignment subclass).
-        return compress()
+    if isinstance(alignment, Alignment):
+        return alignment.compress()
     raise TypeError("expected an alignment or pattern alignment")
 
 
@@ -212,6 +210,16 @@ def multiple_inferences(
     ]
 
 
+def bootstrap_inputs(patterns: PatternAlignment, seed: int, replicate: int
+                     ) -> Tuple[PatternAlignment, int]:
+    """Bootstrap ``replicate`` of a run seeded ``seed``: its re-weighted
+    patterns, drawn from ``(seed, 7919, replicate)`` alone, and the seed
+    of its search.  The serial path and every cluster worker draw
+    replicates by this one rule, so their results agree."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7919, replicate]))
+    return patterns.bootstrap_replicate(rng), seed + 1
+
+
 def bootstrap_analysis(
     alignment,
     n_replicates: int,
@@ -225,15 +233,14 @@ def bootstrap_analysis(
     patterns = _as_patterns(alignment)
     results = []
     for i in range(n_replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 7919, i]))
-        replicate = patterns.bootstrap_replicate(rng)
+        replicate, search_seed = bootstrap_inputs(patterns, seed, i)
         results.append(
             infer_tree(
                 replicate,
                 model=model,
                 rate_model=rate_model,
                 config=config,
-                seed=seed + 1,
+                seed=search_seed,
                 tracer=tracer,
                 is_bootstrap=True,
                 replicate=i,

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import Alignment
-from .dna import STATES
+from .alignment import Alignment, alphabet_for
 from .models import SubstitutionModel, GTR
 from .tree import Tree
 
@@ -63,6 +62,7 @@ def evolve_alignment(
     if n_sites < 1:
         raise ValueError("need at least one site")
     n_states = model.n_states
+    alphabet = alphabet_for(n_states)
 
     rates = (
         rng.gamma(shape=gamma_alpha, scale=1.0 / gamma_alpha, size=n_sites)
@@ -105,27 +105,12 @@ def evolve_alignment(
         else:
             states[node.index] = child_states
 
-    if n_states == 4:
-        letters = STATES
-    else:
-        from .protein import AA_STATES
-
-        if n_states != len(AA_STATES):
-            raise ValueError(
-                f"no alphabet for a {n_states}-state model (4 = DNA, "
-                f"{len(AA_STATES)} = amino acids)"
-            )
-        letters = AA_STATES
-    alphabet = np.frombuffer(letters.encode(), dtype=np.uint8)
-    named = {
-        name: alphabet[states_arr].tobytes().decode()
-        for name, states_arr in sequences.items()
-    }
-    if n_states == 4:
-        return Alignment.from_sequences(named)
-    from .protein import ProteinAlignment
-
-    return ProteinAlignment.from_sequences(named)
+    # State ``i`` is the code of the alphabet's ``i``-th letter.
+    state_codes = alphabet.encode_table[
+        np.frombuffer(alphabet.states.encode(), dtype=np.uint8)]
+    return Alignment(list(sequences),
+                     np.vstack([state_codes[s] for s in sequences.values()]),
+                     alphabet)
 
 
 def synthetic_dataset(

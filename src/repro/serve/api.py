@@ -85,7 +85,11 @@ def spec_from_request(model: object, bootstop: object = None) -> JobSpec:
     fields: Dict[str, object] = {}
     for name, value in model.items():
         if _MODEL_KEYS[name].kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise _bad("model_invalid", f"model field {name!r} is "
+                           "too large for a float") from None
         fields[name] = value
     for required in ("n_inferences", "n_bootstraps", "seed"):
         if required not in fields:

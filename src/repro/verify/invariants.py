@@ -34,7 +34,7 @@ from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from ..phylo.alignment import Alignment, PatternAlignment
+from ..phylo.alignment import Alignment, PatternAlignment, alphabet_for
 from ..phylo.engine import LikelihoodEngine
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import RateModel
@@ -270,11 +270,14 @@ def pattern_compression_invariance(
     """Compressed patterns must score like one weight-1 pattern per site.
 
     Builds an *uncompressed* :class:`PatternAlignment` (every column its
-    own pattern, weight 1, duplicates retained) and compares; a CAT
-    *rate_model* assigns the compressed patterns, and each site takes its
-    pattern's category.  Returns the relative difference.
+    own pattern, weight 1, duplicates retained, in the source's
+    alphabet: the *model*'s state count picks DNA or amino acids) and
+    compares; a CAT *rate_model* assigns the compressed patterns, and
+    each site takes its pattern's category.  Returns the relative
+    difference.
     """
-    alignment = Alignment.from_sequences(sequences)
+    alignment = Alignment.from_sequences(sequences,
+                                         alphabet_for(model.n_states))
     compressed = alignment.compress()
     uncompressed = PatternAlignment(
         taxa=list(alignment.taxa),
@@ -282,6 +285,7 @@ def pattern_compression_invariance(
         weights=np.ones(alignment.n_sites),
         site_to_pattern=np.arange(alignment.n_sites, dtype=np.intp),
         n_sites=alignment.n_sites,
+        alphabet=alignment.alphabet,
     )
     tree = Tree.from_tip_names(compressed.taxa, rng)
     lnl_compressed = _engine_loglik(

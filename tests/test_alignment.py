@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.phylo import Alignment, parse_fasta, parse_phylip
-from repro.phylo.alignment import PatternAlignment, unique_columns
+from repro.phylo import AA, DNA, Alignment, parse_fasta, parse_phylip
+from repro.phylo.alignment import unique_columns
 
 FASTA = """\
 >taxA
@@ -25,8 +25,21 @@ taxC  ACGAACGA
 """
 
 
+#: Every alignment test that is not about one alphabet runs over both;
+#: A, C, G, T and the gap are amino-acid characters too.
+ALPHABETS = (DNA, AA)
+
+
 def seq_dict():
     return {"taxA": "ACGTACGT", "taxB": "ACGTTCGT", "taxC": "ACGAACGA"}
+
+
+@pytest.fixture(scope="module")
+def patterns_per_alphabet(small_alignment):
+    """The conftest's small DNA patterns, and the same sequences read as
+    amino acids."""
+    return [Alignment.from_fasta(small_alignment.to_fasta(), alphabet)
+            .compress() for alphabet in ALPHABETS]
 
 
 class TestParsers:
@@ -91,15 +104,18 @@ class TestAlignment:
             Alignment(["a"], data)
 
     def test_fasta_writer_round_trip(self):
-        aln = Alignment.from_sequences(seq_dict())
-        again = Alignment.from_fasta(aln.to_fasta())
-        assert again.taxa == aln.taxa
-        assert np.array_equal(again.data, aln.data)
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(seq_dict(), alphabet)
+            again = Alignment.from_fasta(aln.to_fasta(), alphabet)
+            assert again.taxa == aln.taxa
+            assert np.array_equal(again.data, aln.data)
+            assert aln.sequence("taxB") == "ACGTTCGT"
 
     def test_phylip_writer_round_trip(self):
-        aln = Alignment.from_sequences(seq_dict())
-        again = Alignment.from_phylip(aln.to_phylip())
-        assert np.array_equal(again.data, aln.data)
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(seq_dict(), alphabet)
+            again = Alignment.from_phylip(aln.to_phylip(), alphabet)
+            assert np.array_equal(again.data, aln.data)
 
     def test_file_io(self, tmp_path):
         path = tmp_path / "test.fasta"
@@ -108,39 +124,50 @@ class TestAlignment:
         assert aln.n_taxa == 3
 
     def test_base_frequencies_sum_to_one(self):
-        aln = Alignment.from_sequences(seq_dict())
-        freqs = aln.base_frequencies()
-        assert freqs.shape == (4,)
-        assert abs(freqs.sum() - 1.0) < 1e-12
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(seq_dict(), alphabet)
+            freqs = aln.base_frequencies()
+            assert freqs.shape == (alphabet.n_states,)
+            assert abs(freqs.sum() - 1.0) < 1e-12
 
     def test_base_frequencies_pure_a(self):
-        aln = Alignment.from_sequences({"a": "AAAA", "b": "AAAA", "c": "AAAA"})
-        assert np.allclose(aln.base_frequencies(), [1.0, 0.0, 0.0, 0.0])
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(
+                {"a": "AAAA", "b": "AAAA", "c": "AAAA"}, alphabet)
+            assert np.allclose(aln.base_frequencies(),
+                               np.eye(alphabet.n_states)[0])
 
     def test_gaps_spread_frequency_mass(self):
-        aln = Alignment.from_sequences({"a": "----", "b": "----", "c": "----"})
-        assert np.allclose(aln.base_frequencies(), [0.25] * 4)
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(
+                {"a": "----", "b": "----", "c": "----"}, alphabet)
+            assert np.allclose(aln.base_frequencies(),
+                               [1.0 / alphabet.n_states] * alphabet.n_states)
 
 
 class TestCompression:
     def test_weights_sum_to_sites(self):
-        pats = Alignment.from_sequences(seq_dict()).compress()
-        assert pats.weights.sum() == 8
+        for alphabet in ALPHABETS:
+            pats = Alignment.from_sequences(seq_dict(), alphabet).compress()
+            assert pats.weights.sum() == 8
+            assert pats.alphabet is alphabet
 
     def test_identical_columns_merge(self):
         # Columns 0-3 repeat as columns 4-7 except where sequences differ.
-        aln = Alignment.from_sequences(
-            {"a": "AAAA", "b": "CCCC", "c": "GGGG"}
-        )
-        pats = aln.compress()
-        assert pats.n_patterns == 1
-        assert pats.weights[0] == 4
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(
+                {"a": "AAAA", "b": "CCCC", "c": "GGGG"}, alphabet
+            )
+            pats = aln.compress()
+            assert pats.n_patterns == 1
+            assert pats.weights[0] == 4
 
     def test_site_to_pattern_reconstructs_columns(self):
-        aln = Alignment.from_sequences(seq_dict())
-        pats = aln.compress()
-        rebuilt = pats.patterns[:, pats.site_to_pattern]
-        assert np.array_equal(rebuilt, aln.data)
+        for alphabet in ALPHABETS:
+            aln = Alignment.from_sequences(seq_dict(), alphabet)
+            pats = aln.compress()
+            rebuilt = pats.patterns[:, pats.site_to_pattern]
+            assert np.array_equal(rebuilt, aln.data)
 
     def test_expand_to_sites(self):
         pats = Alignment.from_sequences(seq_dict()).compress()
@@ -160,20 +187,14 @@ class TestCompression:
         with pytest.raises(ValueError):
             rows1[0, 0] = 9.0
 
-    def test_tip_is_unambiguous(self):
-        aln = Alignment.from_sequences({"a": "ACGT", "b": "ACNT", "c": "ACGT"})
-        pats = aln.compress()
-        assert pats.tip_is_unambiguous(pats.taxon_index("a"))
-        assert not pats.tip_is_unambiguous(pats.taxon_index("b"))
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_compression_preserves_information(self, seed):
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(ALPHABETS))
+    def test_compression_preserves_information(self, seed, alphabet):
         rng = np.random.default_rng(seed)
         n_taxa, n_sites = 4, 30
         data = rng.choice([1, 2, 4, 8, 15], size=(n_taxa, n_sites)).astype(
             np.uint8
         )
-        aln = Alignment([f"t{i}" for i in range(n_taxa)], data)
+        aln = Alignment([f"t{i}" for i in range(n_taxa)], data, alphabet)
         pats = aln.compress()
         assert pats.weights.sum() == n_sites
         assert np.array_equal(pats.patterns[:, pats.site_to_pattern], data)
@@ -225,12 +246,10 @@ class TestUniqueColumns:
         self.check(data)
 
     def test_compress_uses_it_for_dna_and_protein(self):
-        from repro.phylo.protein import ProteinAlignment
-
         rng = np.random.default_rng(1)
         seqs = {f"p{i}": "".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), 60))
                 for i in range(11)}
-        aln = ProteinAlignment.from_sequences(seqs)
+        aln = Alignment.from_sequences(seqs, AA)
         pats = aln.compress()
         patterns, inverse, counts = np.unique(
             aln.data.T, axis=0, return_inverse=True, return_counts=True)
@@ -240,32 +259,40 @@ class TestUniqueColumns:
 
 
 class TestBootstrap:
-    def test_weights_sum_preserved(self, small_patterns, rng):
-        weights = small_patterns.bootstrap_weights(rng)
-        assert weights.sum() == small_patterns.n_sites
+    def test_weights_sum_preserved(self, patterns_per_alphabet, rng):
+        for patterns in patterns_per_alphabet:
+            weights = patterns.bootstrap_weights(rng)
+            assert weights.sum() == patterns.n_sites
 
-    def test_weights_nonnegative_integers(self, small_patterns, rng):
-        weights = small_patterns.bootstrap_weights(rng)
-        assert (weights >= 0).all()
-        assert np.array_equal(weights, np.round(weights))
+    def test_weights_nonnegative_integers(self, patterns_per_alphabet, rng):
+        for patterns in patterns_per_alphabet:
+            weights = patterns.bootstrap_weights(rng)
+            assert (weights >= 0).all()
+            assert np.array_equal(weights, np.round(weights))
 
-    def test_replicates_differ(self, small_patterns):
-        r1 = small_patterns.bootstrap_weights(np.random.default_rng(1))
-        r2 = small_patterns.bootstrap_weights(np.random.default_rng(2))
-        assert not np.array_equal(r1, r2)
+    def test_replicates_differ(self, patterns_per_alphabet):
+        for patterns in patterns_per_alphabet:
+            r1 = patterns.bootstrap_weights(np.random.default_rng(1))
+            r2 = patterns.bootstrap_weights(np.random.default_rng(2))
+            assert not np.array_equal(r1, r2)
 
-    def test_replicate_shares_pattern_matrix(self, small_patterns, rng):
-        rep = small_patterns.bootstrap_replicate(rng)
-        assert rep.patterns is small_patterns.patterns
-        assert rep is not small_patterns
+    def test_replicate_shares_pattern_matrix(self, patterns_per_alphabet, rng):
+        for patterns in patterns_per_alphabet:
+            rep = patterns.bootstrap_replicate(rng)
+            assert rep.patterns is patterns.patterns
+            assert rep.alphabet is patterns.alphabet
+            assert rep._tip_partial_cache is patterns._tip_partial_cache
+            assert rep is not patterns
 
-    def test_with_weights_validates_sum(self, small_patterns):
-        bad = np.ones(small_patterns.n_patterns)
-        with pytest.raises(ValueError, match="sum"):
-            small_patterns.with_weights(bad)
+    def test_with_weights_validates_sum(self, patterns_per_alphabet):
+        for patterns in patterns_per_alphabet:
+            bad = np.ones(patterns.n_patterns)
+            with pytest.raises(ValueError, match="sum"):
+                patterns.with_weights(bad)
 
-    def test_expected_zero_fraction(self, small_patterns):
+    def test_expected_zero_fraction(self, patterns_per_alphabet):
         # Resampling n sites leaves ~1/e of unit-weight patterns unpicked.
-        rng = np.random.default_rng(99)
-        weights = small_patterns.bootstrap_weights(rng)
-        assert (weights == 0).sum() > 0
+        for patterns in patterns_per_alphabet:
+            rng = np.random.default_rng(99)
+            weights = patterns.bootstrap_weights(rng)
+            assert (weights == 0).sum() > 0

@@ -181,7 +181,15 @@ class TestInvalidJob:
         (["cluster", "run", "--journal", "{j}"], ["--categories", "0"],
          "cluster run: job field categories=0"),
         (["infer"], ["--alpha", "-1"], "infer: job field alpha=-1.0"),
-    ], ids=["cluster-run-categories", "infer-alpha"])
+        (["cluster", "run", "--journal", "{j}"],
+         ["--bootstop", "--bootstop-check-every", "0"],
+         "cluster run: bootstop check_every must be >= 1"),
+        (["cluster", "run", "--journal", "{j}"],
+         ["--bootstop", "--bootstop-threshold", "1.5"],
+         "cluster run: bootstop threshold must be in (0, 1)"),
+    ], ids=["cluster-run-categories", "infer-alpha",
+            "cluster-run-bootstop-check-every",
+            "cluster-run-bootstop-threshold"])
     def test_bad_job_flag_exits_2_before_any_journal(
             self, command, flag, message, fasta_path, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given
 
 from repro.phylo import (
+    AA,
+    Alignment,
     GTR,
     HKY85,
     CatRates,
     GammaRates,
     LikelihoodEngine,
     PoissonAA,
-    ProteinAlignment,
     Tree,
 )
 from repro.phylo.search import _apply_spr, _revert_spr, spr_neighborhood
@@ -48,8 +49,8 @@ def _hky_cat(seed):
 
 def _poisson_f(seed):
     # Small: the reference backend's 20-state loops are plain Python.
-    patterns = ProteinAlignment.from_sequences(
-        related_sequences(n_taxa=5, n_sites=8, seed=seed)).compress()
+    patterns = Alignment.from_sequences(
+        related_sequences(n_taxa=5, n_sites=8, seed=seed), AA).compress()
     return (patterns, PoissonAA(tuple(np.linspace(1.0, 3.0, 20))),
             GammaRates(0.8, 2))
 

@@ -22,6 +22,8 @@ from repro.chaos.plan import (
     ENGINE_UNDERFLOW,
 )
 from repro.phylo import (
+    AA,
+    Alignment,
     GTR,
     HKY85,
     JC69,
@@ -29,7 +31,6 @@ from repro.phylo import (
     GammaRates,
     LikelihoodEngine,
     PoissonAA,
-    ProteinAlignment,
     Tree,
     UniformRate,
 )
@@ -63,8 +64,8 @@ def _hky_cat(rng):
 
 def _poisson_aa_gamma4(rng):
     # Small: the reference backend's 20-state loops are plain Python.
-    patterns = ProteinAlignment.from_sequences(related_sequences(
-        n_taxa=6, n_sites=8, seed=int(rng.integers(1 << 16)))).compress()
+    patterns = Alignment.from_sequences(related_sequences(
+        n_taxa=6, n_sites=8, seed=int(rng.integers(1 << 16))), AA).compress()
     return (patterns, PoissonAA(tuple(np.linspace(1.0, 3.0, 20))),
             GammaRates(0.8, 4))
 

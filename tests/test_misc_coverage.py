@@ -8,10 +8,10 @@ import pytest
 from repro.cell import render_timeline
 from repro.harness import get_trace
 from repro.phylo import (
+    AA,
     Alignment,
     GammaRates,
     PoissonAA,
-    ProteinAlignment,
     Tree,
     ascii_tree,
     synthetic_dataset,
@@ -68,8 +68,8 @@ class TestTaskCost:
 
 class TestDrawingVariants:
     def test_ascii_tree_protein(self):
-        aln = ProteinAlignment.from_sequences(
-            {"pA": "ACDEF", "pB": "ACDEG", "pC": "ACDEH", "pD": "ACDEI"}
+        aln = Alignment.from_sequences(
+            {"pA": "ACDEF", "pB": "ACDEG", "pC": "ACDEH", "pD": "ACDEI"}, AA
         )
         pats = aln.compress()
         tree = Tree.from_tip_names(pats.taxa, np.random.default_rng(0))

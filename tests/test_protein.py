@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from repro.phylo import (
+    AA,
     AA_STATES,
+    JC69,
+    Alignment,
     GammaRates,
     LikelihoodEngine,
     PoissonAA,
-    ProteinAlignment,
     SearchConfig,
     Tree,
     UniformRate,
+    create_engine,
     hill_climb,
     protein_model,
 )
-from repro.phylo.protein import (
-    AA_CODE_TABLE,
-    decode_protein,
-    encode_protein,
-)
+from repro.phylo.dna import decode_mask, encode_sequence
+from repro.phylo.protein import AA_CODE_TABLE
 
 
 def related_sequences(n_taxa=6, n_sites=120, seed=0):
@@ -36,19 +36,19 @@ def related_sequences(n_taxa=6, n_sites=120, seed=0):
 
 @pytest.fixture(scope="module")
 def protein_patterns():
-    return ProteinAlignment.from_sequences(related_sequences()).compress()
+    return Alignment.from_sequences(related_sequences(), AA).compress()
 
 
 class TestEncoding:
     def test_round_trip_plain(self):
         text = AA_STATES
-        assert decode_protein(encode_protein(text)) == text
+        assert decode_mask(encode_sequence(text, AA), AA) == text
 
     def test_lowercase_accepted(self):
-        assert decode_protein(encode_protein("arndc")) == "ARNDC"
+        assert decode_mask(encode_sequence("arndc", AA), AA) == "ARNDC"
 
     def test_ambiguity_codes(self):
-        codes = encode_protein("BZJX-")
+        codes = encode_sequence("BZJX-", AA)
         rows = AA_CODE_TABLE[codes]
         assert rows[0].sum() == 2  # B: N or D
         assert rows[1].sum() == 2  # Z: Q or E
@@ -57,13 +57,13 @@ class TestEncoding:
         assert rows[4].sum() == 20  # gap
 
     def test_selenocysteine_folds_to_cysteine(self):
-        u = AA_CODE_TABLE[encode_protein("U")[0]]
-        c = AA_CODE_TABLE[encode_protein("C")[0]]
+        u = AA_CODE_TABLE[encode_sequence("U", AA)[0]]
+        c = AA_CODE_TABLE[encode_sequence("C", AA)[0]]
         assert np.array_equal(u, c)
 
     def test_invalid_character(self):
         with pytest.raises(ValueError, match="invalid amino-acid"):
-            encode_protein("ACDE1")
+            encode_sequence("ACDE1", AA)
 
     def test_code_table_rows_are_indicators(self):
         assert set(np.unique(AA_CODE_TABLE)) == {0.0, 1.0}
@@ -73,12 +73,12 @@ class TestEncoding:
 
 class TestProteinAlignment:
     def test_construction_and_fasta_round_trip(self):
-        aln = ProteinAlignment.from_sequences(related_sequences())
-        again = ProteinAlignment.from_fasta(aln.to_fasta())
+        aln = Alignment.from_sequences(related_sequences(), AA)
+        again = Alignment.from_fasta(aln.to_fasta(), AA)
         assert np.array_equal(aln.data, again.data)
 
     def test_compression_reconstructs(self):
-        aln = ProteinAlignment.from_sequences(related_sequences(seed=3))
+        aln = Alignment.from_sequences(related_sequences(seed=3), AA)
         pats = aln.compress()
         rebuilt = pats.patterns[:, pats.site_to_pattern]
         assert np.array_equal(rebuilt, aln.data)
@@ -94,14 +94,6 @@ class TestProteinAlignment:
         replicate = protein_patterns.bootstrap_replicate(rng)
         assert replicate.weights.sum() == protein_patterns.n_sites
         assert type(replicate) is type(protein_patterns)
-
-    def test_tip_is_unambiguous(self):
-        aln = ProteinAlignment.from_sequences(
-            {"a": "ACDE", "b": "ACDX", "c": "ACDE"}
-        )
-        pats = aln.compress()
-        assert pats.tip_is_unambiguous(pats.taxon_index("a"))
-        assert not pats.tip_is_unambiguous(pats.taxon_index("b"))
 
 
 class TestProteinModels:
@@ -156,8 +148,8 @@ class TestProteinInferencePipeline:
 
     def test_identical_protein_sequences_score_zero(self):
         from repro.phylo import fitch_score
-        aln = ProteinAlignment.from_sequences(
-            {"a": "ACDEF", "b": "ACDEF", "c": "ACDEF"}
+        aln = Alignment.from_sequences(
+            {"a": "ACDEF", "b": "ACDEF", "c": "ACDEF"}, AA
         )
         pats = aln.compress()
         tree = Tree.from_tip_names(pats.taxa, np.random.default_rng(0))
@@ -198,7 +190,7 @@ class TestProteinInferencePipeline:
     def test_cli_aa_flag(self, tmp_path, capsys):
         from repro.phylo.cli import main
 
-        aln = ProteinAlignment.from_sequences(related_sequences(5, 60, 9))
+        aln = Alignment.from_sequences(related_sequences(5, 60, 9), AA)
         path = tmp_path / "protein.fasta"
         path.write_text(aln.to_fasta())
         code = main(["infer", "-s", str(path), "--aa", "--rounds", "1",
@@ -210,6 +202,16 @@ class TestProteinInferencePipeline:
 
 
 class TestProteinLikelihood:
+    def test_engine_refuses_a_model_of_another_state_count(
+            self, protein_patterns):
+        # Refused at construction, naming both sizes, not as a shape
+        # error inside the first kernel.
+        tree = Tree.from_tip_names(
+            protein_patterns.taxa, np.random.default_rng(1)
+        )
+        with pytest.raises(ValueError, match="4-state model .* 20-state"):
+            create_engine(protein_patterns, JC69(), UniformRate(), tree)
+
     def test_branch_invariance(self, protein_patterns):
         model = PoissonAA(protein_patterns.base_frequencies())
         tree = Tree.from_tip_names(
@@ -228,8 +230,8 @@ class TestProteinLikelihood:
 
         from repro.phylo.tree import Tree as _Tree
 
-        aln = ProteinAlignment.from_sequences(
-            {"a": "AAAC", "b": "AAAD"}
+        aln = Alignment.from_sequences(
+            {"a": "AAAC", "b": "AAAD"}, AA
         )
         pats = aln.compress()
         t = 0.3

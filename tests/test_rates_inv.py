@@ -6,11 +6,11 @@ import pytest
 
 from repro.cell import Get, SimulationError, Simulator, Timeout
 from repro.phylo import (
+    AA,
     GammaInvRates,
     GammaRates,
     LikelihoodEngine,
     PoissonAA,
-    ProteinAlignment,
     Tree,
     default_gtr,
     evolve_alignment,
@@ -103,7 +103,7 @@ class TestProteinSimulation:
         aln = evolve_alignment(tree, PoissonAA(), 150,
                                np.random.default_rng(4),
                                gamma_alpha=None, invariant_fraction=0.0)
-        assert isinstance(aln, ProteinAlignment)
+        assert aln.alphabet is AA
         assert aln.n_taxa == 6
         assert aln.n_sites == 150
 

@@ -196,7 +196,7 @@ def _pin_searches():
     """The pinned searches, by name: ``search_sc``'s three (12 × 3,000,
     207 patterns), one bootstrap replicate (zero-weight patterns), one
     CAT search and one 20-state search."""
-    from repro.phylo import HKY85, CatRates, ProteinAlignment
+    from repro.phylo import AA, HKY85, Alignment, CatRates
     from repro.phylo.inference import bootstrap_analysis, infer_tree
     from tests.test_protein import related_sequences
 
@@ -218,8 +218,8 @@ def _pin_searches():
                           rate_model=CatRates(rates, n_categories=3), seed=1)
 
     def protein():
-        patterns = ProteinAlignment.from_sequences(
-            related_sequences(n_taxa=7, n_sites=80, seed=2)).compress()
+        patterns = Alignment.from_sequences(
+            related_sequences(n_taxa=7, n_sites=80, seed=2), AA).compress()
         return infer_tree(patterns, rate_model=GammaRates(0.8, 4), seed=0)
 
     return {

@@ -61,6 +61,9 @@ class TestParseSubmission:
         (body(client=""), "client_invalid"),
         (body(bootstop="yes"), "bootstop_invalid"),
         (body(bootstop={"check_every": 0}), "bootstop_invalid"),
+        (b'{"alignment": ">a\\nACGT\\n", "model": {"n_inferences": 1, '
+         b'"n_bootstraps": 0, "seed": 1, "alpha": 1' + b"0" * 400 + b"}}",
+         "model_invalid"),
     ])
     def test_rejections_carry_stable_codes(self, raw, code):
         with pytest.raises(ApiError) as excinfo:

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro.chaos import FaultPlan, FaultSpec, inject
 from repro.chaos.plan import ENGINE_CLV_POISON
 from repro.phylo import (
+    AA,
+    Alignment,
     GTR,
     HKY85,
     JC69,
@@ -24,7 +26,6 @@ from repro.phylo import (
     GammaRates,
     LikelihoodEngine,
     PoissonAA,
-    ProteinAlignment,
     Tree,
     UniformRate,
     default_gtr,
@@ -528,8 +529,8 @@ class TestEngineProbe:
             oracle.detach()
 
     def test_protein_makenewz_matches_oracle(self):
-        patterns = ProteinAlignment.from_sequences(
-            related_sequences(n_taxa=5, n_sites=40)).compress()
+        patterns = Alignment.from_sequences(
+            related_sequences(n_taxa=5, n_sites=40), AA).compress()
         model = PoissonAA(patterns.base_frequencies())
         newick = Tree.from_tip_names(
             patterns.taxa, np.random.default_rng(2)).to_newick(digits=17)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.phylo import GammaRates, JC69, LikelihoodEngine, Tree, UniformRate
+from repro.phylo import (GammaRates, JC69, LikelihoodEngine, PoissonAA, Tree,
+                         UniformRate)
 from repro.phylo.alignment import PatternAlignment
 from repro.phylo.models import GTR
 from repro.verify import (
@@ -80,10 +81,13 @@ def test_taxon_permutation_within_roundoff(seed):
 
 @pytest.mark.parametrize("seed", [8, 9])
 def test_pattern_compression_matches_per_site(seed):
-    sequences, rng = _fixture(seed)
-    assert pattern_compression_invariance(
-        sequences, MODEL, UniformRate(), rng
-    ) < 1e-12
+    # The model's state count picks the alphabet: the DNA characters,
+    # then the same characters read as amino acids.
+    for model in (MODEL, PoissonAA()):
+        sequences, rng = _fixture(seed)
+        assert pattern_compression_invariance(
+            sequences, model, UniformRate(), rng
+        ) < 1e-12
 
 
 #: Backend sweep for the metamorphic checks (see test_engine_backends.py
