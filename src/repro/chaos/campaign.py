@@ -454,7 +454,8 @@ def _serve_drive(job: CampaignJob, run: SeedRun):
     process dying; we discard the service object (its scheduler state
     dies with it) and build a fresh one over the same store root, whose
     :meth:`~repro.serve.jobstore.JobService.recover` re-enqueues the
-    orphaned job.  Returns ``(result payload, final service)``.
+    orphaned job.  Returns ``(result payload, final service)``: its
+    workers are gone, its store is open, and the caller closes it.
     """
     from ..serve.jobstore import JobService
 
@@ -473,29 +474,33 @@ def _serve_drive(job: CampaignJob, run: SeedRun):
                 if run.resumes >= MAX_RECOVERIES:
                     raise
                 run.resumes += 1
-                service.close()  # the dead server's workers die with it
+                # The dead server's workers and open record log go with it.
+                service.close()
                 service = JobService(run.rundir, n_workers=job.n_workers,
                                      cluster=cfg, clock=_make_clock())
                 service.recover()
                 continue
             if done is None or done.job_id == record.job_id:
                 break
-    finally:
-        # The resident workers go; store, cache and scheduler views of
-        # the returned service stay usable.
+        result = service.result(record.job_id)
+        if result is None:
+            record = service.store.get(record.job_id)
+            raise RuntimeError(
+                f"job finished without a result: state={record.state} "
+                f"error={record.error}"
+            )
+    except BaseException:
         service.close()
-    result = service.result(record.job_id)
-    if result is None:
-        record = service.store.get(record.job_id)
-        raise RuntimeError(
-            f"job finished without a result: state={record.state} "
-            f"error={record.error}"
-        )
+        raise
+    # The resident workers go; store, cache and scheduler views of the
+    # returned service stay usable until the caller closes it.
+    service.pool.close()
     return result, service
 
 
 def _serve_baseline(job: CampaignJob, run: SeedRun) -> Baseline:
-    result, _service = _serve_drive(job, run)
+    result, service = _serve_drive(job, run)
+    service.close()
     return Baseline(result["best_log_likelihood"], _canonical_result(result))
 
 
@@ -506,7 +511,11 @@ def _serve_verdict(job, outcome, baseline: Baseline, run: SeedRun
     resubmission is a hit and schedules no new run."""
     result, service = outcome
     runs_before = service.store.runs_executed
-    _record, hit = service.submit(job.fasta, job.spec, client="campaign-dup")
+    try:
+        _record, hit = service.submit(job.fasta, job.spec,
+                                      client="campaign-dup")
+    finally:
+        service.close()
     cache_ok = hit and service.store.runs_executed == runs_before
     if not cache_ok:
         run.observed["cache_miss_on_dup"] = 1

@@ -19,7 +19,7 @@ multigrain scheduler when workers go idle (the LLP grain) - see
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..phylo.inference import MODEL_NAMES
@@ -157,7 +157,15 @@ class JobSpec:
                                f"{self.model_name!r}, need default with aa")
 
     def to_json(self) -> Dict[str, object]:
-        return asdict(self)  # config and bootstop become dicts too
+        # What dataclasses.asdict gives, key order too, without its
+        # recursive deep copy: every field is a scalar or one of two
+        # flat dataclasses of scalars.  Runs twice per cache hit (the
+        # digest and the record save).
+        return {**vars(self),
+                "config": None if self.config is None
+                else dict(vars(self.config)),
+                "bootstop": None if self.bootstop is None
+                else self.bootstop.to_json()}
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobSpec":

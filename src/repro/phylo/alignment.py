@@ -164,7 +164,7 @@ class Alignment:
             )
         if len(set(self.taxa)) != len(self.taxa):
             raise ValueError("duplicate taxon names")
-        if self.data.size and self.alphabet.invalid(self.data).any():
+        if not self.alphabet.valid(self.data):
             raise ValueError("alignment contains invalid state masks")
 
     # -- constructors -----------------------------------------------------
@@ -172,10 +172,17 @@ class Alignment:
     @classmethod
     def from_sequences(cls, named_sequences: Dict[str, str],
                        alphabet: Alphabet = DNA) -> "Alignment":
-        """Build an alignment from a ``{name: sequence}`` mapping."""
-        taxa = list(named_sequences)
-        return cls(taxa, mask_matrix(named_sequences.values(), alphabet),
-                   alphabet)
+        """Build an alignment from a ``{name: sequence}`` mapping.
+
+        :func:`~repro.phylo.dna.mask_matrix` checks every code once and
+        a mapping's names are unique, so the constructor's checks,
+        which would repeat that pass, are not run.
+        """
+        alignment = cls.__new__(cls)
+        alignment.taxa = list(named_sequences)
+        alignment.data = mask_matrix(named_sequences.values(), alphabet)
+        alignment.alphabet = alphabet
+        return alignment
 
     @classmethod
     def from_fasta(cls, source: Union[str, os.PathLike],

@@ -35,7 +35,8 @@ __all__ = [
     "neighbor_joining",
 ]
 
-#: Distance assigned to saturated pairs (p-distance >= 3/4).
+#: Distance assigned to saturated pairs (p-distance >= (n-1)/n, 3/4
+#: for DNA).
 SATURATION_DISTANCE = 5.0
 
 
@@ -45,25 +46,31 @@ def _pair_stats(patterns: PatternAlignment, i: int, j: int
 
     Sites where either sequence is ambiguous in a way that overlaps the
     other's state set are counted as matches (conservative, standard).
+    Overlap is tested on the alphabet's state-set bitmasks (for DNA the
+    codes themselves; amino-acid codes are table indices).
     """
-    a = patterns.patterns[i]
-    b = patterns.patterns[j]
+    bitmasks = patterns.alphabet.bitmasks
+    a = bitmasks[patterns.patterns[i]]
+    b = bitmasks[patterns.patterns[j]]
     mismatch = (a & b) == 0
     weights = patterns.weights
     return float(weights[mismatch].sum()), float(weights.sum())
 
 
 def jc69_distance(patterns: PatternAlignment, i: int, j: int) -> float:
-    """Jukes-Cantor distance: ``-3/4 ln(1 - 4p/3)`` on the p-distance."""
+    """Jukes-Cantor distance over the alignment's ``n`` states:
+    ``-(n-1)/n ln(1 - n p/(n-1))`` on the p-distance (``-3/4 ln(1 -
+    4p/3)`` for DNA)."""
     mismatches, total = _pair_stats(patterns, i, j)
     if total == 0:
         raise ValueError("no comparable sites")
+    n = patterns.alphabet.n_states
     p = mismatches / total
-    if p >= 0.75:
+    if p >= (n - 1) / n:
         return SATURATION_DISTANCE
     if p == 0.0:
         return 0.0
-    return -0.75 * math.log(1.0 - 4.0 * p / 3.0)
+    return -(n - 1) / n * math.log(1.0 - n * p / (n - 1))
 
 
 def ml_distance(

@@ -19,6 +19,7 @@ over the four states.  The amino-acid alphabet lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 
@@ -49,7 +50,8 @@ class Alphabet:
 
     The valid codes are one range: from the first non-zero row of
     ``code_table`` (DNA's mask 0 is an all-zero row before it) to the
-    end of the table, so checking a code matrix is two comparisons.
+    end of the table, so checking a code matrix is one unsigned range
+    test (:meth:`valid`).
     """
 
     states: str
@@ -72,10 +74,13 @@ class Alphabet:
     def n_states(self) -> int:
         return len(self.states)
 
-    def invalid(self, codes: np.ndarray) -> np.ndarray:
-        """Boolean mask of the entries of a uint8 *codes* array that
-        are not codes of this alphabet."""
-        return (codes < self._first) | (codes >= len(self.code_table))
+    def valid(self, codes: np.ndarray) -> bool:
+        """Whether every entry of a uint8 *codes* array is a code of
+        this alphabet: one range test over the whole array, in which a
+        code below the first valid one wraps around to the top."""
+        return codes.size == 0 or int(
+            (codes - np.uint8(self._first)).max()
+        ) < len(self.code_table) - self._first
 
 
 #: Canonical state order.  Index ``i`` of every likelihood vector refers to
@@ -150,16 +155,20 @@ def encode_sequence(sequence: str, alphabet: Alphabet = DNA) -> np.ndarray:
     Raises ``ValueError`` naming the offenders if the sequence contains
     a character the alphabet has no code for.
     """
-    if not sequence.isascii():
-        bad = sorted({ch for ch in sequence if not ch.isascii()})
-        raise ValueError(f"invalid {alphabet.noun} characters: {bad!r}")
-    raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
-    codes = alphabet.encode_table[raw]
-    invalid = alphabet.invalid(codes)
-    if invalid.any():
-        bad = sorted({sequence[i] for i in np.flatnonzero(invalid)})
-        raise ValueError(f"invalid {alphabet.noun} characters: {bad!r}")
-    return codes
+    return mask_matrix([sequence], alphabet)[0]
+
+
+def _raise_invalid(rows: List[str], alphabet: Alphabet) -> None:
+    """Raise the ``ValueError`` naming the first offending row's bad
+    characters (its non-ASCII ones, else those with no code)."""
+    for row in rows:
+        if not row.isascii():
+            bad = sorted({ch for ch in row if not ch.isascii()})
+        else:
+            bad = sorted(ch for ch in set(row) if not alphabet.valid(
+                alphabet.encode_table[[ord(ch)]]))
+        if bad:
+            raise ValueError(f"invalid {alphabet.noun} characters: {bad!r}")
 
 
 def decode_mask(masks: np.ndarray, alphabet: Alphabet = DNA) -> str:
@@ -174,9 +183,18 @@ def decode_mask(masks: np.ndarray, alphabet: Alphabet = DNA) -> str:
 def mask_matrix(sequences, alphabet: Alphabet = DNA) -> np.ndarray:
     """Encode an iterable of equal-length strings as a 2-D code matrix.
 
-    Returns an array of shape ``(n_sequences, n_sites)``.
+    Returns an array of shape ``(n_sequences, n_sites)``.  The rows are
+    encoded together and checked once; only a matrix that fails is
+    searched row by row for the characters to name.
     """
-    rows = [encode_sequence(s, alphabet) for s in sequences]
+    rows = list(sequences)
+    text = "".join(rows)
+    if not text.isascii():
+        _raise_invalid(rows, alphabet)
+    codes = alphabet.encode_table[np.frombuffer(text.encode("ascii"),
+                                                dtype=np.uint8)]
+    if not alphabet.valid(codes):
+        _raise_invalid(rows, alphabet)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("sequences have unequal lengths")
-    return np.vstack(rows) if rows else np.zeros((0, 0), dtype=np.uint8)
+    return codes.reshape(len(rows), len(rows[0]) if rows else 0)

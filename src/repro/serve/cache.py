@@ -9,7 +9,10 @@ return instantly without scheduling a single cluster task.
 
 The canonicalizer is the pattern-compression step the engine already
 runs (:meth:`repro.phylo.alignment.Alignment.compress`), pushed to its
-identity-free fixed point:
+identity-free fixed point.  It reads a parsed alignment or its
+compressed patterns alike (both hold the same set of distinct
+columns), so a submission is digested before, and on a cache hit
+without, being compressed:
 
 * taxa are sorted by name (row order in the submitted file is
   presentation, not content);
@@ -39,13 +42,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..cluster.checkpoint import atomic_write
 from ..cluster.jobs import JobSpec
-from ..phylo.alignment import PatternAlignment, unique_columns
+from ..phylo.alignment import Alignment, PatternAlignment, unique_columns
 
 __all__ = [
     "canonical_alignment_key",
@@ -62,32 +65,38 @@ __all__ = [
 _EXECUTION_ONLY_FIELDS = ("alignment_path", "batch_size", "deadline_s")
 
 
-def canonical_alignment_key(patterns: PatternAlignment) -> bytes:
+def canonical_alignment_key(
+        alignment: Union[Alignment, PatternAlignment]) -> bytes:
     """Canonical bytes for an alignment's identity-free content.
 
     Taxon order, site order, and site multiplicity are all normalized
     away; what remains is the sorted taxon list plus the sorted set of
     distinct pattern columns — the content that determines which trees
-    the search space contains.
+    the search space contains.  An :class:`Alignment` and its
+    :meth:`~Alignment.compress` give the same bytes.
     """
-    order = np.argsort(np.array(patterns.taxa))
-    rows = patterns.patterns[order]  # (n_taxa, n_patterns), sorted taxa
+    codes = (alignment.patterns if isinstance(alignment, PatternAlignment)
+             else alignment.data)
+    order = np.argsort(np.array(alignment.taxa))
+    rows = codes[order]  # (n_taxa, n_columns), sorted taxa
     # Distinct columns, lexicographically sorted under the canonical
     # taxon order (one pass sorts and dedups).
     columns = np.ascontiguousarray(unique_columns(rows)[0].T)
-    taxa = sorted(patterns.taxa)
+    taxa = sorted(alignment.taxa)
     header = f"{len(taxa)}:{columns.shape[0]}:".encode()
     names = "\x00".join(taxa).encode()
     return header + names + b"\x00" + columns.tobytes()
 
 
-def job_digest(patterns: PatternAlignment, spec: JobSpec) -> str:
-    """The content address of one job's result (hex SHA-256)."""
+def job_digest(alignment: Union[Alignment, PatternAlignment],
+               spec: JobSpec) -> str:
+    """The content address of one job's result (hex SHA-256), from the
+    parsed alignment or its compressed patterns."""
     spec_payload = spec.to_json()
     for field in _EXECUTION_ONLY_FIELDS:
         spec_payload.pop(field, None)
     digest = hashlib.sha256()
-    digest.update(canonical_alignment_key(patterns))
+    digest.update(canonical_alignment_key(alignment))
     digest.update(b"\x00")
     digest.update(json.dumps(spec_payload, sort_keys=True).encode())
     return digest.hexdigest()

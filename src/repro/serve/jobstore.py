@@ -1,10 +1,11 @@
 """Durable job records and the synchronous service core.
 
-The store is the crash-safe half of the service: every job record is a
-single JSON file written atomically, alignments are stored
-content-addressed (one copy no matter how many clients submit the same
-data), and each job's cluster journal lives under a stable path derived
-from the job id.  A server killed at *any* point — the
+The store is the crash-safe half of the service: every job record is
+appended to one CRC-framed record log and fsynced before the save
+returns, alignments are stored content-addressed (one copy no matter
+how many clients submit the same data), and each job's cluster journal
+lives under a stable path derived from the job id.  A server killed at
+*any* point — the
 ``serve.server_kill`` chaos site fires between two journal appends of a
 running job — restarts by re-enqueueing its ``queued``/``running``
 records and resuming their journals, and the cluster's bit-identical
@@ -19,15 +20,25 @@ chaos campaign drive it directly.
 
 from __future__ import annotations
 
+import array
 import json
+import logging
 import os
+import shutil
+import threading
 import time
-from dataclasses import asdict, dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chaos import injector as _chaos
 from ..chaos.plan import SERVE_SERVER_KILL
-from ..cluster.checkpoint import atomic_write, replay
+from ..cluster.checkpoint import (
+    atomic_write,
+    decode_record,
+    encode_record,
+    replay,
+)
 from ..cluster.jobs import JobSpec, JobSpecError
 from ..cluster.pool import WorkerPool
 from ..cluster.queue import ClusterConfig
@@ -56,21 +67,25 @@ __all__ = [
     "result_payload",
 ]
 
+logger = logging.getLogger(__name__)
+
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
 
+#: Bytes a record read asks for first; a longer record reads on.
+_READ_BYTES = 2048
+
 
 def digest_of(alignment_text: str, spec: JobSpec) -> str:
     """The content-addressed digest of a submission (parses once)."""
-    patterns = load_alignment_text(alignment_text, aa=spec.aa).compress()
-    return job_digest(patterns, spec)
+    return job_digest(load_alignment_text(alignment_text, aa=spec.aa), spec)
 
 
 @dataclass
 class JobRecord:
-    """One submission's durable state (a single atomic JSON file)."""
+    """One submission's durable state (one line of the record log)."""
 
     job_id: str
     client: str
@@ -87,7 +102,10 @@ class JobRecord:
     degraded: bool = False
 
     def to_json(self) -> Dict[str, object]:
-        return asdict(self)  # the spec as JobSpec.to_json gives it
+        # The fields in declaration order, the spec as JobSpec.to_json
+        # gives it: what dataclasses.asdict gave, without deep-copying.
+        return {**vars(self),
+                "spec": None if self.spec is None else self.spec.to_json()}
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobRecord":
@@ -139,25 +157,62 @@ def result_payload(digest: str, spec: JobSpec, journal_path: str
     }
 
 
+def _recovery_order(submitted_seq: int, job_id: str) -> Tuple[int, str]:
+    """Submission order, then the file name order of the older
+    one-file-per-record layout: the order :meth:`JobService.recover`
+    re-enqueues in."""
+    return submitted_seq, f"{job_id}.json"
+
+
+def _seq_of(job_id: str) -> int:
+    """The submission number a job id carries (``j000042-...`` -> 42),
+    or -1 for an id of another form."""
+    head, dash, _ = job_id.partition("-")
+    number = head[1:]
+    if dash and head[:1] == "j" and number.isascii() and number.isdigit():
+        return int(number)
+    return -1
+
+
 class JobStore:
-    """Filesystem layout + atomic persistence of the service state.
+    """Filesystem layout + durable persistence of the service state.
 
     ::
 
         root/
           cache/<digest>.json        # content-addressed results
           alignments/<digest>.txt    # content-addressed submissions
-          jobs/<job_id>.json         # one record per submission
+          jobs.log                   # every record save, appended
           journals/<job_id>.jsonl    # the job's cluster run journal
+
+    ``jobs.log`` holds one CRC-framed line
+    (:func:`~repro.cluster.checkpoint.encode_record`) per save.
+    :meth:`save` appends it and fsyncs under a lock before returning,
+    so a state transition is durable before anyone can observe it.
+    :meth:`get` reads a job's newest line with ``os.pread`` through an
+    offset index — the event loop and the executor threads read at
+    once, so there is no shared file position and no lock.  The index
+    is an array over the submission number each job id carries; an id
+    that names no free slot of it (only a hand-made record can) goes
+    to a small side table.
+
+    Opening the store replays the log: a torn tail (or any line that
+    fails its CRC) is skipped with a warning, the last line of each
+    job wins, and the log is rewritten compacted with
+    :func:`~repro.cluster.checkpoint.atomic_write`.  A root an older
+    version wrote, one file per record under ``jobs/``, is migrated
+    into the log once and its ``jobs/`` removed.  :meth:`close` closes
+    the log: a store that a restarted service has replaced must not
+    append to it.
     """
 
     def __init__(self, root: str, clock: Optional[Callable[[], float]] = None):
         self.root = os.fspath(root)
         self._clock = clock if clock is not None else time.time
-        self.jobs_dir = os.path.join(self.root, "jobs")
+        self.log_path = os.path.join(self.root, "jobs.log")
         self.journals_dir = os.path.join(self.root, "journals")
         self.alignments_dir = os.path.join(self.root, "alignments")
-        for path in (self.jobs_dir, self.journals_dir, self.alignments_dir):
+        for path in (self.journals_dir, self.alignments_dir):
             os.makedirs(path, exist_ok=True)
         self.cache = ResultCache(os.path.join(self.root, "cache"))
         self.runs_executed = 0
@@ -168,14 +223,96 @@ class JobStore:
         self.engine_counters: Dict[str, int] = {
             "fault_recoveries": 0, "degraded_evaluations": 0,
         }
+        self._lock = threading.Lock()
+        #: submission number -> offset of the job's newest line (-1: none)
+        self._offsets = array.array("q")
+        #: job id -> offset, for the ids no slot of ``_offsets`` names
+        self._other: Dict[str, int] = {}
+        self._open_log()
+
+    # -- the record log -----------------------------------------------------
+
+    def _open_log(self) -> None:
+        """Replay, migrate and compact the log, then open it to append."""
+        newest: Dict[str, Tuple[Dict[str, object], str]] = {}
+        try:
+            with open(self.log_path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
+            lines = []
+        for line_no, line in enumerate(lines, 1):
+            if not line:
+                continue
+            try:
+                text = line.decode("ascii")
+                payload = decode_record(text)
+            except ValueError as exc:  # a torn tail or a damaged line
+                logger.warning("%s line %d: skipped (%s)", self.log_path,
+                               line_no, exc)
+                continue
+            newest[payload["job_id"]] = payload, text
+        legacy = os.path.join(self.root, "jobs")
+        if os.path.isdir(legacy):
+            for name in sorted(os.listdir(legacy)):
+                if name.endswith(".json"):
+                    with open(os.path.join(legacy, name)) as fh:
+                        payload = json.load(fh)
+                    # A record the log holds was saved after this file.
+                    newest.setdefault(payload["job_id"],
+                                      (payload, encode_record(payload)))
+        kept = sorted(newest.values(), key=lambda item: _recovery_order(
+            item[0]["submitted_seq"], item[0]["job_id"]))
         self._next_seq = 1 + max(
-            (r.submitted_seq for r in self.load_all()), default=0
-        )
+            (payload["submitted_seq"] for payload, _ in kept), default=0)
+        atomic_write(self.log_path, "".join(f"{text}\n" for _, text in kept))
+        if os.path.isdir(legacy):
+            shutil.rmtree(legacy)
+        self._fd = os.open(self.log_path, os.O_RDWR | os.O_APPEND)
+        # Backstop for a store dropped without close(); runs at most once.
+        self._close_fd = weakref.finalize(self, os.close, self._fd)
+        self._end = 0
+        for payload, text in kept:
+            self._place(payload["job_id"], self._end)
+            self._end += len(text) + 1
+
+    def _place(self, job_id: str, offset: int) -> None:
+        """Point the index at *job_id*'s line at *offset* (under the
+        lock, or before the store is shared)."""
+        if job_id not in self._other:
+            seq = _seq_of(job_id)
+            if 0 < seq <= self._next_seq:
+                offsets = self._offsets
+                if seq >= len(offsets):
+                    offsets.extend([-1] * (seq + 1 - len(offsets)))
+                held = offsets[seq]
+                if held < 0 or self._read(held)["job_id"] == job_id:
+                    offsets[seq] = offset
+                    return
+        self._other[job_id] = offset
+
+    def _read(self, offset: int) -> Dict[str, object]:
+        """The record of the line at *offset*, CRC-checked."""
+        if self._fd < 0:
+            raise ValueError(f"the job store at {self.root} is closed")
+        size = _READ_BYTES
+        while True:
+            chunk = os.pread(self._fd, size, offset)
+            end = chunk.find(b"\n")
+            if end >= 0:
+                return decode_record(chunk[:end].decode("ascii"))
+            if len(chunk) < size:
+                raise ValueError(f"{self.log_path}: no record ends after "
+                                 f"offset {offset}")
+            size *= 2
+
+    def close(self) -> None:
+        """Close the record log (idempotent); reads and saves after it
+        raise ``ValueError``."""
+        with self._lock:
+            self._close_fd()
+            self._fd = -1
 
     # -- records ------------------------------------------------------------
-
-    def record_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def journal_path(self, job_id: str) -> str:
         return os.path.join(self.journals_dir, f"{job_id}.jsonl")
@@ -184,29 +321,50 @@ class JobStore:
         return os.path.join(self.alignments_dir, f"{digest}.txt")
 
     def save(self, record: JobRecord) -> None:
+        """Append *record* to the log; durable (written and fsynced)
+        before this returns, and only then visible to :meth:`get`."""
         record.updated = self._clock()
-        atomic_write(self.record_path(record.job_id),
-                     json.dumps(record.to_json(), sort_keys=True) + "\n")
+        line = f"{encode_record(record.to_json())}\n".encode("ascii")
+        with self._lock:
+            if self._fd < 0:
+                raise ValueError(f"the job store at {self.root} is closed")
+            try:
+                written = 0
+                while written < len(line):
+                    written += os.write(self._fd, line[written:])
+                os.fsync(self._fd)
+            except BaseException:
+                # Cut a partial line off, so the next append starts a
+                # line of its own; the log keeps the record's last
+                # durable state.
+                try:
+                    os.ftruncate(self._fd, self._end)
+                except OSError:
+                    pass
+                raise
+            self._place(record.job_id, self._end)
+            self._end += len(line)
 
     def get(self, job_id: str) -> Optional[JobRecord]:
-        try:
-            with open(self.record_path(job_id)) as fh:
-                return JobRecord.from_json(json.load(fh))
-        except FileNotFoundError:
+        offset = self._other.get(job_id)
+        if offset is None:
+            seq = _seq_of(job_id)
+            offsets = self._offsets
+            offset = offsets[seq] if 0 < seq < len(offsets) else -1
+        if offset < 0:
             return None
+        payload = self._read(offset)
+        if payload["job_id"] != job_id:  # the slot holds another id
+            return None
+        return JobRecord.from_json(payload)
 
     def load_all(self) -> List[JobRecord]:
-        records = []
-        try:
-            names = sorted(os.listdir(self.jobs_dir))
-        except FileNotFoundError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(self.jobs_dir, name)) as fh:
-                records.append(JobRecord.from_json(json.load(fh)))
-        records.sort(key=lambda r: r.submitted_seq)
+        """Every job's newest record, in recovery order."""
+        offsets = [offset for offset in self._offsets if offset >= 0]
+        offsets.extend(self._other.values())
+        records = [JobRecord.from_json(self._read(offset))
+                   for offset in offsets]
+        records.sort(key=lambda r: _recovery_order(r.submitted_seq, r.job_id))
         return records
 
     # -- submission ---------------------------------------------------------
@@ -402,12 +560,14 @@ class JobService:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Terminate and join the parked workers (idempotent).
+        """Terminate and join the parked workers and close the record
+        log (idempotent).
 
-        Call it when done with the service — the pool's finalizer only
-        backstops a service that is dropped without it.
+        Call it when done with the service — the pool's and the log's
+        finalizers only backstop a service that is dropped without it.
         """
         self.pool.close()
+        self.store.close()
 
     def recover(self) -> List[JobRecord]:
         """Re-enqueue journalled work after a restart.
@@ -449,10 +609,12 @@ class JobService:
         """
         if self.draining:
             raise DrainingError()
-        patterns = load_alignment_text(alignment_text, aa=spec.aa).compress()
-        digest = job_digest(patterns, spec)
+        # The digest reads the parsed alignment; only a miss compresses
+        # it, for the preflight's pattern count.
+        alignment = load_alignment_text(alignment_text, aa=spec.aa)
+        digest = job_digest(alignment, spec)
         if not self.store.cache.contains(digest):
-            preflight(patterns, spec, self.max_job_memory_mb,
+            preflight(alignment.compress(), spec, self.max_job_memory_mb,
                       n_workers=self.n_workers)
             self.scheduler.check_capacity(client)
         record, hit = self.store.submit(alignment_text, spec, client,

@@ -50,6 +50,29 @@ class TestJC69Distance:
         pats = patterns_of({"a": "ACGTTGCA", "b": "ACCTTGAA", "c": "ACGTAGCA"})
         assert jc69_distance(pats, 0, 1) == jc69_distance(pats, 1, 0)
 
+    def test_amino_acid_codes_are_compared_as_state_sets(self):
+        # R and D share no state, but their table indices (1 and 3)
+        # share a bit: comparing raw codes called them a match.
+        from repro.phylo.protein import AA
+
+        pats = Alignment.from_sequences(
+            {"a": "RRRR", "b": "DDDD", "c": "RRRR"}, AA).compress()
+        assert jc69_distance(pats, 0, 1) == 5.0  # saturated, not 0.0
+        assert jc69_distance(pats, 0, 2) == 0.0
+
+    def test_amino_acid_uses_the_twenty_state_formula(self):
+        from repro.phylo.protein import AA
+
+        # One mismatch in ten sites; B (D or N) overlaps N and X any.
+        pats = Alignment.from_sequences(
+            {"a": "ARNDCQEGHB", "b": "ARNDCQEGHN", "c": "XRNDCQEGHW",
+             "d": "WRNDCQEGHN"}, AA).compress()
+        assert jc69_distance(pats, 0, 1) == 0.0
+        assert jc69_distance(pats, 1, 2) == pytest.approx(
+            -19 / 20 * math.log(1 - 20 * 0.1 / 19))
+        assert jc69_distance(pats, 1, 3) == pytest.approx(
+            -19 / 20 * math.log(1 - 20 * 0.1 / 19))
+
 
 class TestMLDistance:
     def test_matches_jc_under_jc_model(self):
