@@ -24,10 +24,12 @@ site                         meaning
 ``cluster.worker_crash_ack`` worker calls ``os._exit`` after streaming every
                              replicate but before the task-finished ack
 ``cluster.worker_hang``      worker stops heartbeating and sleeps forever
-``cluster.journal_torn``     journal append writes a truncated record, then
-                             the writing process dies (typed
+``cluster.journal_torn``     any record-log append (run journal or
+                             ``jobs.log``) writes half its line, then the
+                             writing process dies (typed
                              :class:`~repro.chaos.injector.InjectedCrash`)
-``cluster.journal_oserror``  transient ``OSError`` on journal append
+``cluster.journal_oserror``  transient ``OSError`` on any record-log append
+                             (run journal or ``jobs.log``)
 ``cluster.checkpoint_torn``  atomic checkpoint write dies after writing part
                              of the *temp* file (the target must stay intact)
 ``serve.server_kill``        the serving process dies between two journal

@@ -8,27 +8,22 @@ uninterrupted run *bit-identically*: floats survive the JSON round trip
 exactly (``repr`` shortest round-trip), and Newick strings are stored
 verbatim.
 
-Durability (hardened by the chaos campaign, DESIGN.md §11):
+Durability: the journal is a :class:`RecordLog`, as is the job store's
+``jobs.log``; DESIGN.md §11.4 states their rules in one table.  Every
+record carries a CRC32 of its own serialization (the ``crc`` field,
+computed over the record *without* it) and is fsynced before its
+append returns.  :func:`replay` skips any record that fails to parse,
+fails its CRC, or carries a malformed result payload — anywhere in the
+file, not just a torn tail — counting it in
+:attr:`JournalState.corrupt_records` with a warning, so resume
+recomputes the lost work instead of trusting a damaged line.
 
-* Every record carries a CRC32 of its own serialization (the ``crc``
-  field, computed over the record *without* it).  :func:`replay` skips
-  any record that fails to parse, fails its CRC, or carries a malformed
-  result payload — anywhere in the file, not just a torn tail — counting
-  it in :attr:`JournalState.corrupt_records` with a warning, so resume
-  recomputes the lost work instead of trusting a damaged line.
-* Opening a journal for append first repairs a torn tail: if the file
-  does not end in a newline (the writer died mid-``write``), one is
-  added so the torn record stays an isolated corrupt line instead of
-  splicing itself onto the first record of the resumed run.
-* Appends retry transient ``OSError`` a bounded number of times before
-  surfacing the typed :class:`JournalWriteError`.
-* :func:`atomic_write` (temp file in the target directory + flush +
-  ``fsync`` + ``os.replace`` + directory ``fsync``) backs every
-  whole-file artifact (best trees, compacted journals, benchmark
-  sections): a crash mid-write leaves the previous version intact, and
-  the directory fsync makes the rename itself durable — without it a
-  crash right after ``os.replace`` could roll the directory entry back
-  to the old file.
+:func:`atomic_write` (temp file in the target directory + flush +
+``fsync`` + ``os.replace`` + directory ``fsync``) backs every whole-file
+artifact (best trees, compacted journals, benchmark sections): a crash
+mid-write leaves the previous version intact, and the directory fsync
+makes the rename itself durable — without it a crash right after
+``os.replace`` could roll the directory entry back to the old file.
 
 One file is the only layout: a shard manifest (the retired sharded
 journal, DESIGN.md §15) at a journal path is refused by :func:`replay`
@@ -59,8 +54,10 @@ import logging
 import os
 import tempfile
 import time
+import warnings
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 from zlib import crc32
 
 from ..chaos import injector as _chaos
@@ -76,6 +73,7 @@ __all__ = [
     "RetiredJournalFormatError",
     "RunJournal",
     "JournalState",
+    "RecordLog",
     "atomic_write",
     "compact_journal",
     "replay",
@@ -86,6 +84,9 @@ logger = logging.getLogger(__name__)
 #: Bounded retry budget for transient append failures.
 APPEND_RETRIES = 3
 APPEND_RETRY_SLEEP_S = 0.01
+
+#: Bytes :meth:`RecordLog.read_at` asks for first; a longer line reads on.
+_READ_BYTES = 2048
 
 #: The ``"format"`` field of a retired sharded-journal manifest.
 _SHARD_MANIFEST_FORMAT = "repro-cluster-shard-manifest"
@@ -136,8 +137,131 @@ def decode_record(line: str) -> dict:
     return record
 
 
+class RecordLog:
+    """One append-only file of :func:`encode_record` lines over a raw
+    ``O_APPEND`` descriptor: the run journal and the job store's
+    ``jobs.log``.  Its rules (fsync per append, bounded retries, the
+    torn tail, what :meth:`scan` skips, the chaos sites) are the table
+    of DESIGN.md §11.4.  ``truncate`` starts the file afresh."""
+
+    def __init__(self, path: str, truncate: bool = False):
+        self.path = os.fspath(path)
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        self._fd = os.open(self.path, flags | (os.O_TRUNC if truncate else 0),
+                           0o666)
+        # Backstop for a log dropped without close(), warning as an
+        # unclosed file does.
+        self._leak = weakref.finalize(self, _close_leaked, self._fd,
+                                      self.path)
+        #: the byte size of the log's whole lines: where the next goes
+        self.end = os.fstat(self._fd).st_size
+        # Terminate a torn last line: the fragment stays one bad line.
+        if self.end and os.pread(self._fd, 1, self.end - 1) != b"\n":
+            os.write(self._fd, b"\n")
+            self.end += 1
+
+    def append(self, record: dict, key: str) -> int:
+        """Append *record* as one line, durable before this returns;
+        returns the line's offset.  *key* keys the chaos draws."""
+        line = f"{encode_record(record)}\n".encode()
+        fd = self._fd
+        if fd < 0:
+            raise ValueError(f"record log {self.path} is closed")
+        if _chaos._ACTIVE is not None and _chaos.fire(
+            CLUSTER_JOURNAL_TORN, key=key
+        ):
+            # Model the writer dying mid-write(): half the line reaches
+            # the disk, then the process stops.
+            os.write(fd, line[: max(1, len(line) // 2)])
+            raise _chaos.InjectedCrash(
+                f"record append torn mid-write during {key!r}: {self.path}"
+            )
+        last_error: Optional[OSError] = None
+        for attempt in range(APPEND_RETRIES):
+            try:
+                if _chaos._ACTIVE is not None and _chaos.fire(
+                    CLUSTER_JOURNAL_OSERROR, key=f"{key}:{attempt}"
+                ):
+                    raise OSError(28, "injected transient write failure")
+                if os.write(fd, line) < len(line):
+                    raise OSError("short write of a record line")
+                os.fsync(fd)
+            except BaseException as exc:
+                # Cut a partial line off, so a retry (or the next
+                # append) starts a line of its own.
+                try:
+                    os.ftruncate(fd, self.end)
+                except OSError:
+                    pass
+                if not isinstance(exc, OSError):
+                    raise
+                last_error = exc
+                time.sleep(APPEND_RETRY_SLEEP_S * (attempt + 1))
+                continue
+            self.end += len(line)
+            return self.end - len(line)
+        raise JournalWriteError(
+            f"record append failed after {APPEND_RETRIES} attempts "
+            f"({key!r}): {last_error}"
+        ) from last_error
+
+    def read_at(self, offset: int) -> dict:
+        """The CRC-checked record of the line at *offset* (``os.pread``:
+        no shared file position, so any thread may read at once)."""
+        fd = self._fd
+        if fd < 0:
+            raise ValueError(f"record log {self.path} is closed")
+        size = _READ_BYTES
+        while True:
+            chunk = os.pread(fd, size, offset)
+            end = chunk.find(b"\n")
+            if end >= 0:
+                return decode_record(chunk[:end].decode())
+            if len(chunk) < size:
+                raise ValueError(f"{self.path}: no record ends after "
+                                 f"offset {offset}")
+            size *= 2
+
+    @staticmethod
+    def scan(path: str, start: int = 0, whole: bool = False
+             ) -> Iterator[Tuple[int, int, bytes, Union[dict, ValueError]]]:
+        """Decode the log at *path* from byte *start*, one line at a
+        time: yields ``(line number, offset, line, record)`` for each
+        non-blank line, where *record* is the ``ValueError`` a torn or
+        damaged line failed with.  With *whole* a last line without its
+        newline (a write in progress) ends the scan unread."""
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            offset = start
+            for line_no, line in enumerate(fh, 1):
+                if whole and not line.endswith(b"\n"):
+                    return
+                text = line.strip()
+                if text:
+                    try:
+                        record = decode_record(text.decode())
+                    except ValueError as exc:
+                        record = exc
+                    yield line_no, offset, line, record
+                offset += len(line)
+
+    def close(self) -> None:
+        """Close the log (idempotent); appends and reads after it raise
+        ``ValueError``."""
+        if self._leak.detach() is not None:
+            os.close(self._fd)
+        self._fd = -1
+
+
+def _close_leaked(fd: int, path: str) -> None:
+    os.close(fd)
+    warnings.warn(f"unclosed record log {path!r}", ResourceWarning)
+
+
 class RunJournal:
-    """Append-only JSONL sink; ``path=None`` keeps events in memory only.
+    """Append-only JSONL sink over a :class:`RecordLog` (``append``
+    continues the file at *path*); ``path=None`` keeps events in memory
+    only.
 
     The in-memory mode backs ephemeral runs (:func:`repro.cluster.run_job`
     without a ``journal_path``) that want retry/heartbeat semantics
@@ -157,11 +281,8 @@ class RunJournal:
         self.path = path
         self.events: List[dict] = []
         self._clock = clock if clock is not None else time.time
-        self._fh = None
-        if path is not None:
-            if append:
-                _repair_torn_tail(path)
-            self._fh = open(path, "a" if append else "w")
+        self._log = (None if path is None
+                     else RecordLog(path, truncate=not append))
 
     @property
     def last_time(self) -> float:
@@ -172,69 +293,20 @@ class RunJournal:
     def append(self, event: str, **fields) -> dict:
         record = {"event": event, "time": self._clock(), **fields}
         self.events.append(record)
-        if self._fh is not None:
-            self._write_line(encode_record(record) + "\n", event)
+        if self._log is not None:
+            self._log.append(record, event)
         return record
 
-    def _write_line(self, line: str, event: str) -> None:
-        if _chaos._ACTIVE is not None and _chaos.fire(
-            CLUSTER_JOURNAL_TORN, key=event
-        ):
-            # Model the writer dying mid-write(): half the line reaches
-            # the disk, then the process stops.
-            self._fh.write(line[: max(1, len(line) // 2)])
-            self._fh.flush()
-            raise _chaos.InjectedCrash(
-                f"journal append torn mid-write during {event!r}"
-            )
-        last_error: Optional[OSError] = None
-        for attempt in range(APPEND_RETRIES):
-            try:
-                if _chaos._ACTIVE is not None and _chaos.fire(
-                    CLUSTER_JOURNAL_OSERROR, key=f"{event}:{attempt}"
-                ):
-                    raise OSError(28, "injected transient write failure")
-                self._fh.write(line)
-                self._fh.flush()
-                return
-            except OSError as exc:
-                last_error = exc
-                time.sleep(APPEND_RETRY_SLEEP_S * (attempt + 1))
-        raise JournalWriteError(
-            f"journal append failed after {APPEND_RETRIES} attempts "
-            f"({event!r}): {last_error}"
-        ) from last_error
-
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "RunJournal":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _repair_torn_tail(path: str) -> None:
-    """Terminate a torn final line before appending to a journal.
-
-    Without this, the resumed run's first record would be appended onto
-    the torn fragment, corrupting a *good* record instead of leaving one
-    isolated bad line for :func:`replay` to skip.
-    """
-    try:
-        with open(path, "rb+") as fh:
-            fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            if size == 0:
-                return
-            fh.seek(size - 1)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-    except FileNotFoundError:
-        pass
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -416,22 +488,16 @@ def replay(path: str) -> JournalState:
     A shard manifest at *path* raises :class:`RetiredJournalFormatError`.
     """
     state = JournalState()
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = decode_record(line)
-            except ValueError as exc:
-                state._skip(line_no, str(exc))
-                continue
-            if record.get("format") == _SHARD_MANIFEST_FORMAT:
-                raise RetiredJournalFormatError(
-                    f"{path} is a sharded-journal manifest; that format "
-                    f"was removed and only single-file journals are read"
-                )
-            _fold_record(state, record, line_no)
+    for line_no, _, _, record in RecordLog.scan(path):
+        if isinstance(record, ValueError):
+            state._skip(line_no, str(record))
+            continue
+        if record.get("format") == _SHARD_MANIFEST_FORMAT:
+            raise RetiredJournalFormatError(
+                f"{path} is a sharded-journal manifest; that format "
+                f"was removed and only single-file journals are read"
+            )
+        _fold_record(state, record, line_no)
     if state.bootstop is not None:
         stop_at = int(state.bootstop["stop_at"])
         for key in [k for k in state.payloads

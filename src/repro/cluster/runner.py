@@ -53,7 +53,6 @@ def _finalize(journal: RunJournal, aggregator: StreamingAggregator,
         perf=aggregator.perf_totals(),
         **extra,
     )
-    journal.close()
     analysis.degraded = degraded
     return analysis
 
@@ -88,14 +87,12 @@ def _settle(queue: ClusterQueue, journal) -> AnalysisResult:
         return _finalize(journal, queue.aggregator)
     if reason == REASON_DEADLINE:
         if queue.aggregator.n_inferences == 0:
-            journal.close()
             raise TaskCancelled(
                 REASON_DEADLINE,
                 "deadline exceeded before any inference completed; "
                 "nothing to salvage",
             )
         return _finalize(journal, queue.aggregator, degraded=True)
-    journal.close()
     raise TaskCancelled(reason)
 
 
@@ -207,31 +204,30 @@ def _execute(spec: JobSpec, state: Optional[JournalState], alignment,
                 analysis = aggregator.analysis()
                 analysis.degraded = state.degraded
                 return analysis
-            journal = RunJournal(journal_path, append=True, clock=clock)
-            journal.append("run_resumed", remaining=0)
-            return _finalize(journal, aggregator)
+            with RunJournal(journal_path, append=True, clock=clock) as journal:
+                journal.append("run_resumed", remaining=0)
+                return _finalize(journal, aggregator)
 
     patterns = (_as_patterns(alignment) if alignment is not None
                 else _load_patterns(spec))
     cluster = _with_workers(cluster, n_workers)
-    journal = RunJournal(journal_path, append=state is not None, clock=clock)
-    if state is None:
-        journal.append("run_started", spec=spec.to_json(),
-                       n_workers=cluster.n_workers)
-    else:
-        journal.append("run_resumed", remaining=sum(t.grain for t in tasks),
-                       n_workers=cluster.n_workers)
-    queue = ClusterQueue(
-        patterns, spec, cluster=cluster,
-        journal=journal, plans=plans, bootstop=bootstop, pool=pool,
-    )
-    try:
+    # The journal closes on every way out, the header's append included.
+    with RunJournal(journal_path, append=state is not None,
+                    clock=clock) as journal:
+        if state is None:
+            journal.append("run_started", spec=spec.to_json(),
+                           n_workers=cluster.n_workers)
+        else:
+            journal.append("run_resumed",
+                           remaining=sum(t.grain for t in tasks),
+                           n_workers=cluster.n_workers)
+        queue = ClusterQueue(
+            patterns, spec, cluster=cluster,
+            journal=journal, plans=plans, bootstop=bootstop, pool=pool,
+        )
         queue.run(tasks, already=already,
                   cancel=_resolve_cancel(spec, cancel))
-    except BaseException:
-        journal.close()
-        raise
-    return _settle(queue, journal)
+        return _settle(queue, journal)
 
 
 def job_status(journal_path: str) -> Dict[str, object]:

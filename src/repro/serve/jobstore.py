@@ -1,15 +1,15 @@
 """Durable job records and the synchronous service core.
 
 The store is the crash-safe half of the service: every job record is
-appended to one CRC-framed record log and fsynced before the save
-returns, alignments are stored content-addressed (one copy no matter
-how many clients submit the same data), and each job's cluster journal
-lives under a stable path derived from the job id.  A server killed at
-*any* point — the
+appended to one record log (DESIGN.md §11.4), alignments are stored
+content-addressed (one copy no matter how many clients submit the same
+data), and each job's cluster journal lives under a stable path derived
+from the job id.  A server killed at *any* point — the
 ``serve.server_kill`` chaos site fires between two journal appends of a
-running job — restarts by re-enqueueing its ``queued``/``running``
-records and resuming their journals, and the cluster's bit-identical
-resume contract makes the final results indistinguishable from an
+running job, ``cluster.journal_torn`` in the middle of any record-log
+append — restarts by re-enqueueing its ``queued``/``running`` records
+and resuming their journals, and the cluster's bit-identical resume
+contract makes the final results indistinguishable from an
 uninterrupted server.
 
 :class:`JobService` is the transport-free orchestration core: submit →
@@ -27,17 +27,13 @@ import os
 import shutil
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..chaos import injector as _chaos
 from ..chaos.plan import SERVE_SERVER_KILL
 from ..cluster.checkpoint import (
-    atomic_write,
-    decode_record,
-    encode_record,
-    replay,
+    RecordLog, atomic_write, encode_record, replay,
 )
 from ..cluster.jobs import JobSpec, JobSpecError
 from ..cluster.pool import WorkerPool
@@ -73,10 +69,6 @@ JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
-
-#: Bytes a record read asks for first; a longer record reads on.
-_READ_BYTES = 2048
-
 
 def digest_of(alignment_text: str, spec: JobSpec) -> str:
     """The content-addressed digest of a submission (parses once)."""
@@ -185,25 +177,21 @@ class JobStore:
           jobs.log                   # every record save, appended
           journals/<job_id>.jsonl    # the job's cluster run journal
 
-    ``jobs.log`` holds one CRC-framed line
-    (:func:`~repro.cluster.checkpoint.encode_record`) per save.
-    :meth:`save` appends it and fsyncs under a lock before returning,
-    so a state transition is durable before anyone can observe it.
+    ``jobs.log`` is a :class:`~repro.cluster.checkpoint.RecordLog`
+    (DESIGN.md §11.4), one line per save: :meth:`save` appends under a
+    lock, durable before anyone can observe the transition, and
     :meth:`get` reads a job's newest line with ``os.pread`` through an
-    offset index — the event loop and the executor threads read at
-    once, so there is no shared file position and no lock.  The index
-    is an array over the submission number each job id carries; an id
-    that names no free slot of it (only a hand-made record can) goes
-    to a small side table.
+    offset index, with no lock.  The index is an array over the
+    submission number each job id carries; an id that names no free
+    slot of it (only a hand-made record can) goes to a small side table.
 
-    Opening the store replays the log: a torn tail (or any line that
-    fails its CRC) is skipped with a warning, the last line of each
-    job wins, and the log is rewritten compacted with
-    :func:`~repro.cluster.checkpoint.atomic_write`.  A root an older
-    version wrote, one file per record under ``jobs/``, is migrated
-    into the log once and its ``jobs/`` removed.  :meth:`close` closes
-    the log: a store that a restarted service has replaced must not
-    append to it.
+    Opening the store replays the log (skipping torn or damaged lines
+    with a warning; the last line of each job wins), migrates a root an
+    older version wrote (one file per record under ``jobs/``) once, and
+    rewrites the log compacted with
+    :func:`~repro.cluster.checkpoint.atomic_write`.  :meth:`close`
+    closes the log: a store that a restarted service has replaced must
+    not append to it.
     """
 
     def __init__(self, root: str, clock: Optional[Callable[[], float]] = None):
@@ -234,23 +222,16 @@ class JobStore:
 
     def _open_log(self) -> None:
         """Replay, migrate and compact the log, then open it to append."""
-        newest: Dict[str, Tuple[Dict[str, object], str]] = {}
-        try:
-            with open(self.log_path, "rb") as fh:
-                lines = fh.read().split(b"\n")
-        except FileNotFoundError:
-            lines = []
-        for line_no, line in enumerate(lines, 1):
-            if not line:
-                continue
-            try:
-                text = line.decode("ascii")
-                payload = decode_record(text)
-            except ValueError as exc:  # a torn tail or a damaged line
-                logger.warning("%s line %d: skipped (%s)", self.log_path,
-                               line_no, exc)
-                continue
-            newest[payload["job_id"]] = payload, text
+        # job id -> (submission number, the job's newest line)
+        newest: Dict[str, Tuple[int, bytes]] = {}
+        if os.path.exists(self.log_path):
+            for line_no, _, line, payload in RecordLog.scan(self.log_path):
+                if isinstance(payload, ValueError):  # torn or damaged
+                    logger.warning("%s line %d: skipped (%s)", self.log_path,
+                                   line_no, payload)
+                    continue
+                newest[payload["job_id"]] = (payload["submitted_seq"],
+                                             line.rstrip(b"\n") + b"\n")
         legacy = os.path.join(self.root, "jobs")
         if os.path.isdir(legacy):
             for name in sorted(os.listdir(legacy)):
@@ -258,22 +239,21 @@ class JobStore:
                     with open(os.path.join(legacy, name)) as fh:
                         payload = json.load(fh)
                     # A record the log holds was saved after this file.
-                    newest.setdefault(payload["job_id"],
-                                      (payload, encode_record(payload)))
-        kept = sorted(newest.values(), key=lambda item: _recovery_order(
-            item[0]["submitted_seq"], item[0]["job_id"]))
-        self._next_seq = 1 + max(
-            (payload["submitted_seq"] for payload, _ in kept), default=0)
-        atomic_write(self.log_path, "".join(f"{text}\n" for _, text in kept))
+                    newest.setdefault(payload["job_id"], (
+                        payload["submitted_seq"],
+                        f"{encode_record(payload)}\n".encode()))
+        kept = sorted(newest.items(), key=lambda item: _recovery_order(
+            item[1][0], item[0]))
+        self._next_seq = 1 + max((seq for _, (seq, _) in kept), default=0)
+        atomic_write(self.log_path,
+                     b"".join(line for _, (_, line) in kept).decode())
         if os.path.isdir(legacy):
             shutil.rmtree(legacy)
-        self._fd = os.open(self.log_path, os.O_RDWR | os.O_APPEND)
-        # Backstop for a store dropped without close(); runs at most once.
-        self._close_fd = weakref.finalize(self, os.close, self._fd)
-        self._end = 0
-        for payload, text in kept:
-            self._place(payload["job_id"], self._end)
-            self._end += len(text) + 1
+        self._log = RecordLog(self.log_path)
+        offset = 0
+        for job_id, (_, line) in kept:
+            self._place(job_id, offset)
+            offset += len(line)
 
     def _place(self, job_id: str, offset: int) -> None:
         """Point the index at *job_id*'s line at *offset* (under the
@@ -285,32 +265,16 @@ class JobStore:
                 if seq >= len(offsets):
                     offsets.extend([-1] * (seq + 1 - len(offsets)))
                 held = offsets[seq]
-                if held < 0 or self._read(held)["job_id"] == job_id:
+                if held < 0 or self._log.read_at(held)["job_id"] == job_id:
                     offsets[seq] = offset
                     return
         self._other[job_id] = offset
-
-    def _read(self, offset: int) -> Dict[str, object]:
-        """The record of the line at *offset*, CRC-checked."""
-        if self._fd < 0:
-            raise ValueError(f"the job store at {self.root} is closed")
-        size = _READ_BYTES
-        while True:
-            chunk = os.pread(self._fd, size, offset)
-            end = chunk.find(b"\n")
-            if end >= 0:
-                return decode_record(chunk[:end].decode("ascii"))
-            if len(chunk) < size:
-                raise ValueError(f"{self.log_path}: no record ends after "
-                                 f"offset {offset}")
-            size *= 2
 
     def close(self) -> None:
         """Close the record log (idempotent); reads and saves after it
         raise ``ValueError``."""
         with self._lock:
-            self._close_fd()
-            self._fd = -1
+            self._log.close()
 
     # -- records ------------------------------------------------------------
 
@@ -324,26 +288,9 @@ class JobStore:
         """Append *record* to the log; durable (written and fsynced)
         before this returns, and only then visible to :meth:`get`."""
         record.updated = self._clock()
-        line = f"{encode_record(record.to_json())}\n".encode("ascii")
         with self._lock:
-            if self._fd < 0:
-                raise ValueError(f"the job store at {self.root} is closed")
-            try:
-                written = 0
-                while written < len(line):
-                    written += os.write(self._fd, line[written:])
-                os.fsync(self._fd)
-            except BaseException:
-                # Cut a partial line off, so the next append starts a
-                # line of its own; the log keeps the record's last
-                # durable state.
-                try:
-                    os.ftruncate(self._fd, self._end)
-                except OSError:
-                    pass
-                raise
-            self._place(record.job_id, self._end)
-            self._end += len(line)
+            self._place(record.job_id,
+                        self._log.append(record.to_json(), record.state))
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         offset = self._other.get(job_id)
@@ -353,7 +300,7 @@ class JobStore:
             offset = offsets[seq] if 0 < seq < len(offsets) else -1
         if offset < 0:
             return None
-        payload = self._read(offset)
+        payload = self._log.read_at(offset)
         if payload["job_id"] != job_id:  # the slot holds another id
             return None
         return JobRecord.from_json(payload)
@@ -362,7 +309,7 @@ class JobStore:
         """Every job's newest record, in recovery order."""
         offsets = [offset for offset in self._offsets if offset >= 0]
         offsets.extend(self._other.values())
-        records = [JobRecord.from_json(self._read(offset))
+        records = [JobRecord.from_json(self._log.read_at(offset))
                    for offset in offsets]
         records.sort(key=lambda r: _recovery_order(r.submitted_seq, r.job_id))
         return records

@@ -1,10 +1,10 @@
 """Server-sent-events streaming of a job's run journal.
 
 The cluster journal is already an append-only event log, so live
-progress streaming is just a tail: :class:`JournalTail` incrementally
-reads complete lines from the journal file (tracking a byte offset, so
-each poll costs one ``seek`` + the new bytes), CRC-verifies them with
-the journal's own :func:`~repro.cluster.checkpoint.decode_record`, and
+progress streaming is just a tail: :class:`JournalTail` reads the
+complete lines appended since its last poll (from a byte offset) with
+the record log's one reader,
+:meth:`~repro.cluster.checkpoint.RecordLog.scan` (DESIGN.md §11.4), and
 the HTTP layer frames each record as one SSE event::
 
     id: 4
@@ -24,7 +24,7 @@ import json
 import os
 from typing import Dict, List
 
-from ..cluster.checkpoint import decode_record
+from ..cluster.checkpoint import RecordLog
 
 __all__ = ["JournalTail", "format_sse"]
 
@@ -48,37 +48,23 @@ class JournalTail:
     def __init__(self, path: str, start_id: int = 0):
         self.path = os.fspath(path)
         self._offset = 0
-        self._partial = b""
         self.next_id = start_id
         self.corrupt = 0
 
     def poll(self) -> List[Dict[str, object]]:
         """Return all complete, CRC-valid records appended since last poll."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except FileNotFoundError:
-            return []
-        if not chunk:
-            return []
-        self._offset += len(chunk)
-        data = self._partial + chunk
-        lines = data.split(b"\n")
-        # The final element is either empty (chunk ended on a newline)
-        # or a half-written record: keep it buffered, never decode it.
-        self._partial = lines.pop()
         records: List[Dict[str, object]] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = decode_record(line.decode("utf-8", "replace"))
-            except ValueError:
-                self.corrupt += 1
-                record = {"event": "journal_corrupt",
-                          "detail": "skipped a record that failed decode/CRC"}
-            records.append(record)
+        try:
+            for _, offset, line, record in RecordLog.scan(
+                    self.path, self._offset, whole=True):
+                self._offset = offset + len(line)
+                if isinstance(record, ValueError):
+                    self.corrupt += 1
+                    record = {"event": "journal_corrupt", "detail":
+                              "skipped a record that failed decode/CRC"}
+                records.append(record)
+        except FileNotFoundError:
+            pass
         return records
 
     def events(self) -> List[str]:

@@ -10,6 +10,8 @@ serial reference (trees, likelihoods, supports); a run that dies must
 die with a typed error.
 """
 
+import os
+
 import pytest
 
 from repro.chaos import (
@@ -41,6 +43,17 @@ FAULT_PROBABILITY = 0.3
 def _spec(fast_config):
     return JobSpec(n_inferences=1, n_bootstraps=4, seed=9, batch_size=2,
                    config=fast_config)
+
+
+def _open_paths():
+    """The paths this process holds open descriptors on."""
+    paths = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # closed since the listing
+            pass
+    return paths
 
 
 def _cfg(n_workers):
@@ -159,6 +172,28 @@ class TestJournalFaults:
                 with pytest.raises(JournalWriteError,
                                    match="after 3 attempts"):
                     journal.append("run_started", spec={})
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc")
+    def test_a_failed_header_append_closes_the_journal(
+            self, tiny_patterns, fast_config, cluster_workers, tmp_path):
+        """The ``run_started`` append exhausts its retries: ``run_job``
+        raises the typed error and leaves no descriptor open on the
+        journal (a serving process would leak one per job)."""
+        plan = FaultPlan(seed=0, specs=(
+            FaultSpec(CLUSTER_JOURNAL_OSERROR, trigger_at=(0, 1, 2),
+                      max_triggers=3),
+        ))
+        journal = str(tmp_path / "j.jsonl")
+        with inject(plan):
+            with pytest.raises(JournalWriteError) as raised:
+                run_job(_spec(fast_config), alignment=tiny_patterns,
+                        journal_path=journal,
+                        cluster=_cfg(cluster_workers))
+        # ``raised`` keeps the traceback, and with it run_job's frames,
+        # alive: a journal they hold open would still be open here.
+        assert raised.type is JournalWriteError
+        assert os.path.realpath(journal) not in _open_paths()
 
     def test_torn_append_crashes_then_resumes_bit_identical(
             self, tiny_patterns, fast_config, serial_reference,

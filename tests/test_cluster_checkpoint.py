@@ -131,7 +131,8 @@ class TestJournalHardening:
     def test_crc_detects_in_place_corruption(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         self._journal_with_payloads(path)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         # Flip two characters inside the *middle* record's newick — the
         # line stays valid JSON of the right shape, so only the CRC can
         # catch it.
@@ -155,7 +156,8 @@ class TestJournalHardening:
         skipped and counted, and nothing raises."""
         path = str(tmp_path / "j.jsonl")
         self._journal_with_payloads(path, n=2)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         last_start = blob[:-1].rfind(b"\n") + 1
         cut_path = str(tmp_path / "cut.jsonl")
         for cut in range(last_start, len(blob)):
@@ -227,7 +229,8 @@ class TestJournalHardening:
         assert after.finished
         assert after.corrupt_records == 0  # the torn line is gone
         assert after.tasks_started == 0  # scheduling chatter dropped
-        assert len(open(path).read().splitlines()) == 3
+        with open(path) as fh:
+            assert len(fh.read().splitlines()) == 3
 
     def test_atomic_write_fsyncs_the_parent_directory(self, tmp_path,
                                                       monkeypatch):
@@ -268,7 +271,8 @@ class TestJournalHardening:
             run_job(spec, alignment=tiny_patterns, n_workers=1,
                     journal_path=path,
                     clock=lambda: float(clock()))
-            return open(path).read()
+            with open(path) as fh:
+                return fh.read()
 
         first = journal(str(tmp_path / "a.jsonl"))
         second = journal(str(tmp_path / "b.jsonl"))
@@ -577,11 +581,13 @@ class TestResumeDeterminism:
             self, tiny_patterns, fast_config, cluster_workers, tmp_path):
         older = self._older_journal(tiny_patterns, fast_config,
                                     cluster_workers, tmp_path, True)
-        before = open(older).read()
+        with open(older) as fh:
+            before = fh.read()
         with pytest.raises(ValueError, match="'batch_spr'"):
             resume_job(older, alignment=tiny_patterns,
                        n_workers=cluster_workers)
-        assert open(older).read() == before  # no run_resumed, no task
+        with open(older) as fh:
+            assert fh.read() == before  # no run_resumed, no task
 
     def test_resume_requires_a_header(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
@@ -679,7 +685,8 @@ class TestStatusRendering:
                        config=fast_config)
         run_job(spec, alignment=tiny_patterns, n_workers=cluster_workers,
                 journal_path=full)
-        lines = open(full).read().splitlines()
+        with open(full) as fh:
+            lines = fh.read().splitlines()
         # Corrupt one replicate record in place (CRC catches it) and
         # append a torn tail: both must be counted, not trusted.
         index = next(i for i, line in enumerate(lines)
@@ -714,7 +721,11 @@ def _shard_manifest(tmp_path, spec):
 def _tree_bytes(root):
     paths = [os.path.join(d, name)
              for d, _, files in os.walk(root) for name in files]
-    return {path: open(path, "rb").read() for path in paths}
+    tree = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            tree[path] = fh.read()
+    return tree
 
 
 class TestRetiredShardManifest:

@@ -22,9 +22,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultSpec, inject
+from repro.chaos.plan import CLUSTER_JOURNAL_OSERROR
 from repro.cluster import JobSpec
 from repro.cluster.bootstop import BootstopConfig
-from repro.cluster.checkpoint import encode_record
+from repro.cluster.checkpoint import decode_record, encode_record
 from repro.phylo import Alignment, SearchConfig, synthetic_dataset
 from repro.phylo.alignment import load_alignment_text
 from repro.phylo.protein import AA
@@ -102,6 +104,39 @@ class TestTornTail:
                 [r.job_id for r in records]
         finally:
             store.close()
+
+
+class TestTransientWriteError:
+    def test_a_save_retries_a_transient_oserror(self, tmp_path):
+        """One injected ``OSError`` on a save's first attempt: the retry
+        lands, the log holds exactly one whole line for the save, and
+        ``get`` (and a restart) read the new state."""
+        root = str(tmp_path / "root")
+        store = JobStore(root, clock=_counter())
+        records = _submit_six(store)
+        plan = FaultPlan(seed=0, specs=(
+            FaultSpec(CLUSTER_JOURNAL_OSERROR, trigger_at=(0,)),
+        ))
+        try:
+            with inject(plan) as injector:
+                _move(store, records[3].job_id, "running")
+            assert injector.fired[CLUSTER_JOURNAL_OSERROR] == 1
+            assert store.get(records[3].job_id).state == "running"
+        finally:
+            store.close()
+        with open(os.path.join(root, "jobs.log"), "rb") as fh:
+            blob = fh.read()
+        assert blob.endswith(b"\n")
+        lines = [decode_record(line.decode())
+                 for line in blob.splitlines()]
+        assert len(lines) == 7
+        assert [(r["job_id"], r["state"]) for r in lines[6:]] == \
+            [(records[3].job_id, "running")]
+        reopened = JobStore(root)
+        try:
+            assert reopened.get(records[3].job_id).state == "running"
+        finally:
+            reopened.close()
 
 
 class TestConcurrentReads:

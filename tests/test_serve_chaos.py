@@ -5,11 +5,18 @@ per-seed entry proves the mechanism deterministically; a small seeded
 campaign exercises the public entry point the CI chaos job uses.
 """
 
+import logging
+
 import pytest
 
-from repro.chaos import SURVIVED_IDENTICAL, FaultPlan, FaultSpec
-from repro.chaos.campaign import Campaign, run_campaign
-from repro.chaos.plan import SERVE_SERVER_KILL, SERVE_SITES, default_plan
+from repro.chaos import SURVIVED_IDENTICAL, FaultPlan, FaultSpec, inject
+from repro.chaos.campaign import Campaign, SeedRun, run_campaign
+from repro.chaos.plan import (
+    CLUSTER_JOURNAL_TORN,
+    SERVE_SERVER_KILL,
+    SERVE_SITES,
+    default_plan,
+)
 from repro.cluster import JobSpec
 
 
@@ -81,3 +88,40 @@ class TestServeCampaign:
         plan = default_plan(SERVE_SITES, 3)
         assert plan.sites == (SERVE_SERVER_KILL,)
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+
+class TestRecordLogFaults:
+    def test_every_torn_append_of_a_job_resumes_bit_identical(
+            self, campaign, tmp_path, caplog):
+        """Tear the k-th record-log append of one served job, for every
+        k: the ``jobs.log`` saves and the run journal's appends are one
+        sequence of ``cluster.journal_torn`` visits.  Each tear is a
+        server death; the restarted service must end the job with the
+        baseline's result.  Visit 0 is the submission's save: a death
+        before the client has its ack, so there is no job to resume and
+        the enumeration starts at 1."""
+        # Count the visits of one fault-free job (the site never fires).
+        counting = FaultPlan(seed=0, specs=(
+            FaultSpec(CLUSTER_JOURNAL_TORN, probability=0.0),
+        ))
+        with inject(counting) as injector:
+            _, service = campaign.arm.drive(
+                campaign.job, SeedRun(str(tmp_path / "count")))
+            service.close()
+        visits = injector.visits[CLUSTER_JOURNAL_TORN]
+        assert visits > 3
+        torn_store = []
+        for k in range(1, visits):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, "repro.serve.jobstore"):
+                run = campaign.run_seed(FaultPlan(seed=100 + k, specs=(
+                    FaultSpec(CLUSTER_JOURNAL_TORN, trigger_at=(k,)),
+                )))
+            assert run.classification == SURVIVED_IDENTICAL, (k, run.error)
+            assert run.fired == {CLUSTER_JOURNAL_TORN: 1}, k
+            assert run.resumes == 1, k
+            if any("jobs.log line" in r.getMessage()
+                   for r in caplog.records):
+                torn_store.append(k)
+        # Some tear hit jobs.log (its restart skipped the torn line).
+        assert torn_store, visits
